@@ -1,9 +1,15 @@
+import hashlib
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from hypca import geometry as geo
 from hypca import region as reg
 from hypca import symmetry as sym
+
+GOLDEN = Path(__file__).parent / "golden"
 
 # cell counts are frozen: a change means the generator walked a different
 # portion of the tiling
@@ -216,3 +222,58 @@ def test_dodecagrid_four_cells_per_interior_edge(region_of):
         if r.dist[c] <= r.radius - 2:
             for key in _edges_of_cell(shape, r.matrices[c]):
                 assert counts[key] == 4, (c, key)
+
+
+# Fingerprints of regions built by the scalar (one lookup per cell and side)
+# builder that preceded the batched one; goldens in tests/golden/.  Any
+# change to cell ids, adjacency, dist, positions or the guideline shows here.
+FINGERPRINT_SIZES = [
+    (grid, radius, hw)
+    for grid, radii in (("pentagrid", (1, 2, 3)), ("heptagrid", (1, 2, 3)),
+                        ("dodecagrid", (1, 2)))
+    for radius in radii
+    for hw in (0, 2)
+]
+FINGERPRINTS = GOLDEN / "region_fingerprints.json"
+MATRICES = GOLDEN / "region_matrices.npz"
+
+
+def _digest(a) -> str | None:
+    if a is None:
+        return None
+    a = np.ascontiguousarray(a, dtype="<i4")
+    h = hashlib.sha256(str(a.shape).encode())
+    h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def region_fingerprint(r: reg.Region) -> dict:
+    gl = r.guideline
+    return {
+        "n_cells": r.n_cells,
+        "adjacency": _digest(r.adjacency),
+        "dist": _digest(r.dist),
+        "positions": _digest(r.positions),
+        "guideline.cell_ids": _digest(gl.cell_ids),
+        "guideline.positions": _digest(gl.positions),
+        "guideline.left_sides": _digest(gl.left_sides),
+        "guideline.right_sides": _digest(gl.right_sides),
+        "guideline.mirror_ids": _digest(gl.mirror_ids),
+    }
+
+
+def _size_key(grid: str, radius: int, hw: int) -> str:
+    return f"{grid}-r{radius}-hw{hw}"
+
+
+@pytest.mark.parametrize("grid,radius,hw", FINGERPRINT_SIZES)
+def test_region_matches_fingerprint_golden(region_of, grid, radius, hw):
+    r = region_of(grid, radius, hw)
+    key = _size_key(grid, radius, hw)
+    want = json.loads(FINGERPRINTS.read_text())[key]
+    assert region_fingerprint(r) == want
+    with np.load(MATRICES) as golden:
+        ref = golden[key]
+    assert ref.shape == r.matrices.shape
+    scale = np.maximum(1.0, np.abs(ref))
+    assert (np.abs(r.matrices - ref) <= 1e-9 * scale).all()
