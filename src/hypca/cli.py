@@ -68,9 +68,11 @@ def cmd_simulate(args) -> int:
         sys.stderr.write(report.text())
         if not report.ok:
             status = 1
-    cfgs = engine.run_hca(b, region,
-                          engine.init_configuration(region, b, word),
-                          args.steps)
+        cfgs = report.configurations
+    else:
+        cfgs = engine.run_hca(b, region,
+                              engine.init_configuration(region, b, word),
+                              args.steps)
     trace = engine.yellow_trace(b, region, cfgs)
     _write(args.output, engine.trace_to_text(trace))
     if args.snapshot_out:

@@ -285,6 +285,9 @@ class EquivalenceReport:
     compared: int = 0
     divergence: Divergence | None = None
     stability_violations: list[tuple[int, int]] = field(default_factory=list)
+    # the full run, times 0..steps, whether or not checking stopped early
+    configurations: list[Configuration] = field(default_factory=list,
+                                                repr=False)
 
     @property
     def ok(self) -> bool:
@@ -319,11 +322,11 @@ def equivalence_check(rule: ca1d.Rule1D, automaton: emb.HcaAutomaton,
     if steps > region.radius - 1:
         raise ValueError(f"{steps} steps exceed the trusted horizon of a "
                          f"radius {region.radius} region")
-    report = EquivalenceReport(steps=steps)
     init = init_configuration(region, automaton, word)
     tape = ca1d.word_tape(list(word), padding=automaton.padding_state)
     oracle = ca1d.run_1d(rule, tape, steps)
     cfgs = run_hca(automaton, region, init, steps)
+    report = EquivalenceReport(steps=steps, configurations=cfgs)
 
     inv = automaton.inverse_map()
     gl = region.guideline

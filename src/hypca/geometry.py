@@ -108,74 +108,3 @@ def geodesic_points(p: np.ndarray, q: np.ndarray, count: int) -> np.ndarray:
     pts = (np.outer(np.sinh((1.0 - ts) * d), p) + np.outer(np.sinh(ts * d), q)) / np.sinh(d)
     return pts
 
-
-class CenterIndex:
-    """Tolerance-bucketed index of cell centers.
-
-    Centers of distinct tiles are separated by at least twice the cell
-    inradius (order 1 in absolute coordinates, at every depth this package
-    supports), while floating-point drift along a generation chain stays many
-    orders of magnitude below the bucket size.  A candidate is looked up in
-    every bucket its tolerance box straddles, so duplicates are never missed.
-    """
-
-    def __init__(self, bucket: float = 0.125, tol: float = 2e-3):
-        self.bucket = bucket
-        self.tol = tol
-        self._table: dict[tuple, int] = {}
-        self._coords: list[np.ndarray] = []
-
-    def _keys(self, x: np.ndarray):
-        lo = np.floor((x - self.tol) / self.bucket).astype(np.int64)
-        hi = np.floor((x + self.tol) / self.bucket).astype(np.int64)
-        if np.array_equal(lo, hi):
-            yield tuple(lo)
-            return
-        ranges = [range(int(a), int(b) + 1) for a, b in zip(lo, hi)]
-        idx = [0] * len(ranges)
-        while True:
-            yield tuple(r[i] for r, i in zip(ranges, idx))
-            k = len(idx) - 1
-            while k >= 0:
-                idx[k] += 1
-                if idx[k] < len(ranges[k]):
-                    break
-                idx[k] = 0
-                k -= 1
-            if k < 0:
-                return
-
-    def find(self, x: np.ndarray) -> int | None:
-        for key in self._keys(x):
-            hit = self._table.get(key)
-            if hit is not None and np.max(np.abs(self._coords[hit] - x)) < self.tol:
-                return hit
-        return None
-
-    def insert(self, x: np.ndarray, ident: int) -> None:
-        self._coords.append(np.asarray(x, dtype=float))
-        key = tuple(np.floor(x / self.bucket).astype(np.int64))
-        self._table[key] = ident
-
-    def nearest_distinct_gap(self) -> float:
-        """Smallest coordinate-space distance between two indexed centers.
-
-        Used by the dedup soundness check; scans the 3^d neighbourhood of
-        every occupied bucket.
-        """
-        coords = np.stack(self._coords)
-        best = np.inf
-        keys = {}
-        for i, x in enumerate(coords):
-            keys.setdefault(tuple(np.floor(x / self.bucket).astype(np.int64)), []).append(i)
-        offsets = [np.array(o) for o in np.ndindex(*([3] * coords.shape[1]))]
-        for key, members in keys.items():
-            base = np.array(key)
-            cand = []
-            for off in offsets:
-                cand.extend(keys.get(tuple(base + off - 1), []))
-            for i in members:
-                for k in cand:
-                    if k != i:
-                        best = min(best, float(np.max(np.abs(coords[i] - coords[k]))))
-        return best

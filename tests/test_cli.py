@@ -139,3 +139,30 @@ def test_render_blank_matches_golden(capsys):
                    "--halfwidth", "1") == 0
     assert capsys.readouterr().out == \
         (GOLDEN / "blank_pentagrid_r2.svg").read_text()
+
+
+def test_simulate_oracle_check_keeps_outputs(tmp_path, capsys, monkeypatch):
+    from hypca import engine
+    auto = tmp_path / "auto.json"
+    run_cli("transform", "--rule", "elementary:110", "--grid", "heptagrid",
+            "--method", "t3", "-o", str(auto))
+    runs = []
+    real_run = engine.run_hca
+
+    def counted(*args, **kwargs):
+        runs.append(1)
+        return real_run(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "run_hca", counted)
+    outs = {}
+    for flags in ([], ["--check-oracle"]):
+        runs.clear()
+        trace = tmp_path / f"trace{len(flags)}.txt"
+        snap = tmp_path / f"snap{len(flags)}.json"
+        assert run_cli("simulate", "--automaton", str(auto), "--word", "101",
+                       "--steps", "3", "--snapshot-out", str(snap),
+                       "-o", str(trace), *flags) == 0
+        assert len(runs) == 1        # the oracle check reuses its run
+        outs[len(flags)] = (trace.read_bytes(), snap.read_bytes())
+    assert "matches the 1D run" in capsys.readouterr().err
+    assert outs[0] == outs[1]

@@ -82,14 +82,3 @@ def test_line_frame_rejects_bad_cut():
     with pytest.raises(ValueError):
         geo.line_frame([n, n])
 
-
-def test_center_index_dedup_and_miss():
-    idx = geo.CenterIndex()
-    a = np.array([1.0, 0.25, -0.75])
-    idx.insert(a, 0)
-    assert idx.find(a + 1e-9) == 0
-    assert idx.find(a + np.array([0.5, 0.0, 0.0])) is None
-    # straddling a bucket boundary still finds the entry
-    b = np.array([0.1249999, 0.0, 0.0])
-    idx.insert(b, 1)
-    assert idx.find(b + 3e-7) == 1

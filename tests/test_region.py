@@ -277,3 +277,135 @@ def test_region_matches_fingerprint_golden(region_of, grid, radius, hw):
     assert ref.shape == r.matrices.shape
     scale = np.maximum(1.0, np.abs(ref))
     assert (np.abs(r.matrices - ref) <= 1e-9 * scale).all()
+
+
+# Precision limits of the batched center lookup.  Points are placed well
+# inside a bucket unless a test is about a bucket boundary.
+A = np.array([1.0, 0.31, -0.69])
+
+
+def _table(*points):
+    t = reg._CenterTable(3)
+    t.insert(np.array(points, dtype=float))
+    return t
+
+
+def _resolve(table, *points, grow=True):
+    return table.resolve([np.array(points, dtype=float)], grow=grow).tolist()
+
+
+def test_lookup_exact_and_drifted_hit():
+    t = _table(A)
+    assert _resolve(t, A, A + 1e-9, A - 1e-9) == [0, 0, 0]
+    assert t.n == 1
+
+
+@pytest.mark.parametrize("side", [-1.0, 1.0])
+def test_lookup_straddles_bucket_boundary(side):
+    edge = 2 * reg.DEDUP_BUCKET
+    stored = np.array([1.0, edge + side * 4e-4, 0.3])
+    other = np.array([1.0, edge - side * 6e-4, 0.3])     # 1e-3 away
+    assert np.floor(stored[1] / reg.DEDUP_BUCKET) \
+        != np.floor(other[1] / reg.DEDUP_BUCKET)
+    t = _table(stored)
+    assert _resolve(t, other) == [0]
+    assert t.n == 1
+
+
+def test_lookup_ambiguous_gap_raises_with_the_gap():
+    t = _table(A)
+    with pytest.raises(reg.RegionTooLarge, match="5.00e-03"):
+        _resolve(t, A + np.array([0.0, 5e-3, 0.0]))
+    with pytest.raises(reg.RegionTooLarge, match="5.00e-03"):
+        _resolve(t, A + np.array([0.0, 5e-3, 0.0]), grow=False)
+
+
+def test_lookup_far_gap_is_a_miss():
+    t = _table(A)
+    far = A + np.array([0.0, 0.0, 3e-2])
+    assert _resolve(t, far, grow=False) == [-1]
+    assert t.n == 1
+    assert _resolve(t, far) == [1]
+    assert t.n == 2
+
+
+def test_lookup_dedups_misses_in_first_occurrence_order():
+    t = _table(A)
+    b = np.array([2.0, 1.1, 1.7])
+    c = np.array([3.0, -2.1, 0.4])
+    ids = _resolve(t, c, A, b, c + 1e-10, b - 1e-10, c, A + 1e-9)
+    assert ids == [1, 0, 2, 1, 2, 1, 0]
+    assert t.n == 3
+    assert np.array_equal(t.coords[1], c) and np.array_equal(t.coords[2], b)
+
+
+@pytest.mark.parametrize("collide", [False, True])
+def test_lookup_sees_only_touched_buckets(collide, monkeypatch):
+    """A center in the near-miss band but outside every bucket the
+    tolerance box touches is not compared, so the candidate is a miss."""
+    if collide:      # every bucket hashes alike; keys must tell them apart
+        monkeypatch.setattr(reg, "_hash_keys",
+                            lambda keys: np.zeros(len(keys), dtype=np.uint64))
+    edge = 2 * reg.DEDUP_BUCKET
+    t = _table([1.0, edge + 1e-4, 0.3])
+    assert _resolve(t, [1.0, edge - 4.9e-3, 0.3], grow=False) == [-1]
+
+
+def test_lookup_ambiguous_between_misses_raises():
+    t = _table(A)
+    b = np.array([2.0, 1.1, 1.7])
+    with pytest.raises(reg.RegionTooLarge, match="5.00e-03"):
+        _resolve(t, b, b + np.array([5e-3, 0.0, 0.0]))
+
+
+def _scalar_resolve(stored: list, x: np.ndarray, grow: bool) -> list:
+    """One lookup per candidate against everything stored so far: the
+    scalar rule the batched table must agree with."""
+    out = []
+    for c in x:
+        gaps = [float(np.max(np.abs(s - c))) for s in stored
+                if (np.floor(s / reg.DEDUP_BUCKET) >= np.floor(
+                    (c - reg.DEDUP_TOL) / reg.DEDUP_BUCKET)).all()
+                and (np.floor(s / reg.DEDUP_BUCKET) <= np.floor(
+                    (c + reg.DEDUP_TOL) / reg.DEDUP_BUCKET)).all()]
+        best = int(np.argmin(gaps)) if gaps else -1
+        gap = gaps[best] if gaps else np.inf
+        if gap < reg.DEDUP_TOL:
+            out.append([i for i, s in enumerate(stored)
+                        if float(np.max(np.abs(s - c))) == gap][0])
+        elif gap < reg.NEAR_MISS_FACTOR * reg.DEDUP_TOL:
+            raise reg.RegionTooLarge("ambiguous")
+        elif grow:
+            stored.append(c)
+            out.append(len(stored) - 1)
+        else:
+            out.append(-1)
+    return out
+
+
+@pytest.mark.parametrize("collide", [False, True])
+@pytest.mark.parametrize("seed", range(4))
+def test_lookup_agrees_with_scalar_rule(seed, collide, monkeypatch):
+    if collide:      # every bucket hashes alike; keys must tell them apart
+        monkeypatch.setattr(reg, "_hash_keys",
+                            lambda keys: np.zeros(len(keys), dtype=np.uint64))
+    rng = np.random.default_rng(seed)
+    # centers on a lattice of bucket corners, so most boxes straddle, with
+    # repeats, small drift and a few shifted well past the near-miss band
+    base = rng.integers(-6, 6, size=(40, 4)) * reg.DEDUP_BUCKET
+    base += rng.choice([0.0, 0.5, 0.03], size=(40, 1)) * reg.DEDUP_BUCKET
+    x = base[rng.integers(0, 40, size=300)]
+    x += rng.normal(scale=1e-8, size=x.shape)
+    t = reg._CenterTable(4)
+    t.insert(x[:20])
+    stored = list(x[:20])
+    for lo, hi, grow in ((20, 120, True), (120, 200, False), (200, 300, True)):
+        blocks = [x[lo:lo + 7], x[lo + 7:hi]]
+        try:
+            want = _scalar_resolve(stored, x[lo:hi], grow)
+        except reg.RegionTooLarge:
+            with pytest.raises(reg.RegionTooLarge):
+                t.resolve(blocks, grow=grow)
+            return
+        assert t.resolve(blocks, grow=grow).tolist() == want
+    assert t.n == len(stored)
