@@ -11,14 +11,23 @@ hold still under the rules that unavoidably fire on them.
 
 A produced automaton is intensional: one admissible context pattern, an
 action applied as (left, self, right) when the pattern matches in exactly
-one rotated alignment, and state-unchanged everywhere else.  Matching is
-rotation invariant by construction; `expanded_rules` unfolds the pattern
-into explicit rules so the invariance checker can say so independently.
+one rotated alignment, and state-unchanged everywhere else.
+
+`compile_rules` turns that description into a `RuleTable`, once per
+automaton: every context the pattern matches, coded as one int64, with
+its number of distinct readings and the least and greatest next state
+they give.  The engine steps by looking codes up in it, the
+unique-applicability scan reads its verdicts from it, and `expanded_rules`
+lists its single-reading contexts as explicit rules, so the invariance
+checker can say independently that matching is rotation invariant.
+`match_alignments` is the one-context matcher the table is tested against;
+it also spells out the readings in error messages.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -120,6 +129,11 @@ class HcaAutomaton:
         inv = self.inverse_map()
         return self.encode(
             self.action.apply(inv[left], inv[self_state], inv[right]))
+
+    @cached_property
+    def rule_table(self) -> "RuleTable":
+        """The compiled transitions, built on first use."""
+        return compile_rules(self)
 
 
 # slot layouts, one per construction and grid, left slot first; the fixed
@@ -256,50 +270,132 @@ def match_alignments(automaton: HcaAutomaton, self_state: int,
     return found
 
 
+def reading_outcomes(automaton: HcaAutomaton, self_state: int,
+                     neighbors) -> tuple[list[tuple[int, int]], list[int]]:
+    """The readings of one context and the sorted next states they give,
+    as error messages spell them out."""
+    readings = match_alignments(automaton, self_state, neighbors)
+    outs = {automaton.apply_action(l, self_state, r) for l, r in readings}
+    return readings, sorted(outs)
+
+
+@dataclass(frozen=True, eq=False)
+class RuleTable:
+    """Every context an automaton's pattern matches, as sorted int64 codes.
+
+    A context (s; n_0 .. n_{p-1}) is coded s*B**p + sum(n_i * B**i), B the
+    state count.  Per code the table holds the number of distinct
+    (left, right) readings and the least and greatest next state they
+    give; a code that is absent has no reading, so the cell keeps its
+    state.
+    """
+
+    base: int
+    arity: int
+    codes: np.ndarray       # (M,) int64, ascending
+    readings: np.ndarray    # (M,) distinct readings per code, at least 1
+    lo: np.ndarray          # (M,) least next state over the readings
+    hi: np.ndarray          # (M,) greatest next state over the readings
+
+    def encode(self, states: np.ndarray, adjacency: np.ndarray,
+               cells: np.ndarray) -> np.ndarray:
+        """Context codes of `cells`, whose neighbours must all exist."""
+        code = states[cells].astype(np.int64)
+        for i in range(self.arity - 1, -1, -1):
+            code *= self.base
+            code += states[adjacency[cells, i]]
+        return code
+
+    def lookup(self, codes: np.ndarray) -> np.ndarray:
+        """Table row of each code, -1 where the context has no reading."""
+        at = np.searchsorted(self.codes, codes)
+        hit = at < len(self.codes)
+        hit[hit] = self.codes[at[hit]] == codes[hit]
+        return np.where(hit, at, -1)
+
+    def decode(self, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(self states, (len, arity) neighbour states) of context codes."""
+        powers = self.base ** np.arange(self.arity + 1, dtype=np.int64)
+        digits = (codes[:, None] // powers) % self.base
+        return digits[:, -1], digits[:, :-1]
+
+
+def compile_rules(automaton: HcaAutomaton) -> RuleTable:
+    """Enumerate the pattern over every alignment, self letter and letter
+    assignment to its free slots, and tabulate the readings per context.
+
+    An alignment carries slot i to neighbour `rotation_indices(p)[g, i]`.
+    The reading (left, right) is the pair of letters put in the left and
+    right slots, whatever the alignment, so one context's readings are
+    the distinct pairs among the (alignment, assignment) entries that
+    produce its code.
+    """
+    pat = automaton.pattern
+    p = len(pat.slots)
+    base = automaton.n_states
+    sym.require_codes_fit(base, p)
+    letters = np.array(sorted(automaton.letters), dtype=np.int64)
+    pinned = [s.state for s in pat.slots if s.kind == "fixed"]
+    if not len(letters):
+        raise ValueError("the automaton has no letters")
+    if any(not 0 <= int(v) < base for v in [*letters, *pinned]):
+        raise ValueError(f"pattern states must lie in 0..{base - 1}")
+    free = pat.free_indices()
+    n = len(letters)
+
+    # letter indices of (self, free slots...) for every assignment
+    pick = np.indices((n,) * (len(free) + 1)).reshape(len(free) + 1, -1)
+    inv = automaton.inverse_map()
+    src = np.array([inv[int(a)] for a in letters], dtype=np.int64)
+    enc = np.array([automaton.encode(a) for a in automaton.action.states()],
+                   dtype=np.int64)
+    left = pick[1 + free.index(pat.left_index)]
+    right = pick[1 + free.index(pat.right_index)]
+    out = enc[automaton.action.table[src[left], src[pick[0]], src[right]]]
+
+    # one row per alignment, one column per assignment
+    weight = base ** sym.rotation_indices(p).astype(np.int64)
+    codes = np.zeros((len(weight), pick.shape[1]), dtype=np.int64)
+    codes += letters[pick[0]] * base ** p
+    for i, slot in enumerate(pat.slots):
+        if slot.kind == "fixed":
+            codes += weight[:, i, None] * slot.state
+    for j, i in enumerate(free):
+        codes += weight[:, i, None] * letters[pick[1 + j]]
+    codes = codes.ravel()
+    reading = np.broadcast_to(left * n + right, (len(weight), pick.shape[1]))
+    out = np.broadcast_to(out, reading.shape).ravel()
+    reading = reading.ravel()
+
+    order = np.lexsort((reading, codes))
+    codes, reading, out = codes[order], reading[order], out[order]
+    new_code = np.r_[True, codes[1:] != codes[:-1]]
+    distinct = new_code | np.r_[True, reading[1:] != reading[:-1]]
+    codes, out, new_code = codes[distinct], out[distinct], new_code[distinct]
+    starts = np.flatnonzero(new_code)
+    return RuleTable(
+        base=base, arity=p, codes=codes[starts],
+        readings=np.diff(np.r_[starts, len(codes)]),
+        lo=np.minimum.reduceat(out, starts),
+        hi=np.maximum.reduceat(out, starts))
+
+
 def expanded_rules(automaton: HcaAutomaton) -> list[tuple[sym.RuleContext, int]]:
     """The pattern unfolded into explicit (context, new state) rules over
-    every rotated alignment and every letter assignment."""
-    pat = automaton.pattern
-    letters = sorted(automaton.letters)
-    free = pat.free_indices()
-    rules: list[tuple[sym.RuleContext, int]] = []
-    seen: set[tuple] = set()
-    for al in alignments(automaton):
-        placed = [0] * len(pat.slots)
-        for i, slot in enumerate(pat.slots):
-            if slot.kind == "fixed":
-                if isinstance(al, tuple):
-                    placed[al[i]] = slot.state
-                else:
-                    placed[(i + al) % len(pat.slots)] = slot.state
-        for self_state in letters:
-            for assign in np.ndindex(*([len(letters)] * len(free))):
-                nb = list(placed)
-                for j, i in enumerate(free):
-                    value = letters[assign[j]]
-                    if isinstance(al, tuple):
-                        nb[al[i]] = value
-                    else:
-                        nb[(i + al) % len(pat.slots)] = value
-                ctx = sym.RuleContext(self_state, tuple(nb))
-                lr = match_alignments(automaton, self_state, ctx.neighbor_states)
-                # skip assignments whose context collapses into a different
-                # reading; they are covered by their own expansion
-                if len(lr) != 1:
-                    continue
-                left, right = lr[0]
-                out = automaton.apply_action(left, self_state, right)
-                key = (ctx.self_state, ctx.neighbor_states, out)
-                if key not in seen:
-                    seen.add(key)
-                    rules.append((ctx, out))
-    return rules
+    every rotated alignment and letter assignment: one rule per context
+    with exactly one reading, in code order.  A context with several
+    readings has no single rule and is left out."""
+    table = automaton.rule_table
+    single = table.readings == 1
+    selfs, nbs = table.decode(table.codes[single])
+    return [(sym.RuleContext(s, tuple(nb)), out)
+            for s, nb, out in zip(selfs.tolist(), nbs.tolist(),
+                                  table.lo[single].tolist())]
 
 
 def check_invariance(automaton: HcaAutomaton):
     """The rotation-invariance verdict for the expanded rule list."""
-    return sym.check_rotation_invariance(expanded_rules(automaton),
-                                         automaton.grid)
+    return sym.orbit_conflicts(expanded_rules(automaton))
 
 
 # row origin used when printing a tape cell's context in table form: the
@@ -357,6 +453,7 @@ class VerifyReport:
         lines = [
             f"cells scanned: {self.scanned_cells}",
             f"admissible matches: {self.matched_cells}",
+            f"multi-reading cells: {self.multi_reading_cells}",
             f"violations: {len(self.violations)}",
         ]
         for v in self.violations:
@@ -429,7 +526,8 @@ def verify_unique_applicability(automaton: HcaAutomaton, region: Region,
     Violations: a cell whose readings disagree on the resulting state, an
     off-line cell some reading would change (the dodecagrid reflected row
     is exempt, it carries letters by design), and a line cell with no
-    reading at all.  The scan keeps stepping with a frozen rim past the
+    reading at all.  They are listed by time, then cell, then in that
+    order of kinds.  The scan keeps stepping with a frozen rim past the
     validity window; staleness there only widens the sample of contexts.
     """
     from . import engine
@@ -445,38 +543,36 @@ def verify_unique_applicability(automaton: HcaAutomaton, region: Region,
         for m in region.guideline.mirror_ids:
             if m >= 0:
                 may_change[int(m)] = True
-    complete = ~(region.adjacency < 0).any(axis=1)
-    cfg = init
-    for t in range(horizon + 1):
+    cells = np.flatnonzero(~(region.adjacency < 0).any(axis=1))
+    line = on_line[cells]
+    guarded = ~line & ~may_change[cells]
+    inside = region.dist[cells] < region.radius
+    table = automaton.rule_table
+    for t, cfg in enumerate(engine.run_hca(automaton, region, init, horizon,
+                                           scan=True)):
         states = cfg.states
-        for c in np.nonzero(complete)[0]:
-            c = int(c)
-            nb = tuple(int(states[d]) for d in region.adjacency[c])
-            readings = match_alignments(automaton, int(states[c]), nb)
-            report.scanned_cells += 1
-            if readings:
-                report.matched_cells += 1
-            if len(readings) > 1:
-                report.multi_reading_cells += 1
-                outs = {automaton.apply_action(l, int(states[c]), r)
-                        for l, r in readings}
-                if len(outs) > 1:
-                    report.violations.append(Violation(
-                        "ambiguous", t, c,
-                        f"readings {readings} give states {sorted(outs)}"))
-            if on_line[c]:
-                if not readings and region.dist[c] < region.radius:
-                    report.violations.append(Violation(
-                        "line-unmatched", t, c, "no admissible reading"))
-            elif readings and not may_change[c]:
-                outs = {automaton.apply_action(l, int(states[c]), r)
-                        for l, r in readings}
-                if outs != {int(states[c])}:
-                    report.violations.append(Violation(
-                        "off-line-changed", t, c,
-                        f"reading would move state to {sorted(outs)}"))
-        if t < horizon:
-            cfg = engine.step_hca(automaton, region, cfg, scan=True)
+        own = states[cells]
+        at = table.lookup(table.encode(states, region.adjacency, cells))
+        hit = at >= 0
+        lo, hi = table.lo[at], table.hi[at]
+        report.scanned_cells += len(cells)
+        report.matched_cells += int(hit.sum())
+        report.multi_reading_cells += int((hit & (table.readings[at] > 1)).sum())
+        kinds = (("ambiguous", hit & (lo != hi)),
+                 ("line-unmatched", line & ~hit & inside),
+                 ("off-line-changed",
+                  guarded & hit & ((lo != own) | (hi != own))))
+        for j in np.flatnonzero(np.logical_or.reduce([m for _, m in kinds])):
+            c = int(cells[j])
+            nb = tuple(int(v) for v in states[region.adjacency[c]])
+            found, outs = reading_outcomes(automaton, int(own[j]), nb)
+            detail = {
+                "ambiguous": f"readings {found} give states {outs}",
+                "line-unmatched": "no admissible reading",
+                "off-line-changed": f"reading would move state to {outs}",
+            }
+            report.violations.extend(Violation(kind, t, c, detail[kind])
+                                     for kind, mask in kinds if mask[j])
     return report
 
 

@@ -10,7 +10,10 @@ breadth of contexts, not fidelity at the edge.
 Cells with a neighbour outside the region never update.  Everything else
 updates by the automaton: a uniquely readable pattern match applies the
 action, no match leaves the state alone, and readings that disagree on
-the resulting state are an error.
+the resulting state are an error.  A step codes the contexts of its
+candidate cells as integers and looks them up in the automaton's compiled
+`RuleTable`, all in numpy; a cheap count of pinned states first narrows
+the candidates, so no step codes the whole of a large region.
 """
 from __future__ import annotations
 
@@ -133,32 +136,29 @@ def _candidates(automaton: emb.HcaAutomaton, region: Region,
 def _apply(automaton: emb.HcaAutomaton, region: Region, cfg: Configuration,
            candidates: np.ndarray, scan: bool
            ) -> tuple[Configuration, np.ndarray]:
-    """Update the candidate cells; everything else keeps its state.
-    Returns the new configuration and the cells that changed."""
+    """Update the candidate cells from the automaton's rule table;
+    everything else keeps its state.  Returns the new configuration and
+    the cells that changed, in candidate order."""
     states = cfg.states
+    table = automaton.rule_table
+    at = table.lookup(table.encode(states, region.adjacency, candidates))
+    cells, at = candidates[at >= 0], at[at >= 0]
+    agree = table.lo[at] == table.hi[at]
+    if not scan and not agree.all():
+        c = int(cells[~agree][0])
+        nb = tuple(int(v) for v in states[region.adjacency[c]])
+        readings, outs = emb.reading_outcomes(automaton, int(states[c]), nb)
+        raise AmbiguousMatch(
+            f"cell {c} at time {cfg.time}: readings {readings} "
+            f"disagree, states {outs}")
+    cells, out = cells[agree], table.lo[at[agree]]
+    moved = out != states[cells]
+    changed = cells[moved].astype(np.int64)
     new_states = states.copy()
-    changed = []
-    for c in candidates:
-        c = int(c)
-        nb = tuple(int(states[d]) for d in region.adjacency[c])
-        readings = emb.match_alignments(automaton, int(states[c]), nb)
-        if not readings:
-            continue
-        outs = {automaton.apply_action(l, int(states[c]), r)
-                for l, r in readings}
-        if len(outs) > 1:
-            if scan:
-                continue
-            raise AmbiguousMatch(
-                f"cell {c} at time {cfg.time}: readings {readings} "
-                f"disagree, states {sorted(outs)}")
-        out = outs.pop()
-        if out != new_states[c]:
-            new_states[c] = out
-            changed.append(c)
+    new_states[changed] = out[moved]
     return (Configuration(new_states, cfg.time + 1,
                           max(cfg.valid_radius - 1, 0)),
-            np.asarray(changed, dtype=np.int64))
+            changed)
 
 
 def step_hca(automaton: emb.HcaAutomaton, region: Region,

@@ -7,12 +7,19 @@ numbers 0..11.
 
 A motion is stored as a tuple ``m`` of 12 face numbers with ``m[i]`` the face
 onto which face ``i`` is carried.
+
+Two rotation-invariance checkers share one verdict: `check_rotation_invariance`
+groups rules by `minimal_form`, one rotation at a time, and stays as the
+reference; `orbit_conflicts` codes contexts as integers and finds the orbit
+keys of a whole rule set in numpy.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
+
+import numpy as np
 
 # Faces around each face, in clockwise order as seen from outside the
 # dodecahedron.  Face 0 is the bottom, faces 1..5 the lower belt, 6..10 the
@@ -119,13 +126,6 @@ def canonical_cyclic(values: tuple) -> tuple:
     return min(tuple(values[(i + k) % p] for i in range(p)) for k in range(p))
 
 
-def canonical_context(self_state: int, neighbors: tuple) -> tuple:
-    """Orbit representative of a (cell state, neighbor states) context."""
-    if len(neighbors) == 12:
-        return (self_state, canonical_spherical(neighbors))
-    return (self_state, canonical_cyclic(neighbors))
-
-
 @dataclass(frozen=True)
 class RuleContext:
     """The neighbourhood a transition rule reads: the cell's own state plus
@@ -172,7 +172,7 @@ def context_orbit(ctx: RuleContext) -> list[RuleContext]:
     return seen
 
 
-def minimal_form(ctx: RuleContext, grid: str | None = None,
+def minimal_form(ctx: RuleContext,
                  state_order: Sequence[int] | None = None) -> RuleContext:
     """The least re-reading of `ctx` over the cell's rotations.
 
@@ -199,7 +199,6 @@ def minimal_form(ctx: RuleContext, grid: str | None = None,
 
 def check_rotation_invariance(
     rules: Iterable[tuple[RuleContext, int]],
-    grid: str | None = None,
     state_order: Sequence[int] | None = None,
 ) -> list[list[tuple[RuleContext, int]]]:
     """Group rules by context orbit and report the groups whose outcomes
@@ -211,7 +210,7 @@ def check_rotation_invariance(
     """
     groups: dict[tuple, list[tuple[RuleContext, int]]] = {}
     for ctx, new_state in rules:
-        m = minimal_form(ctx, grid, state_order)
+        m = minimal_form(ctx, state_order)
         key = (m.self_state, m.neighbor_states)
         groups.setdefault(key, []).append((ctx, new_state))
     conflicts = []
@@ -220,6 +219,77 @@ def check_rotation_invariance(
         if len({out for _, out in members}) > 1:
             conflicts.append(members)
     return conflicts
+
+
+def rotation_indices(arity: int) -> np.ndarray:
+    """Every rotation of a cell as an index array, identity first.
+
+    Row g holds, for each side (or face) i, the side whose state the
+    rotated cell reads at i: `values[rows[g]]` is `rotated_context`'s
+    re-reading under the g-th shift or motion.
+    """
+    if arity == 12:
+        return np.array(all_motions(), dtype=np.intp)
+    k = np.arange(arity)
+    return (k[:, None] + k[None, :]) % arity
+
+
+def require_codes_fit(n_states: int, arity: int) -> None:
+    """Refuse a state count whose context codes overflow int64.
+
+    A context is coded as a number with arity + 1 digits in base n_states,
+    so n_states ** (arity + 1) must not exceed 2 ** 63.
+    """
+    if n_states ** (arity + 1) > 2 ** 63:
+        raise ValueError(
+            f"context codes overflow int64: {n_states} states at arity "
+            f"{arity} need {n_states}**{arity + 1} codes, more than the "
+            f"limit n_states**(arity + 1) <= 2**63")
+
+
+# rules rotated at once by `orbit_conflicts`; its (chunk, |G|) int64 key
+# array stays under half a megabyte on the dodecagrid
+_ORBIT_CHUNK = 1024
+
+
+def orbit_conflicts(
+    rules: Iterable[tuple[RuleContext, int]],
+) -> list[list[tuple[RuleContext, int]]]:
+    """`check_rotation_invariance` with numeric state order, in numpy.
+
+    Each context is coded with the cell's own state as the most
+    significant digit and side 0 next, so that comparing codes compares
+    (self, neighbours) lexicographically.  The least code over the
+    rotations is the orbit key; it is accumulated one side at a time for a
+    chunk of rules.  The groups and their members come out in the same
+    order as from `check_rotation_invariance`.
+    """
+    rules = list(rules)
+    if not rules:
+        return []
+    selfs = np.array([ctx.self_state for ctx, _ in rules], dtype=np.int64)
+    nbs = np.array([ctx.neighbor_states for ctx, _ in rules], dtype=np.int64)
+    outs = np.array([out for _, out in rules], dtype=np.int64)
+    arity = nbs.shape[1]
+    base = int(max(selfs.max(), nbs.max())) + 1
+    require_codes_fit(base, arity)
+    rows = rotation_indices(arity)
+    keys = np.empty(len(rules), dtype=np.int64)
+    for lo in range(0, len(rules), _ORBIT_CHUNK):
+        chunk = nbs[lo:lo + _ORBIT_CHUNK]
+        key = np.repeat(selfs[lo:lo + _ORBIT_CHUNK, None], len(rows), axis=1)
+        for i in range(arity):
+            key *= base
+            key += chunk[:, rows[:, i]]
+        keys[lo:lo + len(chunk)] = key.min(axis=1)
+    order = np.argsort(keys, kind="stable")
+    keys, outs = keys[order], outs[order]
+    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    ends = np.r_[starts[1:], len(keys)]
+    split = (np.minimum.reduceat(outs, starts)
+             != np.maximum.reduceat(outs, starts))
+    return [[rules[i] for i in order[a:b]]
+            for a, b in zip(starts[split], ends[split])]
 
 
 def motions_table_text() -> str:

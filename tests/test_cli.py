@@ -92,6 +92,17 @@ def test_verify_flags_bad_automaton(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_verify_prints_multi_reading_cells(tmp_path, capsys):
+    auto = tmp_path / "auto.json"
+    run_cli("transform", "--rule", "elementary:110", "--grid", "heptagrid",
+            "--method", "extra", "-o", str(auto))
+    capsys.readouterr()
+    assert run_cli("verify", "--automaton", str(auto), "--radius", "3",
+                   "--halfwidth", "2", "--horizon", "3") == 0
+    out = capsys.readouterr().out
+    assert "\nmulti-reading cells: 0\nviolations: 0\n" in out
+
+
 def test_oracle_divergence_exit_code(tmp_path, capsys):
     import dataclasses
     from hypca import ca1d, embed

@@ -1,0 +1,313 @@
+"""The compiled rule table against the one-context matcher.
+
+`match_alignments` and the loop expansion below are the references: the
+table must give every context the same reading count and next states,
+the expansion read off the table must list the same rules, the numpy
+orbit check must report the same conflicts as `check_rotation_invariance`,
+and the table-driven verify scan must report what a matcher-driven scan
+reports.
+"""
+import dataclasses
+import itertools
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from hypca import ca1d, embed, engine
+from hypca import symmetry as sym
+
+
+def _matcher_verdict(b, self_state, nb):
+    """(readings, least, greatest next state) by the matcher, -1 if none."""
+    readings, outs = embed.reading_outcomes(b, self_state, nb)
+    if not readings:
+        return 0, -1, -1
+    return len(readings), outs[0], outs[-1]
+
+
+def _table_verdicts(b, contexts):
+    """(readings, least, greatest next state) by the table, -1 if none.
+    Each context is laid out as a cell followed by its p neighbours."""
+    table = b.rule_table
+    arr = np.asarray(contexts, dtype=np.int64)
+    states = arr.ravel()
+    p = arr.shape[1] - 1
+    cells = np.arange(len(arr)) * (p + 1)
+    adjacency = np.zeros((len(states), p), dtype=np.int64)
+    adjacency[cells] = cells[:, None] + 1 + np.arange(p)
+    at = table.lookup(table.encode(states, adjacency, cells))
+    hit = at >= 0
+    return (np.where(hit, table.readings[at], 0),
+            np.where(hit, table.lo[at], -1),
+            np.where(hit, table.hi[at], -1))
+
+
+def _assert_table_matches_matcher(b, contexts):
+    readings, lo, hi = _table_verdicts(b, contexts)
+    for ctx, n, l, h in zip(contexts, readings, lo, hi):
+        want = _matcher_verdict(b, int(ctx[0]), tuple(int(v) for v in ctx[1:]))
+        assert (int(n), int(l), int(h)) == want, (b.name, ctx)
+
+
+def _all_contexts(b):
+    p = embed.GRID_SIDES[b.grid]
+    return list(itertools.product(range(b.n_states), repeat=p + 1))
+
+
+def _reference_expansion(b):
+    """Every alignment and letter assignment, one matcher call each."""
+    pat = b.pattern
+    letters = sorted(b.letters)
+    free = pat.free_indices()
+    p = len(pat.slots)
+    rules = set()
+    for al in embed.alignments(b):
+        where = al if isinstance(al, tuple) else [(i + al) % p
+                                                  for i in range(p)]
+        placed = [0] * p
+        for i, slot in enumerate(pat.slots):
+            if slot.kind == "fixed":
+                placed[where[i]] = slot.state
+        for self_state in letters:
+            for values in itertools.product(letters, repeat=len(free)):
+                nb = list(placed)
+                for i, v in zip(free, values):
+                    nb[where[i]] = v
+                readings, outs = embed.reading_outcomes(b, self_state,
+                                                        tuple(nb))
+                if len(readings) == 1:
+                    rules.add((sym.RuleContext(self_state, tuple(nb)),
+                               outs[0]))
+    return rules
+
+
+def _random_pentagrid_automata():
+    rng = np.random.default_rng(7)
+    autos = []
+    for _ in range(2):
+        autos.append(embed.embed_compact(
+            ca1d.random_rule(3, rng, fixable=True), "pentagrid"))
+        autos.append(embed.embed_extra_state(
+            ca1d.random_rule(3, rng), "pentagrid"))
+    return autos
+
+
+EXHAUSTIVE = [("extra", "pentagrid"), ("extra", "heptagrid"),
+              ("compact", "pentagrid"), ("compact", "heptagrid"),
+              ("compact", "dodecagrid")]
+
+
+@pytest.mark.parametrize("key", EXHAUSTIVE)
+def test_table_matches_matcher_on_every_context(all_six, key):
+    b = all_six[key]
+    _assert_table_matches_matcher(b, _all_contexts(b))
+
+
+def test_table_matches_matcher_dodecagrid_extra(all_six):
+    """3**13 contexts are too many to try: every table context with each
+    single slot changed, plus seeded random contexts."""
+    b = all_six[("extra", "dodecagrid")]
+    table = b.rule_table
+    selfs, nbs = table.decode(table.codes)
+    base = np.concatenate([selfs[:, None], nbs], axis=1)
+    contexts = [tuple(row) for row in base.tolist()]
+    for slot in range(13):
+        for delta in range(1, b.n_states):
+            moved = base.copy()
+            moved[:, slot] = (moved[:, slot] + delta) % b.n_states
+            contexts.extend(tuple(row) for row in moved.tolist())
+    rng = np.random.default_rng(13)
+    contexts.extend(tuple(row) for row in
+                    rng.integers(0, b.n_states, size=(20_000, 13)).tolist())
+    _assert_table_matches_matcher(b, contexts)
+
+
+def test_table_matches_matcher_random_rules():
+    for b in _random_pentagrid_automata():
+        _assert_table_matches_matcher(b, _all_contexts(b))
+
+
+def test_expansion_matches_reference(all_six):
+    for b in [*all_six.values(), *_random_pentagrid_automata()]:
+        rules = embed.expanded_rules(b)
+        assert set(rules) == _reference_expansion(b), b.name
+        assert len(set(rules)) == len(rules), b.name
+
+
+def _invariance_cases():
+    """Random 2- and 3-state sources on the polygonal grids, 2-state on
+    the dodecagrid, where the reference check costs about 1 ms a rule."""
+    rng = np.random.default_rng(5)
+    cases = []
+    for grid in embed.GRID_SIDES:
+        for n in ((2, 3) if grid != "dodecagrid" else (2,)):
+            rule = ca1d.random_rule(n, rng, quiescent_zero=True)
+            cases.append(embed.embed_extra_state(rule, grid))
+            if grid == "pentagrid":
+                rule = ca1d.random_rule(n, rng, fixable=True)
+            cases.append(embed.embed_compact(rule, grid))
+    return cases
+
+
+def _as_sets(groups):
+    return sorted(sorted((c.self_state, c.neighbor_states, out)
+                         for c, out in g) for g in groups)
+
+
+def test_orbit_check_matches_reference():
+    cases = _invariance_cases()
+    assert len(cases) >= 10
+    for b in cases:
+        rules = embed.expanded_rules(b)
+        assert embed.check_invariance(b) == []
+        assert sym.check_rotation_invariance(rules) == []
+        # one flipped output breaks exactly its own orbit, in both checkers
+        ctx, out = rules[len(rules) // 2]
+        planted = list(rules)
+        planted[len(rules) // 2] = (ctx, (out + 1) % b.n_states)
+        fast = sym.orbit_conflicts(planted)
+        slow = sym.check_rotation_invariance(planted)
+        assert fast == slow, b.name
+        assert len(fast) == 1, b.name
+        orbit = {sym.rotated_context(ctx, m) for m in
+                 (sym.all_motions() if b.grid == "dodecagrid"
+                  else range(len(ctx.neighbor_states)))}
+        assert {c for c, _ in fast[0]} == orbit & {c for c, _ in rules}
+
+
+def test_orbit_check_keeps_reference_order():
+    a = sym.RuleContext(1, (1, 0, 0, 0, 0))
+    b = sym.RuleContext(1, (0, 1, 0, 0, 0))
+    c = sym.RuleContext(0, (0, 0, 1, 0, 0))
+    d = sym.RuleContext(0, (1, 0, 0, 0, 0))
+    rules = [(a, 1), (c, 0), (b, 0), (d, 1), (c, 0)]
+    assert sym.orbit_conflicts(rules) == sym.check_rotation_invariance(rules)
+    assert len(sym.orbit_conflicts(rules)) == 2
+
+
+def test_code_limit_names_the_limit():
+    rule = ca1d.random_rule(29, np.random.default_rng(0))
+    b = embed.embed_compact(rule, "dodecagrid")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as err:
+            embed.compile_rules(b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    msg = str(err.value)
+    assert "int64" in msg and "29 states" in msg and "arity 12" in msg
+    assert "2**63" in msg
+    assert peak < 100_000
+    # the largest dodecagrid state count still fits
+    sym.require_codes_fit(28, 12)
+
+
+def _matcher_scan(b, region, init, horizon):
+    """The verify scan, one matcher call per complete cell and time."""
+    report = embed.VerifyReport()
+    if b.grid != "dodecagrid" and b.kind == "compact":
+        report.context_rows.append(embed.central_context_row(b))
+    on_line = np.zeros(region.n_cells, dtype=bool)
+    on_line[region.guideline.cell_ids] = True
+    may_change = on_line.copy()
+    if b.kind == "extra" and region.grid == "dodecagrid":
+        m = region.guideline.mirror_ids
+        may_change[m[m >= 0]] = True
+    complete = ~(region.adjacency < 0).any(axis=1)
+    cfg = init
+    for t in range(horizon + 1):
+        states = cfg.states
+        for c in np.flatnonzero(complete).tolist():
+            s = int(states[c])
+            nb = tuple(int(states[d]) for d in region.adjacency[c])
+            readings, outs = embed.reading_outcomes(b, s, nb)
+            report.scanned_cells += 1
+            report.matched_cells += bool(readings)
+            report.multi_reading_cells += len(readings) > 1
+            if len(outs) > 1:
+                report.violations.append(embed.Violation(
+                    "ambiguous", t, c,
+                    f"readings {readings} give states {outs}"))
+            if on_line[c]:
+                if not readings and region.dist[c] < region.radius:
+                    report.violations.append(embed.Violation(
+                        "line-unmatched", t, c, "no admissible reading"))
+            elif readings and not may_change[c] and outs != [s]:
+                report.violations.append(embed.Violation(
+                    "off-line-changed", t, c,
+                    f"reading would move state to {outs}"))
+        if t < horizon:
+            cfg = engine.step_hca(b, region, cfg, scan=True)
+    return report
+
+
+def _unrepaired(good):
+    slots = list(good.pattern.slots)
+    slots[0] = embed.fixed(good.blue)
+    return dataclasses.replace(
+        good, patterns=(embed.ContextPattern(tuple(slots)),),
+        name="unrepaired")
+
+
+def test_engine_step_matches_matcher(region_of, all_six):
+    """One step, cell by cell, against the matcher.  With rule 150, which
+    reads left and right alike, the unrepaired pattern's tape cells have
+    two readings that agree, and they must still step."""
+    good = all_six[("extra", "dodecagrid")]
+    r = region_of("dodecagrid", 3, 1)
+    init = engine.init_configuration(r, good, [1, 0, 1])
+    m = r.guideline.mirror_ids
+    init.states[m[m >= 0]] = good.blue
+    cases = [(_unrepaired(dataclasses.replace(good,
+                                              action=ca1d.elementary(150))),
+              r, init)]
+    for (method, grid), b in all_six.items():
+        reg = region_of(grid, 3, 1 if grid == "dodecagrid" else 2)
+        cases.append((b, reg, engine.init_configuration(reg, b, [1, 1])))
+    for b, reg, cfg in cases:
+        want = cfg.states.copy()
+        multi = 0
+        for c in np.flatnonzero(~(reg.adjacency < 0).any(axis=1)).tolist():
+            nb = tuple(int(cfg.states[d]) for d in reg.adjacency[c])
+            readings, outs = embed.reading_outcomes(b, int(cfg.states[c]), nb)
+            multi += len(readings) > 1
+            if outs:
+                (want[c],) = outs
+        got = engine.step_hca(b, reg, cfg)
+        assert np.array_equal(got.states, want), b.name
+        if b.name == "unrepaired":
+            assert multi > 0 and not np.array_equal(want, cfg.states)
+
+
+def test_verify_matches_matcher_scan(region_of, all_six):
+    cases = []
+    for (method, grid), b in all_six.items():
+        r = region_of(grid, 3, 1 if grid == "dodecagrid" else 2)
+        cases.append((b, r, engine.init_configuration(r, b, [1]), 3))
+    good = all_six[("extra", "dodecagrid")]
+    r = region_of("dodecagrid", 3, 1)
+    init = engine.init_configuration(r, good, [1])
+    m = r.guideline.mirror_ids
+    init.states[m[m >= 0]] = good.blue
+    cases.append((_unrepaired(good), r, init, 2))
+    # an off-line cell and two of its neighbours set to read (1, 1, 1),
+    # which rule 110 moves to 0; and letters all round the central tape
+    # cell, which then has no reading
+    b = all_six[("extra", "pentagrid")]
+    r = region_of("pentagrid", 3, 2)
+    init = engine.init_configuration(r, b, [1])
+    c = int(np.flatnonzero(r.dist == r.radius - 1)[-1])
+    init.states[[c, r.adjacency[c, 0], r.adjacency[c, 3]]] = 1
+    init.states[r.adjacency[r.guideline.id_at(0)]] = 0
+    cases.append((b, r, init, 1))
+    kinds = set()
+    for b, r, init, horizon in cases:
+        got = embed.verify_unique_applicability(b, r, init, horizon)
+        want = _matcher_scan(b, r, init, horizon)
+        assert got == want, b.name
+        kinds |= {v.kind for v in got.violations}
+        if b.name == "unrepaired":
+            assert got.multi_reading_cells > 0
+    assert kinds == {"ambiguous", "line-unmatched", "off-line-changed"}
