@@ -116,14 +116,21 @@ def _filter_candidates(automaton: emb.HcaAutomaton, region: Region,
                        states: np.ndarray, cells: np.ndarray) -> np.ndarray:
     """Subset of `cells` passing the cheap necessary match conditions:
     complete neighbourhood, letter self state, and at least the pattern's
-    count of every pinned state among the neighbours."""
-    adj = region.adjacency[cells]
-    nb = np.where(adj >= 0, states[np.clip(adj, 0, None)], np.int16(-1))
-    mask = ~(adj < 0).any(axis=1)
+    count of every pinned state among the neighbours.  The neighbours are
+    read one side at a time, so memory stays linear in len(cells)."""
     if automaton.blue is not None:
-        mask &= states[cells] != automaton.blue
-    for state, count in _pinned_counts(automaton).items():
-        mask &= (nb == state).sum(axis=1) >= count
+        cells = cells[states[cells] != automaton.blue]
+    pinned = _pinned_counts(automaton)
+    mask = np.ones(len(cells), dtype=bool)
+    seen = np.zeros((len(pinned), len(cells)), dtype=np.int8)
+    for side in range(region.adjacency.shape[1]):
+        nb = region.adjacency[cells, side]
+        mask &= nb >= 0
+        nb_states = states[nb]          # nb = -1 reads a cell masked out
+        for k, state in enumerate(pinned):
+            seen[k] += nb_states == state
+    for k, count in enumerate(pinned.values()):
+        mask &= seen[k] >= count
     return cells[mask]
 
 

@@ -88,11 +88,6 @@ def _null_space(rows: np.ndarray) -> np.ndarray:
     return vt[rank:].T
 
 
-def line_parameter(x: np.ndarray, p0: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Signed position along a line of the foot of the perpendicular from x."""
-    return np.arctanh(np.clip(mdot(x, w) / mdot(x, p0), -1 + 1e-15, 1 - 1e-15))
-
-
 def to_poincare_disk(x: np.ndarray) -> np.ndarray:
     """Project hyperboloid points to the Poincare disk/ball."""
     return x[..., 1:] / (1.0 + x[..., 0:1])

@@ -27,16 +27,10 @@ class CellShape:
     side_directions: np.ndarray    # (n_sides, dim) Euclidean unit vectors
     side_normals: np.ndarray       # (n_sides, dim+1)
     step_matrices: np.ndarray      # (n_sides, dim+1, dim+1)
-    back_sides: tuple[int, ...]    # side of the neighbor facing us
     vertices: np.ndarray           # (n_vertices, dim+1)
     side_vertex_cycles: tuple[tuple[int, ...], ...]
     base_rotations: np.ndarray | None      # (60, 4, 4), dodecahedron only
     rotation_motions: tuple[sym.Motion, ...] | None
-
-    def neighbor_centers(self) -> np.ndarray:
-        base = np.zeros(self.dim + 1)
-        base[0] = 1.0
-        return self.step_matrices @ base
 
 
 def _polygon(name: str, p: int, q: int) -> CellShape:
@@ -65,7 +59,6 @@ def _polygon(name: str, p: int, q: int) -> CellShape:
         side_directions=dirs,
         side_normals=normals,
         step_matrices=np.stack(steps),
-        back_sides=tuple(range(p)),
         vertices=verts,
         side_vertex_cycles=cycles,
         base_rotations=None,
@@ -108,7 +101,6 @@ def dodecagrid() -> CellShape:
     normals = np.stack([geo.plane_normal_through(rho, d) for d in u])
     flip = np.diag([1.0, -1.0, -1.0, -1.0])
     steps = np.stack([geo.reflection(n) @ flip for n in normals])
-    back = tuple(sym.OPPOSITE_FACE[i] for i in range(12))
 
     # vertices: one per mutually adjacent face triple
     triples = []
@@ -150,7 +142,6 @@ def dodecagrid() -> CellShape:
         side_directions=u,
         side_normals=normals,
         step_matrices=steps,
-        back_sides=back,
         vertices=verts,
         side_vertex_cycles=tuple(cycles),
         base_rotations=rots,

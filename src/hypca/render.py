@@ -8,6 +8,13 @@ such cell from the tape side contributes one filled pentagon.  The cell
 behind the shared face shows as a central dot, and any neighbour on the
 tape side holding a non-quiet state as a smaller dot pushed toward it.
 
+Both views work on whole arrays: the drawn cells are picked, their
+vertices placed, every geodesic edge sampled and every point projected
+in a few numpy passes over all drawn cells, with the arithmetic of
+`geometry.geodesic_points` kept term for term.  Each element is then
+written with one prebuilt %-format string.  The per-cell renderer this
+replaced is kept in the tests as the byte-for-byte reference.
+
 Output is deterministic: cells are emitted in id order and every number
 is formatted to six decimals, with signed zero normalised to
 ``0.000000``, so renders are identical across runs and platforms and
@@ -31,6 +38,8 @@ GREEN = "#57a85c"
 RED = "#d44a4a"
 LINE_BLANK = "#f2d12e"
 OFF_BLANK = "#f7f5ef"
+
+_CHUNK = 4096       # cells per array pass, bounding the float temporaries
 
 
 @dataclass
@@ -124,21 +133,54 @@ def _fmt(x: float) -> str:
     return "0.000000" if s == "-0.000000" else s
 
 
-def _path(points: np.ndarray) -> str:
-    parts = [f"M {_fmt(points[0, 0])} {_fmt(-points[0, 1])}"]
-    parts.extend(f"L {_fmt(u)} {_fmt(-v)}" for u, v in points[1:])
-    return " ".join(parts) + " Z"
+def _numbers(fmt: str, values) -> str:
+    """`fmt`, whose fields are all %.6f, filled with `values` and with
+    signed zero spelt as `_fmt` spells it.  Every number carries exactly
+    six decimals, so each "-0.000000" in the text is a whole number."""
+    return (fmt % tuple(values)).replace("-0.000000", "0.000000")
 
 
-def _polygon_disk_points(vertices: np.ndarray, samples: int) -> np.ndarray:
-    """Disk coordinates of a hyperbolic polygon outline, edges sampled."""
-    pts = []
-    k = len(vertices)
-    for i in range(k):
-        seg = geo.geodesic_points(vertices[i], vertices[(i + 1) % k],
-                                  samples + 1)[:-1]
-        pts.append(geo.to_poincare_disk(seg))
-    return np.concatenate(pts)
+def _outline_disk_points(vertices: np.ndarray, samples: int) -> np.ndarray:
+    """Disk coordinates of hyperbolic polygon outlines, (m, k, d+1)
+    vertices in, (m, k * samples, d) points out.  Each edge is sampled at
+    `samples` evenly spaced points, its end point left out, with the
+    arithmetic of `geometry.geodesic_points` applied to every edge at
+    once.  A cell's edges have positive length, so the short-segment
+    branch of `geodesic_points` is not needed."""
+    m, k, d1 = vertices.shape
+    p = vertices.reshape(-1, d1)
+    q = np.roll(vertices, -1, axis=1).reshape(-1, d1)
+    d = np.arccosh(np.clip(geo.mdot(p, q), 1.0, None))[:, None, None]
+    ts = np.linspace(0.0, 1.0, samples + 1)[:-1, None]
+    pts = (np.sinh((1.0 - ts) * d) * p[:, None]
+           + np.sinh(ts * d) * q[:, None]) / np.sinh(d)
+    return geo.to_poincare_disk(pts).reshape(m, k * samples, d1 - 1)
+
+
+def _path_elements(spec: RenderSpec, outlines: np.ndarray,
+                   fills: list[str]) -> list[str]:
+    """One filled <path> per outline, in order."""
+    n = outlines.shape[1]
+    fmt = "M %.6f %.6f" + " L %.6f %.6f" * (n - 1) + " Z"
+    xy = outlines * (1.0, -1.0)          # SVG's y axis points down
+    tail = (f' stroke="{spec.stroke}" '
+            f'stroke-width="{_fmt(spec.stroke_width)}"/>')
+    return [f'<path d="{_numbers(fmt, row)}" fill="{fill}"{tail}'
+            for row, fill in zip(xy.reshape(len(xy), -1).tolist(), fills)]
+
+
+def _circle(spec: RenderSpec, xy, r: float, fill: str) -> str:
+    return (_numbers('<circle cx="%.6f" cy="%.6f" r="%.6f"',
+                     (xy[0], -xy[1], r))
+            + f' fill="{fill}" stroke="{spec.stroke}" '
+            f'stroke-width="{_fmt(spec.stroke_width)}"/>')
+
+
+def _drawn_cells(region: Region, spec: RenderSpec) -> np.ndarray:
+    """Ids of the cells within the spec's depth, in id order."""
+    if spec.depth is None:
+        return np.arange(region.n_cells)
+    return np.flatnonzero(region.dist <= spec.depth)
 
 
 def _svg_document(spec: RenderSpec, body: list[str]) -> str:
@@ -176,18 +218,15 @@ def render_svg(region: Region, spec: RenderSpec,
 
 def _render_polygons(region: Region, spec: RenderSpec,
                      states: np.ndarray) -> str:
-    shape = region.shape
-    base = shape.vertices
+    cells = _drawn_cells(region, spec)
+    base = region.shape.vertices
     body = []
-    for c in range(region.n_cells):
-        if spec.depth is not None and region.dist[c] > spec.depth:
-            continue
-        verts = base @ region.matrices[c].T
-        pts = _polygon_disk_points(verts, spec.samples_per_edge)
-        body.append(f'<path d="{_path(pts)}" '
-                    f'fill="{spec.color(states[c])}" '
-                    f'stroke="{spec.stroke}" '
-                    f'stroke-width="{_fmt(spec.stroke_width)}"/>')
+    for i in range(0, len(cells), _CHUNK):
+        part = cells[i:i + _CHUNK]
+        verts = base @ region.matrices[part].transpose(0, 2, 1)
+        outlines = _outline_disk_points(verts, spec.samples_per_edge)
+        body += _path_elements(spec, outlines,
+                               [spec.color(s) for s in states[part].tolist()])
     return _svg_document(spec, body)
 
 
@@ -219,60 +258,56 @@ def _render_trace_plane(region: Region, spec: RenderSpec,
     n0, e0, e1, e2 = _trace_basis(region)
     centers = region.centers
     heights = geo.mdot(centers, n0)
-    ref_side = np.sign(heights[0])    # the tape side of the plane
+    tape_side = np.sign(heights) == np.sign(heights[0])
 
-    sinh_rho = np.sinh(shape.inradius)
+    # the cells on the tape side one inradius from the plane, and the face
+    # of each that lies in it
+    cells = _drawn_cells(region, spec)
+    cells = cells[tape_side[cells] & (np.abs(
+        np.abs(heights[cells]) - np.sinh(shape.inradius)) <= 1e-6)]
+    mats = region.matrices[cells]
+    wn = (mats @ shape.side_normals.T).transpose(0, 2, 1)     # (m, 12, 4)
+    in_plane = np.minimum(np.abs(wn - n0).max(axis=2),
+                          np.abs(wn + n0).max(axis=2)) < 1e-6
+    has_face = in_plane.any(axis=1)
+    cells, mats = cells[has_face], mats[has_face]
+    face = in_plane[has_face].argmax(axis=1)
+
+    cycles = np.array(shape.side_vertex_cycles)[face]
+    verts = shape.vertices[cycles] @ mats.transpose(0, 2, 1)
+    plane_verts = _plane_coords(verts, e0, e1, e2)
+    paths = _path_elements(
+        spec, _outline_disk_points(plane_verts, spec.samples_per_edge),
+        [spec.color(s) for s in states[cells].tolist()])
+
+    centroid = geo.normalize_point(plane_verts.mean(axis=1))
+    c2 = geo.to_poincare_disk(centroid)
+    apparent = np.linalg.norm(
+        geo.to_poincare_disk(plane_verts[:, 0]) - c2, axis=1)
+    behind = region.adjacency[cells, face]
+
+    # a dot for every tape-side neighbour off the plane face, unless quiet
+    nbs = region.adjacency[cells]
+    dot = (nbs >= 0) & tape_side[nbs]
+    dot[np.arange(len(cells)), face] = False
+    if spec.quiet is not None:
+        dot &= states[nbs] != spec.quiet
+    owner, g = np.nonzero(dot)
+    nb = nbs[owner, g]
+    toward = geo.normalize_point(
+        centers[nb] + geo.mdot(centers[nb], n0)[:, None] * n0)
+    spot = geo.normalize_point(0.45 * centroid[owner]
+                               + 0.55 * _plane_coords(toward, e0, e1, e2))
+    s2 = geo.to_poincare_disk(spot)
+    dots_end = np.cumsum(np.bincount(owner, minlength=len(cells)))
+
     body = []
-    for c in range(region.n_cells):
-        if spec.depth is not None and region.dist[c] > spec.depth:
-            continue
-        if np.sign(heights[c]) != ref_side \
-                or abs(abs(heights[c]) - sinh_rho) > 1e-6:
-            continue
-        # a face of this cell lying in the trace plane
-        m = region.matrices[c]
-        face = None
-        for f in range(12):
-            wn = m @ shape.side_normals[f]
-            if min(np.abs(wn - n0).max(), np.abs(wn + n0).max()) < 1e-6:
-                face = f
-                break
-        if face is None:
-            continue
-        cycle = list(shape.side_vertex_cycles[face])
-        verts = shape.vertices[cycle] @ m.T
-        plane_verts = _plane_coords(verts, e0, e1, e2)
-        pts = _polygon_disk_points(plane_verts, spec.samples_per_edge)
-        body.append(f'<path d="{_path(pts)}" '
-                    f'fill="{spec.color(states[c])}" '
-                    f'stroke="{spec.stroke}" '
-                    f'stroke-width="{_fmt(spec.stroke_width)}"/>')
-
-        centroid = geo.normalize_point(plane_verts.mean(axis=0))
-        c2 = geo.to_poincare_disk(centroid)
-        apparent = float(np.linalg.norm(
-            geo.to_poincare_disk(plane_verts[0]) - c2))
-        behind = region.adjacency[c, face]
-        if behind >= 0:
-            body.append(f'<circle cx="{_fmt(c2[0])}" cy="{_fmt(-c2[1])}" '
-                        f'r="{_fmt(0.38 * apparent)}" '
-                        f'fill="{spec.color(states[behind])}" '
-                        f'stroke="{spec.stroke}" '
-                        f'stroke-width="{_fmt(spec.stroke_width)}"/>')
-        for g in range(12):
-            nb = region.adjacency[c, g]
-            if g == face or nb < 0 or np.sign(heights[nb]) != ref_side:
-                continue
-            if spec.quiet is not None and states[nb] == spec.quiet:
-                continue
-            toward = centers[nb] + geo.mdot(centers[nb], n0) * n0
-            toward = geo.normalize_point(toward)
-            spot = geo.normalize_point(
-                0.45 * centroid + 0.55 * _plane_coords(toward, e0, e1, e2))
-            s2 = geo.to_poincare_disk(spot)
-            body.append(f'<circle cx="{_fmt(s2[0])}" cy="{_fmt(-s2[1])}" '
-                        f'r="{_fmt(0.17 * apparent)}" '
-                        f'fill="{spec.color(states[nb])}" '
-                        f'stroke="{spec.stroke}" '
-                        f'stroke-width="{_fmt(spec.stroke_width)}"/>')
+    for i in range(len(cells)):
+        body.append(paths[i])
+        if behind[i] >= 0:
+            body.append(_circle(spec, c2[i], 0.38 * apparent[i],
+                                spec.color(states[behind[i]])))
+        for j in range(dots_end[i - 1] if i else 0, dots_end[i]):
+            body.append(_circle(spec, s2[j], 0.17 * apparent[owner[j]],
+                                spec.color(states[nb[j]])))
     return _svg_document(spec, body)

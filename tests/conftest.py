@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -42,3 +44,35 @@ def all_six(rule110):
 
 def assert_states_equal(a: np.ndarray, b: np.ndarray) -> None:
     assert a.shape == b.shape and (a == b).all()
+
+
+@pytest.fixture(scope="session")
+def legacy_region_json():
+    """A region file as written before files carried a format version:
+    every array of the region in full."""
+
+    def dump(region: reg.Region) -> str:
+        gl = region.guideline
+        return json.dumps({
+            "grid": region.grid,
+            "radius": region.radius,
+            "halfwidth": region.halfwidth,
+            "matrices": region.matrices.tolist(),
+            "adjacency": region.adjacency.tolist(),
+            "dist": region.dist.tolist(),
+            "positions": region.positions.tolist(),
+            "guideline": {
+                "cell_ids": gl.cell_ids.tolist(),
+                "positions": gl.positions.tolist(),
+                "left_sides": gl.left_sides.tolist(),
+                "right_sides": gl.right_sides.tolist(),
+                "segment_halfwidth": gl.segment_halfwidth,
+                "normals": [n.tolist() for n in gl.normals],
+                "frame_p0": gl.frame_p0.tolist(),
+                "frame_w": gl.frame_w.tolist(),
+                "mirror_ids": None if gl.mirror_ids is None
+                else gl.mirror_ids.tolist(),
+            },
+        })
+
+    return dump

@@ -177,3 +177,56 @@ def test_simulate_oracle_check_keeps_outputs(tmp_path, capsys, monkeypatch):
         outs[len(flags)] = (trace.read_bytes(), snap.read_bytes())
     assert "matches the 1D run" in capsys.readouterr().err
     assert outs[0] == outs[1]
+
+
+def _simulate_and_save(tmp_path, grid, method):
+    auto = tmp_path / "auto.json"
+    run_cli("transform", "--rule", "elementary:110", "--grid", grid,
+            "--method", method, "-o", str(auto))
+    regf, snap = tmp_path / "region.json", tmp_path / "snap.json"
+    assert run_cli("simulate", "--automaton", str(auto), "--word", "1",
+                   "--steps", "2", "--halfwidth", "1",
+                   "--save-region", str(regf), "--snapshot-out", str(snap),
+                   "-o", str(tmp_path / "trace.txt")) == 0
+    return auto, regf, snap
+
+
+@pytest.mark.parametrize("grid,method", [("heptagrid", "t3"),
+                                         ("dodecagrid", "t1")])
+def test_saved_region_renders_as_in_process(tmp_path, capsys, region_of,
+                                            grid, method):
+    from hypca import embed, engine, render
+    auto, regf, snap = _simulate_and_save(tmp_path, grid, method)
+    svg = tmp_path / "shot.svg"
+    assert run_cli("render", "--region", str(regf), "--snapshot", str(snap),
+                   "--automaton", str(auto), "-o", str(svg)) == 0
+    r = region_of(grid, 3, 1)
+    b = embed.automaton_from_json(auto.read_text())
+    cfg = engine.config_from_json(snap.read_text(), r)
+    assert svg.read_text() == render.render_svg(
+        r, render.default_render_spec(b), cfg.states)
+    capsys.readouterr()
+
+
+def test_legacy_region_file_renders_identically(tmp_path, capsys, region_of,
+                                                legacy_region_json):
+    auto, regf, snap = _simulate_and_save(tmp_path, "pentagrid", "t1")
+    legacy = tmp_path / "legacy.json"
+    legacy.write_text(legacy_region_json(region_of("pentagrid", 3, 1)))
+    outs = []
+    for path in (regf, legacy):
+        svg = tmp_path / f"{path.stem}.svg"
+        assert run_cli("render", "--region", str(path), "--snapshot",
+                       str(snap), "--automaton", str(auto),
+                       "-o", str(svg)) == 0
+        outs.append(svg.read_bytes())
+    assert outs[0] == outs[1]
+    capsys.readouterr()
+
+
+def test_unknown_region_format_exits_2(tmp_path, capsys):
+    regf = tmp_path / "region.json"
+    regf.write_text(json.dumps({"format": 99, "grid": "pentagrid",
+                                "radius": 2, "halfwidth": 1}))
+    assert run_cli("render", "--region", str(regf)) == 2
+    assert "format 99" in capsys.readouterr().err

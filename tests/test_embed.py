@@ -1,3 +1,4 @@
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -232,3 +233,44 @@ def test_pattern_needs_left_and_right():
         embed.ContextPattern((embed.LEFT,) * 5)
     with pytest.raises(ValueError):
         embed.ContextPattern((embed.fixed(0),) * 5)
+
+
+def test_verify_skips_unmatched_line_cell_at_the_rim(region_of, rule110):
+    """A complete line cell at distance == radius may lack a reading: its
+    context reaches past what the region certifies."""
+    b = embed.embed_extra_state(rule110, "pentagrid")
+    r = region_of("pentagrid", 3, 2)
+    c = r.guideline.id_at(0)
+    init = engine.init_configuration(r, b, [1])
+    init.states[c] = b.blue            # no reading has a blue self state
+    report = embed.verify_unique_applicability(b, r, init, 0)
+    assert ("line-unmatched", c) in {(v.kind, v.cell)
+                                     for v in report.violations}
+    dist = r.dist.copy()
+    dist[c] = r.radius
+    rim = dataclasses.replace(r, dist=dist)
+    report = embed.verify_unique_applicability(b, rim, init, 0)
+    assert ("line-unmatched", c) not in {(v.kind, v.cell)
+                                         for v in report.violations}
+
+
+def test_verify_flags_off_line_cell_one_reading_would_move(region_of,
+                                                           rule110):
+    """An off-line cell whose readings give its own state and another one
+    is reported as changed, not only as ambiguous."""
+    b = embed.embed_compact(rule110, "pentagrid")
+    r = region_of("pentagrid", 3, 2)
+    init = engine.init_configuration(r, b, [1])
+    on_line = np.zeros(r.n_cells, dtype=bool)
+    on_line[r.guideline.cell_ids] = True
+    complete = ~(r.adjacency < 0).any(axis=1)
+    o = int(np.flatnonzero(complete & ~on_line & (init.states == 0))[0])
+    table = b.rule_table
+    code = table.encode(init.states, r.adjacency, np.array([o]))
+    hand = dataclasses.replace(b)
+    vars(hand)["rule_table"] = embed.RuleTable(
+        base=table.base, arity=table.arity, codes=code,
+        readings=np.array([2]), lo=np.array([0]), hi=np.array([1]))
+    report = embed.verify_unique_applicability(hand, r, init, 0)
+    kinds = {v.kind for v in report.violations if v.cell == o}
+    assert kinds == {"ambiguous", "off-line-changed"}

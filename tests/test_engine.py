@@ -213,3 +213,40 @@ def test_larger_region_gives_same_trace(region_of, rule110):
     for (t, start, letters), (_, start_l, letters_l) in zip(t_small, t_large):
         offset = start - start_l
         assert letters_l[offset:offset + len(letters)] == letters
+
+
+def _filter_reference(automaton, region, states, cells):
+    # the whole-array formula the engine used before it read one side at
+    # a time: an (N, p) copy of the neighbour states
+    adj = region.adjacency[cells]
+    nb = np.where(adj >= 0, states[np.clip(adj, 0, None)], np.int16(-1))
+    mask = ~(adj < 0).any(axis=1)
+    if automaton.blue is not None:
+        mask &= states[cells] != automaton.blue
+    for state, count in engine._pinned_counts(automaton).items():
+        mask &= (nb == state).sum(axis=1) >= count
+    return cells[mask]
+
+
+@pytest.mark.parametrize("grid,size", [("pentagrid", (4, 2)),
+                                       ("heptagrid", (4, 2)),
+                                       ("dodecagrid", (3, 1))])
+def test_filter_candidates_matches_reference(region_of, all_six, grid, size):
+    r = region_of(grid, *size)
+    rng = np.random.default_rng(7)
+    kept = 0
+    for method in ("extra", "compact"):
+        b = all_six[(method, grid)]
+        for trial in range(20):
+            # skew toward one state so the pinned counts are sometimes met
+            weights = rng.dirichlet(np.full(b.n_states, 0.5))
+            states = rng.choice(b.n_states, size=r.n_cells,
+                                p=weights).astype(np.int16)
+            cells = np.sort(rng.choice(r.n_cells, size=r.n_cells // 2,
+                                       replace=False))
+            for sub in (cells, np.arange(r.n_cells)):
+                got = engine._filter_candidates(b, r, states, sub)
+                want = _filter_reference(b, r, states, sub)
+                assert np.array_equal(got, want)
+                kept += len(got)
+    assert kept > 0

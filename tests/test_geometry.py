@@ -67,14 +67,6 @@ def test_line_frame_orthonormal():
     assert abs(geo.mdot(w, w) + 1.0) < 1e-10
     assert abs(geo.mdot(p0, w)) < 1e-10
     assert abs(geo.mdot(p0, n)) < 1e-10 and abs(geo.mdot(w, n)) < 1e-10
-    # the parameter is a strict coordinate along the line, zero at p0;
-    # its sign is a convention the region orientation is built against
-    ts = np.linspace(-2, 2, 9)
-    pts = np.outer(np.cosh(ts), p0) + np.outer(np.sinh(ts), w)
-    params = geo.line_parameter(pts, p0, w)
-    steps = np.diff(params)
-    assert np.all(steps > 0) or np.all(steps < 0)
-    assert abs(geo.line_parameter(p0, p0, w)) < 1e-12
 
 
 def test_line_frame_rejects_bad_cut():

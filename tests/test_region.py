@@ -193,6 +193,38 @@ def test_region_json_round_trip(region_of):
     assert (r2.guideline.mirror_ids == r.guideline.mirror_ids).all()
 
 
+def test_region_file_holds_parameters_only(region_of):
+    r = region_of("dodecagrid", 2, 1)
+    doc = json.loads(reg.region_to_json(r))
+    assert doc == {"format": reg.REGION_FORMAT, "grid": "dodecagrid",
+                   "radius": 2, "halfwidth": 1}
+
+
+def test_legacy_region_file_loads(region_of, legacy_region_json):
+    r = region_of("heptagrid", 2, 1)
+    r2 = reg.region_from_json(legacy_region_json(r))
+    assert (r2.adjacency == r.adjacency).all()
+    assert np.array_equal(r2.matrices, r.matrices)
+    assert (r2.guideline.cell_ids == r.guideline.cell_ids).all()
+    # a stored region that is not what its parameters build is refused
+    doc = json.loads(legacy_region_json(r))
+    doc["adjacency"][0][0] = -1
+    with pytest.raises(ValueError, match="adjacency"):
+        reg.region_from_json(json.dumps(doc))
+
+
+def test_region_file_errors_name_the_problem():
+    with pytest.raises(ValueError, match="object"):
+        reg.region_from_json("[]")
+    with pytest.raises(ValueError, match="format 99"):
+        reg.region_from_json(json.dumps({"format": 99, "grid": "pentagrid",
+                                         "radius": 2, "halfwidth": 1}))
+    with pytest.raises(ValueError, match="radius"):
+        reg.region_from_json(json.dumps({"format": reg.REGION_FORMAT,
+                                         "grid": "pentagrid",
+                                         "halfwidth": 1}))
+
+
 def _edges_of_cell(shape, matrix):
     verts = shape.vertices @ matrix.T
     edges = set()

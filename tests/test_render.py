@@ -1,3 +1,4 @@
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -5,6 +6,8 @@ import pytest
 
 from hypca import embed, engine, render
 from hypca.region import marker_cell_ids
+
+import render_reference
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -97,3 +100,46 @@ def test_spec_round_trip():
                              size=300, depth=2, quiet=0)
     back = render.spec_from_json(render.spec_to_json(spec))
     assert back == spec
+
+
+def _assert_same_svg(region, spec, states):
+    got = render.render_svg(region, spec, states)
+    want = render_reference.render_svg(region, spec, states)
+    if got != want:     # name the first differing line; a full diff is slow
+        i, g, w = next((i, g, w) for i, (g, w) in enumerate(
+            zip(got.splitlines() + [""], want.splitlines() + [""]))
+            if g != w)
+        raise AssertionError(f"line {i} differs:\n{g[:200]}\n{w[:200]}")
+
+
+def _differential_cases(spec, states):
+    """(spec, states) pairs: the blank region and the given states, each
+    with every cell drawn and with depth 1."""
+    blank = render.blank_render_spec(spec.grid)
+    return [(sp, st) for base, st in ((blank, None), (spec, states))
+            for sp in (base, dataclasses.replace(base, depth=1))]
+
+
+@pytest.mark.parametrize("grid", ["pentagrid", "heptagrid"])
+@pytest.mark.parametrize("radius", [1, 2, 3, 4, 5])
+def test_polygons_match_reference(region_of, all_six, grid, radius):
+    r = region_of(grid, radius, 1)
+    b = all_six[("extra", grid)]
+    states = np.random.default_rng(radius).integers(
+        0, b.n_states, r.n_cells).astype(np.int16)
+    for spec, st in _differential_cases(render.default_render_spec(b),
+                                        states):
+        _assert_same_svg(r, spec, st)
+
+
+@pytest.mark.parametrize("radius", [2, 3, 4])
+def test_trace_plane_matches_reference(region_of, all_six, radius):
+    r = region_of("dodecagrid", radius, 1)
+    b = all_six[("compact", "dodecagrid")]
+    cfgs = engine.run_hca(b, r, engine.init_configuration(r, b, [1, 1, 0]),
+                          radius - 1)
+    spec = render.default_render_spec(b)
+    for snap in (cfgs[-1].states, np.random.default_rng(radius).integers(
+            0, b.n_states, r.n_cells).astype(np.int16)):
+        for sp, st in _differential_cases(spec, snap):
+            _assert_same_svg(r, sp, st)
