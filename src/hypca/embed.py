@@ -18,8 +18,9 @@ automaton: every context the pattern matches, coded as one int64, with
 its number of distinct readings and the least and greatest next state
 they give.  The engine steps by looking codes up in it, the
 unique-applicability scan reads its verdicts from it, and `expanded_rules`
-lists its single-reading contexts as explicit rules, so the invariance
-checker can say independently that matching is rotation invariant.
+lists its single-reading contexts as explicit rules, held as the table's
+arrays, so the invariance checker can say independently that matching is
+rotation invariant.
 `match_alignments` is the one-context matcher the table is tested against;
 it also spells out the readings in error messages.
 """
@@ -98,7 +99,7 @@ class HcaAutomaton:
 
     grid: str
     n_states: int
-    patterns: tuple[ContextPattern, ...]
+    pattern: ContextPattern
     action: ca1d.Rule1D
     state_map: dict[int, int]
     letters: frozenset[int]
@@ -109,14 +110,8 @@ class HcaAutomaton:
     name: str = ""
 
     def __post_init__(self) -> None:
-        if len(self.patterns) != 1:
-            raise ValueError("exactly one admissible pattern is supported")
-        if len(self.patterns[0].slots) != GRID_SIDES[self.grid]:
+        if len(self.pattern.slots) != GRID_SIDES[self.grid]:
             raise ValueError("pattern arity does not fit the grid")
-
-    @property
-    def pattern(self) -> ContextPattern:
-        return self.patterns[0]
 
     def inverse_map(self) -> dict[int, int]:
         return {v: k for k, v in self.state_map.items()}
@@ -181,7 +176,7 @@ def embed_extra_state(rule: ca1d.Rule1D, grid: str) -> HcaAutomaton:
     return HcaAutomaton(
         grid=grid,
         n_states=n + 1,
-        patterns=(_extra_pattern(grid, blue),),
+        pattern=_extra_pattern(grid, blue),
         action=rule,
         state_map={s: s for s in rule.states()},
         letters=frozenset(range(n)),
@@ -219,7 +214,7 @@ def embed_compact(rule: ca1d.Rule1D, grid: str) -> HcaAutomaton:
     return HcaAutomaton(
         grid=grid,
         n_states=rule.n,
-        patterns=(_compact_pattern(grid, q, u),),
+        pattern=_compact_pattern(grid, q, u),
         action=rule,
         state_map={s: s for s in rule.states()},
         letters=frozenset(rule.states()),
@@ -380,17 +375,15 @@ def compile_rules(automaton: HcaAutomaton) -> RuleTable:
         hi=np.maximum.reduceat(out, starts))
 
 
-def expanded_rules(automaton: HcaAutomaton) -> list[tuple[sym.RuleContext, int]]:
+def expanded_rules(automaton: HcaAutomaton) -> sym.RuleArrays:
     """The pattern unfolded into explicit (context, new state) rules over
     every rotated alignment and letter assignment: one rule per context
-    with exactly one reading, in code order.  A context with several
-    readings has no single rule and is left out."""
+    with exactly one reading, in code order, held as the table's arrays.
+    A context with several readings has no single rule and is left out."""
     table = automaton.rule_table
     single = table.readings == 1
     selfs, nbs = table.decode(table.codes[single])
-    return [(sym.RuleContext(s, tuple(nb)), out)
-            for s, nb, out in zip(selfs.tolist(), nbs.tolist(),
-                                  table.lo[single].tolist())]
+    return sym.RuleArrays(selfs, nbs, table.lo[single])
 
 
 def check_invariance(automaton: HcaAutomaton):
@@ -588,8 +581,7 @@ def automaton_to_json(automaton: HcaAutomaton) -> str:
         "name": automaton.name,
         "action": json.loads(ca1d.rule_to_json(automaton.action)),
         "state_map": {str(k): v for k, v in automaton.state_map.items()},
-        "patterns": [[_slot_to_doc(s) for s in p.slots]
-                     for p in automaton.patterns],
+        "patterns": [[_slot_to_doc(s) for s in automaton.pattern.slots]],
         "letters": sorted(automaton.letters),
         "blue": automaton.blue,
         "marker_scheme": (automaton.marker_scheme.value
@@ -601,13 +593,13 @@ def automaton_to_json(automaton: HcaAutomaton) -> str:
 
 def automaton_from_json(text: str) -> HcaAutomaton:
     doc = json.loads(text)
-    slots = tuple(
-        Slot(s["kind"], s["state"]) for s in doc["patterns"][0]
-    )
+    if len(doc["patterns"]) != 1:
+        raise ValueError("exactly one admissible pattern is supported")
+    slots = tuple(Slot(s["kind"], s["state"]) for s in doc["patterns"][0])
     return HcaAutomaton(
         grid=doc["grid"],
         n_states=int(doc["n_states"]),
-        patterns=(ContextPattern(slots),),
+        pattern=ContextPattern(slots),
         action=ca1d.rule_from_json(json.dumps(doc["action"])),
         state_map={int(k): int(v) for k, v in doc["state_map"].items()},
         letters=frozenset(int(v) for v in doc["letters"]),

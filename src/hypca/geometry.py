@@ -91,15 +91,3 @@ def _null_space(rows: np.ndarray) -> np.ndarray:
 def to_poincare_disk(x: np.ndarray) -> np.ndarray:
     """Project hyperboloid points to the Poincare disk/ball."""
     return x[..., 1:] / (1.0 + x[..., 0:1])
-
-
-def geodesic_points(p: np.ndarray, q: np.ndarray, count: int) -> np.ndarray:
-    """`count` evenly spaced points of the geodesic segment from p to q."""
-    c = float(np.clip(mdot(p, q), 1.0, None))
-    d = np.arccosh(c)
-    ts = np.linspace(0.0, 1.0, count)
-    if d < 1e-12:
-        return np.outer(1.0 - ts, p) + np.outer(ts, q)
-    pts = (np.outer(np.sinh((1.0 - ts) * d), p) + np.outer(np.sinh(ts * d), q)) / np.sinh(d)
-    return pts
-

@@ -10,10 +10,11 @@ tape side holding a non-quiet state as a smaller dot pushed toward it.
 
 Both views work on whole arrays: the drawn cells are picked, their
 vertices placed, every geodesic edge sampled and every point projected
-in a few numpy passes over all drawn cells, with the arithmetic of
-`geometry.geodesic_points` kept term for term.  Each element is then
-written with one prebuilt %-format string.  The per-cell renderer this
-replaced is kept in the tests as the byte-for-byte reference.
+in a few numpy passes over all drawn cells, with the arithmetic of the
+reference `geodesic_points` in tests/render_reference.py kept term for
+term.  Each element is then written with one prebuilt %-format string.
+The per-cell renderer this replaced is kept in the tests as the
+byte-for-byte reference.
 
 Output is deterministic: cells are emitted in id order and every number
 is formatted to six decimals, with signed zero normalised to
@@ -144,9 +145,9 @@ def _outline_disk_points(vertices: np.ndarray, samples: int) -> np.ndarray:
     """Disk coordinates of hyperbolic polygon outlines, (m, k, d+1)
     vertices in, (m, k * samples, d) points out.  Each edge is sampled at
     `samples` evenly spaced points, its end point left out, with the
-    arithmetic of `geometry.geodesic_points` applied to every edge at
-    once.  A cell's edges have positive length, so the short-segment
-    branch of `geodesic_points` is not needed."""
+    arithmetic of the reference `geodesic_points` (tests/render_reference.py)
+    applied to every edge at once.  A cell's edges have positive length,
+    so its short-segment branch is not needed."""
     m, k, d1 = vertices.shape
     p = vertices.reshape(-1, d1)
     q = np.roll(vertices, -1, axis=1).reshape(-1, d1)

@@ -10,14 +10,15 @@ onto which face ``i`` is carried.
 
 Two rotation-invariance checkers share one verdict: `check_rotation_invariance`
 groups rules by `minimal_form`, one rotation at a time, and stays as the
-reference; `orbit_conflicts` codes contexts as integers and finds the orbit
-keys of a whole rule set in numpy.
+reference; `orbit_conflicts` works on a `RuleArrays`, a rule set held as
+int64 arrays of own states, neighbour states and next states, and finds
+the orbit key of every rule with one integer matrix product per chunk.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -247,48 +248,90 @@ def require_codes_fit(n_states: int, arity: int) -> None:
             f"limit n_states**(arity + 1) <= 2**63")
 
 
-# rules rotated at once by `orbit_conflicts`; its (chunk, |G|) int64 key
-# array stays under half a megabyte on the dodecagrid
+@dataclass(frozen=True, eq=False)
+class RuleArrays(Sequence):
+    """A rule set as arrays: rule k reads own state `selfs[k]` and
+    neighbour states `nbs[k]`, and gives next state `outs[k]`.
+
+    As a sequence it yields the same (RuleContext, int) pairs as a list of
+    rules would, with Python ints; a `RuleContext` is made only when a rule
+    is indexed or iterated over.
+    """
+
+    selfs: np.ndarray       # (N,) int64
+    nbs: np.ndarray         # (N, arity) int64
+    outs: np.ndarray        # (N,) int64
+
+    @classmethod
+    def pack(cls, rules: Iterable[tuple[RuleContext, int]]) -> RuleArrays:
+        """The rule set of (context, next state) pairs; a `RuleArrays` is
+        returned as it is."""
+        if isinstance(rules, cls):
+            return rules
+        rules = list(rules)
+        return cls(
+            np.array([ctx.self_state for ctx, _ in rules], dtype=np.int64),
+            np.array([ctx.neighbor_states for ctx, _ in rules],
+                     dtype=np.int64),
+            np.array([out for _, out in rules], dtype=np.int64))
+
+    def __len__(self) -> int:
+        return len(self.outs)
+
+    def __getitem__(self, k: int) -> tuple[RuleContext, int]:
+        return (RuleContext(int(self.selfs[k]), tuple(self.nbs[k].tolist())),
+                int(self.outs[k]))
+
+    def __iter__(self) -> Iterator[tuple[RuleContext, int]]:
+        for s, nb, out in zip(self.selfs.tolist(), self.nbs.tolist(),
+                              self.outs.tolist()):
+            yield RuleContext(s, tuple(nb)), out
+
+
+# rules keyed at once by `orbit_conflicts`; the chunk's (chunk, |G|) int64
+# key matrix stays under half a megabyte on the dodecagrid
 _ORBIT_CHUNK = 1024
 
 
 def orbit_conflicts(
     rules: Iterable[tuple[RuleContext, int]],
 ) -> list[list[tuple[RuleContext, int]]]:
-    """`check_rotation_invariance` with numeric state order, in numpy.
+    """`check_rotation_invariance` with numeric state order, on arrays.
 
-    Each context is coded with the cell's own state as the most
-    significant digit and side 0 next, so that comparing codes compares
-    (self, neighbours) lexicographically.  The least code over the
-    rotations is the orbit key; it is accumulated one side at a time for a
-    chunk of rules.  The groups and their members come out in the same
-    order as from `check_rotation_invariance`.
+    A plain iterable of pairs is packed into a `RuleArrays` first.  Each
+    context is coded with the cell's own state as the most significant
+    digit and side 0 next, so that comparing codes compares (self,
+    neighbours) lexicographically; the least code over the rotations is
+    the orbit key.  Rotation g reads side rows[g, i] at digit i, rows being
+    `rotation_indices(p)`, so side j lands at digit pos[g, j], pos[g] the
+    inverse of rows[g]; the neighbour part of every rotated code is then
+    one product `nbs @ W` per chunk of rules, with
+    W[j, g] = base ** (p - 1 - pos[g, j]).  `require_codes_fit` keeps every
+    code below 2**63, so the int64 product is exact.  The groups and their
+    members come out in the same order as from
+    `check_rotation_invariance`; only the members of a returned group are
+    made into `RuleContext`s.
     """
-    rules = list(rules)
-    if not rules:
+    rules = RuleArrays.pack(rules)
+    if not len(rules):
         return []
-    selfs = np.array([ctx.self_state for ctx, _ in rules], dtype=np.int64)
-    nbs = np.array([ctx.neighbor_states for ctx, _ in rules], dtype=np.int64)
-    outs = np.array([out for _, out in rules], dtype=np.int64)
-    arity = nbs.shape[1]
-    base = int(max(selfs.max(), nbs.max())) + 1
+    arity = rules.nbs.shape[1]
+    base = int(max(rules.selfs.max(), rules.nbs.max())) + 1
     require_codes_fit(base, arity)
-    rows = rotation_indices(arity)
+    pos = np.argsort(rotation_indices(arity), axis=1)
+    weight = base ** (arity - 1 - pos.T).astype(np.int64)
     keys = np.empty(len(rules), dtype=np.int64)
     for lo in range(0, len(rules), _ORBIT_CHUNK):
-        chunk = nbs[lo:lo + _ORBIT_CHUNK]
-        key = np.repeat(selfs[lo:lo + _ORBIT_CHUNK, None], len(rows), axis=1)
-        for i in range(arity):
-            key *= base
-            key += chunk[:, rows[:, i]]
-        keys[lo:lo + len(chunk)] = key.min(axis=1)
+        chunk = rules.nbs[lo:lo + _ORBIT_CHUNK] @ weight
+        keys[lo:lo + len(chunk)] = chunk.min(axis=1)
+    keys += rules.selfs * base ** arity
     order = np.argsort(keys, kind="stable")
-    keys, outs = keys[order], outs[order]
+    keys, outs = keys[order], rules.outs[order]
     starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
     ends = np.r_[starts[1:], len(keys)]
     split = (np.minimum.reduceat(outs, starts)
              != np.maximum.reduceat(outs, starts))
-    return [[rules[i] for i in order[a:b]]
+    return [[rules[k] for k in order[a:b].tolist()]
             for a, b in zip(starts[split], ends[split])]
 
 

@@ -33,6 +33,17 @@ def render_svg(region: Region, spec: RenderSpec,
     return _render_polygons(region, spec, states)
 
 
+def geodesic_points(p: np.ndarray, q: np.ndarray, count: int) -> np.ndarray:
+    """`count` evenly spaced points of the geodesic segment from p to q."""
+    c = float(np.clip(geo.mdot(p, q), 1.0, None))
+    d = np.arccosh(c)
+    ts = np.linspace(0.0, 1.0, count)
+    if d < 1e-12:
+        return np.outer(1.0 - ts, p) + np.outer(ts, q)
+    pts = (np.outer(np.sinh((1.0 - ts) * d), p) + np.outer(np.sinh(ts * d), q)) / np.sinh(d)
+    return pts
+
+
 def _path(points: np.ndarray) -> str:
     parts = [f"M {_fmt(points[0, 0])} {_fmt(-points[0, 1])}"]
     parts.extend(f"L {_fmt(u)} {_fmt(-v)}" for u, v in points[1:])
@@ -43,8 +54,8 @@ def _polygon_disk_points(vertices: np.ndarray, samples: int) -> np.ndarray:
     pts = []
     k = len(vertices)
     for i in range(k):
-        seg = geo.geodesic_points(vertices[i], vertices[(i + 1) % k],
-                                  samples + 1)[:-1]
+        seg = geodesic_points(vertices[i], vertices[(i + 1) % k],
+                              samples + 1)[:-1]
         pts.append(geo.to_poincare_disk(seg))
     return np.concatenate(pts)
 

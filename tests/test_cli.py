@@ -84,7 +84,7 @@ def test_verify_flags_bad_automaton(tmp_path, capsys):
     slots = list(good.pattern.slots)
     slots[0] = embed.fixed(good.blue)
     bad = dataclasses.replace(
-        good, patterns=(embed.ContextPattern(tuple(slots)),))
+        good, pattern=embed.ContextPattern(tuple(slots)))
     path = tmp_path / "bad.json"
     path.write_text(embed.automaton_to_json(bad))
     assert run_cli("verify", "--automaton", str(path), "--radius", "3",

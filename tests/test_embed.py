@@ -1,4 +1,5 @@
 import dataclasses
+import json
 from pathlib import Path
 
 import numpy as np
@@ -202,7 +203,7 @@ def test_unrepaired_solid_pattern_is_ambiguous(region_of, rule110):
     slots[0] = embed.fixed(good.blue)
     bad = embed.HcaAutomaton(
         grid="dodecagrid", n_states=good.n_states,
-        patterns=(embed.ContextPattern(tuple(slots)),),
+        pattern=embed.ContextPattern(tuple(slots)),
         action=rule110, state_map=dict(good.state_map),
         letters=good.letters, kind="extra", blue=good.blue,
         padding_state=good.padding_state, name="unrepaired")
@@ -217,11 +218,19 @@ def test_unrepaired_solid_pattern_is_ambiguous(region_of, rule110):
         engine.step_hca(bad, r, init)
 
 
+def test_automaton_json_needs_one_pattern(all_six):
+    doc = json.loads(embed.automaton_to_json(all_six[("extra", "pentagrid")]))
+    assert len(doc["patterns"]) == 1
+    doc["patterns"] *= 2
+    with pytest.raises(ValueError, match="one admissible pattern"):
+        embed.automaton_from_json(json.dumps(doc))
+
+
 def test_automaton_json_round_trip(all_six):
     for b in all_six.values():
         b2 = embed.automaton_from_json(embed.automaton_to_json(b))
         assert b2.grid == b.grid and b2.n_states == b.n_states
-        assert b2.patterns == b.patterns and b2.state_map == b.state_map
+        assert b2.pattern == b.pattern and b2.state_map == b.state_map
         assert b2.letters == b.letters and b2.kind == b.kind
         assert b2.blue == b.blue and b2.marker_scheme == b.marker_scheme
         assert b2.padding_state == b.padding_state

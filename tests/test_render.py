@@ -3,8 +3,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from hypca import embed, engine, render
+from hypca import geometry as geo
 from hypca.region import marker_cell_ids
 
 import render_reference
@@ -100,6 +102,20 @@ def test_spec_round_trip():
                              size=300, depth=2, quiet=0)
     back = render.spec_from_json(render.spec_to_json(spec))
     assert back == spec
+
+
+def _point(dist, angle):
+    return geo.point_at(dist, np.array([np.cos(angle), np.sin(angle)]))
+
+
+@given(st.floats(0.1, 2.0), st.floats(0.0, 6.28), st.floats(0.1, 2.0),
+       st.floats(0.0, 6.28))
+def test_geodesic_points_stay_on_sheet(ad, aa, bd, ba):
+    p, q = _point(ad, aa), _point(bd, ba)
+    pts = render_reference.geodesic_points(p, q, 9)
+    assert np.allclose(geo.mdot(pts, pts), 1.0, atol=1e-9)
+    assert np.allclose(pts[0], p, atol=1e-9)
+    assert np.allclose(pts[-1], q, atol=1e-9)
 
 
 def _assert_same_svg(region, spec, states):

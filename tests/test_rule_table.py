@@ -2,7 +2,7 @@
 
 `match_alignments` and the loop expansion below are the references: the
 table must give every context the same reading count and next states,
-the expansion read off the table must list the same rules, the numpy
+the expansion read off the table must list the same rules, the array
 orbit check must report the same conflicts as `check_rotation_invariance`,
 and the table-driven verify scan must report what a matcher-driven scan
 reports.
@@ -184,6 +184,98 @@ def test_orbit_check_keeps_reference_order():
     rules = [(a, 1), (c, 0), (b, 0), (d, 1), (c, 0)]
     assert sym.orbit_conflicts(rules) == sym.check_rotation_invariance(rules)
     assert len(sym.orbit_conflicts(rules)) == 2
+    # the least codes put e's orbit first, the greatest would put f's
+    e = sym.RuleContext(0, (0, 0, 0, 0, 2))
+    f = sym.RuleContext(0, (0, 0, 0, 1, 1))
+    rules = [(f, 0), (sym.rotated_context(f, 2), 1),
+             (e, 0), (sym.rotated_context(e, 1), 1)]
+    groups = sym.orbit_conflicts(rules)
+    assert groups == sym.check_rotation_invariance(rules)
+    assert [g[0][0] for g in groups] == [e, f]
+
+
+def test_expansion_makes_rule_objects_only_when_read(monkeypatch):
+    """A conflict-free 3-state source on the dodecagrid: the invariance
+    check runs on the table's arrays and makes no `RuleContext`, and the
+    expansion still reads as the list of pairs it replaced."""
+    rule = ca1d.random_rule(3, np.random.default_rng(11), quiescent_zero=True)
+    b = embed.embed_extra_state(rule, "dodecagrid")
+    table = b.rule_table
+    single = table.readings == 1
+    selfs, nbs = table.decode(table.codes[single])
+    listed = [(sym.RuleContext(s, tuple(nb)), out)
+              for s, nb, out in zip(selfs.tolist(), nbs.tolist(),
+                                    table.lo[single].tolist())]
+    made = []
+    post_init = sym.RuleContext.__post_init__
+
+    def counted(ctx):
+        made.append(ctx)
+        post_init(ctx)
+
+    monkeypatch.setattr(sym.RuleContext, "__post_init__", counted)
+    assert embed.check_invariance(b) == []
+    assert made == []
+    rules = embed.expanded_rules(b)
+    assert len(rules) == len(listed) == 4860
+    assert list(rules) == listed
+    assert rules[0] == listed[0] and rules[-1] == listed[-1]
+    assert all(type(v) is int for ctx, out in rules
+               for v in (ctx.self_state, *ctx.neighbor_states, out))
+
+
+def _random_dodecagrid_rules(n_states, rng, contexts=30, copies=3):
+    """Seeded random contexts over `n_states` states, each with an output
+    and `copies` rotated copies giving the same output."""
+    motions = sym.all_motions()
+    rules = []
+    for _ in range(contexts):
+        ctx = sym.RuleContext(int(rng.integers(n_states)),
+                              tuple(rng.integers(n_states, size=12).tolist()))
+        out = int(rng.integers(n_states))
+        rules.append((ctx, out))
+        for g in rng.choice(len(motions), size=copies, replace=False):
+            rules.append((sym.rotated_context(ctx, motions[g]), out))
+    # the largest state in the most significant digit
+    rules.append((sym.RuleContext(n_states - 1, (n_states - 1,) * 12), 0))
+    return rules
+
+
+def test_orbit_keys_at_the_int64_limit():
+    """28 states at arity 12 is the largest dodecagrid state count whose
+    codes fit: 28**13 < 2**63.  One planted rotated copy with another
+    output must be the one conflict found."""
+    rng = np.random.default_rng(28)
+    rules = _random_dodecagrid_rules(28, rng)
+    assert sym.orbit_conflicts(rules) == sym.check_rotation_invariance(rules)
+    assert sym.orbit_conflicts(rules) == []
+    ctx, out = rules[7]
+    twin = (sym.rotated_context(ctx, sym.all_motions()[17]), (out + 1) % 28)
+    planted = rules + [twin]
+    fast = sym.orbit_conflicts(planted)
+    assert fast == sym.check_rotation_invariance(planted)
+    assert len(fast) == 1
+    orbit = {sym.rotated_context(ctx, m) for m in sym.all_motions()}
+    assert twin in fast[0]
+    assert fast[0] == [(c, o) for c, o in planted if c in orbit]
+
+
+def test_orbit_keys_refuse_a_29th_state():
+    """One state more and the codes overflow: the check must refuse the
+    rule set before it allocates the chunk's key matrix."""
+    rules = sym.RuleArrays.pack(
+        _random_dodecagrid_rules(29, np.random.default_rng(29), contexts=300))
+    assert len(rules) > 1024
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as err:
+            sym.orbit_conflicts(rules)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert "29 states" in str(err.value) and "2**63" in str(err.value)
+    # a tenth of one chunk's (1024, 60) int64 key matrix
+    assert peak < 1024 * 60 * 8 // 10
 
 
 def test_code_limit_names_the_limit():
@@ -247,7 +339,7 @@ def _unrepaired(good):
     slots = list(good.pattern.slots)
     slots[0] = embed.fixed(good.blue)
     return dataclasses.replace(
-        good, patterns=(embed.ContextPattern(tuple(slots)),),
+        good, pattern=embed.ContextPattern(tuple(slots)),
         name="unrepaired")
 
 
