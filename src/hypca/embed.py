@@ -110,6 +110,8 @@ class HcaAutomaton:
     name: str = ""
 
     def __post_init__(self) -> None:
+        if self.grid not in GRID_SIDES:
+            raise ValueError(f"unknown grid {self.grid!r}")
         if len(self.pattern.slots) != GRID_SIDES[self.grid]:
             raise ValueError("pattern arity does not fit the grid")
 
@@ -593,20 +595,23 @@ def automaton_to_json(automaton: HcaAutomaton) -> str:
 
 def automaton_from_json(text: str) -> HcaAutomaton:
     doc = json.loads(text)
-    if len(doc["patterns"]) != 1:
-        raise ValueError("exactly one admissible pattern is supported")
-    slots = tuple(Slot(s["kind"], s["state"]) for s in doc["patterns"][0])
-    return HcaAutomaton(
-        grid=doc["grid"],
-        n_states=int(doc["n_states"]),
-        pattern=ContextPattern(slots),
-        action=ca1d.rule_from_json(json.dumps(doc["action"])),
-        state_map={int(k): int(v) for k, v in doc["state_map"].items()},
-        letters=frozenset(int(v) for v in doc["letters"]),
-        kind=doc["kind"],
-        blue=doc["blue"],
-        marker_scheme=(MarkerScheme(doc["marker_scheme"])
-                       if doc["marker_scheme"] else None),
-        padding_state=doc["padding_state"],
-        name=doc.get("name", ""),
-    )
+    try:
+        if len(doc["patterns"]) != 1:
+            raise ValueError("exactly one admissible pattern is supported")
+        slots = tuple(Slot(s["kind"], s["state"]) for s in doc["patterns"][0])
+        return HcaAutomaton(
+            grid=doc["grid"],
+            n_states=int(doc["n_states"]),
+            pattern=ContextPattern(slots),
+            action=ca1d.rule_from_json(json.dumps(doc["action"])),
+            state_map={int(k): int(v) for k, v in doc["state_map"].items()},
+            letters=frozenset(int(v) for v in doc["letters"]),
+            kind=doc["kind"],
+            blue=doc["blue"],
+            marker_scheme=(MarkerScheme(doc["marker_scheme"])
+                           if doc["marker_scheme"] else None),
+            padding_state=doc["padding_state"],
+            name=doc.get("name", ""),
+        )
+    except KeyError as e:
+        raise ValueError(f"automaton file lacks the {e} key") from None

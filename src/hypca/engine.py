@@ -207,8 +207,8 @@ def run_hca(automaton: emb.HcaAutomaton, region: Region,
         new_cfg, changed = _apply(automaton, region, cfg, cand, scan)
         if len(changed):
             near = adj[changed].ravel()
-            affected = np.unique(np.concatenate(
-                [cand, changed, near[near >= 0]]))
+            affected = np.sort(np.concatenate([cand, changed, near[near >= 0]]))
+            affected = affected[np.r_[True, affected[1:] != affected[:-1]]]
         else:
             affected = cand
         cand = _filter_candidates(automaton, region, new_cfg.states,

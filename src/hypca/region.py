@@ -3,28 +3,45 @@
 A region is grown from a chain of guideline cells, the cells that carry tape
 letters.  The chain is walked first, ordered by a monotone statistic along
 the guideline, then a breadth-first search from the central segment adds
-every cell within the requested graph distance.  Cell identity is decided by
-center coordinates, deduplicated through a bucket table with a straddle-aware
-lookup: distinct centers are separated by order 1 at every supported size,
-while drift between different generation paths to the same cell stays many
-orders of magnitude below the tolerance DEDUP_TOL.  A best gap in the dead
-zone between the two scales, [DEDUP_TOL, NEAR_MISS_FACTOR * DEDUP_TOL),
-raises RegionTooLarge instead of guessing; a larger one is a new cell.
+every cell within the requested graph distance, a level at a time in numpy.
 
-The search works a level at a time, in numpy.  Only the neighbor centers of
-the frontier are computed, in chunks, and each chunk is looked up in one
-batched pass: every bucket a candidate's tolerance box touches is hashed,
-found by binary search in the sorted table and confirmed by its key.  The
-level's misses are then deduplicated among themselves the same way, new
-cells are numbered in order of first occurrence in (frontier, side) order,
-and full placement matrices are computed for the new cells only.  Matrices,
-adjacency, dist and the table's coordinates live in arrays that grow by
-doubling.
+Cell identity is exact.  Each tiling is the orbit of its base cell under a
+reflection group, and each step operator has an integer image T_s in a
+faithful linear representation of that group (J. Tits, 1969; M. W. Davis,
+The Geometry and Topology of Coxeter Groups, 2008):
+
+- pentagrid and dodecagrid: the group is right-angled.  T_s is the side
+  reflection in the contragredient Tits representation (B_ii = 1, B_ij = 0
+  for adjacent sides and -1 otherwise), composed with the side permutation
+  of the base-cell symmetry the step includes; f0 = (1, ..., 1).
+- heptagrid: the [7,3] triangle group over Z[alpha], alpha = 2 cos(pi/7),
+  written as 9 x 9 integer matrices.  f0 is the weight fixed by the two
+  mirrors through the base centre, which generate the centre's order-14
+  stabilizer.
+
+A cell reached by steps s1..sk carries Q = T_s1 ... T_sk and the key Q f0;
+two paths share a key exactly when they reach the same cell.  A frontier
+cell is held as its grandparent's Q and two steps, so only the shell two
+levels in stores matrices.  Candidates are probed in chunks against a
+sorted table by the linear hash r . key mod 2**64, computed as (r^T Q)
+times a fixed table of step products; full keys are formed only to confirm
+hits and for new cells, and they alone decide identity.  The side a cell
+was entered by leads back to its parent and needs no lookup.  New cells are
+numbered in order of first occurrence in (frontier, side) order, and their
+float placement matrix is the parent's times the step.
+
+Every entry of Q is at most ||T||_inf ** (halfwidth + radius).  ||T||_inf is
+3 on the pentagrid and the dodecagrid, so within MAX_EXTENT the entries stay
+below 3**18 < 2**31 and 3**8.  On the heptagrid ||T||_inf is 53 and that
+bound says nothing (the largest entry is about 1.6e8, on the extent-18
+chain), so each level checks its largest entry and raises RegionTooLarge
+before a product could pass int64.  MAX_EXTENT is set by the float chain
+walk and the float matrices that render and the geometry checks read.
 
 A region is a pure function of (grid, radius, halfwidth), so a region file
 holds those three values and a format version, and loading one rebuilds
 the region.  Rebuilding costs less than storing the arrays: the dodecagrid
-r4 hw1 ball (18,691 cells) builds in about 0.14 s on a 2-core x86 host,
+r4 hw1 ball (18,691 cells) builds in under 0.1 s on a 2-core x86 host,
 while its arrays take 7.5 MB of JSON.  Files without the version key, which
 store every array, load through the same rebuild.
 
@@ -46,6 +63,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -58,10 +76,6 @@ NO_POS = -(10**9)
 # coordinate magnitudes stay accurate up to these graph extents
 MAX_EXTENT = {"pentagrid": 18, "heptagrid": 18, "dodecagrid": 8}
 MAX_RADIUS = {"pentagrid": 10, "heptagrid": 10, "dodecagrid": 6}
-
-DEDUP_BUCKET = 0.125
-DEDUP_TOL = 2e-3
-NEAR_MISS_FACTOR = 10.0
 
 REGION_FORMAT = 2       # region files hold (grid, radius, halfwidth) only
 
@@ -143,180 +157,87 @@ def guide_normals(shape: poly.CellShape) -> list[np.ndarray]:
     return [n]
 
 
-_CHUNK = 8192                        # candidate centers per batched lookup
-_HASH_MUL = np.uint64(0x9E3779B97F4A7C15)
+_CHUNK = 8192                        # candidates per batched lookup
+_KEY_LIMIT = 2**63 - 1               # int64
+# the linear hash r . key mod 2**64, r_k = c**(k + 1) for an odd constant c
+_HASH_ROW = np.array([pow(0x9E3779B97F4A7C15, k, 2**64) for k in range(1, 13)],
+                     dtype=np.uint64)
 
 
-def _bucket_keys(x: np.ndarray) -> np.ndarray:
-    """The bucket each row of x is stored under."""
-    return np.floor(x / DEDUP_BUCKET).astype(np.int64)
+@dataclass(frozen=True)
+class _CellKeys:
+    steps: np.ndarray     # (p + 1, m, m): T_0 .. T_{p-1}, then the identity
+    via: np.ndarray       # (p + 1, p + 1, m, p): steps[a] steps[b] T_t f0
+    f0: np.ndarray        # (m,)
+    back: np.ndarray      # (p,): the side of the cell across s facing back
+    growth: int           # largest column sum of |steps| and |via|
 
 
-def _hash_keys(keys: np.ndarray) -> np.ndarray:
-    """One uint64 per row of integer bucket keys.  Equal keys hash equal;
-    lookups compare the keys themselves, so collisions cost time only."""
-    cols = keys.view(np.uint64)
-    h = np.zeros(len(keys), dtype=np.uint64)
-    for j in range(cols.shape[1]):
-        h = (h ^ cols[:, j]) * _HASH_MUL
-    return h
+def _mirrors(grid: str) -> np.ndarray:
+    """Integer reflections generating the grid's reflection group, in its
+    contragredient Tits representation: column j of reflection j is
+    e_j - 2 B_j."""
+    if grid == "heptagrid":
+        # s1, s2, s3 through the centre and vertex 0, through the centre and
+        # the midpoint of side 0, and along side 0, over Z[alpha] in the basis
+        # 1, alpha, alpha**2; a multiplies by alpha (alpha**3 = alpha**2 +
+        # 2 alpha - 1), and 2 B_12 = -alpha, 2 B_13 = -1, 2 B_23 = 0
+        o, z = np.eye(3, dtype=np.int64), np.zeros((3, 3), dtype=np.int64)
+        a = np.array([[0, 0, -1], [1, 0, 2], [0, 1, 1]])
+        return np.stack([np.block([[-o, z, z], [a, o, z], [o, z, o]]),
+                         np.block([[o, a, z], [z, -o, z], [z, z, o]]),
+                         np.block([[o, z, o], [z, o, z], [z, z, -o]])])
+    # right-angled: B_ij = 0 for adjacent sides and -1 for the others
+    n = poly.by_name(grid).side_normals
+    b = np.where(np.abs(geo.mdot(n[:, None], n[None])) < 1e-9, 0, -1)
+    np.fill_diagonal(b, 1)
+    gens = np.repeat(np.eye(len(n), dtype=np.int64)[None], len(n), axis=0)
+    gens[np.arange(len(n)), :, np.arange(len(n))] -= 2 * b
+    return gens
 
 
-def _straddle_keys(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every bucket the box x +- DEDUP_TOL touches, as (row of x, key)
-    pairs.  The box is narrower than a bucket, so it touches one or two
-    buckets per coordinate."""
-    lo = np.floor((x - DEDUP_TOL) / DEDUP_BUCKET).astype(np.int64)
-    up = np.floor((x + DEDUP_TOL) / DEDUP_BUCKET).astype(np.int64) > lo
-    rows, keys = np.arange(len(x)), lo
-    for j in range(x.shape[1]):
-        s = np.flatnonzero(up[rows, j])
-        if s.size:
-            extra = keys[s]
-            extra[:, j] += 1
-            rows = np.concatenate([rows, rows[s]])
-            keys = np.concatenate([keys, extra])
-    return rows, keys
+@lru_cache(maxsize=None)
+def _cell_keys(grid: str) -> _CellKeys:
+    shape = poly.by_name(grid)
+    gens = _mirrors(grid)
+    if grid == "heptagrid":
+        # step s is the half-turn s3 s2 about the midpoint of side 0, carried
+        # to side s by r**s, where the rotation r = s1 s2 takes side 0 to 1
+        r = [np.linalg.matrix_power(gens[0] @ gens[1], k) for k in range(8)]
+        t = np.stack([r[k] @ gens[2] @ gens[1] @ r[7 - k] for k in range(7)])
+        f0 = np.zeros(9, dtype=np.int64)
+        f0[6] = 1                       # fixed by s1 and s2
+    else:
+        # step s is a symmetry of the base cell, carrying side j onto side
+        # perm[j], followed by the reflection in side s
+        n = shape.side_normals
+        t = []
+        for s in range(shape.n_sides):
+            img = n @ (geo.reflection(n[s]) @ shape.step_matrices[s]).T
+            perm = np.abs(img[:, None] - n[None]).max(axis=2).argmin(axis=1)
+            if not np.allclose(n[perm], img):
+                raise AssertionError("step does not permute the sides")
+            t.append(gens[s][:, perm])
+        t = np.stack(t)
+        f0 = np.ones(shape.n_sides, dtype=np.int64)
+    steps = np.concatenate([t, np.eye(len(f0), dtype=np.int64)[None]])
+    via = steps[:, None] @ steps[None] @ (t @ f0).T
+    back = (via[-1, :-1] == f0[:, None]).all(axis=1).argmax(axis=1)
+    growth = max(int(np.abs(a).sum(axis=1).max()) for a in (steps, via))
+    return _CellKeys(steps, via, f0, back, growth)
 
 
-def _pairs(x: np.ndarray, hashes: np.ndarray, ids: np.ndarray,
-           coords: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(row of x, stored id, max-norm gap) for every stored center whose
-    bucket the row's tolerance box touches.  `hashes` is sorted, `ids` are
-    the stored ids in the same order and `coords` is indexed by id."""
-    rows, keys = _straddle_keys(x)
-    h = _hash_keys(keys)
+def _hash_pairs(h: np.ndarray, table: np.ndarray,
+                ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(index into h, stored id) for every stored entry whose hash equals
+    h's.  `table` is sorted and `ids` lists the stored ids in its order."""
     order = np.argsort(h)               # sorted probes search faster
     h = h[order]
-    a = np.searchsorted(hashes, h, "left")
-    cnt = np.searchsorted(hashes, h, "right") - a
-    k = order[np.repeat(np.arange(len(h)), cnt)]
-    found = ids[np.arange(len(k)) + np.repeat(a - (np.cumsum(cnt) - cnt), cnt)]
-    c = coords[found]
-    same = (_bucket_keys(c) == keys[k]).all(axis=1)
-    q = rows[k[same]]
-    gap = np.abs(c[same] - x[q]).max(axis=1)
-    return q, found[same], gap
-
-
-def _ambiguous(gap: float) -> RegionTooLarge:
-    return RegionTooLarge(
-        f"center match ambiguous at gap {gap:.2e}; the requested "
-        "region exceeds the supported precision"
-    )
-
-
-class _CenterTable:
-    """Bucketed center table with batched lookups; see the module docstring
-    for the scales.  Ids are assigned in insertion order, and a bucket keeps
-    every center stored in it."""
-
-    def __init__(self, dim1: int):
-        self.coords = np.empty((64, dim1))
-        self.n = 0
-        self.hashes = np.empty(0, dtype=np.uint64)   # sorted
-        self.ids = np.empty(0, dtype=np.int64)       # in hash order
-
-    def insert(self, x: np.ndarray) -> None:
-        """Store the rows of x under ids n, n + 1, ..."""
-        k = len(x)
-        self.coords = _grown(self.coords, self.n + k)
-        self.coords[self.n:self.n + k] = x
-        h = _hash_keys(_bucket_keys(x))
-        order = np.argsort(h, kind="stable")
-        at = np.searchsorted(self.hashes, h[order])
-        self.hashes = np.insert(self.hashes, at, h[order])
-        self.ids = np.insert(self.ids, at, self.n + order)
-        self.n += k
-
-    def nearest(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per row of x, the nearest stored center in the buckets its
-        tolerance box touches and the gap to it (-1 and inf if none)."""
-        q, found, gap = _pairs(x, self.hashes, self.ids, self.coords)
-        best = np.full(len(x), np.inf)
-        np.minimum.at(best, q, gap)
-        who = np.full(len(x), -1, dtype=np.int64)
-        m = gap == best[q]
-        who[q[m]] = found[m]
-        return who, best
-
-    def resolve(self, blocks, grow: bool) -> np.ndarray:
-        """Ids of the candidate centers of one search level, given as an
-        iterable of (k, d+1) blocks in order.
-
-        A candidate within DEDUP_TOL of a center stored before the level
-        started, or of an earlier candidate of the level, is that cell.
-        With `grow`, every other candidate becomes a new cell, numbered in
-        order of first occurrence; without it, it gets -1.  A best gap in
-        [DEDUP_TOL, NEAR_MISS_FACTOR * DEDUP_TOL) raises RegionTooLarge.
-        """
-        out, miss_pos, miss_x, miss_gap = [], [], [], []
-        base = 0
-        for x in blocks:
-            who, gap = self.nearest(x)
-            hit = gap < DEDUP_TOL
-            out.append(np.where(hit, who, -1))
-            miss = np.flatnonzero(~hit)
-            if grow:
-                miss_pos.append(base + miss)
-                miss_x.append(x[miss])
-                miss_gap.append(gap[miss])
-            else:
-                near = miss[gap[miss] < NEAR_MISS_FACTOR * DEDUP_TOL]
-                if near.size:
-                    raise _ambiguous(float(gap[near[0]]))
-            base += len(x)
-        ids = np.concatenate(out)
-        if grow:
-            pos = np.concatenate(miss_pos)
-            if pos.size:
-                ids[pos] = self._add_misses(np.concatenate(miss_x),
-                                            np.concatenate(miss_gap))
-        return ids
-
-    def _add_misses(self, x: np.ndarray, gap0: np.ndarray) -> np.ndarray:
-        """Ids for a level's misses, in order: the misses are deduplicated
-        among themselves the way the table deduplicates, and each distinct
-        one is stored."""
-        k = len(x)
-        h = _hash_keys(_bucket_keys(x))
-        order = np.argsort(h, kind="stable")
-        hs = h[order]
-        first = np.full(k, k, dtype=np.int64)    # earliest earlier duplicate
-        near = gap0.copy()                       # best gap if not a duplicate
-        for s in range(0, k, _CHUNK):
-            q, e, gap = _pairs(x[s:s + _CHUNK], hs, order, x)
-            q += s
-            earlier = e < q
-            q, e, gap = q[earlier], e[earlier], gap[earlier]
-            dup = gap < DEDUP_TOL
-            np.minimum.at(first, q[dup], e[dup])
-            np.minimum.at(near, q[~dup], gap[~dup])
-        own = np.arange(k)
-        is_dup = first < k
-        bad = np.flatnonzero(~is_dup & (near < NEAR_MISS_FACTOR * DEDUP_TOL))
-        if bad.size:
-            raise _ambiguous(float(near[bad[0]]))
-        rep = np.where(is_dup, first, own)
-        while True:
-            up = rep[rep]
-            if np.array_equal(up, rep):
-                break
-            rep = up
-        fresh = np.flatnonzero(rep == own)
-        new_id = np.empty(k, dtype=np.int64)
-        new_id[fresh] = self.n + np.arange(fresh.size)
-        self.insert(x[fresh])
-        return new_id[rep]
-
-
-def _grown(a: np.ndarray, need: int, fill=0) -> np.ndarray:
-    """`a` with room for at least `need` rows, doubling its capacity."""
-    if need <= len(a):
-        return a
-    out = np.full((max(need, 2 * len(a)),) + a.shape[1:], fill, dtype=a.dtype)
-    out[:len(a)] = a
-    return out
+    lo = np.searchsorted(table, h)
+    cnt = np.searchsorted(table, h, "right") - lo
+    q = order[np.repeat(np.arange(len(h)), cnt)]
+    slot = np.arange(len(q)) + np.repeat(lo - np.cumsum(cnt) + cnt, cnt)
+    return q, ids[slot]
 
 
 def _is_guide_center(c: np.ndarray, normals, values, tol: float = 1e-3) -> bool:
@@ -349,13 +270,13 @@ def build_region(grid: str, radius: int, halfwidth: int) -> Region:
     Cell id 0 is the central cell; the rest of the chain follows in
     position order, then the remaining cells in search order.
     """
+    shape = poly.by_name(grid)
     if radius < 1 or halfwidth < 0:
         raise ValueError("radius must be >= 1 and halfwidth >= 0")
     if radius > MAX_RADIUS[grid]:
         raise RegionTooLarge(
             f"radius {radius} exceeds the {grid} limit {MAX_RADIUS[grid]}"
         )
-    shape = poly.by_name(grid)
     extent = halfwidth + radius
     if extent > MAX_EXTENT[grid]:
         raise RegionTooLarge(
@@ -367,6 +288,8 @@ def build_region(grid: str, radius: int, halfwidth: int) -> Region:
     e0[0] = 1.0
     steps = shape.step_matrices
     p = shape.n_sides
+    ck = _cell_keys(grid)
+    m = len(ck.f0)
 
     normals = guide_normals(shape)
     values = [float(geo.mdot(e0, n)) for n in normals]
@@ -376,56 +299,126 @@ def build_region(grid: str, radius: int, halfwidth: int) -> Region:
         w = -w
 
     # walk the chain outwards in both directions from the base cell
-    chain: dict[int, np.ndarray] = {0: np.eye(dim1)}
+    chain = {0: (np.eye(dim1), np.eye(m, dtype=np.int64))}
     for direction in (+1, -1):
-        g = np.eye(dim1)
+        g, q = chain[0]
         for k in range(1, extent + 1):
             back, ahead = _chain_sides(g, steps, normals, values, w)
-            g = g @ steps[ahead if direction > 0 else back]
-            chain[k * direction] = g
+            s = ahead if direction > 0 else back
+            g, q = g @ steps[s], q @ ck.steps[s]
+            chain[k * direction] = (g, q)
 
     n_chain = 2 * extent + 1
     chain_order = [0] + [q for q in range(-extent, extent + 1) if q != 0]
-    mats = np.stack([chain[q] for q in chain_order])
+    mats = np.stack([chain[q][0] for q in chain_order])
+    q_chain = np.stack([chain[q][1] for q in chain_order])
     dist = np.array([0 if abs(q) <= halfwidth else -1 for q in chain_order],
                     dtype=np.int32)
     adj = np.full((n_chain, p), -1, dtype=np.int32)
-    table = _CenterTable(dim1)
-    table.insert(mats[:, :, 0])
+    keys = q_chain @ ck.f0
+    h = keys.view(np.uint64) @ _HASH_ROW[:m]
+    table_ids = np.argsort(h).astype(np.int32)
+    table = h[table_ids]
 
-    step_centers = steps[:, :, 0]
+    # frontier cell k has Q = par[rows[k]] @ T[sa[k]] @ T[sb[k]]: par holds
+    # the chain's Q, then that of the frontier's grandparents; step p is the
+    # identity.  parent[k] is the cell it was placed from, or -1.
     chunk = max(1, _CHUNK // p)
     frontier = np.flatnonzero(dist == 0)
+    rows, sa, sb = frontier, np.full(frontier.size, p), np.full(frontier.size, p)
+    parent = np.full(frontier.size, -1)
+    par = q_chain
+
+    def keys_at(x):
+        """Full keys of the candidates x = frontier index * p + side."""
+        out = np.empty((len(x), m), dtype=np.int64)
+        for j in range(0, len(x), chunk):
+            y = x[j:j + chunk]
+            k = y // p
+            out[j:j + chunk] = np.einsum("kab,kb->ka", par[rows[k]],
+                                         ck.via[sa[k], sb[k], :, y % p])
+        return out
+
     level = 0
+    n = n_chain
     while frontier.size:
-        n0 = table.n
-        blocks = (np.einsum("mab,sb->msa", mats[frontier[i:i + chunk]],
-                            step_centers, optimize=True).reshape(-1, dim1)
-                  for i in range(0, frontier.size, chunk))
-        ids = table.resolve(blocks, grow=level < radius)
-        n1 = table.n
-        mats = _grown(mats, n1)
-        adj = _grown(adj, n1, fill=-1)
-        dist = _grown(dist, n1, fill=-1)
-        adj[frontier] = ids.reshape(-1, p)
+        top = max(int(par.max()), -int(par.min()))
+        if top > _KEY_LIMIT // ck.growth:
+            raise RegionTooLarge(
+                f"{grid} key matrices reach {top} at level {level}; their "
+                "products could pass the int64 key limit")
+        rp = _HASH_ROW[:m] @ par.view(np.uint64)   # uint64 wraps: mod 2**64
+        miss_x, miss_h, reached = [], [], {}
+        for i0 in range(0, frontier.size, chunk):
+            r, a, b = (v[i0:i0 + chunk] for v in (rows, sa, sb))
+            h = np.einsum("kb,kbt->kt", rp[r], ck.via[a, b].view(np.uint64))
+            h = h.ravel()
+            ids = np.full(h.size, -1, dtype=np.int32)
+            up = np.flatnonzero(b < p)
+            ids[up * p + ck.back[b[up]]] = parent[i0 + up]
+            ask = np.flatnonzero(ids < 0)
+            q, found = _hash_pairs(h[ask], table, table_ids)
+            q = ask[q]
+            same = (keys_at(i0 * p + q) == keys[found]).all(axis=1)
+            q, found = q[same], found[same]
+            ids[q] = found
+            adj[frontier[i0:i0 + chunk]] = ids.reshape(-1, p)
+            c = dist[found] < 0                  # chain cells reached
+            for x, cell in zip((i0 * p + q[c]).tolist(), found[c].tolist()):
+                reached[cell] = min(x, reached.get(cell, x))
+            if level < radius:
+                miss = np.flatnonzero(ids < 0)
+                miss_x.append(i0 * p + miss)
+                miss_h.append(h[miss])
+        n0 = n
+        new_x = np.zeros(0, dtype=np.int64)
+        if miss_x:
+            # misses that are one cell take the id of its first occurrence
+            mx, mh = np.concatenate(miss_x), np.concatenate(miss_h)
+            order = np.argsort(mh)
+            q, e = _hash_pairs(mh, mh[order], order)
+            q, e = q[e < q], e[e < q]
+            same = (keys_at(mx[q]) == keys_at(mx[e])).all(axis=1)
+            first = np.arange(mx.size)
+            np.minimum.at(first, q[same], e[same])
+            fresh = first == np.arange(mx.size)
+            new_x = mx[fresh]
+            n = n0 + new_x.size
+            adj[frontier[mx // p], mx % p] = n0 + (np.cumsum(fresh) - 1)[first]
+            mats, adj, dist, keys = (np.pad(
+                v, [(0, new_x.size)] + [(0, 0)] * (v.ndim - 1), constant_values=c)
+                for v, c in ((mats, 0), (adj, -1), (dist, -1), (keys, 0)))
+            for j in range(0, new_x.size, chunk):
+                x = new_x[j:j + chunk]
+                keys[n0 + j:n0 + j + x.size] = keys_at(x)
+                mats[n0 + j:n0 + j + x.size] = np.einsum(
+                    "mab,mbc->mac", mats[frontier[x // p]], steps[x % p])
+            order = np.argsort(mh[fresh])
+            at = np.searchsorted(table, mh[fresh][order])
+            table = np.insert(table, at, mh[fresh][order])
+            table_ids = np.insert(table_ids, at, (n0 + order).astype(np.int32))
         # the next level: new cells and chain cells reached for the first
-        # time, in order of first occurrence
-        cand = np.flatnonzero(ids >= 0)
-        cand = cand[dist[ids[cand]] < 0]
-        reached, first = np.unique(ids[cand], return_index=True)
-        first = cand[first]
-        src = first[reached >= n0]          # new ids follow first occurrence
-        for i in range(0, src.size, chunk):
-            part = src[i:i + chunk]
-            mats[n0 + i:n0 + i + part.size] = np.einsum(
-                "mab,mbc->mac", mats[frontier[part // p]], steps[part % p])
-        frontier = reached[np.argsort(first, kind="stable")]
+        # time, in order of first occurrence.  A new cell's grandparent is
+        # par[rows] @ T[sa] at its parent, stored once per run of parents
+        # that share it; a chain grandparent keeps its row.
+        k = new_x // p
+        g_row, g_step = rows[k], sa[k]
+        run = g_step < p
+        run[1:] &= (g_row[1:] != g_row[:-1]) | (g_step[1:] != g_step[:-1])
+        g_row = np.where(g_step < p, n_chain + np.cumsum(run) - 1, g_row)
+        par = np.concatenate([q_chain,
+                              par[rows[k[run]]] @ ck.steps[g_step[run]]])
+        chain_ids = np.array(list(reached), dtype=np.int64)
+        order = np.argsort(np.concatenate([new_x, np.array(
+            list(reached.values()), dtype=np.int64)]), kind="stable")
+        none = np.full(chain_ids.size, p)
+        rows, sa, sb, parent = (np.concatenate(v)[order] for v in (
+            (g_row, chain_ids), (sb[k], none), (new_x % p, none),
+            (frontier[k], np.full(chain_ids.size, -1))))
+        frontier = np.concatenate([np.arange(n0, n), chain_ids])[order]
         dist[frontier] = level + 1
         level += 1
 
-    n = table.n
-    mats, adj, dist = (a if len(a) == n else a[:n].copy()
-                       for a in (mats, adj, dist))
     positions = np.full(n, NO_POS, dtype=np.int32)
     positions[:n_chain] = chain_order
 

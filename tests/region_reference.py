@@ -1,0 +1,330 @@
+"""The float-centre region builder, kept as the reference for
+`hypca.region.build_region`.
+
+It decides cell identity by centre coordinates: a bucket table with a
+straddle-aware lookup, where distinct centres are separated by order 1 at
+every supported size and drift between generation paths to the same cell
+stays many orders of magnitude below the tolerance DEDUP_TOL.  A best gap in
+the dead zone [DEDUP_TOL, NEAR_MISS_FACTOR * DEDUP_TOL) raises
+RegionTooLarge instead of guessing; a larger one is a new cell.  Apart
+from that it is the builder of `hypca.region`: the same chain walk,
+level-at-a-time search, first-occurrence numbering and guideline arrays.
+"""
+from __future__ import annotations
+
+import numpy as np
+
+from hypca import geometry as geo
+from hypca import polytopes as poly
+from hypca.region import (MAX_EXTENT, MAX_RADIUS, NO_POS, Guideline, Region,
+                          RegionTooLarge, _CHUNK, _GUIDE_SIDES,
+                          _canonicalize_chain, _chain_sides, _check_chain,
+                          guide_normals)
+
+DEDUP_BUCKET = 0.125
+DEDUP_TOL = 2e-3
+NEAR_MISS_FACTOR = 10.0
+
+_HASH_MUL = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _grown(a: np.ndarray, need: int, fill=0) -> np.ndarray:
+    """`a` with room for at least `need` rows, doubling its capacity."""
+    if need <= len(a):
+        return a
+    out = np.full((max(need, 2 * len(a)),) + a.shape[1:], fill, dtype=a.dtype)
+    out[:len(a)] = a
+    return out
+
+
+def _bucket_keys(x: np.ndarray) -> np.ndarray:
+    """The bucket each row of x is stored under."""
+    return np.floor(x / DEDUP_BUCKET).astype(np.int64)
+
+
+def _hash_keys(keys: np.ndarray) -> np.ndarray:
+    """One uint64 per row of integer bucket keys.  Equal keys hash equal;
+    lookups compare the keys themselves, so collisions cost time only."""
+    cols = keys.view(np.uint64)
+    h = np.zeros(len(keys), dtype=np.uint64)
+    for j in range(cols.shape[1]):
+        h = (h ^ cols[:, j]) * _HASH_MUL
+    return h
+
+
+def _straddle_keys(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every bucket the box x +- DEDUP_TOL touches, as (row of x, key)
+    pairs.  The box is narrower than a bucket, so it touches one or two
+    buckets per coordinate."""
+    lo = np.floor((x - DEDUP_TOL) / DEDUP_BUCKET).astype(np.int64)
+    up = np.floor((x + DEDUP_TOL) / DEDUP_BUCKET).astype(np.int64) > lo
+    rows, keys = np.arange(len(x)), lo
+    for j in range(x.shape[1]):
+        s = np.flatnonzero(up[rows, j])
+        if s.size:
+            extra = keys[s]
+            extra[:, j] += 1
+            rows = np.concatenate([rows, rows[s]])
+            keys = np.concatenate([keys, extra])
+    return rows, keys
+
+
+def _pairs(x: np.ndarray, hashes: np.ndarray, ids: np.ndarray,
+           coords: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(row of x, stored id, max-norm gap) for every stored center whose
+    bucket the row's tolerance box touches.  `hashes` is sorted, `ids` are
+    the stored ids in the same order and `coords` is indexed by id."""
+    rows, keys = _straddle_keys(x)
+    h = _hash_keys(keys)
+    order = np.argsort(h)               # sorted probes search faster
+    h = h[order]
+    a = np.searchsorted(hashes, h, "left")
+    cnt = np.searchsorted(hashes, h, "right") - a
+    k = order[np.repeat(np.arange(len(h)), cnt)]
+    found = ids[np.arange(len(k)) + np.repeat(a - (np.cumsum(cnt) - cnt), cnt)]
+    c = coords[found]
+    same = (_bucket_keys(c) == keys[k]).all(axis=1)
+    q = rows[k[same]]
+    gap = np.abs(c[same] - x[q]).max(axis=1)
+    return q, found[same], gap
+
+
+def _ambiguous(gap: float) -> RegionTooLarge:
+    return RegionTooLarge(
+        f"center match ambiguous at gap {gap:.2e}; the requested "
+        "region exceeds the supported precision"
+    )
+
+
+class _CenterTable:
+    """Bucketed center table with batched lookups; see the module docstring
+    for the scales.  Ids are assigned in insertion order, and a bucket keeps
+    every center stored in it."""
+
+    def __init__(self, dim1: int):
+        self.coords = np.empty((64, dim1))
+        self.n = 0
+        self.hashes = np.empty(0, dtype=np.uint64)   # sorted
+        self.ids = np.empty(0, dtype=np.int64)       # in hash order
+
+    def insert(self, x: np.ndarray) -> None:
+        """Store the rows of x under ids n, n + 1, ..."""
+        k = len(x)
+        self.coords = _grown(self.coords, self.n + k)
+        self.coords[self.n:self.n + k] = x
+        h = _hash_keys(_bucket_keys(x))
+        order = np.argsort(h, kind="stable")
+        at = np.searchsorted(self.hashes, h[order])
+        self.hashes = np.insert(self.hashes, at, h[order])
+        self.ids = np.insert(self.ids, at, self.n + order)
+        self.n += k
+
+    def nearest(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per row of x, the nearest stored center in the buckets its
+        tolerance box touches and the gap to it (-1 and inf if none)."""
+        q, found, gap = _pairs(x, self.hashes, self.ids, self.coords)
+        best = np.full(len(x), np.inf)
+        np.minimum.at(best, q, gap)
+        who = np.full(len(x), -1, dtype=np.int64)
+        m = gap == best[q]
+        who[q[m]] = found[m]
+        return who, best
+
+    def resolve(self, blocks, grow: bool) -> np.ndarray:
+        """Ids of the candidate centers of one search level, given as an
+        iterable of (k, d+1) blocks in order.
+
+        A candidate within DEDUP_TOL of a center stored before the level
+        started, or of an earlier candidate of the level, is that cell.
+        With `grow`, every other candidate becomes a new cell, numbered in
+        order of first occurrence; without it, it gets -1.  A best gap in
+        [DEDUP_TOL, NEAR_MISS_FACTOR * DEDUP_TOL) raises RegionTooLarge.
+        """
+        out, miss_pos, miss_x, miss_gap = [], [], [], []
+        base = 0
+        for x in blocks:
+            who, gap = self.nearest(x)
+            hit = gap < DEDUP_TOL
+            out.append(np.where(hit, who, -1))
+            miss = np.flatnonzero(~hit)
+            if grow:
+                miss_pos.append(base + miss)
+                miss_x.append(x[miss])
+                miss_gap.append(gap[miss])
+            else:
+                near = miss[gap[miss] < NEAR_MISS_FACTOR * DEDUP_TOL]
+                if near.size:
+                    raise _ambiguous(float(gap[near[0]]))
+            base += len(x)
+        ids = np.concatenate(out)
+        if grow:
+            pos = np.concatenate(miss_pos)
+            if pos.size:
+                ids[pos] = self._add_misses(np.concatenate(miss_x),
+                                            np.concatenate(miss_gap))
+        return ids
+
+    def _add_misses(self, x: np.ndarray, gap0: np.ndarray) -> np.ndarray:
+        """Ids for a level's misses, in order: the misses are deduplicated
+        among themselves the way the table deduplicates, and each distinct
+        one is stored."""
+        k = len(x)
+        h = _hash_keys(_bucket_keys(x))
+        order = np.argsort(h, kind="stable")
+        hs = h[order]
+        first = np.full(k, k, dtype=np.int64)    # earliest earlier duplicate
+        near = gap0.copy()                       # best gap if not a duplicate
+        for s in range(0, k, _CHUNK):
+            q, e, gap = _pairs(x[s:s + _CHUNK], hs, order, x)
+            q += s
+            earlier = e < q
+            q, e, gap = q[earlier], e[earlier], gap[earlier]
+            dup = gap < DEDUP_TOL
+            np.minimum.at(first, q[dup], e[dup])
+            np.minimum.at(near, q[~dup], gap[~dup])
+        own = np.arange(k)
+        is_dup = first < k
+        bad = np.flatnonzero(~is_dup & (near < NEAR_MISS_FACTOR * DEDUP_TOL))
+        if bad.size:
+            raise _ambiguous(float(near[bad[0]]))
+        rep = np.where(is_dup, first, own)
+        while True:
+            up = rep[rep]
+            if np.array_equal(up, rep):
+                break
+            rep = up
+        fresh = np.flatnonzero(rep == own)
+        new_id = np.empty(k, dtype=np.int64)
+        new_id[fresh] = self.n + np.arange(fresh.size)
+        self.insert(x[fresh])
+        return new_id[rep]
+
+
+def build_region(grid: str, radius: int, halfwidth: int) -> Region:
+    """`hypca.region.build_region`, with cells told apart by their float
+    centres: all cells within `radius` steps of the guideline segment spanning
+    positions -halfwidth..halfwidth.
+
+    Guideline cells are generated out to position halfwidth + radius, the
+    full stretch the region can contain, and all of them carry positions.
+    Cell id 0 is the central cell; the rest of the chain follows in
+    position order, then the remaining cells in search order.
+    """
+    if radius < 1 or halfwidth < 0:
+        raise ValueError("radius must be >= 1 and halfwidth >= 0")
+    if radius > MAX_RADIUS[grid]:
+        raise RegionTooLarge(
+            f"radius {radius} exceeds the {grid} limit {MAX_RADIUS[grid]}"
+        )
+    shape = poly.by_name(grid)
+    extent = halfwidth + radius
+    if extent > MAX_EXTENT[grid]:
+        raise RegionTooLarge(
+            f"halfwidth + radius = {extent} exceeds the {grid} limit "
+            f"{MAX_EXTENT[grid]}"
+        )
+    dim1 = shape.dim + 1
+    e0 = np.zeros(dim1)
+    e0[0] = 1.0
+    steps = shape.step_matrices
+    p = shape.n_sides
+
+    normals = guide_normals(shape)
+    values = [float(geo.mdot(e0, n)) for n in normals]
+    p0, w = geo.line_frame(normals)
+    fwd = _GUIDE_SIDES[grid][1]
+    if float(geo.mdot(steps[fwd] @ e0, w)) < float(geo.mdot(e0, w)):
+        w = -w
+
+    # walk the chain outwards in both directions from the base cell
+    chain: dict[int, np.ndarray] = {0: np.eye(dim1)}
+    for direction in (+1, -1):
+        g = np.eye(dim1)
+        for k in range(1, extent + 1):
+            back, ahead = _chain_sides(g, steps, normals, values, w)
+            g = g @ steps[ahead if direction > 0 else back]
+            chain[k * direction] = g
+
+    n_chain = 2 * extent + 1
+    chain_order = [0] + [q for q in range(-extent, extent + 1) if q != 0]
+    mats = np.stack([chain[q] for q in chain_order])
+    dist = np.array([0 if abs(q) <= halfwidth else -1 for q in chain_order],
+                    dtype=np.int32)
+    adj = np.full((n_chain, p), -1, dtype=np.int32)
+    table = _CenterTable(dim1)
+    table.insert(mats[:, :, 0])
+
+    step_centers = steps[:, :, 0]
+    chunk = max(1, _CHUNK // p)
+    frontier = np.flatnonzero(dist == 0)
+    level = 0
+    while frontier.size:
+        n0 = table.n
+        blocks = (np.einsum("mab,sb->msa", mats[frontier[i:i + chunk]],
+                            step_centers, optimize=True).reshape(-1, dim1)
+                  for i in range(0, frontier.size, chunk))
+        ids = table.resolve(blocks, grow=level < radius)
+        n1 = table.n
+        mats = _grown(mats, n1)
+        adj = _grown(adj, n1, fill=-1)
+        dist = _grown(dist, n1, fill=-1)
+        adj[frontier] = ids.reshape(-1, p)
+        # the next level: new cells and chain cells reached for the first
+        # time, in order of first occurrence
+        cand = np.flatnonzero(ids >= 0)
+        cand = cand[dist[ids[cand]] < 0]
+        reached, first = np.unique(ids[cand], return_index=True)
+        first = cand[first]
+        src = first[reached >= n0]          # new ids follow first occurrence
+        for i in range(0, src.size, chunk):
+            part = src[i:i + chunk]
+            mats[n0 + i:n0 + i + part.size] = np.einsum(
+                "mab,mbc->mac", mats[frontier[part // p]], steps[part % p])
+        frontier = reached[np.argsort(first, kind="stable")]
+        dist[frontier] = level + 1
+        level += 1
+
+    n = table.n
+    mats, adj, dist = (a if len(a) == n else a[:n].copy()
+                       for a in (mats, adj, dist))
+    positions = np.full(n, NO_POS, dtype=np.int32)
+    positions[:n_chain] = chain_order
+
+    left = np.zeros(n_chain, dtype=np.int32)
+    right = np.zeros(n_chain, dtype=np.int32)
+    for k in range(n_chain):
+        left[k], right[k] = _chain_sides(mats[k], steps, normals, values, w)
+
+    mirror_by_id = None
+    if grid == "dodecagrid":
+        mirror_by_id = _canonicalize_chain(shape, mats, adj, n_chain, normals,
+                                           left, right)
+        left[:] = 1
+        right[:] = 4
+
+    # guideline arrays run left to right; chain ids are permuted relative
+    # to that order because the central cell is id 0
+    order = np.argsort(positions[:n_chain]).astype(np.int32)
+    guideline = Guideline(
+        cell_ids=order,
+        positions=positions[order],
+        left_sides=left[order],
+        right_sides=right[order],
+        segment_halfwidth=halfwidth,
+        normals=normals,
+        frame_p0=p0,
+        frame_w=w,
+        mirror_ids=None if mirror_by_id is None else mirror_by_id[order],
+    )
+    region = Region(
+        grid=grid,
+        radius=radius,
+        halfwidth=halfwidth,
+        matrices=mats,
+        adjacency=adj,
+        dist=dist,
+        positions=positions,
+        guideline=guideline,
+    )
+    _check_chain(region)
+    return region

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import hypca
 from hypca import cli
 from hypca import symmetry as sym
 
@@ -134,6 +138,17 @@ def test_failure_exit_codes(tmp_path, capsys):
     assert run_cli("simulate", "--automaton", str(auto), "--word", "x",
                    "--steps", "1") == 2
     assert "error:" in capsys.readouterr().err
+    # malformed automaton files: a missing key, an unknown grid
+    doc = json.loads(auto.read_text())
+    for key, value, says in (("letters", None, "'letters'"),
+                             ("grid", "hexgrid", "unknown grid 'hexgrid'")):
+        bad = dict(doc, **{key: value})
+        if value is None:
+            del bad[key]
+        auto.write_text(json.dumps(bad))
+        assert run_cli("simulate", "--automaton", str(auto), "--word", "1",
+                       "--steps", "1") == 2
+        assert says in capsys.readouterr().err
     with pytest.raises(SystemExit):
         run_cli()
 
@@ -230,3 +245,29 @@ def test_unknown_region_format_exits_2(tmp_path, capsys):
                                 "radius": 2, "halfwidth": 1}))
     assert run_cli("render", "--region", str(regf)) == 2
     assert "format 99" in capsys.readouterr().err
+
+
+def test_cli_does_not_import_numpy_ma(tmp_path):
+    """numpy.ma costs about 15 ms to import and no command needs it; the
+    first np.unique call of a process pulls it in."""
+    script = """
+import sys
+from hypca import cli
+for grid, method in (("pentagrid", "compact"), ("heptagrid", "extra"),
+                     ("dodecagrid", "compact")):
+    for argv in (
+            ["transform", "--rule", "elementary:110", "--grid", grid,
+             "--method", method, "-o", "a.json"],
+            ["verify", "--automaton", "a.json", "--radius", "2",
+             "--halfwidth", "1", "--horizon", "2", "-o", "v.txt"],
+            ["simulate", "--automaton", "a.json", "--steps", "1",
+             "--save-region", "r.json", "--snapshot-out", "s.json",
+             "-o", "t.txt"],
+            ["render", "--region", "r.json", "--snapshot", "s.json",
+             "--automaton", "a.json", "-o", "x.svg"]):
+        assert cli.main(argv) == 0, argv
+assert "numpy.ma" not in sys.modules
+"""
+    src = str(Path(hypca.__file__).parents[1])
+    subprocess.run([sys.executable, "-c", script], cwd=tmp_path, check=True,
+                   env=dict(os.environ, PYTHONPATH=src))

@@ -9,6 +9,8 @@ from hypca import geometry as geo
 from hypca import region as reg
 from hypca import symmetry as sym
 
+import region_reference as float_ref
+
 GOLDEN = Path(__file__).parent / "golden"
 
 # cell counts are frozen: a change means the generator walked a different
@@ -64,7 +66,7 @@ def test_centers_well_separated(region_of):
     c = r.centers
     diff = np.abs(c[:, None, :] - c[None, :, :]).max(axis=2)
     np.fill_diagonal(diff, np.inf)
-    assert diff.min() > 0.02     # an order above the dedup tolerance
+    assert diff.min() > 0.02     # distinct cells, well-separated centres
 
 
 @pytest.mark.parametrize("grid,gap", [("pentagrid", 3), ("heptagrid", 4)])
@@ -223,6 +225,10 @@ def test_region_file_errors_name_the_problem():
         reg.region_from_json(json.dumps({"format": reg.REGION_FORMAT,
                                          "grid": "pentagrid",
                                          "halfwidth": 1}))
+    with pytest.raises(ValueError, match="unknown grid 'hexgrid'"):
+        reg.region_from_json(json.dumps({"format": reg.REGION_FORMAT,
+                                         "grid": "hexgrid", "radius": 2,
+                                         "halfwidth": 1}))
 
 
 def _edges_of_cell(shape, matrix):
@@ -311,13 +317,90 @@ def test_region_matches_fingerprint_golden(region_of, grid, radius, hw):
     assert (np.abs(r.matrices - ref) <= 1e-9 * scale).all()
 
 
-# Precision limits of the batched center lookup.  Points are placed well
-# inside a bucket unless a test is about a bucket boundary.
+# Exact cell keys.  The float builder in region_reference.py is the
+# reference: both must give the same cells in the same order.
+DIFFERENTIAL_SIZES = [("pentagrid", 7, 2), ("pentagrid", 6, 8),
+                      ("heptagrid", 6, 3), ("heptagrid", 7, 1),
+                      ("dodecagrid", 3, 2), ("dodecagrid", 4, 1)]
+
+
+def assert_same_region(a: reg.Region, b: reg.Region) -> None:
+    assert a.n_cells == b.n_cells
+    for x, y in [(a.adjacency, b.adjacency), (a.dist, b.dist),
+                 (a.positions, b.positions), (a.matrices, b.matrices)]:
+        assert x.dtype == y.dtype and np.array_equal(x, y)
+    ga, gb = a.guideline, b.guideline
+    for name in ("cell_ids", "positions", "left_sides", "right_sides",
+                 "mirror_ids"):
+        x, y = getattr(ga, name), getattr(gb, name)
+        assert (x is None and y is None) or np.array_equal(x, y), name
+
+
+@pytest.mark.parametrize("grid,radius,hw", DIFFERENTIAL_SIZES)
+def test_region_matches_float_reference(region_of, grid, radius, hw):
+    assert_same_region(region_of(grid, radius, hw),
+                       float_ref.build_region(grid, radius, hw))
+
+
+def _coxeter_matrix(grid: str) -> np.ndarray:
+    """Orders of products of generator pairs, 0 for infinity, from the
+    tiling's combinatorics."""
+    if grid == "heptagrid":
+        return np.array([[1, 7, 3], [7, 1, 2], [3, 2, 1]])
+    p = {"pentagrid": 5, "dodecagrid": 12}[grid]
+    rings = sym.FACE_RINGS if grid == "dodecagrid" else \
+        [((i - 1) % 5, (i + 1) % 5) for i in range(5)]
+    m = np.zeros((p, p), dtype=int)
+    for i in range(p):
+        m[i, i] = 1
+        m[i, list(rings[i])] = 2
+    return m
+
+
+@pytest.mark.parametrize("grid", ["pentagrid", "heptagrid", "dodecagrid"])
+def test_mirrors_satisfy_coxeter_relations(grid):
+    gens = reg._mirrors(grid)
+    eye = np.eye(gens.shape[1], dtype=np.int64)
+    for (i, j), order in np.ndenumerate(_coxeter_matrix(grid)):
+        prod = gens[i] @ gens[j]
+        powers = [np.linalg.matrix_power(prod, k) for k in range(1, 13)]
+        first = [k for k, x in enumerate(powers, 1) if np.array_equal(x, eye)]
+        assert first[:1] == ([order] if order else []), (i, j)
+
+
+@pytest.mark.parametrize("grid", ["pentagrid", "heptagrid", "dodecagrid"])
+def test_base_cell_and_neighbours_have_distinct_keys(grid):
+    ck = reg._cell_keys(grid)
+    p = ck.via.shape[-1]
+    keys = [tuple(ck.f0)] + [tuple(ck.via[p, p, :, t]) for t in range(p)]
+    assert len(set(keys)) == p + 1
+
+
+@pytest.mark.parametrize("grid,radius,hw", [
+    ("pentagrid", 3, 2), ("heptagrid", 3, 2), ("dodecagrid", 2, 1)])
+def test_full_keys_decide_identity(monkeypatch, grid, radius, hw):
+    """With every hash equal, each candidate meets every stored cell and
+    every other miss of its level; the full keys must still sort them."""
+    monkeypatch.setattr(reg, "_HASH_ROW", np.zeros(12, dtype=np.uint64))
+    assert_same_region(reg.build_region(grid, radius, hw),
+                       float_ref.build_region(grid, radius, hw))
+
+
+def test_key_limit_names_the_limit(monkeypatch):
+    monkeypatch.setattr(reg, "_KEY_LIMIT", 10**4)
+    with pytest.raises(reg.RegionTooLarge, match="int64 key limit"):
+        reg.build_region("heptagrid", 6, 3)
+    reg.build_region("heptagrid", 3, 2)     # smaller keys stay under it
+
+
+# Precision limits of the centre lookup of the float reference builder.
+# Points are placed well inside a bucket unless a test is about a bucket
+# boundary.
 A = np.array([1.0, 0.31, -0.69])
 
 
 def _table(*points):
-    t = reg._CenterTable(3)
+    t = float_ref._CenterTable(3)
     t.insert(np.array(points, dtype=float))
     return t
 
@@ -334,11 +417,11 @@ def test_lookup_exact_and_drifted_hit():
 
 @pytest.mark.parametrize("side", [-1.0, 1.0])
 def test_lookup_straddles_bucket_boundary(side):
-    edge = 2 * reg.DEDUP_BUCKET
+    edge = 2 * float_ref.DEDUP_BUCKET
     stored = np.array([1.0, edge + side * 4e-4, 0.3])
     other = np.array([1.0, edge - side * 6e-4, 0.3])     # 1e-3 away
-    assert np.floor(stored[1] / reg.DEDUP_BUCKET) \
-        != np.floor(other[1] / reg.DEDUP_BUCKET)
+    assert np.floor(stored[1] / float_ref.DEDUP_BUCKET) \
+        != np.floor(other[1] / float_ref.DEDUP_BUCKET)
     t = _table(stored)
     assert _resolve(t, other) == [0]
     assert t.n == 1
@@ -376,9 +459,9 @@ def test_lookup_sees_only_touched_buckets(collide, monkeypatch):
     """A center in the near-miss band but outside every bucket the
     tolerance box touches is not compared, so the candidate is a miss."""
     if collide:      # every bucket hashes alike; keys must tell them apart
-        monkeypatch.setattr(reg, "_hash_keys",
+        monkeypatch.setattr(float_ref, "_hash_keys",
                             lambda keys: np.zeros(len(keys), dtype=np.uint64))
-    edge = 2 * reg.DEDUP_BUCKET
+    edge = 2 * float_ref.DEDUP_BUCKET
     t = _table([1.0, edge + 1e-4, 0.3])
     assert _resolve(t, [1.0, edge - 4.9e-3, 0.3], grow=False) == [-1]
 
@@ -396,16 +479,16 @@ def _scalar_resolve(stored: list, x: np.ndarray, grow: bool) -> list:
     out = []
     for c in x:
         gaps = [float(np.max(np.abs(s - c))) for s in stored
-                if (np.floor(s / reg.DEDUP_BUCKET) >= np.floor(
-                    (c - reg.DEDUP_TOL) / reg.DEDUP_BUCKET)).all()
-                and (np.floor(s / reg.DEDUP_BUCKET) <= np.floor(
-                    (c + reg.DEDUP_TOL) / reg.DEDUP_BUCKET)).all()]
+                if (np.floor(s / float_ref.DEDUP_BUCKET) >= np.floor(
+                    (c - float_ref.DEDUP_TOL) / float_ref.DEDUP_BUCKET)).all()
+                and (np.floor(s / float_ref.DEDUP_BUCKET) <= np.floor(
+                    (c + float_ref.DEDUP_TOL) / float_ref.DEDUP_BUCKET)).all()]
         best = int(np.argmin(gaps)) if gaps else -1
         gap = gaps[best] if gaps else np.inf
-        if gap < reg.DEDUP_TOL:
+        if gap < float_ref.DEDUP_TOL:
             out.append([i for i, s in enumerate(stored)
                         if float(np.max(np.abs(s - c))) == gap][0])
-        elif gap < reg.NEAR_MISS_FACTOR * reg.DEDUP_TOL:
+        elif gap < float_ref.NEAR_MISS_FACTOR * float_ref.DEDUP_TOL:
             raise reg.RegionTooLarge("ambiguous")
         elif grow:
             stored.append(c)
@@ -419,16 +502,16 @@ def _scalar_resolve(stored: list, x: np.ndarray, grow: bool) -> list:
 @pytest.mark.parametrize("seed", range(4))
 def test_lookup_agrees_with_scalar_rule(seed, collide, monkeypatch):
     if collide:      # every bucket hashes alike; keys must tell them apart
-        monkeypatch.setattr(reg, "_hash_keys",
+        monkeypatch.setattr(float_ref, "_hash_keys",
                             lambda keys: np.zeros(len(keys), dtype=np.uint64))
     rng = np.random.default_rng(seed)
     # centers on a lattice of bucket corners, so most boxes straddle, with
     # repeats, small drift and a few shifted well past the near-miss band
-    base = rng.integers(-6, 6, size=(40, 4)) * reg.DEDUP_BUCKET
-    base += rng.choice([0.0, 0.5, 0.03], size=(40, 1)) * reg.DEDUP_BUCKET
+    base = rng.integers(-6, 6, size=(40, 4)) * float_ref.DEDUP_BUCKET
+    base += rng.choice([0.0, 0.5, 0.03], size=(40, 1)) * float_ref.DEDUP_BUCKET
     x = base[rng.integers(0, 40, size=300)]
     x += rng.normal(scale=1e-8, size=x.shape)
-    t = reg._CenterTable(4)
+    t = float_ref._CenterTable(4)
     t.insert(x[:20])
     stored = list(x[:20])
     for lo, hi, grow in ((20, 120, True), (120, 200, False), (200, 300, True)):
