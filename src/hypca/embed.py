@@ -595,6 +595,8 @@ def automaton_to_json(automaton: HcaAutomaton) -> str:
 
 def automaton_from_json(text: str) -> HcaAutomaton:
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError("an automaton file holds one JSON object")
     try:
         if len(doc["patterns"]) != 1:
             raise ValueError("exactly one admissible pattern is supported")

@@ -134,12 +134,6 @@ def _filter_candidates(automaton: emb.HcaAutomaton, region: Region,
     return cells[mask]
 
 
-def _candidates(automaton: emb.HcaAutomaton, region: Region,
-                states: np.ndarray) -> np.ndarray:
-    return _filter_candidates(automaton, region, states,
-                              np.arange(region.n_cells))
-
-
 def _apply(automaton: emb.HcaAutomaton, region: Region, cfg: Configuration,
            candidates: np.ndarray, scan: bool
            ) -> tuple[Configuration, np.ndarray]:
@@ -176,12 +170,7 @@ def step_hca(automaton: emb.HcaAutomaton, region: Region,
     once none is left.  With `scan` the step always proceeds and a cell
     with disagreeing readings keeps its state instead of raising.
     """
-    if not scan and cfg.valid_radius < 1:
-        raise ValidityExhausted(
-            f"configuration at time {cfg.time} has no valid step left")
-    new_cfg, _ = _apply(automaton, region, cfg,
-                        _candidates(automaton, region, cfg.states), scan)
-    return new_cfg
+    return run_hca(automaton, region, cfg, 1, scan=scan)[-1]
 
 
 def run_hca(automaton: emb.HcaAutomaton, region: Region,
@@ -199,12 +188,16 @@ def run_hca(automaton: emb.HcaAutomaton, region: Region,
         return out
     if not scan and cfg.valid_radius < steps:
         raise ValidityExhausted(
-            f"{steps} steps from time {cfg.time} exceed the remaining "
+            f"{steps} step(s) from time {cfg.time} exceed the remaining "
             f"validity {cfg.valid_radius}")
     adj = region.adjacency
-    cand = _candidates(automaton, region, cfg.states)
-    for _ in range(steps):
+    cand = _filter_candidates(automaton, region, cfg.states,
+                              np.arange(region.n_cells))
+    while True:
         new_cfg, changed = _apply(automaton, region, cfg, cand, scan)
+        out.append(new_cfg)
+        if len(out) > steps:
+            return out
         if len(changed):
             near = adj[changed].ravel()
             affected = np.sort(np.concatenate([cand, changed, near[near >= 0]]))
@@ -214,8 +207,6 @@ def run_hca(automaton: emb.HcaAutomaton, region: Region,
         cand = _filter_candidates(automaton, region, new_cfg.states,
                                   affected)
         cfg = new_cfg
-        out.append(cfg)
-    return out
 
 
 def trace_window(region: Region, time: int) -> int:

@@ -35,8 +35,20 @@ Every entry of Q is at most ||T||_inf ** (halfwidth + radius).  ||T||_inf is
 below 3**18 < 2**31 and 3**8.  On the heptagrid ||T||_inf is 53 and that
 bound says nothing (the largest entry is about 1.6e8, on the extent-18
 chain), so each level checks its largest entry and raises RegionTooLarge
-before a product could pass int64.  MAX_EXTENT is set by the float chain
-walk and the float matrices that render and the geometry checks read.
+before a product could pass int64.
+
+The chain's side labels are integers too.  The paper's tape line is built by
+the shift along the guideline that carries one neighbour of a tape cell onto
+the cell itself; that shift is a symmetry of the tiling, so each tape cell's
+labels follow from the previous cell's by one fixed map.  On the polygonal
+grids a shared side keeps its number in both cells and the step is a
+half-turn, which keeps orientation, so the cell at position k has left side
+l0 + k gap and right side l0 + (k + 1) gap, mod p.  On the dodecagrid a step
+numbers the shared face op(s) in the neighbour, so (mirror face, left, right)
+goes to (op m, op r, op l) and alternates between two triples with the
+parity of k.  No float test decides which cells form the chain, their sides
+or the mirror face.  MAX_EXTENT bounds only the float placement matrices,
+which render and the geometry checks read.
 
 A region is a pure function of (grid, radius, halfwidth), so a region file
 holds those three values and a format version, and loading one rebuilds
@@ -133,17 +145,17 @@ class Region:
         return self.matrices[:, :, 0]
 
 
-# per grid: sides whose planes carry the guideline, and the side whose
-# neighbor lies forward of the base cell (increasing position)
-_GUIDE_SIDES = {
-    "pentagrid": ((0,), 4),
-    "heptagrid": (None, 6),      # midpoint line, built separately
-    "dodecagrid": ((0, 2), 1),
-}
+# per grid: sides whose planes carry the guideline (None: the heptagrid's
+# midpoint line, built separately)
+_GUIDE_SIDES = {"pentagrid": (0,), "heptagrid": None, "dodecagrid": (0, 2)}
+# polygonal grids: (left side l0 of the base cell, gap from left to right)
+_CHAIN_GAP = {"pentagrid": (1, 3), "heptagrid": (2, 4)}
+# dodecagrid: (mirror face, left, right) at even and at odd positions
+_CHAIN_FACES = ((0, 3, 1), (11, 9, 6))
 
 
 def guide_normals(shape: poly.CellShape) -> list[np.ndarray]:
-    sides, _ = _GUIDE_SIDES[shape.name]
+    sides = _GUIDE_SIDES[shape.name]
     if sides is not None:
         return [np.array(shape.side_normals[i]) for i in sides]
     mids = [geo.point_at(shape.inradius, shape.side_directions[i]) for i in (0, 1)]
@@ -240,25 +252,15 @@ def _hash_pairs(h: np.ndarray, table: np.ndarray,
     return q, ids[slot]
 
 
-def _is_guide_center(c: np.ndarray, normals, values, tol: float = 1e-3) -> bool:
-    return all(abs(float(geo.mdot(c, n)) - v) < tol for n, v in zip(normals, values))
-
-
-def _chain_sides(g: np.ndarray, steps: np.ndarray, normals, values,
-                 w: np.ndarray) -> tuple[int, int]:
-    """(side toward previous, side toward next) of a placed guideline cell."""
-    here = float(geo.mdot(g[:, 0], w))
-    cands = []
-    for i in range(steps.shape[0]):
-        c = (g @ steps[i])[:, 0]
-        if _is_guide_center(c, normals, values):
-            cands.append((i, float(geo.mdot(c, w))))
-    if len(cands) != 2:
-        raise AssertionError(f"guideline cell has {len(cands)} chain neighbors")
-    cands.sort(key=lambda t: t[1])
-    if not cands[0][1] < here < cands[1][1]:
-        raise AssertionError("guideline chain is not monotone")
-    return cands[0][0], cands[1][0]
+def _chain_labels(grid: str, p: int, pos: np.ndarray):
+    """(mirror face, left side, right side) of the tape cells at positions
+    `pos`, numbered as the chain walk places them; no mirror face off the
+    dodecagrid."""
+    if grid == "dodecagrid":
+        return np.array(_CHAIN_FACES, dtype=np.int32)[pos % 2].T
+    l0, gap = _CHAIN_GAP[grid]
+    left = ((l0 + pos * gap) % p).astype(np.int32)
+    return None, left, (left + gap) % p
 
 
 def build_region(grid: str, radius: int, halfwidth: int) -> Region:
@@ -291,27 +293,30 @@ def build_region(grid: str, radius: int, halfwidth: int) -> Region:
     ck = _cell_keys(grid)
     m = len(ck.f0)
 
+    # walk the chain outwards in both directions from the base cell; index
+    # k of these arrays holds position k - extent
+    n_chain = 2 * extent + 1
+    mirror, left, right = _chain_labels(grid, p, np.arange(-extent, extent + 1))
+    g_pos = np.empty((n_chain, dim1, dim1))
+    q_pos = np.empty((n_chain, m, m), dtype=np.int64)
+    g_pos[extent], q_pos[extent] = np.eye(dim1), np.eye(m, dtype=np.int64)
+    for k in range(extent + 1, n_chain):
+        s = right[k - 1]
+        g_pos[k], q_pos[k] = g_pos[k - 1] @ steps[s], q_pos[k - 1] @ ck.steps[s]
+    for k in range(extent - 1, -1, -1):
+        s = left[k + 1]
+        g_pos[k], q_pos[k] = g_pos[k + 1] @ steps[s], q_pos[k + 1] @ ck.steps[s]
+
     normals = guide_normals(shape)
-    values = [float(geo.mdot(e0, n)) for n in normals]
     p0, w = geo.line_frame(normals)
-    fwd = _GUIDE_SIDES[grid][1]
-    if float(geo.mdot(steps[fwd] @ e0, w)) < float(geo.mdot(e0, w)):
+    # the null space behind the frame has no fixed sign; point w toward
+    # position + 1
+    if float(geo.mdot(steps[right[extent]] @ e0, w)) < float(geo.mdot(e0, w)):
         w = -w
 
-    # walk the chain outwards in both directions from the base cell
-    chain = {0: (np.eye(dim1), np.eye(m, dtype=np.int64))}
-    for direction in (+1, -1):
-        g, q = chain[0]
-        for k in range(1, extent + 1):
-            back, ahead = _chain_sides(g, steps, normals, values, w)
-            s = ahead if direction > 0 else back
-            g, q = g @ steps[s], q @ ck.steps[s]
-            chain[k * direction] = (g, q)
-
-    n_chain = 2 * extent + 1
     chain_order = [0] + [q for q in range(-extent, extent + 1) if q != 0]
-    mats = np.stack([chain[q][0] for q in chain_order])
-    q_chain = np.stack([chain[q][1] for q in chain_order])
+    chain_at = np.array(chain_order) + extent    # index of each chain id
+    mats, q_chain = g_pos[chain_at], q_pos[chain_at]
     dist = np.array([0 if abs(q) <= halfwidth else -1 for q in chain_order],
                     dtype=np.int32)
     adj = np.full((n_chain, p), -1, dtype=np.int32)
@@ -422,31 +427,36 @@ def build_region(grid: str, radius: int, halfwidth: int) -> Region:
     positions = np.full(n, NO_POS, dtype=np.int32)
     positions[:n_chain] = chain_order
 
-    left = np.zeros(n_chain, dtype=np.int32)
-    right = np.zeros(n_chain, dtype=np.int32)
-    for k in range(n_chain):
-        left[k], right[k] = _chain_sides(mats[k], steps, normals, values, w)
-
-    mirror_by_id = None
-    if grid == "dodecagrid":
-        mirror_by_id = _canonicalize_chain(shape, mats, adj, n_chain, normals,
-                                           left, right)
-        left[:] = 1
-        right[:] = 4
-
     # guideline arrays run left to right; chain ids are permuted relative
     # to that order because the central cell is id 0
-    order = np.argsort(positions[:n_chain]).astype(np.int32)
+    order = np.argsort(chain_at).astype(np.int32)
+    mirror_ids = None
+    if grid == "dodecagrid":
+        # renumber every chain cell so that face 0 faces the reflected cell,
+        # face 1 the previous chain cell and face 4 the next one
+        index = {mo: i for i, mo in enumerate(shape.rotation_motions)}
+        for mf, lf, rf in _CHAIN_FACES:
+            motion = sym.complete_motion(mf, lf)
+            if motion[4] != rf:
+                raise AssertionError("chain renumbering does not place the "
+                                     "next cell at face 4")
+            rot = shape.base_rotations[index[motion]]
+            for k in np.flatnonzero(mirror[chain_at] == mf):
+                mats[k] = mats[k] @ rot
+                adj[k] = adj[k][list(motion)]
+        mirror_ids = adj[order, 0]
+        left = np.full(n_chain, 1, dtype=np.int32)
+        right = np.full(n_chain, 4, dtype=np.int32)
     guideline = Guideline(
         cell_ids=order,
-        positions=positions[order],
-        left_sides=left[order],
-        right_sides=right[order],
+        positions=np.arange(-extent, extent + 1, dtype=np.int32),
+        left_sides=left,
+        right_sides=right,
         segment_halfwidth=halfwidth,
         normals=normals,
         frame_p0=p0,
         frame_w=w,
-        mirror_ids=None if mirror_by_id is None else mirror_by_id[order],
+        mirror_ids=mirror_ids,
     )
     region = Region(
         grid=grid,
@@ -462,41 +472,9 @@ def build_region(grid: str, radius: int, halfwidth: int) -> Region:
     return region
 
 
-def _canonicalize_chain(shape, mats, adj, n_chain, normals, left, right):
-    """Renumber the faces of every chain cell of a dodecagrid region so that
-    face 0 faces the reflected cell, face 1 the previous chain cell and
-    face 4 the next one.  Returns the reflected-row cell ids."""
-    refl0 = geo.reflection(normals[0])
-    steps = shape.step_matrices
-    motions = shape.rotation_motions
-    index = {m: i for i, m in enumerate(motions)}
-    mirror_ids = np.full(n_chain, -1, dtype=np.int32)
-    for k in range(n_chain):
-        g = mats[k]
-        target = refl0 @ g[:, 0]
-        scale = max(1.0, abs(float(target[0])))
-        j_mirror = -1
-        for s in range(12):
-            c = (g @ steps[s])[:, 0]
-            if float(np.max(np.abs(c - target))) < 1e-6 * scale:
-                j_mirror = s
-                break
-        if j_mirror < 0:
-            raise AssertionError("chain cell has no reflected neighbor face")
-        motion = sym.complete_motion(j_mirror, int(left[k]))
-        rot = shape.base_rotations[index[motion]]
-        mats[k] = g @ rot
-        adj[k] = adj[k][list(motion)]
-        if motion[4] != right[k]:
-            raise AssertionError("chain renumbering does not place the next "
-                                 "cell at face 4")
-        mirror_ids[k] = adj[k, 0]
-    return mirror_ids
-
-
 def _check_chain(region: Region) -> None:
+    """Consecutive chain cells meet across the sides the guideline names."""
     gl = region.guideline
-    p = region.shape.n_sides
     for k, ident in enumerate(gl.cell_ids):
         if k > 0:
             prev = gl.cell_ids[k - 1]
@@ -506,10 +484,6 @@ def _check_chain(region: Region) -> None:
             nxt = gl.cell_ids[k + 1]
             if region.adjacency[ident, gl.right_sides[k]] != nxt:
                 raise AssertionError("chain adjacency mismatch on the right")
-        gap = (int(gl.right_sides[k]) - int(gl.left_sides[k])) % p
-        want = {"pentagrid": 3, "heptagrid": 4, "dodecagrid": None}[region.grid]
-        if want is not None and gap != want:
-            raise AssertionError(f"unexpected side gap {gap} on chain cell {k}")
 
 
 _SCHEME_GRID = {

@@ -9,6 +9,11 @@ the dead zone [DEDUP_TOL, NEAR_MISS_FACTOR * DEDUP_TOL) raises
 RegionTooLarge instead of guessing; a larger one is a new cell.  Apart
 from that it is the builder of `hypca.region`: the same chain walk,
 level-at-a-time search, first-occurrence numbering and guideline arrays.
+
+It also finds the guideline by float geometry, independently of the side
+arithmetic `hypca.region` uses: the chain walk tests every neighbour's
+centre against the guide planes, and a dodecagrid chain cell's mirror face
+is the one whose neighbour is the cell's reflection in the guide plane.
 """
 from __future__ import annotations
 
@@ -16,10 +21,9 @@ import numpy as np
 
 from hypca import geometry as geo
 from hypca import polytopes as poly
+from hypca import symmetry as sym
 from hypca.region import (MAX_EXTENT, MAX_RADIUS, NO_POS, Guideline, Region,
-                          RegionTooLarge, _CHUNK, _GUIDE_SIDES,
-                          _canonicalize_chain, _chain_sides, _check_chain,
-                          guide_normals)
+                          RegionTooLarge, _CHUNK, _check_chain, guide_normals)
 
 DEDUP_BUCKET = 0.125
 DEDUP_TOL = 2e-3
@@ -200,6 +204,64 @@ class _CenterTable:
         return new_id[rep]
 
 
+# per grid: the side whose neighbor lies forward of the base cell
+# (increasing position)
+_FORWARD_SIDE = {"pentagrid": 4, "heptagrid": 6, "dodecagrid": 1}
+
+
+def _is_guide_center(c: np.ndarray, normals, values, tol: float = 1e-3) -> bool:
+    return all(abs(float(geo.mdot(c, n)) - v) < tol for n, v in zip(normals, values))
+
+
+def _chain_sides(g: np.ndarray, steps: np.ndarray, normals, values,
+                 w: np.ndarray) -> tuple[int, int]:
+    """(side toward previous, side toward next) of a placed guideline cell."""
+    here = float(geo.mdot(g[:, 0], w))
+    cands = []
+    for i in range(steps.shape[0]):
+        c = (g @ steps[i])[:, 0]
+        if _is_guide_center(c, normals, values):
+            cands.append((i, float(geo.mdot(c, w))))
+    if len(cands) != 2:
+        raise AssertionError(f"guideline cell has {len(cands)} chain neighbors")
+    cands.sort(key=lambda t: t[1])
+    if not cands[0][1] < here < cands[1][1]:
+        raise AssertionError("guideline chain is not monotone")
+    return cands[0][0], cands[1][0]
+
+
+def _canonicalize_chain(shape, mats, adj, n_chain, normals, left, right):
+    """Renumber the faces of every chain cell of a dodecagrid region so that
+    face 0 faces the reflected cell, face 1 the previous chain cell and
+    face 4 the next one.  Returns the reflected-row cell ids."""
+    refl0 = geo.reflection(normals[0])
+    steps = shape.step_matrices
+    motions = shape.rotation_motions
+    index = {m: i for i, m in enumerate(motions)}
+    mirror_ids = np.full(n_chain, -1, dtype=np.int32)
+    for k in range(n_chain):
+        g = mats[k]
+        target = refl0 @ g[:, 0]
+        scale = max(1.0, abs(float(target[0])))
+        j_mirror = -1
+        for s in range(12):
+            c = (g @ steps[s])[:, 0]
+            if float(np.max(np.abs(c - target))) < 1e-6 * scale:
+                j_mirror = s
+                break
+        if j_mirror < 0:
+            raise AssertionError("chain cell has no reflected neighbor face")
+        motion = sym.complete_motion(j_mirror, int(left[k]))
+        rot = shape.base_rotations[index[motion]]
+        mats[k] = g @ rot
+        adj[k] = adj[k][list(motion)]
+        if motion[4] != right[k]:
+            raise AssertionError("chain renumbering does not place the next "
+                                 "cell at face 4")
+        mirror_ids[k] = adj[k, 0]
+    return mirror_ids
+
+
 def build_region(grid: str, radius: int, halfwidth: int) -> Region:
     """`hypca.region.build_region`, with cells told apart by their float
     centres: all cells within `radius` steps of the guideline segment spanning
@@ -232,7 +294,7 @@ def build_region(grid: str, radius: int, halfwidth: int) -> Region:
     normals = guide_normals(shape)
     values = [float(geo.mdot(e0, n)) for n in normals]
     p0, w = geo.line_frame(normals)
-    fwd = _GUIDE_SIDES[grid][1]
+    fwd = _FORWARD_SIDE[grid]
     if float(geo.mdot(steps[fwd] @ e0, w)) < float(geo.mdot(e0, w)):
         w = -w
 

@@ -149,6 +149,11 @@ def test_failure_exit_codes(tmp_path, capsys):
         assert run_cli("simulate", "--automaton", str(auto), "--word", "1",
                        "--steps", "1") == 2
         assert says in capsys.readouterr().err
+    # valid JSON that is not an object
+    auto.write_text("[]")
+    assert run_cli("simulate", "--automaton", str(auto), "--word", "1",
+                   "--steps", "1") == 2
+    assert "one JSON object" in capsys.readouterr().err
     with pytest.raises(SystemExit):
         run_cli()
 

@@ -104,6 +104,20 @@ def test_guideline_triples_walk_the_chain(region_of, grid, radius, hw):
             assert reg.neighbor(r, c, right) == r.guideline.id_at(pos + 1)
 
 
+@pytest.mark.parametrize("grid,radius,hw", [
+    ("pentagrid", 3, 2), ("heptagrid", 3, 2), ("dodecagrid", 3, 1)])
+def test_guideline_chain_follows_the_line(region_of, grid, radius, hw):
+    """Chain cells keep the base cell's offsets from the guide planes and
+    advance along frame_w with their position."""
+    r = region_of(grid, radius, hw)
+    gl = r.guideline
+    c = r.centers[gl.cell_ids]
+    for n in gl.normals:
+        off = geo.mdot(c, n)
+        assert np.abs(off - off[gl.positions == 0]).max() < 1e-6
+    assert (np.diff(geo.mdot(c, gl.frame_w)) > 0).all()
+
+
 def test_dodecagrid_chain_uses_canonical_faces(region_of):
     r = region_of("dodecagrid", 3, 1)
     gl = r.guideline
@@ -318,10 +332,15 @@ def test_region_matches_fingerprint_golden(region_of, grid, radius, hw):
 
 
 # Exact cell keys.  The float builder in region_reference.py is the
-# reference: both must give the same cells in the same order.
+# reference: both must give the same cells in the same order.  The radius-1
+# sizes run the chain out to each grid's MAX_EXTENT, so the side arithmetic
+# meets the float chain walk on the longest chain a region may have.
 DIFFERENTIAL_SIZES = [("pentagrid", 7, 2), ("pentagrid", 6, 8),
                       ("heptagrid", 6, 3), ("heptagrid", 7, 1),
-                      ("dodecagrid", 3, 2), ("dodecagrid", 4, 1)]
+                      ("dodecagrid", 3, 2), ("dodecagrid", 4, 1),
+                      ("pentagrid", 1, reg.MAX_EXTENT["pentagrid"] - 1),
+                      ("heptagrid", 1, reg.MAX_EXTENT["heptagrid"] - 1),
+                      ("dodecagrid", 1, reg.MAX_EXTENT["dodecagrid"] - 1)]
 
 
 def assert_same_region(a: reg.Region, b: reg.Region) -> None:
