@@ -94,6 +94,14 @@ class Tape:
             return self.cells[position - self.start]
         return self.padding
 
+    def window(self, lo: int, hi: int) -> np.ndarray:
+        """The values at positions lo..hi-1."""
+        out = np.full(max(hi - lo, 0), self.padding, dtype=np.int64)
+        a, b = max(lo, self.start), min(hi, self.end)
+        if a < b:
+            out[a - lo:b - lo] = self.cells[a - self.start:b - self.start]
+        return out
+
 
 def step_1d(rule: Rule1D, tape: Tape) -> Tape:
     """One synchronous update; the window grows one cell on each side."""

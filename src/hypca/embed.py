@@ -310,6 +310,17 @@ class RuleTable:
         hit[hit] = self.codes[at[hit]] == codes[hit]
         return np.where(hit, at, -1)
 
+    def moves(self, own: np.ndarray, rows: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray]:
+        """One step of a set of cells, given each cell's state and table
+        row (-1 for none).  A cell whose readings agree takes their state;
+        every other cell keeps its own.  Returns the indices of the cells
+        whose state changes, ascending, and their new states."""
+        out = self.lo[rows]
+        moved = np.flatnonzero((rows >= 0) & (out == self.hi[rows])
+                               & (out != own))
+        return moved, out[moved]
+
     def decode(self, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(self states, (len, arity) neighbour states) of context codes."""
         powers = self.base ** np.arange(self.arity + 1, dtype=np.int64)
@@ -524,12 +535,18 @@ def verify_unique_applicability(automaton: HcaAutomaton, region: Region,
     reading at all.  They are listed by time, then cell, then in that
     order of kinds.  The scan keeps stepping with a frozen rim past the
     validity window; staleness there only widens the sample of contexts.
-    """
-    from . import engine
 
+    Each complete cell's table row is looked up once and carried through
+    the run: a step takes the next states from the rows by
+    `RuleTable.moves`, and only the complete cells in the closed
+    neighbourhood of a changed cell are coded again, since no other
+    context can change.  This relies on the region's adjacency being
+    symmetric.
+    """
     report = VerifyReport()
     if automaton.grid in _ROW_START and automaton.kind == "compact":
         report.context_rows.append(central_context_row(automaton))
+    adj = region.adjacency
     on_line = np.zeros(region.n_cells, dtype=bool)
     on_line[region.guideline.cell_ids] = True
     may_change = on_line.copy()
@@ -538,16 +555,15 @@ def verify_unique_applicability(automaton: HcaAutomaton, region: Region,
         for m in region.guideline.mirror_ids:
             if m >= 0:
                 may_change[int(m)] = True
-    cells = np.flatnonzero(~(region.adjacency < 0).any(axis=1))
+    cells = np.flatnonzero(~(adj < 0).any(axis=1))
     line = on_line[cells]
     guarded = ~line & ~may_change[cells]
     inside = region.dist[cells] < region.radius
     table = automaton.rule_table
-    for t, cfg in enumerate(engine.run_hca(automaton, region, init, horizon,
-                                           scan=True)):
-        states = cfg.states
+    states = init.states.copy()
+    at = table.lookup(table.encode(states, adj, cells))
+    for t in range(max(horizon, 0) + 1):
         own = states[cells]
-        at = table.lookup(table.encode(states, region.adjacency, cells))
         hit = at >= 0
         lo, hi = table.lo[at], table.hi[at]
         report.scanned_cells += len(cells)
@@ -559,7 +575,7 @@ def verify_unique_applicability(automaton: HcaAutomaton, region: Region,
                   guarded & hit & ((lo != own) | (hi != own))))
         for j in np.flatnonzero(np.logical_or.reduce([m for _, m in kinds])):
             c = int(cells[j])
-            nb = tuple(int(v) for v in states[region.adjacency[c]])
+            nb = tuple(int(v) for v in states[adj[c]])
             found, outs = reading_outcomes(automaton, int(own[j]), nb)
             detail = {
                 "ambiguous": f"readings {found} give states {outs}",
@@ -568,6 +584,17 @@ def verify_unique_applicability(automaton: HcaAutomaton, region: Region,
             }
             report.violations.extend(Violation(kind, t, c, detail[kind])
                                      for kind, mask in kinds if mask[j])
+        if t < horizon:
+            moved, out = table.moves(own, at)
+            changed = cells[moved]
+            states[changed] = out
+            near = adj[changed].ravel()
+            touched = np.zeros(region.n_cells, dtype=bool)
+            touched[changed] = True
+            touched[near[near >= 0]] = True
+            recode = np.flatnonzero(touched[cells])
+            at[recode] = table.lookup(table.encode(states, adj,
+                                                   cells[recode]))
     return report
 
 

@@ -3,9 +3,12 @@
 A bounded region only approximates the infinite tiling, so a configuration
 carries a validity budget: after t steps the states within graph distance
 radius - t of the initial segment are exactly what the infinite tiling
-would hold, and stepping is refused once that budget is spent.  The
-verification scanner instead keeps stepping with a frozen rim; it wants
-breadth of contexts, not fidelity at the edge.
+would hold, and stepping is refused once that budget is spent.  A scan
+run (`scan=True`) instead keeps stepping with a frozen rim; it wants
+breadth of contexts, not fidelity at the edge.  The unique-applicability
+scan in `embed` steps the same way without this module: it carries each
+complete cell's table row from step to step, and `RuleTable.moves`, the
+step rule this module applies too, turns the rows into next states.
 
 Cells with a neighbour outside the region never update.  Everything else
 updates by the automaton: a uniquely readable pattern match applies the
@@ -134,6 +137,25 @@ def _filter_candidates(automaton: emb.HcaAutomaton, region: Region,
     return cells[mask]
 
 
+def _first_candidates(automaton: emb.HcaAutomaton, region: Region,
+                      states: np.ndarray) -> np.ndarray:
+    """`_filter_candidates` over the whole region.  A compact automaton's
+    background is a letter, so the pass starts from the neighbours of the
+    cells holding the pinned state that fewest cells hold: every match
+    sees one.  The extra kind's added-state test already drops almost
+    every cell."""
+    cells = np.arange(region.n_cells)
+    pinned = list(_pinned_counts(automaton))
+    if automaton.blue is None and pinned:
+        held = np.bincount(states, minlength=automaton.n_states)[pinned]
+        seeds = states == pinned[int(np.argmin(held))]
+        nb = region.adjacency[seeds].ravel()
+        near = np.zeros(region.n_cells, dtype=bool)
+        near[nb[nb >= 0]] = True
+        cells = cells[near]
+    return _filter_candidates(automaton, region, states, cells)
+
+
 def _apply(automaton: emb.HcaAutomaton, region: Region, cfg: Configuration,
            candidates: np.ndarray, scan: bool
            ) -> tuple[Configuration, np.ndarray]:
@@ -143,20 +165,20 @@ def _apply(automaton: emb.HcaAutomaton, region: Region, cfg: Configuration,
     states = cfg.states
     table = automaton.rule_table
     at = table.lookup(table.encode(states, region.adjacency, candidates))
-    cells, at = candidates[at >= 0], at[at >= 0]
-    agree = table.lo[at] == table.hi[at]
-    if not scan and not agree.all():
-        c = int(cells[~agree][0])
-        nb = tuple(int(v) for v in states[region.adjacency[c]])
-        readings, outs = emb.reading_outcomes(automaton, int(states[c]), nb)
-        raise AmbiguousMatch(
-            f"cell {c} at time {cfg.time}: readings {readings} "
-            f"disagree, states {outs}")
-    cells, out = cells[agree], table.lo[at[agree]]
-    moved = out != states[cells]
-    changed = cells[moved].astype(np.int64)
+    if not scan:
+        split = (at >= 0) & (table.lo[at] != table.hi[at])
+        if split.any():
+            c = int(candidates[split][0])
+            nb = tuple(int(v) for v in states[region.adjacency[c]])
+            readings, outs = emb.reading_outcomes(automaton, int(states[c]),
+                                                  nb)
+            raise AmbiguousMatch(
+                f"cell {c} at time {cfg.time}: readings {readings} "
+                f"disagree, states {outs}")
+    moved, out = table.moves(states[candidates], at)
+    changed = candidates[moved].astype(np.int64)
     new_states = states.copy()
-    new_states[changed] = out[moved]
+    new_states[changed] = out
     return (Configuration(new_states, cfg.time + 1,
                           max(cfg.valid_radius - 1, 0)),
             changed)
@@ -191,8 +213,7 @@ def run_hca(automaton: emb.HcaAutomaton, region: Region,
             f"{steps} step(s) from time {cfg.time} exceed the remaining "
             f"validity {cfg.valid_radius}")
     adj = region.adjacency
-    cand = _filter_candidates(automaton, region, cfg.states,
-                              np.arange(region.n_cells))
+    cand = _first_candidates(automaton, region, cfg.states)
     while True:
         new_cfg, changed = _apply(automaton, region, cfg, cand, scan)
         out.append(new_cfg)
@@ -214,6 +235,22 @@ def trace_window(region: Region, time: int) -> int:
     return region.halfwidth + region.radius - time
 
 
+def _tape_letters(automaton: emb.HcaAutomaton, region: Region,
+                  states: np.ndarray, w: int) -> np.ndarray:
+    """Source letters on tape positions -w..w, -1 where a cell holds a
+    state that is no letter."""
+    gl = region.guideline
+    if w < 0:
+        return np.zeros(0, dtype=np.int64)
+    gl.id_at(-w), gl.id_at(w)      # raise past the ends of the chain
+    first = -w - int(gl.positions[0])
+    tape = states[gl.cell_ids[first:first + 2 * w + 1]]
+    letter = np.full(max(automaton.n_states, int(tape.max()) + 1), -1)
+    for s, a in automaton.inverse_map().items():
+        letter[s] = a
+    return letter[tape]
+
+
 def yellow_trace(automaton: emb.HcaAutomaton, region: Region,
                  cfgs) -> list[tuple[int, int, tuple[int, ...]]]:
     """The tape contents over time, decoded to source states.
@@ -222,21 +259,19 @@ def yellow_trace(automaton: emb.HcaAutomaton, region: Region,
     still trusted at that configuration's time.  A non-letter state on
     the line is a simulation failure and raises.
     """
-    inv = automaton.inverse_map()
     gl = region.guideline
     rows = []
     for cfg in cfgs:
         w = trace_window(region, cfg.time)
-        letters = []
-        for p in range(-w, w + 1):
+        letters = _tape_letters(automaton, region, cfg.states, w)
+        bad = np.flatnonzero(letters < 0)
+        if len(bad):
+            p = int(bad[0]) - w
             cell = gl.id_at(p)
-            s = int(cfg.states[cell])
-            if s not in inv:
-                raise ValueError(
-                    f"cell {cell} (position {p}) holds non-letter state "
-                    f"{s} at time {cfg.time}")
-            letters.append(inv[s])
-        rows.append((cfg.time, -w, tuple(letters)))
+            raise ValueError(
+                f"cell {cell} (position {p}) holds non-letter state "
+                f"{int(cfg.states[cell])} at time {cfg.time}")
+        rows.append((cfg.time, -w, tuple(letters.tolist())))
     return rows
 
 
@@ -326,7 +361,6 @@ def equivalence_check(rule: ca1d.Rule1D, automaton: emb.HcaAutomaton,
     cfgs = run_hca(automaton, region, init, steps)
     report = EquivalenceReport(steps=steps, configurations=cfgs)
 
-    inv = automaton.inverse_map()
     gl = region.guideline
     on_line = np.zeros(region.n_cells, dtype=bool)
     on_line[gl.cell_ids] = True
@@ -335,13 +369,17 @@ def equivalence_check(rule: ca1d.Rule1D, automaton: emb.HcaAutomaton,
 
     for t, cfg in enumerate(cfgs):
         w = trace_window(region, t)
-        for p in range(-w, w + 1):
-            expected = oracle[t].value_at(p)
-            got = inv.get(int(cfg.states[gl.id_at(p)]))
-            report.compared += 1
-            if got != expected:
-                report.divergence = Divergence(t, p, expected, got)
-                return report
+        got = _tape_letters(automaton, region, cfg.states, w)
+        expected = oracle[t].window(-w, w + 1)
+        wrong = np.flatnonzero(got != expected)
+        if len(wrong):
+            i = int(wrong[0])
+            report.compared += i + 1
+            report.divergence = Divergence(
+                t, i - w, int(expected[i]),
+                int(got[i]) if got[i] >= 0 else None)
+            return report
+        report.compared += len(got)
         if automaton.kind == "extra" and automaton.grid == "dodecagrid":
             # the reflected row holds letters and may step; judge only the
             # cells that started in the added state

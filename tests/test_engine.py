@@ -250,3 +250,75 @@ def test_filter_candidates_matches_reference(region_of, all_six, grid, size):
                 assert np.array_equal(got, want)
                 kept += len(got)
     assert kept > 0
+
+
+def test_first_candidates_match_full_pass(region_of, all_six):
+    """The first pass, started from the rarest pinned state's neighbours
+    on a compact automaton, finds what a pass over every cell finds."""
+    rng = np.random.default_rng(11)
+    for (method, grid), b in all_six.items():
+        r = region_of(grid, 4 if grid != "dodecagrid" else 3, 2)
+        for trial in range(6):
+            word = rng.integers(0, 2, size=int(rng.integers(1, 6)))
+            states = engine.init_configuration(r, b, word).states
+            if trial % 2:
+                # a few cells off the line set to random states
+                cells = rng.choice(r.n_cells, size=8, replace=False)
+                states[cells] = rng.integers(0, b.n_states, size=8)
+            got = engine._first_candidates(b, r, states)
+            want = engine._filter_candidates(b, r, states,
+                                             np.arange(r.n_cells))
+            assert np.array_equal(got, want), (b.name, trial)
+            assert len(want) > 0
+
+
+def _equivalence_reference(rule, automaton, region, word, cfgs):
+    """(compared, divergence) of the tape comparison, one position at a
+    time, as `equivalence_check` walked it before it read whole windows."""
+    inv = automaton.inverse_map()
+    tape = ca1d.word_tape(list(word), padding=automaton.padding_state)
+    oracle = ca1d.run_1d(rule, tape, len(cfgs) - 1)
+    compared = 0
+    for t, cfg in enumerate(cfgs):
+        w = engine.trace_window(region, t)
+        for p in range(-w, w + 1):
+            expected = oracle[t].value_at(p)
+            got = inv.get(int(cfg.states[region.guideline.id_at(p)]))
+            compared += 1
+            if got != expected:
+                return compared, engine.Divergence(t, p, expected, got)
+    return compared, None
+
+
+def test_equivalence_divergence_inside_the_window(region_of, rule110,
+                                                  monkeypatch):
+    """A tape cell forced wrong partway through a later window: the report
+    counts the positions up to it, names it, and reads a non-letter as
+    None, as the position-by-position walk does."""
+    r = region_of("pentagrid", 4, 2)
+    b = embed.embed_extra_state(rule110, "pentagrid")
+    word = [1, 0, 1]
+    real_run = engine.run_hca
+    for t, p, state in ((2, 1, None), (1, -3, b.blue), (3, 0, 0)):
+        def forced(*args, **kwargs):
+            cfgs = real_run(*args, **kwargs)
+            cell = r.guideline.id_at(p)
+            cfgs[t].states[cell] = (1 - cfgs[t].states[cell]
+                                    if state is None else state)
+            return cfgs
+
+        monkeypatch.setattr(engine, "run_hca", forced)
+        report = engine.equivalence_check(rule110, b, r, word, 3)
+        compared, divergence = _equivalence_reference(
+            rule110, b, r, word, report.configurations)
+        assert divergence is not None and divergence.time == t
+        assert divergence.position == p
+        assert (divergence.got is None) == (state == b.blue)
+        assert report.divergence == divergence
+        assert report.compared == compared
+        assert not report.stability_violations
+    monkeypatch.setattr(engine, "run_hca", real_run)
+    report = engine.equivalence_check(rule110, b, r, word, 3)
+    assert report.ok
+    assert (report.compared, report.divergence) == _equivalence_reference(
+        rule110, b, r, word, report.configurations)

@@ -5,7 +5,7 @@ table must give every context the same reading count and next states,
 the expansion read off the table must list the same rules, the array
 orbit check must report the same conflicts as `check_rotation_invariance`,
 and the table-driven verify scan must report what a matcher-driven scan
-reports.
+and a scan that codes every cell at every step report.
 """
 import dataclasses
 import itertools
@@ -403,3 +403,131 @@ def test_verify_matches_matcher_scan(region_of, all_six):
         if b.name == "unrepaired":
             assert got.multi_reading_cells > 0
     assert kinds == {"ambiguous", "line-unmatched", "off-line-changed"}
+
+
+# the perfbench scan regions, as (radius, halfwidth)
+SCAN_SIZES = {"pentagrid": (7, 2), "heptagrid": (6, 3), "dodecagrid": (3, 2)}
+
+
+def _full_reencode_scan(b, region, init, horizon):
+    """The verify scan as it ran before it carried table rows: step with
+    the engine, then code and look up every complete cell at every time."""
+    report = embed.VerifyReport()
+    if b.grid != "dodecagrid" and b.kind == "compact":
+        report.context_rows.append(embed.central_context_row(b))
+    on_line = np.zeros(region.n_cells, dtype=bool)
+    on_line[region.guideline.cell_ids] = True
+    may_change = on_line.copy()
+    if b.kind == "extra" and region.grid == "dodecagrid":
+        m = region.guideline.mirror_ids
+        may_change[m[m >= 0]] = True
+    cells = np.flatnonzero(~(region.adjacency < 0).any(axis=1))
+    line = on_line[cells]
+    guarded = ~line & ~may_change[cells]
+    inside = region.dist[cells] < region.radius
+    table = b.rule_table
+    for t, cfg in enumerate(engine.run_hca(b, region, init, horizon,
+                                           scan=True)):
+        states = cfg.states
+        own = states[cells]
+        at = table.lookup(table.encode(states, region.adjacency, cells))
+        hit = at >= 0
+        lo, hi = table.lo[at], table.hi[at]
+        report.scanned_cells += len(cells)
+        report.matched_cells += int(hit.sum())
+        report.multi_reading_cells += int(
+            (hit & (table.readings[at] > 1)).sum())
+        kinds = (("ambiguous", hit & (lo != hi)),
+                 ("line-unmatched", line & ~hit & inside),
+                 ("off-line-changed",
+                  guarded & hit & ((lo != own) | (hi != own))))
+        for j in np.flatnonzero(np.logical_or.reduce([m for _, m in kinds])):
+            c = int(cells[j])
+            nb = tuple(int(v) for v in states[region.adjacency[c]])
+            found, outs = embed.reading_outcomes(b, int(own[j]), nb)
+            detail = {
+                "ambiguous": f"readings {found} give states {outs}",
+                "line-unmatched": "no admissible reading",
+                "off-line-changed": f"reading would move state to {outs}",
+            }
+            report.violations.extend(embed.Violation(kind, t, c,
+                                                     detail[kind])
+                                     for kind, mask in kinds if mask[j])
+    return report
+
+
+def test_verify_matches_full_reencode_scan(region_of):
+    """The carried-row scan against the full re-encode at the benchmark's
+    scan sizes and horizon, on random 3-state automata, with inits
+    perturbed off the line and the unrepaired dodecagrid pattern."""
+    rng = np.random.default_rng(2024)
+    kinds = set()
+    moved = 0
+    for grid, size in SCAN_SIZES.items():
+        r = region_of(grid, *size)
+        for method in ("extra", "compact"):
+            unrepaired = method == "extra" and grid == "dodecagrid"
+            for trial in range(5 if unrepaired else 3):
+                rule = ca1d.random_rule(3, rng, quiescent_zero=True,
+                                        fixable=grid == "pentagrid")
+                b = (embed.embed_extra_state(rule, grid) if method == "extra"
+                     else embed.embed_compact(rule, grid))
+                word = rng.integers(0, 3, size=int(rng.integers(1, 6)))
+                word[len(word) // 2] = rng.integers(1, 3)
+                init = engine.init_configuration(r, b, word)
+                if trial == 1:
+                    # off-line cells near the tape set to random states
+                    near = r.dist <= 2
+                    near[r.guideline.cell_ids] = False
+                    off = rng.choice(np.flatnonzero(near), size=12,
+                                     replace=False)
+                    init.states[off] = rng.integers(0, b.n_states, size=12)
+                if trial >= 2 and unrepaired:
+                    b = _unrepaired(b)
+                    m = r.guideline.mirror_ids
+                    init.states[m[m >= 0]] = b.blue
+                got = embed.verify_unique_applicability(b, r, init, 10)
+                want = _full_reencode_scan(b, r, init, 10)
+                assert got == want, (b.name, trial)
+                kinds |= {v.kind for v in got.violations}
+                final = engine.run_hca(b, r, init, 10, scan=True)[-1]
+                moved += int((final.states != init.states).sum())
+    assert moved > 0
+    assert kinds == {"ambiguous", "line-unmatched", "off-line-changed"}
+
+
+def test_verify_recodes_only_near_changes(region_of, all_six, monkeypatch):
+    """After the first lookup the scan codes only the complete cells next
+    to a change: nothing more on a still configuration, at most the
+    closed neighbourhoods of the changed cells on a running one.  It
+    steps by the table rows, without the engine's candidate filter."""
+    real_encode = embed.RuleTable.encode
+    coded = []
+
+    def counted(self, states, adjacency, cells):
+        coded.append(len(cells))
+        return real_encode(self, states, adjacency, cells)
+
+    def no_filter(*args):
+        raise AssertionError("the verify scan ran the candidate filter")
+
+    for (method, grid), b in all_six.items():
+        r = region_of(grid, *SCAN_SIZES[grid])
+        complete = int((~(r.adjacency < 0).any(axis=1)).sum())
+        for word in ([0], [1, 0, 1]):
+            init = engine.init_configuration(r, b, word)
+            cfgs = engine.run_hca(b, r, init, 10, scan=True)
+            changed = sum(int((c.states != d.states).sum())
+                          for c, d in zip(cfgs, cfgs[1:]))
+            with monkeypatch.context() as mp:
+                mp.setattr(embed.RuleTable, "encode", counted)
+                mp.setattr(engine, "_filter_candidates", no_filter)
+                coded.clear()
+                embed.verify_unique_applicability(b, r, init, 10)
+            closed = r.adjacency.shape[1] + 1
+            assert coded[0] == complete
+            assert sum(coded) <= complete + closed * changed
+            if word == [0]:
+                assert changed == 0 and sum(coded) == complete, b.name
+            else:
+                assert changed > 0, b.name
