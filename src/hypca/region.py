@@ -27,15 +27,23 @@ sorted table by the linear hash r . key mod 2**64, computed as (r^T Q)
 times a fixed table of step products; full keys are formed only to confirm
 hits and for new cells, and they alone decide identity.  The side a cell
 was entered by leads back to its parent and needs no lookup.  New cells are
-numbered in order of first occurrence in (frontier, side) order, and their
-float placement matrix is the parent's times the step.
+numbered in order of first occurrence in (frontier, side) order.
 
-Every entry of Q is at most ||T||_inf ** (halfwidth + radius).  ||T||_inf is
-3 on the pentagrid and the dodecagrid, so within MAX_EXTENT the entries stay
-below 3**18 < 2**31 and 3**8.  On the heptagrid ||T||_inf is 53 and that
-bound says nothing (the largest entry is about 1.6e8, on the extent-18
-chain), so each level checks its largest entry and raises RegionTooLarge
-before a product could pass int64.
+Every entry of Q is at most ||T||_inf ** (halfwidth + radius), and so is
+every key entry, since ||f0||_inf = 1.  The table stores keys in the
+narrowest integer type that holds this bound; products are formed in int64.
+||T||_inf is 3 on the pentagrid and the dodecagrid, so within MAX_EXTENT the
+entries stay below 3**18 < 2**31 and 3**8 < 2**15: int32 and int16 keys.  On
+the heptagrid ||T||_inf is 53 and past extent 5 the bound needs int64; past
+extent 10 it says nothing (the largest entry is about 1.6e8, on the
+extent-18 chain), so each level checks its largest entry and raises
+RegionTooLarge before a product could pass int64.
+
+Float placement is computed on demand.  The build records, for each cell
+off the chain, the cell it was placed from and the side between them, and
+keeps the chain walk's placements; `Region.matrices` places every cell from
+these, a level at a time, on its first read.  Only render and the geometry
+checks read it; the engine, the verify scan and the oracle check never do.
 
 The chain's side labels are integers too.  The paper's tape line is built by
 the shift along the guideline that carries one neighbour of a tape cell onto
@@ -47,8 +55,8 @@ l0 + k gap and right side l0 + (k + 1) gap, mod p.  On the dodecagrid a step
 numbers the shared face op(s) in the neighbour, so (mirror face, left, right)
 goes to (op m, op r, op l) and alternates between two triples with the
 parity of k.  No float test decides which cells form the chain, their sides
-or the mirror face.  MAX_EXTENT bounds only the float placement matrices,
-which render and the geometry checks read.
+or the mirror face.  MAX_EXTENT bounds only the float placement, whose
+coordinates lose accuracy further out.
 
 A region is a pure function of (grid, radius, halfwidth), so a region file
 holds those three values and a format version, and loading one rebuilds
@@ -73,9 +81,9 @@ Guideline definitions:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -122,15 +130,27 @@ class Guideline:
 
 
 @dataclass
+class Placement:
+    """How build_region placed the cells: the chain by its walk, then every
+    later cell across one side of a cell placed before it."""
+    chain: np.ndarray           # (n_chain, d+1, d+1) walk placements
+    parent: np.ndarray          # (N - n_chain,) int32 cell placed from
+    side: np.ndarray            # (N - n_chain,) int8 parent's side crossed
+
+
+@dataclass
 class Region:
     grid: str
     radius: int
     halfwidth: int
-    matrices: np.ndarray        # (N, d+1, d+1) base-to-placed isometries
     adjacency: np.ndarray       # (N, n_sides), -1 where no cell was built
     dist: np.ndarray            # (N,) graph distance to the central segment
     positions: np.ndarray       # (N,) tape position, NO_POS off the guideline
     guideline: Guideline
+    # `matrices` follows from this on first read; a region made without it
+    # is given its matrices by assigning them
+    placement: Placement | None = field(default=None, repr=False,
+                                        compare=False)
 
     @property
     def shape(self) -> poly.CellShape:
@@ -138,7 +158,14 @@ class Region:
 
     @property
     def n_cells(self) -> int:
-        return self.matrices.shape[0]
+        return self.adjacency.shape[0]
+
+    @cached_property
+    def matrices(self) -> np.ndarray:
+        """(N, d+1, d+1) base-to-placed isometries, placed on first read."""
+        if self.placement is None:
+            raise ValueError("region has neither matrices nor a placement")
+        return _place(self)
 
     @property
     def centers(self) -> np.ndarray:
@@ -316,7 +343,7 @@ def build_region(grid: str, radius: int, halfwidth: int) -> Region:
 
     chain_order = [0] + [q for q in range(-extent, extent + 1) if q != 0]
     chain_at = np.array(chain_order) + extent    # index of each chain id
-    mats, q_chain = g_pos[chain_at], q_pos[chain_at]
+    q_chain = q_pos[chain_at]
     dist = np.array([0 if abs(q) <= halfwidth else -1 for q in chain_order],
                     dtype=np.int32)
     adj = np.full((n_chain, p), -1, dtype=np.int32)
@@ -324,6 +351,13 @@ def build_region(grid: str, radius: int, halfwidth: int) -> Region:
     h = keys.view(np.uint64) @ _HASH_ROW[:m]
     table_ids = np.argsort(h).astype(np.int32)
     table = h[table_ids]
+    # every cell lies within `extent` steps of the base cell, so its key
+    # entries are at most ||T||_inf ** extent; stored in the narrowest
+    # dtype that holds that bound, computed in int64
+    bound = int(np.abs(ck.steps).sum(axis=2).max()) ** extent
+    keys = keys.astype(next((t for t in (np.int16, np.int32)
+                             if bound <= np.iinfo(t).max), np.int64))
+    placed_from, placed_side = [], []
 
     # frontier cell k has Q = par[rows[k]] @ T[sa[k]] @ T[sb[k]]: par holds
     # the chain's Q, then that of the frontier's grandparents; step p is the
@@ -390,14 +424,14 @@ def build_region(grid: str, radius: int, halfwidth: int) -> Region:
             new_x = mx[fresh]
             n = n0 + new_x.size
             adj[frontier[mx // p], mx % p] = n0 + (np.cumsum(fresh) - 1)[first]
-            mats, adj, dist, keys = (np.pad(
+            adj, dist, keys = (np.pad(
                 v, [(0, new_x.size)] + [(0, 0)] * (v.ndim - 1), constant_values=c)
-                for v, c in ((mats, 0), (adj, -1), (dist, -1), (keys, 0)))
+                for v, c in ((adj, -1), (dist, -1), (keys, 0)))
             for j in range(0, new_x.size, chunk):
                 x = new_x[j:j + chunk]
                 keys[n0 + j:n0 + j + x.size] = keys_at(x)
-                mats[n0 + j:n0 + j + x.size] = np.einsum(
-                    "mab,mbc->mac", mats[frontier[x // p]], steps[x % p])
+            placed_from.append(frontier[new_x // p].astype(np.int32))
+            placed_side.append((new_x % p).astype(np.int8))
             order = np.argsort(mh[fresh])
             at = np.searchsorted(table, mh[fresh][order])
             table = np.insert(table, at, mh[fresh][order])
@@ -432,18 +466,9 @@ def build_region(grid: str, radius: int, halfwidth: int) -> Region:
     order = np.argsort(chain_at).astype(np.int32)
     mirror_ids = None
     if grid == "dodecagrid":
-        # renumber every chain cell so that face 0 faces the reflected cell,
-        # face 1 the previous chain cell and face 4 the next one
-        index = {mo: i for i, mo in enumerate(shape.rotation_motions)}
-        for mf, lf, rf in _CHAIN_FACES:
-            motion = sym.complete_motion(mf, lf)
-            if motion[4] != rf:
-                raise AssertionError("chain renumbering does not place the "
-                                     "next cell at face 4")
-            rot = shape.base_rotations[index[motion]]
-            for k in np.flatnonzero(mirror[chain_at] == mf):
-                mats[k] = mats[k] @ rot
-                adj[k] = adj[k][list(motion)]
+        for mf, motion, _ in _chain_renumbering(shape):
+            k = np.flatnonzero(mirror[chain_at] == mf)
+            adj[k] = adj[k][:, motion]
         mirror_ids = adj[order, 0]
         left = np.full(n_chain, 1, dtype=np.int32)
         right = np.full(n_chain, 4, dtype=np.int32)
@@ -462,14 +487,62 @@ def build_region(grid: str, radius: int, halfwidth: int) -> Region:
         grid=grid,
         radius=radius,
         halfwidth=halfwidth,
-        matrices=mats,
         adjacency=adj,
         dist=dist,
         positions=positions,
         guideline=guideline,
+        placement=Placement(
+            chain=g_pos[chain_at],
+            parent=np.concatenate(placed_from),
+            side=np.concatenate(placed_side)),
     )
     _check_chain(region)
     return region
+
+
+def _chain_renumbering(shape: poly.CellShape):
+    """For each dodecagrid face triple (mirror face, left, right): the
+    mirror face, the face permutation that renumbers a chain cell so that
+    face 0 faces the reflected cell, face 1 the previous chain cell and
+    face 4 the next one, and the base rotation that performs it."""
+    index = {mo: i for i, mo in enumerate(shape.rotation_motions)}
+    out = []
+    for mf, lf, rf in _CHAIN_FACES:
+        motion = sym.complete_motion(mf, lf)
+        if motion[4] != rf:
+            raise AssertionError("chain renumbering does not place the "
+                                 "next cell at face 4")
+        out.append((mf, list(motion), shape.base_rotations[index[motion]]))
+    return out
+
+
+def _place(region: Region) -> np.ndarray:
+    """Every cell's placement: the chain's from its walk, then each later
+    cell's as its parent's times the step across its side, a BFS level at
+    a time (a level's cells have consecutive ids and parents placed
+    before them).  Last, the dodecagrid chain renumbering turns each chain
+    cell by its base rotation."""
+    pl, shape = region.placement, region.shape
+    steps = shape.step_matrices
+    n_chain = len(pl.chain)
+    mats = np.empty((region.n_cells,) + pl.chain.shape[1:])
+    mats[:n_chain] = pl.chain
+    chunk = max(1, _CHUNK // shape.n_sides)
+    bounds = n_chain + np.searchsorted(region.dist[n_chain:],
+                                       np.arange(1, region.radius + 2))
+    for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        for j in range(lo, hi, chunk):
+            end = min(j + chunk, hi)
+            k = slice(j - n_chain, end - n_chain)
+            mats[j:end] = np.einsum("mab,mbc->mac", mats[pl.parent[k]],
+                                    steps[pl.side[k]])
+    if region.grid == "dodecagrid":
+        mirror = _chain_labels(region.grid, shape.n_sides,
+                               region.positions[:n_chain])[0]
+        for mf, _, rot in _chain_renumbering(shape):
+            k = np.flatnonzero(mirror == mf)
+            mats[k] = mats[k] @ rot
+    return mats
 
 
 def _check_chain(region: Region) -> None:

@@ -382,11 +382,11 @@ def build_region(grid: str, radius: int, halfwidth: int) -> Region:
         grid=grid,
         radius=radius,
         halfwidth=halfwidth,
-        matrices=mats,
         adjacency=adj,
         dist=dist,
         positions=positions,
         guideline=guideline,
     )
+    region.matrices = mats          # its own placements, not a Placement
     _check_chain(region)
     return region

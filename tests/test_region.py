@@ -1,10 +1,12 @@
 import hashlib
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from hypca import embed, engine
 from hypca import geometry as geo
 from hypca import region as reg
 from hypca import symmetry as sym
@@ -359,6 +361,38 @@ def assert_same_region(a: reg.Region, b: reg.Region) -> None:
 def test_region_matches_float_reference(region_of, grid, radius, hw):
     assert_same_region(region_of(grid, radius, hw),
                        float_ref.build_region(grid, radius, hw))
+
+
+def test_certify_path_places_no_cells(rule110, all_six):
+    """Building, verifying and checking against the oracle read only the
+    combinatorics; the placement matrices are computed on first read, and
+    then equal the float builder's, chain cells included."""
+    sizes = {"pentagrid": (3, 1), "heptagrid": (3, 1), "dodecagrid": (2, 1)}
+    for (method, grid), b in sorted(all_six.items()):
+        r = reg.build_region(grid, *sizes[grid])
+        init = engine.init_configuration(r, b, [1])
+        assert embed.verify_unique_applicability(b, r, init, 2).ok
+        assert engine.equivalence_check(rule110, b, r, [1],
+                                        r.radius - 1).ok
+        assert "matrices" not in vars(r), (method, grid)
+        ref = float_ref.build_region(grid, *sizes[grid]).matrices
+        assert r.matrices.dtype == ref.dtype
+        assert np.array_equal(r.matrices, ref), (method, grid)
+
+
+def test_build_memory_is_bounded():
+    """No placement matrices and narrow keys: the dodecagrid r4 hw1 build
+    (18,691 cells) peaked at 8.9 MB of traced allocations while it placed
+    every cell with int64 keys, and at 5.3 MB without."""
+    reg.build_region("dodecagrid", 1, 0)       # warm the per-grid caches
+    tracemalloc.start()
+    try:
+        r = reg.build_region("dodecagrid", 4, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert r.n_cells == 18691
+    assert peak < 7_000_000
 
 
 def _coxeter_matrix(grid: str) -> np.ndarray:
