@@ -322,10 +322,16 @@ class RuleTable:
         return moved, out[moved]
 
     def decode(self, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(self states, (len, arity) neighbour states) of context codes."""
-        powers = self.base ** np.arange(self.arity + 1, dtype=np.int64)
-        digits = (codes[:, None] // powers) % self.base
-        return digits[:, -1], digits[:, :-1]
+        """(self states, (len, arity) neighbour states) of context codes.
+
+        The digits are taken one row at a time, least significant first;
+        the neighbour states come back as a transposed view of the rows."""
+        digits = np.empty((self.arity + 1, len(codes)), dtype=np.int64)
+        rest = codes.astype(np.int64)
+        for row in digits[:-1]:
+            np.divmod(rest, self.base, out=(rest, row))
+        digits[-1] = rest
+        return digits[-1], digits[:-1].T
 
 
 def compile_rules(automaton: HcaAutomaton) -> RuleTable:

@@ -436,6 +436,10 @@ def build_region(grid: str, radius: int, halfwidth: int) -> Region:
             at = np.searchsorted(table, mh[fresh][order])
             table = np.insert(table, at, mh[fresh][order])
             table_ids = np.insert(table_ids, at, (n0 + order).astype(np.int32))
+            # the new cells are in the table: free the misses before the
+            # next level's candidate pass
+            del mx, mh, first, fresh, order, at, q, e, same
+        del miss_x, miss_h
         # the next level: new cells and chain cells reached for the first
         # time, in order of first occurrence.  A new cell's grandparent is
         # par[rows] @ T[sa] at its parent, stored once per run of parents

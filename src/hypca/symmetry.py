@@ -12,7 +12,11 @@ Two rotation-invariance checkers share one verdict: `check_rotation_invariance`
 groups rules by `minimal_form`, one rotation at a time, and stays as the
 reference; `orbit_conflicts` works on a `RuleArrays`, a rule set held as
 int64 arrays of own states, neighbour states and next states, and finds
-the orbit key of every rule with one integer matrix product per chunk.
+the orbit key of every rule with one matrix product per chunk of rules.
+That product runs in float64, on BLAS, whenever base ** arity <= 2 ** 53,
+since every term and partial sum is then an integer float64 holds exactly;
+past that (22 to 28 states on the dodecagrid) it runs in int64, which is
+exact up to the code limit but has no BLAS kernel.
 """
 from __future__ import annotations
 
@@ -288,8 +292,11 @@ class RuleArrays(Sequence):
             yield RuleContext(s, tuple(nb)), out
 
 
-# rules keyed at once by `orbit_conflicts`; the chunk's (chunk, |G|) int64
-# key matrix stays under half a megabyte on the dodecagrid
+# rules keyed at once by `orbit_conflicts`.  The chunk's (|G|, chunk) key
+# matrix stays under half a megabyte on the dodecagrid, and OpenBLAS runs a
+# (60 x 12) by (12 x 1,024) float product on one thread; at 2,048 columns
+# it already starts a second one, so the chunk stays at 1,024 rules or
+# fewer.
 _ORBIT_CHUNK = 1024
 
 
@@ -305,12 +312,16 @@ def orbit_conflicts(
     the orbit key.  Rotation g reads side rows[g, i] at digit i, rows being
     `rotation_indices(p)`, so side j lands at digit pos[g, j], pos[g] the
     inverse of rows[g]; the neighbour part of every rotated code is then
-    one product `nbs @ W` per chunk of rules, with
-    W[j, g] = base ** (p - 1 - pos[g, j]).  `require_codes_fit` keeps every
-    code below 2**63, so the int64 product is exact.  The groups and their
-    members come out in the same order as from
-    `check_rotation_invariance`; only the members of a returned group are
-    made into `RuleContext`s.
+    one (rotations x rules) product `W @ nbs.T` per chunk of rules, with
+    W[g, j] = base ** (p - 1 - pos[g, j]), and the key is its least entry
+    per column.  Every neighbour part is below base ** p, so when
+    base ** p <= 2 ** 53 each term and partial sum is an integer that
+    float64 holds exactly, in any summation order, and the product runs in
+    float64 on BLAS.  Larger bases take the int64 product, exact because
+    `require_codes_fit` keeps every code below 2**63.  The own-state digit
+    is added in int64.  The groups and their members come out in the same
+    order as from `check_rotation_invariance`; only the members of a
+    returned group are made into `RuleContext`s.
     """
     rules = RuleArrays.pack(rules)
     if not len(rules):
@@ -319,11 +330,15 @@ def orbit_conflicts(
     base = int(max(rules.selfs.max(), rules.nbs.max())) + 1
     require_codes_fit(base, arity)
     pos = np.argsort(rotation_indices(arity), axis=1)
-    weight = base ** (arity - 1 - pos.T).astype(np.int64)
+    weight = base ** (arity - 1 - pos).astype(np.int64)
+    if base ** arity <= 2 ** 53:
+        weight = weight.astype(np.float64)
+    nbs = rules.nbs.T
     keys = np.empty(len(rules), dtype=np.int64)
     for lo in range(0, len(rules), _ORBIT_CHUNK):
-        chunk = rules.nbs[lo:lo + _ORBIT_CHUNK] @ weight
-        keys[lo:lo + len(chunk)] = chunk.min(axis=1)
+        chunk = weight @ nbs[:, lo:lo + _ORBIT_CHUNK].astype(weight.dtype,
+                                                          copy=False)
+        keys[lo:lo + chunk.shape[1]] = chunk.min(axis=0)
     keys += rules.selfs * base ** arity
     order = np.argsort(keys, kind="stable")
     keys, outs = keys[order], rules.outs[order]

@@ -224,14 +224,15 @@ def test_expansion_makes_rule_objects_only_when_read(monkeypatch):
                for v in (ctx.self_state, *ctx.neighbor_states, out))
 
 
-def _random_dodecagrid_rules(n_states, rng, contexts=30, copies=3):
-    """Seeded random contexts over `n_states` states, each with an output
-    and `copies` rotated copies giving the same output."""
+def _random_dodecagrid_rules(n_states, rng, contexts=30, copies=3, low=0):
+    """Seeded random contexts over states `low`..`n_states - 1`, each with
+    an output and `copies` rotated copies giving the same output."""
     motions = sym.all_motions()
     rules = []
     for _ in range(contexts):
-        ctx = sym.RuleContext(int(rng.integers(n_states)),
-                              tuple(rng.integers(n_states, size=12).tolist()))
+        ctx = sym.RuleContext(
+            int(rng.integers(low, n_states)),
+            tuple(rng.integers(low, n_states, size=12).tolist()))
         out = int(rng.integers(n_states))
         rules.append((ctx, out))
         for g in rng.choice(len(motions), size=copies, replace=False):
@@ -258,6 +259,47 @@ def test_orbit_keys_at_the_int64_limit():
     orbit = {sym.rotated_context(ctx, m) for m in sym.all_motions()}
     assert twin in fast[0]
     assert fast[0] == [(c, o) for c, o in planted if c in orbit]
+
+
+def _orbit_keys(rules, dtype):
+    """(own state, least neighbour code over the 60 rotations) per rule,
+    the codes summed in `dtype`."""
+    rules = sym.RuleArrays.pack(rules)
+    base = int(max(rules.selfs.max(), rules.nbs.max())) + 1
+    readings = rules.nbs[:, sym.rotation_indices(12)].astype(dtype)
+    codes = readings @ (base ** np.arange(11, -1, -1)).astype(dtype)
+    return list(zip(rules.selfs.tolist(), codes.min(axis=1).tolist()))
+
+
+def test_orbit_keys_at_the_float64_limit():
+    """Orbit keys are summed in float64 only while base**12 <= 2**53: 21
+    states at arity 12 (21**12 < 2**53 < 22**12).  At 22 states, contexts
+    over the top two states have neighbour codes above 2**53, where
+    float64 rounds; on this rule set float64 keys put rules of distinct
+    orbits, with different outputs, under one key (about ten such keys),
+    so a float product would report conflicts that do not exist.  Both
+    state counts must give the reference's verdict."""
+    for n_states in (21, 22):
+        rng = np.random.default_rng(n_states)
+        rules = _random_dodecagrid_rules(n_states, rng, contexts=200,
+                                         copies=2, low=n_states - 2)
+        ctx, out = rules[7]
+        twin = (sym.rotated_context(ctx, sym.all_motions()[17]),
+                (out + 1) % n_states)
+        rules.append(twin)
+        fast = sym.orbit_conflicts(rules)
+        assert fast == sym.check_rotation_invariance(rules), n_states
+        assert any(twin in group for group in fast)
+        exact = _orbit_keys(rules, np.int64)
+        rounded = _orbit_keys(rules, np.float64)
+        if n_states == 21:
+            assert rounded == exact
+            continue
+        merged = {}
+        for e, f, (_, o) in zip(exact, rounded, rules):
+            merged.setdefault(f, set()).add((e, o))
+        assert any(len({e for e, _ in v}) > 1 and len({o for _, o in v}) > 1
+                   for v in merged.values())
 
 
 def test_orbit_keys_refuse_a_29th_state():
@@ -294,6 +336,29 @@ def test_code_limit_names_the_limit():
     assert peak < 100_000
     # the largest dodecagrid state count still fits
     sym.require_codes_fit(28, 12)
+
+
+def test_decode_at_the_code_limit():
+    """28 states at arity 12, the largest dodecagrid code: `decode`
+    inverts it digit for digit, as the broadcast formula does."""
+    table = embed.RuleTable(base=28, arity=12, codes=np.zeros(0, np.int64),
+                            readings=np.zeros(0, np.int64),
+                            lo=np.zeros(0, np.int64),
+                            hi=np.zeros(0, np.int64))
+    top = 28 ** 13 - 1
+    codes = np.r_[np.array([0, top], dtype=np.int64),
+                  np.random.default_rng(28).integers(0, top, size=5000,
+                                                     endpoint=True)]
+    selfs, nbs = table.decode(codes)
+    powers = 28 ** np.arange(13, dtype=np.int64)
+    digits = (codes[:, None] // powers) % 28
+    assert selfs.dtype == nbs.dtype == np.int64
+    assert selfs.shape == (len(codes),) and nbs.shape == (len(codes), 12)
+    assert np.array_equal(selfs, digits[:, -1])
+    assert np.array_equal(nbs, digits[:, :-1])
+    assert selfs[1] == 27 and (nbs[1] == 27).all()
+    assert not selfs[0] and not nbs[0].any()
+    assert np.array_equal(nbs @ powers[:-1] + selfs * powers[-1], codes)
 
 
 def _matcher_scan(b, region, init, horizon):
