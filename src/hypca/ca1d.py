@@ -109,11 +109,10 @@ def step_1d(rule: Rule1D, tape: Tape) -> Tape:
         raise ValueError("tape window must be nonempty")
     if rule.apply(tape.padding, tape.padding, tape.padding) != tape.padding:
         raise ValueError("padding state must be quiescent for this rule")
-    new = [
-        rule.apply(tape.value_at(i - 1), tape.value_at(i), tape.value_at(i + 1))
-        for i in range(tape.start - 1, tape.end + 1)
-    ]
-    return Tape(tuple(new), tape.start - 1, tape.padding)
+    # cell i of the grown window reads positions i - 1, i and i + 1
+    w = tape.window(tape.start - 2, tape.end + 2)
+    new = rule.table[w[:-2], w[1:-1], w[2:]]
+    return Tape(tuple(new.tolist()), tape.start - 1, tape.padding)
 
 
 def run_1d(rule: Rule1D, tape: Tape, steps: int) -> list[Tape]:

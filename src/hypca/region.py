@@ -22,12 +22,22 @@ The Geometry and Topology of Coxeter Groups, 2008):
 A cell reached by steps s1..sk carries Q = T_s1 ... T_sk and the key Q f0;
 two paths share a key exactly when they reach the same cell.  A frontier
 cell is held as its grandparent's Q and two steps, so only the shell two
-levels in stores matrices.  Candidates are probed in chunks against a
-sorted table by the linear hash r . key mod 2**64, computed as (r^T Q)
-times a fixed table of step products; full keys are formed only to confirm
-hits and for new cells, and they alone decide identity.  The side a cell
-was entered by leads back to its parent and needs no lookup.  New cells are
-numbered in order of first occurrence in (frontier, side) order.
+levels in stores matrices.  Two kinds of neighbour need no lookup.  The
+side a cell x was entered by leads back to its parent y.  And where
+T_s T_t f0 == T_s' f0, an identity of the step operators tabulated once per
+grid, x entered across side s of y has y's neighbour across s' across its
+side t; it is read off y's row, complete since the previous level.  On the
+heptagrid, where three cells meet at each vertex, that is two sides of
+every cell with a parent; on the right-angled grids, two cells that share
+a side share no neighbour and the table is empty.  Every other candidate
+is hashed by the linear hash r . key mod 2**64, computed as (r^T Q) times a
+fixed table of step products.  A presence map holds one bit per bucket of
+stored hashes, a bucket being a hash's top bits, with at least eight
+buckets per stored cell; a candidate whose bucket is empty is a miss.  The
+rest, about one candidate in ten, are probed in chunks against a sorted
+table.  Full keys are formed only to confirm hits and for new cells, and
+they alone decide identity.  New cells are numbered in order of first
+occurrence in (frontier, side) order.
 
 Every entry of Q is at most ||T||_inf ** (halfwidth + radius), and so is
 every key entry, since ||f0||_inf = 1.  The table stores keys in the
@@ -61,9 +71,9 @@ coordinates lose accuracy further out.
 A region is a pure function of (grid, radius, halfwidth), so a region file
 holds those three values and a format version, and loading one rebuilds
 the region.  Rebuilding costs less than storing the arrays: the dodecagrid
-r4 hw1 ball (18,691 cells) builds in under 0.1 s on a 2-core x86 host,
-while its arrays take 7.5 MB of JSON.  Files without the version key, which
-store every array, load through the same rebuild.
+r4 hw1 ball (18,691 cells) builds in about 45 ms (median of 10 builds on a
+2-core x86 host), while its arrays take 7.5 MB of JSON.  Files without the
+version key, which store every array, load through the same rebuild.
 
 Guideline definitions:
 
@@ -197,6 +207,7 @@ def guide_normals(shape: poly.CellShape) -> list[np.ndarray]:
 
 
 _CHUNK = 8192                        # candidates per batched lookup
+_BUCKETS_PER_CELL = 8                # least presence-map buckets per cell
 _KEY_LIMIT = 2**63 - 1               # int64
 # the linear hash r . key mod 2**64, r_k = c**(k + 1) for an odd constant c
 _HASH_ROW = np.array([pow(0x9E3779B97F4A7C15, k, 2**64) for k in range(1, 13)],
@@ -209,6 +220,10 @@ class _CellKeys:
     via: np.ndarray       # (p + 1, p + 1, m, p): steps[a] steps[b] T_t f0
     f0: np.ndarray        # (m,)
     back: np.ndarray      # (p,): the side of the cell across s facing back
+    # (p + 1, p): the side s' with T_s T_t f0 == T_s' f0, or -1; the
+    # neighbour across t of the cell across s is the base cell's across s'.
+    # Row p, entry by no side, is all -1.
+    shared: np.ndarray
     growth: int           # largest column sum of |steps| and |via|
 
 
@@ -262,21 +277,78 @@ def _cell_keys(grid: str) -> _CellKeys:
     steps = np.concatenate([t, np.eye(len(f0), dtype=np.int64)[None]])
     via = steps[:, None] @ steps[None] @ (t @ f0).T
     back = (via[-1, :-1] == f0[:, None]).all(axis=1).argmax(axis=1)
+    # [s, t, s']: T_s T_t f0 == T_s' f0
+    hit = (via[-1, :-1, :, :, None] == via[-1, -1, None, :, None]).all(axis=1)
+    shared = np.full((len(t) + 1, len(t)), -1, dtype=np.int8)
+    shared[:-1] = np.where(hit.any(axis=2), hit.argmax(axis=2), -1)
     growth = max(int(np.abs(a).sum(axis=1).max()) for a in (steps, via))
-    return _CellKeys(steps, via, f0, back, growth)
+    return _CellKeys(steps, via, f0, back, shared, growth)
 
 
-def _hash_pairs(h: np.ndarray, table: np.ndarray,
-                ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _hash_pairs(h: np.ndarray, table: np.ndarray, ids: np.ndarray,
+                order: np.ndarray | None = None
+                ) -> tuple[np.ndarray, np.ndarray]:
     """(index into h, stored id) for every stored entry whose hash equals
-    h's.  `table` is sorted and `ids` lists the stored ids in its order."""
-    order = np.argsort(h)               # sorted probes search faster
+    h's.  `table` is sorted and `ids` lists the stored ids in its order;
+    `order` is an argsort of h, if the caller has one."""
+    if order is None:
+        order = np.argsort(h)           # sorted probes search faster
     h = h[order]
     lo = np.searchsorted(table, h)
     cnt = np.searchsorted(table, h, "right") - lo
     q = order[np.repeat(np.arange(len(h)), cnt)]
     slot = np.arange(len(q)) + np.repeat(lo - np.cumsum(cnt) + cnt, cnt)
     return q, ids[slot]
+
+
+def _extend(v: np.ndarray, k: int, fill: int) -> np.ndarray:
+    """v with k more rows, set to `fill`."""
+    out = np.empty((len(v) + k,) + v.shape[1:], dtype=v.dtype)
+    out[:len(v)] = v
+    out[len(v):] = fill
+    return out
+
+
+class _Presence:
+    """One bit per bucket of stored hashes, the bucket of a hash being its
+    top `width` bits.  A hash whose bucket is empty is not stored.  The map
+    keeps at least _BUCKETS_PER_CELL buckets per stored cell: past that it
+    grows by doublings to four times as many and is filled again from the
+    sorted table; otherwise a level's new hashes set their bits in place."""
+
+    def __init__(self, table: np.ndarray):
+        self.width, self.bits = 3, np.zeros(1, dtype=np.uint8)
+        self.add(table, table)
+
+    def _bit(self, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The byte and the bit in it of each hash's bucket."""
+        b = h >> np.uint64(64 - self.width)
+        return b >> np.uint64(3), np.left_shift(
+            np.uint8(1), (b & np.uint64(7)).astype(np.uint8))
+
+    def _set(self, h: np.ndarray) -> None:
+        """Set the bits of sorted hashes h: one OR per byte touched."""
+        for j in range(0, h.size, _CHUNK):
+            byte, bit = self._bit(h[j:j + _CHUNK])
+            start = np.flatnonzero(
+                np.concatenate([[True], byte[1:] != byte[:-1]]))
+            self.bits[byte[start]] |= np.bitwise_or.reduceat(bit, start)
+
+    def add(self, new: np.ndarray, table: np.ndarray) -> None:
+        """Record the sorted hashes `new`; `table` holds every stored hash,
+        `new` included."""
+        need = _BUCKETS_PER_CELL * table.size
+        if need > 2 ** self.width:
+            while 2 ** self.width < 4 * need:
+                self.width += 1
+            self.bits = np.zeros(2 ** (self.width - 3), dtype=np.uint8)
+            new = table
+        self._set(new)
+
+    def __call__(self, h: np.ndarray) -> np.ndarray:
+        """Whether each hash's bucket holds a stored hash."""
+        byte, bit = self._bit(h)
+        return (self.bits[byte] & bit).astype(bool)
 
 
 def _chain_labels(grid: str, p: int, pos: np.ndarray):
@@ -357,15 +429,16 @@ def build_region(grid: str, radius: int, halfwidth: int) -> Region:
     bound = int(np.abs(ck.steps).sum(axis=2).max()) ** extent
     keys = keys.astype(next((t for t in (np.int16, np.int32)
                              if bound <= np.iinfo(t).max), np.int64))
+    present = _Presence(table)
     placed_from, placed_side = [], []
 
     # frontier cell k has Q = par[rows[k]] @ T[sa[k]] @ T[sb[k]]: par holds
     # the chain's Q, then that of the frontier's grandparents; step p is the
     # identity.  parent[k] is the cell it was placed from, or -1.
     chunk = max(1, _CHUNK // p)
-    frontier = np.flatnonzero(dist == 0)
-    rows, sa, sb = frontier, np.full(frontier.size, p), np.full(frontier.size, p)
-    parent = np.full(frontier.size, -1)
+    frontier = np.flatnonzero(dist == 0).astype(np.int32)
+    rows, parent = frontier, np.full(frontier.size, -1, dtype=np.int32)
+    sa = sb = np.full(frontier.size, p, dtype=np.int8)
     par = q_chain
 
     def keys_at(x):
@@ -395,7 +468,11 @@ def build_region(grid: str, radius: int, halfwidth: int) -> Region:
             ids = np.full(h.size, -1, dtype=np.int32)
             up = np.flatnonzero(b < p)
             ids[up * p + ck.back[b[up]]] = parent[i0 + up]
+            # neighbours shared with the parent, whose row is complete
+            k, t = np.nonzero(ck.shared[b] >= 0)
+            ids[k * p + t] = adj[parent[i0 + k], ck.shared[b[k], t]]
             ask = np.flatnonzero(ids < 0)
+            ask = ask[present(h[ask])]
             q, found = _hash_pairs(h[ask], table, table_ids)
             q = ask[q]
             same = (keys_at(i0 * p + q) == keys[found]).all(axis=1)
@@ -412,34 +489,39 @@ def build_region(grid: str, radius: int, halfwidth: int) -> Region:
         n0 = n
         new_x = np.zeros(0, dtype=np.int64)
         if miss_x:
-            # misses that are one cell take the id of its first occurrence
+            # misses that are one cell take the id of its first occurrence.
+            # Each array is freed once used up, the last ones when the new
+            # cells are in the table, before the next level's candidate pass.
             mx, mh = np.concatenate(miss_x), np.concatenate(miss_h)
+            del miss_x, miss_h
             order = np.argsort(mh)
-            q, e = _hash_pairs(mh, mh[order], order)
+            q, e = _hash_pairs(mh, mh[order], order, order)
             q, e = q[e < q], e[e < q]
             same = (keys_at(mx[q]) == keys_at(mx[e])).all(axis=1)
             first = np.arange(mx.size)
             np.minimum.at(first, q[same], e[same])
+            del q, e, same
             fresh = first == np.arange(mx.size)
             new_x = mx[fresh]
             n = n0 + new_x.size
-            adj[frontier[mx // p], mx % p] = n0 + (np.cumsum(fresh) - 1)[first]
-            adj, dist, keys = (np.pad(
-                v, [(0, new_x.size)] + [(0, 0)] * (v.ndim - 1), constant_values=c)
-                for v, c in ((adj, -1), (dist, -1), (keys, 0)))
+            new_id = n0 - 1 + np.cumsum(fresh, dtype=np.int32)
+            adj[frontier[mx // p], mx % p] = new_id[first]
+            del mx, first
+            adj, dist, keys = (_extend(v, new_x.size, c)
+                               for v, c in ((adj, -1), (dist, -1), (keys, 0)))
             for j in range(0, new_x.size, chunk):
                 x = new_x[j:j + chunk]
                 keys[n0 + j:n0 + j + x.size] = keys_at(x)
-            placed_from.append(frontier[new_x // p].astype(np.int32))
+            placed_from.append(frontier[new_x // p])
             placed_side.append((new_x % p).astype(np.int8))
-            order = np.argsort(mh[fresh])
-            at = np.searchsorted(table, mh[fresh][order])
-            table = np.insert(table, at, mh[fresh][order])
-            table_ids = np.insert(table_ids, at, (n0 + order).astype(np.int32))
-            # the new cells are in the table: free the misses before the
-            # next level's candidate pass
-            del mx, mh, first, fresh, order, at, q, e, same
-        del miss_x, miss_h
+            order = order[fresh[order]]          # the new cells by hash
+            new_h, new_id = mh[order], new_id[order]
+            del mh, fresh, order
+            at = np.searchsorted(table, new_h)
+            table = np.insert(table, at, new_h)
+            table_ids = np.insert(table_ids, at, new_id)
+            present.add(new_h, table)
+            del new_h, new_id, at
         # the next level: new cells and chain cells reached for the first
         # time, in order of first occurrence.  A new cell's grandparent is
         # par[rows] @ T[sa] at its parent, stored once per run of parents
@@ -448,17 +530,26 @@ def build_region(grid: str, radius: int, halfwidth: int) -> Region:
         g_row, g_step = rows[k], sa[k]
         run = g_step < p
         run[1:] &= (g_row[1:] != g_row[:-1]) | (g_step[1:] != g_step[:-1])
-        g_row = np.where(g_step < p, n_chain + np.cumsum(run) - 1, g_row)
-        par = np.concatenate([q_chain,
-                              par[rows[k[run]]] @ ck.steps[g_step[run]]])
-        chain_ids = np.array(list(reached), dtype=np.int64)
+        g_row = np.where(g_step < p,
+                         n_chain - 1 + np.cumsum(run, dtype=np.int32), g_row)
+        src, g_step = rows[k[run]], g_step[run]
+        grand = np.empty((n_chain + src.size, m, m), dtype=np.int64)
+        grand[:n_chain] = q_chain
+        for j in range(0, src.size, chunk):
+            np.matmul(par[src[j:j + chunk]], ck.steps[g_step[j:j + chunk]],
+                      out=grand[n_chain + j:n_chain + j + chunk])
+        par = grand
+        chain_ids = np.array(list(reached), dtype=np.int32)
         order = np.argsort(np.concatenate([new_x, np.array(
             list(reached.values()), dtype=np.int64)]), kind="stable")
-        none = np.full(chain_ids.size, p)
+        order = order.astype(np.int32)
+        none = np.full(chain_ids.size, p, dtype=np.int8)
         rows, sa, sb, parent = (np.concatenate(v)[order] for v in (
-            (g_row, chain_ids), (sb[k], none), (new_x % p, none),
-            (frontier[k], np.full(chain_ids.size, -1))))
-        frontier = np.concatenate([np.arange(n0, n), chain_ids])[order]
+            (g_row, chain_ids), (sb[k], none),
+            ((new_x % p).astype(np.int8), none),
+            (frontier[k], np.full(chain_ids.size, -1, dtype=np.int32))))
+        frontier = np.concatenate([np.arange(n0, n, dtype=np.int32),
+                                   chain_ids])[order]
         dist[frontier] = level + 1
         level += 1
 

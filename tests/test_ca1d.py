@@ -75,6 +75,45 @@ def test_step_refuses_non_quiescent_padding():
         ca1d.step_1d(rule, ca1d.word_tape([1]))
 
 
+def _step_per_cell(rule, tape):
+    """One update, one `rule.apply` per cell: the loop `step_1d` replaced,
+    kept as its reference."""
+    new = [
+        rule.apply(tape.value_at(i - 1), tape.value_at(i), tape.value_at(i + 1))
+        for i in range(tape.start - 1, tape.end + 1)
+    ]
+    return ca1d.Tape(tuple(new), tape.start - 1, tape.padding)
+
+
+def test_step_matches_per_cell_reference():
+    rng = np.random.default_rng(1401)
+    runs = 0
+    while runs < 200:
+        n = int(rng.integers(2, 5))
+        rule = ca1d.random_rule(n, rng)
+        quiet = ca1d.quiescent_states(rule)
+        if not quiet:
+            continue
+        word = rng.integers(0, n, size=int(rng.integers(1, 9)))
+        start, padding = int(rng.integers(-6, 6)), int(rng.choice(quiet))
+        tape = ca1d.Tape(word, start, padding)
+        for _ in range(5):
+            got, want = ca1d.step_1d(rule, tape), _step_per_cell(rule, tape)
+            assert got == want
+            assert all(type(c) is int for c in got.cells)
+            tape = got
+        runs += 1
+
+
+def test_step_errors_unchanged():
+    rule = ca1d.elementary(110)
+    with pytest.raises(ValueError, match="^tape window must be nonempty$"):
+        ca1d.step_1d(rule, ca1d.Tape((), 0, 0))
+    quiescent = "^padding state must be quiescent for this rule$"
+    with pytest.raises(ValueError, match=quiescent):
+        ca1d.step_1d(rule, ca1d.Tape((1,), 0, 1))
+
+
 def test_identity_rule_keeps_word():
     rule = ca1d.elementary(204)     # new state = own state
     rows = ca1d.run_1d(rule, ca1d.word_tape([1, 0, 1]), 3)

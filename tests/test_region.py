@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import tracemalloc
@@ -411,6 +412,23 @@ def test_build_frees_each_levels_misses():
     assert peak < 4_100_000
 
 
+def test_build_level_bookkeeping_is_narrow():
+    """Side numbers are int8 and cell and row numbers int32 in the level
+    bookkeeping, and each array is freed once used up: the dodecagrid r5
+    hw2 build (236,665 cells) peaked at 48.8 MB of traced allocations with
+    int64 bookkeeping, and at 36.8 MB now (43.0 MB with int64 side
+    numbers alone)."""
+    reg.build_region("dodecagrid", 1, 0)       # warm the per-grid caches
+    tracemalloc.start()
+    try:
+        r = reg.build_region("dodecagrid", 5, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert r.n_cells == 236665
+    assert peak < 40_000_000
+
+
 def _coxeter_matrix(grid: str) -> np.ndarray:
     """Orders of products of generator pairs, 0 for infinity, from the
     tiling's combinatorics."""
@@ -453,6 +471,76 @@ def test_full_keys_decide_identity(monkeypatch, grid, radius, hw):
     monkeypatch.setattr(reg, "_HASH_ROW", np.zeros(12, dtype=np.uint64))
     assert_same_region(reg.build_region(grid, radius, hw),
                        float_ref.build_region(grid, radius, hw))
+
+
+@pytest.mark.parametrize("grid", ["pentagrid", "heptagrid", "dodecagrid"])
+def test_shared_neighbours_are_step_identities(grid):
+    """shared[s, t] = s' exactly when T_s T_t f0 == T_s' f0: {7,3} has three
+    cells at a vertex, so across each side the heptagrid shares two
+    neighbours; on the right-angled grids two cells that share a side share
+    no neighbour."""
+    ck = reg._cell_keys(grid)
+    p = len(ck.back)
+    t_f0 = ck.steps[:p] @ ck.f0
+    for s in range(p):
+        for t in range(p):
+            key = ck.steps[s] @ ck.steps[t] @ ck.f0
+            hits = [u for u in range(p) if np.array_equal(key, t_f0[u])]
+            assert hits == ([ck.shared[s, t]] if ck.shared[s, t] >= 0
+                            else []), (s, t)
+    assert (ck.shared[p] == -1).all()
+    per_side = (ck.shared[:p] >= 0).sum(axis=1)
+    assert (per_side == (2 if grid == "heptagrid" else 0)).all()
+
+
+@pytest.mark.parametrize("grid,radius,hw", DIFFERENTIAL_SIZES)
+def test_lookup_shortcuts_change_no_cell(monkeypatch, region_of, grid,
+                                         radius, hw):
+    """With no shared neighbours and every bucket reported full, every
+    candidate goes through the hash search and the key confirmation; the
+    region must be the same."""
+    want = region_of(grid, radius, hw)
+    ck = reg._cell_keys(grid)
+    monkeypatch.setattr(reg, "_cell_keys", lambda g: dataclasses.replace(
+        ck, shared=np.full_like(ck.shared, -1)))
+    monkeypatch.setattr(reg._Presence, "__call__",
+                        lambda self, h: np.ones(h.size, dtype=bool))
+    assert_same_region(reg.build_region(grid, radius, hw), want)
+
+
+def test_lookups_skip_shared_and_empty_buckets(monkeypatch):
+    """On heptagrid r6 hw3 the candidate pass searched 28,525 hashes with
+    only the parent read off; reading shared neighbours and skipping empty
+    buckets leaves 2,544."""
+    searched = []
+    hash_pairs = reg._hash_pairs
+
+    def count(h, table, ids, order=None):
+        if order is None:               # the candidate pass, not the dedup
+            searched.append(h.size)
+        return hash_pairs(h, table, ids, order)
+
+    monkeypatch.setattr(reg, "_hash_pairs", count)
+    assert reg.build_region("heptagrid", 6, 3).n_cells == 4751
+    assert sum(searched) < 4_000
+
+
+def test_presence_map_holds_every_stored_hash():
+    """No stored hash is ever reported absent, as the map grows over
+    batches; and it keeps at least eight buckets per stored hash."""
+    rng = np.random.default_rng(1402)
+    table = np.sort(rng.integers(0, 2**64, size=5, dtype=np.uint64))
+    present = reg._Presence(table)
+    for size in (3, 40, 7, 900, 2, 20_000, 11):
+        new = np.sort(rng.integers(0, 2**64, size=size, dtype=np.uint64))
+        table = np.sort(np.concatenate([table, new]))
+        present.add(new, table)
+        assert present(table).all()
+        assert 2 ** present.width >= reg._BUCKETS_PER_CELL * table.size
+        probes = rng.integers(0, 2**64, size=4000, dtype=np.uint64)
+        buckets = table >> np.uint64(64 - present.width)
+        want = np.isin(probes >> np.uint64(64 - present.width), buckets)
+        assert np.array_equal(present(probes), want)
 
 
 def test_key_limit_names_the_limit(monkeypatch):
