@@ -6,7 +6,7 @@ from .embed import (HcaAutomaton, NotFixable, embed_compact,
 from .engine import (Configuration, equivalence_check, init_configuration,
                      run_hca, step_hca, yellow_trace)
 from .region import Region, build_region
-from .symmetry import all_motions, check_rotation_invariance, minimal_form
+from .symmetry import all_motions
 
 __version__ = "0.1.0"
 
@@ -17,5 +17,5 @@ __all__ = [
     "Configuration", "equivalence_check", "init_configuration",
     "run_hca", "step_hca", "yellow_trace",
     "Region", "build_region",
-    "all_motions", "check_rotation_invariance", "minimal_form",
+    "all_motions",
 ]

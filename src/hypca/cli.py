@@ -97,9 +97,9 @@ def cmd_verify(args) -> int:
     report = embed.verify_unique_applicability(b, region, init, args.horizon)
     lines = [f"rotation invariance: {len(conflicts)} conflict groups"]
     for group in conflicts[:8]:
-        ctx, out = group[0]
-        lines.append(f"  conflicting orbit near self={ctx.self_state} "
-                     f"nbrs={ctx.neighbor_states} -> {out}")
+        lines.append(f"  conflicting orbit near self={group.selfs[0]} "
+                     f"nbrs={tuple(group.nbs[0].tolist())} "
+                     f"-> {group.outs[0]}")
     _write(args.output, "\n".join(lines) + "\n" + report.text())
     return 0 if report.ok and not conflicts else 1
 

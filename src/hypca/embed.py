@@ -21,8 +21,8 @@ unique-applicability scan reads its verdicts from it, and `expanded_rules`
 lists its single-reading contexts as explicit rules, held as the table's
 arrays, so the invariance checker can say independently that matching is
 rotation invariant.
-`match_alignments` is the one-context matcher the table is tested against;
-it also spells out the readings in error messages.
+`reading_outcomes` spells out one context's readings for error messages,
+with the same alignment rows `compile_rules` uses.
 """
 from __future__ import annotations
 
@@ -120,12 +120,6 @@ class HcaAutomaton:
 
     def encode(self, a_state: int) -> int:
         return self.state_map[a_state]
-
-    def apply_action(self, left: int, self_state: int, right: int) -> int:
-        """Action on encoded states: decode, run the source rule, encode."""
-        inv = self.inverse_map()
-        return self.encode(
-            self.action.apply(inv[left], inv[self_state], inv[right]))
 
     @cached_property
     def rule_table(self) -> "RuleTable":
@@ -227,52 +221,32 @@ def embed_compact(rule: ca1d.Rule1D, grid: str) -> HcaAutomaton:
     )
 
 
-def alignments(automaton: HcaAutomaton):
-    """All rotated readings the matcher tries: shift counts for the
-    polygonal grids, face permutations for the dodecagrid."""
-    p = GRID_SIDES[automaton.grid]
-    if p == 12:
-        return sym.all_motions()
-    return range(p)
-
-
-def read_aligned(neighbors, alignment, i: int) -> int:
-    """The neighbour a pattern slot i sees under an alignment."""
-    if isinstance(alignment, tuple):
-        return neighbors[alignment[i]]
-    return neighbors[(i + alignment) % len(neighbors)]
-
-
-def match_alignments(automaton: HcaAutomaton, self_state: int,
-                     neighbors) -> list[tuple[int, int]]:
-    """All (left, right) readings under which the pattern matches.
-
-    Duplicates are collapsed; a context is admissible when exactly one
-    reading remains.
-    """
-    if self_state not in automaton.letters:
-        return []
-    pat = automaton.pattern
-    letters = automaton.letters
-    found: list[tuple[int, int]] = []
-    for al in alignments(automaton):
-        for i, slot in enumerate(pat.slots):
-            if not slot.accepts(read_aligned(neighbors, al, i), letters):
-                break
-        else:
-            lr = (read_aligned(neighbors, al, pat.left_index),
-                  read_aligned(neighbors, al, pat.right_index))
-            if lr not in found:
-                found.append(lr)
-    return found
-
-
 def reading_outcomes(automaton: HcaAutomaton, self_state: int,
                      neighbors) -> tuple[list[tuple[int, int]], list[int]]:
     """The readings of one context and the sorted next states they give,
-    as error messages spell them out."""
-    readings = match_alignments(automaton, self_state, neighbors)
-    outs = {automaton.apply_action(l, self_state, r) for l, r in readings}
+    as error messages spell them out.
+
+    Under alignment g slot i reads neighbour `rotation_indices(p)[g, i]`,
+    as in `compile_rules`.  A reading is the (left, right) pair of an
+    alignment under which every slot accepts what it reads; each is
+    listed once, in alignment order.
+    """
+    if self_state not in automaton.letters:
+        return [], []
+    pat = automaton.pattern
+    seen = np.asarray(neighbors, dtype=np.int64)[
+        sym.rotation_indices(len(pat.slots))]
+    pinned = np.array([s.kind == "fixed" for s in pat.slots])
+    state = np.array([s.state if s.kind == "fixed" else -1
+                      for s in pat.slots])
+    letter = (seen[..., None] == sorted(automaton.letters)).any(axis=-1)
+    match = np.where(pinned, seen == state, letter).all(axis=1)
+    pairs = seen[match][:, [pat.left_index, pat.right_index]].tolist()
+    readings = list(dict.fromkeys(map(tuple, pairs)))
+    inv = automaton.inverse_map()
+    outs = {automaton.encode(automaton.action.apply(inv[l], inv[self_state],
+                                                    inv[r]))
+            for l, r in readings}
     return readings, sorted(outs)
 
 

@@ -3,12 +3,12 @@
 A bounded region only approximates the infinite tiling, so a configuration
 carries a validity budget: after t steps the states within graph distance
 radius - t of the initial segment are exactly what the infinite tiling
-would hold, and stepping is refused once that budget is spent.  A scan
-run (`scan=True`) instead keeps stepping with a frozen rim; it wants
-breadth of contexts, not fidelity at the edge.  The unique-applicability
-scan in `embed` steps the same way without this module: it carries each
-complete cell's table row from step to step, and `RuleTable.moves`, the
-step rule this module applies too, turns the rows into next states.
+would hold, and stepping is refused once that budget is spent.  The
+unique-applicability scan in `embed` keeps stepping past the budget with
+a frozen rim, without this module: it wants breadth of contexts, not
+fidelity at the edge.  It carries each complete cell's table row from
+step to step, and `RuleTable.moves`, the step rule this module applies
+too, turns the rows into next states.
 
 Cells with a neighbour outside the region never update.  Everything else
 updates by the automaton: a uniquely readable pattern match applies the
@@ -157,24 +157,21 @@ def _first_candidates(automaton: emb.HcaAutomaton, region: Region,
 
 
 def _apply(automaton: emb.HcaAutomaton, region: Region, cfg: Configuration,
-           candidates: np.ndarray, scan: bool
-           ) -> tuple[Configuration, np.ndarray]:
+           candidates: np.ndarray) -> tuple[Configuration, np.ndarray]:
     """Update the candidate cells from the automaton's rule table;
     everything else keeps its state.  Returns the new configuration and
     the cells that changed, in candidate order."""
     states = cfg.states
     table = automaton.rule_table
     at = table.lookup(table.encode(states, region.adjacency, candidates))
-    if not scan:
-        split = (at >= 0) & (table.lo[at] != table.hi[at])
-        if split.any():
-            c = int(candidates[split][0])
-            nb = tuple(int(v) for v in states[region.adjacency[c]])
-            readings, outs = emb.reading_outcomes(automaton, int(states[c]),
-                                                  nb)
-            raise AmbiguousMatch(
-                f"cell {c} at time {cfg.time}: readings {readings} "
-                f"disagree, states {outs}")
+    split = (at >= 0) & (table.lo[at] != table.hi[at])
+    if split.any():
+        c = int(candidates[split][0])
+        nb = tuple(int(v) for v in states[region.adjacency[c]])
+        readings, outs = emb.reading_outcomes(automaton, int(states[c]), nb)
+        raise AmbiguousMatch(
+            f"cell {c} at time {cfg.time}: readings {readings} "
+            f"disagree, states {outs}")
     moved, out = table.moves(states[candidates], at)
     changed = candidates[moved].astype(np.int64)
     new_states = states.copy()
@@ -185,19 +182,14 @@ def _apply(automaton: emb.HcaAutomaton, region: Region, cfg: Configuration,
 
 
 def step_hca(automaton: emb.HcaAutomaton, region: Region,
-             cfg: Configuration, *, scan: bool = False) -> Configuration:
-    """One synchronous update.
-
-    Without `scan` the step consumes one unit of validity and is refused
-    once none is left.  With `scan` the step always proceeds and a cell
-    with disagreeing readings keeps its state instead of raising.
-    """
-    return run_hca(automaton, region, cfg, 1, scan=scan)[-1]
+             cfg: Configuration) -> Configuration:
+    """One synchronous update.  The step consumes one unit of validity
+    and is refused once none is left."""
+    return run_hca(automaton, region, cfg, 1)[-1]
 
 
 def run_hca(automaton: emb.HcaAutomaton, region: Region,
-            cfg: Configuration, steps: int, *,
-            scan: bool = False) -> list[Configuration]:
+            cfg: Configuration, steps: int) -> list[Configuration]:
     """The trajectory [cfg, step(cfg), ...] with `steps` updates.
 
     The candidate set is carried across steps: after the first full scan,
@@ -208,14 +200,14 @@ def run_hca(automaton: emb.HcaAutomaton, region: Region,
     out = [cfg]
     if steps <= 0:
         return out
-    if not scan and cfg.valid_radius < steps:
+    if cfg.valid_radius < steps:
         raise ValidityExhausted(
             f"{steps} step(s) from time {cfg.time} exceed the remaining "
             f"validity {cfg.valid_radius}")
     adj = region.adjacency
     cand = _first_candidates(automaton, region, cfg.states)
     while True:
-        new_cfg, changed = _apply(automaton, region, cfg, cand, scan)
+        new_cfg, changed = _apply(automaton, region, cfg, cand)
         out.append(new_cfg)
         if len(out) > steps:
             return out
@@ -295,13 +287,19 @@ def config_to_json(region: Region, cfg: Configuration) -> str:
 def config_from_json(text: str, region: Region) -> Configuration:
     import json
     doc = json.loads(text)
-    if doc["grid"] != region.grid:
-        raise ValueError(f"snapshot is for {doc['grid']}, "
-                         f"region is {region.grid}")
-    states = np.asarray(doc["states"], dtype=np.int16)
+    if not isinstance(doc, dict):
+        raise ValueError("a snapshot file holds one JSON object")
+    try:
+        grid, states = doc["grid"], doc["states"]
+        time, valid_radius = doc["time"], doc["valid_radius"]
+    except KeyError as e:
+        raise ValueError(f"snapshot file lacks the {e} key") from None
+    if grid != region.grid:
+        raise ValueError(f"snapshot is for {grid}, region is {region.grid}")
+    states = np.asarray(states, dtype=np.int16)
     if states.shape != (region.n_cells,):
         raise ValueError("snapshot does not fit the region")
-    return Configuration(states, int(doc["time"]), int(doc["valid_radius"]))
+    return Configuration(states, int(time), int(valid_radius))
 
 
 @dataclass

@@ -8,19 +8,19 @@ numbers 0..11.
 A motion is stored as a tuple ``m`` of 12 face numbers with ``m[i]`` the face
 onto which face ``i`` is carried.
 
-Two rotation-invariance checkers share one verdict: `check_rotation_invariance`
-groups rules by `minimal_form`, one rotation at a time, and stays as the
-reference; `orbit_conflicts` works on a `RuleArrays`, a rule set held as
-int64 arrays of own states, neighbour states and next states, and finds
-the orbit key of every rule with one matrix product per chunk of rules.
-That product runs in float64, on BLAS, whenever base ** arity <= 2 ** 53,
-since every term and partial sum is then an integer float64 holds exactly;
-past that (22 to 28 states on the dodecagrid) it runs in int64, which is
-exact up to the code limit but has no BLAS kernel.
+The rotation-invariance check `orbit_conflicts` works on a `RuleArrays`,
+a rule set held as int64 arrays of own states, neighbour states and next
+states, and finds the orbit key of every rule with one matrix product per
+chunk of rules.  That product runs in float64, on BLAS, whenever
+base ** arity <= 2 ** 53, since every term and partial sum is then an
+integer float64 holds exactly; past that (22 to 28 states on the
+dodecagrid) it runs in int64, which is exact up to the code limit but has
+no BLAS kernel.  A per-rule version, which groups (context, next state)
+pairs by their least re-reading one rotation at a time, is kept in
+`tests/symmetry_reference.py` as the reference.
 """
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -131,107 +131,13 @@ def canonical_cyclic(values: tuple) -> tuple:
     return min(tuple(values[(i + k) % p] for i in range(p)) for k in range(p))
 
 
-@dataclass(frozen=True)
-class RuleContext:
-    """The neighbourhood a transition rule reads: the cell's own state plus
-    the states of its neighbours in side (or face) order."""
-
-    self_state: int
-    neighbor_states: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "neighbor_states", tuple(self.neighbor_states))
-        if len(self.neighbor_states) not in (5, 7, 12):
-            raise ValueError(f"unsupported arity {len(self.neighbor_states)}")
-
-
-def rotated_context(ctx: RuleContext, motion) -> RuleContext:
-    """Re-read a context after rotating the cell.
-
-    For 5 or 7 neighbours `motion` is a cyclic shift count; for 12 it is a
-    Motion tuple.
-    """
-    nb = ctx.neighbor_states
-    if len(nb) == 12:
-        if not isinstance(motion, tuple) or len(motion) != 12:
-            raise ValueError("a 12-neighbour context needs a face permutation")
-        return RuleContext(ctx.self_state, rotate_faces(nb, motion))
-    if isinstance(motion, tuple):
-        raise ValueError("a cyclic context needs a shift count")
-    p = len(nb)
-    k = motion % p
-    return RuleContext(ctx.self_state, tuple(nb[(i + k) % p] for i in range(p)))
-
-
-def context_orbit(ctx: RuleContext) -> list[RuleContext]:
-    """All distinct re-readings of a context under the cell's rotations."""
-    if len(ctx.neighbor_states) == 12:
-        motions: Sequence = all_motions()
-    else:
-        motions = range(len(ctx.neighbor_states))
-    seen = []
-    for m in motions:
-        r = rotated_context(ctx, m)
-        if r not in seen:
-            seen.append(r)
-    return seen
-
-
-def minimal_form(ctx: RuleContext,
-                 state_order: Sequence[int] | None = None) -> RuleContext:
-    """The least re-reading of `ctx` over the cell's rotations.
-
-    `state_order` lists the states from smallest to largest; by default the
-    numeric values compare directly.  The result is the same for every
-    context in a rotation orbit.
-    """
-    if state_order is None:
-        def rank(s: int) -> int:
-            return s
-    else:
-        ranks = {s: i for i, s in enumerate(state_order)}
-        if len(ranks) != len(tuple(state_order)):
-            raise ValueError("state_order must not repeat states")
-
-        def rank(s: int) -> int:
-            return ranks[s]
-
-    def key(c: RuleContext) -> tuple:
-        return (rank(c.self_state), tuple(rank(s) for s in c.neighbor_states))
-
-    return min(context_orbit(ctx), key=key)
-
-
-def check_rotation_invariance(
-    rules: Iterable[tuple[RuleContext, int]],
-    state_order: Sequence[int] | None = None,
-) -> list[list[tuple[RuleContext, int]]]:
-    """Group rules by context orbit and report the groups whose outcomes
-    disagree.
-
-    `rules` yields (context, new_state) pairs.  Each reported group lists
-    the offending rules themselves; an empty list means the rule set is
-    rotation invariant.
-    """
-    groups: dict[tuple, list[tuple[RuleContext, int]]] = {}
-    for ctx, new_state in rules:
-        m = minimal_form(ctx, state_order)
-        key = (m.self_state, m.neighbor_states)
-        groups.setdefault(key, []).append((ctx, new_state))
-    conflicts = []
-    for key in sorted(groups):
-        members = groups[key]
-        if len({out for _, out in members}) > 1:
-            conflicts.append(members)
-    return conflicts
-
-
 def rotation_indices(arity: int) -> np.ndarray:
     """Every rotation of a cell as an index array, identity first.
 
     Row g holds, for each side (or face) i, the side whose state the
-    rotated cell reads at i: `values[rows[g]]` is `rotated_context`'s
-    re-reading under the g-th shift or motion.
+    rotated cell reads at i: `values[rows[g]]` re-reads a side-indexed
+    array under the g-th shift, or as `rotate_faces` does under the g-th
+    motion.
     """
     if arity == 12:
         return np.array(all_motions(), dtype=np.intp)
@@ -253,43 +159,16 @@ def require_codes_fit(n_states: int, arity: int) -> None:
 
 
 @dataclass(frozen=True, eq=False)
-class RuleArrays(Sequence):
+class RuleArrays:
     """A rule set as arrays: rule k reads own state `selfs[k]` and
-    neighbour states `nbs[k]`, and gives next state `outs[k]`.
-
-    As a sequence it yields the same (RuleContext, int) pairs as a list of
-    rules would, with Python ints; a `RuleContext` is made only when a rule
-    is indexed or iterated over.
-    """
+    neighbour states `nbs[k]`, and gives next state `outs[k]`."""
 
     selfs: np.ndarray       # (N,) int64
     nbs: np.ndarray         # (N, arity) int64
     outs: np.ndarray        # (N,) int64
 
-    @classmethod
-    def pack(cls, rules: Iterable[tuple[RuleContext, int]]) -> RuleArrays:
-        """The rule set of (context, next state) pairs; a `RuleArrays` is
-        returned as it is."""
-        if isinstance(rules, cls):
-            return rules
-        rules = list(rules)
-        return cls(
-            np.array([ctx.self_state for ctx, _ in rules], dtype=np.int64),
-            np.array([ctx.neighbor_states for ctx, _ in rules],
-                     dtype=np.int64),
-            np.array([out for _, out in rules], dtype=np.int64))
-
     def __len__(self) -> int:
         return len(self.outs)
-
-    def __getitem__(self, k: int) -> tuple[RuleContext, int]:
-        return (RuleContext(int(self.selfs[k]), tuple(self.nbs[k].tolist())),
-                int(self.outs[k]))
-
-    def __iter__(self) -> Iterator[tuple[RuleContext, int]]:
-        for s, nb, out in zip(self.selfs.tolist(), self.nbs.tolist(),
-                              self.outs.tolist()):
-            yield RuleContext(s, tuple(nb)), out
 
 
 # rules keyed at once by `orbit_conflicts`.  The chunk's (|G|, chunk) key
@@ -300,30 +179,28 @@ class RuleArrays(Sequence):
 _ORBIT_CHUNK = 1024
 
 
-def orbit_conflicts(
-    rules: Iterable[tuple[RuleContext, int]],
-) -> list[list[tuple[RuleContext, int]]]:
-    """`check_rotation_invariance` with numeric state order, on arrays.
+def orbit_conflicts(rules: RuleArrays) -> list[RuleArrays]:
+    """Group rules by the rotation orbit of their contexts and report the
+    groups whose next states disagree; an empty list means the rule set
+    is rotation invariant.
 
-    A plain iterable of pairs is packed into a `RuleArrays` first.  Each
-    context is coded with the cell's own state as the most significant
-    digit and side 0 next, so that comparing codes compares (self,
-    neighbours) lexicographically; the least code over the rotations is
-    the orbit key.  Rotation g reads side rows[g, i] at digit i, rows being
-    `rotation_indices(p)`, so side j lands at digit pos[g, j], pos[g] the
-    inverse of rows[g]; the neighbour part of every rotated code is then
-    one (rotations x rules) product `W @ nbs.T` per chunk of rules, with
-    W[g, j] = base ** (p - 1 - pos[g, j]), and the key is its least entry
-    per column.  Every neighbour part is below base ** p, so when
-    base ** p <= 2 ** 53 each term and partial sum is an integer that
-    float64 holds exactly, in any summation order, and the product runs in
-    float64 on BLAS.  Larger bases take the int64 product, exact because
-    `require_codes_fit` keeps every code below 2**63.  The own-state digit
-    is added in int64.  The groups and their members come out in the same
-    order as from `check_rotation_invariance`; only the members of a
-    returned group are made into `RuleContext`s.
+    Each context is coded with the cell's own state as the most
+    significant digit and side 0 next, so that comparing codes compares
+    (self, neighbours) lexicographically; the least code over the
+    rotations is the orbit key.  Rotation g reads side rows[g, i] at digit
+    i, rows being `rotation_indices(p)`, so side j lands at digit
+    pos[g, j], pos[g] the inverse of rows[g]; the neighbour part of every
+    rotated code is then one (rotations x rules) product `W @ nbs.T` per
+    chunk of rules, with W[g, j] = base ** (p - 1 - pos[g, j]), and the key
+    is its least entry per column.  Every neighbour part is below
+    base ** p, so when base ** p <= 2 ** 53 each term and partial sum is an
+    integer that float64 holds exactly, in any summation order, and the
+    product runs in float64 on BLAS.  Larger bases take the int64 product,
+    exact because `require_codes_fit` keeps every code below 2**63.  The
+    own-state digit is added in int64.  Each group is a `RuleArrays` of
+    its members in input order, and the groups come in ascending order of
+    their orbit key.
     """
-    rules = RuleArrays.pack(rules)
     if not len(rules):
         return []
     arity = rules.nbs.shape[1]
@@ -346,8 +223,9 @@ def orbit_conflicts(
     ends = np.r_[starts[1:], len(keys)]
     split = (np.minimum.reduceat(outs, starts)
              != np.maximum.reduceat(outs, starts))
-    return [[rules[k] for k in order[a:b].tolist()]
-            for a, b in zip(starts[split], ends[split])]
+    members = [order[a:b] for a, b in zip(starts[split], ends[split])]
+    return [RuleArrays(rules.selfs[m], rules.nbs[m], rules.outs[m])
+            for m in members]
 
 
 def motions_table_text() -> str:

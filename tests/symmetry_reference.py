@@ -1,0 +1,211 @@
+"""Per-rule references for the array code of `hypca.symmetry` and
+`hypca.embed`.
+
+`check_rotation_invariance` groups (context, next state) pairs by
+`minimal_form`, one rotation at a time; `symmetry.orbit_conflicts` must
+report the same groups, in the same order, from a `RuleArrays`.
+`match_alignments` tries the pattern under every rotated alignment of
+one context, a shift count on the polygonal grids or a face permutation
+on the dodecagrid; `embed.reading_outcomes` and the compiled
+`RuleTable` must give the same readings and next states.
+`frozen_rim_run` steps a configuration past the validity budget and
+through ambiguous contexts, as the verify scan does.
+"""
+from __future__ import annotations
+
+from collections.abc import Iterable, Sequence
+from dataclasses import dataclass
+
+import numpy as np
+
+from hypca import embed
+from hypca import symmetry as sym
+from hypca.symmetry import all_motions, rotate_faces
+
+
+@dataclass(frozen=True)
+class RuleContext:
+    """The neighbourhood a transition rule reads: the cell's own state plus
+    the states of its neighbours in side (or face) order."""
+
+    self_state: int
+    neighbor_states: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "neighbor_states", tuple(self.neighbor_states))
+        if len(self.neighbor_states) not in (5, 7, 12):
+            raise ValueError(f"unsupported arity {len(self.neighbor_states)}")
+
+
+def rotated_context(ctx: RuleContext, motion) -> RuleContext:
+    """Re-read a context after rotating the cell.
+
+    For 5 or 7 neighbours `motion` is a cyclic shift count; for 12 it is a
+    Motion tuple.
+    """
+    nb = ctx.neighbor_states
+    if len(nb) == 12:
+        if not isinstance(motion, tuple) or len(motion) != 12:
+            raise ValueError("a 12-neighbour context needs a face permutation")
+        return RuleContext(ctx.self_state, rotate_faces(nb, motion))
+    if isinstance(motion, tuple):
+        raise ValueError("a cyclic context needs a shift count")
+    p = len(nb)
+    k = motion % p
+    return RuleContext(ctx.self_state, tuple(nb[(i + k) % p] for i in range(p)))
+
+
+def context_orbit(ctx: RuleContext) -> list[RuleContext]:
+    """All distinct re-readings of a context under the cell's rotations."""
+    if len(ctx.neighbor_states) == 12:
+        motions: Sequence = all_motions()
+    else:
+        motions = range(len(ctx.neighbor_states))
+    seen = []
+    for m in motions:
+        r = rotated_context(ctx, m)
+        if r not in seen:
+            seen.append(r)
+    return seen
+
+
+def minimal_form(ctx: RuleContext,
+                 state_order: Sequence[int] | None = None) -> RuleContext:
+    """The least re-reading of `ctx` over the cell's rotations.
+
+    `state_order` lists the states from smallest to largest; by default the
+    numeric values compare directly.  The result is the same for every
+    context in a rotation orbit.
+    """
+    if state_order is None:
+        def rank(s: int) -> int:
+            return s
+    else:
+        ranks = {s: i for i, s in enumerate(state_order)}
+        if len(ranks) != len(tuple(state_order)):
+            raise ValueError("state_order must not repeat states")
+
+        def rank(s: int) -> int:
+            return ranks[s]
+
+    def key(c: RuleContext) -> tuple:
+        return (rank(c.self_state), tuple(rank(s) for s in c.neighbor_states))
+
+    return min(context_orbit(ctx), key=key)
+
+
+def check_rotation_invariance(
+    rules: Iterable[tuple[RuleContext, int]],
+    state_order: Sequence[int] | None = None,
+) -> list[list[tuple[RuleContext, int]]]:
+    """Group rules by context orbit and report the groups whose outcomes
+    disagree.
+
+    `rules` yields (context, new_state) pairs.  Each reported group lists
+    the offending rules themselves; an empty list means the rule set is
+    rotation invariant.
+    """
+    groups: dict[tuple, list[tuple[RuleContext, int]]] = {}
+    for ctx, new_state in rules:
+        m = minimal_form(ctx, state_order)
+        key = (m.self_state, m.neighbor_states)
+        groups.setdefault(key, []).append((ctx, new_state))
+    conflicts = []
+    for key in sorted(groups):
+        members = groups[key]
+        if len({out for _, out in members}) > 1:
+            conflicts.append(members)
+    return conflicts
+
+
+def pack(rules: Iterable[tuple[RuleContext, int]]) -> sym.RuleArrays:
+    """(context, next state) pairs as a `RuleArrays`, in the same order."""
+    rules = list(rules)
+    return sym.RuleArrays(
+        np.array([ctx.self_state for ctx, _ in rules], dtype=np.int64),
+        np.array([ctx.neighbor_states for ctx, _ in rules], dtype=np.int64),
+        np.array([out for _, out in rules], dtype=np.int64))
+
+
+def unpack(rules: sym.RuleArrays) -> list[tuple[RuleContext, int]]:
+    """A `RuleArrays` as (context, next state) pairs of Python ints."""
+    return [(RuleContext(s, tuple(nb)), out)
+            for s, nb, out in zip(rules.selfs.tolist(), rules.nbs.tolist(),
+                                  rules.outs.tolist())]
+
+
+def orbit_conflict_pairs(rules: Iterable[tuple[RuleContext, int]]
+                         ) -> list[list[tuple[RuleContext, int]]]:
+    """`symmetry.orbit_conflicts` on pairs, its groups read back as pairs,
+    for comparison with `check_rotation_invariance`."""
+    return [unpack(g) for g in sym.orbit_conflicts(pack(rules))]
+
+
+def alignments(automaton: embed.HcaAutomaton):
+    """All rotated readings the matcher tries: shift counts for the
+    polygonal grids, face permutations for the dodecagrid."""
+    p = embed.GRID_SIDES[automaton.grid]
+    if p == 12:
+        return all_motions()
+    return range(p)
+
+
+def read_aligned(neighbors, alignment, i: int) -> int:
+    """The neighbour a pattern slot i sees under an alignment."""
+    if isinstance(alignment, tuple):
+        return neighbors[alignment[i]]
+    return neighbors[(i + alignment) % len(neighbors)]
+
+
+def match_alignments(automaton: embed.HcaAutomaton, self_state: int,
+                     neighbors) -> list[tuple[int, int]]:
+    """All (left, right) readings under which the pattern matches.
+
+    Duplicates are collapsed; a context is admissible when exactly one
+    reading remains.
+    """
+    if self_state not in automaton.letters:
+        return []
+    pat = automaton.pattern
+    letters = automaton.letters
+    found: list[tuple[int, int]] = []
+    for al in alignments(automaton):
+        for i, slot in enumerate(pat.slots):
+            if not slot.accepts(read_aligned(neighbors, al, i), letters):
+                break
+        else:
+            lr = (read_aligned(neighbors, al, pat.left_index),
+                  read_aligned(neighbors, al, pat.right_index))
+            if lr not in found:
+                found.append(lr)
+    return found
+
+
+def reading_outcomes(automaton: embed.HcaAutomaton, self_state: int,
+                     neighbors) -> tuple[list[tuple[int, int]], list[int]]:
+    """`match_alignments`' readings and the sorted next states they give:
+    each reading decoded, run through the source rule and encoded."""
+    readings = match_alignments(automaton, self_state, neighbors)
+    inv = automaton.inverse_map()
+    outs = {automaton.encode(automaton.action.apply(inv[l], inv[self_state],
+                                                    inv[r]))
+            for l, r in readings}
+    return readings, sorted(outs)
+
+
+def frozen_rim_run(automaton: embed.HcaAutomaton, region,
+                   states: np.ndarray, steps: int) -> list[np.ndarray]:
+    """The states at times 0..steps, every complete cell stepping by the
+    rule table and every other cell frozen.  Unlike `engine.run_hca` it
+    has no validity budget, and a cell whose readings disagree keeps its
+    state instead of raising."""
+    table = automaton.rule_table
+    cells = np.flatnonzero(~(region.adjacency < 0).any(axis=1))
+    out = [states.copy()]
+    for _ in range(steps):
+        s = out[-1].copy()
+        at = table.lookup(table.encode(s, region.adjacency, cells))
+        moved, new = table.moves(s[cells], at)
+        s[cells[moved]] = new
+        out.append(s)
+    return out

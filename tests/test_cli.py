@@ -10,6 +10,8 @@ import hypca
 from hypca import cli
 from hypca import symmetry as sym
 
+import symmetry_reference as ref
+
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -82,18 +84,78 @@ def test_simulate_svg_dir(tmp_path, capsys):
 
 
 def test_verify_flags_bad_automaton(tmp_path, capsys):
+    """Two broken patterns on the dodecagrid: the extra-state one with the
+    reflected-row slot pinned, whose tape cells then have no reading, and
+    the compact one with faces 3 and 9 left free, whose tape cells read
+    both ways.  Every violation line spells out what the reference
+    matcher finds in that cell's context at that time."""
     import dataclasses
-    from hypca import ca1d, embed
-    good = embed.embed_extra_state(ca1d.elementary(110), "dodecagrid")
-    slots = list(good.pattern.slots)
-    slots[0] = embed.fixed(good.blue)
-    bad = dataclasses.replace(
-        good, pattern=embed.ContextPattern(tuple(slots)))
-    path = tmp_path / "bad.json"
-    path.write_text(embed.automaton_to_json(bad))
-    assert run_cli("verify", "--automaton", str(path), "--radius", "3",
-                   "--halfwidth", "1", "--horizon", "2") == 1
+    from hypca import ca1d, embed, engine, region
+    rule = ca1d.elementary(110)
+    extra = embed.embed_extra_state(rule, "dodecagrid")
+    compact = embed.embed_compact(rule, "dodecagrid")
+    slots = list(extra.pattern.slots)
+    slots[0] = embed.fixed(extra.blue)
+    unrepaired = dataclasses.replace(
+        extra, pattern=embed.ContextPattern(tuple(slots)))
+    slots = list(compact.pattern.slots)
+    slots[3] = slots[9] = embed.FREE_LETTER
+    loose = dataclasses.replace(
+        compact, pattern=embed.ContextPattern(tuple(slots)))
+    r = region.build_region("dodecagrid", 3, 1)
+    kinds = set()
+    for bad in (unrepaired, loose):
+        path = tmp_path / "bad.json"
+        path.write_text(embed.automaton_to_json(bad))
+        assert run_cli("verify", "--automaton", str(path), "--radius", "3",
+                       "--halfwidth", "1", "--horizon", "2") == 1
+        out = capsys.readouterr().out
+        run = ref.frozen_rim_run(
+            bad, r, engine.init_configuration(r, bad, [1]).states, 2)
+        lines = out[out.index("\nviolations: "):].splitlines()[2:]
+        assert lines
+        for ln in lines:
+            kind, t, c = ln.split(":")[0].split()
+            t, c = int(t[2:]), int(c[5:])
+            states = run[t]
+            readings, outs = ref.reading_outcomes(
+                bad, int(states[c]), tuple(states[r.adjacency[c]].tolist()))
+            detail = {
+                "ambiguous": f"readings {readings} give states {outs}",
+                "line-unmatched": "no admissible reading",
+                "off-line-changed": f"reading would move state to {outs}",
+            }[kind]
+            assert ln == f"  {kind} t={t} cell={c}: {detail}"
+            assert (len(outs) > 1) == (kind == "ambiguous")
+            assert (not readings) == (kind == "line-unmatched")
+            kinds.add(kind)
+    assert kinds == {"ambiguous", "line-unmatched"}
+
+
+def test_verify_prints_conflicting_orbit(tmp_path, capsys, monkeypatch):
+    """A planted conflict group: two re-readings of one pentagrid context
+    with different next states, beside a rule of another orbit.  Compiled
+    automata never conflict, so the check is replaced by one that
+    returns the group."""
+    import numpy as np
+    from hypca import embed
+    planted = sym.RuleArrays(np.array([0, 0, 1]),
+                             np.array([[0, 1, 0, 0, 1], [1, 0, 0, 1, 0],
+                                       [0, 0, 0, 0, 0]]),
+                             np.array([1, 0, 1]))
+    groups = sym.orbit_conflicts(planted)
+    assert len(groups) == 1
+    monkeypatch.setattr(embed, "check_invariance", lambda b: groups)
+    auto = tmp_path / "auto.json"
+    run_cli("transform", "--rule", "elementary:110", "--grid", "pentagrid",
+            "--method", "t3", "-o", str(auto))
     capsys.readouterr()
+    assert run_cli("verify", "--automaton", str(auto)) == 1
+    out = capsys.readouterr().out
+    assert out.startswith(
+        "rotation invariance: 1 conflict groups\n"
+        "  conflicting orbit near self=0 nbrs=(0, 1, 0, 0, 1) -> 1\n"
+        "cells scanned: ")
 
 
 def test_verify_prints_multi_reading_cells(tmp_path, capsys):
@@ -154,6 +216,15 @@ def test_failure_exit_codes(tmp_path, capsys):
     assert run_cli("simulate", "--automaton", str(auto), "--word", "1",
                    "--steps", "1") == 2
     assert "one JSON object" in capsys.readouterr().err
+    # malformed snapshot files: not an object, no keys, no states
+    snap = tmp_path / "snap.json"
+    for text, says in (("[]", "one JSON object"), ("{}", "'grid'"),
+                       (json.dumps({"grid": "pentagrid", "time": 0,
+                                    "valid_radius": 2}), "'states'")):
+        snap.write_text(text)
+        assert run_cli("render", "--grid", "pentagrid", "--snapshot",
+                       str(snap)) == 2
+        assert says in capsys.readouterr().err
     with pytest.raises(SystemExit):
         run_cli()
 

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from hypca import ca1d, embed, engine
 from hypca import symmetry as sym
+
+import symmetry_reference as ref
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -90,7 +93,7 @@ def test_expansion_sizes_and_invariance(all_six):
 def test_expansion_contains_action_rule(rule110):
     b = embed.embed_compact(rule110, "pentagrid")
     rules = {(c.self_state, c.neighbor_states): out
-             for c, out in embed.expanded_rules(b)}
+             for c, out in ref.unpack(embed.expanded_rules(b))}
     # the identity alignment of the pattern with both letters 1
     assert rules[(1, (1, 1, 0, 1, 0))] == rule110.apply(1, 1, 1)
 
@@ -99,10 +102,10 @@ def test_match_unique_on_tape_context(rule110):
     b = embed.embed_extra_state(rule110, "pentagrid")
     blue = b.blue
     nb = (1, blue, blue, 0, blue)       # left letter 1, right letter 0
-    assert embed.match_alignments(b, 1, nb) == [(1, 0)]
-    assert embed.match_alignments(b, blue, nb) == []
+    assert ref.match_alignments(b, 1, nb) == [(1, 0)]
+    assert ref.match_alignments(b, blue, nb) == []
     # a context with too few letters cannot match
-    assert embed.match_alignments(b, 1, (blue,) * 5) == []
+    assert ref.match_alignments(b, 1, (blue,) * 5) == []
 
 
 @given(st.integers(0, 4), st.integers(0, 1),
@@ -111,8 +114,8 @@ def test_match_readings_rotation_invariant_2d(k, self_state, letters):
     b = embed.embed_compact(ca1d.elementary(110), "pentagrid")
     nb = (letters[0], 1, 0, letters[1], 0)
     rotated = tuple(nb[(i + k) % 5] for i in range(5))
-    assert sorted(embed.match_alignments(b, self_state, nb)) == \
-        sorted(embed.match_alignments(b, self_state, rotated))
+    assert sorted(ref.match_alignments(b, self_state, nb)) == \
+        sorted(ref.match_alignments(b, self_state, rotated))
 
 
 @given(st.integers(0, 59), st.integers(0, 1),
@@ -124,8 +127,8 @@ def test_match_readings_rotation_invariant_3d(k, self_state, letters):
     nb[0], nb[1], nb[4] = letters
     m = sym.all_motions()[k]
     rotated = tuple(nb[m[i]] for i in range(12))
-    assert sorted(embed.match_alignments(b, self_state, tuple(nb))) == \
-        sorted(embed.match_alignments(b, self_state, rotated))
+    assert sorted(ref.match_alignments(b, self_state, tuple(nb))) == \
+        sorted(ref.match_alignments(b, self_state, rotated))
 
 
 def test_central_row_goldens(rule110):
@@ -214,7 +217,17 @@ def test_unrepaired_solid_pattern_is_ambiguous(region_of, rule110):
             init.states[int(m)] = good.blue
     report = embed.verify_unique_applicability(bad, r, init, 2)
     assert any(v.kind == "ambiguous" for v in report.violations)
-    with pytest.raises(engine.AmbiguousMatch):
+    # the engine names the first complete cell whose readings disagree,
+    # with the readings and states the reference matcher finds
+    split = []
+    for c in np.flatnonzero(~(r.adjacency < 0).any(axis=1)).tolist():
+        nb = tuple(init.states[r.adjacency[c]].tolist())
+        readings, outs = ref.reading_outcomes(bad, int(init.states[c]), nb)
+        if len(outs) > 1:
+            split.append(f"cell {c} at time 0: readings {readings} "
+                         f"disagree, states {outs}")
+    with pytest.raises(engine.AmbiguousMatch,
+                       match=f"^{re.escape(split[0])}$"):
         engine.step_hca(bad, r, init)
 
 

@@ -132,18 +132,6 @@ def test_validity_budget(region_of, rule110):
         engine.step_hca(b, r, cfg)
     with pytest.raises(engine.ValidityExhausted):
         engine.run_hca(b, r, engine.init_configuration(r, b, [1]), 3)
-    # scan mode keeps going past the budget
-    engine.step_hca(b, r, cfg, scan=True)
-
-
-def test_scan_mode_matches_checked_mode(region_of, rule110):
-    r = region_of("pentagrid", 3, 2)
-    b = embed.embed_compact(rule110, "pentagrid")
-    init = engine.init_configuration(r, b, [1])
-    checked = engine.run_hca(b, r, init, 3)
-    scanned = engine.run_hca(b, r, init.copy(), 3, scan=True)
-    for a, s in zip(checked, scanned):
-        assert np.array_equal(a.states, s.states)
 
 
 def test_run_matches_repeated_steps(region_of, rule110):

