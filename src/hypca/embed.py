@@ -16,13 +16,21 @@ one rotated alignment, and state-unchanged everywhere else.
 `compile_rules` turns that description into a `RuleTable`, once per
 automaton: every context the pattern matches, coded as one int64, with
 its number of distinct readings and the least and greatest next state
-they give.  The engine steps by looking codes up in it, the
-unique-applicability scan reads its verdicts from it, and `expanded_rules`
-lists its single-reading contexts as explicit rules, held as the table's
-arrays, so the invariance checker can say independently that matching is
-rotation invariant.
+they give.  A set of cells is coded with one gather of their neighbour
+states and one int64 product with the digit weights.  The engine steps
+by looking codes up in it, the unique-applicability scan reads its
+verdicts from it, and `expanded_rules` lists its single-reading contexts
+as explicit rules, held as the table's arrays, so the invariance checker
+can say independently that matching is rotation invariant.
 `reading_outcomes` spells out one context's readings for error messages,
 with the same alignment rows `compile_rules` uses.
+
+The scan pays for a step in proportion to the cells the step changes,
+not to the region: it carries each complete cell's table row and
+verdict flags (hit, multi-reading, ambiguous, line-unmatched,
+off-line-changed, moves) with running totals, codes again only the
+closed neighbourhoods of changed cells, and stops at the first step that
+moves nothing, since a fixed point scans alike at every later time.
 """
 from __future__ import annotations
 
@@ -268,32 +276,41 @@ class RuleTable:
     lo: np.ndarray          # (M,) least next state over the readings
     hi: np.ndarray          # (M,) greatest next state over the readings
 
+    @cached_property
+    def _weights(self) -> np.ndarray:
+        """B**i for neighbour digit i, then B**p for the own state."""
+        return self.base ** np.arange(self.arity + 1, dtype=np.int64)
+
     def encode(self, states: np.ndarray, adjacency: np.ndarray,
                cells: np.ndarray) -> np.ndarray:
-        """Context codes of `cells`, whose neighbours must all exist."""
-        code = states[cells].astype(np.int64)
-        for i in range(self.arity - 1, -1, -1):
-            code *= self.base
-            code += states[adjacency[cells, i]]
-        return code
+        """Context codes of `cells`, whose neighbours must all exist: one
+        gather of the neighbour states and one int64 product with the
+        digit weights, exact since `require_codes_fit` keeps every code
+        and partial sum below 2**63."""
+        w = self._weights
+        return (states.take(adjacency.take(cells, axis=0)) @ w[:-1]
+                + states.take(cells).astype(np.int64) * w[-1])
 
     def lookup(self, codes: np.ndarray) -> np.ndarray:
         """Table row of each code, -1 where the context has no reading."""
-        at = np.searchsorted(self.codes, codes)
+        at = self.codes.searchsorted(codes)
         hit = at < len(self.codes)
         hit[hit] = self.codes[at[hit]] == codes[hit]
         return np.where(hit, at, -1)
 
+    def moving(self, own: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """The step rule, given each cell's state and table row (-1 for
+        none): a cell whose readings agree takes their state, every other
+        cell keeps its own.  True where that changes the state."""
+        out = self.lo[rows]
+        return (rows >= 0) & (out == self.hi[rows]) & (out != own)
+
     def moves(self, own: np.ndarray, rows: np.ndarray
               ) -> tuple[np.ndarray, np.ndarray]:
-        """One step of a set of cells, given each cell's state and table
-        row (-1 for none).  A cell whose readings agree takes their state;
-        every other cell keeps its own.  Returns the indices of the cells
-        whose state changes, ascending, and their new states."""
-        out = self.lo[rows]
-        moved = np.flatnonzero((rows >= 0) & (out == self.hi[rows])
-                               & (out != own))
-        return moved, out[moved]
+        """One step of a set of cells by `moving`: the indices of the
+        cells whose state changes, ascending, and their new states."""
+        moved = np.flatnonzero(self.moving(own, rows))
+        return moved, self.lo[rows[moved]]
 
     def decode(self, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(self states, (len, arity) neighbour states) of context codes.
@@ -504,6 +521,21 @@ def symbolic_rows(automaton: HcaAutomaton, region: Region,
     return sorted(rows)
 
 
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """The distinct values of a non-empty array, ascending.  (np.unique
+    would import numpy.ma, which no command needs.)"""
+    a = np.sort(a)
+    return a[np.concatenate(([True], a[1:] != a[:-1]))]
+
+
+# the verdict flags the scan carries per complete cell, as rows: a
+# reading, more than one reading, the three violation kinds in listing
+# order, and a step that changes the state
+_HIT, _MULTI, _MOVES = 0, 1, 5
+_BAD = slice(2, 5)
+_KINDS = ("ambiguous", "line-unmatched", "off-line-changed")
+
+
 def verify_unique_applicability(automaton: HcaAutomaton, region: Region,
                                 init, horizon: int) -> VerifyReport:
     """Scan every complete-neighbourhood cell over a run and count the
@@ -516,12 +548,20 @@ def verify_unique_applicability(automaton: HcaAutomaton, region: Region,
     order of kinds.  The scan keeps stepping with a frozen rim past the
     validity window; staleness there only widens the sample of contexts.
 
-    Each complete cell's table row is looked up once and carried through
-    the run: a step takes the next states from the rows by
-    `RuleTable.moves`, and only the complete cells in the closed
-    neighbourhood of a changed cell are coded again, since no other
-    context can change.  This relies on the region's adjacency being
-    symmetric.
+    A step costs in proportion to the cells it codes again, not to the
+    region.  Each complete cell's table row is looked up once, and the
+    scan carries it with the cell's verdict flags: hit, multi-reading,
+    ambiguous, line-unmatched, off-line-changed, and whether
+    `RuleTable.moving` changes its state.  It also carries the hit and
+    multi-reading totals and the violating cells.  A step moves the
+    flagged cells, then codes again only the complete cells in the closed
+    neighbourhood of a changed cell, since no other context can change,
+    and subtracts and re-adds their flags; this relies on the region's
+    adjacency being symmetric.  The cells to move next are among those
+    coded again, since every other cell keeps flags that did not move it.
+    A step that moves no cell leaves a fixed point, so every later time
+    scans alike: the scan adds that time's counts and violation lines for
+    each remaining time, and stops.
     """
     report = VerifyReport()
     if automaton.grid in _ROW_START and automaton.kind == "compact":
@@ -535,47 +575,74 @@ def verify_unique_applicability(automaton: HcaAutomaton, region: Region,
         for m in region.guideline.mirror_ids:
             if m >= 0:
                 may_change[int(m)] = True
-    cells = np.flatnonzero(~(adj < 0).any(axis=1))
+    cells = region.complete_cells
+    index = np.full(region.n_cells, -1, dtype=np.intp)
+    index[cells] = np.arange(len(cells))
     line = on_line[cells]
     guarded = ~line & ~may_change[cells]
-    inside = region.dist[cells] < region.radius
+    judged = line & (region.dist[cells] < region.radius)
     table = automaton.rule_table
     states = init.states.copy()
-    at = table.lookup(table.encode(states, adj, cells))
-    for t in range(max(horizon, 0) + 1):
-        own = states[cells]
-        hit = at >= 0
-        lo, hi = table.lo[at], table.hi[at]
-        report.scanned_cells += len(cells)
-        report.matched_cells += int(hit.sum())
-        report.multi_reading_cells += int((hit & (table.readings[at] > 1)).sum())
-        kinds = (("ambiguous", hit & (lo != hi)),
-                 ("line-unmatched", line & ~hit & inside),
-                 ("off-line-changed",
-                  guarded & hit & ((lo != own) | (hi != own))))
-        for j in np.flatnonzero(np.logical_or.reduce([m for _, m in kinds])):
+    at = np.empty(len(cells), dtype=np.intp)
+    flags = np.zeros((6, len(cells)), dtype=bool)
+
+    def recode(j: np.ndarray) -> tuple[int, int]:
+        """Look the complete cells j up again, reset their flags, and
+        return how much that changes the hit and multi-reading totals."""
+        was = [int(np.count_nonzero(flags[k].take(j)))
+               for k in (_HIT, _MULTI)]
+        own = states[cells[j]]
+        rows = table.lookup(table.encode(states, adj, cells[j]))
+        hit = rows >= 0
+        multi = hit & (table.readings[rows] > 1)
+        lo, hi = table.lo[rows], table.hi[rows]
+        at[j] = rows
+        flags[:, j] = (hit, multi, hit & (lo != hi), judged[j] & ~hit,
+                       guarded[j] & hit & ((lo != own) | (hi != own)),
+                       table.moving(own, rows))
+        return (int(np.count_nonzero(hit)) - was[0],
+                int(np.count_nonzero(multi)) - was[1])
+
+    matched, multi_reading = recode(np.arange(len(cells)))
+    bad = np.flatnonzero(flags[_BAD].any(axis=0))
+    movers = np.flatnonzero(flags[_MOVES])
+    last = max(horizon, 0)
+    t = 0
+    while True:
+        lines = []
+        for j in bad:
             c = int(cells[j])
             nb = tuple(int(v) for v in states[adj[c]])
-            found, outs = reading_outcomes(automaton, int(own[j]), nb)
+            found, outs = reading_outcomes(automaton, int(states[c]), nb)
             detail = {
                 "ambiguous": f"readings {found} give states {outs}",
                 "line-unmatched": "no admissible reading",
                 "off-line-changed": f"reading would move state to {outs}",
             }
-            report.violations.extend(Violation(kind, t, c, detail[kind])
-                                     for kind, mask in kinds if mask[j])
-        if t < horizon:
-            moved, out = table.moves(own, at)
-            changed = cells[moved]
-            states[changed] = out
-            near = adj[changed].ravel()
-            touched = np.zeros(region.n_cells, dtype=bool)
-            touched[changed] = True
-            touched[near[near >= 0]] = True
-            recode = np.flatnonzero(touched[cells])
-            at[recode] = table.lookup(table.encode(states, adj,
-                                                   cells[recode]))
-    return report
+            lines.extend((kind, c, detail[kind])
+                         for kind, f in zip(_KINDS, flags[_BAD, j]) if f)
+        # after the last step, or at a fixed point, this is every time left
+        stop = t == last or not len(movers)
+        times = range(t, last + 1) if stop else (t,)
+        report.scanned_cells += len(cells) * len(times)
+        report.matched_cells += matched * len(times)
+        report.multi_reading_cells += multi_reading * len(times)
+        report.violations.extend(Violation(kind, u, c, detail)
+                                 for u in times for kind, c, detail in lines)
+        if stop:
+            return report
+        changed = cells[movers]
+        states[changed] = table.lo[at[movers]]
+        near = index.take(adj.take(changed, axis=0).ravel())
+        j = _distinct(np.concatenate([movers, near[near >= 0]]))
+        more_matched, more_multi_reading = recode(j)
+        matched += more_matched
+        multi_reading += more_multi_reading
+        movers = j[flags[_MOVES, j]]
+        if len(bad) or flags[_BAD, j].any():
+            bad = _distinct(np.concatenate([bad, j]))
+            bad = bad[flags[_BAD][:, bad].any(axis=0)]
+        t += 1
 
 
 def _slot_to_doc(slot: Slot) -> dict:

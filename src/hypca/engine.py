@@ -7,8 +7,8 @@ would hold, and stepping is refused once that budget is spent.  The
 unique-applicability scan in `embed` keeps stepping past the budget with
 a frozen rim, without this module: it wants breadth of contexts, not
 fidelity at the edge.  It carries each complete cell's table row from
-step to step, and `RuleTable.moves`, the step rule this module applies
-too, turns the rows into next states.
+step to step, and `RuleTable.moving`, the step rule this module applies
+too through `RuleTable.moves`, turns the rows into next states.
 
 Cells with a neighbour outside the region never update.  Everything else
 updates by the automaton: a uniquely readable pattern match applies the
@@ -294,12 +294,23 @@ def config_from_json(text: str, region: Region) -> Configuration:
         time, valid_radius = doc["time"], doc["valid_radius"]
     except KeyError as e:
         raise ValueError(f"snapshot file lacks the {e} key") from None
+    if not isinstance(grid, str):
+        raise ValueError("snapshot key 'grid' must be a string")
+    for key, value in (("time", time), ("valid_radius", valid_radius)):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"snapshot key '{key}' must be an integer")
+    if not isinstance(states, list):
+        raise ValueError("snapshot key 'states' must be a list")
     if grid != region.grid:
         raise ValueError(f"snapshot is for {grid}, region is {region.grid}")
-    states = np.asarray(states, dtype=np.int16)
+    try:
+        states = np.asarray(states, dtype=np.int16)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError("snapshot key 'states' must list integer "
+                         "states") from None
     if states.shape != (region.n_cells,):
         raise ValueError("snapshot does not fit the region")
-    return Configuration(states, int(time), int(valid_radius))
+    return Configuration(states, time, valid_radius)
 
 
 @dataclass

@@ -181,6 +181,14 @@ class Region:
     def centers(self) -> np.ndarray:
         return self.matrices[:, :, 0]
 
+    @cached_property
+    def complete_cells(self) -> np.ndarray:
+        """Ids of the cells whose every neighbour was built, ascending,
+        found on first read and read-only."""
+        ids = np.flatnonzero(~(self.adjacency < 0).any(axis=1))
+        ids.setflags(write=False)
+        return ids
+
 
 # per grid: sides whose planes carry the guideline (None: the heptagrid's
 # midpoint line, built separately)
@@ -685,27 +693,6 @@ def marker_sides_internal(region: Region, scheme: MarkerScheme) -> dict[int, tup
     return out
 
 
-def marker_cells(region: Region, scheme: MarkerScheme) -> dict[int, set[int]]:
-    """For each guideline cell id, its marker sides in public numbering.
-
-    The cells across those sides are the ones a compact embedding paints
-    with the marker state.  The frozen chain cells at the very ends of the
-    generated stretch are skipped, their markers lie outside the region;
-    anywhere else a missing marker neighbor means the region is too small.
-    """
-    base = 0 if region.grid == "dodecagrid" else 1
-    out: dict[int, set[int]] = {}
-    for ident, sides in marker_sides_internal(region, scheme).items():
-        if any(region.adjacency[ident, s] < 0 for s in sides):
-            if region.dist[ident] < region.radius:
-                raise RegionTooLarge(
-                    f"guideline cell {ident} is missing a marker neighbor"
-                )
-            continue
-        out[ident] = {s + base for s in sides}
-    return out
-
-
 def marker_cell_ids(region: Region, scheme: MarkerScheme) -> np.ndarray:
     """Ids of the cells a compact embedding paints with the marker state."""
     ids = {
@@ -734,17 +721,6 @@ def neighbor(region: Region, c: int, side: int) -> int | None:
         s = side - 1
     hit = int(region.adjacency[c, s])
     return hit if hit >= 0 else None
-
-
-def guideline_triples(region: Region) -> list[tuple[int, int, int]]:
-    """The guideline as (cell id, left side, right side), left to right,
-    sides in public numbering."""
-    base = 0 if region.grid == "dodecagrid" else 1
-    gl = region.guideline
-    return [
-        (int(c), int(l) + base, int(r) + base)
-        for c, l, r in zip(gl.cell_ids, gl.left_sides, gl.right_sides)
-    ]
 
 
 def region_to_json(region: Region) -> str:

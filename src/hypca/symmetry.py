@@ -90,31 +90,6 @@ def all_motions() -> tuple[Motion, ...]:
     return tuple(out)
 
 
-def compose(a: Motion, b: Motion) -> Motion:
-    """a after b: (a . b)(i) = a[b[i]]."""
-    return tuple(a[b[i]] for i in range(12))
-
-
-def inverse(a: Motion) -> Motion:
-    inv = [0] * 12
-    for i, j in enumerate(a):
-        inv[j] = i
-    return tuple(inv)
-
-
-def is_adjacency_automorphism(m: Motion) -> bool:
-    """Does m preserve face adjacency with clockwise ring order?"""
-    if sorted(m) != list(range(12)):
-        return False
-    for f in range(12):
-        image = tuple(m[x] for x in FACE_RINGS[f])
-        if set(image) != set(FACE_RINGS[m[f]]):
-            return False
-        if _ring_from(m[f], image[0]) != image:
-            return False
-    return True
-
-
 def rotate_faces(values: tuple, m: Motion) -> tuple:
     """Re-read a face-indexed tuple after applying motion m to the cell."""
     return tuple(values[m[i]] for i in range(12))
@@ -131,18 +106,23 @@ def canonical_cyclic(values: tuple) -> tuple:
     return min(tuple(values[(i + k) % p] for i in range(p)) for k in range(p))
 
 
+@lru_cache(maxsize=None)
 def rotation_indices(arity: int) -> np.ndarray:
     """Every rotation of a cell as an index array, identity first.
 
     Row g holds, for each side (or face) i, the side whose state the
     rotated cell reads at i: `values[rows[g]]` re-reads a side-indexed
     array under the g-th shift, or as `rotate_faces` does under the g-th
-    motion.
+    motion.  The array is built once per arity and shared by every
+    caller, so it is read-only.
     """
     if arity == 12:
-        return np.array(all_motions(), dtype=np.intp)
-    k = np.arange(arity)
-    return (k[:, None] + k[None, :]) % arity
+        rows = np.array(all_motions(), dtype=np.intp)
+    else:
+        k = np.arange(arity)
+        rows = (k[:, None] + k[None, :]) % arity
+    rows.setflags(write=False)
+    return rows
 
 
 def require_codes_fit(n_states: int, arity: int) -> None:

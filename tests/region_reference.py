@@ -14,6 +14,9 @@ It also finds the guideline by float geometry, independently of the side
 arithmetic `hypca.region` uses: the chain walk tests every neighbour's
 centre against the guide planes, and a dodecagrid chain cell's mirror face
 is the one whose neighbour is the cell's reflection in the guide plane.
+
+`marker_cells` and `guideline_triples` spell out a region's marker sides
+and guideline sides in public numbering, for the region tests.
 """
 from __future__ import annotations
 
@@ -22,8 +25,9 @@ import numpy as np
 from hypca import geometry as geo
 from hypca import polytopes as poly
 from hypca import symmetry as sym
-from hypca.region import (MAX_EXTENT, MAX_RADIUS, NO_POS, Guideline, Region,
-                          RegionTooLarge, _CHUNK, _check_chain, guide_normals)
+from hypca.region import (MAX_EXTENT, MAX_RADIUS, NO_POS, Guideline,
+                          MarkerScheme, Region, RegionTooLarge, _CHUNK,
+                          _check_chain, guide_normals, marker_sides_internal)
 
 DEDUP_BUCKET = 0.125
 DEDUP_TOL = 2e-3
@@ -390,3 +394,35 @@ def build_region(grid: str, radius: int, halfwidth: int) -> Region:
     region.matrices = mats          # its own placements, not a Placement
     _check_chain(region)
     return region
+
+
+def marker_cells(region: Region, scheme: MarkerScheme) -> dict[int, set[int]]:
+    """For each guideline cell id, its marker sides in public numbering.
+
+    The cells across those sides are the ones a compact embedding paints
+    with the marker state.  The frozen chain cells at the very ends of the
+    generated stretch are skipped, their markers lie outside the region;
+    anywhere else a missing marker neighbor means the region is too small.
+    """
+    base = 0 if region.grid == "dodecagrid" else 1
+    out: dict[int, set[int]] = {}
+    for ident, sides in marker_sides_internal(region, scheme).items():
+        if any(region.adjacency[ident, s] < 0 for s in sides):
+            if region.dist[ident] < region.radius:
+                raise RegionTooLarge(
+                    f"guideline cell {ident} is missing a marker neighbor"
+                )
+            continue
+        out[ident] = {s + base for s in sides}
+    return out
+
+
+def guideline_triples(region: Region) -> list[tuple[int, int, int]]:
+    """The guideline as (cell id, left side, right side), left to right,
+    sides in public numbering."""
+    base = 0 if region.grid == "dodecagrid" else 1
+    gl = region.guideline
+    return [
+        (int(c), int(l) + base, int(r) + base)
+        for c, l, r in zip(gl.cell_ids, gl.left_sides, gl.right_sides)
+    ]

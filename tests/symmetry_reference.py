@@ -9,7 +9,10 @@ one context, a shift count on the polygonal grids or a face permutation
 on the dodecagrid; `embed.reading_outcomes` and the compiled
 `RuleTable` must give the same readings and next states.
 `frozen_rim_run` steps a configuration past the validity budget and
-through ambiguous contexts, as the verify scan does.
+through ambiguous contexts, as the verify scan does.  `encode` codes
+contexts one digit at a time; `RuleTable.encode` must give the same
+codes.  `compose`, `inverse` and `is_adjacency_automorphism` check the
+rotation group of the dodecahedron.
 """
 from __future__ import annotations
 
@@ -20,7 +23,34 @@ import numpy as np
 
 from hypca import embed
 from hypca import symmetry as sym
-from hypca.symmetry import all_motions, rotate_faces
+from hypca.symmetry import FACE_RINGS, Motion, all_motions, rotate_faces
+
+
+def compose(a: Motion, b: Motion) -> Motion:
+    """a after b: (a . b)(i) = a[b[i]]."""
+    return tuple(a[b[i]] for i in range(12))
+
+
+def inverse(a: Motion) -> Motion:
+    inv = [0] * 12
+    for i, j in enumerate(a):
+        inv[j] = i
+    return tuple(inv)
+
+
+def is_adjacency_automorphism(m: Motion) -> bool:
+    """Does m preserve face adjacency with clockwise ring order?"""
+    if sorted(m) != list(range(12)):
+        return False
+    for f in range(12):
+        image = tuple(m[x] for x in FACE_RINGS[f])
+        ring = FACE_RINGS[m[f]]
+        if set(image) != set(ring):
+            return False
+        k = ring.index(image[0])
+        if ring[k:] + ring[:k] != image:
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -193,18 +223,29 @@ def reading_outcomes(automaton: embed.HcaAutomaton, self_state: int,
     return readings, sorted(outs)
 
 
+def encode(table: embed.RuleTable, states: np.ndarray,
+           adjacency: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """Context codes of `cells`, one base-`table.base` digit at a time:
+    the own state first, then the neighbours from the last side down."""
+    code = states[cells].astype(np.int64)
+    for i in range(table.arity - 1, -1, -1):
+        code *= table.base
+        code += states[adjacency[cells, i]]
+    return code
+
+
 def frozen_rim_run(automaton: embed.HcaAutomaton, region,
                    states: np.ndarray, steps: int) -> list[np.ndarray]:
     """The states at times 0..steps, every complete cell stepping by the
     rule table and every other cell frozen.  Unlike `engine.run_hca` it
     has no validity budget, and a cell whose readings disagree keeps its
-    state instead of raising."""
+    state instead of raising.  Contexts are coded by `encode`."""
     table = automaton.rule_table
     cells = np.flatnonzero(~(region.adjacency < 0).any(axis=1))
     out = [states.copy()]
     for _ in range(steps):
         s = out[-1].copy()
-        at = table.lookup(table.encode(s, region.adjacency, cells))
+        at = table.lookup(encode(table, s, region.adjacency, cells))
         moved, new = table.moves(s[cells], at)
         s[cells[moved]] = new
         out.append(s)

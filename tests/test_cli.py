@@ -8,6 +8,7 @@ import pytest
 
 import hypca
 from hypca import cli
+from hypca import region as reg
 from hypca import symmetry as sym
 
 import symmetry_reference as ref
@@ -132,6 +133,25 @@ def test_verify_flags_bad_automaton(tmp_path, capsys):
     assert kinds == {"ambiguous", "line-unmatched"}
 
 
+def test_verify_110_matches_golden(tmp_path, capsys):
+    """`hypca verify` of rule 110 on all six (grid, method) pairs at the
+    command's defaults, byte for byte: the counts and the context rows.
+    Each pair's output follows a line naming it and the exit code."""
+    parts = []
+    for grid in ("pentagrid", "heptagrid", "dodecagrid"):
+        for method in ("extra", "compact"):
+            auto = tmp_path / f"{grid}_{method}.json"
+            out = tmp_path / f"{grid}_{method}.txt"
+            run_cli("transform", "--rule", "elementary:110", "--grid", grid,
+                    "--method", method, "-o", str(auto))
+            code = run_cli("verify", "--automaton", str(auto),
+                           "-o", str(out))
+            parts.append(f"== {grid} {method}: exit {code}\n"
+                         + out.read_text())
+    assert "".join(parts) == (GOLDEN / "verify_110.txt").read_text()
+    capsys.readouterr()
+
+
 def test_verify_prints_conflicting_orbit(tmp_path, capsys, monkeypatch):
     """A planted conflict group: two re-readings of one pentagrid context
     with different next states, beside a rule of another orbit.  Compiled
@@ -216,15 +236,27 @@ def test_failure_exit_codes(tmp_path, capsys):
     assert run_cli("simulate", "--automaton", str(auto), "--word", "1",
                    "--steps", "1") == 2
     assert "one JSON object" in capsys.readouterr().err
-    # malformed snapshot files: not an object, no keys, no states
+    # malformed snapshot files: not an object, no keys, no states, and
+    # each key present with the wrong type
     snap = tmp_path / "snap.json"
-    for text, says in (("[]", "one JSON object"), ("{}", "'grid'"),
-                       (json.dumps({"grid": "pentagrid", "time": 0,
-                                    "valid_radius": 2}), "'states'")):
+    good = {"grid": "pentagrid", "time": 0, "valid_radius": 2,
+            "states": [0] * reg.build_region("pentagrid", 4, 2).n_cells}
+    wrong = (("time", None), ("time", "3"), ("valid_radius", None),
+             ("valid_radius", 1.5), ("grid", 5), ("states", None),
+             ("states", {"0": 1}), ("states", [None] * len(good["states"])))
+    for text, says in (
+            ("[]", "one JSON object"), ("{}", "'grid'"),
+            (json.dumps({"grid": "pentagrid", "time": 0,
+                         "valid_radius": 2}), "'states'"),
+            *((json.dumps(dict(good, **{key: value})), f"'{key}'")
+              for key, value in wrong)):
         snap.write_text(text)
         assert run_cli("render", "--grid", "pentagrid", "--snapshot",
                        str(snap)) == 2
         assert says in capsys.readouterr().err
+    snap.write_text(json.dumps(good))
+    assert run_cli("render", "--grid", "pentagrid", "--snapshot", str(snap),
+                   "-o", str(tmp_path / "snap.svg")) == 0
     with pytest.raises(SystemExit):
         run_cli()
 

@@ -98,7 +98,7 @@ def test_guideline_positions_and_lookup(region_of):
     ("pentagrid", 3, 2), ("heptagrid", 3, 2), ("dodecagrid", 3, 1)])
 def test_guideline_triples_walk_the_chain(region_of, grid, radius, hw):
     r = region_of(grid, radius, hw)
-    triples = reg.guideline_triples(r)
+    triples = float_ref.guideline_triples(r)
     extent = r.radius + r.halfwidth
     for (c, left, right), pos in zip(triples, range(-extent, extent + 1)):
         if pos > -extent:
@@ -161,7 +161,7 @@ def test_heptagrid_markers_two_sides(region_of):
 
 def test_dodecagrid_marker_cells_distinct(region_of):
     r = region_of("dodecagrid", 3, 1)
-    cells = reg.marker_cells(r, reg.MarkerScheme.COMPACT_DODECAGRID)
+    cells = float_ref.marker_cells(r, reg.MarkerScheme.COMPACT_DODECAGRID)
     for sides in cells.values():
         assert sides == {0, 3, 9, 10}
     painted = reg.marker_cell_ids(r, reg.MarkerScheme.COMPACT_DODECAGRID)
@@ -172,7 +172,7 @@ def test_dodecagrid_marker_cells_distinct(region_of):
 
 def test_marker_cells_skip_frozen_rim_only(region_of):
     r = region_of("pentagrid", 3, 2)
-    cells = reg.marker_cells(r, reg.MarkerScheme.COMPACT_PENTAGRID)
+    cells = float_ref.marker_cells(r, reg.MarkerScheme.COMPACT_PENTAGRID)
     for c in r.guideline.cell_ids:
         if r.dist[c] < r.radius:
             assert int(c) in cells

@@ -8,7 +8,9 @@ next states in the same order, and the expansion read off the table must
 list the same rules.  The array orbit check must report the same
 conflicts as `check_rotation_invariance`, and the table-driven verify
 scan must report what a matcher-driven scan and a scan that codes every
-cell at every step report, both stepping by `frozen_rim_run`.
+cell at every step with the reference encoder report, both stepping by
+`frozen_rim_run`.  `RuleTable.encode` must give the reference encoder's
+codes up to the largest base the int64 codes admit.
 """
 import dataclasses
 import itertools
@@ -32,17 +34,22 @@ def _matcher_verdict(b, self_state, nb):
     return len(readings), outs[0], outs[-1]
 
 
-def _table_verdicts(b, contexts):
-    """(readings, least, greatest next state) by the table, -1 if none.
-    Each context is laid out as a cell followed by its p neighbours."""
-    table = b.rule_table
-    arr = np.asarray(contexts, dtype=np.int64)
+def _context_layout(contexts, dtype=np.int64):
+    """(states, adjacency, cells) holding each context as a cell followed
+    by its p neighbours."""
+    arr = np.asarray(contexts, dtype=dtype)
     states = arr.ravel()
     p = arr.shape[1] - 1
     cells = np.arange(len(arr)) * (p + 1)
     adjacency = np.zeros((len(states), p), dtype=np.int64)
     adjacency[cells] = cells[:, None] + 1 + np.arange(p)
-    at = table.lookup(table.encode(states, adjacency, cells))
+    return states, adjacency, cells
+
+
+def _table_verdicts(b, contexts):
+    """(readings, least, greatest next state) by the table, -1 if none."""
+    table = b.rule_table
+    at = table.lookup(table.encode(*_context_layout(contexts)))
     hit = at >= 0
     return (np.where(hit, table.readings[at], 0),
             np.where(hit, table.lo[at], -1),
@@ -361,6 +368,52 @@ def test_decode_at_the_code_limit():
     assert np.array_equal(nbs @ powers[:-1] + selfs * powers[-1], codes)
 
 
+def _largest_base(arity):
+    """The largest state count whose codes `require_codes_fit` admits."""
+    base = round(2 ** (63 / (arity + 1)))
+    while base ** (arity + 1) > 2 ** 63:
+        base -= 1
+    while (base + 1) ** (arity + 1) <= 2 ** 63:
+        base += 1
+    return base
+
+
+def test_encode_matches_reference(region_of, all_six):
+    """The one-gather `RuleTable.encode` against the digit-at-a-time
+    reference: random states on the scan regions for all six pairs, and
+    random contexts at the largest base each arity admits, where the
+    greatest code, base**(arity + 1) - 1, is nearest the int64 limit."""
+    rng = np.random.default_rng(16)
+    for (method, grid), b in all_six.items():
+        r = region_of(grid, *SCAN_SIZES[grid])
+        states = rng.integers(0, b.n_states, size=r.n_cells).astype(np.int16)
+        table = b.rule_table
+        got = table.encode(states, r.adjacency, r.complete_cells)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, ref.encode(table, states, r.adjacency,
+                                              r.complete_cells)), b.name
+    for arity, base in ((5, 1448), (7, 234), (12, 28)):
+        assert _largest_base(arity) == base
+        sym.require_codes_fit(base, arity)
+        with pytest.raises(ValueError):
+            sym.require_codes_fit(base + 1, arity)
+        table = embed.RuleTable(base=base, arity=arity,
+                                codes=np.zeros(0, np.int64),
+                                readings=np.zeros(0, np.int64),
+                                lo=np.zeros(0, np.int64),
+                                hi=np.zeros(0, np.int64))
+        contexts = np.r_[np.full((1, arity + 1), base - 1),
+                         np.zeros((1, arity + 1), dtype=np.int64),
+                         rng.integers(0, base, size=(2000, arity + 1)),
+                         rng.integers(base - 2, base, size=(500, arity + 1))]
+        layout = _context_layout(contexts, dtype=np.int16)
+        got = table.encode(*layout)
+        assert np.array_equal(got, ref.encode(table, *layout)), arity
+        assert got[0] == base ** (arity + 1) - 1 and got[1] == 0
+        selfs, nbs = table.decode(got)
+        assert np.array_equal(np.c_[selfs, nbs], contexts)
+
+
 def _matcher_scan(b, region, init, horizon):
     """The verify scan, one matcher call per complete cell and time."""
     report = embed.VerifyReport()
@@ -473,8 +526,8 @@ SCAN_SIZES = {"pentagrid": (7, 2), "heptagrid": (6, 3), "dodecagrid": (3, 2)}
 
 def _full_reencode_scan(b, region, init, horizon):
     """The verify scan as it ran before it carried table rows: step with
-    a frozen rim, then code and look up every complete cell at every
-    time."""
+    a frozen rim, then code every complete cell at every time with the
+    reference encoder and look it up."""
     report = embed.VerifyReport()
     if b.grid != "dodecagrid" and b.kind == "compact":
         report.context_rows.append(embed.central_context_row(b))
@@ -492,7 +545,7 @@ def _full_reencode_scan(b, region, init, horizon):
     for t, states in enumerate(ref.frozen_rim_run(b, region, init.states,
                                                   horizon)):
         own = states[cells]
-        at = table.lookup(table.encode(states, region.adjacency, cells))
+        at = table.lookup(ref.encode(table, states, region.adjacency, cells))
         hit = at >= 0
         lo, hi = table.lo[at], table.hi[at]
         report.scanned_cells += len(cells)
@@ -592,3 +645,77 @@ def test_verify_recodes_only_near_changes(region_of, all_six, monkeypatch):
                 assert changed == 0 and sum(coded) == complete, b.name
             else:
                 assert changed > 0, b.name
+
+
+def _still_from(run):
+    """The first time from which a frozen-rim run no longer changes."""
+    return next(t for t in range(len(run))
+                if all(np.array_equal(run[t], s) for s in run[t + 1:]))
+
+
+def test_verify_stops_at_a_fixed_point(region_of, all_six, monkeypatch):
+    """Configurations that stop moving and keep their violations: the
+    unrepaired dodecagrid pattern, with letters on the reflected row (no
+    reading on the tape) and with a blue one (tape cells read both ways),
+    and a perturbed pentagrid init that moves once.  The scan must list
+    the same violation lines at every time from the fixed point on, as
+    the full re-encode does, at horizons 10, 3, 0 and -1.  It codes
+    cells only up to the fixed point and spells out violations only up
+    to it: later times repeat the fixed point's lines."""
+    good = all_six[("extra", "dodecagrid")]
+    r = region_of("dodecagrid", *SCAN_SIZES["dodecagrid"])
+    b = _unrepaired(good)
+    cases = [(b, r, engine.init_configuration(r, b, [1, 0, 1]))]
+    init = engine.init_configuration(r, b, [1])
+    m = r.guideline.mirror_ids
+    init.states[m[m >= 0]] = b.blue
+    cases.append((b, r, init))
+    b = all_six[("extra", "pentagrid")]
+    r = region_of("pentagrid", *SCAN_SIZES["pentagrid"])
+    init = engine.init_configuration(r, b, [1])
+    near = r.dist <= 2
+    near[r.guideline.cell_ids] = False
+    rng = np.random.default_rng(0)
+    off = rng.choice(np.flatnonzero(near), size=12, replace=False)
+    init.states[off] = rng.integers(0, b.n_states, size=12)
+    cases.append((b, r, init))
+
+    real_encode, real_outcomes = embed.RuleTable.encode, embed.reading_outcomes
+    calls = {"encode": 0, "outcomes": 0}
+
+    def counted_encode(*args):
+        calls["encode"] += 1
+        return real_encode(*args)
+
+    def counted_outcomes(*args):
+        calls["outcomes"] += 1
+        return real_outcomes(*args)
+
+    kinds = set()
+    starts = []
+    for b, r, init in cases:
+        run = ref.frozen_rim_run(b, r, init.states, 10)
+        still = _still_from(run)
+        starts.append(still)
+        for horizon in (10, 3, 0, -1):
+            with monkeypatch.context() as mp:
+                mp.setattr(embed.RuleTable, "encode", counted_encode)
+                mp.setattr(embed, "reading_outcomes", counted_outcomes)
+                calls.update(encode=0, outcomes=0)
+                got = embed.verify_unique_applicability(b, r, init, horizon)
+            assert got == _full_reencode_scan(b, r, init, horizon), horizon
+            # Python ints, so that the counts serialise as JSON
+            assert {type(n) for n in (got.scanned_cells, got.matched_cells,
+                                      got.multi_reading_cells)} == {int}
+            last = max(horizon, 0)
+            lines = [[(v.kind, v.cell, v.detail) for v in got.violations
+                      if v.time == t] for t in range(last + 1)]
+            stop = min(still, last)
+            assert lines[stop] and all(x == lines[stop]
+                                       for x in lines[stop:])
+            assert calls["encode"] == stop + 1
+            assert calls["outcomes"] == sum(
+                len({c for _, c, _ in x}) for x in lines[:stop + 1])
+        kinds |= {v.kind for v in got.violations}
+    assert starts == [0, 0, 1]
+    assert kinds == {"ambiguous", "line-unmatched"}
