@@ -26,11 +26,11 @@ can say independently that matching is rotation invariant.
 with the same alignment rows `compile_rules` uses.
 
 The scan pays for a step in proportion to the cells the step changes,
-not to the region: it carries each complete cell's table row and
-verdict flags (hit, multi-reading, ambiguous, line-unmatched,
-off-line-changed, moves) with running totals, codes again only the
-closed neighbourhoods of changed cells, and stops at the first step that
-moves nothing, since a fixed point scans alike at every later time.
+not to the region: it carries each complete cell's table row, from
+which every verdict (hit, multi-reading, ambiguous, line-unmatched,
+off-line-changed, moves) follows, with running totals, codes again only
+the closed neighbourhoods of changed cells, and past a fixed point codes
+nothing and repeats that time's counts and violation lines.
 """
 from __future__ import annotations
 
@@ -305,13 +305,6 @@ class RuleTable:
         out = self.lo[rows]
         return (rows >= 0) & (out == self.hi[rows]) & (out != own)
 
-    def moves(self, own: np.ndarray, rows: np.ndarray
-              ) -> tuple[np.ndarray, np.ndarray]:
-        """One step of a set of cells by `moving`: the indices of the
-        cells whose state changes, ascending, and their new states."""
-        moved = np.flatnonzero(self.moving(own, rows))
-        return moved, self.lo[rows[moved]]
-
     def decode(self, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(self states, (len, arity) neighbour states) of context codes.
 
@@ -528,11 +521,6 @@ def _distinct(a: np.ndarray) -> np.ndarray:
     return a[np.concatenate(([True], a[1:] != a[:-1]))]
 
 
-# the verdict flags the scan carries per complete cell, as rows: a
-# reading, more than one reading, the three violation kinds in listing
-# order, and a step that changes the state
-_HIT, _MULTI, _MOVES = 0, 1, 5
-_BAD = slice(2, 5)
 _KINDS = ("ambiguous", "line-unmatched", "off-line-changed")
 
 
@@ -549,19 +537,19 @@ def verify_unique_applicability(automaton: HcaAutomaton, region: Region,
     validity window; staleness there only widens the sample of contexts.
 
     A step costs in proportion to the cells it codes again, not to the
-    region.  Each complete cell's table row is looked up once, and the
-    scan carries it with the cell's verdict flags: hit, multi-reading,
-    ambiguous, line-unmatched, off-line-changed, and whether
-    `RuleTable.moving` changes its state.  It also carries the hit and
-    multi-reading totals and the violating cells.  A step moves the
-    flagged cells, then codes again only the complete cells in the closed
+    region.  Each complete cell's table row is looked up once and carried;
+    every verdict (hit, multi-reading, the three violation kinds, and
+    whether `RuleTable.moving` changes the state) follows from the row and
+    the cell's own state.  The scan also carries the hit and multi-reading
+    totals and the violating cells.  A step moves the cells the rule
+    changes, then codes again only the complete cells in the closed
     neighbourhood of a changed cell, since no other context can change,
-    and subtracts and re-adds their flags; this relies on the region's
-    adjacency being symmetric.  The cells to move next are among those
-    coded again, since every other cell keeps flags that did not move it.
-    A step that moves no cell leaves a fixed point, so every later time
-    scans alike: the scan adds that time's counts and violation lines for
-    each remaining time, and stops.
+    and subtracts their old rows' totals and adds their new ones; this
+    relies on the region's adjacency being symmetric.  The cells to move
+    next are among those coded again, since every other cell keeps a row
+    that did not move it.  Once a step moves no cell the configuration is
+    a fixed point: later times code nothing and repeat its counts and
+    violation lines.
     """
     report = VerifyReport()
     if automaton.grid in _ROW_START and automaton.kind == "compact":
@@ -575,7 +563,7 @@ def verify_unique_applicability(automaton: HcaAutomaton, region: Region,
         for m in region.guideline.mirror_ids:
             if m >= 0:
                 may_change[int(m)] = True
-    cells = region.complete_cells
+    cells = np.flatnonzero(~(adj < 0).any(axis=1))
     index = np.full(region.n_cells, -1, dtype=np.intp)
     index[cells] = np.arange(len(cells))
     line = on_line[cells]
@@ -583,66 +571,63 @@ def verify_unique_applicability(automaton: HcaAutomaton, region: Region,
     judged = line & (region.dist[cells] < region.radius)
     table = automaton.rule_table
     states = init.states.copy()
-    at = np.empty(len(cells), dtype=np.intp)
-    flags = np.zeros((6, len(cells)), dtype=bool)
 
-    def recode(j: np.ndarray) -> tuple[int, int]:
-        """Look the complete cells j up again, reset their flags, and
-        return how much that changes the hit and multi-reading totals."""
-        was = [int(np.count_nonzero(flags[k].take(j)))
-               for k in (_HIT, _MULTI)]
-        own = states[cells[j]]
-        rows = table.lookup(table.encode(states, adj, cells[j]))
+    def tally(rows: np.ndarray) -> tuple[int, int]:
+        """How many of the table rows are hits, and multi-reading hits."""
         hit = rows >= 0
-        multi = hit & (table.readings[rows] > 1)
-        lo, hi = table.lo[rows], table.hi[rows]
-        at[j] = rows
-        flags[:, j] = (hit, multi, hit & (lo != hi), judged[j] & ~hit,
-                       guarded[j] & hit & ((lo != own) | (hi != own)),
-                       table.moving(own, rows))
-        return (int(np.count_nonzero(hit)) - was[0],
-                int(np.count_nonzero(multi)) - was[1])
+        return (int(np.count_nonzero(hit)),
+                int(np.count_nonzero(table.readings[rows[hit]] > 1)))
 
-    matched, multi_reading = recode(np.arange(len(cells)))
-    bad = np.flatnonzero(flags[_BAD].any(axis=0))
-    movers = np.flatnonzero(flags[_MOVES])
-    last = max(horizon, 0)
-    t = 0
-    while True:
-        lines = []
-        for j in bad:
-            c = int(cells[j])
-            nb = tuple(int(v) for v in states[adj[c]])
-            found, outs = reading_outcomes(automaton, int(states[c]), nb)
-            detail = {
-                "ambiguous": f"readings {found} give states {outs}",
-                "line-unmatched": "no admissible reading",
-                "off-line-changed": f"reading would move state to {outs}",
-            }
-            lines.extend((kind, c, detail[kind])
-                         for kind, f in zip(_KINDS, flags[_BAD, j]) if f)
-        # after the last step, or at a fixed point, this is every time left
-        stop = t == last or not len(movers)
-        times = range(t, last + 1) if stop else (t,)
-        report.scanned_cells += len(cells) * len(times)
-        report.matched_cells += matched * len(times)
-        report.multi_reading_cells += multi_reading * len(times)
-        report.violations.extend(Violation(kind, u, c, detail)
-                                 for u in times for kind, c, detail in lines)
-        if stop:
-            return report
-        changed = cells[movers]
-        states[changed] = table.lo[at[movers]]
-        near = index.take(adj.take(changed, axis=0).ravel())
-        j = _distinct(np.concatenate([movers, near[near >= 0]]))
-        more_matched, more_multi_reading = recode(j)
-        matched += more_matched
-        multi_reading += more_multi_reading
-        movers = j[flags[_MOVES, j]]
-        if len(bad) or flags[_BAD, j].any():
-            bad = _distinct(np.concatenate([bad, j]))
-            bad = bad[flags[_BAD][:, bad].any(axis=0)]
-        t += 1
+    def violations(j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The violating complete cells among j, and their kinds as
+        rows in listing order."""
+        rows, own = at[j], states[cells[j]]
+        hit = rows >= 0
+        lo, hi = table.lo[rows], table.hi[rows]
+        kinds = np.array((hit & (lo != hi), judged[j] & ~hit,
+                          guarded[j] & hit & ((lo != own) | (hi != own))))
+        bad = kinds.any(axis=0)
+        return j[bad], kinds[:, bad]
+
+    at = table.lookup(table.encode(states, adj, cells))
+    matched, multi_reading = tally(at)
+    bad, kinds = violations(np.arange(len(cells)))
+    movers = np.flatnonzero(table.moving(states[cells], at))
+    lines = None
+    for t in range(max(horizon, 0) + 1):
+        if t and len(movers):
+            changed = cells[movers]
+            states[changed] = table.lo[at[movers]]
+            near = index.take(adj.take(changed, axis=0).ravel())
+            j = _distinct(np.concatenate([movers, near[near >= 0]]))
+            was_matched, was_multi_reading = tally(at[j])
+            at[j] = rows = table.lookup(table.encode(states, adj, cells[j]))
+            now_matched, now_multi_reading = tally(rows)
+            matched += now_matched - was_matched
+            multi_reading += now_multi_reading - was_multi_reading
+            movers = j[table.moving(states[cells[j]], rows)]
+            # cells outside j keep their verdicts
+            bad, kinds = violations(_distinct(np.concatenate([bad, j])))
+            lines = None
+        if lines is None:
+            lines = []
+            for j, found_kinds in zip(bad, kinds.T):
+                c = int(cells[j])
+                nb = tuple(int(v) for v in states[adj[c]])
+                found, outs = reading_outcomes(automaton, int(states[c]), nb)
+                detail = {
+                    "ambiguous": f"readings {found} give states {outs}",
+                    "line-unmatched": "no admissible reading",
+                    "off-line-changed": f"reading would move state to {outs}",
+                }
+                lines.extend((kind, c, detail[kind])
+                             for kind, f in zip(_KINDS, found_kinds) if f)
+        report.scanned_cells += len(cells)
+        report.matched_cells += matched
+        report.multi_reading_cells += multi_reading
+        report.violations.extend(Violation(kind, t, c, detail)
+                                 for kind, c, detail in lines)
+    return report
 
 
 def _slot_to_doc(slot: Slot) -> dict:

@@ -8,7 +8,7 @@ unique-applicability scan in `embed` keeps stepping past the budget with
 a frozen rim, without this module: it wants breadth of contexts, not
 fidelity at the edge.  It carries each complete cell's table row from
 step to step, and `RuleTable.moving`, the step rule this module applies
-too through `RuleTable.moves`, turns the rows into next states.
+too, marks the cells whose rows change their state.
 
 Cells with a neighbour outside the region never update.  Everything else
 updates by the automaton: a uniquely readable pattern match applies the
@@ -172,10 +172,10 @@ def _apply(automaton: emb.HcaAutomaton, region: Region, cfg: Configuration,
         raise AmbiguousMatch(
             f"cell {c} at time {cfg.time}: readings {readings} "
             f"disagree, states {outs}")
-    moved, out = table.moves(states[candidates], at)
+    moved = np.flatnonzero(table.moving(states[candidates], at))
     changed = candidates[moved].astype(np.int64)
     new_states = states.copy()
-    new_states[changed] = out
+    new_states[changed] = table.lo[at[moved]]
     return (Configuration(new_states, cfg.time + 1,
                           max(cfg.valid_radius - 1, 0)),
             changed)

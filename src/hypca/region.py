@@ -181,14 +181,6 @@ class Region:
     def centers(self) -> np.ndarray:
         return self.matrices[:, :, 0]
 
-    @cached_property
-    def complete_cells(self) -> np.ndarray:
-        """Ids of the cells whose every neighbour was built, ascending,
-        found on first read and read-only."""
-        ids = np.flatnonzero(~(self.adjacency < 0).any(axis=1))
-        ids.setflags(write=False)
-        return ids
-
 
 # per grid: sides whose planes carry the guideline (None: the heptagrid's
 # midpoint line, built separately)

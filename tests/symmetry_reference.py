@@ -246,7 +246,7 @@ def frozen_rim_run(automaton: embed.HcaAutomaton, region,
     for _ in range(steps):
         s = out[-1].copy()
         at = table.lookup(encode(table, s, region.adjacency, cells))
-        moved, new = table.moves(s[cells], at)
-        s[cells[moved]] = new
+        moved = np.flatnonzero(table.moving(s[cells], at))
+        s[cells[moved]] = table.lo[at[moved]]
         out.append(s)
     return out
