@@ -304,8 +304,11 @@ def config_from_json(text: str, region: Region) -> Configuration:
     if grid != region.grid:
         raise ValueError(f"snapshot is for {grid}, region is {region.grid}")
     try:
+        # a float or a boolean would be cast to an integer state
+        if any(type(s) is not int for s in states):
+            raise TypeError
         states = np.asarray(states, dtype=np.int16)
-    except (TypeError, ValueError, OverflowError):
+    except (TypeError, OverflowError):
         raise ValueError("snapshot key 'states' must list integer "
                          "states") from None
     if states.shape != (region.n_cells,):

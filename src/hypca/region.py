@@ -42,18 +42,26 @@ occurrence in (frontier, side) order.
 Every entry of Q is at most ||T||_inf ** (halfwidth + radius), and so is
 every key entry, since ||f0||_inf = 1.  The table stores keys in the
 narrowest integer type that holds this bound; products are formed in int64.
-||T||_inf is 3 on the pentagrid and the dodecagrid, so within MAX_EXTENT the
-entries stay below 3**18 < 2**31 and 3**8 < 2**15: int32 and int16 keys.  On
-the heptagrid ||T||_inf is 53 and past extent 5 the bound needs int64; past
-extent 10 it says nothing (the largest entry is about 1.6e8, on the
-extent-18 chain), so each level checks its largest entry and raises
-RegionTooLarge before a product could pass int64.
+||T||_inf is 3 on the pentagrid and the dodecagrid, so keys are int16 up to
+extent 9 and int32 up to extent 19.  The bound is loose there: along the
+chain the largest entry of Q grows quadratically, to 45,300 on the extent-300
+pentagrid chain.  On the heptagrid ||T||_inf is 53 and the entries grow
+exponentially, to about 1.6e8 on the extent-18 chain.  So no bound is
+relied on to keep int64 from wrapping: the chain walk checks each
+product's left factor, and each level its largest entry, against the int64
+limit over the largest column sum of a step, and raises RegionTooLarge
+before a product could pass it.  On the heptagrid that refuses every
+halfwidth + radius past 40.
 
-Float placement is computed on demand.  The build records, for each cell
-off the chain, the cell it was placed from and the side between them, and
-keeps the chain walk's placements; `Region.matrices` places every cell from
-these, a level at a time, on its first read.  Only render and the geometry
-checks read it; the engine, the verify scan and the oracle check never do.
+Float placement is computed on demand, in `Region.matrices`, the one place
+that makes floats.  The build records, for each cell off the chain, the
+cell it was placed from and the side between them; `Region.matrices` walks
+the chain by its side labels and places every other cell from those
+records, a level at a time, on its first read.  Only render and the
+geometry checks read it; the engine, the verify scan and the oracle check
+never do.  Float coordinates grow exponentially with the distance from the
+base cell, so `Region.matrices` refuses a region whose halfwidth + radius
+passes PLACEMENT_EXTENT; the build has no such bound.
 
 The chain's side labels are integers too.  The paper's tape line is built by
 the shift along the guideline that carries one neighbour of a tape cell onto
@@ -65,8 +73,7 @@ l0 + k gap and right side l0 + (k + 1) gap, mod p.  On the dodecagrid a step
 numbers the shared face op(s) in the neighbour, so (mirror face, left, right)
 goes to (op m, op r, op l) and alternates between two triples with the
 parity of k.  No float test decides which cells form the chain, their sides
-or the mirror face.  MAX_EXTENT bounds only the float placement, whose
-coordinates lose accuracy further out.
+or the mirror face.
 
 A region is a pure function of (grid, radius, halfwidth), so a region file
 holds those three values and a format version, and loading one rebuilds
@@ -103,8 +110,8 @@ from . import symmetry as sym
 
 NO_POS = -(10**9)
 
-# coordinate magnitudes stay accurate up to these graph extents
-MAX_EXTENT = {"pentagrid": 18, "heptagrid": 18, "dodecagrid": 8}
+# float placements stay accurate up to these extents, halfwidth + radius
+PLACEMENT_EXTENT = {"pentagrid": 18, "heptagrid": 18, "dodecagrid": 8}
 MAX_RADIUS = {"pentagrid": 10, "heptagrid": 10, "dodecagrid": 6}
 
 REGION_FORMAT = 2       # region files hold (grid, radius, halfwidth) only
@@ -127,9 +134,6 @@ class Guideline:
     left_sides: np.ndarray      # side toward position - 1
     right_sides: np.ndarray     # side toward position + 1
     segment_halfwidth: int
-    normals: list[np.ndarray]   # plane normals cutting out the line
-    frame_p0: np.ndarray
-    frame_w: np.ndarray
     mirror_ids: np.ndarray | None = None   # dodecagrid reflected row
 
     def id_at(self, position: int) -> int:
@@ -143,7 +147,6 @@ class Guideline:
 class Placement:
     """How build_region placed the cells: the chain by its walk, then every
     later cell across one side of a cell placed before it."""
-    chain: np.ndarray           # (n_chain, d+1, d+1) walk placements
     parent: np.ndarray          # (N - n_chain,) int32 cell placed from
     side: np.ndarray            # (N - n_chain,) int8 parent's side crossed
 
@@ -172,9 +175,18 @@ class Region:
 
     @cached_property
     def matrices(self) -> np.ndarray:
-        """(N, d+1, d+1) base-to-placed isometries, placed on first read."""
+        """(N, d+1, d+1) base-to-placed isometries, placed on first read.
+        Their float coordinates grow with the distance from the base cell,
+        so regions past PLACEMENT_EXTENT are refused here."""
         if self.placement is None:
             raise ValueError("region has neither matrices nor a placement")
+        extent = self.halfwidth + self.radius
+        bound = PLACEMENT_EXTENT[self.grid]
+        if extent > bound:
+            raise RegionTooLarge(
+                f"halfwidth + radius = {extent} exceeds the {self.grid} "
+                f"placement bound PLACEMENT_EXTENT = {bound}; float "
+                "placements lose accuracy further out")
         return _place(self)
 
     @property
@@ -182,28 +194,10 @@ class Region:
         return self.matrices[:, :, 0]
 
 
-# per grid: sides whose planes carry the guideline (None: the heptagrid's
-# midpoint line, built separately)
-_GUIDE_SIDES = {"pentagrid": (0,), "heptagrid": None, "dodecagrid": (0, 2)}
 # polygonal grids: (left side l0 of the base cell, gap from left to right)
 _CHAIN_GAP = {"pentagrid": (1, 3), "heptagrid": (2, 4)}
 # dodecagrid: (mirror face, left, right) at even and at odd positions
 _CHAIN_FACES = ((0, 3, 1), (11, 9, 6))
-
-
-def guide_normals(shape: poly.CellShape) -> list[np.ndarray]:
-    sides = _GUIDE_SIDES[shape.name]
-    if sides is not None:
-        return [np.array(shape.side_normals[i]) for i in sides]
-    mids = [geo.point_at(shape.inradius, shape.side_directions[i]) for i in (0, 1)]
-    j = np.ones(3)
-    j[1:] = -1.0
-    rows = np.stack([m * j for m in mids])
-    _, _, vt = np.linalg.svd(rows)
-    n = geo.normalize_spacelike(vt[-1])
-    if n[0] < 0:           # keep the base cell center on the positive side
-        n = -n
-    return [n]
 
 
 _CHUNK = 8192                        # candidates per batched lookup
@@ -362,6 +356,17 @@ def _chain_labels(grid: str, p: int, pos: np.ndarray):
     return None, left, (left + gap) % p
 
 
+def _chain_walk(extent: int, left: np.ndarray, right: np.ndarray):
+    """(index, index placed from, side crossed) of every chain cell but the
+    base cell, in walk order: out to position extent, then to -extent.
+    Index k holds position k - extent; `left` and `right` are its labels."""
+    left, right = left.tolist(), right.tolist()
+    for k in range(extent + 1, 2 * extent + 1):
+        yield k, k - 1, right[k - 1]
+    for k in range(extent - 1, -1, -1):
+        yield k, k + 1, left[k + 1]
+
+
 def build_region(grid: str, radius: int, halfwidth: int) -> Region:
     """All cells within `radius` steps of the guideline segment spanning
     positions -halfwidth..halfwidth.
@@ -379,39 +384,26 @@ def build_region(grid: str, radius: int, halfwidth: int) -> Region:
             f"radius {radius} exceeds the {grid} limit {MAX_RADIUS[grid]}"
         )
     extent = halfwidth + radius
-    if extent > MAX_EXTENT[grid]:
-        raise RegionTooLarge(
-            f"halfwidth + radius = {extent} exceeds the {grid} limit "
-            f"{MAX_EXTENT[grid]}"
-        )
-    dim1 = shape.dim + 1
-    e0 = np.zeros(dim1)
-    e0[0] = 1.0
-    steps = shape.step_matrices
     p = shape.n_sides
     ck = _cell_keys(grid)
     m = len(ck.f0)
 
     # walk the chain outwards in both directions from the base cell; index
-    # k of these arrays holds position k - extent
+    # k holds position k - extent.  A product's entries are at most its
+    # left factor's largest entry times ck.growth, so that factor is checked
+    # before each product.
     n_chain = 2 * extent + 1
     mirror, left, right = _chain_labels(grid, p, np.arange(-extent, extent + 1))
-    g_pos = np.empty((n_chain, dim1, dim1))
     q_pos = np.empty((n_chain, m, m), dtype=np.int64)
-    g_pos[extent], q_pos[extent] = np.eye(dim1), np.eye(m, dtype=np.int64)
-    for k in range(extent + 1, n_chain):
-        s = right[k - 1]
-        g_pos[k], q_pos[k] = g_pos[k - 1] @ steps[s], q_pos[k - 1] @ ck.steps[s]
-    for k in range(extent - 1, -1, -1):
-        s = left[k + 1]
-        g_pos[k], q_pos[k] = g_pos[k + 1] @ steps[s], q_pos[k + 1] @ ck.steps[s]
-
-    normals = guide_normals(shape)
-    p0, w = geo.line_frame(normals)
-    # the null space behind the frame has no fixed sign; point w toward
-    # position + 1
-    if float(geo.mdot(steps[right[extent]] @ e0, w)) < float(geo.mdot(e0, w)):
-        w = -w
+    q_pos[extent] = np.eye(m, dtype=np.int64)
+    for k, k0, s in _chain_walk(extent, left, right):
+        top = int(np.abs(q_pos[k0]).max())
+        if top > _KEY_LIMIT // ck.growth:
+            raise RegionTooLarge(
+                f"{grid} chain key matrix at position {k0 - extent} reaches "
+                f"{top}; its product with a step could pass the int64 key "
+                "limit")
+        q_pos[k] = q_pos[k0] @ ck.steps[s]
 
     chain_order = [0] + [q for q in range(-extent, extent + 1) if q != 0]
     chain_at = np.array(chain_order) + extent    # index of each chain id
@@ -573,9 +565,6 @@ def build_region(grid: str, radius: int, halfwidth: int) -> Region:
         left_sides=left,
         right_sides=right,
         segment_halfwidth=halfwidth,
-        normals=normals,
-        frame_p0=p0,
-        frame_w=w,
         mirror_ids=mirror_ids,
     )
     region = Region(
@@ -587,7 +576,6 @@ def build_region(grid: str, radius: int, halfwidth: int) -> Region:
         positions=positions,
         guideline=guideline,
         placement=Placement(
-            chain=g_pos[chain_at],
             parent=np.concatenate(placed_from),
             side=np.concatenate(placed_side)),
     )
@@ -612,16 +600,23 @@ def _chain_renumbering(shape: poly.CellShape):
 
 
 def _place(region: Region) -> np.ndarray:
-    """Every cell's placement: the chain's from its walk, then each later
-    cell's as its parent's times the step across its side, a BFS level at
-    a time (a level's cells have consecutive ids and parents placed
-    before them).  Last, the dodecagrid chain renumbering turns each chain
-    cell by its base rotation."""
+    """Every cell's placement: the chain's by the walk build_region makes
+    over the keys, then each later cell's as its parent's times the step
+    across its side, a BFS level at a time (a level's cells have
+    consecutive ids and parents placed before them).  Last, the dodecagrid
+    chain renumbering turns each chain cell by its base rotation."""
     pl, shape = region.placement, region.shape
     steps = shape.step_matrices
-    n_chain = len(pl.chain)
-    mats = np.empty((region.n_cells,) + pl.chain.shape[1:])
-    mats[:n_chain] = pl.chain
+    extent = region.halfwidth + region.radius
+    n_chain, dim1 = 2 * extent + 1, shape.dim + 1
+    _, left, right = _chain_labels(region.grid, shape.n_sides,
+                                   np.arange(-extent, extent + 1))
+    walk = np.empty((n_chain, dim1, dim1))
+    walk[extent] = np.eye(dim1)
+    for k, k0, s in _chain_walk(extent, left, right):
+        walk[k] = walk[k0] @ steps[s]
+    mats = np.empty((region.n_cells, dim1, dim1))
+    mats[:n_chain] = walk[region.positions[:n_chain] + extent]
     chunk = max(1, _CHUNK // shape.n_sides)
     bounds = n_chain + np.searchsorted(region.dist[n_chain:],
                                        np.arange(1, region.radius + 2))
@@ -694,25 +689,6 @@ def marker_cell_ids(region: Region, scheme: MarkerScheme) -> np.ndarray:
         if region.adjacency[ident, s] >= 0
     }
     return np.array(sorted(ids), dtype=np.int32)
-
-
-def neighbor(region: Region, c: int, side: int) -> int | None:
-    """The cell across a side of c, or None outside the generated region.
-
-    Sides run 1..5 and 1..7 on the polygonal grids, 0..11 on the
-    dodecagrid.
-    """
-    p = region.shape.n_sides
-    if region.grid == "dodecagrid":
-        if not 0 <= side < p:
-            raise ValueError(f"face {side} out of range 0..{p - 1}")
-        s = side
-    else:
-        if not 1 <= side <= p:
-            raise ValueError(f"side {side} out of range 1..{p}")
-        s = side - 1
-    hit = int(region.adjacency[c, s])
-    return hit if hit >= 0 else None
 
 
 def region_to_json(region: Region) -> str:

@@ -25,10 +25,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from . import geometry as geo
+from . import polytopes as poly
 from .region import Region
 
 # letter fill cycle, warm shades so multi-letter tapes stay readable
@@ -231,12 +233,21 @@ def _render_polygons(region: Region, spec: RenderSpec,
     return _svg_document(spec, body)
 
 
-def _trace_basis(region: Region):
-    """An orthonormal frame of the trace plane: a base point, and two
-    spacelike directions inside the plane."""
-    n0 = region.guideline.normals[0]
-    e0 = region.guideline.frame_p0
-    e1 = region.guideline.frame_w
+@lru_cache(maxsize=None)
+def _trace_basis(grid: str):
+    """The trace plane's normal and an orthonormal frame of the plane: a
+    base point, the tape line's direction and a spacelike direction
+    across it.  The plane carries face 0 of the base cell, the tape line
+    is its cut with the face 2 plane, and the direction points toward the
+    cell across face 1, the next tape cell."""
+    shape = poly.by_name(grid)
+    n0 = np.array(shape.side_normals[0])
+    e0, e1 = geo.line_frame([n0, np.array(shape.side_normals[2])])
+    base = np.eye(4)[0]
+    # the null space behind the frame has no fixed sign
+    if float(geo.mdot(shape.step_matrices[1] @ base, e1)) < float(
+            geo.mdot(base, e1)):
+        e1 = -e1
     e2 = None
     for trial in np.eye(4)[::-1]:
         v = trial - geo.mdot(trial, e0) * e0 + geo.mdot(trial, e1) * e1 \
@@ -244,6 +255,8 @@ def _trace_basis(region: Region):
         if geo.mdot(v, v) < -1e-6:
             e2 = geo.normalize_spacelike(v)
             break
+    for x in (n0, e0, e1, e2):
+        x.flags.writeable = False
     return n0, e0, e1, e2
 
 
@@ -256,7 +269,7 @@ def _plane_coords(x: np.ndarray, e0, e1, e2) -> np.ndarray:
 def _render_trace_plane(region: Region, spec: RenderSpec,
                         states: np.ndarray) -> str:
     shape = region.shape
-    n0, e0, e1, e2 = _trace_basis(region)
+    n0, e0, e1, e2 = _trace_basis(region.grid)
     centers = region.centers
     heights = geo.mdot(centers, n0)
     tape_side = np.sign(heights) == np.sign(heights[0])

@@ -6,6 +6,8 @@ import pytest
 from hypca import ca1d, embed
 from hypca import region as reg
 
+import region_reference
+
 _REGION_CACHE: dict[tuple, reg.Region] = {}
 
 
@@ -53,6 +55,8 @@ def legacy_region_json():
 
     def dump(region: reg.Region) -> str:
         gl = region.guideline
+        # regions no longer carry the guide planes; the loader ignores them
+        normals, p0, w = region_reference.guide_frame(region.grid)
         return json.dumps({
             "grid": region.grid,
             "radius": region.radius,
@@ -67,9 +71,9 @@ def legacy_region_json():
                 "left_sides": gl.left_sides.tolist(),
                 "right_sides": gl.right_sides.tolist(),
                 "segment_halfwidth": gl.segment_halfwidth,
-                "normals": [n.tolist() for n in gl.normals],
-                "frame_p0": gl.frame_p0.tolist(),
-                "frame_w": gl.frame_w.tolist(),
+                "normals": [n.tolist() for n in normals],
+                "frame_p0": p0.tolist(),
+                "frame_w": w.tolist(),
                 "mirror_ids": None if gl.mirror_ids is None
                 else gl.mirror_ids.tolist(),
             },

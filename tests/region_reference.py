@@ -14,9 +14,12 @@ It also finds the guideline by float geometry, independently of the side
 arithmetic `hypca.region` uses: the chain walk tests every neighbour's
 centre against the guide planes, and a dodecagrid chain cell's mirror face
 is the one whose neighbour is the cell's reflection in the guide plane.
+`guide_frame` gives those planes and the line's frame, for the chain
+tests too.
 
-`marker_cells` and `guideline_triples` spell out a region's marker sides
-and guideline sides in public numbering, for the region tests.
+`marker_cells`, `guideline_triples` and `neighbor` spell out a region's
+marker sides, guideline sides and neighbours in public numbering, for the
+region tests.
 """
 from __future__ import annotations
 
@@ -25,9 +28,9 @@ import numpy as np
 from hypca import geometry as geo
 from hypca import polytopes as poly
 from hypca import symmetry as sym
-from hypca.region import (MAX_EXTENT, MAX_RADIUS, NO_POS, Guideline,
+from hypca.region import (MAX_RADIUS, NO_POS, PLACEMENT_EXTENT, Guideline,
                           MarkerScheme, Region, RegionTooLarge, _CHUNK,
-                          _check_chain, guide_normals, marker_sides_internal)
+                          _check_chain, marker_sides_internal)
 
 DEDUP_BUCKET = 0.125
 DEDUP_TOL = 2e-3
@@ -211,6 +214,38 @@ class _CenterTable:
 # per grid: the side whose neighbor lies forward of the base cell
 # (increasing position)
 _FORWARD_SIDE = {"pentagrid": 4, "heptagrid": 6, "dodecagrid": 1}
+# per grid: sides whose planes carry the guideline (None: the heptagrid's
+# midpoint line, built separately)
+_GUIDE_SIDES = {"pentagrid": (0,), "heptagrid": None, "dodecagrid": (0, 2)}
+
+
+def guide_normals(shape: poly.CellShape) -> list[np.ndarray]:
+    """Unit normals of the planes that cut out the guideline."""
+    sides = _GUIDE_SIDES[shape.name]
+    if sides is not None:
+        return [np.array(shape.side_normals[i]) for i in sides]
+    mids = [geo.point_at(shape.inradius, shape.side_directions[i]) for i in (0, 1)]
+    j = np.ones(3)
+    j[1:] = -1.0
+    rows = np.stack([m * j for m in mids])
+    _, _, vt = np.linalg.svd(rows)
+    n = geo.normalize_spacelike(vt[-1])
+    if n[0] < 0:           # keep the base cell center on the positive side
+        n = -n
+    return [n]
+
+
+def guide_frame(grid: str):
+    """(guide plane normals, p0, w): the guideline is cosh(t) p0 + sinh(t) w,
+    with w pointing toward increasing position."""
+    shape = poly.by_name(grid)
+    normals = guide_normals(shape)
+    p0, w = geo.line_frame(normals)
+    e0 = np.eye(shape.dim + 1)[0]
+    ahead = shape.step_matrices[_FORWARD_SIDE[grid]] @ e0
+    if float(geo.mdot(ahead, w)) < float(geo.mdot(e0, w)):
+        w = -w
+    return normals, p0, w
 
 
 def _is_guide_center(c: np.ndarray, normals, values, tol: float = 1e-3) -> bool:
@@ -284,10 +319,10 @@ def build_region(grid: str, radius: int, halfwidth: int) -> Region:
         )
     shape = poly.by_name(grid)
     extent = halfwidth + radius
-    if extent > MAX_EXTENT[grid]:
+    if extent > PLACEMENT_EXTENT[grid]:
         raise RegionTooLarge(
-            f"halfwidth + radius = {extent} exceeds the {grid} limit "
-            f"{MAX_EXTENT[grid]}"
+            f"halfwidth + radius = {extent} exceeds the {grid} placement "
+            f"bound {PLACEMENT_EXTENT[grid]}"
         )
     dim1 = shape.dim + 1
     e0 = np.zeros(dim1)
@@ -295,12 +330,8 @@ def build_region(grid: str, radius: int, halfwidth: int) -> Region:
     steps = shape.step_matrices
     p = shape.n_sides
 
-    normals = guide_normals(shape)
+    normals, _, w = guide_frame(grid)
     values = [float(geo.mdot(e0, n)) for n in normals]
-    p0, w = geo.line_frame(normals)
-    fwd = _FORWARD_SIDE[grid]
-    if float(geo.mdot(steps[fwd] @ e0, w)) < float(geo.mdot(e0, w)):
-        w = -w
 
     # walk the chain outwards in both directions from the base cell
     chain: dict[int, np.ndarray] = {0: np.eye(dim1)}
@@ -377,9 +408,6 @@ def build_region(grid: str, radius: int, halfwidth: int) -> Region:
         left_sides=left[order],
         right_sides=right[order],
         segment_halfwidth=halfwidth,
-        normals=normals,
-        frame_p0=p0,
-        frame_w=w,
         mirror_ids=None if mirror_by_id is None else mirror_by_id[order],
     )
     region = Region(
@@ -426,3 +454,22 @@ def guideline_triples(region: Region) -> list[tuple[int, int, int]]:
         (int(c), int(l) + base, int(r) + base)
         for c, l, r in zip(gl.cell_ids, gl.left_sides, gl.right_sides)
     ]
+
+
+def neighbor(region: Region, c: int, side: int) -> int | None:
+    """The cell across a side of c, or None outside the generated region.
+
+    Sides run 1..5 and 1..7 on the polygonal grids, 0..11 on the
+    dodecagrid.
+    """
+    p = region.shape.n_sides
+    if region.grid == "dodecagrid":
+        if not 0 <= side < p:
+            raise ValueError(f"face {side} out of range 0..{p - 1}")
+        s = side
+    else:
+        if not 1 <= side <= p:
+            raise ValueError(f"side {side} out of range 1..{p}")
+        s = side - 1
+    hit = int(region.adjacency[c, s])
+    return hit if hit >= 0 else None

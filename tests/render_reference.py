@@ -79,7 +79,7 @@ def _render_polygons(region: Region, spec: RenderSpec,
 def _render_trace_plane(region: Region, spec: RenderSpec,
                         states: np.ndarray) -> str:
     shape = region.shape
-    n0, e0, e1, e2 = _trace_basis(region)
+    n0, e0, e1, e2 = _trace_basis(region.grid)
     centers = region.centers
     heights = geo.mdot(centers, n0)
     ref_side = np.sign(heights[0])

@@ -243,7 +243,9 @@ def test_failure_exit_codes(tmp_path, capsys):
             "states": [0] * reg.build_region("pentagrid", 4, 2).n_cells}
     wrong = (("time", None), ("time", "3"), ("valid_radius", None),
              ("valid_radius", 1.5), ("grid", 5), ("states", None),
-             ("states", {"0": 1}), ("states", [None] * len(good["states"])))
+             ("states", {"0": 1}), ("states", [None] * len(good["states"])),
+             ("states", [1.5] * len(good["states"])),
+             ("states", [True] * len(good["states"])))
     for text, says in (
             ("[]", "one JSON object"), ("{}", "'grid'"),
             (json.dumps({"grid": "pentagrid", "time": 0,
@@ -259,6 +261,26 @@ def test_failure_exit_codes(tmp_path, capsys):
                    "-o", str(tmp_path / "snap.svg")) == 0
     with pytest.raises(SystemExit):
         run_cli()
+
+
+def test_render_past_the_placement_bound_exits_2(capsys):
+    assert run_cli("render", "--grid", "pentagrid", "--radius", "2",
+                   "--halfwidth", "30") == 2
+    err = capsys.readouterr().err
+    assert "placement bound" in err and "Traceback" not in err
+
+
+def test_long_word_checks_against_the_oracle(tmp_path, capsys):
+    """A 41-letter word sets halfwidth 20, past the placement bound; the
+    oracle check places no cell, so it runs."""
+    auto = tmp_path / "auto.json"
+    run_cli("transform", "--rule", "elementary:110", "--grid", "pentagrid",
+            "--method", "compact", "-o", str(auto))
+    word = "10110011100011110000101101110010011010111"
+    assert len(word) == 41
+    assert run_cli("simulate", "--automaton", str(auto), "--word", word,
+                   "--check-oracle", "-o", str(tmp_path / "trace.txt")) == 0
+    assert "matches the 1D run" in capsys.readouterr().err
 
 
 def test_motions_output(capsys):

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -102,23 +103,24 @@ def test_guideline_triples_walk_the_chain(region_of, grid, radius, hw):
     extent = r.radius + r.halfwidth
     for (c, left, right), pos in zip(triples, range(-extent, extent + 1)):
         if pos > -extent:
-            assert reg.neighbor(r, c, left) == r.guideline.id_at(pos - 1)
+            assert float_ref.neighbor(r, c, left) == r.guideline.id_at(pos - 1)
         if pos < extent:
-            assert reg.neighbor(r, c, right) == r.guideline.id_at(pos + 1)
+            assert float_ref.neighbor(r, c, right) == r.guideline.id_at(pos + 1)
 
 
 @pytest.mark.parametrize("grid,radius,hw", [
     ("pentagrid", 3, 2), ("heptagrid", 3, 2), ("dodecagrid", 3, 1)])
 def test_guideline_chain_follows_the_line(region_of, grid, radius, hw):
     """Chain cells keep the base cell's offsets from the guide planes and
-    advance along frame_w with their position."""
+    advance along the line's direction w with their position."""
     r = region_of(grid, radius, hw)
     gl = r.guideline
+    normals, _, w = float_ref.guide_frame(grid)
     c = r.centers[gl.cell_ids]
-    for n in gl.normals:
+    for n in normals:
         off = geo.mdot(c, n)
         assert np.abs(off - off[gl.positions == 0]).max() < 1e-6
-    assert (np.diff(geo.mdot(c, gl.frame_w)) > 0).all()
+    assert (np.diff(geo.mdot(c, w)) > 0).all()
 
 
 def test_dodecagrid_chain_uses_canonical_faces(region_of):
@@ -131,7 +133,7 @@ def test_dodecagrid_chain_uses_canonical_faces(region_of):
 def test_dodecagrid_mirror_row_across_the_plane(region_of):
     r = region_of("dodecagrid", 3, 1)
     gl = r.guideline
-    n0 = gl.normals[0]
+    n0 = float_ref.guide_frame("dodecagrid")[0][0]
     heights = geo.mdot(r.centers, n0)
     ref = np.sign(heights[0])
     for c, m in zip(gl.cell_ids, gl.mirror_ids):
@@ -181,14 +183,14 @@ def test_marker_cells_skip_frozen_rim_only(region_of):
 def test_neighbor_public_numbering(region_of):
     r = region_of("pentagrid", 2, 1)
     with pytest.raises(ValueError):
-        reg.neighbor(r, 0, 0)
+        float_ref.neighbor(r, 0, 0)
     with pytest.raises(ValueError):
-        reg.neighbor(r, 0, 6)
-    assert reg.neighbor(r, 0, 1) == r.adjacency[0, 0]
+        float_ref.neighbor(r, 0, 6)
+    assert float_ref.neighbor(r, 0, 1) == r.adjacency[0, 0]
     rd = region_of("dodecagrid", 2, 1)
-    assert reg.neighbor(rd, 0, 0) == rd.adjacency[0, 0]
+    assert float_ref.neighbor(rd, 0, 0) == rd.adjacency[0, 0]
     with pytest.raises(ValueError):
-        reg.neighbor(rd, 0, 12)
+        float_ref.neighbor(rd, 0, 12)
 
 
 def test_size_caps_enforced():
@@ -196,8 +198,44 @@ def test_size_caps_enforced():
         reg.build_region("pentagrid", 11, 0)
     with pytest.raises(reg.RegionTooLarge):
         reg.build_region("dodecagrid", 7, 0)
-    with pytest.raises(reg.RegionTooLarge):
-        reg.build_region("pentagrid", 10, 9)
+    # past the placement bound a region builds, and only placing it fails
+    r = reg.build_region("pentagrid", 10, 9)
+    with pytest.raises(reg.RegionTooLarge, match="placement bound"):
+        r.matrices
+
+
+@pytest.mark.parametrize("grid,radius,hw,cells", [
+    ("pentagrid", 2, 300, 6621), ("dodecagrid", 2, 100, 18315)])
+def test_long_regions_build_without_floats(grid, radius, hw, cells):
+    """The build is integer work only, so a region far past the placement
+    bound builds with no float warning and is not placed."""
+    with np.errstate(all="raise"):
+        r = reg.build_region(grid, radius, hw)
+    assert r.n_cells == cells
+    assert "matrices" not in vars(r)
+    c, s = np.nonzero(r.adjacency >= 0)
+    assert (r.adjacency[r.adjacency[c, s]] == c[:, None]).any(axis=1).all()
+    with pytest.raises(reg.RegionTooLarge, match="placement bound"):
+        r.matrices
+    assert "matrices" not in vars(r)
+
+
+def test_chain_walk_stops_before_int64_wraps():
+    """The heptagrid's chain keys grow exponentially; the walk refuses a
+    product that could pass int64 and reports its left factor's largest
+    entry, which exact integer arithmetic confirms."""
+    with pytest.raises(reg.RegionTooLarge, match="int64 key limit") as e:
+        reg.build_region("heptagrid", 1, 60)
+    pos, top = map(int, re.search(r"position (-?\d+) reaches (\d+)",
+                                  str(e.value)).groups())
+    ck = reg._cell_keys("heptagrid")
+    _, _, right = reg._chain_labels("heptagrid", 7, np.arange(pos))
+    q = np.eye(len(ck.f0), dtype=np.int64).astype(object)
+    for s in right.tolist():
+        before = max(abs(x) for x in q.ravel())
+        q = q.dot(ck.steps[s].astype(object))
+    assert before <= reg._KEY_LIMIT // ck.growth
+    assert max(abs(x) for x in q.ravel()) == top > reg._KEY_LIMIT // ck.growth
 
 
 def test_region_json_round_trip(region_of):
@@ -336,14 +374,16 @@ def test_region_matches_fingerprint_golden(region_of, grid, radius, hw):
 
 # Exact cell keys.  The float builder in region_reference.py is the
 # reference: both must give the same cells in the same order.  The radius-1
-# sizes run the chain out to each grid's MAX_EXTENT, so the side arithmetic
-# meets the float chain walk on the longest chain a region may have.
+# sizes run the chain out to each grid's PLACEMENT_EXTENT, so the side
+# arithmetic meets the float chain walk on the longest chain that can be
+# placed.
 DIFFERENTIAL_SIZES = [("pentagrid", 7, 2), ("pentagrid", 6, 8),
                       ("heptagrid", 6, 3), ("heptagrid", 7, 1),
                       ("dodecagrid", 3, 2), ("dodecagrid", 4, 1),
-                      ("pentagrid", 1, reg.MAX_EXTENT["pentagrid"] - 1),
-                      ("heptagrid", 1, reg.MAX_EXTENT["heptagrid"] - 1),
-                      ("dodecagrid", 1, reg.MAX_EXTENT["dodecagrid"] - 1)]
+                      ("pentagrid", 1, reg.PLACEMENT_EXTENT["pentagrid"] - 1),
+                      ("heptagrid", 1, reg.PLACEMENT_EXTENT["heptagrid"] - 1),
+                      ("dodecagrid", 1,
+                       reg.PLACEMENT_EXTENT["dodecagrid"] - 1)]
 
 
 def assert_same_region(a: reg.Region, b: reg.Region) -> None:

@@ -9,6 +9,7 @@ from hypca import embed, engine, render
 from hypca import geometry as geo
 from hypca.region import marker_cell_ids
 
+import region_reference
 import render_reference
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -95,6 +96,19 @@ def test_dodecagrid_trace_view(region_of, rule110):
     # interior plane cells show their across-the-plane partner as a disc
     assert svg.count("<circle") > 1
     assert f'fill="{render.RED}"' in svg
+
+
+def test_trace_frame_is_the_guideline_frame(region_of):
+    """The trace view's frame is the guide planes' frame of the float
+    reference, bit for bit, so the tape runs the same way across every
+    picture; and the tape cells advance along its direction."""
+    n0, e0, e1, _ = render._trace_basis("dodecagrid")
+    normals, p0, w = region_reference.guide_frame("dodecagrid")
+    for got, want in ((n0, normals[0]), (e0, p0), (e1, w)):
+        assert np.array_equal(got, want)
+    r = region_of("dodecagrid", 3, 1)
+    along = geo.mdot(r.centers[r.guideline.cell_ids], e1)
+    assert (np.diff(along) > 0).all()
 
 
 def test_spec_round_trip():
