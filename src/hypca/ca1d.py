@@ -9,8 +9,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
+
+from .jsonfile import exactly, json_object, read_key
 
 
 @dataclass(frozen=True)
@@ -154,13 +157,12 @@ def rule_to_json(rule: Rule1D) -> str:
 
 
 def rule_from_json(text: str) -> Rule1D:
-    doc = json.loads(text)
-    n = int(doc["n"])
-    flat = doc["table"]
-    if len(flat) != n ** 3:
-        raise ValueError(f"expected {n ** 3} table entries, got {len(flat)}")
-    tab = np.array(flat, dtype=np.int64).reshape(n, n, n)
-    return Rule1D(n, tab, name=str(doc.get("name", "")))
+    read = partial(read_key, json_object(text, "rule"), "rule")
+    n = read("n", exactly(int))
+    flat = read("table", lambda t: np.array(t, dtype=np.int64))
+    if flat.shape != (n ** 3,):
+        raise ValueError(f"expected {n ** 3} table entries, got {flat.size}")
+    return Rule1D(n, flat.reshape(n, n, n), name=read("name", str, ""))
 
 
 def parse_rule_spec(spec: str) -> Rule1D:

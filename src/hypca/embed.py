@@ -17,31 +17,31 @@ one rotated alignment, and state-unchanged everywhere else.
 automaton: every context the pattern matches, coded as one int64, with
 its number of distinct readings and the least and greatest next state
 they give.  A set of cells is coded with one gather of their neighbour
-states and one int64 product with the digit weights.  The engine steps
-by looking codes up in it, the unique-applicability scan reads its
-verdicts from it, and `expanded_rules` lists its single-reading contexts
-as explicit rules, held as the table's arrays, so the invariance checker
+states and one int64 product with the digit weights.  `TableRun` steps a
+configuration by the table, for the engine and the unique-applicability
+scan alike, and `expanded_rules` lists its single-reading contexts as
+explicit rules, held as the table's arrays, so the invariance checker
 can say independently that matching is rotation invariant.
 `reading_outcomes` spells out one context's readings for error messages,
 with the same alignment rows `compile_rules` uses.
 
-The scan pays for a step in proportion to the cells the step changes,
-not to the region: it carries each complete cell's table row, from
-which every verdict (hit, multi-reading, ambiguous, line-unmatched,
-off-line-changed, moves) follows, with running totals, codes again only
-the closed neighbourhoods of changed cells, and past a fixed point codes
-nothing and repeats that time's counts and violation lines.
+A `TableRun` step costs in proportion to the cells it changes, not to
+the region: it carries each complete cell's table row and codes again
+only the closed neighbourhoods of changed cells.  The scan reads every
+verdict from the carried rows, and past a fixed point codes nothing and
+repeats that time's counts and violation lines.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
 from . import ca1d
 from . import symmetry as sym
+from .jsonfile import exactly, json_object, read_key
 from .region import MarkerScheme, Region
 
 GRID_SIDES = {"pentagrid": 5, "heptagrid": 7, "dodecagrid": 12}
@@ -318,6 +318,54 @@ class RuleTable:
         return digits[-1], digits[:-1].T
 
 
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """The distinct values of a non-empty array, ascending.  (np.unique
+    would import numpy.ma, which no command needs.)"""
+    a = np.sort(a)
+    return a[np.concatenate(([True], a[1:] != a[:-1]))]
+
+
+class TableRun:
+    """A rule table stepping `states` in place: the one stepper behind
+    `engine.run_hca` and `verify_unique_applicability`.
+
+    Only `cells`, the complete-neighbourhood cells, step; each carries its
+    table row in `rows` (-1 for none), all looked up once at the start.  A
+    step moves the cells that `RuleTable.moving` changes, then codes again
+    only the complete cells in the closed neighbourhood of a changed cell,
+    since no other context can change; this needs the adjacency to be
+    symmetric.  Every cell not coded again keeps a row that did not move
+    it, so the next movers are among those coded again.
+    """
+
+    def __init__(self, table: RuleTable, adjacency: np.ndarray,
+                 states: np.ndarray) -> None:
+        self.table, self.adjacency, self.states = table, adjacency, states
+        self.cells = np.flatnonzero(~(adjacency < 0).any(axis=1))
+        self.rows = table.lookup(table.encode(states, adjacency, self.cells))
+        self._movers = np.flatnonzero(
+            table.moving(states[self.cells], self.rows))
+
+    def step(self) -> tuple[np.ndarray, np.ndarray]:
+        """One synchronous update.  Returns the indices into `cells` of
+        the cells coded again, ascending, and their rows from before the
+        step; both are empty at a fixed point, which codes nothing."""
+        movers, table = self._movers, self.table
+        if not len(movers):
+            return movers, movers
+        changed = self.cells[movers]
+        self.states[changed] = table.lo[self.rows[movers]]
+        near = _distinct(np.concatenate(
+            [changed, self.adjacency.take(changed, axis=0).ravel()]))
+        j = self.cells.searchsorted(near)
+        j = j[self.cells.take(j, mode="clip") == near]
+        old = self.rows[j]
+        self.rows[j] = rows = table.lookup(
+            table.encode(self.states, self.adjacency, self.cells[j]))
+        self._movers = j[table.moving(self.states[self.cells[j]], rows)]
+        return j, old
+
+
 def compile_rules(automaton: HcaAutomaton) -> RuleTable:
     """Enumerate the pattern over every alignment, self letter and letter
     assignment to its free slots, and tabulate the readings per context.
@@ -514,14 +562,19 @@ def symbolic_rows(automaton: HcaAutomaton, region: Region,
     return sorted(rows)
 
 
-def _distinct(a: np.ndarray) -> np.ndarray:
-    """The distinct values of a non-empty array, ascending.  (np.unique
-    would import numpy.ma, which no command needs.)"""
-    a = np.sort(a)
-    return a[np.concatenate(([True], a[1:] != a[:-1]))]
-
-
 _KINDS = ("ambiguous", "line-unmatched", "off-line-changed")
+
+
+def _may_change(automaton: HcaAutomaton, region: Region) -> np.ndarray:
+    """The cells a run of the automaton may change, as a mask: the tape,
+    and on dodecagrid extra the reflected row, which carries letters and
+    steps with the tape."""
+    mask = np.zeros(region.n_cells, dtype=bool)
+    mask[region.guideline.cell_ids] = True
+    if automaton.kind == "extra" and region.grid == "dodecagrid":
+        mirror = region.guideline.mirror_ids
+        mask[mirror[mirror >= 0]] = True
+    return mask
 
 
 def verify_unique_applicability(automaton: HcaAutomaton, region: Region,
@@ -536,41 +589,28 @@ def verify_unique_applicability(automaton: HcaAutomaton, region: Region,
     order of kinds.  The scan keeps stepping with a frozen rim past the
     validity window; staleness there only widens the sample of contexts.
 
-    A step costs in proportion to the cells it codes again, not to the
-    region.  Each complete cell's table row is looked up once and carried;
-    every verdict (hit, multi-reading, the three violation kinds, and
-    whether `RuleTable.moving` changes the state) follows from the row and
-    the cell's own state.  The scan also carries the hit and multi-reading
-    totals and the violating cells.  A step moves the cells the rule
-    changes, then codes again only the complete cells in the closed
-    neighbourhood of a changed cell, since no other context can change,
-    and subtracts their old rows' totals and adds their new ones; this
-    relies on the region's adjacency being symmetric.  The cells to move
-    next are among those coded again, since every other cell keeps a row
-    that did not move it.  Once a step moves no cell the configuration is
-    a fixed point: later times code nothing and repeat its counts and
+    The run is a `TableRun`, so a step costs in proportion to the cells
+    it codes again, not to the region.  Every verdict (hit, multi-reading
+    and the three violation kinds) follows from a cell's carried row and
+    its own state.  The scan carries the hit and multi-reading totals and
+    the violating cells, and after a step subtracts the old rows' totals
+    of the cells coded again and adds their new ones; every other cell
+    keeps its verdicts.  Once a step moves no cell the configuration is a
+    fixed point: later times code nothing and repeat its counts and
     violation lines.
     """
     report = VerifyReport()
     if automaton.grid in _ROW_START and automaton.kind == "compact":
         report.context_rows.append(central_context_row(automaton))
     adj = region.adjacency
-    on_line = np.zeros(region.n_cells, dtype=bool)
-    on_line[region.guideline.cell_ids] = True
-    may_change = on_line.copy()
-    if automaton.kind == "extra" and region.grid == "dodecagrid":
-        # the reflected row carries letters and steps with the tape
-        for m in region.guideline.mirror_ids:
-            if m >= 0:
-                may_change[int(m)] = True
-    cells = np.flatnonzero(~(adj < 0).any(axis=1))
-    index = np.full(region.n_cells, -1, dtype=np.intp)
-    index[cells] = np.arange(len(cells))
-    line = on_line[cells]
-    guarded = ~line & ~may_change[cells]
-    judged = line & (region.dist[cells] < region.radius)
     table = automaton.rule_table
-    states = init.states.copy()
+    run = TableRun(table, adj, init.states.copy())
+    cells, states = run.cells, run.states
+    line = np.zeros(region.n_cells, dtype=bool)
+    line[region.guideline.cell_ids] = True
+    line = line[cells]
+    guarded = ~_may_change(automaton, region)[cells]
+    judged = line & (region.dist[cells] < region.radius)
 
     def tally(rows: np.ndarray) -> tuple[int, int]:
         """How many of the table rows are hits, and multi-reading hits."""
@@ -581,7 +621,7 @@ def verify_unique_applicability(automaton: HcaAutomaton, region: Region,
     def violations(j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The violating complete cells among j, and their kinds as
         rows in listing order."""
-        rows, own = at[j], states[cells[j]]
+        rows, own = run.rows[j], states[cells[j]]
         hit = rows >= 0
         lo, hi = table.lo[rows], table.hi[rows]
         kinds = np.array((hit & (lo != hi), judged[j] & ~hit,
@@ -589,30 +629,23 @@ def verify_unique_applicability(automaton: HcaAutomaton, region: Region,
         bad = kinds.any(axis=0)
         return j[bad], kinds[:, bad]
 
-    at = table.lookup(table.encode(states, adj, cells))
-    matched, multi_reading = tally(at)
+    matched, multi_reading = tally(run.rows)
     bad, kinds = violations(np.arange(len(cells)))
-    movers = np.flatnonzero(table.moving(states[cells], at))
     lines = None
     for t in range(max(horizon, 0) + 1):
-        if t and len(movers):
-            changed = cells[movers]
-            states[changed] = table.lo[at[movers]]
-            near = index.take(adj.take(changed, axis=0).ravel())
-            j = _distinct(np.concatenate([movers, near[near >= 0]]))
-            was_matched, was_multi_reading = tally(at[j])
-            at[j] = rows = table.lookup(table.encode(states, adj, cells[j]))
-            now_matched, now_multi_reading = tally(rows)
-            matched += now_matched - was_matched
-            multi_reading += now_multi_reading - was_multi_reading
-            movers = j[table.moving(states[cells[j]], rows)]
-            # cells outside j keep their verdicts
-            bad, kinds = violations(_distinct(np.concatenate([bad, j])))
-            lines = None
+        if t:
+            j, old = run.step()
+            if len(j):
+                was_matched, was_multi_reading = tally(old)
+                now_matched, now_multi_reading = tally(run.rows[j])
+                matched += now_matched - was_matched
+                multi_reading += now_multi_reading - was_multi_reading
+                bad, kinds = violations(_distinct(np.concatenate([bad, j])))
+                lines = None
         if lines is None:
             lines = []
-            for j, found_kinds in zip(bad, kinds.T):
-                c = int(cells[j])
+            for k, found_kinds in zip(bad, kinds.T):
+                c = int(cells[k])
                 nb = tuple(int(v) for v in states[adj[c]])
                 found, outs = reading_outcomes(automaton, int(states[c]), nb)
                 detail = {
@@ -653,26 +686,26 @@ def automaton_to_json(automaton: HcaAutomaton) -> str:
 
 
 def automaton_from_json(text: str) -> HcaAutomaton:
-    doc = json.loads(text)
-    if not isinstance(doc, dict):
-        raise ValueError("an automaton file holds one JSON object")
-    try:
-        if len(doc["patterns"]) != 1:
+    read = partial(read_key, json_object(text, "automaton"), "automaton")
+
+    def pattern(patterns):
+        if len(patterns) != 1:
             raise ValueError("exactly one admissible pattern is supported")
-        slots = tuple(Slot(s["kind"], s["state"]) for s in doc["patterns"][0])
-        return HcaAutomaton(
-            grid=doc["grid"],
-            n_states=int(doc["n_states"]),
-            pattern=ContextPattern(slots),
-            action=ca1d.rule_from_json(json.dumps(doc["action"])),
-            state_map={int(k): int(v) for k, v in doc["state_map"].items()},
-            letters=frozenset(int(v) for v in doc["letters"]),
-            kind=doc["kind"],
-            blue=doc["blue"],
-            marker_scheme=(MarkerScheme(doc["marker_scheme"])
-                           if doc["marker_scheme"] else None),
-            padding_state=doc["padding_state"],
-            name=doc.get("name", ""),
-        )
-    except KeyError as e:
-        raise ValueError(f"automaton file lacks the {e} key") from None
+        return ContextPattern(tuple(Slot(s["kind"], s["state"])
+                                    for s in patterns[0]))
+
+    return HcaAutomaton(
+        grid=read("grid", exactly(str)),
+        n_states=read("n_states", exactly(int)),
+        pattern=read("patterns", pattern),
+        action=read("action", lambda a: ca1d.rule_from_json(json.dumps(a))),
+        state_map=read("state_map", lambda m: {
+            int(k): exactly(int)(v) for k, v in m.items()}),
+        letters=read("letters", lambda v: frozenset(map(exactly(int), v))),
+        kind=read("kind"),
+        blue=read("blue"),
+        marker_scheme=read("marker_scheme",
+                           lambda v: MarkerScheme(v) if v else None),
+        padding_state=read("padding_state"),
+        name=read("name", default=""),
+    )

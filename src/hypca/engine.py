@@ -5,27 +5,27 @@ carries a validity budget: after t steps the states within graph distance
 radius - t of the initial segment are exactly what the infinite tiling
 would hold, and stepping is refused once that budget is spent.  The
 unique-applicability scan in `embed` keeps stepping past the budget with
-a frozen rim, without this module: it wants breadth of contexts, not
-fidelity at the edge.  It carries each complete cell's table row from
-step to step, and `RuleTable.moving`, the step rule this module applies
-too, marks the cells whose rows change their state.
+a frozen rim: it wants breadth of contexts, not fidelity at the edge.
+Both step through `embed.TableRun`, the one stepper, which carries each
+complete cell's table row from step to step and codes again only the
+closed neighbourhoods of the cells a step changed.
 
 Cells with a neighbour outside the region never update.  Everything else
 updates by the automaton: a uniquely readable pattern match applies the
 action, no match leaves the state alone, and readings that disagree on
-the resulting state are an error.  A step codes the contexts of its
-candidate cells as integers and looks them up in the automaton's compiled
-`RuleTable`, all in numpy; a cheap count of pinned states first narrows
-the candidates, so no step codes the whole of a large region.
+the resulting state are an error.  Contexts are coded as integers and
+looked up in the automaton's compiled `RuleTable`, all in numpy.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from . import ca1d
 from . import embed as emb
+from .jsonfile import exactly, json_object, read_key
 from .region import Region, marker_cell_ids
 
 
@@ -107,80 +107,6 @@ def _marker_source(automaton: emb.HcaAutomaton) -> int:
     return automaton.inverse_map()[b]
 
 
-def _pinned_counts(automaton: emb.HcaAutomaton) -> dict[int, int]:
-    pinned: dict[int, int] = {}
-    for slot in automaton.pattern.slots:
-        if slot.kind == "fixed":
-            pinned[slot.state] = pinned.get(slot.state, 0) + 1
-    return pinned
-
-
-def _filter_candidates(automaton: emb.HcaAutomaton, region: Region,
-                       states: np.ndarray, cells: np.ndarray) -> np.ndarray:
-    """Subset of `cells` passing the cheap necessary match conditions:
-    complete neighbourhood, letter self state, and at least the pattern's
-    count of every pinned state among the neighbours.  The neighbours are
-    read one side at a time, so memory stays linear in len(cells)."""
-    if automaton.blue is not None:
-        cells = cells[states[cells] != automaton.blue]
-    pinned = _pinned_counts(automaton)
-    mask = np.ones(len(cells), dtype=bool)
-    seen = np.zeros((len(pinned), len(cells)), dtype=np.int8)
-    for side in range(region.adjacency.shape[1]):
-        nb = region.adjacency[cells, side]
-        mask &= nb >= 0
-        nb_states = states[nb]          # nb = -1 reads a cell masked out
-        for k, state in enumerate(pinned):
-            seen[k] += nb_states == state
-    for k, count in enumerate(pinned.values()):
-        mask &= seen[k] >= count
-    return cells[mask]
-
-
-def _first_candidates(automaton: emb.HcaAutomaton, region: Region,
-                      states: np.ndarray) -> np.ndarray:
-    """`_filter_candidates` over the whole region.  A compact automaton's
-    background is a letter, so the pass starts from the neighbours of the
-    cells holding the pinned state that fewest cells hold: every match
-    sees one.  The extra kind's added-state test already drops almost
-    every cell."""
-    cells = np.arange(region.n_cells)
-    pinned = list(_pinned_counts(automaton))
-    if automaton.blue is None and pinned:
-        held = np.bincount(states, minlength=automaton.n_states)[pinned]
-        seeds = states == pinned[int(np.argmin(held))]
-        nb = region.adjacency[seeds].ravel()
-        near = np.zeros(region.n_cells, dtype=bool)
-        near[nb[nb >= 0]] = True
-        cells = cells[near]
-    return _filter_candidates(automaton, region, states, cells)
-
-
-def _apply(automaton: emb.HcaAutomaton, region: Region, cfg: Configuration,
-           candidates: np.ndarray) -> tuple[Configuration, np.ndarray]:
-    """Update the candidate cells from the automaton's rule table;
-    everything else keeps its state.  Returns the new configuration and
-    the cells that changed, in candidate order."""
-    states = cfg.states
-    table = automaton.rule_table
-    at = table.lookup(table.encode(states, region.adjacency, candidates))
-    split = (at >= 0) & (table.lo[at] != table.hi[at])
-    if split.any():
-        c = int(candidates[split][0])
-        nb = tuple(int(v) for v in states[region.adjacency[c]])
-        readings, outs = emb.reading_outcomes(automaton, int(states[c]), nb)
-        raise AmbiguousMatch(
-            f"cell {c} at time {cfg.time}: readings {readings} "
-            f"disagree, states {outs}")
-    moved = np.flatnonzero(table.moving(states[candidates], at))
-    changed = candidates[moved].astype(np.int64)
-    new_states = states.copy()
-    new_states[changed] = table.lo[at[moved]]
-    return (Configuration(new_states, cfg.time + 1,
-                          max(cfg.valid_radius - 1, 0)),
-            changed)
-
-
 def step_hca(automaton: emb.HcaAutomaton, region: Region,
              cfg: Configuration) -> Configuration:
     """One synchronous update.  The step consumes one unit of validity
@@ -192,10 +118,13 @@ def run_hca(automaton: emb.HcaAutomaton, region: Region,
             cfg: Configuration, steps: int) -> list[Configuration]:
     """The trajectory [cfg, step(cfg), ...] with `steps` updates.
 
-    The candidate set is carried across steps: after the first full scan,
-    only cells whose neighbourhood changed are re-examined.  On large
-    regions almost every cell sits in an unchanging background, so this
-    turns each step into work proportional to the activity.
+    The steps are an `embed.TableRun`: after one lookup of every complete
+    cell, a step codes again only the closed neighbourhoods of the cells
+    it changed.  On large regions almost every cell sits in an unchanging
+    background, so this turns each step into work proportional to the
+    activity.  A context whose readings disagree raises before it steps,
+    at the first such cell of its time; the final configuration is not
+    stepped, so it is not judged.
     """
     out = [cfg]
     if steps <= 0:
@@ -204,22 +133,26 @@ def run_hca(automaton: emb.HcaAutomaton, region: Region,
         raise ValidityExhausted(
             f"{steps} step(s) from time {cfg.time} exceed the remaining "
             f"validity {cfg.valid_radius}")
-    adj = region.adjacency
-    cand = _first_candidates(automaton, region, cfg.states)
-    while True:
-        new_cfg, changed = _apply(automaton, region, cfg, cand)
-        out.append(new_cfg)
-        if len(out) > steps:
-            return out
-        if len(changed):
-            near = adj[changed].ravel()
-            affected = np.sort(np.concatenate([cand, changed, near[near >= 0]]))
-            affected = affected[np.r_[True, affected[1:] != affected[:-1]]]
-        else:
-            affected = cand
-        cand = _filter_candidates(automaton, region, new_cfg.states,
-                                  affected)
-        cfg = new_cfg
+    table = automaton.rule_table
+    run = emb.TableRun(table, region.adjacency, cfg.states.copy())
+    coded = np.arange(len(run.cells))
+    for _ in range(steps):
+        # cells not coded again keep rows that were not split
+        rows = run.rows[coded]
+        split = coded[(rows >= 0) & (table.lo[rows] != table.hi[rows])]
+        if len(split):
+            c = int(run.cells[split[0]])
+            nb = tuple(int(v) for v in cfg.states[region.adjacency[c]])
+            readings, outs = emb.reading_outcomes(automaton,
+                                                  int(cfg.states[c]), nb)
+            raise AmbiguousMatch(
+                f"cell {c} at time {cfg.time}: readings {readings} "
+                f"disagree, states {outs}")
+        coded, _ = run.step()
+        cfg = Configuration(run.states.copy(), cfg.time + 1,
+                            max(cfg.valid_radius - 1, 0))
+        out.append(cfg)
+    return out
 
 
 def trace_window(region: Region, time: int) -> int:
@@ -285,32 +218,14 @@ def config_to_json(region: Region, cfg: Configuration) -> str:
 
 
 def config_from_json(text: str, region: Region) -> Configuration:
-    import json
-    doc = json.loads(text)
-    if not isinstance(doc, dict):
-        raise ValueError("a snapshot file holds one JSON object")
-    try:
-        grid, states = doc["grid"], doc["states"]
-        time, valid_radius = doc["time"], doc["valid_radius"]
-    except KeyError as e:
-        raise ValueError(f"snapshot file lacks the {e} key") from None
-    if not isinstance(grid, str):
-        raise ValueError("snapshot key 'grid' must be a string")
-    for key, value in (("time", time), ("valid_radius", valid_radius)):
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ValueError(f"snapshot key '{key}' must be an integer")
-    if not isinstance(states, list):
-        raise ValueError("snapshot key 'states' must be a list")
+    read = partial(read_key, json_object(text, "snapshot"), "snapshot")
+    grid = read("grid", exactly(str))
+    states = read("states", lambda v: np.array(list(map(exactly(int), v)),
+                                               dtype=np.int16))
+    time = read("time", exactly(int))
+    valid_radius = read("valid_radius", exactly(int))
     if grid != region.grid:
         raise ValueError(f"snapshot is for {grid}, region is {region.grid}")
-    try:
-        # a float or a boolean would be cast to an integer state
-        if any(type(s) is not int for s in states):
-            raise TypeError
-        states = np.asarray(states, dtype=np.int16)
-    except (TypeError, OverflowError):
-        raise ValueError("snapshot key 'states' must list integer "
-                         "states") from None
     if states.shape != (region.n_cells,):
         raise ValueError("snapshot does not fit the region")
     return Configuration(states, time, valid_radius)
@@ -373,11 +288,8 @@ def equivalence_check(rule: ca1d.Rule1D, automaton: emb.HcaAutomaton,
     cfgs = run_hca(automaton, region, init, steps)
     report = EquivalenceReport(steps=steps, configurations=cfgs)
 
-    gl = region.guideline
-    on_line = np.zeros(region.n_cells, dtype=bool)
-    on_line[gl.cell_ids] = True
-    baseline = init.states[~on_line].copy()
-    off_ids = np.nonzero(~on_line)[0]
+    guarded = np.flatnonzero(~emb._may_change(automaton, region))
+    baseline = init.states[guarded]
 
     for t, cfg in enumerate(cfgs):
         w = trace_window(region, t)
@@ -392,14 +304,7 @@ def equivalence_check(rule: ca1d.Rule1D, automaton: emb.HcaAutomaton,
                 int(got[i]) if got[i] >= 0 else None)
             return report
         report.compared += len(got)
-        if automaton.kind == "extra" and automaton.grid == "dodecagrid":
-            # the reflected row holds letters and may step; judge only the
-            # cells that started in the added state
-            drifted = (cfg.states[~on_line] != baseline) \
-                & (baseline == automaton.blue)
-        else:
-            drifted = cfg.states[~on_line] != baseline
-        for c in off_ids[drifted]:
+        for c in guarded[cfg.states[guarded] != baseline]:
             report.stability_violations.append((t, int(c)))
         if report.stability_violations:
             return report

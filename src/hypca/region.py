@@ -39,19 +39,22 @@ table.  Full keys are formed only to confirm hits and for new cells, and
 they alone decide identity.  New cells are numbered in order of first
 occurrence in (frontier, side) order.
 
-Every entry of Q is at most ||T||_inf ** (halfwidth + radius), and so is
-every key entry, since ||f0||_inf = 1.  The table stores keys in the
-narrowest integer type that holds this bound; products are formed in int64.
-||T||_inf is 3 on the pentagrid and the dodecagrid, so keys are int16 up to
-extent 9 and int32 up to extent 19.  The bound is loose there: along the
-chain the largest entry of Q grows quadratically, to 45,300 on the extent-300
-pentagrid chain.  On the heptagrid ||T||_inf is 53 and the entries grow
-exponentially, to about 1.6e8 on the extent-18 chain.  So no bound is
-relied on to keep int64 from wrapping: the chain walk checks each
-product's left factor, and each level its largest entry, against the int64
-limit over the largest column sum of a step, and raises RegionTooLarge
-before a product could pass it.  On the heptagrid that refuses every
-halfwidth + radius past 40.
+A key entry is at most the largest row sum of |Q|, since ||f0||_inf = 1.
+Every cell lies within `radius` steps of a segment cell, so that is at
+most the larger of the chain's row sums and the segment's times
+||T||_inf ** radius.  The table stores keys in the narrowest integer type
+that holds this bound, taken from the chain walk's own matrices; products
+are formed in int64.  ||T||_inf is 3 on the pentagrid and the dodecagrid,
+where the entries of Q grow quadratically along the chain, to 45,300 on
+the extent-300 pentagrid chain: keys are int16 on pentagrid r2 hw20 and
+int32 on pentagrid r2 hw300 and dodecagrid r2 hw100.  On the heptagrid
+||T||_inf is 53 and the entries grow exponentially, to about 1.6e8 on the
+extent-18 chain.  So no bound is relied on to keep int64 from wrapping:
+the chain walk checks each product's left factor, and each level its
+largest entry, against the int64 limit over the largest column sum of a
+step or of a precomputed `via` vector, and raises RegionTooLarge before a
+product could pass it.  On the heptagrid that refuses every halfwidth +
+radius past 40.
 
 Float placement is computed on demand, in `Region.matrices`, the one place
 that makes floats.  The build records, for each cell off the chain, the
@@ -100,13 +103,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
 from . import geometry as geo
 from . import polytopes as poly
 from . import symmetry as sym
+from .jsonfile import exactly, json_object, read_key
 
 NO_POS = -(10**9)
 
@@ -218,7 +222,7 @@ class _CellKeys:
     # neighbour across t of the cell across s is the base cell's across s'.
     # Row p, entry by no side, is all -1.
     shared: np.ndarray
-    growth: int           # largest column sum of |steps| and |via|
+    growth: int           # largest column sum of |steps|, |via| vector
 
 
 def _mirrors(grid: str) -> np.ndarray:
@@ -275,7 +279,8 @@ def _cell_keys(grid: str) -> _CellKeys:
     hit = (via[-1, :-1, :, :, None] == via[-1, -1, None, :, None]).all(axis=1)
     shared = np.full((len(t) + 1, len(t)), -1, dtype=np.int8)
     shared[:-1] = np.where(hit.any(axis=2), hit.argmax(axis=2), -1)
-    growth = max(int(np.abs(a).sum(axis=1).max()) for a in (steps, via))
+    growth = max(int(np.abs(steps).sum(axis=1).max()),
+                 int(np.abs(via).sum(axis=2).max()))
     return _CellKeys(steps, via, f0, back, shared, growth)
 
 
@@ -367,6 +372,20 @@ def _chain_walk(extent: int, left: np.ndarray, right: np.ndarray):
         yield k, k + 1, left[k + 1]
 
 
+def _key_dtype(chain: np.ndarray, segment: np.ndarray, ck: _CellKeys,
+               radius: int):
+    """The narrowest of int16, int32 and int64 that holds the key bound of
+    the module docstring.  Row sums are formed in int64 only where they
+    cannot wrap: a chain entry past the int32 limit asks for int64."""
+    if int(np.abs(chain).max()) > np.iinfo(np.int32).max:
+        return np.int64
+    rows = [int(np.abs(q).sum(axis=-1).max()) for q in (chain, segment)]
+    step = int(np.abs(ck.steps).sum(axis=2).max())
+    bound = max(rows[0], rows[1] * step ** radius)
+    return next((t for t in (np.int16, np.int32)
+                 if bound <= np.iinfo(t).max), np.int64)
+
+
 def build_region(grid: str, radius: int, halfwidth: int) -> Region:
     """All cells within `radius` steps of the guideline segment spanning
     positions -halfwidth..halfwidth.
@@ -415,12 +434,9 @@ def build_region(grid: str, radius: int, halfwidth: int) -> Region:
     h = keys.view(np.uint64) @ _HASH_ROW[:m]
     table_ids = np.argsort(h).astype(np.int32)
     table = h[table_ids]
-    # every cell lies within `extent` steps of the base cell, so its key
-    # entries are at most ||T||_inf ** extent; stored in the narrowest
-    # dtype that holds that bound, computed in int64
-    bound = int(np.abs(ck.steps).sum(axis=2).max()) ** extent
-    keys = keys.astype(next((t for t in (np.int16, np.int32)
-                             if bound <= np.iinfo(t).max), np.int64))
+    keys = keys.astype(_key_dtype(q_pos, q_pos[extent - halfwidth:
+                                               extent + halfwidth + 1],
+                                  ck, radius))
     present = _Presence(table)
     placed_from, placed_side = [], []
 
@@ -703,18 +719,15 @@ def region_from_json(text: str) -> Region:
     """Rebuild the region a file names.  A file without a format version
     is the older kind that stored every array; it is rebuilt from its
     parameters too, and its stored adjacency must match the rebuild."""
-    doc = json.loads(text)
-    if not isinstance(doc, dict):
-        raise ValueError("a region file holds one JSON object")
+    doc = json_object(text, "region")
     version = doc.get("format")
     if version is not None and version != REGION_FORMAT:
         raise ValueError(f"region file format {version} is not supported; "
                          f"this version reads format {REGION_FORMAT}")
-    try:
-        region = build_region(doc["grid"], int(doc["radius"]),
-                              int(doc["halfwidth"]))
-    except KeyError as e:
-        raise ValueError(f"region file lacks the {e} key") from None
+    read = partial(read_key, doc, "region")
+    region = build_region(read("grid", exactly(str)),
+                          read("radius", exactly(int)),
+                          read("halfwidth", exactly(int)))
     if version is None and not np.array_equal(
             np.asarray(doc.get("adjacency")), region.adjacency):
         raise ValueError("region file's stored adjacency is missing or "

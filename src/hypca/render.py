@@ -25,12 +25,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
 from . import geometry as geo
 from . import polytopes as poly
+from .jsonfile import exactly, json_object, read_key
 from .region import Region
 
 # letter fill cycle, warm shades so multi-letter tapes stay readable
@@ -115,17 +116,21 @@ def spec_to_json(spec: RenderSpec) -> str:
 
 
 def spec_from_json(text: str) -> RenderSpec:
-    doc = json.loads(text)
+    read = partial(read_key, json_object(text, "render spec"), "render spec")
+
+    def optional(value):
+        return value if value is None else exactly(int)(value)
+
     return RenderSpec(
-        grid=doc["grid"],
-        colors={int(k): v for k, v in doc["colors"].items()},
-        size=int(doc.get("size", 720)),
-        samples_per_edge=int(doc.get("samples_per_edge", 8)),
-        stroke=doc.get("stroke", "#3c3c3c"),
-        stroke_width=float(doc.get("stroke_width", 0.0025)),
-        background=doc.get("background", "#ffffff"),
-        depth=doc.get("depth"),
-        quiet=doc.get("quiet"),
+        grid=read("grid", exactly(str)),
+        colors=read("colors", lambda c: {int(k): v for k, v in c.items()}),
+        size=read("size", int, 720),
+        samples_per_edge=read("samples_per_edge", int, 8),
+        stroke=read("stroke", default="#3c3c3c"),
+        stroke_width=read("stroke_width", float, 0.0025),
+        background=read("background", default="#ffffff"),
+        depth=read("depth", optional, None),
+        quiet=read("quiet", optional, None),
     )
 
 

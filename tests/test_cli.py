@@ -34,6 +34,15 @@ def test_transform_all_aliases(tmp_path, capsys):
 
 
 def test_pipeline_pentagrid(tmp_path, capsys):
+    # malformed rule files
+    rule_file = tmp_path / "rule.json"
+    for doc, says in (({"table": [0] * 8}, "'n'"), ({"n": 2.0}, "'n'"),
+                      ({"n": 2, "table": None}, "'table'"),
+                      ({"n": 2, "table": [0] * 3}, "expected 8 table")):
+        rule_file.write_text(json.dumps(doc))
+        assert run_cli("transform", "--rule", str(rule_file),
+                       "--grid", "pentagrid") == 2
+        assert says in capsys.readouterr().err
     auto = tmp_path / "auto.json"
     run_cli("transform", "--rule", "elementary:110", "--grid", "pentagrid",
             "--method", "t3", "-o", str(auto))
@@ -231,6 +240,13 @@ def test_failure_exit_codes(tmp_path, capsys):
         assert run_cli("simulate", "--automaton", str(auto), "--word", "1",
                        "--steps", "1") == 2
         assert says in capsys.readouterr().err
+    # keys present with values of the wrong form
+    for key, value in (("patterns", 5), ("patterns", [[1, 2, 3, 4, 5]]),
+                       ("state_map", [0, 1]), ("letters", 5),
+                       ("n_states", None), ("action", 5)):
+        auto.write_text(json.dumps(dict(doc, **{key: value})))
+        assert run_cli("verify", "--automaton", str(auto)) == 2
+        assert f"'{key}'" in capsys.readouterr().err
     # valid JSON that is not an object
     auto.write_text("[]")
     assert run_cli("simulate", "--automaton", str(auto), "--word", "1",
@@ -259,6 +275,30 @@ def test_failure_exit_codes(tmp_path, capsys):
     snap.write_text(json.dumps(good))
     assert run_cli("render", "--grid", "pentagrid", "--snapshot", str(snap),
                    "-o", str(tmp_path / "snap.svg")) == 0
+    # malformed render spec and region files
+    spec = tmp_path / "spec.json"
+    good_spec = {"grid": "pentagrid", "colors": {"0": "#fff", "1": "#000"}}
+    for doc, says in (([], "one JSON object"), ({"colors": {}}, "'grid'"),
+                      ({"grid": "pentagrid"}, "'colors'"),
+                      (dict(good_spec, colors=[1]), "'colors'"),
+                      (dict(good_spec, size=None), "'size'"),
+                      (dict(good_spec, depth="2"), "'depth'")):
+        spec.write_text(json.dumps(doc))
+        assert run_cli("render", "--grid", "pentagrid", "--render-spec",
+                       str(spec)) == 2
+        assert says in capsys.readouterr().err
+    region_file = tmp_path / "region.json"
+    good_region = json.loads(reg.region_to_json(
+        reg.build_region("pentagrid", 2, 1)))
+    for key, value in (("radius", None), ("halfwidth", "1"),
+                       ("radius", 2.5), ("grid", [1])):
+        region_file.write_text(json.dumps(dict(good_region, **{key: value})))
+        assert run_cli("render", "--region", str(region_file)) == 2
+        assert f"'{key}'" in capsys.readouterr().err
+    spec.write_text(json.dumps(good_spec))
+    region_file.write_text(json.dumps(good_region))
+    assert run_cli("render", "--region", str(region_file), "--render-spec",
+                   str(spec), "-o", str(tmp_path / "spec.svg")) == 0
     with pytest.raises(SystemExit):
         run_cli()
 

@@ -1,10 +1,13 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 
 from hypca import ca1d, embed, engine
 from hypca.region import marker_cell_ids
+
+import symmetry_reference as ref
 
 
 def test_extra_init_fill(region_of, rule110):
@@ -203,61 +206,97 @@ def test_larger_region_gives_same_trace(region_of, rule110):
         assert letters_l[offset:offset + len(letters)] == letters
 
 
-def _filter_reference(automaton, region, states, cells):
-    # the whole-array formula the engine used before it read one side at
-    # a time: an (N, p) copy of the neighbour states
-    adj = region.adjacency[cells]
-    nb = np.where(adj >= 0, states[np.clip(adj, 0, None)], np.int16(-1))
-    mask = ~(adj < 0).any(axis=1)
-    if automaton.blue is not None:
-        mask &= states[cells] != automaton.blue
-    for state, count in engine._pinned_counts(automaton).items():
-        mask &= (nb == state).sum(axis=1) >= count
-    return cells[mask]
+def _first_split(automaton, region, run):
+    """The first time of a frozen-rim run at which a complete cell's
+    readings disagree by the reference matcher, and the AmbiguousMatch
+    message for the first such cell then; None if there is none."""
+    cells = np.flatnonzero(~(region.adjacency < 0).any(axis=1))
+    for t, states in enumerate(run):
+        for c in cells[np.isin(states[cells], list(automaton.letters))]:
+            nb = tuple(states[region.adjacency[c]].tolist())
+            readings, outs = ref.reading_outcomes(automaton, int(states[c]),
+                                                  nb)
+            if len(outs) > 1:
+                return t, (f"cell {c} at time {t}: readings {readings} "
+                           f"disagree, states {outs}")
+    return None
 
 
-@pytest.mark.parametrize("grid,size", [("pentagrid", (4, 2)),
-                                       ("heptagrid", (4, 2)),
-                                       ("dodecagrid", (3, 1))])
-def test_filter_candidates_matches_reference(region_of, all_six, grid, size):
-    r = region_of(grid, *size)
-    rng = np.random.default_rng(7)
-    kept = 0
-    for method in ("extra", "compact"):
-        b = all_six[(method, grid)]
-        for trial in range(20):
-            # skew toward one state so the pinned counts are sometimes met
-            weights = rng.dirichlet(np.full(b.n_states, 0.5))
-            states = rng.choice(b.n_states, size=r.n_cells,
-                                p=weights).astype(np.int16)
-            cells = np.sort(rng.choice(r.n_cells, size=r.n_cells // 2,
-                                       replace=False))
-            for sub in (cells, np.arange(r.n_cells)):
-                got = engine._filter_candidates(b, r, states, sub)
-                want = _filter_reference(b, r, states, sub)
-                assert np.array_equal(got, want)
-                kept += len(got)
-    assert kept > 0
+def _assert_run_matches_reference(automaton, region, init):
+    """`run_hca` over the whole validity budget against the frozen-rim
+    reference: the same states at every time, or, where a context reads
+    two ways, the reference's AmbiguousMatch message and the same states
+    up to that time.  Returns whether it raised."""
+    steps = init.valid_radius
+    run = ref.frozen_rim_run(automaton, region, init.states, steps)
+    # the last configuration is not stepped, so it is not judged
+    split = _first_split(automaton, region, run[:-1])
+    if split is not None:
+        steps, message = split
+        with pytest.raises(engine.AmbiguousMatch,
+                           match=f"^{re.escape(message)}$"):
+            engine.run_hca(automaton, region, init, init.valid_radius)
+    cfgs = engine.run_hca(automaton, region, init, steps)
+    assert [c.time for c in cfgs] == list(range(steps + 1))
+    for cfg, states in zip(cfgs, run):
+        assert np.array_equal(cfg.states, states), (automaton.name, cfg.time)
+    return split is not None
 
 
-def test_first_candidates_match_full_pass(region_of, all_six):
-    """The first pass, started from the rarest pinned state's neighbours
-    on a compact automaton, finds what a pass over every cell finds."""
-    rng = np.random.default_rng(11)
-    for (method, grid), b in all_six.items():
-        r = region_of(grid, 4 if grid != "dodecagrid" else 3, 2)
-        for trial in range(6):
-            word = rng.integers(0, 2, size=int(rng.integers(1, 6)))
-            states = engine.init_configuration(r, b, word).states
-            if trial % 2:
-                # a few cells off the line set to random states
-                cells = rng.choice(r.n_cells, size=8, replace=False)
-                states[cells] = rng.integers(0, b.n_states, size=8)
-            got = engine._first_candidates(b, r, states)
-            want = engine._filter_candidates(b, r, states,
-                                             np.arange(r.n_cells))
-            assert np.array_equal(got, want), (b.name, trial)
-            assert len(want) > 0
+@pytest.mark.parametrize("method,grid", [
+    (m, g) for m in ("extra", "compact")
+    for g in ("pentagrid", "heptagrid", "dodecagrid")])
+def test_run_matches_frozen_rim_run(region_of, rule110, method, grid):
+    """Within the validity budget `run_hca` is the frozen-rim reference
+    run: rule 110 and random 3-state rules, on `init_configuration`
+    output and with random states on a few off-line cells next to the
+    line."""
+    embed_rule = (embed.embed_extra_state if method == "extra"
+                  else embed.embed_compact)
+    r = region_of(grid, *{"dodecagrid": (3, 1)}.get(grid, (4, 2)))
+    near = np.flatnonzero((r.dist <= 1) & ~np.isin(np.arange(r.n_cells),
+                                                   r.guideline.cell_ids))
+    rng = np.random.default_rng(17)
+    moved = 0
+    for trial in range(8):
+        rule = rule110 if trial < 4 else ca1d.random_rule(
+            3, rng, quiescent_zero=True, fixable=grid == "pentagrid")
+        b = embed_rule(rule, grid)
+        word = rng.integers(0, rule.n, size=2 * r.halfwidth + 1)
+        init = engine.init_configuration(r, b, word)
+        if trial % 2:
+            off = rng.choice(near, size=6, replace=False)
+            init.states[off] = rng.integers(0, b.n_states, size=6)
+        if not _assert_run_matches_reference(b, r, init):
+            last = engine.run_hca(b, r, init, init.valid_radius)[-1]
+            moved += int((last.states != init.states).sum())
+    assert moved > 0
+
+
+def test_ambiguity_after_the_first_step(region_of, all_six):
+    """A context that reads two ways only at t = 1: the unrepaired
+    dodecagrid pattern, whose tape cells read both ways where the
+    reflected row is blue.  Positions -1..3 hold 1 and the row is blue at
+    0..2, so rule 110 clears those three cells at t = 0, and at t = 1 the
+    cell at position 0 reads (1, 0, 0) one way and (0, 0, 1) the other."""
+    good = all_six[("extra", "dodecagrid")]
+    slots = list(good.pattern.slots)
+    slots[0] = embed.fixed(good.blue)
+    bad = dataclasses.replace(
+        good, pattern=embed.ContextPattern(tuple(slots)), name="unrepaired")
+    r = region_of("dodecagrid", 3, 1)
+    init = engine.init_configuration(r, good, [0])
+    gl = r.guideline
+    for p in range(-1, 4):
+        init.states[gl.id_at(p)] = 1
+        mirror = gl.mirror_ids[p - int(gl.positions[0])]
+        init.states[mirror] = good.blue if 0 <= p <= 2 else 1
+    assert _assert_run_matches_reference(bad, r, init)
+    with pytest.raises(engine.AmbiguousMatch,
+                       match=f"^cell {gl.id_at(0)} at time 1: "):
+        engine.run_hca(bad, r, init, 2)
+    # one step is fine: the configuration at t = 1 is not judged
+    assert len(engine.run_hca(bad, r, init, 1)) == 2
 
 
 def _equivalence_reference(rule, automaton, region, word, cfgs):

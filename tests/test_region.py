@@ -220,6 +220,45 @@ def test_long_regions_build_without_floats(grid, radius, hw, cells):
     assert "matrices" not in vars(r)
 
 
+@pytest.mark.parametrize("grid,radius,hw,dtype,narrower", [
+    ("pentagrid", 2, 20, np.int16, np.int8),
+    ("pentagrid", 2, 300, np.int32, np.int16),
+    ("dodecagrid", 2, 100, np.int32, np.int16)])
+def test_key_dtype_follows_the_chain_walk(monkeypatch, grid, radius, hw,
+                                          dtype, narrower):
+    """Keys are stored in the narrowest type that the chain walk's own
+    matrices bound; the bound 3 ** extent asked for int64 at all three
+    sizes.  One type narrower the keys wrap and cells lose their
+    identity: the build fails its chain check or finds other cells."""
+    real, chosen = reg._key_dtype, []
+
+    def recorded(*args):
+        chosen.append(real(*args))
+        return chosen[-1]
+
+    monkeypatch.setattr(reg, "_key_dtype", recorded)
+    n = reg.build_region(grid, radius, hw).n_cells
+    assert chosen == [dtype]
+    monkeypatch.setattr(reg, "_key_dtype", lambda *args: narrower)
+    try:
+        wrapped = reg.build_region(grid, radius, hw).n_cells
+    except AssertionError:
+        wrapped = None
+    assert wrapped != n
+
+
+@pytest.mark.parametrize("grid", ["pentagrid", "heptagrid", "dodecagrid"])
+def test_key_guard_covers_every_product(grid):
+    """The int64 guards let a left factor's entries reach the key limit
+    over `growth`.  Every product the build forms, with a step matrix or
+    with a `via` vector, then stays within int64: its entries are at most
+    that times the right factor's largest column sum, in Python ints."""
+    ck = reg._cell_keys(grid)
+    top = reg._KEY_LIMIT // ck.growth
+    for right in (ck.steps, ck.via):
+        assert top * int(np.abs(right).sum(axis=-2).max()) <= reg._KEY_LIMIT
+
+
 def test_chain_walk_stops_before_int64_wraps():
     """The heptagrid's chain keys grow exponentially; the walk refuses a
     product that could pass int64 and reports its left factor's largest

@@ -613,10 +613,12 @@ def test_verify_matches_full_reencode_scan(region_of):
 
 
 def test_verify_recodes_only_near_changes(region_of, all_six, monkeypatch):
-    """After the first lookup the scan codes only the complete cells next
-    to a change: nothing more on a still configuration, at most the
-    closed neighbourhoods of the changed cells on a running one.  It
-    steps by the table rows, without the engine's candidate filter."""
+    """After the first lookup, which codes every complete cell, the verify
+    scan and `engine.run_hca` code only the complete cells next to a
+    change: nothing more on a still configuration, at most the closed
+    neighbourhoods of the changed cells on a running one.  Both step
+    through `embed.TableRun`; the scan runs 10 steps, the engine its
+    whole validity budget."""
     real_encode = embed.RuleTable.encode
     coded = []
 
@@ -624,21 +626,26 @@ def test_verify_recodes_only_near_changes(region_of, all_six, monkeypatch):
         coded.append(len(cells))
         return real_encode(self, states, adjacency, cells)
 
-    def no_filter(*args):
-        raise AssertionError("the verify scan ran the candidate filter")
+    def scan(b, r, init):
+        embed.verify_unique_applicability(b, r, init, 10)
+        return 10
+
+    def run(b, r, init):
+        engine.run_hca(b, r, init, r.radius)
+        return r.radius
 
     for (method, grid), b in all_six.items():
         r = region_of(grid, *SCAN_SIZES[grid])
         complete = int((~(r.adjacency < 0).any(axis=1)).sum())
-        for word in ([0], [1, 0, 1]):
+        for word, caller in itertools.product(([0], [1, 0, 1]), (scan, run)):
             init = engine.init_configuration(r, b, word)
-            run = ref.frozen_rim_run(b, r, init.states, 10)
-            changed = sum(int((c != d).sum()) for c, d in zip(run, run[1:]))
             with monkeypatch.context() as mp:
                 mp.setattr(embed.RuleTable, "encode", counted)
-                mp.setattr(engine, "_filter_candidates", no_filter)
                 coded.clear()
-                embed.verify_unique_applicability(b, r, init, 10)
+                steps = caller(b, r, init)
+            states = ref.frozen_rim_run(b, r, init.states, steps)
+            changed = sum(int((c != d).sum())
+                          for c, d in zip(states, states[1:]))
             closed = r.adjacency.shape[1] + 1
             assert coded[0] == complete
             assert sum(coded) <= complete + closed * changed
