@@ -42,7 +42,7 @@ import numpy as np
 from . import ca1d
 from . import symmetry as sym
 from .jsonfile import exactly, json_object, read_key
-from .region import MarkerScheme, Region
+from .region import MarkerScheme, Region, _distinct
 
 GRID_SIDES = {"pentagrid": 5, "heptagrid": 7, "dodecagrid": 12}
 
@@ -318,18 +318,11 @@ class RuleTable:
         return digits[-1], digits[:-1].T
 
 
-def _distinct(a: np.ndarray) -> np.ndarray:
-    """The distinct values of a non-empty array, ascending.  (np.unique
-    would import numpy.ma, which no command needs.)"""
-    a = np.sort(a)
-    return a[np.concatenate(([True], a[1:] != a[:-1]))]
-
-
 class TableRun:
-    """A rule table stepping `states` in place: the one stepper behind
-    `engine.run_hca` and `verify_unique_applicability`.
+    """A rule table stepping `states` in place on a region: the one
+    stepper behind `engine.run_hca` and `verify_unique_applicability`.
 
-    Only `cells`, the complete-neighbourhood cells, step; each carries its
+    Only `cells`, the region's `complete_cells`, step; each carries its
     table row in `rows` (-1 for none), all looked up once at the start.  A
     step moves the cells that `RuleTable.moving` changes, then codes again
     only the complete cells in the closed neighbourhood of a changed cell,
@@ -338,11 +331,13 @@ class TableRun:
     it, so the next movers are among those coded again.
     """
 
-    def __init__(self, table: RuleTable, adjacency: np.ndarray,
+    def __init__(self, table: RuleTable, region: Region,
                  states: np.ndarray) -> None:
-        self.table, self.adjacency, self.states = table, adjacency, states
-        self.cells = np.flatnonzero(~(adjacency < 0).any(axis=1))
-        self.rows = table.lookup(table.encode(states, adjacency, self.cells))
+        self.table, self.adjacency, self.states = \
+            table, region.adjacency, states
+        self.cells = region.complete_cells
+        self.rows = table.lookup(table.encode(states, self.adjacency,
+                                              self.cells))
         self._movers = np.flatnonzero(
             table.moving(states[self.cells], self.rows))
 
@@ -604,7 +599,7 @@ def verify_unique_applicability(automaton: HcaAutomaton, region: Region,
         report.context_rows.append(central_context_row(automaton))
     adj = region.adjacency
     table = automaton.rule_table
-    run = TableRun(table, adj, init.states.copy())
+    run = TableRun(table, region, init.states.copy())
     cells, states = run.cells, run.states
     line = np.zeros(region.n_cells, dtype=bool)
     line[region.guideline.cell_ids] = True
@@ -686,6 +681,11 @@ def automaton_to_json(automaton: HcaAutomaton) -> str:
 
 
 def automaton_from_json(text: str) -> HcaAutomaton:
+    """The automaton a file holds.  Besides the form of each key, the
+    keys must agree: the state map sends every source state to a distinct
+    state, the kind is extra or compact, the extra kind names its added
+    state, the compact kind the marker scheme of its grid, and the padding
+    is a source state.  A ValueError names the first key that does not."""
     read = partial(read_key, json_object(text, "automaton"), "automaton")
 
     def pattern(patterns):
@@ -694,18 +694,55 @@ def automaton_from_json(text: str) -> HcaAutomaton:
         return ContextPattern(tuple(Slot(s["kind"], s["state"])
                                     for s in patterns[0]))
 
+    def state_in(n: int):
+        def check(value):
+            if not 0 <= exactly(int)(value) < n:
+                raise ValueError(f"{value} is not a state in 0..{n - 1}")
+            return value
+        return check
+
+    def state_map(m):
+        out = {int(k): state_in(n_states)(v) for k, v in m.items()}
+        if sorted(out) != list(sources) or len(set(out.values())) < len(out):
+            raise ValueError("must send each source state "
+                             f"0..{len(sources) - 1} to a distinct state")
+        return out
+
+    def kind_of(value):
+        if value not in ("extra", "compact"):
+            raise ValueError(f"{value!r} is neither 'extra' nor 'compact'")
+        return value
+
+    def grid_of(value):
+        if exactly(str)(value) not in GRID_SIDES:
+            raise ValueError(f"unknown grid {value!r}")
+        return value
+
+    def scheme(value):
+        s = MarkerScheme(value) if value else None
+        want = None if kind == "extra" else f"compact_{grid}"
+        if (s and s.value) != want:
+            raise ValueError(f"the {kind} kind on the {grid} needs "
+                             f"{json.dumps(want)}")
+        return s
+
+    grid = read("grid", grid_of)
+    n_states = read("n_states", exactly(int))
+    action = read("action", lambda a: ca1d.rule_from_json(json.dumps(a)))
+    sources = action.states()
+    kind = read("kind", kind_of)
     return HcaAutomaton(
-        grid=read("grid", exactly(str)),
-        n_states=read("n_states", exactly(int)),
+        grid=grid,
+        n_states=n_states,
         pattern=read("patterns", pattern),
-        action=read("action", lambda a: ca1d.rule_from_json(json.dumps(a))),
-        state_map=read("state_map", lambda m: {
-            int(k): exactly(int)(v) for k, v in m.items()}),
+        action=action,
+        state_map=read("state_map", state_map),
         letters=read("letters", lambda v: frozenset(map(exactly(int), v))),
-        kind=read("kind"),
-        blue=read("blue"),
-        marker_scheme=read("marker_scheme",
-                           lambda v: MarkerScheme(v) if v else None),
-        padding_state=read("padding_state"),
+        kind=kind,
+        blue=read("blue", state_in(n_states) if kind == "extra"
+                  else exactly(type(None))),
+        marker_scheme=read("marker_scheme", scheme),
+        padding_state=read("padding_state", lambda v: None if v is None
+                           else state_in(len(sources))(v)),
         name=read("name", default=""),
     )

@@ -80,19 +80,18 @@ def init_configuration(region: Region, automaton: emb.HcaAutomaton,
         fill = automaton.encode(automaton.padding_state)
     states = np.full(region.n_cells, fill, dtype=np.int16)
 
+    # chain index k holds word letter i[k], where index len(word) is the
+    # padding state
     gl = region.guideline
-    letter_at = {}
-    for cell, pos in zip(gl.cell_ids, gl.positions):
-        p = int(pos)
-        a = word[p - start] if 0 <= p - start < len(word) \
-            else automaton.padding_state
-        letter_at[int(cell)] = automaton.encode(a)
-        states[int(cell)] = letter_at[int(cell)]
-
+    codes = np.array([automaton.encode(a)
+                      for a in (*word, automaton.padding_state)])
+    i = gl.positions - start
+    i[(i < 0) | (i >= len(word))] = len(word)
+    tape = codes[i]
+    states[gl.cell_ids] = tape
     if automaton.kind == "extra" and region.grid == "dodecagrid":
-        for cell, mirror in zip(gl.cell_ids, gl.mirror_ids):
-            if mirror >= 0:
-                states[int(mirror)] = letter_at[int(cell)]
+        mirror = gl.mirror_ids >= 0
+        states[gl.mirror_ids[mirror]] = tape[mirror]
     if automaton.kind == "compact":
         states[marker_cell_ids(region, automaton.marker_scheme)] = \
             automaton.encode(1 if automaton.grid != "pentagrid"
@@ -134,7 +133,7 @@ def run_hca(automaton: emb.HcaAutomaton, region: Region,
             f"{steps} step(s) from time {cfg.time} exceed the remaining "
             f"validity {cfg.valid_radius}")
     table = automaton.rule_table
-    run = emb.TableRun(table, region.adjacency, cfg.states.copy())
+    run = emb.TableRun(table, region, cfg.states.copy())
     coded = np.arange(len(run.cells))
     for _ in range(steps):
         # cells not coded again keep rows that were not split

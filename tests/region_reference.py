@@ -19,7 +19,9 @@ tests too.
 
 `marker_cells`, `guideline_triples` and `neighbor` spell out a region's
 marker sides, guideline sides and neighbours in public numbering, for the
-region tests.
+region tests.  `marker_sides_internal` lists each chain cell's marker
+sides one cell at a time, and `marker_cell_ids` collects the cells across
+them in a set: the per-cell form of `hypca.region.marker_cell_ids`.
 """
 from __future__ import annotations
 
@@ -30,7 +32,8 @@ from hypca import polytopes as poly
 from hypca import symmetry as sym
 from hypca.region import (MAX_RADIUS, NO_POS, PLACEMENT_EXTENT, Guideline,
                           MarkerScheme, Region, RegionTooLarge, _CHUNK,
-                          _check_chain, marker_sides_internal)
+                          _MARKER_FACES, _MARKER_OFFSETS, _SCHEME_GRID,
+                          _check_chain)
 
 DEDUP_BUCKET = 0.125
 DEDUP_TOL = 2e-3
@@ -422,6 +425,34 @@ def build_region(grid: str, radius: int, halfwidth: int) -> Region:
     region.matrices = mats          # its own placements, not a Placement
     _check_chain(region)
     return region
+
+
+def marker_sides_internal(region: Region, scheme: MarkerScheme) -> dict[int, tuple[int, ...]]:
+    """For each guideline cell id, the 0-based sides toward its red markers."""
+    if region.grid != _SCHEME_GRID[scheme]:
+        raise ValueError(f"{scheme.value} requires a {_SCHEME_GRID[scheme]} region")
+    gl = region.guideline
+    p = region.shape.n_sides
+    out: dict[int, tuple[int, ...]] = {}
+    for k, ident in enumerate(gl.cell_ids):
+        if scheme is MarkerScheme.COMPACT_DODECAGRID:
+            sides = _MARKER_FACES
+        else:
+            lam = int(gl.left_sides[k])
+            sides = tuple((lam + off) % p for off in _MARKER_OFFSETS[scheme])
+        out[int(ident)] = sides
+    return out
+
+
+def marker_cell_ids(region: Region, scheme: MarkerScheme) -> np.ndarray:
+    """Ids of the cells a compact embedding paints with the marker state."""
+    ids = {
+        int(region.adjacency[ident, s])
+        for ident, sides in marker_sides_internal(region, scheme).items()
+        for s in sides
+        if region.adjacency[ident, s] >= 0
+    }
+    return np.array(sorted(ids), dtype=np.int32)
 
 
 def marker_cells(region: Region, scheme: MarkerScheme) -> dict[int, set[int]]:

@@ -240,10 +240,15 @@ def test_failure_exit_codes(tmp_path, capsys):
         assert run_cli("simulate", "--automaton", str(auto), "--word", "1",
                        "--steps", "1") == 2
         assert says in capsys.readouterr().err
-    # keys present with values of the wrong form
+    # keys present with values of the wrong form, and keys that disagree:
+    # a padding or added state outside the states, a state map that drops
+    # source state 1, an unknown kind, a marker scheme on the extra kind
     for key, value in (("patterns", 5), ("patterns", [[1, 2, 3, 4, 5]]),
                        ("state_map", [0, 1]), ("letters", 5),
-                       ("n_states", None), ("action", 5)):
+                       ("n_states", None), ("action", 5),
+                       ("padding_state", 7), ("padding_state", "x"),
+                       ("state_map", {"0": 0}), ("kind", "weird"),
+                       ("blue", 9), ("marker_scheme", "compact_pentagrid")):
         auto.write_text(json.dumps(dict(doc, **{key: value})))
         assert run_cli("verify", "--automaton", str(auto)) == 2
         assert f"'{key}'" in capsys.readouterr().err

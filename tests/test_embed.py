@@ -241,13 +241,27 @@ def test_automaton_json_needs_one_pattern(all_six):
 
 def test_automaton_json_round_trip(all_six):
     for b in all_six.values():
-        b2 = embed.automaton_from_json(embed.automaton_to_json(b))
+        text = embed.automaton_to_json(b)
+        b2 = embed.automaton_from_json(text)
+        assert embed.automaton_to_json(b2) == text
         assert b2.grid == b.grid and b2.n_states == b.n_states
         assert b2.pattern == b.pattern and b2.state_map == b.state_map
         assert b2.letters == b.letters and b2.kind == b.kind
         assert b2.blue == b.blue and b2.marker_scheme == b.marker_scheme
         assert b2.padding_state == b.padding_state
         assert np.array_equal(b2.action.table, b.action.table)
+
+
+def test_automaton_json_keys_must_agree(all_six):
+    """A compact automaton names its grid's marker scheme and no added
+    state; each disagreement is refused naming the key."""
+    doc = json.loads(embed.automaton_to_json(all_six[("compact",
+                                                      "heptagrid")]))
+    for key, value in (("marker_scheme", None),
+                       ("marker_scheme", "compact_pentagrid"),
+                       ("blue", 1), ("state_map", {"0": 1, "1": 1})):
+        with pytest.raises(ValueError, match=f"^automaton key '{key}'"):
+            embed.automaton_from_json(json.dumps(dict(doc, **{key: value})))
 
 
 def test_pattern_needs_left_and_right():

@@ -1,12 +1,15 @@
 import dataclasses
+import functools
 import re
 
 import numpy as np
 import pytest
 
 from hypca import ca1d, embed, engine
+from hypca import region as reg
 from hypca.region import marker_cell_ids
 
+import region_reference
 import symmetry_reference as ref
 
 
@@ -74,6 +77,95 @@ def test_init_rejections(region_of, rule110):
     assert no_quiet.padding_state is None
     with pytest.raises(ValueError):
         engine.init_configuration(r, no_quiet, [1])
+
+
+def _init_reference(region, automaton, word):
+    """`init_configuration` as it was, one chain cell at a time: the
+    reference for its array passes."""
+    if automaton.grid != region.grid:
+        raise ValueError(f"automaton is for {automaton.grid}, "
+                         f"region is {region.grid}")
+    word = [int(a) for a in word]
+    states_a = set(automaton.action.states())
+    if not set(word) <= states_a:
+        raise ValueError("word uses states outside the source automaton")
+    if automaton.padding_state is None:
+        raise ValueError("the source automaton has no quiescent state "
+                         "to pad the tape with")
+    start = -(len(word) // 2)
+    if word and not (-region.halfwidth <= start
+                     and start + len(word) - 1 <= region.halfwidth):
+        raise ValueError(f"word of length {len(word)} does not fit the "
+                         f"initial segment (halfwidth {region.halfwidth})")
+    if automaton.kind == "extra":
+        fill = automaton.blue
+    else:
+        fill = automaton.encode(automaton.padding_state)
+    states = np.full(region.n_cells, fill, dtype=np.int16)
+    gl = region.guideline
+    letter_at = {}
+    for cell, pos in zip(gl.cell_ids, gl.positions):
+        p = int(pos)
+        a = word[p - start] if 0 <= p - start < len(word) \
+            else automaton.padding_state
+        letter_at[int(cell)] = automaton.encode(a)
+        states[int(cell)] = letter_at[int(cell)]
+    if automaton.kind == "extra" and region.grid == "dodecagrid":
+        for cell, mirror in zip(gl.cell_ids, gl.mirror_ids):
+            if mirror >= 0:
+                states[int(mirror)] = letter_at[int(cell)]
+    if automaton.kind == "compact":
+        states[region_reference.marker_cell_ids(
+            region, automaton.marker_scheme)] = \
+            automaton.encode(1 if automaton.grid != "pentagrid"
+                             else engine._marker_source(automaton))
+    return engine.Configuration(states, 0, region.radius)
+
+
+@pytest.mark.parametrize("method,grid", [
+    (m, g) for m in ("extra", "compact")
+    for g in ("pentagrid", "heptagrid", "dodecagrid")])
+def test_init_matches_the_per_cell_reference(region_of, rule110, method,
+                                             grid):
+    """The array passes fill what the per-cell loop filled, int16 state
+    for state: words of length 0, 1, 2 hw and 2 hw + 1, rule 110 and a
+    3-state rule, identity and swapped state maps, and on dodecagrid extra
+    the reflected row.  Refusals carry the same messages."""
+    embed_rule = (embed.embed_extra_state if method == "extra"
+                  else embed.embed_compact)
+    rng = np.random.default_rng(23)
+    three = ca1d.random_rule(3, rng, quiescent_zero=True,
+                             fixable=grid == "pentagrid")
+    autos = [embed_rule(rule110, grid), embed_rule(three, grid)]
+    # the encoding is applied: letters 0 and 1 swap their images
+    autos.append(dataclasses.replace(autos[0], state_map={0: 1, 1: 0}))
+    for radius, hw in ((2, 1), (3, 2)):
+        r = region_of(grid, radius, hw)
+        for b in autos:
+            for n in (0, 1, 2 * hw, 2 * hw + 1):
+                word = rng.integers(0, b.action.n, size=n).tolist()
+                got = engine.init_configuration(r, b, word)
+                want = _init_reference(r, b, word)
+                assert got.states.dtype == want.states.dtype == np.int16
+                assert np.array_equal(got.states, want.states), (b.name, n)
+                assert (got.time, got.valid_radius) == (want.time,
+                                                        want.valid_radius)
+    if method == "extra" and grid == "dodecagrid":
+        gl = r.guideline
+        assert (gl.mirror_ids >= 0).sum() > 2 * hw + 1
+        row = got.states[gl.mirror_ids[gl.mirror_ids >= 0]]
+        assert (row != b.blue).all()
+    other = region_of("heptagrid" if grid == "pentagrid" else "pentagrid",
+                      2, 1)
+    no_pad = dataclasses.replace(autos[0], padding_state=None)
+    for region, b, word in ((r, autos[0], [1] * (2 * hw + 2)),
+                            (r, autos[0], [5]), (other, autos[0], [1]),
+                            (r, no_pad, [1])):
+        with pytest.raises(ValueError) as new:
+            engine.init_configuration(region, b, word)
+        with pytest.raises(ValueError) as old:
+            _init_reference(region, b, word)
+        assert str(new.value) == str(old.value)
 
 
 @pytest.mark.parametrize("method,grid", [
@@ -349,3 +441,32 @@ def test_equivalence_divergence_inside_the_window(region_of, rule110,
     assert report.ok
     assert (report.compared, report.divergence) == _equivalence_reference(
         rule110, b, r, word, report.configurations)
+
+
+def test_runs_share_the_regions_complete_cells(monkeypatch, all_six):
+    """The verify scan and then `run_hca` on one region find its complete
+    cells once, and both steppers hold that one array."""
+    calls, runs = [], []
+    inner = reg.Region.complete_cells.func
+
+    def counted(region):
+        calls.append(region)
+        return inner(region)
+
+    prop = functools.cached_property(counted)
+    prop.__set_name__(reg.Region, "complete_cells")
+    monkeypatch.setattr(reg.Region, "complete_cells", prop)
+
+    class Recorded(embed.TableRun):
+        def __init__(self, *args):
+            super().__init__(*args)
+            runs.append(self)
+
+    monkeypatch.setattr(embed, "TableRun", Recorded)
+    b = all_six[("compact", "pentagrid")]
+    r = reg.build_region("pentagrid", 3, 1)
+    assert embed.verify_unique_applicability(
+        b, r, engine.init_configuration(r, b, [1]), 2).ok
+    engine.run_hca(b, r, engine.init_configuration(r, b, [1]), 2)
+    assert calls == [r] and len(runs) == 2
+    assert all(run.cells is r.complete_cells for run in runs)

@@ -146,7 +146,7 @@ def test_dodecagrid_mirror_row_across_the_plane(region_of):
 
 def test_pentagrid_markers_one_side_past_left(region_of):
     r = region_of("pentagrid", 3, 2)
-    sides = reg.marker_sides_internal(r, reg.MarkerScheme.COMPACT_PENTAGRID)
+    sides = float_ref.marker_sides_internal(r, reg.MarkerScheme.COMPACT_PENTAGRID)
     gl = r.guideline
     for k, c in enumerate(gl.cell_ids):
         assert sides[int(c)] == ((int(gl.left_sides[k]) + 1) % 5,)
@@ -154,7 +154,7 @@ def test_pentagrid_markers_one_side_past_left(region_of):
 
 def test_heptagrid_markers_two_sides(region_of):
     r = region_of("heptagrid", 3, 2)
-    sides = reg.marker_sides_internal(r, reg.MarkerScheme.COMPACT_HEPTAGRID)
+    sides = float_ref.marker_sides_internal(r, reg.MarkerScheme.COMPACT_HEPTAGRID)
     gl = r.guideline
     for k, c in enumerate(gl.cell_ids):
         lam = int(gl.left_sides[k])
@@ -307,6 +307,62 @@ def test_legacy_region_file_loads(region_of, legacy_region_json):
     doc["adjacency"][0][0] = -1
     with pytest.raises(ValueError, match="adjacency"):
         reg.region_from_json(json.dumps(doc))
+
+
+# the benchmark's scan regions, then three of its certify sizes per grid
+COMPLETE_CELL_SIZES = [
+    ("pentagrid", 7, 2), ("heptagrid", 6, 3), ("dodecagrid", 3, 2),
+    ("pentagrid", 7, 1), ("pentagrid", 6, 4), ("pentagrid", 5, 9),
+    ("heptagrid", 6, 1), ("heptagrid", 7, 2), ("heptagrid", 5, 8),
+    ("dodecagrid", 3, 1), ("dodecagrid", 2, 6), ("dodecagrid", 3, 5),
+]
+
+
+def full_rows(region: reg.Region) -> np.ndarray:
+    return np.flatnonzero(~(region.adjacency < 0).any(axis=1))
+
+
+@pytest.mark.parametrize("grid,radius,hw", COMPLETE_CELL_SIZES)
+def test_complete_cells_are_the_full_rows(region_of, grid, radius, hw):
+    """The column-wise blocked pass finds the cells whose adjacency row
+    holds no -1, once: later reads return the same read-only array."""
+    r = region_of(grid, radius, hw)
+    cells = r.complete_cells
+    assert np.array_equal(cells, full_rows(r))
+    assert r.complete_cells is cells and not cells.flags.writeable
+
+
+def test_loaded_regions_find_the_same_complete_cells(region_of,
+                                                     legacy_region_json):
+    """A region loaded from a file, current or legacy, finds its complete
+    cells like a built one: 8,502 cells, past one block of rows."""
+    r = region_of("pentagrid", 7, 2)
+    assert r.n_cells > reg._CHUNK
+    for text in (reg.region_to_json(r), legacy_region_json(r)):
+        loaded = reg.region_from_json(text)
+        assert "complete_cells" not in vars(loaded)
+        assert np.array_equal(loaded.complete_cells, full_rows(loaded))
+        assert np.array_equal(loaded.complete_cells, r.complete_cells)
+
+
+@pytest.mark.parametrize("grid", ["pentagrid", "heptagrid", "dodecagrid"])
+def test_marker_ids_match_the_per_cell_reference(region_of, grid):
+    """The array pass paints the cells the per-cell set collects: sorted,
+    distinct, int32, and the same refusal of a region of another grid."""
+    scheme = reg.MarkerScheme(f"compact_{grid}")
+    for radius, hw in ((1, 0), (2, 1), (3, 2), (4, 2)):
+        r = region_of(grid, radius, hw)
+        got = reg.marker_cell_ids(r, scheme)
+        want = float_ref.marker_cell_ids(r, scheme)
+        assert got.dtype == want.dtype == np.int32
+        assert np.array_equal(got, want), (grid, radius, hw)
+    other = region_of("heptagrid" if grid == "pentagrid" else "pentagrid",
+                      2, 1)
+    with pytest.raises(ValueError) as new:
+        reg.marker_cell_ids(other, scheme)
+    with pytest.raises(ValueError) as old:
+        float_ref.marker_cell_ids(other, scheme)
+    assert str(new.value) == str(old.value)
 
 
 def test_region_file_errors_name_the_problem():
