@@ -330,6 +330,15 @@ def test_complete_cells_are_the_full_rows(region_of, grid, radius, hw):
     cells = r.complete_cells
     assert np.array_equal(cells, full_rows(r))
     assert r.complete_cells is cells and not cells.flags.writeable
+    # a rim cell lacks several neighbours; so that every side is read,
+    # cut one neighbour of a complete cell on each side
+    adj = r.adjacency.copy()
+    rng = np.random.default_rng(radius * 100 + hw)
+    cut = rng.choice(cells, size=adj.shape[1], replace=False)
+    adj[cut, np.arange(adj.shape[1])] = -1
+    cut_region = dataclasses.replace(r, adjacency=adj)
+    assert np.array_equal(cut_region.complete_cells, full_rows(cut_region))
+    assert len(cut_region.complete_cells) == len(cells) - adj.shape[1]
 
 
 def test_loaded_regions_find_the_same_complete_cells(region_of,
