@@ -545,9 +545,7 @@ def symbolic_rows(automaton: HcaAutomaton, region: Region,
                     nxt.append(int(d))
         frontier = nxt
     rows = set()
-    for c in sorted(ball):
-        if any(d < 0 for d in region.adjacency[c]):
-            continue
+    for c in sorted(ball & set(region.complete_cells.tolist())):
         nb = tuple(name_of(int(d)) for d in region.adjacency[c])
         if len(nb) == 12:
             canon = sym.canonical_spherical(nb)

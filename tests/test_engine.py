@@ -468,5 +468,5 @@ def test_runs_share_the_regions_complete_cells(monkeypatch, all_six):
     assert embed.verify_unique_applicability(
         b, r, engine.init_configuration(r, b, [1]), 2).ok
     engine.run_hca(b, r, engine.init_configuration(r, b, [1]), 2)
-    assert calls == [r] and len(runs) == 2
+    assert len(calls) == 1 and calls[0] is r and len(runs) == 2
     assert all(run.cells is r.complete_cells for run in runs)
