@@ -42,7 +42,7 @@ import numpy as np
 from . import ca1d
 from . import symmetry as sym
 from .jsonfile import exactly, json_object, read_key
-from .region import MarkerScheme, Region, _distinct
+from .region import TAPE_SLOTS, Region, _distinct
 
 GRID_SIDES = {"pentagrid": 5, "heptagrid": 7, "dodecagrid": 12}
 
@@ -110,10 +110,8 @@ class HcaAutomaton:
     pattern: ContextPattern
     action: ca1d.Rule1D
     state_map: dict[int, int]
-    letters: frozenset[int]
     kind: str                           # "extra" or "compact"
     blue: int | None = None             # the added state, extra kind only
-    marker_scheme: MarkerScheme | None = None
     padding_state: int | None = None    # source state used to pad the tape
     name: str = ""
 
@@ -122,6 +120,23 @@ class HcaAutomaton:
             raise ValueError(f"unknown grid {self.grid!r}")
         if len(self.pattern.slots) != GRID_SIDES[self.grid]:
             raise ValueError("pattern arity does not fit the grid")
+
+    @property
+    def letters(self) -> frozenset[int]:
+        """The states that carry source letters: the state map's images."""
+        return frozenset(self.state_map.values())
+
+    @property
+    def marker(self) -> int:
+        """The state that marks the tape line: the state the compact
+        pattern pins other than the background, the padding's image."""
+        if self.kind == "compact":
+            background = self.encode(self.padding_state)
+            for slot in self.pattern.slots:
+                if slot.kind == "fixed" and slot.state != background:
+                    return slot.state
+        raise ValueError(f"the {self.kind} pattern pins no state other "
+                         "than the background")
 
     def inverse_map(self) -> dict[int, int]:
         return {v: k for k, v in self.state_map.items()}
@@ -135,34 +150,20 @@ class HcaAutomaton:
         return compile_rules(self)
 
 
-# slot layouts, one per construction and grid, left slot first; the fixed
-# positions are relative to the left slot for the polygonal grids and
-# absolute face numbers for the dodecagrid
-def _extra_pattern(grid: str, blue: int) -> ContextPattern:
-    if grid == "pentagrid":
-        slots = [LEFT, fixed(blue), fixed(blue), RIGHT, fixed(blue)]
-    elif grid == "heptagrid":
-        slots = [LEFT, fixed(blue), fixed(blue), fixed(blue), RIGHT,
-                 fixed(blue), fixed(blue)]
-    else:
-        slots = [fixed(blue)] * 12
-        slots[0] = FREE_LETTER          # the reflected row carries letters
-        slots[1] = LEFT
-        slots[4] = RIGHT
-    return ContextPattern(tuple(slots))
-
-
-def _compact_pattern(grid: str, w: int, b: int) -> ContextPattern:
-    if grid == "pentagrid":
-        slots = [LEFT, fixed(b), fixed(w), RIGHT, fixed(w)]
-    elif grid == "heptagrid":
-        slots = [LEFT, fixed(b), fixed(w), fixed(b), RIGHT, fixed(w), fixed(w)]
-    else:
-        slots = [fixed(w)] * 12
-        for f in (0, 3, 9, 10):
-            slots[f] = fixed(b)
-        slots[1] = LEFT
-        slots[4] = RIGHT
+def _pattern(grid: str, fill: int, marker: int | None = None
+             ) -> ContextPattern:
+    """A tape cell's pattern, slot i reading the side `TAPE_SLOTS` numbers
+    i: the left and right neighbours, every other slot pinned to `fill`
+    except the markers, pinned to `marker` when one is given, or else the
+    reflected row, which carries letters."""
+    tape = TAPE_SLOTS[grid]
+    slots = [fixed(fill)] * GRID_SIDES[grid]
+    if marker is not None:
+        for i in tape.markers:
+            slots[i] = fixed(marker)
+    elif tape.mirror is not None:
+        slots[tape.mirror] = FREE_LETTER
+    slots[tape.left], slots[tape.right] = LEFT, RIGHT
     return ContextPattern(tuple(slots))
 
 
@@ -174,16 +175,14 @@ def embed_extra_state(rule: ca1d.Rule1D, grid: str) -> HcaAutomaton:
     """
     if grid not in GRID_SIDES:
         raise ValueError(f"unknown grid {grid!r}")
-    n = rule.n
-    blue = n
+    blue = rule.n
     quiescent = ca1d.quiescent_states(rule)
     return HcaAutomaton(
         grid=grid,
-        n_states=n + 1,
-        pattern=_extra_pattern(grid, blue),
+        n_states=blue + 1,
+        pattern=_pattern(grid, blue),
         action=rule,
         state_map={s: s for s in rule.states()},
-        letters=frozenset(range(n)),
         kind="extra",
         blue=blue,
         padding_state=quiescent[0] if quiescent else None,
@@ -208,22 +207,17 @@ def embed_compact(rule: ca1d.Rule1D, grid: str) -> HcaAutomaton:
                 "the pentagrid compact construction needs a fixable rule"
             )
         q, u = witness
-        scheme = MarkerScheme.COMPACT_PENTAGRID
     else:
         if rule.n < 2:
             raise ValueError("the compact construction needs at least 2 states")
         q, u = 0, 1
-        scheme = (MarkerScheme.COMPACT_HEPTAGRID if grid == "heptagrid"
-                  else MarkerScheme.COMPACT_DODECAGRID)
     return HcaAutomaton(
         grid=grid,
         n_states=rule.n,
-        pattern=_compact_pattern(grid, q, u),
+        pattern=_pattern(grid, q, u),
         action=rule,
         state_map={s: s for s in rule.states()},
-        letters=frozenset(rule.states()),
         kind="compact",
-        marker_scheme=scheme,
         padding_state=q,
         name=f"compact[{rule.name or rule.n}] on {grid}",
     )
@@ -671,8 +665,8 @@ def automaton_to_json(automaton: HcaAutomaton) -> str:
         "patterns": [[_slot_to_doc(s) for s in automaton.pattern.slots]],
         "letters": sorted(automaton.letters),
         "blue": automaton.blue,
-        "marker_scheme": (automaton.marker_scheme.value
-                          if automaton.marker_scheme else None),
+        "marker_scheme": (f"compact_{automaton.grid}"
+                          if automaton.kind == "compact" else None),
         "padding_state": automaton.padding_state,
     }
     return json.dumps(doc, indent=2)
@@ -680,17 +674,14 @@ def automaton_to_json(automaton: HcaAutomaton) -> str:
 
 def automaton_from_json(text: str) -> HcaAutomaton:
     """The automaton a file holds.  Besides the form of each key, the
-    keys must agree: the state map sends every source state to a distinct
-    state, the kind is extra or compact, the extra kind names its added
-    state, the compact kind the marker scheme of its grid, and the padding
-    is a source state.  A ValueError names the first key that does not."""
+    keys must agree: every pattern slot is of a known kind, a fixed slot
+    pins a state and no other slot does; the state map sends every source
+    state to a distinct state, and the letters are its images; the kind
+    is extra or compact, the extra kind names an added state that is no
+    letter, the compact kind the marker scheme of its grid, a padding
+    state and a pattern that pins a marker state; and the padding is a
+    source state.  A ValueError names the first key that does not."""
     read = partial(read_key, json_object(text, "automaton"), "automaton")
-
-    def pattern(patterns):
-        if len(patterns) != 1:
-            raise ValueError("exactly one admissible pattern is supported")
-        return ContextPattern(tuple(Slot(s["kind"], s["state"])
-                                    for s in patterns[0]))
 
     def state_in(n: int):
         def check(value):
@@ -699,12 +690,34 @@ def automaton_from_json(text: str) -> HcaAutomaton:
             return value
         return check
 
+    def slot(doc):
+        kind, state = doc["kind"], doc["state"]
+        if kind not in ("fixed", "left", "right", "letter"):
+            raise ValueError(f"unknown slot kind {kind!r}")
+        if kind == "fixed":
+            if type(state) is not int or not 0 <= state < n_states:
+                raise ValueError(f"a fixed slot pins a state in "
+                                 f"0..{n_states - 1}, not {state!r}")
+        elif state is not None:
+            raise ValueError(f"a {kind} slot pins no state, not {state!r}")
+        return Slot(kind, state)
+
+    def pattern(patterns):
+        if len(patterns) != 1:
+            raise ValueError("exactly one admissible pattern is supported")
+        return ContextPattern(tuple(map(slot, patterns[0])))
+
     def state_map(m):
         out = {int(k): state_in(n_states)(v) for k, v in m.items()}
         if sorted(out) != list(sources) or len(set(out.values())) < len(out):
             raise ValueError("must send each source state "
                              f"0..{len(sources) - 1} to a distinct state")
         return out
+
+    def letters(value):
+        images = sorted(set(smap.values()))
+        if set(map(exactly(int), value)) != set(images):
+            raise ValueError(f"must list the state map's images {images}")
 
     def kind_of(value):
         if value not in ("extra", "compact"):
@@ -716,31 +729,42 @@ def automaton_from_json(text: str) -> HcaAutomaton:
             raise ValueError(f"unknown grid {value!r}")
         return value
 
+    def added(value):
+        if kind == "compact":
+            return exactly(type(None))(value)
+        if state_in(n_states)(value) in smap.values():
+            raise ValueError(f"the added state {value} is a letter")
+        return value
+
     def scheme(value):
-        s = MarkerScheme(value) if value else None
         want = None if kind == "extra" else f"compact_{grid}"
-        if (s and s.value) != want:
+        if value != want:
             raise ValueError(f"the {kind} kind on the {grid} needs "
                              f"{json.dumps(want)}")
-        return s
 
     grid = read("grid", grid_of)
     n_states = read("n_states", exactly(int))
     action = read("action", lambda a: ca1d.rule_from_json(json.dumps(a)))
     sources = action.states()
     kind = read("kind", kind_of)
-    return HcaAutomaton(
+    pat = read("patterns", pattern)
+    smap = read("state_map", state_map)
+    read("letters", letters)
+    blue = read("blue", added)
+    read("marker_scheme", scheme)
+    automaton = HcaAutomaton(
         grid=grid,
         n_states=n_states,
-        pattern=read("patterns", pattern),
+        pattern=pat,
         action=action,
-        state_map=read("state_map", state_map),
-        letters=read("letters", lambda v: frozenset(map(exactly(int), v))),
+        state_map=smap,
         kind=kind,
-        blue=read("blue", state_in(n_states) if kind == "extra"
-                  else exactly(type(None))),
-        marker_scheme=read("marker_scheme", scheme),
+        blue=blue,
         padding_state=read("padding_state", lambda v: None if v is None
+                           and kind == "extra"
                            else state_in(len(sources))(v)),
         name=read("name", default=""),
     )
+    if kind == "compact":
+        read("patterns", lambda _: automaton.marker)
+    return automaton

@@ -93,17 +93,8 @@ def init_configuration(region: Region, automaton: emb.HcaAutomaton,
         mirror = gl.mirror_ids >= 0
         states[gl.mirror_ids[mirror]] = tape[mirror]
     if automaton.kind == "compact":
-        states[marker_cell_ids(region, automaton.marker_scheme)] = \
-            automaton.encode(1 if automaton.grid != "pentagrid"
-                             else _marker_source(automaton))
+        states[marker_cell_ids(region)] = automaton.marker
     return Configuration(states, 0, region.radius)
-
-
-def _marker_source(automaton: emb.HcaAutomaton) -> int:
-    """The source state whose image paints the markers."""
-    b = next(s.state for s in automaton.pattern.slots if s.kind == "fixed"
-             and s.state != automaton.encode(automaton.padding_state))
-    return automaton.inverse_map()[b]
 
 
 def step_hca(automaton: emb.HcaAutomaton, region: Region,
@@ -287,8 +278,7 @@ def equivalence_check(rule: ca1d.Rule1D, automaton: emb.HcaAutomaton,
     cfgs = run_hca(automaton, region, init, steps)
     report = EquivalenceReport(steps=steps, configurations=cfgs)
 
-    guarded = np.flatnonzero(~emb._may_change(automaton, region))
-    baseline = init.states[guarded]
+    guarded = ~emb._may_change(automaton, region)
 
     for t, cfg in enumerate(cfgs):
         w = trace_window(region, t)
@@ -303,8 +293,8 @@ def equivalence_check(rule: ca1d.Rule1D, automaton: emb.HcaAutomaton,
                 int(got[i]) if got[i] >= 0 else None)
             return report
         report.compared += len(got)
-        for c in guarded[cfg.states[guarded] != baseline]:
-            report.stability_violations.append((t, int(c)))
+        drift = np.flatnonzero((cfg.states != init.states) & guarded)
+        report.stability_violations.extend((t, int(c)) for c in drift)
         if report.stability_violations:
             return report
     return report

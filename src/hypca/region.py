@@ -102,7 +102,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from enum import Enum
 from functools import cached_property, lru_cache, partial
 
 import numpy as np
@@ -111,8 +110,6 @@ from . import geometry as geo
 from . import polytopes as poly
 from . import symmetry as sym
 from .jsonfile import exactly, json_object, read_key
-
-NO_POS = -(10**9)
 
 # float placements stay accurate up to these extents, halfwidth + radius
 PLACEMENT_EXTENT = {"pentagrid": 18, "heptagrid": 18, "dodecagrid": 8}
@@ -125,10 +122,25 @@ class RegionTooLarge(ValueError):
     pass
 
 
-class MarkerScheme(Enum):
-    COMPACT_PENTAGRID = "compact_pentagrid"
-    COMPACT_HEPTAGRID = "compact_heptagrid"
-    COMPACT_DODECAGRID = "compact_dodecagrid"
+@dataclass(frozen=True)
+class TapeSlots:
+    """The sides of a tape cell that the constructions read: its left and
+    right tape neighbours, the reflected row's cell (dodecagrid only) and
+    the compact construction's markers.  On the polygonal grids each is an
+    offset from the cell's left side, on the dodecagrid a face of the
+    renumbered chain cell; either way it is also the index of the pattern
+    slot that reads the side."""
+    left: int
+    right: int
+    markers: tuple[int, ...]
+    mirror: int | None = None
+
+
+TAPE_SLOTS = {
+    "pentagrid": TapeSlots(left=0, right=3, markers=(1,)),
+    "heptagrid": TapeSlots(left=0, right=4, markers=(1, 3)),
+    "dodecagrid": TapeSlots(left=1, right=4, markers=(0, 3, 9, 10), mirror=0),
+}
 
 
 @dataclass
@@ -137,7 +149,6 @@ class Guideline:
     positions: np.ndarray       # tape position of each chain cell
     left_sides: np.ndarray      # side toward position - 1
     right_sides: np.ndarray     # side toward position + 1
-    segment_halfwidth: int
     mirror_ids: np.ndarray | None = None   # dodecagrid reflected row
 
     def id_at(self, position: int) -> int:
@@ -158,7 +169,7 @@ class Placement:
 @dataclass
 class Region:
     """The cells within `radius` steps of the guideline segment: their
-    adjacency, their distances and tape positions, and the guideline.
+    adjacency, their distances, and the guideline.
     What follows from these alone is worked out on first read and kept:
     `matrices`, the placements, and `complete_cells`, the cells with every
     neighbour in the region, which every run and verify scan on the
@@ -169,7 +180,6 @@ class Region:
     halfwidth: int
     adjacency: np.ndarray       # (N, n_sides), -1 where no cell was built
     dist: np.ndarray            # (N,) graph distance to the central segment
-    positions: np.ndarray       # (N,) tape position, NO_POS off the guideline
     guideline: Guideline
     # `matrices` follows from this on first read; a region made without it
     # is given its matrices by assigning them
@@ -225,8 +235,8 @@ class Region:
         return cells
 
 
-# polygonal grids: (left side l0 of the base cell, gap from left to right)
-_CHAIN_GAP = {"pentagrid": (1, 3), "heptagrid": (2, 4)}
+# polygonal grids: the left side of the base cell
+_CHAIN_LEFT = {"pentagrid": 1, "heptagrid": 2}
 # dodecagrid: (mirror face, left, right) at even and at odd positions
 _CHAIN_FACES = ((0, 3, 1), (11, 9, 6))
 
@@ -392,8 +402,8 @@ def _chain_labels(grid: str, p: int, pos: np.ndarray):
     dodecagrid."""
     if grid == "dodecagrid":
         return np.array(_CHAIN_FACES, dtype=np.int32)[pos % 2].T
-    l0, gap = _CHAIN_GAP[grid]
-    left = ((l0 + pos * gap) % p).astype(np.int32)
+    gap = TAPE_SLOTS[grid].right
+    left = ((_CHAIN_LEFT[grid] + pos * gap) % p).astype(np.int32)
     return None, left, (left + gap) % p
 
 
@@ -597,9 +607,6 @@ def build_region(grid: str, radius: int, halfwidth: int) -> Region:
         dist[frontier] = level + 1
         level += 1
 
-    positions = np.full(n, NO_POS, dtype=np.int32)
-    positions[:n_chain] = chain_order
-
     # guideline arrays run left to right; chain ids are permuted relative
     # to that order because the central cell is id 0
     order = np.argsort(chain_at).astype(np.int32)
@@ -608,15 +615,15 @@ def build_region(grid: str, radius: int, halfwidth: int) -> Region:
         for mf, motion, _ in _chain_renumbering(shape):
             k = np.flatnonzero(mirror[chain_at] == mf)
             adj[k] = adj[k][:, motion]
-        mirror_ids = adj[order, 0]
-        left = np.full(n_chain, 1, dtype=np.int32)
-        right = np.full(n_chain, 4, dtype=np.int32)
+        faces = TAPE_SLOTS[grid]
+        mirror_ids = adj[order, faces.mirror]
+        left = np.full(n_chain, faces.left, dtype=np.int32)
+        right = np.full(n_chain, faces.right, dtype=np.int32)
     guideline = Guideline(
         cell_ids=order,
         positions=np.arange(-extent, extent + 1, dtype=np.int32),
         left_sides=left,
         right_sides=right,
-        segment_halfwidth=halfwidth,
         mirror_ids=mirror_ids,
     )
     region = Region(
@@ -625,7 +632,6 @@ def build_region(grid: str, radius: int, halfwidth: int) -> Region:
         halfwidth=halfwidth,
         adjacency=adj,
         dist=dist,
-        positions=positions,
         guideline=guideline,
         placement=Placement(
             parent=np.concatenate(placed_from),
@@ -644,7 +650,7 @@ def _chain_renumbering(shape: poly.CellShape):
     out = []
     for mf, lf, rf in _CHAIN_FACES:
         motion = sym.complete_motion(mf, lf)
-        if motion[4] != rf:
+        if motion[TAPE_SLOTS["dodecagrid"].right] != rf:
             raise AssertionError("chain renumbering does not place the "
                                  "next cell at face 4")
         out.append((mf, list(motion), shape.base_rotations[index[motion]]))
@@ -657,7 +663,7 @@ def _place(region: Region) -> np.ndarray:
     across its side, a BFS level at a time (a level's cells have
     consecutive ids and parents placed before them).  Last, the dodecagrid
     chain renumbering turns each chain cell by its base rotation."""
-    pl, shape = region.placement, region.shape
+    pl, shape, gl = region.placement, region.shape, region.guideline
     steps = shape.step_matrices
     extent = region.halfwidth + region.radius
     n_chain, dim1 = 2 * extent + 1, shape.dim + 1
@@ -668,7 +674,7 @@ def _place(region: Region) -> np.ndarray:
     for k, k0, s in _chain_walk(extent, left, right):
         walk[k] = walk[k0] @ steps[s]
     mats = np.empty((region.n_cells, dim1, dim1))
-    mats[:n_chain] = walk[region.positions[:n_chain] + extent]
+    mats[gl.cell_ids] = walk[gl.positions + extent]
     chunk = max(1, _CHUNK // shape.n_sides)
     bounds = n_chain + np.searchsorted(region.dist[n_chain:],
                                        np.arange(1, region.radius + 2))
@@ -679,10 +685,9 @@ def _place(region: Region) -> np.ndarray:
             mats[j:end] = np.einsum("mab,mbc->mac", mats[pl.parent[k]],
                                     steps[pl.side[k]])
     if region.grid == "dodecagrid":
-        mirror = _chain_labels(region.grid, shape.n_sides,
-                               region.positions[:n_chain])[0]
+        mirror = _chain_labels(region.grid, shape.n_sides, gl.positions)[0]
         for mf, _, rot in _chain_renumbering(shape):
-            k = np.flatnonzero(mirror == mf)
+            k = gl.cell_ids[mirror == mf]
             mats[k] = mats[k] @ rot
     return mats
 
@@ -701,33 +706,13 @@ def _check_chain(region: Region) -> None:
                 raise AssertionError("chain adjacency mismatch on the right")
 
 
-_SCHEME_GRID = {
-    MarkerScheme.COMPACT_PENTAGRID: "pentagrid",
-    MarkerScheme.COMPACT_HEPTAGRID: "heptagrid",
-    MarkerScheme.COMPACT_DODECAGRID: "dodecagrid",
-}
-
-# marker sides as offsets from the left side (2D) or as fixed faces (3D)
-_MARKER_OFFSETS = {
-    MarkerScheme.COMPACT_PENTAGRID: (1,),
-    MarkerScheme.COMPACT_HEPTAGRID: (1, 3),
-}
-_MARKER_FACES = (0, 3, 9, 10)
-
-
-def marker_cell_ids(region: Region, scheme: MarkerScheme) -> np.ndarray:
+def marker_cell_ids(region: Region) -> np.ndarray:
     """Ids of the cells a compact embedding paints with the marker state:
-    the cells across each chain cell's marker sides, which are offsets
-    from its left side on the polygonal grids and fixed faces on the
-    dodecagrid."""
-    if region.grid != _SCHEME_GRID[scheme]:
-        raise ValueError(f"{scheme.value} requires a {_SCHEME_GRID[scheme]} region")
+    the cells across each chain cell's TAPE_SLOTS markers."""
     gl = region.guideline
-    if scheme is MarkerScheme.COMPACT_DODECAGRID:
-        sides = np.array(_MARKER_FACES)
-    else:
-        sides = (gl.left_sides[:, None] + np.array(_MARKER_OFFSETS[scheme])
-                 ) % region.shape.n_sides
+    sides = np.array(TAPE_SLOTS[region.grid].markers)
+    if region.grid != "dodecagrid":
+        sides = (gl.left_sides[:, None] + sides) % region.shape.n_sides
     ids = region.adjacency[gl.cell_ids[:, None], sides].ravel()
     return _distinct(ids[ids >= 0]).astype(np.int32)
 

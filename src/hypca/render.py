@@ -78,10 +78,8 @@ def default_render_spec(automaton) -> RenderSpec:
     quiet = None
     if automaton.kind == "compact":
         w = automaton.encode(automaton.padding_state)
-        b = next(s.state for s in automaton.pattern.slots
-                 if s.kind == "fixed" and s.state != w)
         colors[w] = GREEN
-        colors[b] = RED
+        colors[automaton.marker] = RED
         quiet = w
     elif automaton.blue is not None:
         quiet = automaton.blue

@@ -64,13 +64,13 @@ def legacy_region_json():
             "matrices": region.matrices.tolist(),
             "adjacency": region.adjacency.tolist(),
             "dist": region.dist.tolist(),
-            "positions": region.positions.tolist(),
+            "positions": region_reference.tape_positions(region).tolist(),
             "guideline": {
                 "cell_ids": gl.cell_ids.tolist(),
                 "positions": gl.positions.tolist(),
                 "left_sides": gl.left_sides.tolist(),
                 "right_sides": gl.right_sides.tolist(),
-                "segment_halfwidth": gl.segment_halfwidth,
+                "segment_halfwidth": region.halfwidth,
                 "normals": [n.tolist() for n in normals],
                 "frame_p0": p0.tolist(),
                 "frame_w": w.tolist(),

@@ -20,8 +20,10 @@ tests too.
 `marker_cells`, `guideline_triples` and `neighbor` spell out a region's
 marker sides, guideline sides and neighbours in public numbering, for the
 region tests.  `marker_sides_internal` lists each chain cell's marker
-sides one cell at a time, and `marker_cell_ids` collects the cells across
-them in a set: the per-cell form of `hypca.region.marker_cell_ids`.
+sides one cell at a time, from its own copy of the marker tables, and
+`marker_cell_ids` collects the cells across them in a set: the per-cell
+form of `hypca.region.marker_cell_ids`.  `tape_positions` spreads the
+guideline's positions over every cell, as regions once stored them.
 """
 from __future__ import annotations
 
@@ -30,14 +32,18 @@ import numpy as np
 from hypca import geometry as geo
 from hypca import polytopes as poly
 from hypca import symmetry as sym
-from hypca.region import (MAX_RADIUS, NO_POS, PLACEMENT_EXTENT, Guideline,
-                          MarkerScheme, Region, RegionTooLarge, _CHUNK,
-                          _MARKER_FACES, _MARKER_OFFSETS, _SCHEME_GRID,
-                          _check_chain)
+from hypca.region import (MAX_RADIUS, PLACEMENT_EXTENT, Guideline, Region,
+                          RegionTooLarge, _CHUNK, _check_chain)
 
 DEDUP_BUCKET = 0.125
 DEDUP_TOL = 2e-3
 NEAR_MISS_FACTOR = 10.0
+
+NO_POS = -(10**9)               # the tape position of a cell off the line
+
+# marker sides as offsets from the left side (2D) or as fixed faces (3D)
+_MARKER_OFFSETS = {"pentagrid": (1,), "heptagrid": (1, 3)}
+_MARKER_FACES = (0, 3, 9, 10)
 
 _HASH_MUL = np.uint64(0x9E3779B97F4A7C15)
 
@@ -410,7 +416,6 @@ def build_region(grid: str, radius: int, halfwidth: int) -> Region:
         positions=positions[order],
         left_sides=left[order],
         right_sides=right[order],
-        segment_halfwidth=halfwidth,
         mirror_ids=None if mirror_by_id is None else mirror_by_id[order],
     )
     region = Region(
@@ -419,7 +424,6 @@ def build_region(grid: str, radius: int, halfwidth: int) -> Region:
         halfwidth=halfwidth,
         adjacency=adj,
         dist=dist,
-        positions=positions,
         guideline=guideline,
     )
     region.matrices = mats          # its own placements, not a Placement
@@ -427,35 +431,41 @@ def build_region(grid: str, radius: int, halfwidth: int) -> Region:
     return region
 
 
-def marker_sides_internal(region: Region, scheme: MarkerScheme) -> dict[int, tuple[int, ...]]:
+def tape_positions(region: Region) -> np.ndarray:
+    """(N,) int32: each chain cell's tape position, NO_POS off the line."""
+    positions = np.full(region.n_cells, NO_POS, dtype=np.int32)
+    positions[region.guideline.cell_ids] = region.guideline.positions
+    return positions
+
+
+def marker_sides_internal(region: Region) -> dict[int, tuple[int, ...]]:
     """For each guideline cell id, the 0-based sides toward its red markers."""
-    if region.grid != _SCHEME_GRID[scheme]:
-        raise ValueError(f"{scheme.value} requires a {_SCHEME_GRID[scheme]} region")
     gl = region.guideline
     p = region.shape.n_sides
     out: dict[int, tuple[int, ...]] = {}
     for k, ident in enumerate(gl.cell_ids):
-        if scheme is MarkerScheme.COMPACT_DODECAGRID:
+        if region.grid == "dodecagrid":
             sides = _MARKER_FACES
         else:
             lam = int(gl.left_sides[k])
-            sides = tuple((lam + off) % p for off in _MARKER_OFFSETS[scheme])
+            sides = tuple((lam + off) % p
+                          for off in _MARKER_OFFSETS[region.grid])
         out[int(ident)] = sides
     return out
 
 
-def marker_cell_ids(region: Region, scheme: MarkerScheme) -> np.ndarray:
+def marker_cell_ids(region: Region) -> np.ndarray:
     """Ids of the cells a compact embedding paints with the marker state."""
     ids = {
         int(region.adjacency[ident, s])
-        for ident, sides in marker_sides_internal(region, scheme).items()
+        for ident, sides in marker_sides_internal(region).items()
         for s in sides
         if region.adjacency[ident, s] >= 0
     }
     return np.array(sorted(ids), dtype=np.int32)
 
 
-def marker_cells(region: Region, scheme: MarkerScheme) -> dict[int, set[int]]:
+def marker_cells(region: Region) -> dict[int, set[int]]:
     """For each guideline cell id, its marker sides in public numbering.
 
     The cells across those sides are the ones a compact embedding paints
@@ -465,7 +475,7 @@ def marker_cells(region: Region, scheme: MarkerScheme) -> dict[int, set[int]]:
     """
     base = 0 if region.grid == "dodecagrid" else 1
     out: dict[int, set[int]] = {}
-    for ident, sides in marker_sides_internal(region, scheme).items():
+    for ident, sides in marker_sides_internal(region).items():
         if any(region.adjacency[ident, s] < 0 for s in sides):
             if region.dist[ident] < region.radius:
                 raise RegionTooLarge(

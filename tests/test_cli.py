@@ -242,16 +242,41 @@ def test_failure_exit_codes(tmp_path, capsys):
         assert says in capsys.readouterr().err
     # keys present with values of the wrong form, and keys that disagree:
     # a padding or added state outside the states, a state map that drops
-    # source state 1, an unknown kind, a marker scheme on the extra kind
+    # source state 1, an unknown kind, a marker scheme on the extra kind,
+    # letters that are not the state map's images, an added state that is
+    # a letter, and pattern slots with no state, a string state, an
+    # unknown kind, and a state on a left slot
+    slots = doc["patterns"][0]
+    assert [s["kind"] for s in slots[:2]] == ["left", "fixed"]
+
+    def pattern_with(i, **changed):
+        return [slots[:i] + [dict(slots[i], **changed)] + slots[i + 1:]]
+
     for key, value in (("patterns", 5), ("patterns", [[1, 2, 3, 4, 5]]),
                        ("state_map", [0, 1]), ("letters", 5),
                        ("n_states", None), ("action", 5),
                        ("padding_state", 7), ("padding_state", "x"),
                        ("state_map", {"0": 0}), ("kind", "weird"),
-                       ("blue", 9), ("marker_scheme", "compact_pentagrid")):
+                       ("blue", 9), ("marker_scheme", "compact_pentagrid"),
+                       ("letters", [0, 1, 2]), ("letters", [1]),
+                       ("blue", 0),
+                       ("patterns", pattern_with(1, state=None)),
+                       ("patterns", pattern_with(1, state="2")),
+                       ("patterns", pattern_with(1, kind="bogus")),
+                       ("patterns", pattern_with(0, state=2))):
         auto.write_text(json.dumps(dict(doc, **{key: value})))
         assert run_cli("verify", "--automaton", str(auto)) == 2
         assert f"'{key}'" in capsys.readouterr().err
+    # a compact pattern that pins no marker state, rendered
+    run_cli("transform", "--rule", "elementary:110", "--grid", "heptagrid",
+            "--method", "compact", "-o", str(auto))
+    doc = json.loads(auto.read_text())
+    doc["patterns"] = [[dict(s, state=0) if s["kind"] == "fixed" else s
+                        for s in doc["patterns"][0]]]
+    auto.write_text(json.dumps(doc))
+    assert run_cli("render", "--grid", "heptagrid", "--automaton",
+                   str(auto), "-o", str(tmp_path / "flat.svg")) == 2
+    assert "'patterns'" in capsys.readouterr().err
     # valid JSON that is not an object
     auto.write_text("[]")
     assert run_cli("simulate", "--automaton", str(auto), "--word", "1",

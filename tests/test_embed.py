@@ -208,7 +208,7 @@ def test_unrepaired_solid_pattern_is_ambiguous(region_of, rule110):
         grid="dodecagrid", n_states=good.n_states,
         pattern=embed.ContextPattern(tuple(slots)),
         action=rule110, state_map=dict(good.state_map),
-        letters=good.letters, kind="extra", blue=good.blue,
+        kind="extra", blue=good.blue,
         padding_state=good.padding_state, name="unrepaired")
     r = region_of("dodecagrid", 3, 1)
     init = engine.init_configuration(r, good, [1])
@@ -247,7 +247,7 @@ def test_automaton_json_round_trip(all_six):
         assert b2.grid == b.grid and b2.n_states == b.n_states
         assert b2.pattern == b.pattern and b2.state_map == b.state_map
         assert b2.letters == b.letters and b2.kind == b.kind
-        assert b2.blue == b.blue and b2.marker_scheme == b.marker_scheme
+        assert b2.blue == b.blue
         assert b2.padding_state == b.padding_state
         assert np.array_equal(b2.action.table, b.action.table)
 
@@ -259,9 +259,56 @@ def test_automaton_json_keys_must_agree(all_six):
                                                       "heptagrid")]))
     for key, value in (("marker_scheme", None),
                        ("marker_scheme", "compact_pentagrid"),
-                       ("blue", 1), ("state_map", {"0": 1, "1": 1})):
+                       ("blue", 1), ("state_map", {"0": 1, "1": 1}),
+                       ("letters", [0, 1, 2]), ("letters", [1]),
+                       ("padding_state", None)):
         with pytest.raises(ValueError, match=f"^automaton key '{key}'"):
             embed.automaton_from_json(json.dumps(dict(doc, **{key: value})))
+    # a pattern that pins only the background has no marker state
+    only_background = [dict(s, state=0) if s["kind"] == "fixed" else s
+                       for s in doc["patterns"][0]]
+    with pytest.raises(ValueError, match="^automaton key 'patterns'"):
+        embed.automaton_from_json(json.dumps(dict(
+            doc, patterns=[only_background])))
+
+
+def test_automaton_json_checks_pattern_slots(all_six):
+    """Each slot is of a known kind, a fixed slot pins a state of the
+    automaton and no other slot pins one; the added state is no letter."""
+    doc = json.loads(embed.automaton_to_json(all_six[("extra",
+                                                      "pentagrid")]))
+    good = doc["patterns"][0]
+    assert [s["kind"] for s in good[:2]] == ["left", "fixed"]
+    for i, bad in ((1, dict(state=None)), (1, dict(state="2")),
+                   (1, dict(state=3)), (1, dict(kind="bogus")),
+                   (0, dict(state=0)), (0, dict(kind=None))):
+        slots = list(good)
+        slots[i] = dict(good[i], **bad)
+        with pytest.raises(ValueError, match="^automaton key 'patterns'"):
+            embed.automaton_from_json(json.dumps(dict(doc,
+                                                      patterns=[slots])))
+    with pytest.raises(ValueError, match="^automaton key 'blue': the added "
+                                         "state 0 is a letter"):
+        embed.automaton_from_json(json.dumps(dict(doc, blue=0)))
+
+
+def test_letters_and_marker_follow_the_pattern(all_six):
+    """The letters are the state map's images; the marker is the state the
+    compact pattern pins besides the background, and nothing else has
+    one."""
+    for (method, _), b in all_six.items():
+        assert b.letters == frozenset(b.state_map.values())
+        if method == "compact":
+            assert {s.state for s in b.pattern.slots if s.kind == "fixed"} \
+                == {b.encode(b.padding_state), b.marker}
+        else:
+            with pytest.raises(ValueError, match="pins no state"):
+                b.marker
+    b = all_six[("compact", "heptagrid")]
+    flat = dataclasses.replace(b, pattern=embed.ContextPattern(tuple(
+        embed.fixed(0) if s.kind == "fixed" else s for s in b.pattern.slots)))
+    with pytest.raises(ValueError, match="pins no state"):
+        flat.marker
 
 
 def test_pattern_needs_left_and_right():

@@ -30,7 +30,7 @@ def test_compact_init_fill(region_of, rule110):
     r = region_of("pentagrid", 2, 1)
     b = embed.embed_compact(rule110, "pentagrid")
     cfg = engine.init_configuration(r, b, [])
-    markers = marker_cell_ids(r, b.marker_scheme)
+    markers = marker_cell_ids(r)
     assert (cfg.states[markers] == 1).all()
     rest = np.ones(r.n_cells, dtype=bool)
     rest[markers] = False
@@ -115,10 +115,14 @@ def _init_reference(region, automaton, word):
             if mirror >= 0:
                 states[int(mirror)] = letter_at[int(cell)]
     if automaton.kind == "compact":
-        states[region_reference.marker_cell_ids(
-            region, automaton.marker_scheme)] = \
-            automaton.encode(1 if automaton.grid != "pentagrid"
-                             else engine._marker_source(automaton))
+        marker = 1
+        if automaton.grid == "pentagrid":
+            background = automaton.encode(automaton.padding_state)
+            marker = automaton.inverse_map()[next(
+                s.state for s in automaton.pattern.slots
+                if s.kind == "fixed" and s.state != background)]
+        states[region_reference.marker_cell_ids(region)] = \
+            automaton.encode(marker)
     return engine.Configuration(states, 0, region.radius)
 
 
@@ -441,6 +445,42 @@ def test_equivalence_divergence_inside_the_window(region_of, rule110,
     assert report.ok
     assert (report.compared, report.divergence) == _equivalence_reference(
         rule110, b, r, word, report.configurations)
+
+
+def _drift_reference(automaton, region, cfgs):
+    """The off-line drift as `equivalence_check` gathered it before it
+    compared whole arrays: the guarded cells' states at every time against
+    their initial ones, up to the first time with a drifting cell."""
+    guarded = np.flatnonzero(~embed._may_change(automaton, region))
+    baseline = cfgs[0].states[guarded]
+    drift = []
+    for t, cfg in enumerate(cfgs):
+        for c in guarded[cfg.states[guarded] != baseline]:
+            drift.append((t, int(c)))
+        if drift:
+            break
+    return drift
+
+
+def test_equivalence_reports_off_line_drift(region_of, rule110):
+    """A compact pattern with a marker slot left free: the tape still
+    follows the 1D run, but an off-line cell changes, and the report lists
+    the drifting cells the per-cell compare finds."""
+    good = embed.embed_compact(rule110, "heptagrid")
+    slots = list(good.pattern.slots)
+    slots[1] = embed.FREE_LETTER
+    loose = dataclasses.replace(good, pattern=embed.ContextPattern(slots))
+    r = region_of("heptagrid", 4, 2)
+    report = engine.equivalence_check(rule110, loose, r, [1], 3)
+    assert report.divergence is None and not report.ok
+    assert report.stability_violations == _drift_reference(
+        loose, r, report.configurations)
+    assert "off-line drift: 1 cells, first at t=2 cell 14" in report.text()
+    for b in (good, embed.embed_extra_state(rule110, "dodecagrid")):
+        region = region_of(b.grid, 4, 2)
+        report = engine.equivalence_check(rule110, b, region, [1, 1, 0], 3)
+        assert report.ok
+        assert _drift_reference(b, region, report.configurations) == []
 
 
 def test_runs_share_the_regions_complete_cells(monkeypatch, all_six):

@@ -88,11 +88,9 @@ def test_guideline_positions_and_lookup(region_of):
     extent = r.radius + r.halfwidth
     assert list(gl.positions) == list(range(-extent, extent + 1))
     assert gl.id_at(0) == 0
-    for c, pos in zip(gl.cell_ids, gl.positions):
-        assert r.positions[c] == pos
-    off = np.ones(r.n_cells, dtype=bool)
-    off[gl.cell_ids] = False
-    assert (r.positions[off] == reg.NO_POS).all()
+    # the chain takes ids 0..2 extent, the rest of it in position order
+    assert sorted(gl.cell_ids.tolist()) == list(range(2 * extent + 1))
+    assert (np.diff(gl.cell_ids[gl.positions != 0]) > 0).all()
 
 
 @pytest.mark.parametrize("grid,radius,hw", [
@@ -146,7 +144,7 @@ def test_dodecagrid_mirror_row_across_the_plane(region_of):
 
 def test_pentagrid_markers_one_side_past_left(region_of):
     r = region_of("pentagrid", 3, 2)
-    sides = float_ref.marker_sides_internal(r, reg.MarkerScheme.COMPACT_PENTAGRID)
+    sides = float_ref.marker_sides_internal(r)
     gl = r.guideline
     for k, c in enumerate(gl.cell_ids):
         assert sides[int(c)] == ((int(gl.left_sides[k]) + 1) % 5,)
@@ -154,7 +152,7 @@ def test_pentagrid_markers_one_side_past_left(region_of):
 
 def test_heptagrid_markers_two_sides(region_of):
     r = region_of("heptagrid", 3, 2)
-    sides = float_ref.marker_sides_internal(r, reg.MarkerScheme.COMPACT_HEPTAGRID)
+    sides = float_ref.marker_sides_internal(r)
     gl = r.guideline
     for k, c in enumerate(gl.cell_ids):
         lam = int(gl.left_sides[k])
@@ -163,10 +161,10 @@ def test_heptagrid_markers_two_sides(region_of):
 
 def test_dodecagrid_marker_cells_distinct(region_of):
     r = region_of("dodecagrid", 3, 1)
-    cells = float_ref.marker_cells(r, reg.MarkerScheme.COMPACT_DODECAGRID)
+    cells = float_ref.marker_cells(r)
     for sides in cells.values():
         assert sides == {0, 3, 9, 10}
-    painted = reg.marker_cell_ids(r, reg.MarkerScheme.COMPACT_DODECAGRID)
+    painted = reg.marker_cell_ids(r)
     interior = [c for c in r.guideline.cell_ids if r.dist[c] < r.radius]
     # marker sets of distinct tape cells never share a cell
     assert len(painted) >= 4 * len(interior)
@@ -174,7 +172,7 @@ def test_dodecagrid_marker_cells_distinct(region_of):
 
 def test_marker_cells_skip_frozen_rim_only(region_of):
     r = region_of("pentagrid", 3, 2)
-    cells = float_ref.marker_cells(r, reg.MarkerScheme.COMPACT_PENTAGRID)
+    cells = float_ref.marker_cells(r)
     for c in r.guideline.cell_ids:
         if r.dist[c] < r.radius:
             assert int(c) in cells
@@ -283,7 +281,7 @@ def test_region_json_round_trip(region_of):
     assert r2.grid == r.grid and r2.n_cells == r.n_cells
     assert (r2.adjacency == r.adjacency).all()
     assert (r2.dist == r.dist).all()
-    assert (r2.positions == r.positions).all()
+    assert (r2.guideline.positions == r.guideline.positions).all()
     assert np.allclose(r2.matrices, r.matrices)
     assert (r2.guideline.cell_ids == r.guideline.cell_ids).all()
     assert (r2.guideline.mirror_ids == r.guideline.mirror_ids).all()
@@ -357,21 +355,13 @@ def test_loaded_regions_find_the_same_complete_cells(region_of,
 @pytest.mark.parametrize("grid", ["pentagrid", "heptagrid", "dodecagrid"])
 def test_marker_ids_match_the_per_cell_reference(region_of, grid):
     """The array pass paints the cells the per-cell set collects: sorted,
-    distinct, int32, and the same refusal of a region of another grid."""
-    scheme = reg.MarkerScheme(f"compact_{grid}")
+    distinct and int32."""
     for radius, hw in ((1, 0), (2, 1), (3, 2), (4, 2)):
         r = region_of(grid, radius, hw)
-        got = reg.marker_cell_ids(r, scheme)
-        want = float_ref.marker_cell_ids(r, scheme)
+        got = reg.marker_cell_ids(r)
+        want = float_ref.marker_cell_ids(r)
         assert got.dtype == want.dtype == np.int32
         assert np.array_equal(got, want), (grid, radius, hw)
-    other = region_of("heptagrid" if grid == "pentagrid" else "pentagrid",
-                      2, 1)
-    with pytest.raises(ValueError) as new:
-        reg.marker_cell_ids(other, scheme)
-    with pytest.raises(ValueError) as old:
-        float_ref.marker_cell_ids(other, scheme)
-    assert str(new.value) == str(old.value)
 
 
 def test_region_file_errors_name_the_problem():
@@ -450,7 +440,7 @@ def region_fingerprint(r: reg.Region) -> dict:
         "n_cells": r.n_cells,
         "adjacency": _digest(r.adjacency),
         "dist": _digest(r.dist),
-        "positions": _digest(r.positions),
+        "positions": _digest(float_ref.tape_positions(r)),
         "guideline.cell_ids": _digest(gl.cell_ids),
         "guideline.positions": _digest(gl.positions),
         "guideline.left_sides": _digest(gl.left_sides),
@@ -493,7 +483,7 @@ DIFFERENTIAL_SIZES = [("pentagrid", 7, 2), ("pentagrid", 6, 8),
 def assert_same_region(a: reg.Region, b: reg.Region) -> None:
     assert a.n_cells == b.n_cells
     for x, y in [(a.adjacency, b.adjacency), (a.dist, b.dist),
-                 (a.positions, b.positions), (a.matrices, b.matrices)]:
+                 (a.matrices, b.matrices)]:
         assert x.dtype == y.dtype and np.array_equal(x, y)
     ga, gb = a.guideline, b.guideline
     for name in ("cell_ids", "positions", "left_sides", "right_sides",

@@ -64,7 +64,7 @@ def test_compact_markers_painted_red(region_of, rule110):
     b = embed.embed_compact(rule110, "pentagrid")
     cfg = engine.init_configuration(r, b, [])
     svg = render.render_svg(r, render.default_render_spec(b), cfg.states)
-    n_markers = len(marker_cell_ids(r, b.marker_scheme))
+    n_markers = len(marker_cell_ids(r))
     assert svg.count(f'fill="{render.RED}"') == n_markers
     assert svg.count(f'fill="{render.GREEN}"') == r.n_cells - n_markers
 
