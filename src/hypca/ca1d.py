@@ -92,11 +92,6 @@ class Tape:
         """One past the last stored position."""
         return self.start + len(self.cells)
 
-    def value_at(self, position: int) -> int:
-        if self.start <= position < self.end:
-            return self.cells[position - self.start]
-        return self.padding
-
     def window(self, lo: int, hi: int) -> np.ndarray:
         """The values at positions lo..hi-1."""
         out = np.full(max(hi - lo, 0), self.padding, dtype=np.int64)

@@ -63,11 +63,6 @@ class Slot:
     kind: str
     state: int | None = None
 
-    def accepts(self, value: int, letters: frozenset[int]) -> bool:
-        if self.kind == "fixed":
-            return value == self.state
-        return value in letters
-
 
 LEFT = Slot("left")
 RIGHT = Slot("right")
@@ -674,13 +669,14 @@ def automaton_to_json(automaton: HcaAutomaton) -> str:
 
 def automaton_from_json(text: str) -> HcaAutomaton:
     """The automaton a file holds.  Besides the form of each key, the
-    keys must agree: every pattern slot is of a known kind, a fixed slot
-    pins a state and no other slot does; the state map sends every source
-    state to a distinct state, and the letters are its images; the kind
-    is extra or compact, the extra kind names an added state that is no
-    letter, the compact kind the marker scheme of its grid, a padding
-    state and a pattern that pins a marker state; and the padding is a
-    source state.  A ValueError names the first key that does not."""
+    keys must agree: the pattern has one slot per side of the grid's
+    cells, every slot is of a known kind, a fixed slot pins a state and no
+    other slot does; the state map sends every source state to a distinct
+    state, and the letters are its images; the kind is extra or compact,
+    the extra kind names an added state that is no letter, the compact
+    kind the marker scheme of its grid, a padding state and a pattern that
+    pins a marker state; and the padding is a source state.  A ValueError
+    names the first key that does not."""
     read = partial(read_key, json_object(text, "automaton"), "automaton")
 
     def state_in(n: int):
@@ -705,6 +701,9 @@ def automaton_from_json(text: str) -> HcaAutomaton:
     def pattern(patterns):
         if len(patterns) != 1:
             raise ValueError("exactly one admissible pattern is supported")
+        if len(patterns[0]) != GRID_SIDES[grid]:
+            raise ValueError(f"a {grid} pattern has {GRID_SIDES[grid]} "
+                             f"slots, not {len(patterns[0])}")
         return ContextPattern(tuple(map(slot, patterns[0])))
 
     def state_map(m):

@@ -35,9 +35,15 @@ fixed table of step products.  A presence map holds one bit per bucket of
 stored hashes, a bucket being a hash's top bits, with at least eight
 buckets per stored cell; a candidate whose bucket is empty is a miss.  The
 rest, about one candidate in ten, are probed in chunks against a sorted
-table.  Full keys are formed only to confirm hits and for new cells, and
-they alone decide identity.  New cells are numbered in order of first
-occurrence in (frontier, side) order.
+table.  While the table holds no hash twice, one search and an equality
+test find a candidate's one entry; the first insertion that repeats a
+hash switches the build to a two-sided search, which meets every equal
+entry.  A level's misses are sorted by hash once, and each member of a run
+of equal hashes is paired with the run's least index.  Only a run that
+holds two cells, a true 64-bit collision, makes the level pair every two
+equal hashes instead.  Full keys are formed only to confirm hits and pairs
+and for new cells, and they alone decide identity.  New cells are numbered
+in order of first occurrence in (frontier, side) order.
 
 A key entry is at most the largest row sum of |Q|, since ||f0||_inf = 1.
 Every cell lies within `radius` steps of a segment cell, so that is at
@@ -81,9 +87,10 @@ or the mirror face.
 A region is a pure function of (grid, radius, halfwidth), so a region file
 holds those three values and a format version, and loading one rebuilds
 the region.  Rebuilding costs less than storing the arrays: the dodecagrid
-r4 hw1 ball (18,691 cells) builds in about 45 ms (median of 10 builds on a
-2-core x86 host), while its arrays take 7.5 MB of JSON.  Files without the
-version key, which store every array, load through the same rebuild.
+r4 hw1 ball (18,691 cells) builds in 26 to 40 ms (medians of 10 builds on
+a shared 2-core x86 host), while its arrays take 7.5 MB of JSON.  Files
+without the version key, which store every array, load through the same
+rebuild.
 
 Guideline definitions:
 
@@ -252,7 +259,7 @@ _HASH_ROW = np.array([pow(0x9E3779B97F4A7C15, k, 2**64) for k in range(1, 13)],
 @dataclass(frozen=True)
 class _CellKeys:
     steps: np.ndarray     # (p + 1, m, m): T_0 .. T_{p-1}, then the identity
-    via: np.ndarray       # (p + 1, p + 1, m, p): steps[a] steps[b] T_t f0
+    via: np.ndarray       # (p + 1, p + 1, p, m): steps[a] steps[b] T_t f0
     f0: np.ndarray        # (m,)
     back: np.ndarray      # (p,): the side of the cell across s facing back
     # (p + 1, p): the side s' with T_s T_t f0 == T_s' f0, or -1; the
@@ -310,31 +317,70 @@ def _cell_keys(grid: str) -> _CellKeys:
         t = np.stack(t)
         f0 = np.ones(shape.n_sides, dtype=np.int64)
     steps = np.concatenate([t, np.eye(len(f0), dtype=np.int64)[None]])
-    via = steps[:, None] @ steps[None] @ (t @ f0).T
-    back = (via[-1, :-1] == f0[:, None]).all(axis=1).argmax(axis=1)
+    via = np.swapaxes(steps[:, None] @ steps[None] @ (t @ f0).T, 2, 3).copy()
+    back = (via[-1, :-1] == f0).all(axis=2).argmax(axis=1)
     # [s, t, s']: T_s T_t f0 == T_s' f0
-    hit = (via[-1, :-1, :, :, None] == via[-1, -1, None, :, None]).all(axis=1)
+    hit = (via[-1, :-1, :, None] == via[-1, -1]).all(axis=3)
     shared = np.full((len(t) + 1, len(t)), -1, dtype=np.int8)
     shared[:-1] = np.where(hit.any(axis=2), hit.argmax(axis=2), -1)
     growth = max(int(np.abs(steps).sum(axis=1).max()),
-                 int(np.abs(via).sum(axis=2).max()))
+                 int(np.abs(via).sum(axis=3).max()))
     return _CellKeys(steps, via, f0, back, shared, growth)
 
 
-def _hash_pairs(h: np.ndarray, table: np.ndarray, ids: np.ndarray,
-                order: np.ndarray | None = None
-                ) -> tuple[np.ndarray, np.ndarray]:
+def _probe(h: np.ndarray, table: np.ndarray, ids: np.ndarray,
+           repeats: bool) -> tuple[np.ndarray, np.ndarray]:
     """(index into h, stored id) for every stored entry whose hash equals
-    h's.  `table` is sorted and `ids` lists the stored ids in its order;
-    `order` is an argsort of h, if the caller has one."""
-    if order is None:
-        order = np.argsort(h)           # sorted probes search faster
+    h's.  `table` is sorted and `ids` lists the stored ids in its order.
+    While no hash is stored twice, one search and an equality test find
+    each probe's one entry; once `repeats` is set, each probe meets the
+    run of equal hashes between its two searches."""
+    if not repeats:
+        at = np.searchsorted(table, h)
+        np.minimum(at, table.size - 1, out=at)
+        q = np.flatnonzero(table[at] == h)
+        return q, ids[at[q]]
+    order = np.argsort(h)               # sorted probes search faster
     h = h[order]
     lo = np.searchsorted(table, h)
     cnt = np.searchsorted(table, h, "right") - lo
     q = order[np.repeat(np.arange(len(h)), cnt)]
     slot = np.arange(len(q)) + np.repeat(lo - np.cumsum(cnt) + cnt, cnt)
     return q, ids[slot]
+
+
+def _run_pairs(order: np.ndarray, dup: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """(member, least member) of every run of equal hashes, the least
+    member itself left out.  `order` sorts the hashes and `dup` lists the
+    sorted positions equal to the one before; each run is its head, the
+    position before its first dup, and the dups that follow."""
+    starts = np.ones(dup.size, dtype=bool)
+    starts[1:] = dup[1:] != dup[:-1] + 1
+    at = np.flatnonzero(starts)
+    head = order[dup[at] - 1]
+    least = np.minimum(head, np.minimum.reduceat(order[dup], at))
+    member = np.concatenate([head, order[dup]])
+    to = np.concatenate([least, least[np.cumsum(starts) - 1]])
+    keep = member != to
+    return member[keep], to[keep]
+
+
+def _merge(table: np.ndarray, ids: np.ndarray, new: np.ndarray,
+           new_ids: np.ndarray, at: np.ndarray
+           ) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted table and its ids with the sorted hashes `new` inserted
+    before positions `at`, as np.insert would, with one index pass."""
+    at = at + np.arange(new.size)       # their places in the merged table
+    old = np.ones(table.size + new.size, dtype=bool)
+    old[at] = False
+    out = []
+    for v, w in ((table, new), (ids, new_ids)):
+        merged = np.empty(old.size, dtype=v.dtype)
+        merged[at] = w
+        merged[old] = v
+        out.append(merged)
+    return out[0], out[1]
 
 
 def _distinct(a: np.ndarray) -> np.ndarray:
@@ -480,6 +526,7 @@ def build_region(grid: str, radius: int, halfwidth: int) -> Region:
     h = keys.view(np.uint64) @ _HASH_ROW[:m]
     table_ids = np.argsort(h).astype(np.int32)
     table = h[table_ids]
+    repeats = bool((table[1:] == table[:-1]).any())
     keys = keys.astype(_key_dtype(q_pos, q_pos[extent - halfwidth:
                                                extent + halfwidth + 1],
                                   ck, radius))
@@ -494,16 +541,21 @@ def build_region(grid: str, radius: int, halfwidth: int) -> Region:
     rows, parent = frontier, np.full(frontier.size, -1, dtype=np.int32)
     sa = sb = np.full(frontier.size, p, dtype=np.int8)
     par = q_chain
+    shares = bool((ck.shared >= 0).any())
+    # via by one index: [a (p + 1) + b] for the hashes, whose products run
+    # over all p sides, and [(a (p + 1) + b) p + t] for the keys
+    via_h = ck.via.reshape(-1, p, m).view(np.uint64)
+    via_k = ck.via.reshape(-1, m)
 
     def keys_at(x):
         """Full keys of the candidates x = frontier index * p + side."""
-        out = np.empty((len(x), m), dtype=np.int64)
+        out = np.empty((len(x), m, 1), dtype=np.int64)
         for j in range(0, len(x), chunk):
-            y = x[j:j + chunk]
-            k = y // p
-            out[j:j + chunk] = np.einsum("kab,kb->ka", par[rows[k]],
-                                         ck.via[sa[k], sb[k], :, y % p])
-        return out
+            k, t = np.divmod(x[j:j + chunk], p)
+            np.matmul(par.take(rows[k], axis=0),
+                      via_k.take(pair[k] * p + t, axis=0)[:, :, None],
+                      out=out[j:j + chunk])
+        return out[:, :, 0]
 
     level = 0
     n = n_chain
@@ -514,20 +566,22 @@ def build_region(grid: str, radius: int, halfwidth: int) -> Region:
                 f"{grid} key matrices reach {top} at level {level}; their "
                 "products could pass the int64 key limit")
         rp = _HASH_ROW[:m] @ par.view(np.uint64)   # uint64 wraps: mod 2**64
+        pair = sa.astype(np.int16) * (p + 1) + sb  # (sa, sb) as one index
         miss_x, miss_h, reached = [], [], {}
         for i0 in range(0, frontier.size, chunk):
-            r, a, b = (v[i0:i0 + chunk] for v in (rows, sa, sb))
-            h = np.einsum("kb,kbt->kt", rp[r], ck.via[a, b].view(np.uint64))
-            h = h.ravel()
+            r, b = rows[i0:i0 + chunk], sb[i0:i0 + chunk]
+            h = (via_h.take(pair[i0:i0 + chunk], axis=0)
+                 @ rp.take(r, axis=0)[:, :, None]).ravel()
             ids = np.full(h.size, -1, dtype=np.int32)
             up = np.flatnonzero(b < p)
             ids[up * p + ck.back[b[up]]] = parent[i0 + up]
-            # neighbours shared with the parent, whose row is complete
-            k, t = np.nonzero(ck.shared[b] >= 0)
-            ids[k * p + t] = adj[parent[i0 + k], ck.shared[b[k], t]]
+            if shares:
+                # neighbours shared with the parent, whose row is complete
+                k, t = np.nonzero(ck.shared[b] >= 0)
+                ids[k * p + t] = adj[parent[i0 + k], ck.shared[b[k], t]]
             ask = np.flatnonzero(ids < 0)
             ask = ask[present(h[ask])]
-            q, found = _hash_pairs(h[ask], table, table_ids)
+            q, found = _probe(h[ask], table, table_ids, repeats)
             q = ask[q]
             same = (keys_at(i0 * p + q) == keys[found]).all(axis=1)
             q, found = q[same], found[same]
@@ -544,36 +598,50 @@ def build_region(grid: str, radius: int, halfwidth: int) -> Region:
         new_x = np.zeros(0, dtype=np.int64)
         if miss_x:
             # misses that are one cell take the id of its first occurrence.
-            # Each array is freed once used up, the last ones when the new
-            # cells are in the table, before the next level's candidate pass.
+            # Each member of a run of equal hashes is taken to be the cell
+            # at the run's least index, and its full key is checked against
+            # the key stored for that cell; only if a run holds two cells is
+            # every pair of equal hashes checked.  Each array is freed once
+            # used up, the last ones when the new cells are in the table,
+            # before the next level's candidate pass.
             mx, mh = np.concatenate(miss_x), np.concatenate(miss_h)
             del miss_x, miss_h
             order = np.argsort(mh)
-            q, e = _hash_pairs(mh, mh[order], order, order)
-            q, e = q[e < q], e[e < q]
-            same = (keys_at(mx[q]) == keys_at(mx[e])).all(axis=1)
-            first = np.arange(mx.size)
-            np.minimum.at(first, q[same], e[same])
-            del q, e, same
-            fresh = first == np.arange(mx.size)
-            new_x = mx[fresh]
+            sorted_h = mh[order]
+            q, e = _run_pairs(order, np.flatnonzero(
+                sorted_h[1:] == sorted_h[:-1]) + 1)
+            exact = False
+            while True:
+                first = np.arange(mx.size)
+                np.minimum.at(first, q, e)
+                fresh = first == np.arange(mx.size)
+                new_x = mx[fresh]
+                new_id = n0 - 1 + np.cumsum(fresh, dtype=np.int32)
+                keys = _extend(keys[:n0], new_x.size, 0)
+                for j in range(0, new_x.size, chunk):
+                    x = new_x[j:j + chunk]
+                    keys[n0 + j:n0 + j + x.size] = keys_at(x)
+                if exact or (keys_at(mx[q]) == keys[new_id[e]]).all():
+                    break
+                q, e = _probe(mh, sorted_h, order, True)
+                q, e = q[e < q], e[e < q]
+                same = (keys_at(mx[q]) == keys_at(mx[e])).all(axis=1)
+                q, e, exact = q[same], e[same], True
+            del sorted_h, q, e
             n = n0 + new_x.size
-            new_id = n0 - 1 + np.cumsum(fresh, dtype=np.int32)
             adj[frontier[mx // p], mx % p] = new_id[first]
             del mx, first
-            adj, dist, keys = (_extend(v, new_x.size, c)
-                               for v, c in ((adj, -1), (dist, -1), (keys, 0)))
-            for j in range(0, new_x.size, chunk):
-                x = new_x[j:j + chunk]
-                keys[n0 + j:n0 + j + x.size] = keys_at(x)
+            adj, dist = (_extend(v, new_x.size, -1) for v in (adj, dist))
             placed_from.append(frontier[new_x // p])
             placed_side.append((new_x % p).astype(np.int8))
             order = order[fresh[order]]          # the new cells by hash
             new_h, new_id = mh[order], new_id[order]
             del mh, fresh, order
             at = np.searchsorted(table, new_h)
-            table = np.insert(table, at, new_h)
-            table_ids = np.insert(table_ids, at, new_id)
+            repeats = repeats or bool(
+                (table[np.minimum(at, table.size - 1)] == new_h).any()
+                or (new_h[1:] == new_h[:-1]).any())
+            table, table_ids = _merge(table, table_ids, new_h, new_id, at)
             present.add(new_h, table)
             del new_h, new_id, at
         # the next level: new cells and chain cells reached for the first
@@ -612,7 +680,7 @@ def build_region(grid: str, radius: int, halfwidth: int) -> Region:
     order = np.argsort(chain_at).astype(np.int32)
     mirror_ids = None
     if grid == "dodecagrid":
-        for mf, motion, _ in _chain_renumbering(shape):
+        for mf, motion, _ in _chain_renumbering():
             k = np.flatnonzero(mirror[chain_at] == mf)
             adj[k] = adj[k][:, motion]
         faces = TAPE_SLOTS[grid]
@@ -641,11 +709,13 @@ def build_region(grid: str, radius: int, halfwidth: int) -> Region:
     return region
 
 
-def _chain_renumbering(shape: poly.CellShape):
+@lru_cache(maxsize=None)
+def _chain_renumbering():
     """For each dodecagrid face triple (mirror face, left, right): the
     mirror face, the face permutation that renumbers a chain cell so that
     face 0 faces the reflected cell, face 1 the previous chain cell and
     face 4 the next one, and the base rotation that performs it."""
+    shape = poly.by_name("dodecagrid")
     index = {mo: i for i, mo in enumerate(shape.rotation_motions)}
     out = []
     for mf, lf, rf in _CHAIN_FACES:
@@ -686,7 +756,7 @@ def _place(region: Region) -> np.ndarray:
                                     steps[pl.side[k]])
     if region.grid == "dodecagrid":
         mirror = _chain_labels(region.grid, shape.n_sides, gl.positions)[0]
-        for mf, _, rot in _chain_renumbering(shape):
+        for mf, _, rot in _chain_renumbering():
             k = gl.cell_ids[mirror == mf]
             mats[k] = mats[k] @ rot
     return mats
@@ -694,16 +764,12 @@ def _place(region: Region) -> np.ndarray:
 
 def _check_chain(region: Region) -> None:
     """Consecutive chain cells meet across the sides the guideline names."""
-    gl = region.guideline
-    for k, ident in enumerate(gl.cell_ids):
-        if k > 0:
-            prev = gl.cell_ids[k - 1]
-            if region.adjacency[ident, gl.left_sides[k]] != prev:
-                raise AssertionError("chain adjacency mismatch on the left")
-        if k + 1 < len(gl.cell_ids):
-            nxt = gl.cell_ids[k + 1]
-            if region.adjacency[ident, gl.right_sides[k]] != nxt:
-                raise AssertionError("chain adjacency mismatch on the right")
+    gl, adj = region.guideline, region.adjacency
+    ids = gl.cell_ids
+    if (adj[ids[1:], gl.left_sides[1:]] != ids[:-1]).any():
+        raise AssertionError("chain adjacency mismatch on the left")
+    if (adj[ids[:-1], gl.right_sides[:-1]] != ids[1:]).any():
+        raise AssertionError("chain adjacency mismatch on the right")
 
 
 def marker_cell_ids(region: Region) -> np.ndarray:

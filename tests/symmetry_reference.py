@@ -6,8 +6,11 @@
 report the same groups, in the same order, from a `RuleArrays`.
 `match_alignments` tries the pattern under every rotated alignment of
 one context, a shift count on the polygonal grids or a face permutation
-on the dodecagrid; `embed.reading_outcomes` and the compiled
-`RuleTable` must give the same readings and next states.
+on the dodecagrid, one slot at a time by `slot_accepts`;
+`embed.reading_outcomes` and the compiled `RuleTable` must give the same
+readings and next states.  `value_at` reads one position of a
+`ca1d.Tape`, for the per-position references of the 1D run and the
+oracle check.
 `frozen_rim_run` steps a configuration past the validity budget and
 through ambiguous contexts, as the verify scan does.  `encode` codes
 contexts one digit at a time; `RuleTable.encode` must give the same
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hypca import embed
+from hypca import ca1d, embed
 from hypca import symmetry as sym
 from hypca.symmetry import FACE_RINGS, Motion, all_motions, rotate_faces
 
@@ -187,6 +190,21 @@ def read_aligned(neighbors, alignment, i: int) -> int:
     return neighbors[(i + alignment) % len(neighbors)]
 
 
+def slot_accepts(slot: embed.Slot, value: int,
+                 letters: frozenset[int]) -> bool:
+    """A fixed slot accepts its state, every other slot any letter."""
+    if slot.kind == "fixed":
+        return value == slot.state
+    return value in letters
+
+
+def value_at(tape: ca1d.Tape, position: int) -> int:
+    """The state at one position of the tape, padding off its window."""
+    if tape.start <= position < tape.end:
+        return tape.cells[position - tape.start]
+    return tape.padding
+
+
 def match_alignments(automaton: embed.HcaAutomaton, self_state: int,
                      neighbors) -> list[tuple[int, int]]:
     """All (left, right) readings under which the pattern matches.
@@ -201,7 +219,8 @@ def match_alignments(automaton: embed.HcaAutomaton, self_state: int,
     found: list[tuple[int, int]] = []
     for al in alignments(automaton):
         for i, slot in enumerate(pat.slots):
-            if not slot.accepts(read_aligned(neighbors, al, i), letters):
+            if not slot_accepts(slot, read_aligned(neighbors, al, i),
+                                letters):
                 break
         else:
             lr = (read_aligned(neighbors, al, pat.left_index),

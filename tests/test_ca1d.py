@@ -4,6 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from hypca import ca1d
 
+from symmetry_reference import value_at
+
 
 def test_elementary_110_transitions():
     r = ca1d.elementary(110)
@@ -55,17 +57,19 @@ def test_run_110_from_single_one():
     live = [((1,), 0), ((1, 1), -1), ((1, 1, 1), -2),
             ((1, 1, 0, 1), -3), ((1, 1, 1, 1, 1), -4)]
     for row, (cells, start) in zip(rows, live):
-        got = tuple(row.value_at(p) for p in range(start, start + len(cells)))
+        got = tuple(value_at(row, p)
+                    for p in range(start, start + len(cells)))
         assert got == cells
-        assert row.value_at(start - 1) == 0
-        assert row.value_at(start + len(cells)) == 0
+        assert value_at(row, start - 1) == 0
+        assert value_at(row, start + len(cells)) == 0
         assert row.start <= start and row.end >= start + len(cells)
 
 
 def test_tape_value_outside_window_is_padding():
     t = ca1d.Tape((1, 0, 1), -1, 0)
-    assert t.value_at(-1) == 1 and t.value_at(1) == 1
-    assert t.value_at(-2) == 0 and t.value_at(5) == 0
+    assert t.window(-3, 5).tolist() == [0, 0, 1, 0, 1, 0, 0, 0]
+    assert value_at(t, -1) == 1 and value_at(t, 1) == 1
+    assert value_at(t, -2) == 0 and value_at(t, 5) == 0
     assert t.end == 2
 
 
@@ -79,7 +83,8 @@ def _step_per_cell(rule, tape):
     """One update, one `rule.apply` per cell: the loop `step_1d` replaced,
     kept as its reference."""
     new = [
-        rule.apply(tape.value_at(i - 1), tape.value_at(i), tape.value_at(i + 1))
+        rule.apply(value_at(tape, i - 1), value_at(tape, i),
+                   value_at(tape, i + 1))
         for i in range(tape.start - 1, tape.end + 1)
     ]
     return ca1d.Tape(tuple(new), tape.start - 1, tape.padding)
@@ -118,8 +123,8 @@ def test_identity_rule_keeps_word():
     rule = ca1d.elementary(204)     # new state = own state
     rows = ca1d.run_1d(rule, ca1d.word_tape([1, 0, 1]), 3)
     for row in rows:
-        assert row.value_at(-1) == 1 and row.value_at(0) == 0 \
-            and row.value_at(1) == 1
+        assert value_at(row, -1) == 1 and value_at(row, 0) == 0 \
+            and value_at(row, 1) == 1
 
 
 @given(st.integers(0, 255), st.lists(st.integers(0, 1), min_size=1,

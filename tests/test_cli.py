@@ -244,10 +244,12 @@ def test_failure_exit_codes(tmp_path, capsys):
     # a padding or added state outside the states, a state map that drops
     # source state 1, an unknown kind, a marker scheme on the extra kind,
     # letters that are not the state map's images, an added state that is
-    # a letter, and pattern slots with no state, a string state, an
-    # unknown kind, and a state on a left slot
+    # a letter, pattern slots with no state, a string state, an unknown
+    # kind, and a state on a left slot, and a pattern cut to four slots
+    # that keeps its left and right slots
     slots = doc["patterns"][0]
     assert [s["kind"] for s in slots[:2]] == ["left", "fixed"]
+    assert [s["kind"] for s in slots].index("right") < 4
 
     def pattern_with(i, **changed):
         return [slots[:i] + [dict(slots[i], **changed)] + slots[i + 1:]]
@@ -263,7 +265,8 @@ def test_failure_exit_codes(tmp_path, capsys):
                        ("patterns", pattern_with(1, state=None)),
                        ("patterns", pattern_with(1, state="2")),
                        ("patterns", pattern_with(1, kind="bogus")),
-                       ("patterns", pattern_with(0, state=2))):
+                       ("patterns", pattern_with(0, state=2)),
+                       ("patterns", [slots[:4]])):
         auto.write_text(json.dumps(dict(doc, **{key: value})))
         assert run_cli("verify", "--automaton", str(auto)) == 2
         assert f"'{key}'" in capsys.readouterr().err

@@ -273,8 +273,9 @@ def test_automaton_json_keys_must_agree(all_six):
 
 
 def test_automaton_json_checks_pattern_slots(all_six):
-    """Each slot is of a known kind, a fixed slot pins a state of the
-    automaton and no other slot pins one; the added state is no letter."""
+    """The pattern has a slot per side, each slot is of a known kind, a
+    fixed slot pins a state of the automaton and no other slot pins one;
+    the added state is no letter."""
     doc = json.loads(embed.automaton_to_json(all_six[("extra",
                                                       "pentagrid")]))
     good = doc["patterns"][0]
@@ -285,6 +286,12 @@ def test_automaton_json_checks_pattern_slots(all_six):
         slots = list(good)
         slots[i] = dict(good[i], **bad)
         with pytest.raises(ValueError, match="^automaton key 'patterns'"):
+            embed.automaton_from_json(json.dumps(dict(doc,
+                                                      patterns=[slots])))
+    # a slot per side of the cell: one too few or one too many
+    for slots in (good[:4], good + good[1:2]):
+        with pytest.raises(ValueError, match="^automaton key 'patterns': a "
+                                             "pentagrid pattern has 5 slots"):
             embed.automaton_from_json(json.dumps(dict(doc,
                                                       patterns=[slots])))
     with pytest.raises(ValueError, match="^automaton key 'blue': the added "

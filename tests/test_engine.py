@@ -255,7 +255,7 @@ def test_yellow_trace_decodes(region_of, rule110):
     for (t, start, letters), tape in zip(trace, oracle):
         assert start == -engine.trace_window(r, t)
         for i, v in enumerate(letters):
-            assert v == tape.value_at(start + i)
+            assert v == ref.value_at(tape, start + i)
 
 
 def test_yellow_trace_rejects_non_letter(region_of, rule110):
@@ -405,7 +405,7 @@ def _equivalence_reference(rule, automaton, region, word, cfgs):
     for t, cfg in enumerate(cfgs):
         w = engine.trace_window(region, t)
         for p in range(-w, w + 1):
-            expected = oracle[t].value_at(p)
+            expected = ref.value_at(oracle[t], p)
             got = inv.get(int(cfg.states[region.guideline.id_at(p)]))
             compared += 1
             if got != expected:

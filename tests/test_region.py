@@ -106,6 +106,19 @@ def test_guideline_triples_walk_the_chain(region_of, grid, radius, hw):
             assert float_ref.neighbor(r, c, right) == r.guideline.id_at(pos + 1)
 
 
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_check_chain_refuses_a_broken_chain(side):
+    """One chain cell that does not meet its neighbour across the side the
+    guideline names is refused, on either side."""
+    r = reg.build_region("pentagrid", 2, 1)
+    gl = r.guideline
+    sides = gl.left_sides if side == "left" else gl.right_sides
+    adj = r.adjacency.copy()
+    adj[gl.cell_ids[2], sides[2]] = -1
+    with pytest.raises(AssertionError, match=f"mismatch on the {side}"):
+        reg._check_chain(dataclasses.replace(r, adjacency=adj))
+
+
 @pytest.mark.parametrize("grid,radius,hw", [
     ("pentagrid", 3, 2), ("heptagrid", 3, 2), ("dodecagrid", 3, 1)])
 def test_guideline_chain_follows_the_line(region_of, grid, radius, hw):
@@ -253,8 +266,9 @@ def test_key_guard_covers_every_product(grid):
     that times the right factor's largest column sum, in Python ints."""
     ck = reg._cell_keys(grid)
     top = reg._KEY_LIMIT // ck.growth
-    for right in (ck.steps, ck.via):
-        assert top * int(np.abs(right).sum(axis=-2).max()) <= reg._KEY_LIMIT
+    # a step's columns, and the vectors along the last axis of `via`
+    for right, axis in ((ck.steps, -2), (ck.via, -1)):
+        assert top * int(np.abs(right).sum(axis=axis).max()) <= reg._KEY_LIMIT
 
 
 def test_chain_walk_stops_before_int64_wraps():
@@ -592,19 +606,50 @@ def test_mirrors_satisfy_coxeter_relations(grid):
 @pytest.mark.parametrize("grid", ["pentagrid", "heptagrid", "dodecagrid"])
 def test_base_cell_and_neighbours_have_distinct_keys(grid):
     ck = reg._cell_keys(grid)
-    p = ck.via.shape[-1]
-    keys = [tuple(ck.f0)] + [tuple(ck.via[p, p, :, t]) for t in range(p)]
+    p = ck.via.shape[-2]
+    keys = [tuple(ck.f0)] + [tuple(ck.via[p, p, t]) for t in range(p)]
     assert len(set(keys)) == p + 1
 
 
-@pytest.mark.parametrize("grid,radius,hw", [
-    ("pentagrid", 3, 2), ("heptagrid", 3, 2), ("dodecagrid", 2, 1)])
-def test_full_keys_decide_identity(monkeypatch, grid, radius, hw):
-    """With every hash equal, each candidate meets every stored cell and
-    every other miss of its level; the full keys must still sort them."""
-    monkeypatch.setattr(reg, "_HASH_ROW", np.zeros(12, dtype=np.uint64))
+_IDENTITY_SIZES = [("pentagrid", 3, 2), ("heptagrid", 3, 2),
+                   ("dodecagrid", 2, 1)]
+
+
+@pytest.mark.parametrize("grid,radius,hw,row", [
+    *(pytest.param(*size, {}, id="-".join(map(str, size)))
+      for size in _IDENTITY_SIZES),
+    *(pytest.param(*size, {0: 1, 1: -1},
+                   id="-".join(map(str, size)) + "-difference")
+      for size in _IDENTITY_SIZES),
+    pytest.param("pentagrid", 3, 2, {1: 1, 4: -1}, id="pentagrid-3-2-stored")])
+def test_full_keys_decide_identity(monkeypatch, grid, radius, hw, row):
+    """The hash row is c times the given multiple of each key entry, and
+    zero elsewhere.  With every hash equal, each candidate meets every
+    stored cell and every other miss of its level.  Hashing key[0] - key[1]
+    alone, the chain's hashes are distinct but later cells collide: a run
+    of equal misses holds two cells at the first level, and the table's
+    first repeated hash switches the probe to the two-sided search.  On the
+    pentagrid, key[1] - key[4] first makes a new cell collide with a stored
+    one, not with another new cell.  Either way the full keys must still
+    sort them."""
+    c = int(reg._HASH_ROW[0])
+    hash_row = np.zeros(12, dtype=np.uint64)
+    for k, times in row.items():
+        hash_row[k] = times * c % 2**64
+    monkeypatch.setattr(reg, "_HASH_ROW", hash_row)
+    repeats = []
+    probe = reg._probe
+
+    def record(h, table, ids, rep):
+        repeats.append(rep)
+        return probe(h, table, ids, rep)
+
+    monkeypatch.setattr(reg, "_probe", record)
     assert_same_region(reg.build_region(grid, radius, hw),
                        float_ref.build_region(grid, radius, hw))
+    # the one-sided search while no hash repeats, then the two-sided one
+    assert repeats[0] == (not row) and repeats[-1]
+    assert repeats == sorted(repeats)
 
 
 @pytest.mark.parametrize("grid", ["pentagrid", "heptagrid", "dodecagrid"])
@@ -645,18 +690,18 @@ def test_lookup_shortcuts_change_no_cell(monkeypatch, region_of, grid,
 def test_lookups_skip_shared_and_empty_buckets(monkeypatch):
     """On heptagrid r6 hw3 the candidate pass searched 28,525 hashes with
     only the parent read off; reading shared neighbours and skipping empty
-    buckets leaves 2,544."""
-    searched = []
-    hash_pairs = reg._hash_pairs
+    buckets leaves 2,544.  Every hash the build probes is counted: no run
+    of equal misses holds two cells there, so the dedup probes none."""
+    probed = []
+    probe = reg._probe
 
-    def count(h, table, ids, order=None):
-        if order is None:               # the candidate pass, not the dedup
-            searched.append(h.size)
-        return hash_pairs(h, table, ids, order)
+    def count(h, table, ids, repeats):
+        probed.append(h.size)
+        return probe(h, table, ids, repeats)
 
-    monkeypatch.setattr(reg, "_hash_pairs", count)
+    monkeypatch.setattr(reg, "_probe", count)
     assert reg.build_region("heptagrid", 6, 3).n_cells == 4751
-    assert sum(searched) < 4_000
+    assert 0 < sum(probed) < 4_000
 
 
 def test_presence_map_holds_every_stored_hash():
