@@ -13,17 +13,25 @@ A produced automaton is intensional: one admissible context pattern, an
 action applied as (left, self, right) when the pattern matches in exactly
 one rotated alignment, and state-unchanged everywhere else.
 
-`compile_rules` turns that description into a `RuleTable`, once per
-automaton: every context the pattern matches, coded as one int64, with
-its number of distinct readings and the least and greatest next state
-they give.  A set of cells is coded with one gather of their neighbour
-states and one int64 product with the digit weights.  `TableRun` steps a
-configuration by the table, for the engine and the unique-applicability
-scan alike, and `expanded_rules` lists its single-reading contexts as
-explicit rules, held as the table's arrays, so the invariance checker
-can say independently that matching is rotation invariant.
-`reading_outcomes` spells out one context's readings for error messages,
-with the same alignment rows `compile_rules` uses.
+`compile_rules` turns that description into a `RuleTable`: every context
+the pattern matches, coded as one int64, with its number of distinct
+readings and the least and greatest next state they give.  The contexts
+and their readings depend on the construction alone, its pattern,
+letters and state count, not on the source rule, so `context_table`
+enumerates them once per construction and keeps them, with the letter
+assignment behind each reading, in a small bounded cache; an
+automaton's own next states are then one gather of its action at those
+assignments.  A set of cells is coded with one gather of their
+neighbour states and one int64 product with the digit weights.
+`TableRun` steps a configuration by the table, for the engine and the
+unique-applicability scan alike, and `expanded_rules` lists its
+single-reading contexts as explicit rules, held as the table's arrays,
+so the invariance checker can say independently that matching is
+rotation invariant.  Its orbit grouping reads the contexts alone, so the
+construction keeps that too, found on first use, and each automaton's
+check compares its next states within the groups.  `reading_outcomes`
+spells out one context's readings for error messages, with the same
+alignment rows `context_table` uses.
 
 A `TableRun` step costs in proportion to the cells it changes, not to
 the region: it carries each complete cell's table row and codes again
@@ -35,7 +43,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
@@ -139,6 +147,13 @@ class HcaAutomaton:
     def encode(self, a_state: int) -> int:
         return self.state_map[a_state]
 
+    @property
+    def context_table(self) -> "ContextTable":
+        """The contexts the pattern matches, shared by every automaton
+        with the same pattern, letters and state count."""
+        return context_table(self.pattern, tuple(sorted(self.letters)),
+                             self.n_states)
+
     @cached_property
     def rule_table(self) -> "RuleTable":
         """The compiled transitions, built on first use."""
@@ -224,7 +239,7 @@ def reading_outcomes(automaton: HcaAutomaton, self_state: int,
     as error messages spell them out.
 
     Under alignment g slot i reads neighbour `rotation_indices(p)[g, i]`,
-    as in `compile_rules`.  A reading is the (left, right) pair of an
+    as in `context_table`.  A reading is the (left, right) pair of an
     alignment under which every slot accepts what it reads; each is
     listed once, in alignment order.
     """
@@ -295,16 +310,22 @@ class RuleTable:
         return (rows >= 0) & (out == self.hi[rows]) & (out != own)
 
     def decode(self, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(self states, (len, arity) neighbour states) of context codes.
+        """(self states, (len, arity) neighbour states) of context codes."""
+        return _decode(codes, self.base, self.arity)
 
-        The digits are taken one row at a time, least significant first;
-        the neighbour states come back as a transposed view of the rows."""
-        digits = np.empty((self.arity + 1, len(codes)), dtype=np.int64)
-        rest = codes.astype(np.int64)
-        for row in digits[:-1]:
-            np.divmod(rest, self.base, out=(rest, row))
-        digits[-1] = rest
-        return digits[-1], digits[:-1].T
+
+def _decode(codes: np.ndarray, base: int, arity: int
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """(self states, (len, arity) neighbour states) of context codes.
+
+    The digits are taken one row at a time, least significant first; the
+    neighbour states come back as a transposed view of the rows."""
+    digits = np.empty((arity + 1, len(codes)), dtype=np.int64)
+    rest = codes.astype(np.int64)
+    for row in digits[:-1]:
+        np.divmod(rest, base, out=(rest, row))
+    digits[-1] = rest
+    return digits[-1], digits[:-1].T
 
 
 class TableRun:
@@ -350,80 +371,149 @@ class TableRun:
         return j, old
 
 
-def compile_rules(automaton: HcaAutomaton) -> RuleTable:
+# constructions whose context tables are kept: the six (grid, method)
+# pairs at two and three source states fit.  A kept table, with the
+# decoded contexts and orbit groups an invariance check adds, takes at
+# most 8 (p + 8) bytes per (alignment, assignment) pair of its
+# enumeration, p the arity: 0.8 MB for a 3-state source on the dodecagrid.
+_CONTEXT_TABLES = 16
+
+
+@dataclass(frozen=True, eq=False)
+class ContextTable:
+    """Every context one construction's pattern matches, whatever the
+    source rule: the part of a `RuleTable` that the pattern, the letters
+    and the state count fix.
+
+    `codes` and `readings` are the rule table's.  Each distinct
+    (code, reading) entry, code by code, keeps the letter indices
+    (left, self, right) that produce it as one index
+    `assignments[e] = (l * n + s) * n + r` into an (n, n, n) table, n the
+    letter count; the entries of code k start at `starts[k]`.  The
+    arrays are read-only, since every automaton of the construction
+    shares them.
+    """
+
+    base: int
+    arity: int
+    codes: np.ndarray           # (M,) int64, ascending
+    readings: np.ndarray        # (M,) distinct readings per code
+    starts: np.ndarray          # (M,) first entry of each code
+    assignments: np.ndarray     # (E,) (left, self, right) letter indices
+    single: np.ndarray          # (M,) bool, exactly one reading
+
+    @cached_property
+    def single_contexts(self) -> tuple[np.ndarray, np.ndarray]:
+        """(self states, neighbour states) of the single-reading codes,
+        read-only: the contexts of `expanded_rules`."""
+        out = _decode(self.codes[self.single], self.base, self.arity)
+        for a in out:
+            a.setflags(write=False)
+        return out
+
+    @cached_property
+    def orbits(self) -> sym.Orbits:
+        """The single-reading contexts grouped by rotation orbit, found
+        on first use by `sym.orbits` from the decoded contexts alone."""
+        return sym.orbits(*self.single_contexts)
+
+
+@lru_cache(maxsize=_CONTEXT_TABLES)
+def context_table(pattern: ContextPattern, letters: tuple[int, ...],
+                  base: int) -> ContextTable:
     """Enumerate the pattern over every alignment, self letter and letter
-    assignment to its free slots, and tabulate the readings per context.
+    assignment to its free slots, and tabulate the distinct readings per
+    context.
 
     An alignment carries slot i to neighbour `rotation_indices(p)[g, i]`.
     The reading (left, right) is the pair of letters put in the left and
     right slots, whatever the alignment, so one context's readings are
     the distinct pairs among the (alignment, assignment) entries that
-    produce its code.
+    produce its code.  With the self letter, which the code holds, a
+    reading fixes the action's (left, self, right) triple.
     """
-    pat = automaton.pattern
-    p = len(pat.slots)
-    base = automaton.n_states
+    p = len(pattern.slots)
     sym.require_codes_fit(base, p)
-    letters = np.array(sorted(automaton.letters), dtype=np.int64)
-    pinned = [s.state for s in pat.slots if s.kind == "fixed"]
+    letters = np.array(letters, dtype=np.int64)
+    pinned = [s.state for s in pattern.slots if s.kind == "fixed"]
     if not len(letters):
         raise ValueError("the automaton has no letters")
     if any(not 0 <= int(v) < base for v in [*letters, *pinned]):
         raise ValueError(f"pattern states must lie in 0..{base - 1}")
-    free = pat.free_indices()
+    free = pattern.free_indices()
     n = len(letters)
 
     # letter indices of (self, free slots...) for every assignment
     pick = np.indices((n,) * (len(free) + 1)).reshape(len(free) + 1, -1)
-    inv = automaton.inverse_map()
-    src = np.array([inv[int(a)] for a in letters], dtype=np.int64)
-    enc = np.array([automaton.encode(a) for a in automaton.action.states()],
-                   dtype=np.int64)
-    left = pick[1 + free.index(pat.left_index)]
-    right = pick[1 + free.index(pat.right_index)]
-    out = enc[automaton.action.table[src[left], src[pick[0]], src[right]]]
+    left = pick[1 + free.index(pattern.left_index)]
+    right = pick[1 + free.index(pattern.right_index)]
 
     # one row per alignment, one column per assignment
     weight = base ** sym.rotation_indices(p).astype(np.int64)
     codes = np.zeros((len(weight), pick.shape[1]), dtype=np.int64)
     codes += letters[pick[0]] * base ** p
-    for i, slot in enumerate(pat.slots):
+    for i, slot in enumerate(pattern.slots):
         if slot.kind == "fixed":
             codes += weight[:, i, None] * slot.state
     for j, i in enumerate(free):
         codes += weight[:, i, None] * letters[pick[1 + j]]
     codes = codes.ravel()
-    reading = np.broadcast_to(left * n + right, (len(weight), pick.shape[1]))
-    out = np.broadcast_to(out, reading.shape).ravel()
-    reading = reading.ravel()
+    triple = np.tile((left * n + pick[0]) * n + right, len(weight))
 
-    order = np.lexsort((reading, codes))
-    codes, reading, out = codes[order], reading[order], out[order]
+    # within one code the self letter is fixed, so triples order and
+    # tell apart the readings as (left, right) pairs do
+    order = np.lexsort((triple, codes))
+    codes, triple = codes[order], triple[order]
     new_code = np.r_[True, codes[1:] != codes[:-1]]
-    distinct = new_code | np.r_[True, reading[1:] != reading[:-1]]
-    codes, out, new_code = codes[distinct], out[distinct], new_code[distinct]
-    starts = np.flatnonzero(new_code)
+    distinct = new_code | np.r_[True, triple[1:] != triple[:-1]]
+    codes, triple = codes[distinct], triple[distinct]
+    starts = np.flatnonzero(new_code[distinct])
+    readings = np.diff(np.r_[starts, len(codes)])
+    table = ContextTable(base=base, arity=p, codes=codes[starts],
+                         readings=readings, starts=starts,
+                         assignments=triple, single=readings == 1)
+    for a in (table.codes, readings, starts, triple, table.single):
+        a.setflags(write=False)
+    return table
+
+
+def compile_rules(automaton: HcaAutomaton) -> RuleTable:
+    """The construction's `context_table` with the next states of each
+    code's readings under the automaton's action: the action's table,
+    taken over the letters and encoded, is gathered once at the table's
+    assignments, then reduced to the least and greatest per code."""
+    ctx = automaton.context_table
+    inv = automaton.inverse_map()
+    src = np.array([inv[a] for a in sorted(automaton.letters)],
+                   dtype=np.intp)
+    enc = np.array([automaton.encode(a) for a in automaton.action.states()],
+                   dtype=np.int64)
+    out = enc[automaton.action.table[np.ix_(src, src, src)]].ravel()[
+        ctx.assignments]
     return RuleTable(
-        base=base, arity=p, codes=codes[starts],
-        readings=np.diff(np.r_[starts, len(codes)]),
-        lo=np.minimum.reduceat(out, starts),
-        hi=np.maximum.reduceat(out, starts))
+        base=ctx.base, arity=ctx.arity, codes=ctx.codes,
+        readings=ctx.readings,
+        lo=np.minimum.reduceat(out, ctx.starts),
+        hi=np.maximum.reduceat(out, ctx.starts))
 
 
 def expanded_rules(automaton: HcaAutomaton) -> sym.RuleArrays:
     """The pattern unfolded into explicit (context, new state) rules over
     every rotated alignment and letter assignment: one rule per context
     with exactly one reading, in code order, held as the table's arrays.
-    A context with several readings has no single rule and is left out."""
-    table = automaton.rule_table
-    single = table.readings == 1
-    selfs, nbs = table.decode(table.codes[single])
-    return sym.RuleArrays(selfs, nbs, table.lo[single])
+    A context with several readings has no single rule and is left out.
+    The contexts are the construction's; only the next states are the
+    automaton's own."""
+    ctx = automaton.context_table
+    return sym.RuleArrays(*ctx.single_contexts,
+                          automaton.rule_table.lo[ctx.single])
 
 
 def check_invariance(automaton: HcaAutomaton):
-    """The rotation-invariance verdict for the expanded rule list."""
-    return sym.orbit_conflicts(expanded_rules(automaton))
+    """The rotation-invariance verdict for the expanded rule list: its
+    next states compared within the construction's orbit groups."""
+    rules = expanded_rules(automaton)
+    return automaton.context_table.orbits.conflicts(rules)
 
 
 # row origin used when printing a tape cell's context in table form: the

@@ -10,13 +10,17 @@ onto which face ``i`` is carried.
 
 The rotation-invariance check `orbit_conflicts` works on a `RuleArrays`,
 a rule set held as int64 arrays of own states, neighbour states and next
-states, and finds the orbit key of every rule with one matrix product per
-chunk of rules.  That product runs in float64, on BLAS, whenever
-base ** arity <= 2 ** 53, since every term and partial sum is then an
-integer float64 holds exactly; past that (22 to 28 states on the
-dodecagrid) it runs in int64, which is exact up to the code limit but has
-no BLAS kernel.  A per-rule version, which groups (context, next state)
-pairs by their least re-reading one rotation at a time, is kept in
+states, in two steps.  `orbits` groups the contexts by orbit: it finds
+the orbit key of every rule with one matrix product per chunk of rules
+and reads no next state, so one grouping serves every rule set over the
+same contexts, and `embed` keeps it with the construction.
+`Orbits.conflicts` then compares the next states within each group.  The
+product runs in float64, on BLAS, whenever base ** arity <= 2 ** 53,
+since every term and partial sum is then an integer float64 holds
+exactly; past that (22 to 28 states on the dodecagrid) it runs in int64,
+which is exact up to the code limit but has no BLAS kernel.  A per-rule
+version, which groups (context, next state) pairs by their least
+re-reading one rotation at a time, is kept in
 `tests/symmetry_reference.py` as the reference.
 """
 from __future__ import annotations
@@ -151,18 +155,49 @@ class RuleArrays:
         return len(self.outs)
 
 
-# rules keyed at once by `orbit_conflicts`.  The chunk's (|G|, chunk) key
-# matrix stays under half a megabyte on the dodecagrid, and OpenBLAS runs a
+# rules keyed at once by `orbits`.  The chunk's (|G|, chunk) key matrix
+# stays under half a megabyte on the dodecagrid, and OpenBLAS runs a
 # (60 x 12) by (12 x 1,024) float product on one thread; at 2,048 columns
 # it already starts a second one, so the chunk stays at 1,024 rules or
 # fewer.
 _ORBIT_CHUNK = 1024
 
 
-def orbit_conflicts(rules: RuleArrays) -> list[RuleArrays]:
-    """Group rules by the rotation orbit of their contexts and report the
-    groups whose next states disagree; an empty list means the rule set
-    is rotation invariant.
+@dataclass(frozen=True, eq=False)
+class Orbits:
+    """A rule list's contexts grouped by rotation orbit, whatever their
+    next states: `order` lists the rules in ascending order of orbit key,
+    those of one key in input order, and the orbit of key rank k takes
+    up `order[starts[k]:starts[k + 1]]`.  The arrays are read-only, so
+    one grouping can serve every rule set over the same contexts."""
+
+    order: np.ndarray       # (N,) rule indices
+    starts: np.ndarray      # (orbits,) where each orbit's run begins
+
+    def conflicts(self, rules: RuleArrays) -> list[RuleArrays]:
+        """The orbits whose next states disagree among `rules`, which
+        must list the grouped contexts in the same order; an empty list
+        means the rule set is rotation invariant.  Each group is a
+        `RuleArrays` of its members in input order, the groups in
+        ascending order of their orbit key."""
+        if len(rules) != len(self.order):
+            raise ValueError(f"{len(rules)} rules for a grouping of "
+                             f"{len(self.order)} contexts")
+        if not len(rules):
+            return []
+        outs = rules.outs[self.order]
+        split = (np.minimum.reduceat(outs, self.starts)
+                 != np.maximum.reduceat(outs, self.starts))
+        ends = np.r_[self.starts[1:], len(outs)]
+        members = [self.order[a:b]
+                   for a, b in zip(self.starts[split], ends[split])]
+        return [RuleArrays(rules.selfs[m], rules.nbs[m], rules.outs[m])
+                for m in members]
+
+
+def orbits(selfs: np.ndarray, nbs: np.ndarray) -> Orbits:
+    """Group contexts, own states `selfs` and neighbour states `nbs`, by
+    the rotation orbit of each.
 
     Each context is coded with the cell's own state as the most
     significant digit and side 0 next, so that comparing codes compares
@@ -170,42 +205,47 @@ def orbit_conflicts(rules: RuleArrays) -> list[RuleArrays]:
     rotations is the orbit key.  Rotation g reads side rows[g, i] at digit
     i, rows being `rotation_indices(p)`, so side j lands at digit
     pos[g, j], pos[g] the inverse of rows[g]; the neighbour part of every
-    rotated code is then one (rotations x rules) product `W @ nbs.T` per
-    chunk of rules, with W[g, j] = base ** (p - 1 - pos[g, j]), and the key
-    is its least entry per column.  Every neighbour part is below
-    base ** p, so when base ** p <= 2 ** 53 each term and partial sum is an
-    integer that float64 holds exactly, in any summation order, and the
-    product runs in float64 on BLAS.  Larger bases take the int64 product,
-    exact because `require_codes_fit` keeps every code below 2**63.  The
-    own-state digit is added in int64.  Each group is a `RuleArrays` of
-    its members in input order, and the groups come in ascending order of
-    their orbit key.
+    rotated code is then one (rotations x contexts) product `W @ nbs.T`
+    per chunk of contexts, with W[g, j] = base ** (p - 1 - pos[g, j]), and
+    the key is its least entry per column.  Every neighbour part is below
+    base ** p, so when base ** p <= 2 ** 53 each term and partial sum is
+    an integer that float64 holds exactly, in any summation order, and
+    the product runs in float64 on BLAS.  Larger bases take the int64
+    product, exact because `require_codes_fit` keeps every code below
+    2**63.  The own-state digit is added in int64.
     """
-    if not len(rules):
-        return []
-    arity = rules.nbs.shape[1]
-    base = int(max(rules.selfs.max(), rules.nbs.max())) + 1
+    if not len(selfs):
+        none = np.zeros(0, dtype=np.intp)
+        none.setflags(write=False)
+        return Orbits(none, none)
+    arity = nbs.shape[1]
+    base = int(max(selfs.max(), nbs.max())) + 1
     require_codes_fit(base, arity)
     pos = np.argsort(rotation_indices(arity), axis=1)
     weight = base ** (arity - 1 - pos).astype(np.int64)
     if base ** arity <= 2 ** 53:
         weight = weight.astype(np.float64)
-    nbs = rules.nbs.T
-    keys = np.empty(len(rules), dtype=np.int64)
-    for lo in range(0, len(rules), _ORBIT_CHUNK):
+    nbs = nbs.T
+    keys = np.empty(len(selfs), dtype=np.int64)
+    for lo in range(0, len(selfs), _ORBIT_CHUNK):
         chunk = weight @ nbs[:, lo:lo + _ORBIT_CHUNK].astype(weight.dtype,
                                                           copy=False)
         keys[lo:lo + chunk.shape[1]] = chunk.min(axis=0)
-    keys += rules.selfs * base ** arity
+    keys += selfs * base ** arity
     order = np.argsort(keys, kind="stable")
-    keys, outs = keys[order], rules.outs[order]
+    keys = keys[order]
     starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-    ends = np.r_[starts[1:], len(keys)]
-    split = (np.minimum.reduceat(outs, starts)
-             != np.maximum.reduceat(outs, starts))
-    members = [order[a:b] for a, b in zip(starts[split], ends[split])]
-    return [RuleArrays(rules.selfs[m], rules.nbs[m], rules.outs[m])
-            for m in members]
+    for a in (order, starts):
+        a.setflags(write=False)
+    return Orbits(order, starts)
+
+
+def orbit_conflicts(rules: RuleArrays) -> list[RuleArrays]:
+    """Group rules by the rotation orbit of their contexts, as `orbits`
+    does, and report the groups whose next states disagree, as
+    `Orbits.conflicts` does; an empty list means the rule set is
+    rotation invariant."""
+    return orbits(rules.selfs, rules.nbs).conflicts(rules)
 
 
 def motions_table_text() -> str:

@@ -11,6 +11,10 @@ on the dodecagrid, one slot at a time by `slot_accepts`;
 readings and next states.  `value_at` reads one position of a
 `ca1d.Tape`, for the per-position references of the 1D run and the
 oracle check.
+`compile_rules_reference` enumerates one automaton's pattern and
+tabulates its readings and next states in one pass, as the package did
+before the contexts were kept per construction; `embed.compile_rules`
+must give the same table, and `expanded_rules_reference` the same rules.
 `frozen_rim_run` steps a configuration past the validity budget and
 through ambiguous contexts, as the verify scan does.  `encode` codes
 contexts one digit at a time; `RuleTable.encode` must give the same
@@ -269,3 +273,75 @@ def frozen_rim_run(automaton: embed.HcaAutomaton, region,
         s[cells[moved]] = table.lo[at[moved]]
         out.append(s)
     return out
+
+
+def compile_rules_reference(automaton: embed.HcaAutomaton
+                            ) -> embed.RuleTable:
+    """Enumerate the pattern over every alignment, self letter and letter
+    assignment to its free slots, and tabulate the readings per context,
+    the next states with them, for this automaton alone.
+
+    An alignment carries slot i to neighbour `rotation_indices(p)[g, i]`.
+    The reading (left, right) is the pair of letters put in the left and
+    right slots, whatever the alignment, so one context's readings are
+    the distinct pairs among the (alignment, assignment) entries that
+    produce its code.
+    """
+    pat = automaton.pattern
+    p = len(pat.slots)
+    base = automaton.n_states
+    sym.require_codes_fit(base, p)
+    letters = np.array(sorted(automaton.letters), dtype=np.int64)
+    pinned = [s.state for s in pat.slots if s.kind == "fixed"]
+    if not len(letters):
+        raise ValueError("the automaton has no letters")
+    if any(not 0 <= int(v) < base for v in [*letters, *pinned]):
+        raise ValueError(f"pattern states must lie in 0..{base - 1}")
+    free = pat.free_indices()
+    n = len(letters)
+
+    # letter indices of (self, free slots...) for every assignment
+    pick = np.indices((n,) * (len(free) + 1)).reshape(len(free) + 1, -1)
+    inv = automaton.inverse_map()
+    src = np.array([inv[int(a)] for a in letters], dtype=np.int64)
+    enc = np.array([automaton.encode(a) for a in automaton.action.states()],
+                   dtype=np.int64)
+    left = pick[1 + free.index(pat.left_index)]
+    right = pick[1 + free.index(pat.right_index)]
+    out = enc[automaton.action.table[src[left], src[pick[0]], src[right]]]
+
+    # one row per alignment, one column per assignment
+    weight = base ** sym.rotation_indices(p).astype(np.int64)
+    codes = np.zeros((len(weight), pick.shape[1]), dtype=np.int64)
+    codes += letters[pick[0]] * base ** p
+    for i, slot in enumerate(pat.slots):
+        if slot.kind == "fixed":
+            codes += weight[:, i, None] * slot.state
+    for j, i in enumerate(free):
+        codes += weight[:, i, None] * letters[pick[1 + j]]
+    codes = codes.ravel()
+    reading = np.broadcast_to(left * n + right, (len(weight), pick.shape[1]))
+    out = np.broadcast_to(out, reading.shape).ravel()
+    reading = reading.ravel()
+
+    order = np.lexsort((reading, codes))
+    codes, reading, out = codes[order], reading[order], out[order]
+    new_code = np.r_[True, codes[1:] != codes[:-1]]
+    distinct = new_code | np.r_[True, reading[1:] != reading[:-1]]
+    codes, out, new_code = codes[distinct], out[distinct], new_code[distinct]
+    starts = np.flatnonzero(new_code)
+    return embed.RuleTable(
+        base=base, arity=p, codes=codes[starts],
+        readings=np.diff(np.r_[starts, len(codes)]),
+        lo=np.minimum.reduceat(out, starts),
+        hi=np.maximum.reduceat(out, starts))
+
+
+def expanded_rules_reference(automaton: embed.HcaAutomaton
+                             ) -> sym.RuleArrays:
+    """The single-reading contexts of `compile_rules_reference`'s table
+    as rules, in code order."""
+    table = compile_rules_reference(automaton)
+    single = table.readings == 1
+    selfs, nbs = table.decode(table.codes[single])
+    return sym.RuleArrays(selfs, nbs, table.lo[single])

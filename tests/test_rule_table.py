@@ -5,8 +5,10 @@ The one-context matcher `match_alignments` and the loop expansion below
 are the references: the table must give every context the same reading
 count and next states, `embed.reading_outcomes` the same readings and
 next states in the same order, and the expansion read off the table must
-list the same rules.  The array orbit check must report the same
-conflicts as `check_rotation_invariance`, and the table-driven verify
+list the same rules.  `compile_rules`, which reads the contexts from a
+per-construction cache, must give `compile_rules_reference`'s table.
+The array orbit check must report the same conflicts as
+`check_rotation_invariance`, and the table-driven verify
 scan must report what a matcher-driven scan and a scan that codes every
 cell at every step with the reference encoder report, both stepping by
 `frozen_rim_run`.  `RuleTable.encode` must give the reference encoder's
@@ -185,6 +187,9 @@ def test_orbit_check_matches_reference():
         fast = ref.orbit_conflict_pairs(planted)
         slow = ref.check_rotation_invariance(planted)
         assert fast == slow, b.name
+        # the construction's cached grouping splits the same groups
+        cached = b.context_table.orbits.conflicts(ref.pack(planted))
+        assert [ref.unpack(g) for g in cached] == fast, b.name
         assert len(fast) == 1, b.name
         orbit = {ref.rotated_context(ctx, m) for m in
                  (sym.all_motions() if b.grid == "dodecagrid"
@@ -209,6 +214,141 @@ def test_orbit_check_keeps_reference_order():
     groups = ref.orbit_conflict_pairs(rules)
     assert groups == ref.check_rotation_invariance(rules)
     assert [g[0][0] for g in groups] == [e, f]
+
+
+def _outcome(make, *args):
+    """What a call gives: ("ok", result), or the exception's type and
+    message."""
+    try:
+        return "ok", make(*args)
+    except Exception as err:
+        return type(err), str(err)
+
+
+def _differential_automata():
+    """Seeded random sources on all six (grid, method) pairs: 2 to 4
+    states, 2 or 3 on the dodecagrid, where 4 would enumerate 256
+    assignments per alignment for the extra construction; sources with
+    no quiescent state; and on each grid an extra-state automaton whose
+    state map permutes the letters."""
+    rng = np.random.default_rng(22)
+    autos = []
+    for grid in embed.GRID_SIDES:
+        for n in ((2, 3) if grid == "dodecagrid" else (2, 3, 4)):
+            for _ in range(2):
+                rule = ca1d.random_rule(n, rng)
+                autos.append(_outcome(embed.embed_extra_state, rule, grid))
+                autos.append(_outcome(embed.embed_compact, rule, grid))
+        rule = ca1d.Rule1D(3, (np.indices((3,) * 3)[1] + 1) % 3)
+        assert not ca1d.quiescent_states(rule)
+        for embedding in (embed.embed_extra_state, embed.embed_compact):
+            autos.append(_outcome(embedding, rule, grid))
+        b = embed.embed_extra_state(ca1d.random_rule(3, rng), grid)
+        autos.append(("ok", dataclasses.replace(
+            b, state_map={0: 2, 1: 0, 2: 1})))
+    return autos
+
+
+def test_compile_matches_reference_on_random_rules():
+    """`compile_rules`, from the construction's cached contexts, against
+    the one-pass enumeration: the same table, expanded rules and
+    invariance groups.  Sources with no quiescent state compile alike;
+    non-fixable pentagrid sources are refused before either compiles."""
+    autos = _differential_automata()
+    failed = {str(err) for kind, err in autos if kind != "ok"}
+    assert any("fixable" in msg for msg in failed)
+    for kind, b in autos:
+        if kind != "ok":
+            continue
+        got, want = _outcome(embed.compile_rules, b), \
+            _outcome(ref.compile_rules_reference, b)
+        assert got[0] == want[0] == "ok", b.name
+        for name in ("base", "arity", "codes", "readings", "lo", "hi"):
+            assert np.array_equal(getattr(got[1], name),
+                                  getattr(want[1], name)), (b.name, name)
+        rules = embed.expanded_rules(b)
+        expected = ref.expanded_rules_reference(b)
+        for name in ("selfs", "nbs", "outs"):
+            assert np.array_equal(getattr(rules, name),
+                                  getattr(expected, name)), (b.name, name)
+        groups = embed.check_invariance(b)
+        assert [ref.unpack(g) for g in groups] == \
+            [ref.unpack(g) for g in sym.orbit_conflicts(expected)], b.name
+
+
+def test_compile_errors_match_reference():
+    """The code limit, a pinned state out of range and a non-fixable
+    pentagrid source give the reference's exception and message."""
+    big = embed.embed_compact(
+        ca1d.random_rule(29, np.random.default_rng(0)), "dodecagrid")
+    b = embed.embed_extra_state(ca1d.elementary(110), "heptagrid")
+    slots = list(b.pattern.slots)
+    slots[slots.index(embed.fixed(b.blue))] = embed.fixed(7)
+    wide = dataclasses.replace(b, pattern=embed.ContextPattern(slots))
+    for auto in (big, wide):
+        got = _outcome(embed.compile_rules, auto)
+        assert got[0] is ValueError
+        assert got == _outcome(ref.compile_rules_reference, auto)
+    assert "2**63" in _outcome(embed.compile_rules, big)[1]
+    kind, msg = _outcome(embed.embed_compact, ca1d.elementary(1),
+                         "pentagrid")
+    assert kind is embed.NotFixable and "fixable" in msg
+
+
+def test_context_table_is_shared_per_construction():
+    """Two sources of one construction: one enumeration, then a cache
+    hit, and each automaton its own next states over the same read-only
+    arrays.  The rule table alone finds no orbit grouping."""
+    embed.context_table.cache_clear()
+    rng = np.random.default_rng(3)
+    a, b = (embed.embed_extra_state(ca1d.random_rule(3, rng), "pentagrid")
+            for _ in range(2))
+    ta, tb = a.rule_table, b.rule_table
+    info = embed.context_table.cache_info()
+    assert (info.misses, info.currsize) == (1, 1) and info.hits >= 1
+    assert ta.codes is tb.codes and ta.readings is tb.readings
+    assert not (np.array_equal(ta.lo, tb.lo) and np.array_equal(ta.hi,
+                                                                tb.hi))
+    ctx = a.context_table
+    assert ctx is b.context_table
+    assert "orbits" not in vars(ctx) and "single_contexts" not in vars(ctx)
+    for arr in (ctx.codes, ctx.readings, ctx.starts, ctx.assignments,
+                ctx.single):
+        with pytest.raises(ValueError):
+            arr[0] = arr[0]
+    assert embed.check_invariance(a) == embed.check_invariance(b) == []
+    orbits = vars(ctx)["orbits"]
+    for arr in (orbits.order, orbits.starts, *ctx.single_contexts):
+        with pytest.raises(ValueError):
+            arr.flat[0] = arr.flat[0]
+
+
+def test_context_cache_is_bounded():
+    """More constructions than the cache holds: it keeps a fixed few."""
+    size = embed.context_table.cache_info().maxsize
+    assert size is not None and size <= 32
+    for n in range(2, size + 5):
+        embed.embed_extra_state(ca1d.random_rule(
+            n, np.random.default_rng(n)), "pentagrid").rule_table
+    assert embed.context_table.cache_info().currsize == size
+
+
+def test_invariance_check_expands_through_the_module_global(all_six,
+                                                             monkeypatch):
+    """`check_invariance` reads the rule list from `embed.expanded_rules`
+    as a module global, once per call, so that a stand-in there sees
+    the only expansion the check makes."""
+    seen = []
+    real = embed.expanded_rules
+
+    def spy(automaton):
+        seen.append(automaton)
+        return real(automaton)
+
+    monkeypatch.setattr(embed, "expanded_rules", spy)
+    b = all_six[("extra", "dodecagrid")]
+    assert embed.check_invariance(b) == []
+    assert seen == [b]
 
 
 def test_expansion_makes_rule_objects_only_when_read():
