@@ -4,7 +4,7 @@ from .ca1d import Rule1D, Tape, elementary, is_fixable, run_1d, step_1d
 from .embed import (HcaAutomaton, NotFixable, embed_compact,
                     embed_extra_state, verify_unique_applicability)
 from .engine import (Configuration, equivalence_check, init_configuration,
-                     run_hca, step_hca, yellow_trace)
+                     run_hca, yellow_trace)
 from .region import Region, build_region
 from .symmetry import all_motions
 
@@ -15,7 +15,7 @@ __all__ = [
     "HcaAutomaton", "NotFixable", "embed_compact", "embed_extra_state",
     "verify_unique_applicability",
     "Configuration", "equivalence_check", "init_configuration",
-    "run_hca", "step_hca", "yellow_trace",
+    "run_hca", "yellow_trace",
     "Region", "build_region",
     "all_motions",
 ]

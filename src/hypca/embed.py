@@ -682,7 +682,6 @@ def verify_unique_applicability(automaton: HcaAutomaton, region: Region,
     line[region.guideline.cell_ids] = True
     line = line[cells]
     guarded = ~_may_change(automaton, region)[cells]
-    judged = line & (region.dist[cells] < region.radius)
 
     def tally(rows: np.ndarray) -> tuple[int, int]:
         """How many of the table rows are hits, and multi-reading hits."""
@@ -696,7 +695,7 @@ def verify_unique_applicability(automaton: HcaAutomaton, region: Region,
         rows, own = run.rows[j], states[cells[j]]
         hit = rows >= 0
         lo, hi = table.lo[rows], table.hi[rows]
-        kinds = np.array((hit & (lo != hi), judged[j] & ~hit,
+        kinds = np.array((hit & (lo != hi), line[j] & ~hit,
                           guarded[j] & hit & ((lo != own) | (hi != own))))
         bad = kinds.any(axis=0)
         return j[bad], kinds[:, bad]

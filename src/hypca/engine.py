@@ -1,11 +1,13 @@
 """Running a produced automaton on a bounded region.
 
-A bounded region only approximates the infinite tiling, so a configuration
-carries a validity budget: after t steps the states within graph distance
-radius - t of the initial segment are exactly what the infinite tiling
-would hold, and stepping is refused once that budget is spent.  The
-unique-applicability scan in `embed` keeps stepping past the budget with
-a frozen rim: it wants breadth of contexts, not fidelity at the edge.
+A bounded region only approximates the infinite tiling: after t steps the
+states within graph distance radius - t of the initial segment are exactly
+what the infinite tiling would hold.  `Region.tape_window` is that rule,
+read on the tape: the trace and the oracle check read the window it gives
+at each time, and `run_hca` refuses to step past the radius, the last
+time it certifies.  The unique-applicability scan in `embed` keeps
+stepping past that time with a frozen rim: it wants breadth of contexts,
+not fidelity at the edge.
 Both step through `embed.TableRun`, the one stepper, which carries each
 complete cell's table row from step to step and codes again only the
 closed neighbourhoods of the cells a step changed.
@@ -26,25 +28,17 @@ import numpy as np
 from . import ca1d
 from . import embed as emb
 from .jsonfile import exactly, json_object, read_key
-from .region import Region, marker_cell_ids
+from .region import Region, ValidityExhausted, marker_cell_ids
 
 
 class AmbiguousMatch(ValueError):
     """A context matched under readings that disagree on the next state."""
 
 
-class ValidityExhausted(ValueError):
-    """No step can be trusted: the region is too small for more time."""
-
-
 @dataclass
 class Configuration:
     states: np.ndarray          # (N,) current state per cell
     time: int
-    valid_radius: int           # trusted distance from the initial segment
-
-    def copy(self) -> "Configuration":
-        return Configuration(self.states.copy(), self.time, self.valid_radius)
 
 
 def init_configuration(region: Region, automaton: emb.HcaAutomaton,
@@ -94,14 +88,7 @@ def init_configuration(region: Region, automaton: emb.HcaAutomaton,
         states[gl.mirror_ids[mirror]] = tape[mirror]
     if automaton.kind == "compact":
         states[marker_cell_ids(region)] = automaton.marker
-    return Configuration(states, 0, region.radius)
-
-
-def step_hca(automaton: emb.HcaAutomaton, region: Region,
-             cfg: Configuration) -> Configuration:
-    """One synchronous update.  The step consumes one unit of validity
-    and is refused once none is left."""
-    return run_hca(automaton, region, cfg, 1)[-1]
+    return Configuration(states, 0)
 
 
 def run_hca(automaton: emb.HcaAutomaton, region: Region,
@@ -114,15 +101,17 @@ def run_hca(automaton: emb.HcaAutomaton, region: Region,
     background, so this turns each step into work proportional to the
     activity.  A context whose readings disagree raises before it steps,
     at the first such cell of its time; the final configuration is not
-    stepped, so it is not judged.
+    stepped, so it is not judged.  Steps past the last time the region
+    certifies are refused before any is taken.
     """
     out = [cfg]
     if steps <= 0:
         return out
-    if cfg.valid_radius < steps:
+    left = region.tape_window(cfg.time) - region.halfwidth
+    if left < steps:
         raise ValidityExhausted(
             f"{steps} step(s) from time {cfg.time} exceed the remaining "
-            f"validity {cfg.valid_radius}")
+            f"validity {left}")
     table = automaton.rule_table
     run = emb.TableRun(table, region, cfg.states.copy())
     coded = np.arange(len(run.cells))
@@ -139,15 +128,9 @@ def run_hca(automaton: emb.HcaAutomaton, region: Region,
                 f"cell {c} at time {cfg.time}: readings {readings} "
                 f"disagree, states {outs}")
         coded, _ = run.step()
-        cfg = Configuration(run.states.copy(), cfg.time + 1,
-                            max(cfg.valid_radius - 1, 0))
+        cfg = Configuration(run.states.copy(), cfg.time + 1)
         out.append(cfg)
     return out
-
-
-def trace_window(region: Region, time: int) -> int:
-    """Largest |position| of the tape trusted at the given time."""
-    return region.halfwidth + region.radius - time
 
 
 def _tape_letters(automaton: emb.HcaAutomaton, region: Region,
@@ -177,7 +160,7 @@ def yellow_trace(automaton: emb.HcaAutomaton, region: Region,
     gl = region.guideline
     rows = []
     for cfg in cfgs:
-        w = trace_window(region, cfg.time)
+        w = region.tape_window(cfg.time)
         letters = _tape_letters(automaton, region, cfg.states, w)
         bad = np.flatnonzero(letters < 0)
         if len(bad):
@@ -202,7 +185,7 @@ def config_to_json(region: Region, cfg: Configuration) -> str:
     return json.dumps({
         "grid": region.grid,
         "time": cfg.time,
-        "valid_radius": cfg.valid_radius,
+        "valid_radius": region.tape_window(cfg.time) - region.halfwidth,
         "states": cfg.states.tolist(),
     })
 
@@ -213,12 +196,12 @@ def config_from_json(text: str, region: Region) -> Configuration:
     states = read("states", lambda v: np.array(list(map(exactly(int), v)),
                                                dtype=np.int16))
     time = read("time", exactly(int))
-    valid_radius = read("valid_radius", exactly(int))
+    read("valid_radius", exactly(int))
     if grid != region.grid:
         raise ValueError(f"snapshot is for {grid}, region is {region.grid}")
     if states.shape != (region.n_cells,):
         raise ValueError("snapshot does not fit the region")
-    return Configuration(states, time, valid_radius)
+    return Configuration(states, time)
 
 
 @dataclass
@@ -268,10 +251,9 @@ def equivalence_check(rule: ca1d.Rule1D, automaton: emb.HcaAutomaton,
     The tape line is compared position by position inside the trusted
     window at every time, and every off-line cell is required to hold
     still for the whole run.  Checking stops at the first tape mismatch.
+    The run refuses steps past the radius, the last time the region
+    certifies.
     """
-    if steps > region.radius - 1:
-        raise ValueError(f"{steps} steps exceed the trusted horizon of a "
-                         f"radius {region.radius} region")
     init = init_configuration(region, automaton, word)
     tape = ca1d.word_tape(list(word), padding=automaton.padding_state)
     oracle = ca1d.run_1d(rule, tape, steps)
@@ -281,7 +263,7 @@ def equivalence_check(rule: ca1d.Rule1D, automaton: emb.HcaAutomaton,
     guarded = ~emb._may_change(automaton, region)
 
     for t, cfg in enumerate(cfgs):
-        w = trace_window(region, t)
+        w = region.tape_window(t)
         got = _tape_letters(automaton, region, cfg.states, w)
         expected = oracle[t].window(-w, w + 1)
         wrong = np.flatnonzero(got != expected)

@@ -129,6 +129,10 @@ class RegionTooLarge(ValueError):
     pass
 
 
+class ValidityExhausted(ValueError):
+    """No step can be trusted: the region is too small for more time."""
+
+
 @dataclass(frozen=True)
 class TapeSlots:
     """The sides of a tape cell that the constructions read: its left and
@@ -220,6 +224,19 @@ class Region:
     @property
     def centers(self) -> np.ndarray:
         return self.matrices[:, :, 0]
+
+    def tape_window(self, time: int) -> int:
+        """Largest |position| of the tape the region certifies at `time`.
+        A step can be trusted only where a cell's whole neighbourhood
+        was, so the certified cells lose one unit of distance from the
+        initial segment per step: a region of radius r certifies r
+        steps, and at time t the tape positions |p| <= halfwidth + r - t.
+        Past time r nothing is certified, and asking raises."""
+        if time > self.radius:
+            raise ValidityExhausted(
+                f"time {time} is past the {self.radius} steps a radius "
+                f"{self.radius} region certifies")
+        return self.halfwidth + self.radius - time
 
     @cached_property
     def complete_cells(self) -> np.ndarray:

@@ -8,13 +8,14 @@ numbers 0..11.
 A motion is stored as a tuple ``m`` of 12 face numbers with ``m[i]`` the face
 onto which face ``i`` is carried.
 
-The rotation-invariance check `orbit_conflicts` works on a `RuleArrays`,
-a rule set held as int64 arrays of own states, neighbour states and next
-states, in two steps.  `orbits` groups the contexts by orbit: it finds
-the orbit key of every rule with one matrix product per chunk of rules
-and reads no next state, so one grouping serves every rule set over the
-same contexts, and `embed` keeps it with the construction.
-`Orbits.conflicts` then compares the next states within each group.  The
+The rotation-invariance check, as `embed.check_invariance` runs it, works
+on a `RuleArrays`, a rule set held as int64 arrays of own states,
+neighbour states and next states, in two steps.  `orbits` groups the
+contexts by orbit: it finds the orbit key of every rule with one matrix
+product per chunk of rules and reads no next state, so one grouping
+serves every rule set over the same contexts, and `embed` keeps it with
+the construction.  `Orbits.conflicts` then compares the next states
+within each group.  The
 product runs in float64, on BLAS, whenever base ** arity <= 2 ** 53,
 since every term and partial sum is then an integer float64 holds
 exactly; past that (22 to 28 states on the dodecagrid) it runs in int64,
@@ -238,14 +239,6 @@ def orbits(selfs: np.ndarray, nbs: np.ndarray) -> Orbits:
     for a in (order, starts):
         a.setflags(write=False)
     return Orbits(order, starts)
-
-
-def orbit_conflicts(rules: RuleArrays) -> list[RuleArrays]:
-    """Group rules by the rotation orbit of their contexts, as `orbits`
-    does, and report the groups whose next states disagree, as
-    `Orbits.conflicts` does; an empty list means the rule set is
-    rotation invariant."""
-    return orbits(rules.selfs, rules.nbs).conflicts(rules)
 
 
 def motions_table_text() -> str:

@@ -2,8 +2,10 @@
 `hypca.embed`.
 
 `check_rotation_invariance` groups (context, next state) pairs by
-`minimal_form`, one rotation at a time; `symmetry.orbit_conflicts` must
-report the same groups, in the same order, from a `RuleArrays`.
+`minimal_form`, one rotation at a time; `orbit_conflicts`, which groups
+a `RuleArrays` with `symmetry.orbits` and splits it with
+`Orbits.conflicts` as `embed.check_invariance` does, must report the same
+groups, in the same order.
 `match_alignments` tries the pattern under every rotated alignment of
 one context, a shift count on the polygonal grids or a face permutation
 on the dodecagrid, one slot at a time by `slot_accepts`;
@@ -171,11 +173,19 @@ def unpack(rules: sym.RuleArrays) -> list[tuple[RuleContext, int]]:
                                   rules.outs.tolist())]
 
 
+def orbit_conflicts(rules: sym.RuleArrays) -> list[sym.RuleArrays]:
+    """Group rules by the rotation orbit of their contexts, as
+    `symmetry.orbits` does, and report the groups whose next states
+    disagree, as `Orbits.conflicts` does; an empty list means the rule
+    set is rotation invariant."""
+    return sym.orbits(rules.selfs, rules.nbs).conflicts(rules)
+
+
 def orbit_conflict_pairs(rules: Iterable[tuple[RuleContext, int]]
                          ) -> list[list[tuple[RuleContext, int]]]:
-    """`symmetry.orbit_conflicts` on pairs, its groups read back as pairs,
-    for comparison with `check_rotation_invariance`."""
-    return [unpack(g) for g in sym.orbit_conflicts(pack(rules))]
+    """`orbit_conflicts` on pairs, its groups read back as pairs, for
+    comparison with `check_rotation_invariance`."""
+    return [unpack(g) for g in orbit_conflicts(pack(rules))]
 
 
 def alignments(automaton: embed.HcaAutomaton):

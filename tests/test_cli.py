@@ -172,7 +172,7 @@ def test_verify_prints_conflicting_orbit(tmp_path, capsys, monkeypatch):
                              np.array([[0, 1, 0, 0, 1], [1, 0, 0, 1, 0],
                                        [0, 0, 0, 0, 0]]),
                              np.array([1, 0, 1]))
-    groups = sym.orbit_conflicts(planted)
+    groups = ref.orbit_conflicts(planted)
     assert len(groups) == 1
     monkeypatch.setattr(embed, "check_invariance", lambda b: groups)
     auto = tmp_path / "auto.json"
@@ -395,6 +395,31 @@ def test_simulate_oracle_check_keeps_outputs(tmp_path, capsys, monkeypatch):
         outs[len(flags)] = (trace.read_bytes(), snap.read_bytes())
     assert "matches the 1D run" in capsys.readouterr().err
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("grid,method", [("pentagrid", "compact"),
+                                         ("dodecagrid", "extra")])
+def test_simulate_oracle_check_of_radius_steps(tmp_path, capsys, grid,
+                                               method):
+    """A check of as many steps as the region's radius is accepted and
+    prints the trace the run alone prints; one step more exits 2 with the
+    run's refusal."""
+    auto = tmp_path / "auto.json"
+    run_cli("transform", "--rule", "elementary:110", "--grid", grid,
+            "--method", method, "-o", str(auto))
+    capsys.readouterr()
+    simulate = ("simulate", "--automaton", str(auto), "--radius", "3")
+    outs = []
+    for flags in ([], ["--check-oracle"]):
+        assert run_cli(*simulate, "--steps", "3", *flags) == 0
+        outs.append(capsys.readouterr())
+    assert outs[0].out == outs[1].out
+    assert outs[0].err == ""
+    assert outs[1].err.startswith("steps: 3\n")
+    assert "matches the 1D run" in outs[1].err
+    assert run_cli(*simulate, "--steps", "4", "--check-oracle") == 2
+    assert capsys.readouterr().err == \
+        "error: 4 step(s) from time 0 exceed the remaining validity 3\n"
 
 
 def _simulate_and_save(tmp_path, grid, method):

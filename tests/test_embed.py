@@ -228,7 +228,7 @@ def test_unrepaired_solid_pattern_is_ambiguous(region_of, rule110):
                          f"disagree, states {outs}")
     with pytest.raises(engine.AmbiguousMatch,
                        match=f"^{re.escape(split[0])}$"):
-        engine.step_hca(bad, r, init)
+        engine.run_hca(bad, r, init, 1)
 
 
 def test_automaton_json_needs_one_pattern(all_six):
@@ -325,23 +325,22 @@ def test_pattern_needs_left_and_right():
         embed.ContextPattern((embed.fixed(0),) * 5)
 
 
-def test_verify_skips_unmatched_line_cell_at_the_rim(region_of, rule110):
-    """A complete line cell at distance == radius may lack a reading: its
-    context reaches past what the region certifies."""
+def test_verify_judges_every_complete_line_cell(region_of, rule110):
+    """Every complete line cell must have a reading, out to the rim: the
+    complete chain cells are the tape positions the region certifies
+    after one step, all within distance radius - 1 of the segment, so
+    none reads past what the region certifies."""
     b = embed.embed_extra_state(rule110, "pentagrid")
     r = region_of("pentagrid", 3, 2)
-    c = r.guideline.id_at(0)
+    gl = r.guideline
     init = engine.init_configuration(r, b, [1])
-    init.states[c] = b.blue            # no reading has a blue self state
+    init.states[gl.cell_ids] = b.blue  # no reading has a blue self state
     report = embed.verify_unique_applicability(b, r, init, 0)
-    assert ("line-unmatched", c) in {(v.kind, v.cell)
-                                     for v in report.violations}
-    dist = r.dist.copy()
-    dist[c] = r.radius
-    rim = dataclasses.replace(r, dist=dist)
-    report = embed.verify_unique_applicability(b, rim, init, 0)
-    assert ("line-unmatched", c) not in {(v.kind, v.cell)
-                                         for v in report.violations}
+    w = r.tape_window(1)
+    assert {v.cell for v in report.violations
+            if v.kind == "line-unmatched"} == \
+        {gl.id_at(p) for p in range(-w, w + 1)}
+    assert r.dist[gl.id_at(w)] == r.radius - 1
 
 
 def test_verify_flags_off_line_cell_one_reading_would_move(region_of,

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import json
 import re
 
 import numpy as np
@@ -21,7 +22,7 @@ def test_extra_init_fill(region_of, rule110):
     on_line = np.zeros(r.n_cells, dtype=bool)
     on_line[gl.cell_ids] = True
     assert (cfg.states[~on_line] == b.blue).all()
-    assert cfg.time == 0 and cfg.valid_radius == r.radius
+    assert cfg.time == 0
     for cell, pos in zip(gl.cell_ids, gl.positions):
         assert cfg.states[cell] == (1 if pos == 0 else 0)
 
@@ -123,7 +124,7 @@ def _init_reference(region, automaton, word):
                 if s.kind == "fixed" and s.state != background)]
         states[region_reference.marker_cell_ids(region)] = \
             automaton.encode(marker)
-    return engine.Configuration(states, 0, region.radius)
+    return engine.Configuration(states, 0)
 
 
 @pytest.mark.parametrize("method,grid", [
@@ -152,8 +153,7 @@ def test_init_matches_the_per_cell_reference(region_of, rule110, method,
                 want = _init_reference(r, b, word)
                 assert got.states.dtype == want.states.dtype == np.int16
                 assert np.array_equal(got.states, want.states), (b.name, n)
-                assert (got.time, got.valid_radius) == (want.time,
-                                                        want.valid_radius)
+                assert got.time == want.time == 0
     if method == "extra" and grid == "dodecagrid":
         gl = r.guideline
         assert (gl.mirror_ids >= 0).sum() > 2 * hw + 1
@@ -224,13 +224,42 @@ def test_validity_budget(region_of, rule110):
     r = region_of("pentagrid", 2, 1)
     b = embed.embed_extra_state(rule110, "pentagrid")
     cfg = engine.init_configuration(r, b, [1])
-    cfg = engine.step_hca(b, r, cfg)
-    cfg = engine.step_hca(b, r, cfg)
-    assert cfg.valid_radius == 0
-    with pytest.raises(engine.ValidityExhausted):
-        engine.step_hca(b, r, cfg)
+    cfg = engine.run_hca(b, r, cfg, 1)[-1]
+    cfg = engine.run_hca(b, r, cfg, 1)[-1]
+    assert cfg.time == r.radius and r.tape_window(cfg.time) == r.halfwidth
+    with pytest.raises(engine.ValidityExhausted,
+                       match="^1 step\\(s\\) from time 2 exceed the "
+                             "remaining validity 0$"):
+        engine.run_hca(b, r, cfg, 1)
     with pytest.raises(engine.ValidityExhausted):
         engine.run_hca(b, r, engine.init_configuration(r, b, [1]), 3)
+    assert engine.ValidityExhausted is reg.ValidityExhausted
+
+
+@pytest.mark.parametrize("method,grid", [
+    (m, g) for m in ("extra", "compact")
+    for g in ("pentagrid", "heptagrid", "dodecagrid")])
+def test_oracle_check_reaches_the_radius(region_of, rule110, all_six, method,
+                                         grid):
+    """The oracle check runs as many steps as the region certifies, its
+    radius, and compares the window `tape_window` gives at every time.
+    One step more is refused by the run, with the same message from
+    `run_hca` and from `equivalence_check`."""
+    b = all_six[(method, grid)]
+    r = region_of(grid, 3, 1 if grid == "dodecagrid" else 2)
+    word = [1, 0, 1]
+    report = engine.equivalence_check(rule110, b, r, word, r.radius)
+    assert report.ok, report.text()
+    assert len(report.configurations) == r.radius + 1
+    assert report.compared == sum(2 * (r.halfwidth + r.radius - t) + 1
+                                  for t in range(r.radius + 1))
+    init = engine.init_configuration(r, b, word)
+    message = (f"^{r.radius + 1} step\\(s\\) from time 0 exceed the "
+               f"remaining validity {r.radius}$")
+    with pytest.raises(engine.ValidityExhausted, match=message):
+        engine.run_hca(b, r, init, r.radius + 1)
+    with pytest.raises(engine.ValidityExhausted, match=message):
+        engine.equivalence_check(rule110, b, r, word, r.radius + 1)
 
 
 def test_run_matches_repeated_steps(region_of, rule110):
@@ -240,10 +269,10 @@ def test_run_matches_repeated_steps(region_of, rule110):
     trajectory = engine.run_hca(b, r, cfg, 2)
     stepped = [cfg]
     for _ in range(2):
-        stepped.append(engine.step_hca(b, r, stepped[-1]))
+        stepped.append(engine.run_hca(b, r, stepped[-1], 1)[-1])
     for a, s in zip(trajectory, stepped):
         assert np.array_equal(a.states, s.states)
-        assert a.time == s.time and a.valid_radius == s.valid_radius
+        assert a.time == s.time
 
 
 def test_yellow_trace_decodes(region_of, rule110):
@@ -253,7 +282,7 @@ def test_yellow_trace_decodes(region_of, rule110):
     trace = engine.yellow_trace(b, r, cfgs)
     oracle = ca1d.run_1d(rule110, ca1d.word_tape([1]), 2)
     for (t, start, letters), tape in zip(trace, oracle):
-        assert start == -engine.trace_window(r, t)
+        assert start == -(r.halfwidth + r.radius - t) == -r.tape_window(t)
         for i, v in enumerate(letters):
             assert v == ref.value_at(tape, start + i)
 
@@ -274,10 +303,12 @@ def test_trace_text_format():
 def test_config_round_trip(region_of, rule110):
     r = region_of("pentagrid", 2, 1)
     b = embed.embed_compact(rule110, "pentagrid")
-    cfg = engine.step_hca(b, r, engine.init_configuration(r, b, [1]))
-    back = engine.config_from_json(engine.config_to_json(r, cfg), r)
+    cfg = engine.run_hca(b, r, engine.init_configuration(r, b, [1]), 1)[-1]
+    text = engine.config_to_json(r, cfg)
+    assert json.loads(text)["valid_radius"] == r.radius - cfg.time == 1
+    back = engine.config_from_json(text, r)
     assert np.array_equal(back.states, cfg.states)
-    assert back.time == cfg.time and back.valid_radius == cfg.valid_radius
+    assert back.time == cfg.time
     with pytest.raises(ValueError):
         engine.config_from_json(engine.config_to_json(r, cfg),
                                 region_of("heptagrid", 2, 1))
@@ -323,7 +354,7 @@ def _assert_run_matches_reference(automaton, region, init):
     reference: the same states at every time, or, where a context reads
     two ways, the reference's AmbiguousMatch message and the same states
     up to that time.  Returns whether it raised."""
-    steps = init.valid_radius
+    steps = region.radius - init.time
     run = ref.frozen_rim_run(automaton, region, init.states, steps)
     # the last configuration is not stepped, so it is not judged
     split = _first_split(automaton, region, run[:-1])
@@ -331,7 +362,7 @@ def _assert_run_matches_reference(automaton, region, init):
         steps, message = split
         with pytest.raises(engine.AmbiguousMatch,
                            match=f"^{re.escape(message)}$"):
-            engine.run_hca(automaton, region, init, init.valid_radius)
+            engine.run_hca(automaton, region, init, region.radius)
     cfgs = engine.run_hca(automaton, region, init, steps)
     assert [c.time for c in cfgs] == list(range(steps + 1))
     for cfg, states in zip(cfgs, run):
@@ -364,7 +395,7 @@ def test_run_matches_frozen_rim_run(region_of, rule110, method, grid):
             off = rng.choice(near, size=6, replace=False)
             init.states[off] = rng.integers(0, b.n_states, size=6)
         if not _assert_run_matches_reference(b, r, init):
-            last = engine.run_hca(b, r, init, init.valid_radius)[-1]
+            last = engine.run_hca(b, r, init, r.radius)[-1]
             moved += int((last.states != init.states).sum())
     assert moved > 0
 
@@ -403,7 +434,7 @@ def _equivalence_reference(rule, automaton, region, word, cfgs):
     oracle = ca1d.run_1d(rule, tape, len(cfgs) - 1)
     compared = 0
     for t, cfg in enumerate(cfgs):
-        w = engine.trace_window(region, t)
+        w = region.halfwidth + region.radius - t
         for p in range(-w, w + 1):
             expected = ref.value_at(oracle[t], p)
             got = inv.get(int(cfg.states[region.guideline.id_at(p)]))

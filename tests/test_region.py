@@ -480,6 +480,28 @@ def test_region_matches_fingerprint_golden(region_of, grid, radius, hw):
     assert (np.abs(r.matrices - ref) <= 1e-9 * scale).all()
 
 
+@pytest.mark.parametrize("grid,radius,hw", FINGERPRINT_SIZES + [
+    ("pentagrid", 2, 300), ("dodecagrid", 2, 100)])
+def test_tape_window_rests_on_chain_distances(region_of, grid, radius, hw):
+    """What `Region.tape_window` rests on: tape position p lies at
+    distance max(|p| - hw, 0) from the initial segment, and the complete
+    chain cells, the tape cells a step updates, are exactly those with
+    |p| <= hw + radius - 1, the window at time 1.  The window shrinks by
+    one a step and is refused past time radius."""
+    r = region_of(grid, radius, hw)
+    gl = r.guideline
+    p = np.abs(gl.positions)
+    assert np.array_equal(r.dist[gl.cell_ids], np.maximum(p - hw, 0))
+    complete = np.isin(gl.cell_ids, r.complete_cells)
+    assert np.array_equal(complete, p <= hw + radius - 1)
+    assert [r.tape_window(t) for t in range(radius + 1)] == \
+        list(range(hw + radius, hw - 1, -1))
+    with pytest.raises(reg.ValidityExhausted,
+                       match=f"^time {radius + 1} is past the {radius} "
+                             f"steps a radius {radius} region certifies$"):
+        r.tape_window(radius + 1)
+
+
 # Exact cell keys.  The float builder in region_reference.py is the
 # reference: both must give the same cells in the same order.  The radius-1
 # sizes run the chain out to each grid's PLACEMENT_EXTENT, so the side

@@ -273,7 +273,7 @@ def test_compile_matches_reference_on_random_rules():
                                   getattr(expected, name)), (b.name, name)
         groups = embed.check_invariance(b)
         assert [ref.unpack(g) for g in groups] == \
-            [ref.unpack(g) for g in sym.orbit_conflicts(expected)], b.name
+            [ref.unpack(g) for g in ref.orbit_conflicts(expected)], b.name
 
 
 def test_compile_errors_match_reference():
@@ -458,7 +458,7 @@ def test_orbit_keys_refuse_a_29th_state():
     tracemalloc.start()
     try:
         with pytest.raises(ValueError) as err:
-            sym.orbit_conflicts(rules)
+            ref.orbit_conflicts(rules)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -623,7 +623,7 @@ def test_engine_step_matches_matcher(region_of, all_six):
             multi += len(readings) > 1
             if outs:
                 (want[c],) = outs
-        got = engine.step_hca(b, reg, cfg)
+        got = engine.run_hca(b, reg, cfg, 1)[-1]
         assert np.array_equal(got.states, want), b.name
         if b.name == "unrepaired":
             assert multi > 0 and not np.array_equal(want, cfg.states)
