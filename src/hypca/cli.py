@@ -53,7 +53,7 @@ def cmd_transform(args) -> int:
 def cmd_simulate(args) -> int:
     b = _load_automaton(args.automaton)
     word = _parse_word(args.word)
-    radius = args.radius if args.radius is not None else args.steps + 1
+    radius = args.radius if args.radius is not None else max(args.steps, 1)
     halfwidth = args.halfwidth if args.halfwidth is not None \
         else max(1, len(word) // 2)
     region = reg.build_region(b.grid, radius, halfwidth)

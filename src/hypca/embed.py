@@ -1,28 +1,32 @@
 """Transformations of a 1D automaton into a tiling automaton.
 
-Two constructions are provided.  The extra-state construction works on all
-three grids and adds one state: every cell off the tape line holds the new
-state, and a tape cell recognizes itself by seeing that state everywhere
-except where its two tape neighbours sit.  The compact construction keeps
-the state count of the source automaton by marking the line with cells held
-in the image of a designated non-quiescent state; on the pentagrid it needs
-the source automaton to be fixable, so that the markers and the background
-hold still under the rules that unavoidably fire on them.
+Two constructions are provided.  Both carry the source automaton's
+cells onto a line of tiles unchanged: its n states are the letters.
+The extra-state construction works on all three grids and adds one
+state, n: every cell off the tape line holds it, and a tape cell
+recognizes itself by seeing that state everywhere except where its two
+tape neighbours sit.  The compact construction keeps the n states by
+marking the line with cells held in a designated non-quiescent state;
+on the pentagrid it needs the source automaton to be fixable, so that
+the markers and the background hold still under the rules that
+unavoidably fire on them.
 
 A produced automaton is intensional: one admissible context pattern, an
 action applied as (left, self, right) when the pattern matches in exactly
-one rotated alignment, and state-unchanged everywhere else.
+one rotated alignment, and state-unchanged everywhere else.  Everything
+else, its state count and added state among them, follows from the kind
+and the source rule.
 
 `compile_rules` turns that description into a `RuleTable`: every context
 the pattern matches, coded as one int64, with its number of distinct
 readings and the least and greatest next state they give.  The contexts
-and their readings depend on the construction alone, its pattern,
-letters and state count, not on the source rule, so `context_table`
-enumerates them once per construction and keeps them, with the letter
-assignment behind each reading, in a small bounded cache; an
-automaton's own next states are then one gather of its action at those
-assignments.  A set of cells is coded with one gather of their
-neighbour states and one int64 product with the digit weights.
+and their readings depend on the construction alone, its pattern and
+state counts, not on the source rule, so `context_table` enumerates
+them once per construction and keeps them, with the letter assignment
+behind each reading, in a small bounded cache; an automaton's own next
+states are then one gather of its action at those assignments.  A set
+of cells is coded with one gather of their neighbour states and one
+int64 product with the digit weights.
 `TableRun` steps a configuration by the table, for the engine and the
 unique-applicability scan alike, and `expanded_rules` lists its
 single-reading contexts as explicit rules, held as the table's arrays,
@@ -106,15 +110,15 @@ class ContextPattern:
 @dataclass(frozen=True)
 class HcaAutomaton:
     """A tiling automaton: one admissible pattern over a grid, an action,
-    and the default of leaving the state unchanged."""
+    and the default of leaving the state unchanged.
+
+    The letters are the source states 0..n-1; the extra kind adds one
+    state, n, and the compact kind adds none."""
 
     grid: str
-    n_states: int
     pattern: ContextPattern
     action: ca1d.Rule1D
-    state_map: dict[int, int]
     kind: str                           # "extra" or "compact"
-    blue: int | None = None             # the added state, extra kind only
     padding_state: int | None = None    # source state used to pad the tape
     name: str = ""
 
@@ -125,34 +129,35 @@ class HcaAutomaton:
             raise ValueError("pattern arity does not fit the grid")
 
     @property
-    def letters(self) -> frozenset[int]:
-        """The states that carry source letters: the state map's images."""
-        return frozenset(self.state_map.values())
+    def letters(self) -> range:
+        """The states that carry source letters: the source states."""
+        return self.action.states()
+
+    @property
+    def n_states(self) -> int:
+        return self.action.n + (self.kind == "extra")
+
+    @property
+    def blue(self) -> int | None:
+        """The added state, extra kind only."""
+        return self.action.n if self.kind == "extra" else None
 
     @property
     def marker(self) -> int:
         """The state that marks the tape line: the state the compact
-        pattern pins other than the background, the padding's image."""
+        pattern pins other than the background, the padding state."""
         if self.kind == "compact":
-            background = self.encode(self.padding_state)
             for slot in self.pattern.slots:
-                if slot.kind == "fixed" and slot.state != background:
+                if slot.kind == "fixed" and slot.state != self.padding_state:
                     return slot.state
         raise ValueError(f"the {self.kind} pattern pins no state other "
                          "than the background")
 
-    def inverse_map(self) -> dict[int, int]:
-        return {v: k for k, v in self.state_map.items()}
-
-    def encode(self, a_state: int) -> int:
-        return self.state_map[a_state]
-
     @property
     def context_table(self) -> "ContextTable":
         """The contexts the pattern matches, shared by every automaton
-        with the same pattern, letters and state count."""
-        return context_table(self.pattern, tuple(sorted(self.letters)),
-                             self.n_states)
+        with the same pattern and state counts."""
+        return context_table(self.pattern, self.action.n, self.n_states)
 
     @cached_property
     def rule_table(self) -> "RuleTable":
@@ -185,16 +190,12 @@ def embed_extra_state(rule: ca1d.Rule1D, grid: str) -> HcaAutomaton:
     """
     if grid not in GRID_SIDES:
         raise ValueError(f"unknown grid {grid!r}")
-    blue = rule.n
     quiescent = ca1d.quiescent_states(rule)
     return HcaAutomaton(
         grid=grid,
-        n_states=blue + 1,
-        pattern=_pattern(grid, blue),
+        pattern=_pattern(grid, rule.n),
         action=rule,
-        state_map={s: s for s in rule.states()},
         kind="extra",
-        blue=blue,
         padding_state=quiescent[0] if quiescent else None,
         name=f"extra[{rule.name or rule.n}] on {grid}",
     )
@@ -223,10 +224,8 @@ def embed_compact(rule: ca1d.Rule1D, grid: str) -> HcaAutomaton:
         q, u = 0, 1
     return HcaAutomaton(
         grid=grid,
-        n_states=rule.n,
         pattern=_pattern(grid, q, u),
         action=rule,
-        state_map={s: s for s in rule.states()},
         kind="compact",
         padding_state=q,
         name=f"compact[{rule.name or rule.n}] on {grid}",
@@ -251,14 +250,11 @@ def reading_outcomes(automaton: HcaAutomaton, self_state: int,
     pinned = np.array([s.kind == "fixed" for s in pat.slots])
     state = np.array([s.state if s.kind == "fixed" else -1
                       for s in pat.slots])
-    letter = (seen[..., None] == sorted(automaton.letters)).any(axis=-1)
+    letter = (0 <= seen) & (seen < automaton.action.n)
     match = np.where(pinned, seen == state, letter).all(axis=1)
     pairs = seen[match][:, [pat.left_index, pat.right_index]].tolist()
     readings = list(dict.fromkeys(map(tuple, pairs)))
-    inv = automaton.inverse_map()
-    outs = {automaton.encode(automaton.action.apply(inv[l], inv[self_state],
-                                                    inv[r]))
-            for l, r in readings}
+    outs = {automaton.action.apply(l, self_state, r) for l, r in readings}
     return readings, sorted(outs)
 
 
@@ -382,16 +378,16 @@ _CONTEXT_TABLES = 16
 @dataclass(frozen=True, eq=False)
 class ContextTable:
     """Every context one construction's pattern matches, whatever the
-    source rule: the part of a `RuleTable` that the pattern, the letters
-    and the state count fix.
+    source rule: the part of a `RuleTable` that the pattern and the
+    state counts fix.
 
     `codes` and `readings` are the rule table's.  Each distinct
-    (code, reading) entry, code by code, keeps the letter indices
+    (code, reading) entry, code by code, keeps the letters
     (left, self, right) that produce it as one index
-    `assignments[e] = (l * n + s) * n + r` into an (n, n, n) table, n the
-    letter count; the entries of code k start at `starts[k]`.  The
-    arrays are read-only, since every automaton of the construction
-    shares them.
+    `assignments[e] = (l * n + s) * n + r` into the action's (n, n, n)
+    table, n the letter count; the entries of code k start at
+    `starts[k]`.  The arrays are read-only, since every automaton of the
+    construction shares them.
     """
 
     base: int
@@ -399,7 +395,7 @@ class ContextTable:
     codes: np.ndarray           # (M,) int64, ascending
     readings: np.ndarray        # (M,) distinct readings per code
     starts: np.ndarray          # (M,) first entry of each code
-    assignments: np.ndarray     # (E,) (left, self, right) letter indices
+    assignments: np.ndarray     # (E,) (left, self, right) letters
     single: np.ndarray          # (M,) bool, exactly one reading
 
     @cached_property
@@ -419,11 +415,12 @@ class ContextTable:
 
 
 @lru_cache(maxsize=_CONTEXT_TABLES)
-def context_table(pattern: ContextPattern, letters: tuple[int, ...],
-                  base: int) -> ContextTable:
+def context_table(pattern: ContextPattern, n: int, base: int
+                  ) -> ContextTable:
     """Enumerate the pattern over every alignment, self letter and letter
     assignment to its free slots, and tabulate the distinct readings per
-    context.
+    context.  The letters are the states 0..n-1, so a letter's index is
+    its state.
 
     An alignment carries slot i to neighbour `rotation_indices(p)[g, i]`.
     The reading (left, right) is the pair of letters put in the left and
@@ -434,29 +431,26 @@ def context_table(pattern: ContextPattern, letters: tuple[int, ...],
     """
     p = len(pattern.slots)
     sym.require_codes_fit(base, p)
-    letters = np.array(letters, dtype=np.int64)
-    pinned = [s.state for s in pattern.slots if s.kind == "fixed"]
-    if not len(letters):
-        raise ValueError("the automaton has no letters")
-    if any(not 0 <= int(v) < base for v in [*letters, *pinned]):
+    if any(not 0 <= s.state < base for s in pattern.slots
+           if s.kind == "fixed"):
         raise ValueError(f"pattern states must lie in 0..{base - 1}")
     free = pattern.free_indices()
-    n = len(letters)
 
-    # letter indices of (self, free slots...) for every assignment
-    pick = np.indices((n,) * (len(free) + 1)).reshape(len(free) + 1, -1)
+    # the letters of (self, free slots...) for every assignment
+    pick = np.indices((n,) * (len(free) + 1),
+                      dtype=np.int64).reshape(len(free) + 1, -1)
     left = pick[1 + free.index(pattern.left_index)]
     right = pick[1 + free.index(pattern.right_index)]
 
     # one row per alignment, one column per assignment
     weight = base ** sym.rotation_indices(p).astype(np.int64)
     codes = np.zeros((len(weight), pick.shape[1]), dtype=np.int64)
-    codes += letters[pick[0]] * base ** p
+    codes += pick[0] * base ** p
     for i, slot in enumerate(pattern.slots):
         if slot.kind == "fixed":
             codes += weight[:, i, None] * slot.state
     for j, i in enumerate(free):
-        codes += weight[:, i, None] * letters[pick[1 + j]]
+        codes += weight[:, i, None] * pick[1 + j]
     codes = codes.ravel()
     triple = np.tile((left * n + pick[0]) * n + right, len(weight))
 
@@ -479,17 +473,11 @@ def context_table(pattern: ContextPattern, letters: tuple[int, ...],
 
 def compile_rules(automaton: HcaAutomaton) -> RuleTable:
     """The construction's `context_table` with the next states of each
-    code's readings under the automaton's action: the action's table,
-    taken over the letters and encoded, is gathered once at the table's
-    assignments, then reduced to the least and greatest per code."""
+    code's readings under the automaton's action: the action's table is
+    gathered once at the table's assignments, then reduced to the least
+    and greatest per code."""
     ctx = automaton.context_table
-    inv = automaton.inverse_map()
-    src = np.array([inv[a] for a in sorted(automaton.letters)],
-                   dtype=np.intp)
-    enc = np.array([automaton.encode(a) for a in automaton.action.states()],
-                   dtype=np.int64)
-    out = enc[automaton.action.table[np.ix_(src, src, src)]].ravel()[
-        ctx.assignments]
+    out = automaton.action.table.ravel()[ctx.assignments]
     return RuleTable(
         base=ctx.base, arity=ctx.arity, codes=ctx.codes,
         readings=ctx.readings,
@@ -541,7 +529,7 @@ def central_context_row(automaton: HcaAutomaton) -> str:
         elif slot.kind == "right":
             names.append("Z")
         else:
-            names.append("W" if slot.state == automaton.encode(q) else "B")
+            names.append("W" if slot.state == q else "B")
     start = (pat.left_index + _ROW_START[automaton.grid]) % len(names)
     row = [names[(start + i) % len(names)] for i in range(len(names))]
     return "Y | " + " ".join(row)
@@ -610,7 +598,7 @@ def symbolic_rows(automaton: HcaAutomaton, region: Region,
         s = int(states[cell])
         if automaton.blue is not None and s == automaton.blue:
             return "b"
-        return "W" if s == automaton.encode(automaton.padding_state) else "B"
+        return "W" if s == automaton.padding_state else "B"
 
     # breadth-first ball around the centre
     ball = {0}
@@ -738,19 +726,32 @@ def _slot_to_doc(slot: Slot) -> dict:
     return {"kind": slot.kind, "state": slot.state}
 
 
+def fixed_keys(grid: str, kind: str, n: int) -> dict:
+    """The keys of an automaton file that its grid, its kind and the
+    source rule's n states fix, as `automaton_to_json` writes them."""
+    extra = kind == "extra"
+    return {
+        "n_states": n + extra,
+        "state_map": {str(s): s for s in range(n)},
+        "letters": list(range(n)),
+        "blue": n if extra else None,
+        "marker_scheme": None if extra else f"compact_{grid}",
+    }
+
+
 def automaton_to_json(automaton: HcaAutomaton) -> str:
+    fixed = fixed_keys(automaton.grid, automaton.kind, automaton.action.n)
     doc = {
         "grid": automaton.grid,
-        "n_states": automaton.n_states,
+        "n_states": fixed["n_states"],
         "kind": automaton.kind,
         "name": automaton.name,
         "action": json.loads(ca1d.rule_to_json(automaton.action)),
-        "state_map": {str(k): v for k, v in automaton.state_map.items()},
+        "state_map": fixed["state_map"],
         "patterns": [[_slot_to_doc(s) for s in automaton.pattern.slots]],
-        "letters": sorted(automaton.letters),
-        "blue": automaton.blue,
-        "marker_scheme": (f"compact_{automaton.grid}"
-                          if automaton.kind == "compact" else None),
+        "letters": fixed["letters"],
+        "blue": fixed["blue"],
+        "marker_scheme": fixed["marker_scheme"],
         "padding_state": automaton.padding_state,
     }
     return json.dumps(doc, indent=2)
@@ -758,13 +759,13 @@ def automaton_to_json(automaton: HcaAutomaton) -> str:
 
 def automaton_from_json(text: str) -> HcaAutomaton:
     """The automaton a file holds.  Besides the form of each key, the
-    keys must agree: the pattern has one slot per side of the grid's
-    cells, every slot is of a known kind, a fixed slot pins a state and no
-    other slot does; the state map sends every source state to a distinct
-    state, and the letters are its images; the kind is extra or compact,
-    the extra kind names an added state that is no letter, the compact
-    kind the marker scheme of its grid, a padding state and a pattern that
-    pins a marker state; and the padding is a source state.  A ValueError
+    keys must agree: the kind is extra or compact; the keys that the
+    grid, the kind and the source rule fix (`fixed_keys`) hold exactly
+    the values `automaton_to_json` writes, no JSON float or boolean for
+    an integer; the pattern has one slot per side of the grid's cells,
+    every slot is of a known kind, a fixed slot pins a state and no
+    other slot does; the padding is a source state, and the compact
+    kind has one and a pattern that pins a marker state.  A ValueError
     names the first key that does not."""
     read = partial(read_key, json_object(text, "automaton"), "automaton")
 
@@ -795,18 +796,6 @@ def automaton_from_json(text: str) -> HcaAutomaton:
                              f"slots, not {len(patterns[0])}")
         return ContextPattern(tuple(map(slot, patterns[0])))
 
-    def state_map(m):
-        out = {int(k): state_in(n_states)(v) for k, v in m.items()}
-        if sorted(out) != list(sources) or len(set(out.values())) < len(out):
-            raise ValueError("must send each source state "
-                             f"0..{len(sources) - 1} to a distinct state")
-        return out
-
-    def letters(value):
-        images = sorted(set(smap.values()))
-        if set(map(exactly(int), value)) != set(images):
-            raise ValueError(f"must list the state map's images {images}")
-
     def kind_of(value):
         if value not in ("extra", "compact"):
             raise ValueError(f"{value!r} is neither 'extra' nor 'compact'")
@@ -817,40 +806,31 @@ def automaton_from_json(text: str) -> HcaAutomaton:
             raise ValueError(f"unknown grid {value!r}")
         return value
 
-    def added(value):
-        if kind == "compact":
-            return exactly(type(None))(value)
-        if state_in(n_states)(value) in smap.values():
-            raise ValueError(f"the added state {value} is a letter")
-        return value
-
-    def scheme(value):
-        want = None if kind == "extra" else f"compact_{grid}"
-        if value != want:
-            raise ValueError(f"the {kind} kind on the {grid} needs "
-                             f"{json.dumps(want)}")
+    def equal_to(want):
+        def check(value):
+            # as JSON, so that true is not 1 and 1.0 is not 1
+            if json.dumps(value, sort_keys=True) != \
+                    json.dumps(want, sort_keys=True):
+                raise ValueError(
+                    f"must be {json.dumps(want)} for the {kind} kind on "
+                    f"the {grid} with {action.n} source states")
+        return check
 
     grid = read("grid", grid_of)
-    n_states = read("n_states", exactly(int))
     action = read("action", lambda a: ca1d.rule_from_json(json.dumps(a)))
-    sources = action.states()
     kind = read("kind", kind_of)
-    pat = read("patterns", pattern)
-    smap = read("state_map", state_map)
-    read("letters", letters)
-    blue = read("blue", added)
-    read("marker_scheme", scheme)
+    fixed = fixed_keys(grid, kind, action.n)
+    for key, want in fixed.items():
+        read(key, equal_to(want))
+    n_states = fixed["n_states"]
     automaton = HcaAutomaton(
         grid=grid,
-        n_states=n_states,
-        pattern=pat,
+        pattern=read("patterns", pattern),
         action=action,
-        state_map=smap,
         kind=kind,
-        blue=blue,
         padding_state=read("padding_state", lambda v: None if v is None
                            and kind == "extra"
-                           else state_in(len(sources))(v)),
+                           else state_in(action.n)(v)),
         name=read("name", default=""),
     )
     if kind == "compact":

@@ -68,20 +68,16 @@ def init_configuration(region: Region, automaton: emb.HcaAutomaton,
         raise ValueError(f"word of length {len(word)} does not fit the "
                          f"initial segment (halfwidth {region.halfwidth})")
 
-    if automaton.kind == "extra":
-        fill = automaton.blue
-    else:
-        fill = automaton.encode(automaton.padding_state)
+    fill = automaton.blue if automaton.kind == "extra" \
+        else automaton.padding_state
     states = np.full(region.n_cells, fill, dtype=np.int16)
 
     # chain index k holds word letter i[k], where index len(word) is the
     # padding state
     gl = region.guideline
-    codes = np.array([automaton.encode(a)
-                      for a in (*word, automaton.padding_state)])
     i = gl.positions - start
     i[(i < 0) | (i >= len(word))] = len(word)
-    tape = codes[i]
+    tape = np.array([*word, automaton.padding_state])[i]
     states[gl.cell_ids] = tape
     if automaton.kind == "extra" and region.grid == "dodecagrid":
         mirror = gl.mirror_ids >= 0
@@ -143,15 +139,12 @@ def _tape_letters(automaton: emb.HcaAutomaton, region: Region,
     gl.id_at(-w), gl.id_at(w)      # raise past the ends of the chain
     first = -w - int(gl.positions[0])
     tape = states[gl.cell_ids[first:first + 2 * w + 1]]
-    letter = np.full(max(automaton.n_states, int(tape.max()) + 1), -1)
-    for s, a in automaton.inverse_map().items():
-        letter[s] = a
-    return letter[tape]
+    return np.where(tape < automaton.action.n, tape, -1)
 
 
 def yellow_trace(automaton: emb.HcaAutomaton, region: Region,
                  cfgs) -> list[tuple[int, int, tuple[int, ...]]]:
-    """The tape contents over time, decoded to source states.
+    """The tape contents over time, as source states.
 
     Each entry is (time, start position, letters) covering the positions
     still trusted at that configuration's time.  A non-letter state on

@@ -70,19 +70,15 @@ class RenderSpec:
 def default_render_spec(automaton) -> RenderSpec:
     """Figure colours for a produced automaton: warm letters, the added
     state blue, the compact background green and the marker state red."""
-    colors = {}
-    for i, s in enumerate(sorted(automaton.letters)):
-        colors[s] = LETTER_COLORS[i % len(LETTER_COLORS)]
-    if automaton.blue is not None:
-        colors[automaton.blue] = BLUE
-    quiet = None
+    colors = {s: LETTER_COLORS[s % len(LETTER_COLORS)]
+              for s in automaton.letters}
+    quiet = automaton.blue
+    if quiet is not None:
+        colors[quiet] = BLUE
     if automaton.kind == "compact":
-        w = automaton.encode(automaton.padding_state)
-        colors[w] = GREEN
+        quiet = automaton.padding_state
+        colors[quiet] = GREEN
         colors[automaton.marker] = RED
-        quiet = w
-    elif automaton.blue is not None:
-        quiet = automaton.blue
     return RenderSpec(grid=automaton.grid, colors=colors, quiet=quiet)
 
 

@@ -247,12 +247,9 @@ def match_alignments(automaton: embed.HcaAutomaton, self_state: int,
 def reading_outcomes(automaton: embed.HcaAutomaton, self_state: int,
                      neighbors) -> tuple[list[tuple[int, int]], list[int]]:
     """`match_alignments`' readings and the sorted next states they give:
-    each reading decoded, run through the source rule and encoded."""
+    each reading run through the source rule."""
     readings = match_alignments(automaton, self_state, neighbors)
-    inv = automaton.inverse_map()
-    outs = {automaton.encode(automaton.action.apply(inv[l], inv[self_state],
-                                                    inv[r]))
-            for l, r in readings}
+    outs = {automaton.action.apply(l, self_state, r) for l, r in readings}
     return readings, sorted(outs)
 
 
@@ -312,13 +309,10 @@ def compile_rules_reference(automaton: embed.HcaAutomaton
 
     # letter indices of (self, free slots...) for every assignment
     pick = np.indices((n,) * (len(free) + 1)).reshape(len(free) + 1, -1)
-    inv = automaton.inverse_map()
-    src = np.array([inv[int(a)] for a in letters], dtype=np.int64)
-    enc = np.array([automaton.encode(a) for a in automaton.action.states()],
-                   dtype=np.int64)
     left = pick[1 + free.index(pat.left_index)]
     right = pick[1 + free.index(pat.right_index)]
-    out = enc[automaton.action.table[src[left], src[pick[0]], src[right]]]
+    out = automaton.action.table[letters[left], letters[pick[0]],
+                                 letters[right]]
 
     # one row per alignment, one column per assignment
     weight = base ** sym.rotation_indices(p).astype(np.int64)

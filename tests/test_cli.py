@@ -243,10 +243,11 @@ def test_failure_exit_codes(tmp_path, capsys):
     # keys present with values of the wrong form, and keys that disagree:
     # a padding or added state outside the states, a state map that drops
     # source state 1, an unknown kind, a marker scheme on the extra kind,
-    # letters that are not the state map's images, an added state that is
-    # a letter, pattern slots with no state, a string state, an unknown
-    # kind, and a state on a left slot, and a pattern cut to four slots
-    # that keeps its left and right slots
+    # letters that are not the source states, an added state that is a
+    # letter, a state map that permutes the letters, a state count other
+    # than n + 1 and an added state other than n, pattern slots with no
+    # state, a string state, an unknown kind, and a state on a left slot,
+    # and a pattern cut to four slots that keeps its left and right slots
     slots = doc["patterns"][0]
     assert [s["kind"] for s in slots[:2]] == ["left", "fixed"]
     assert [s["kind"] for s in slots].index("right") < 4
@@ -261,7 +262,8 @@ def test_failure_exit_codes(tmp_path, capsys):
                        ("state_map", {"0": 0}), ("kind", "weird"),
                        ("blue", 9), ("marker_scheme", "compact_pentagrid"),
                        ("letters", [0, 1, 2]), ("letters", [1]),
-                       ("blue", 0),
+                       ("blue", 0), ("state_map", {"0": 1, "1": 0}),
+                       ("n_states", 4), ("blue", 3),
                        ("patterns", pattern_with(1, state=None)),
                        ("patterns", pattern_with(1, state="2")),
                        ("patterns", pattern_with(1, kind="bogus")),
@@ -428,10 +430,29 @@ def _simulate_and_save(tmp_path, grid, method):
             "--method", method, "-o", str(auto))
     regf, snap = tmp_path / "region.json", tmp_path / "snap.json"
     assert run_cli("simulate", "--automaton", str(auto), "--word", "1",
-                   "--steps", "2", "--halfwidth", "1",
+                   "--steps", "2", "--radius", "3", "--halfwidth", "1",
                    "--save-region", str(regf), "--snapshot-out", str(snap),
                    "-o", str(tmp_path / "trace.txt")) == 0
     return auto, regf, snap
+
+
+def test_simulate_default_radius_is_the_step_count(tmp_path, capsys):
+    """With no --radius, `simulate --steps 3` builds the region of radius
+    3, the least that certifies 3 steps: the same trace as --radius 3,
+    and the saved region records radius 3."""
+    auto = tmp_path / "auto.json"
+    run_cli("transform", "--rule", "elementary:110", "--grid", "heptagrid",
+            "-o", str(auto))
+    outs = []
+    for flags in ([], ["--radius", "3"]):
+        trace, regf = tmp_path / "trace.txt", tmp_path / "region.json"
+        assert run_cli("simulate", "--automaton", str(auto), "--word", "11",
+                       "--steps", "3", "--check-oracle", *flags,
+                       "--save-region", str(regf), "-o", str(trace)) == 0
+        outs.append(trace.read_text())
+        assert reg.region_from_json(regf.read_text()).radius == 3
+    assert outs[0] == outs[1]
+    assert "matches the 1D run" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("grid,method", [("heptagrid", "t3"),

@@ -19,14 +19,14 @@ def test_extra_state_counts(rule110):
     for grid in ("pentagrid", "heptagrid", "dodecagrid"):
         b = embed.embed_extra_state(rule110, grid)
         assert b.n_states == 3
-        assert b.blue == 2 and b.letters == {0, 1}
+        assert b.blue == 2 and b.letters == range(2)
 
 
 def test_compact_state_counts(rule110):
     for grid in ("pentagrid", "heptagrid", "dodecagrid"):
         b = embed.embed_compact(rule110, grid)
         assert b.n_states == 2
-        assert b.blue is None and b.letters == {0, 1}
+        assert b.blue is None and b.letters == range(2)
 
 
 def test_extra_pattern_layout(rule110):
@@ -204,12 +204,8 @@ def test_unrepaired_solid_pattern_is_ambiguous(region_of, rule110):
     good = embed.embed_extra_state(rule110, "dodecagrid")
     slots = list(good.pattern.slots)
     slots[0] = embed.fixed(good.blue)
-    bad = embed.HcaAutomaton(
-        grid="dodecagrid", n_states=good.n_states,
-        pattern=embed.ContextPattern(tuple(slots)),
-        action=rule110, state_map=dict(good.state_map),
-        kind="extra", blue=good.blue,
-        padding_state=good.padding_state, name="unrepaired")
+    bad = dataclasses.replace(
+        good, pattern=embed.ContextPattern(tuple(slots)), name="unrepaired")
     r = region_of("dodecagrid", 3, 1)
     init = engine.init_configuration(r, good, [1])
     for m in r.guideline.mirror_ids:
@@ -245,7 +241,7 @@ def test_automaton_json_round_trip(all_six):
         b2 = embed.automaton_from_json(text)
         assert embed.automaton_to_json(b2) == text
         assert b2.grid == b.grid and b2.n_states == b.n_states
-        assert b2.pattern == b.pattern and b2.state_map == b.state_map
+        assert b2.pattern == b.pattern
         assert b2.letters == b.letters and b2.kind == b.kind
         assert b2.blue == b.blue
         assert b2.padding_state == b.padding_state
@@ -254,16 +250,27 @@ def test_automaton_json_round_trip(all_six):
 
 def test_automaton_json_keys_must_agree(all_six):
     """A compact automaton names its grid's marker scheme and no added
-    state; each disagreement is refused naming the key."""
+    state, and an extra one the added state n; both keep the source
+    states as letters, unpermuted.  Each disagreement is refused naming
+    the key, a JSON boolean or float for an integer too."""
     doc = json.loads(embed.automaton_to_json(all_six[("compact",
                                                       "heptagrid")]))
-    for key, value in (("marker_scheme", None),
-                       ("marker_scheme", "compact_pentagrid"),
-                       ("blue", 1), ("state_map", {"0": 1, "1": 1}),
-                       ("letters", [0, 1, 2]), ("letters", [1]),
-                       ("padding_state", None)):
+    extra = json.loads(embed.automaton_to_json(all_six[("extra",
+                                                        "heptagrid")]))
+    for d, key, value in ((doc, "marker_scheme", None),
+                          (doc, "marker_scheme", "compact_pentagrid"),
+                          (doc, "blue", 1),
+                          (doc, "state_map", {"0": 1, "1": 1}),
+                          (doc, "state_map", {"0": 1, "1": 0}),
+                          (doc, "letters", [0, 1, 2]), (doc, "letters", [1]),
+                          (doc, "padding_state", None),
+                          (extra, "n_states", 4), (extra, "n_states", 3.0),
+                          (extra, "blue", 3), (extra, "blue", 0),
+                          (extra, "letters", [False, True]),
+                          (extra, "letters", [1, 0]), (extra, "blue", 2.0),
+                          (extra, "state_map", {"0": 1, "1": 0})):
         with pytest.raises(ValueError, match=f"^automaton key '{key}'"):
-            embed.automaton_from_json(json.dumps(dict(doc, **{key: value})))
+            embed.automaton_from_json(json.dumps(dict(d, **{key: value})))
     # a pattern that pins only the background has no marker state
     only_background = [dict(s, state=0) if s["kind"] == "fixed" else s
                        for s in doc["patterns"][0]]
@@ -275,7 +282,7 @@ def test_automaton_json_keys_must_agree(all_six):
 def test_automaton_json_checks_pattern_slots(all_six):
     """The pattern has a slot per side, each slot is of a known kind, a
     fixed slot pins a state of the automaton and no other slot pins one;
-    the added state is no letter."""
+    the added state is the one after the letters."""
     doc = json.loads(embed.automaton_to_json(all_six[("extra",
                                                       "pentagrid")]))
     good = doc["patterns"][0]
@@ -294,20 +301,21 @@ def test_automaton_json_checks_pattern_slots(all_six):
                                              "pentagrid pattern has 5 slots"):
             embed.automaton_from_json(json.dumps(dict(doc,
                                                       patterns=[slots])))
-    with pytest.raises(ValueError, match="^automaton key 'blue': the added "
-                                         "state 0 is a letter"):
+    with pytest.raises(ValueError, match="^automaton key 'blue': must be 2 "
+                                         "for the extra kind on the "
+                                         "pentagrid with 2 source states$"):
         embed.automaton_from_json(json.dumps(dict(doc, blue=0)))
 
 
 def test_letters_and_marker_follow_the_pattern(all_six):
-    """The letters are the state map's images; the marker is the state the
+    """The letters are the source states; the marker is the state the
     compact pattern pins besides the background, and nothing else has
     one."""
     for (method, _), b in all_six.items():
-        assert b.letters == frozenset(b.state_map.values())
+        assert b.letters == b.action.states()
         if method == "compact":
             assert {s.state for s in b.pattern.slots if s.kind == "fixed"} \
-                == {b.encode(b.padding_state), b.marker}
+                == {b.padding_state, b.marker}
         else:
             with pytest.raises(ValueError, match="pins no state"):
                 b.marker
