@@ -154,7 +154,8 @@ def rule_to_json(rule: Rule1D) -> str:
 def rule_from_json(text: str) -> Rule1D:
     read = partial(read_key, json_object(text, "rule"), "rule")
     n = read("n", exactly(int))
-    flat = read("table", lambda t: np.array(t, dtype=np.int64))
+    flat = read("table", lambda t: np.array([exactly(int)(v) for v in t],
+                                            dtype=np.int64))
     if flat.shape != (n ** 3,):
         raise ValueError(f"expected {n ** 3} table entries, got {flat.size}")
     return Rule1D(n, flat.reshape(n, n, n), name=read("name", str, ""))

@@ -56,6 +56,8 @@ def cmd_simulate(args) -> int:
     radius = args.radius if args.radius is not None else max(args.steps, 1)
     halfwidth = args.halfwidth if args.halfwidth is not None \
         else max(1, len(word) // 2)
+    if args.svg_dir:
+        reg.require_placeable(b.grid, radius, halfwidth)
     region = reg.build_region(b.grid, radius, halfwidth)
     if args.save_region:
         Path(args.save_region).write_text(reg.region_to_json(region))
@@ -110,6 +112,7 @@ def cmd_render(args) -> int:
     else:
         if args.grid is None:
             raise ValueError("render needs --region or --grid")
+        reg.require_placeable(args.grid, args.radius, args.halfwidth)
         region = reg.build_region(args.grid, args.radius, args.halfwidth)
     if args.render_spec:
         spec = render.spec_from_json(Path(args.render_spec).read_text())

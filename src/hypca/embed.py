@@ -33,9 +33,9 @@ single-reading contexts as explicit rules, held as the table's arrays,
 so the invariance checker can say independently that matching is
 rotation invariant.  Its orbit grouping reads the contexts alone, so the
 construction keeps that too, found on first use, and each automaton's
-check compares its next states within the groups.  `reading_outcomes`
-spells out one context's readings for error messages, with the same
-alignment rows `context_table` uses.
+check compares its next states within the groups.  Error messages
+spell out a context's readings with `HcaAutomaton.readings`, read off
+the same table: the table is the one matcher.
 
 A `TableRun` step costs in proportion to the cells it changes, not to
 the region: it carries each complete cell's table row and codes again
@@ -164,6 +164,22 @@ class HcaAutomaton:
         """The compiled transitions, built on first use."""
         return compile_rules(self)
 
+    def readings(self, code: int) -> tuple[list[tuple[int, int]], list[int]]:
+        """The (left, right) readings of the context coded `code`, in the
+        order of the first alignment that gives each, and the sorted next
+        states they give: the code's `context_table` entries, as error
+        messages spell them out.  Both are empty for a code the pattern
+        does not match."""
+        ctx, n = self.context_table, self.action.n
+        k = int(ctx.codes.searchsorted(code))
+        if k == len(ctx.codes) or ctx.codes[k] != code:
+            return [], []
+        start = ctx.starts[k]
+        entries = ctx.assignments[start:start + ctx.readings[k]]
+        outs = self.action.table.ravel()[entries]
+        return ([(t // (n * n), t % n) for t in entries.tolist()],
+                sorted(set(outs.tolist())))
+
 
 def _pattern(grid: str, fill: int, marker: int | None = None
              ) -> ContextPattern:
@@ -230,32 +246,6 @@ def embed_compact(rule: ca1d.Rule1D, grid: str) -> HcaAutomaton:
         padding_state=q,
         name=f"compact[{rule.name or rule.n}] on {grid}",
     )
-
-
-def reading_outcomes(automaton: HcaAutomaton, self_state: int,
-                     neighbors) -> tuple[list[tuple[int, int]], list[int]]:
-    """The readings of one context and the sorted next states they give,
-    as error messages spell them out.
-
-    Under alignment g slot i reads neighbour `rotation_indices(p)[g, i]`,
-    as in `context_table`.  A reading is the (left, right) pair of an
-    alignment under which every slot accepts what it reads; each is
-    listed once, in alignment order.
-    """
-    if self_state not in automaton.letters:
-        return [], []
-    pat = automaton.pattern
-    seen = np.asarray(neighbors, dtype=np.int64)[
-        sym.rotation_indices(len(pat.slots))]
-    pinned = np.array([s.kind == "fixed" for s in pat.slots])
-    state = np.array([s.state if s.kind == "fixed" else -1
-                      for s in pat.slots])
-    letter = (0 <= seen) & (seen < automaton.action.n)
-    match = np.where(pinned, seen == state, letter).all(axis=1)
-    pairs = seen[match][:, [pat.left_index, pat.right_index]].tolist()
-    readings = list(dict.fromkeys(map(tuple, pairs)))
-    outs = {automaton.action.apply(l, self_state, r) for l, r in readings}
-    return readings, sorted(outs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -386,8 +376,9 @@ class ContextTable:
     (left, self, right) that produce it as one index
     `assignments[e] = (l * n + s) * n + r` into the action's (n, n, n)
     table, n the letter count; the entries of code k start at
-    `starts[k]`.  The arrays are read-only, since every automaton of the
-    construction shares them.
+    `starts[k]`, in the order of the first alignment that gives each.
+    The arrays are read-only, since every automaton of the construction
+    shares them.
     """
 
     base: int
@@ -454,13 +445,16 @@ def context_table(pattern: ContextPattern, n: int, base: int
     codes = codes.ravel()
     triple = np.tile((left * n + pick[0]) * n + right, len(weight))
 
-    # within one code the self letter is fixed, so triples order and
-    # tell apart the readings as (left, right) pairs do
+    # within one code the self letter is fixed, so triples tell apart
+    # the readings as (left, right) pairs do; the stable sort leaves each
+    # distinct entry's first (alignment, assignment) index in front, and
+    # a second sort lists a code's entries by it
     order = np.lexsort((triple, codes))
     codes, triple = codes[order], triple[order]
     new_code = np.r_[True, codes[1:] != codes[:-1]]
     distinct = new_code | np.r_[True, triple[1:] != triple[:-1]]
     codes, triple = codes[distinct], triple[distinct]
+    triple = triple[np.lexsort((order[distinct], codes))]
     starts = np.flatnonzero(new_code[distinct])
     readings = np.diff(np.r_[starts, len(codes)])
     table = ContextTable(base=base, arity=p, codes=codes[starts],
@@ -613,12 +607,8 @@ def symbolic_rows(automaton: HcaAutomaton, region: Region,
         frontier = nxt
     rows = set()
     for c in sorted(ball & set(region.complete_cells.tolist())):
-        nb = tuple(name_of(int(d)) for d in region.adjacency[c])
-        if len(nb) == 12:
-            canon = sym.canonical_spherical(nb)
-        else:
-            canon = sym.canonical_cyclic(nb)
-        rows.add(f"{name_of(c)} | " + " ".join(canon))
+        nb = [name_of(int(d)) for d in region.adjacency[c]]
+        rows.add(f"{name_of(c)} | " + " ".join(sym.canonical(nb)))
     return sorted(rows)
 
 
@@ -662,7 +652,6 @@ def verify_unique_applicability(automaton: HcaAutomaton, region: Region,
     report = VerifyReport()
     if automaton.grid in _ROW_START and automaton.kind == "compact":
         report.context_rows.append(central_context_row(automaton))
-    adj = region.adjacency
     table = automaton.rule_table
     run = TableRun(table, region, init.states.copy())
     cells, states = run.cells, run.states
@@ -704,9 +693,9 @@ def verify_unique_applicability(automaton: HcaAutomaton, region: Region,
         if lines is None:
             lines = []
             for k, found_kinds in zip(bad, kinds.T):
-                c = int(cells[k])
-                nb = tuple(int(v) for v in states[adj[c]])
-                found, outs = reading_outcomes(automaton, int(states[c]), nb)
+                c, row = int(cells[k]), run.rows[k]
+                found, outs = automaton.readings(table.codes[row]) \
+                    if row >= 0 else ([], [])
                 detail = {
                     "ambiguous": f"readings {found} give states {outs}",
                     "line-unmatched": "no admissible reading",

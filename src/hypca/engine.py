@@ -117,9 +117,8 @@ def run_hca(automaton: emb.HcaAutomaton, region: Region,
         split = coded[(rows >= 0) & (table.lo[rows] != table.hi[rows])]
         if len(split):
             c = int(run.cells[split[0]])
-            nb = tuple(int(v) for v in cfg.states[region.adjacency[c]])
-            readings, outs = emb.reading_outcomes(automaton,
-                                                  int(cfg.states[c]), nb)
+            readings, outs = automaton.readings(
+                table.codes[run.rows[split[0]]])
             raise AmbiguousMatch(
                 f"cell {c} at time {cfg.time}: readings {readings} "
                 f"disagree, states {outs}")

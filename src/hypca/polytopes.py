@@ -29,8 +29,6 @@ class CellShape:
     step_matrices: np.ndarray      # (n_sides, dim+1, dim+1)
     vertices: np.ndarray           # (n_vertices, dim+1)
     side_vertex_cycles: tuple[tuple[int, ...], ...]
-    base_rotations: np.ndarray | None      # (60, 4, 4), dodecahedron only
-    rotation_motions: tuple[sym.Motion, ...] | None
 
 
 def _polygon(name: str, p: int, q: int) -> CellShape:
@@ -61,8 +59,6 @@ def _polygon(name: str, p: int, q: int) -> CellShape:
         step_matrices=np.stack(steps),
         vertices=verts,
         side_vertex_cycles=cycles,
-        base_rotations=None,
-        rotation_motions=None,
     )
 
 
@@ -126,14 +122,6 @@ def dodecagrid() -> CellShape:
             t = tuple(sorted((i, ring[k], ring[(k + 1) % 5])))
             cyc.append(index[t])
         cycles.append(tuple(cyc))
-
-    # one 4x4 rotation matrix per motion, aligned with sym.all_motions()
-    motions = sym.all_motions()
-    rots = np.zeros((60, 4, 4))
-    for n, m in enumerate(motions):
-        pt = u.T @ u[list(m)] / 4.0  # U^T U = 4 I for these directions
-        rots[n, 0, 0] = 1.0
-        rots[n, 1:, 1:] = pt.T
     return CellShape(
         name="dodecagrid",
         dim=3,
@@ -144,8 +132,6 @@ def dodecagrid() -> CellShape:
         step_matrices=steps,
         vertices=verts,
         side_vertex_cycles=tuple(cycles),
-        base_rotations=rots,
-        rotation_motions=motions,
     )
 
 

@@ -69,8 +69,10 @@ the chain by its side labels and places every other cell from those
 records, a level at a time, on its first read.  Only render and the
 geometry checks read it; the engine, the verify scan and the oracle check
 never do.  Float coordinates grow exponentially with the distance from the
-base cell, so `Region.matrices` refuses a region whose halfwidth + radius
-passes PLACEMENT_EXTENT; the build has no such bound.
+base cell, so `require_placeable` refuses a region whose halfwidth +
+radius passes PLACEMENT_EXTENT: `Region.matrices` asks it, and so does a
+command that will place cells, before it builds them.  The build has no
+such bound.
 
 The chain's side labels are integers too.  The paper's tape line is built by
 the shift along the guideline that carries one neighbour of a tape cell onto
@@ -131,6 +133,18 @@ class RegionTooLarge(ValueError):
 
 class ValidityExhausted(ValueError):
     """No step can be trusted: the region is too small for more time."""
+
+
+def require_placeable(grid: str, radius: int, halfwidth: int) -> None:
+    """Refuse a region that `Region.matrices` cannot place, before it is
+    built: float coordinates grow with the distance from the base cell,
+    so halfwidth + radius may not pass PLACEMENT_EXTENT."""
+    extent, bound = halfwidth + radius, PLACEMENT_EXTENT[grid]
+    if extent > bound:
+        raise RegionTooLarge(
+            f"halfwidth + radius = {extent} exceeds the {grid} placement "
+            f"bound PLACEMENT_EXTENT = {bound}; float placements lose "
+            "accuracy further out")
 
 
 @dataclass(frozen=True)
@@ -212,13 +226,7 @@ class Region:
         so regions past PLACEMENT_EXTENT are refused here."""
         if self.placement is None:
             raise ValueError("region has neither matrices nor a placement")
-        extent = self.halfwidth + self.radius
-        bound = PLACEMENT_EXTENT[self.grid]
-        if extent > bound:
-            raise RegionTooLarge(
-                f"halfwidth + radius = {extent} exceeds the {self.grid} "
-                f"placement bound PLACEMENT_EXTENT = {bound}; float "
-                "placements lose accuracy further out")
+        require_placeable(self.grid, self.radius, self.halfwidth)
         return _place(self)
 
     @property
@@ -738,16 +746,18 @@ def _chain_renumbering():
     """For each dodecagrid face triple (mirror face, left, right): the
     mirror face, the face permutation that renumbers a chain cell so that
     face 0 faces the reflected cell, face 1 the previous chain cell and
-    face 4 the next one, and the base rotation that performs it."""
-    shape = poly.by_name("dodecagrid")
-    index = {mo: i for i, mo in enumerate(shape.rotation_motions)}
+    face 4 the next one, and the base rotation that performs it, a 4x4
+    matrix made from the face directions u (u^T u = 4 I)."""
+    u = poly.by_name("dodecagrid").side_directions
     out = []
     for mf, lf, rf in _CHAIN_FACES:
-        motion = sym.complete_motion(mf, lf)
+        motion = list(sym.complete_motion(mf, lf))
         if motion[TAPE_SLOTS["dodecagrid"].right] != rf:
             raise AssertionError("chain renumbering does not place the "
                                  "next cell at face 4")
-        out.append((mf, list(motion), shape.base_rotations[index[motion]]))
+        rot = np.eye(4)
+        rot[1:, 1:] = (u.T @ u[motion] / 4.0).T
+        out.append((mf, motion, rot))
     return out
 
 

@@ -115,11 +115,16 @@ def spec_from_json(text: str) -> RenderSpec:
     def optional(value):
         return value if value is None else exactly(int)(value)
 
+    def positive(value):
+        if exactly(int)(value) < 1:
+            raise ValueError(f"must be at least 1, not {value}")
+        return value
+
     return RenderSpec(
         grid=read("grid", exactly(str)),
         colors=read("colors", lambda c: {int(k): v for k, v in c.items()}),
-        size=read("size", int, 720),
-        samples_per_edge=read("samples_per_edge", int, 8),
+        size=read("size", positive, 720),
+        samples_per_edge=read("samples_per_edge", positive, 8),
         stroke=read("stroke", default="#3c3c3c"),
         stroke_width=read("stroke_width", float, 0.0025),
         background=read("background", default="#ffffff"),

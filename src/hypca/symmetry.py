@@ -8,6 +8,12 @@ numbers 0..11.
 A motion is stored as a tuple ``m`` of 12 face numbers with ``m[i]`` the face
 onto which face ``i`` is carried.
 
+A cell's rotations have one form in use, `rotation_indices`: one index row
+per rotation, re-reading a side-indexed array.  `embed.context_table` lays
+the pattern out under each row, `orbits` keys contexts by them, and
+`canonical` takes the least re-reading for printed context rows.  On the
+dodecagrid the rows are `all_motions`.
+
 The rotation-invariance check, as `embed.check_invariance` runs it, works
 on a `RuleArrays`, a rule set held as int64 arrays of own states,
 neighbour states and next states, in two steps.  `orbits` groups the
@@ -95,31 +101,15 @@ def all_motions() -> tuple[Motion, ...]:
     return tuple(out)
 
 
-def rotate_faces(values: tuple, m: Motion) -> tuple:
-    """Re-read a face-indexed tuple after applying motion m to the cell."""
-    return tuple(values[m[i]] for i in range(12))
-
-
-def canonical_spherical(values: tuple) -> tuple:
-    """Lexicographically smallest re-reading over the 60 rotations."""
-    return min(rotate_faces(values, m) for m in all_motions())
-
-
-def canonical_cyclic(values: tuple) -> tuple:
-    """Lexicographically smallest cyclic shift of a side-indexed tuple."""
-    p = len(values)
-    return min(tuple(values[(i + k) % p] for i in range(p)) for k in range(p))
-
-
 @lru_cache(maxsize=None)
 def rotation_indices(arity: int) -> np.ndarray:
     """Every rotation of a cell as an index array, identity first.
 
     Row g holds, for each side (or face) i, the side whose state the
     rotated cell reads at i: `values[rows[g]]` re-reads a side-indexed
-    array under the g-th shift, or as `rotate_faces` does under the g-th
-    motion.  The array is built once per arity and shared by every
-    caller, so it is read-only.
+    array under the g-th shift, or under the g-th motion, whose face i
+    reads face m[i].  The array is built once per arity and shared by
+    every caller, so it is read-only.
     """
     if arity == 12:
         rows = np.array(all_motions(), dtype=np.intp)
@@ -128,6 +118,13 @@ def rotation_indices(arity: int) -> np.ndarray:
         rows = (k[:, None] + k[None, :]) % arity
     rows.setflags(write=False)
     return rows
+
+
+def canonical(values) -> tuple:
+    """The lexicographically least re-reading of a side-indexed sequence
+    over the cell's rotations, the rows of `rotation_indices`."""
+    return min(tuple(values[i] for i in row)
+               for row in rotation_indices(len(values)).tolist())
 
 
 def require_codes_fit(n_states: int, arity: int) -> None:

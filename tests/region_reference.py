@@ -284,8 +284,7 @@ def _canonicalize_chain(shape, mats, adj, n_chain, normals, left, right):
     face 4 the next one.  Returns the reflected-row cell ids."""
     refl0 = geo.reflection(normals[0])
     steps = shape.step_matrices
-    motions = shape.rotation_motions
-    index = {m: i for i, m in enumerate(motions)}
+    u = shape.side_directions
     mirror_ids = np.full(n_chain, -1, dtype=np.int32)
     for k in range(n_chain):
         g = mats[k]
@@ -300,7 +299,10 @@ def _canonicalize_chain(shape, mats, adj, n_chain, normals, left, right):
         if j_mirror < 0:
             raise AssertionError("chain cell has no reflected neighbor face")
         motion = sym.complete_motion(j_mirror, int(left[k]))
-        rot = shape.base_rotations[index[motion]]
+        # the rotation carrying each face direction u[i] to u[motion[i]],
+        # since u^T u = 4 I
+        rot = np.eye(4)
+        rot[1:, 1:] = (u.T @ u[list(motion)] / 4.0).T
         mats[k] = g @ rot
         adj[k] = adj[k][list(motion)]
         if motion[4] != right[k]:

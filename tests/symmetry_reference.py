@@ -9,7 +9,7 @@ groups, in the same order.
 `match_alignments` tries the pattern under every rotated alignment of
 one context, a shift count on the polygonal grids or a face permutation
 on the dodecagrid, one slot at a time by `slot_accepts`;
-`embed.reading_outcomes` and the compiled `RuleTable` must give the same
+`HcaAutomaton.readings` and the compiled `RuleTable` must give the same
 readings and next states.  `value_at` reads one position of a
 `ca1d.Tape`, for the per-position references of the 1D run and the
 oracle check.
@@ -32,7 +32,7 @@ import numpy as np
 
 from hypca import ca1d, embed
 from hypca import symmetry as sym
-from hypca.symmetry import FACE_RINGS, Motion, all_motions, rotate_faces
+from hypca.symmetry import FACE_RINGS, Motion, all_motions
 
 
 def compose(a: Motion, b: Motion) -> Motion:
@@ -86,7 +86,8 @@ def rotated_context(ctx: RuleContext, motion) -> RuleContext:
     if len(nb) == 12:
         if not isinstance(motion, tuple) or len(motion) != 12:
             raise ValueError("a 12-neighbour context needs a face permutation")
-        return RuleContext(ctx.self_state, rotate_faces(nb, motion))
+        return RuleContext(ctx.self_state,
+                           tuple(nb[motion[i]] for i in range(12)))
     if isinstance(motion, tuple):
         raise ValueError("a cyclic context needs a shift count")
     p = len(nb)

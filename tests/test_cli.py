@@ -36,9 +36,12 @@ def test_transform_all_aliases(tmp_path, capsys):
 def test_pipeline_pentagrid(tmp_path, capsys):
     # malformed rule files
     rule_file = tmp_path / "rule.json"
+    # and table entries that are no JSON int: a float, a boolean, a string
+    odd = [{"n": 2, "table": [0] * 7 + [entry]} for entry in (1.7, True, "1")]
     for doc, says in (({"table": [0] * 8}, "'n'"), ({"n": 2.0}, "'n'"),
                       ({"n": 2, "table": None}, "'table'"),
-                      ({"n": 2, "table": [0] * 3}, "expected 8 table")):
+                      ({"n": 2, "table": [0] * 3}, "expected 8 table"),
+                      *((doc, "'table'") for doc in odd)):
         rule_file.write_text(json.dumps(doc))
         assert run_cli("transform", "--rule", str(rule_file),
                        "--grid", "pentagrid") == 2
@@ -46,6 +49,15 @@ def test_pipeline_pentagrid(tmp_path, capsys):
     auto = tmp_path / "auto.json"
     run_cli("transform", "--rule", "elementary:110", "--grid", "pentagrid",
             "--method", "t3", "-o", str(auto))
+    # an automaton file reads its action through the same reader
+    good = json.loads(auto.read_text())
+    for doc in odd:
+        auto.write_text(json.dumps(dict(
+            good, action=dict(good["action"], table=doc["table"]))))
+        assert run_cli("verify", "--automaton", str(auto)) == 2
+        err = capsys.readouterr().err
+        assert "'action'" in err and "'table'" in err
+    auto.write_text(json.dumps(good))
     assert run_cli("verify", "--automaton", str(auto),
                    "--radius", "3", "--halfwidth", "2",
                    "--horizon", "4") == 0
@@ -317,6 +329,14 @@ def test_failure_exit_codes(tmp_path, capsys):
                       ({"grid": "pentagrid"}, "'colors'"),
                       (dict(good_spec, colors=[1]), "'colors'"),
                       (dict(good_spec, size=None), "'size'"),
+                      (dict(good_spec, size=True), "'size'"),
+                      (dict(good_spec, size=0), "'size'"),
+                      (dict(good_spec, samples_per_edge=0),
+                       "'samples_per_edge': must be at least 1, not 0"),
+                      (dict(good_spec, samples_per_edge=-3),
+                       "'samples_per_edge'"),
+                      (dict(good_spec, samples_per_edge=2.7),
+                       "'samples_per_edge'"),
                       (dict(good_spec, depth="2"), "'depth'")):
         spec.write_text(json.dumps(doc))
         assert run_cli("render", "--grid", "pentagrid", "--render-spec",
@@ -343,6 +363,29 @@ def test_render_past_the_placement_bound_exits_2(capsys):
                    "--halfwidth", "30") == 2
     err = capsys.readouterr().err
     assert "placement bound" in err and "Traceback" not in err
+
+
+def test_placement_bound_is_checked_before_the_build(tmp_path, capsys,
+                                                     monkeypatch):
+    """`render --grid` and `simulate --svg-dir` past the placement bound
+    exit 2 before they build a cell, and `simulate` writes nothing."""
+    auto = tmp_path / "auto.json"
+    run_cli("transform", "--rule", "elementary:110", "--grid", "pentagrid",
+            "-o", str(auto))
+
+    def no_build(*args):
+        raise AssertionError("build_region called past the bound")
+
+    monkeypatch.setattr(reg, "build_region", no_build)
+    trace, svgs = tmp_path / "trace.txt", tmp_path / "svg"
+    for argv in (("render", "--grid", "pentagrid", "--radius", "2",
+                  "--halfwidth", "200000"),
+                 ("simulate", "--automaton", str(auto), "--halfwidth", "30",
+                  "--svg-dir", str(svgs), "-o", str(trace))):
+        assert run_cli(*argv) == 2
+        assert "placement bound PLACEMENT_EXTENT = 18" in \
+            capsys.readouterr().err
+    assert not trace.exists() and not svgs.exists()
 
 
 def test_long_word_checks_against_the_oracle(tmp_path, capsys):

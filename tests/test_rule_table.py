@@ -3,7 +3,7 @@ per-rule references of `symmetry_reference`.
 
 The one-context matcher `match_alignments` and the loop expansion below
 are the references: the table must give every context the same reading
-count and next states, `embed.reading_outcomes` the same readings and
+count and next states, `HcaAutomaton.readings` the same readings and
 next states in the same order, and the expansion read off the table must
 list the same rules.  `compile_rules`, which reads the contexts from a
 per-construction cache, must give `compile_rules_reference`'s table.
@@ -49,23 +49,25 @@ def _context_layout(contexts, dtype=np.int64):
 
 
 def _table_verdicts(b, contexts):
-    """(readings, least, greatest next state) by the table, -1 if none."""
+    """(readings, least, greatest next state) by the table, -1 if none,
+    and the context codes."""
     table = b.rule_table
-    at = table.lookup(table.encode(*_context_layout(contexts)))
+    codes = table.encode(*_context_layout(contexts))
+    at = table.lookup(codes)
     hit = at >= 0
     return (np.where(hit, table.readings[at], 0),
             np.where(hit, table.lo[at], -1),
-            np.where(hit, table.hi[at], -1))
+            np.where(hit, table.hi[at], -1), codes)
 
 
 def _assert_table_matches_matcher(b, contexts):
-    readings, lo, hi = _table_verdicts(b, contexts)
-    for ctx, n, l, h in zip(contexts, readings, lo, hi):
+    readings, lo, hi, codes = _table_verdicts(b, contexts)
+    for ctx, n, l, h, code in zip(contexts, readings, lo, hi, codes):
         s, nb = int(ctx[0]), tuple(int(v) for v in ctx[1:])
         want = _matcher_verdict(b, s, nb)
         assert (int(n), int(l), int(h)) == want, (b.name, ctx)
-        assert embed.reading_outcomes(b, s, nb) == \
-            ref.reading_outcomes(b, s, nb), (b.name, ctx)
+        assert b.readings(code) == ref.reading_outcomes(b, s, nb), \
+            (b.name, ctx)
 
 
 def _all_contexts(b):
@@ -122,10 +124,9 @@ def test_table_matches_matcher_on_every_context(all_six, key):
     _assert_table_matches_matcher(b, _all_contexts(b))
 
 
-def test_table_matches_matcher_dodecagrid_extra(all_six):
-    """3**13 contexts are too many to try: every table context with each
-    single slot changed, plus seeded random contexts."""
-    b = all_six[("extra", "dodecagrid")]
+def _sampled_contexts(b, n_random):
+    """Dodecagrid contexts, too many to try: every table context with
+    each single slot changed, plus `n_random` seeded random contexts."""
     table = b.rule_table
     selfs, nbs = table.decode(table.codes)
     base = np.concatenate([selfs[:, None], nbs], axis=1)
@@ -137,13 +138,52 @@ def test_table_matches_matcher_dodecagrid_extra(all_six):
             contexts.extend(tuple(row) for row in moved.tolist())
     rng = np.random.default_rng(13)
     contexts.extend(tuple(row) for row in
-                    rng.integers(0, b.n_states, size=(20_000, 13)).tolist())
-    _assert_table_matches_matcher(b, contexts)
+                    rng.integers(0, b.n_states, size=(n_random, 13)).tolist())
+    return contexts
+
+
+def test_table_matches_matcher_dodecagrid_extra(all_six):
+    b = all_six[("extra", "dodecagrid")]
+    _assert_table_matches_matcher(b, _sampled_contexts(b, 20_000))
 
 
 def test_table_matches_matcher_random_rules():
     for b in _random_pentagrid_automata():
         _assert_table_matches_matcher(b, _all_contexts(b))
+
+
+def _multi_reading_automata(rule110):
+    """Rule 110 patterns with contexts that read several ways: the
+    compact pattern with its markers left free (on the dodecagrid markers
+    3 and 9, as the CLI verify test frees them) on each grid, and the
+    dodecagrid extra pattern with its reflected-row slot pinned."""
+    autos = []
+    for grid, free in (("pentagrid", (1,)), ("heptagrid", (1, 3)),
+                       ("dodecagrid", (3, 9))):
+        good = embed.embed_compact(rule110, grid)
+        slots = list(good.pattern.slots)
+        for i in free:
+            slots[i] = embed.FREE_LETTER
+        autos.append(dataclasses.replace(
+            good, pattern=embed.ContextPattern(tuple(slots)), name="loose"))
+    autos.append(_unrepaired(embed.embed_extra_state(rule110, "dodecagrid")))
+    return autos
+
+
+def test_readings_match_matcher_on_multi_reading_automata(rule110):
+    """`HcaAutomaton.readings` lists a context's readings in the order of
+    the first alignment that gives each, as the reference matcher does:
+    every context on the polygonal grids, sampled on the dodecagrid.
+    Many multi-reading codes read in an order other than sorted, so the
+    differential pins the order, not only the set."""
+    for b in _multi_reading_automata(rule110):
+        ctx = b.context_table
+        multi = ctx.codes[ctx.readings > 1].tolist()
+        assert multi, b.name
+        assert any(r != sorted(r) for r, _ in map(b.readings, multi))
+        _assert_table_matches_matcher(
+            b, _sampled_contexts(b, 2_000) if b.grid == "dodecagrid"
+            else _all_contexts(b))
 
 
 def test_expansion_matches_reference(all_six):
@@ -696,7 +736,7 @@ def _full_reencode_scan(b, region, init, horizon):
         for j in np.flatnonzero(np.logical_or.reduce([m for _, m in kinds])):
             c = int(cells[j])
             nb = tuple(int(v) for v in states[region.adjacency[c]])
-            found, outs = embed.reading_outcomes(b, int(own[j]), nb)
+            found, outs = ref.reading_outcomes(b, int(own[j]), nb)
             detail = {
                 "ambiguous": f"readings {found} give states {outs}",
                 "line-unmatched": "no admissible reading",
@@ -824,16 +864,17 @@ def test_verify_repeats_a_fixed_point(region_of, all_six, monkeypatch):
     init.states[off] = rng.integers(0, b.n_states, size=12)
     cases.append((b, r, init))
 
-    real_encode, real_outcomes = embed.RuleTable.encode, embed.reading_outcomes
-    calls = {"encode": 0, "outcomes": 0}
+    real_encode = embed.RuleTable.encode
+    real_readings = embed.HcaAutomaton.readings
+    calls = {"encode": 0, "readings": 0}
 
     def counted_encode(*args):
         calls["encode"] += 1
         return real_encode(*args)
 
-    def counted_outcomes(*args):
-        calls["outcomes"] += 1
-        return real_outcomes(*args)
+    def counted_readings(*args):
+        calls["readings"] += 1
+        return real_readings(*args)
 
     kinds = set()
     starts = []
@@ -844,8 +885,8 @@ def test_verify_repeats_a_fixed_point(region_of, all_six, monkeypatch):
         for horizon in (10, 3, 0, -1):
             with monkeypatch.context() as mp:
                 mp.setattr(embed.RuleTable, "encode", counted_encode)
-                mp.setattr(embed, "reading_outcomes", counted_outcomes)
-                calls.update(encode=0, outcomes=0)
+                mp.setattr(embed.HcaAutomaton, "readings", counted_readings)
+                calls.update(encode=0, readings=0)
                 got = embed.verify_unique_applicability(b, r, init, horizon)
             assert got == _full_reencode_scan(b, r, init, horizon), horizon
             # Python ints, so that the counts serialise as JSON
@@ -858,8 +899,10 @@ def test_verify_repeats_a_fixed_point(region_of, all_six, monkeypatch):
             assert lines[stop] and all(x == lines[stop]
                                        for x in lines[stop:])
             assert calls["encode"] == stop + 1
-            assert calls["outcomes"] == sum(
-                len({c for _, c, _ in x}) for x in lines[:stop + 1])
+            # a line-unmatched cell has no reading to look up
+            assert calls["readings"] == sum(
+                len({c for k, c, _ in x if k != "line-unmatched"})
+                for x in lines[:stop + 1])
         kinds |= {v.kind for v in got.violations}
     assert starts == [0, 0, 1]
     assert kinds == {"ambiguous", "line-unmatched"}
