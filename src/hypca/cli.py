@@ -108,12 +108,13 @@ def cmd_verify(args) -> int:
 
 def cmd_render(args) -> int:
     if args.region:
-        region = reg.region_from_json(Path(args.region).read_text())
+        params, stored = reg.read_region_file(Path(args.region).read_text())
+    elif args.grid is None:
+        raise ValueError("render needs --region or --grid")
     else:
-        if args.grid is None:
-            raise ValueError("render needs --region or --grid")
-        reg.require_placeable(args.grid, args.radius, args.halfwidth)
-        region = reg.build_region(args.grid, args.radius, args.halfwidth)
+        params, stored = (args.grid, args.radius, args.halfwidth), None
+    reg.require_placeable(*params)
+    region = reg.rebuild_region(params, stored)
     if args.render_spec:
         spec = render.spec_from_json(Path(args.render_spec).read_text())
     elif args.automaton:

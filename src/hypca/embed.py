@@ -39,9 +39,10 @@ the same table: the table is the one matcher.
 
 A `TableRun` step costs in proportion to the cells it changes, not to
 the region: it carries each complete cell's table row and codes again
-only the closed neighbourhoods of changed cells.  The scan reads every
-verdict from the carried rows, and past a fixed point codes nothing and
-repeats that time's counts and violation lines.
+only the closed neighbourhoods of changed cells.  The scan recounts
+every verdict from the carried rows and the table's per-row verdicts
+after a step that coded any cell, and past a fixed point codes nothing
+and repeats that time's counts and violation lines.
 """
 from __future__ import annotations
 
@@ -256,7 +257,8 @@ class RuleTable:
     state count.  Per code the table holds the number of distinct
     (left, right) readings and the least and greatest next state they
     give; a code that is absent has no reading, so the cell keeps its
-    state.
+    state.  A row alone gives its verdicts, since a code's leading digit
+    is the cell's own state.
     """
 
     base: int
@@ -265,6 +267,19 @@ class RuleTable:
     readings: np.ndarray    # (M,) distinct readings per code, at least 1
     lo: np.ndarray          # (M,) least next state over the readings
     hi: np.ndarray          # (M,) greatest next state over the readings
+    # (M + 1,) read-only per-row verdicts; row -1, no reading, reads False
+    moves: np.ndarray = field(init=False)   # readings agree, on a new state
+    split: np.ndarray = field(init=False)   # readings disagree
+    multi: np.ndarray = field(init=False)   # more than one reading
+
+    def __post_init__(self) -> None:
+        own = self.codes // self.base ** self.arity
+        for name, flags in (("moves", (self.lo == self.hi) & (self.lo != own)),
+                            ("split", self.lo != self.hi),
+                            ("multi", self.readings > 1)):
+            flags = np.append(flags, False)
+            flags.setflags(write=False)
+            object.__setattr__(self, name, flags)
 
     @cached_property
     def _weights(self) -> np.ndarray:
@@ -287,13 +302,6 @@ class RuleTable:
         hit = at < len(self.codes)
         hit[hit] = self.codes[at[hit]] == codes[hit]
         return np.where(hit, at, -1)
-
-    def moving(self, own: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """The step rule, given each cell's state and table row (-1 for
-        none): a cell whose readings agree takes their state, every other
-        cell keeps its own.  True where that changes the state."""
-        out = self.lo[rows]
-        return (rows >= 0) & (out == self.hi[rows]) & (out != own)
 
     def decode(self, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(self states, (len, arity) neighbour states) of context codes."""
@@ -320,7 +328,7 @@ class TableRun:
 
     Only `cells`, the region's `complete_cells`, step; each carries its
     table row in `rows` (-1 for none), all looked up once at the start.  A
-    step moves the cells that `RuleTable.moving` changes, then codes again
+    step moves the cells whose rows `RuleTable.moves`, then codes again
     only the complete cells in the closed neighbourhood of a changed cell,
     since no other context can change; this needs the adjacency to be
     symmetric.  Every cell not coded again keeps a row that did not move
@@ -334,27 +342,25 @@ class TableRun:
         self.cells = region.complete_cells
         self.rows = table.lookup(table.encode(states, self.adjacency,
                                               self.cells))
-        self._movers = np.flatnonzero(
-            table.moving(states[self.cells], self.rows))
+        self._movers = np.flatnonzero(table.moves[self.rows])
 
-    def step(self) -> tuple[np.ndarray, np.ndarray]:
+    def step(self) -> np.ndarray:
         """One synchronous update.  Returns the indices into `cells` of
-        the cells coded again, ascending, and their rows from before the
-        step; both are empty at a fixed point, which codes nothing."""
+        the cells coded again, ascending: none at a fixed point, which
+        codes nothing."""
         movers, table = self._movers, self.table
         if not len(movers):
-            return movers, movers
+            return movers
         changed = self.cells[movers]
         self.states[changed] = table.lo[self.rows[movers]]
         near = _distinct(np.concatenate(
             [changed, self.adjacency.take(changed, axis=0).ravel()]))
         j = self.cells.searchsorted(near)
         j = j[self.cells.take(j, mode="clip") == near]
-        old = self.rows[j]
         self.rows[j] = rows = table.lookup(
             table.encode(self.states, self.adjacency, self.cells[j]))
-        self._movers = j[table.moving(self.states[self.cells[j]], rows)]
-        return j, old
+        self._movers = j[table.moves[rows]]
+        return j
 
 
 # constructions whose context tables are kept: the six (grid, method)
@@ -618,7 +624,8 @@ _KINDS = ("ambiguous", "line-unmatched", "off-line-changed")
 def _may_change(automaton: HcaAutomaton, region: Region) -> np.ndarray:
     """The cells a run of the automaton may change, as a mask: the tape,
     and on dodecagrid extra the reflected row, which carries letters and
-    steps with the tape."""
+    steps by the mirrored rule A'(l, s, r) = A(r, s, l), rule 124 for
+    rule 110, not by the tape's."""
     mask = np.zeros(region.n_cells, dtype=bool)
     mask[region.guideline.cell_ids] = True
     if automaton.kind == "extra" and region.grid == "dodecagrid":
@@ -633,67 +640,44 @@ def verify_unique_applicability(automaton: HcaAutomaton, region: Region,
     admissible readings of its context.
 
     Violations: a cell whose readings disagree on the resulting state, an
-    off-line cell some reading would change (the dodecagrid reflected row
-    is exempt, it carries letters by design), and a line cell with no
-    reading at all.  They are listed by time, then cell, then in that
-    order of kinds.  The scan keeps stepping with a frozen rim past the
-    validity window; staleness there only widens the sample of contexts.
+    off-line cell some reading would change (the dodecagrid extra
+    reflected row is exempt: it carries letters and runs the mirrored
+    rule, see `_may_change`), and a line cell with no reading at all.
+    They are listed by time, then cell, then in that order of kinds.  The
+    scan keeps stepping with a frozen rim past the validity window;
+    staleness there only widens the sample of contexts.
 
     The run is a `TableRun`, so a step costs in proportion to the cells
     it codes again, not to the region.  Every verdict (hit, multi-reading
-    and the three violation kinds) follows from a cell's carried row and
-    its own state.  The scan carries the hit and multi-reading totals and
-    the violating cells, and after a step subtracts the old rows' totals
-    of the cells coded again and adds their new ones; every other cell
-    keeps its verdicts.  Once a step moves no cell the configuration is a
-    fixed point: later times code nothing and repeat its counts and
-    violation lines.
+    and the three violation kinds) is a fact of a cell's carried row, so
+    a time after a step that coded some cell recounts them all from the
+    rows and the table's per-row verdicts; no running totals are kept.
+    Once a step moves no cell the configuration is a fixed point: later
+    times code nothing and repeat its counts and violation lines.
     """
     report = VerifyReport()
     if automaton.grid in _ROW_START and automaton.kind == "compact":
         report.context_rows.append(central_context_row(automaton))
     table = automaton.rule_table
     run = TableRun(table, region, init.states.copy())
-    cells, states = run.cells, run.states
+    cells = run.cells
     line = np.zeros(region.n_cells, dtype=bool)
     line[region.guideline.cell_ids] = True
     line = line[cells]
     guarded = ~_may_change(automaton, region)[cells]
-
-    def tally(rows: np.ndarray) -> tuple[int, int]:
-        """How many of the table rows are hits, and multi-reading hits."""
-        hit = rows >= 0
-        return (int(np.count_nonzero(hit)),
-                int(np.count_nonzero(table.readings[rows[hit]] > 1)))
-
-    def violations(j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The violating complete cells among j, and their kinds as
-        rows in listing order."""
-        rows, own = run.rows[j], states[cells[j]]
-        hit = rows >= 0
-        lo, hi = table.lo[rows], table.hi[rows]
-        kinds = np.array((hit & (lo != hi), line[j] & ~hit,
-                          guarded[j] & hit & ((lo != own) | (hi != own))))
-        bad = kinds.any(axis=0)
-        return j[bad], kinds[:, bad]
-
-    matched, multi_reading = tally(run.rows)
-    bad, kinds = violations(np.arange(len(cells)))
     lines = None
     for t in range(max(horizon, 0) + 1):
-        if t:
-            j, old = run.step()
-            if len(j):
-                was_matched, was_multi_reading = tally(old)
-                now_matched, now_multi_reading = tally(run.rows[j])
-                matched += now_matched - was_matched
-                multi_reading += now_multi_reading - was_multi_reading
-                bad, kinds = violations(_distinct(np.concatenate([bad, j])))
-                lines = None
+        if t and len(run.step()):
+            lines = None
         if lines is None:
+            rows = run.rows
+            matched = int(np.count_nonzero(rows >= 0))
+            multi_reading = int(np.count_nonzero(table.multi[rows]))
+            kinds = np.array((table.split[rows], line & (rows < 0),
+                              guarded & (table.split | table.moves)[rows]))
             lines = []
-            for k, found_kinds in zip(bad, kinds.T):
-                c, row = int(cells[k]), run.rows[k]
+            for k in np.flatnonzero(kinds.any(axis=0)):
+                c, row = int(cells[k]), rows[k]
                 found, outs = automaton.readings(table.codes[row]) \
                     if row >= 0 else ([], [])
                 detail = {
@@ -702,7 +686,7 @@ def verify_unique_applicability(automaton: HcaAutomaton, region: Region,
                     "off-line-changed": f"reading would move state to {outs}",
                 }
                 lines.extend((kind, c, detail[kind])
-                             for kind, f in zip(_KINDS, found_kinds) if f)
+                             for kind, f in zip(_KINDS, kinds[:, k]) if f)
         report.scanned_cells += len(cells)
         report.matched_cells += matched
         report.multi_reading_cells += multi_reading

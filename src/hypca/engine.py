@@ -113,8 +113,7 @@ def run_hca(automaton: emb.HcaAutomaton, region: Region,
     coded = np.arange(len(run.cells))
     for _ in range(steps):
         # cells not coded again keep rows that were not split
-        rows = run.rows[coded]
-        split = coded[(rows >= 0) & (table.lo[rows] != table.hi[rows])]
+        split = coded[table.split[run.rows[coded]]]
         if len(split):
             c = int(run.cells[split[0]])
             readings, outs = automaton.readings(
@@ -122,7 +121,7 @@ def run_hca(automaton: emb.HcaAutomaton, region: Region,
             raise AmbiguousMatch(
                 f"cell {c} at time {cfg.time}: readings {readings} "
                 f"disagree, states {outs}")
-        coded, _ = run.step()
+        coded = run.step()
         cfg = Configuration(run.states.copy(), cfg.time + 1)
         out.append(cfg)
     return out

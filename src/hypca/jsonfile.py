@@ -31,11 +31,11 @@ def read_key(doc: dict, what: str, key: str, convert=lambda value: value,
         raise ValueError(f"{what} key '{key}' has the wrong form") from None
 
 
-def exactly(kind: type):
-    """A converter that passes only values of type `kind` itself, so that
-    no JSON float or boolean is taken for an integer."""
+def exactly(*kinds: type):
+    """A converter that passes only values of the types `kinds` themselves,
+    so that no JSON float or boolean is taken for an integer."""
     def check(value):
-        if type(value) is not kind:
+        if type(value) not in kinds:
             raise TypeError
         return value
     return check

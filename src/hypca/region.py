@@ -819,28 +819,38 @@ def marker_cell_ids(region: Region) -> np.ndarray:
 
 def region_to_json(region: Region) -> str:
     """The region as a file: its three parameters and the format version.
-    The cells are not stored; `region_from_json` rebuilds them."""
+    The cells are not stored; `rebuild_region` rebuilds them."""
     return json.dumps({"format": REGION_FORMAT, "grid": region.grid,
                        "radius": region.radius,
                        "halfwidth": region.halfwidth})
 
 
-def region_from_json(text: str) -> Region:
-    """Rebuild the region a file names.  A file without a format version
-    is the older kind that stored every array; it is rebuilt from its
-    parameters too, and its stored adjacency must match the rebuild."""
+def read_region_file(text: str
+                     ) -> tuple[tuple[str, int, int], np.ndarray | None]:
+    """The (grid, radius, halfwidth) a region file names, building
+    nothing, and the adjacency that `rebuild_region` must match: None for
+    a current file, and for a file without a format version, the older
+    kind that stored every array, the one it stores."""
     doc = json_object(text, "region")
     version = doc.get("format")
     if version is not None and version != REGION_FORMAT:
         raise ValueError(f"region file format {version} is not supported; "
                          f"this version reads format {REGION_FORMAT}")
     read = partial(read_key, doc, "region")
-    region = build_region(read("grid", exactly(str)),
-                          read("radius", exactly(int)),
-                          read("halfwidth", exactly(int)))
-    if version is None and not np.array_equal(
-            np.asarray(doc.get("adjacency")), region.adjacency):
+    params = (read("grid", exactly(str)), read("radius", exactly(int)),
+              read("halfwidth", exactly(int)))
+    return params, None if version else np.asarray(doc.get("adjacency"))
+
+
+def rebuild_region(params: tuple[str, int, int],
+                   stored: np.ndarray | None = None) -> Region:
+    region = build_region(*params)
+    if stored is not None and not np.array_equal(stored, region.adjacency):
         raise ValueError("region file's stored adjacency is missing or "
                          "differs from the region rebuilt from its grid, "
                          "radius and halfwidth")
     return region
+
+
+def region_from_json(text: str) -> Region:
+    return rebuild_region(*read_region_file(text))

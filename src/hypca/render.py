@@ -120,14 +120,17 @@ def spec_from_json(text: str) -> RenderSpec:
             raise ValueError(f"must be at least 1, not {value}")
         return value
 
+    string = exactly(str)
     return RenderSpec(
-        grid=read("grid", exactly(str)),
-        colors=read("colors", lambda c: {int(k): v for k, v in c.items()}),
+        grid=read("grid", string),
+        colors=read("colors",
+                    lambda c: {int(k): string(v) for k, v in c.items()}),
         size=read("size", positive, 720),
         samples_per_edge=read("samples_per_edge", positive, 8),
-        stroke=read("stroke", default="#3c3c3c"),
-        stroke_width=read("stroke_width", float, 0.0025),
-        background=read("background", default="#ffffff"),
+        stroke=read("stroke", string, "#3c3c3c"),
+        stroke_width=read("stroke_width",
+                          lambda v: float(exactly(int, float)(v)), 0.0025),
+        background=read("background", string, "#ffffff"),
         depth=read("depth", optional, None),
         quiet=read("quiet", optional, None),
     )

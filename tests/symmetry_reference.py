@@ -277,7 +277,8 @@ def frozen_rim_run(automaton: embed.HcaAutomaton, region,
     for _ in range(steps):
         s = out[-1].copy()
         at = table.lookup(encode(table, s, region.adjacency, cells))
-        moved = np.flatnonzero(table.moving(s[cells], at))
+        lo, hi = table.lo[at], table.hi[at]
+        moved = np.flatnonzero((at >= 0) & (lo == hi) & (lo != s[cells]))
         s[cells[moved]] = table.lo[at[moved]]
         out.append(s)
     return out

@@ -337,7 +337,13 @@ def test_failure_exit_codes(tmp_path, capsys):
                        "'samples_per_edge'"),
                       (dict(good_spec, samples_per_edge=2.7),
                        "'samples_per_edge'"),
-                      (dict(good_spec, depth="2"), "'depth'")):
+                      (dict(good_spec, depth="2"), "'depth'"),
+                      (dict(good_spec, stroke_width=True), "'stroke_width'"),
+                      (dict(good_spec, stroke_width="0.5"), "'stroke_width'"),
+                      (dict(good_spec, stroke=None), "'stroke'"),
+                      (dict(good_spec, background=5), "'background'"),
+                      (dict(good_spec, colors={"0": "#fff", "1": 0}),
+                       "'colors'")):
         spec.write_text(json.dumps(doc))
         assert run_cli("render", "--grid", "pentagrid", "--render-spec",
                        str(spec)) == 2
@@ -367,11 +373,15 @@ def test_render_past_the_placement_bound_exits_2(capsys):
 
 def test_placement_bound_is_checked_before_the_build(tmp_path, capsys,
                                                      monkeypatch):
-    """`render --grid` and `simulate --svg-dir` past the placement bound
-    exit 2 before they build a cell, and `simulate` writes nothing."""
-    auto = tmp_path / "auto.json"
+    """`render --grid`, `render --region` and `simulate --svg-dir` past
+    the placement bound exit 2 before they build a cell, and `simulate`
+    writes nothing."""
+    auto, big = tmp_path / "auto.json", tmp_path / "big.json"
     run_cli("transform", "--rule", "elementary:110", "--grid", "pentagrid",
             "-o", str(auto))
+    big.write_text(json.dumps({"format": reg.REGION_FORMAT,
+                               "grid": "pentagrid", "radius": 2,
+                               "halfwidth": 20000}))
 
     def no_build(*args):
         raise AssertionError("build_region called past the bound")
@@ -380,6 +390,7 @@ def test_placement_bound_is_checked_before_the_build(tmp_path, capsys,
     trace, svgs = tmp_path / "trace.txt", tmp_path / "svg"
     for argv in (("render", "--grid", "pentagrid", "--radius", "2",
                   "--halfwidth", "200000"),
+                 ("render", "--region", str(big)),
                  ("simulate", "--automaton", str(auto), "--halfwidth", "30",
                   "--svg-dir", str(svgs), "-o", str(trace))):
         assert run_cli(*argv) == 2

@@ -258,6 +258,38 @@ def test_oracle_check_reaches_the_radius(region_of, rule110, all_six, method,
         engine.equivalence_check(rule110, b, r, word, r.radius + 1)
 
 
+@pytest.mark.parametrize("number", [110, 30, 54])
+def test_reflected_row_runs_the_mirrored_rule(region_of, number):
+    """On dodecagrid extra the reflected row starts as a copy of the tape
+    and then steps by the mirrored rule A'(l, s, r) = A(r, s, l), rule 124
+    for rule 110, on every position one step inside the tape's window.
+    So it is no copy of the tape: by the end of each run they differ,
+    except under rule 54, which is its own mirror."""
+    rule = ca1d.elementary(number)
+    mirrored = ca1d.Rule1D(2, rule.table.transpose(2, 1, 0))
+    symmetric = np.array_equal(mirrored.table, rule.table)
+    assert symmetric == (number == 54)
+    b = embed.embed_extra_state(rule, "dodecagrid")
+    rng = np.random.default_rng(number)
+    for radius, halfwidth in ((4, 6), (3, 2), (2, 5)):
+        r = region_of("dodecagrid", radius, halfwidth)
+        gl = r.guideline
+        word = rng.integers(0, 2, size=2 * halfwidth + 1).tolist()
+        tape = ca1d.word_tape(word, padding=b.padding_state)
+        oracle = ca1d.run_1d(mirrored, tape, radius)
+        cfgs = engine.run_hca(b, r, engine.init_configuration(r, b, word),
+                              radius)
+        for t, cfg in enumerate(cfgs):
+            w = r.tape_window(t) - 1
+            k = np.flatnonzero(np.abs(gl.positions) <= w)
+            assert (gl.mirror_ids[k] >= 0).all()
+            row = cfg.states[gl.mirror_ids[k]]
+            assert np.array_equal(row, oracle[t].window(-w, w + 1)), \
+                (number, radius, halfwidth, t)
+        assert np.array_equal(row, cfg.states[gl.cell_ids[k]]) == \
+            symmetric, (number, radius, halfwidth)
+
+
 def test_run_matches_repeated_steps(region_of, rule110):
     r = region_of("heptagrid", 3, 2)
     b = embed.embed_compact(rule110, "heptagrid")

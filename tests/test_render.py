@@ -1,4 +1,5 @@
 import dataclasses
+import json
 from pathlib import Path
 
 import numpy as np
@@ -116,6 +117,14 @@ def test_spec_round_trip():
                              size=300, depth=2, quiet=0)
     back = render.spec_from_json(render.spec_to_json(spec))
     assert back == spec
+
+
+def test_spec_takes_a_whole_stroke_width():
+    """A JSON int is a stroke width, read as a float; a boolean is not
+    (the CLI's failure test)."""
+    spec = render.spec_from_json(json.dumps(
+        {"grid": "pentagrid", "colors": {"0": "#fff"}, "stroke_width": 1}))
+    assert type(spec.stroke_width) is float and spec.stroke_width == 1.0
 
 
 def _point(dist, angle):

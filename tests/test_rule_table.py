@@ -312,6 +312,35 @@ def test_compile_matches_reference_on_random_rules():
             [ref.unpack(g) for g in ref.orbit_conflicts(expected)], b.name
 
 
+def test_row_verdicts_match_the_per_cell_formulas(rule110):
+    """`RuleTable.moves`, `split` and `multi` are the per-cell formulas
+    they replace, with a row's own state decoded from its code, on the
+    tables of all six (grid, method) pairs for seeded 2- and 3-state
+    sources, and on the rule-110 patterns whose contexts read several
+    ways.  Each is read-only and ends with the False entry that row -1,
+    no reading, reads."""
+    rng = np.random.default_rng(26)
+    autos = _multi_reading_automata(rule110)
+    for grid in embed.GRID_SIDES:
+        for n in (2, 3):
+            rule = ca1d.random_rule(n, rng, fixable=True)
+            autos += [embed.embed_extra_state(rule, grid),
+                      embed.embed_compact(rule, grid)]
+    seen = dict.fromkeys(("moves", "split", "multi"), False)
+    for b in autos:
+        table = b.rule_table
+        own, _ = table.decode(table.codes)
+        lo, hi = table.lo, table.hi
+        want = {"moves": (lo == hi) & (lo != own),
+                "split": lo != hi, "multi": table.readings > 1}
+        for name, flags in want.items():
+            got = getattr(table, name)
+            assert np.array_equal(got[:-1], flags), (b.name, name)
+            assert got[-1] == False and not got.flags.writeable, b.name
+            seen[name] |= flags.any()
+    assert all(seen.values()), seen
+
+
 def test_compile_errors_match_reference():
     """The code limit, a pinned state out of range and a non-fixable
     pentagrid source give the reference's exception and message."""
