@@ -23,9 +23,18 @@ _METHODS = {
 
 
 def _parse_word(text: str) -> list[int]:
-    if "," in text:
-        return [int(t) for t in text.split(",") if t != ""]
-    return [int(ch) for ch in text]
+    try:
+        if "," in text:
+            return [int(t) for t in text.split(",") if t != ""]
+        return [int(ch) for ch in text]
+    except ValueError:
+        raise ValueError(f"--word {text!r}: give digits, or integers "
+                         "separated by commas") from None
+
+
+def _require_count(option: str, value: int) -> None:
+    if value < 0:
+        raise ValueError(f"{option} must be at least 0, not {value}")
 
 
 def _write(path: str | None, text: str) -> None:
@@ -51,6 +60,7 @@ def cmd_transform(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    _require_count("--steps", args.steps)
     b = _load_automaton(args.automaton)
     word = _parse_word(args.word)
     radius = args.radius if args.radius is not None else max(args.steps, 1)
@@ -91,6 +101,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _require_count("--horizon", args.horizon)
     b = _load_automaton(args.automaton)
     word = _parse_word(args.word)
     region = reg.build_region(b.grid, args.radius, args.halfwidth)

@@ -575,47 +575,36 @@ def _letter_name(offset: int) -> str:
     return fixed_names.get(offset, f"Y{offset:+d}")
 
 
-def symbolic_rows(automaton: HcaAutomaton, region: Region,
-                  max_dist: int = 2) -> list[str]:
+def symbolic_rows(automaton: HcaAutomaton, region: Region) -> list[str]:
     """Canonical context rows around the centre with letters named by tape
     position, for table regression.
 
-    Each cell within `max_dist` steps of the central cell contributes
+    Each complete cell within two steps of the central cell contributes
     'self | n1 .. nk' with the neighbour list rotated to its least form,
-    so the rows do not depend on generated side numbering.
+    so the rows do not depend on generated side numbering.  A tape cell
+    is named by its position; any other cell by its initial state: W the
+    padding, b the added state, B any other.
     """
     from . import engine
 
-    cfg = engine.init_configuration(
-        region, automaton, [automaton.padding_state])
-    states = cfg.states
+    states = engine.init_configuration(
+        region, automaton, [automaton.padding_state]).states
     gl = region.guideline
-    pos_of = {int(c): int(p) for c, p in zip(gl.cell_ids, gl.positions)}
+    names = np.where(states == automaton.padding_state, "W",
+                     np.where(states == automaton.blue, "b", "B")
+                     ).astype(object)
+    names[gl.cell_ids] = [_letter_name(p) for p in gl.positions.tolist()]
 
-    def name_of(cell: int) -> str:
-        if cell in pos_of:
-            return _letter_name(pos_of[cell])
-        s = int(states[cell])
-        if automaton.blue is not None and s == automaton.blue:
-            return "b"
-        return "W" if s == automaton.padding_state else "B"
-
-    # breadth-first ball around the centre
-    ball = {0}
-    frontier = [0]
-    for _ in range(max_dist):
-        nxt = []
-        for c in frontier:
-            for d in region.adjacency[c]:
-                if d >= 0 and int(d) not in ball:
-                    ball.add(int(d))
-                    nxt.append(int(d))
-        frontier = nxt
-    rows = set()
-    for c in sorted(ball & set(region.complete_cells.tolist())):
-        nb = [name_of(int(d)) for d in region.adjacency[c]]
-        rows.add(f"{name_of(c)} | " + " ".join(sym.canonical(nb)))
-    return sorted(rows)
+    # the ball grows by a step wherever a neighbour is in it; the last
+    # entry, which a missing neighbour (-1) reads, stays False
+    ball = np.zeros(region.n_cells + 1, dtype=bool)
+    ball[0] = True
+    for _ in range(2):
+        ball[:-1] |= ball[region.adjacency].any(axis=1)
+    cells = region.complete_cells[ball[region.complete_cells]]
+    return sorted({f"{s} | " + " ".join(sym.canonical(nb))
+                   for s, nb in zip(names[cells],
+                                    names[region.adjacency[cells]].tolist())})
 
 
 _KINDS = ("ambiguous", "line-unmatched", "off-line-changed")

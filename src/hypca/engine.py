@@ -45,12 +45,12 @@ def init_configuration(region: Region, automaton: emb.HcaAutomaton,
                        word) -> Configuration:
     """Lay a word on the tape line and fill the rest of the region.
 
-    The word is centred; the line is padded with the designated quiescent
-    state out to the region's edge.  The extra-state fill is the added
-    state everywhere off the line, with the reflected row on the
-    dodecagrid carrying each tape cell's letter.  The compact fill is the
-    background state everywhere, with the marker cells set to the marker
-    state.
+    The tape is `ca1d.word_tape`'s, the word centred and padded with the
+    designated quiescent state, laid on the chain out to the region's
+    edge.  The extra-state fill is the added state everywhere off the
+    line, with the reflected row on the dodecagrid carrying each tape
+    cell's letter.  The compact fill is the background state everywhere,
+    with the marker cells set to the marker state.
     """
     if automaton.grid != region.grid:
         raise ValueError(f"automaton is for {automaton.grid}, "
@@ -62,9 +62,9 @@ def init_configuration(region: Region, automaton: emb.HcaAutomaton,
     if automaton.padding_state is None:
         raise ValueError("the source automaton has no quiescent state "
                          "to pad the tape with")
-    start = -(len(word) // 2)
-    if word and not (-region.halfwidth <= start
-                     and start + len(word) - 1 <= region.halfwidth):
+    word_tape = ca1d.word_tape(word, automaton.padding_state)
+    if not (-region.halfwidth <= word_tape.start
+            and word_tape.end - 1 <= region.halfwidth):
         raise ValueError(f"word of length {len(word)} does not fit the "
                          f"initial segment (halfwidth {region.halfwidth})")
 
@@ -72,12 +72,10 @@ def init_configuration(region: Region, automaton: emb.HcaAutomaton,
         else automaton.padding_state
     states = np.full(region.n_cells, fill, dtype=np.int16)
 
-    # chain index k holds word letter i[k], where index len(word) is the
-    # padding state
+    # the chain runs over positions -extent..extent in order
     gl = region.guideline
-    i = gl.positions - start
-    i[(i < 0) | (i >= len(word))] = len(word)
-    tape = np.array([*word, automaton.padding_state])[i]
+    extent = region.halfwidth + region.radius
+    tape = word_tape.window(-extent, extent + 1)
     states[gl.cell_ids] = tape
     if automaton.kind == "extra" and region.grid == "dodecagrid":
         mirror = gl.mirror_ids >= 0
@@ -130,11 +128,9 @@ def run_hca(automaton: emb.HcaAutomaton, region: Region,
 def _tape_letters(automaton: emb.HcaAutomaton, region: Region,
                   states: np.ndarray, w: int) -> np.ndarray:
     """Source letters on tape positions -w..w, -1 where a cell holds a
-    state that is no letter."""
+    state that is no letter.  `w` is a `Region.tape_window`, which lies
+    within the chain."""
     gl = region.guideline
-    if w < 0:
-        return np.zeros(0, dtype=np.int64)
-    gl.id_at(-w), gl.id_at(w)      # raise past the ends of the chain
     first = -w - int(gl.positions[0])
     tape = states[gl.cell_ids[first:first + 2 * w + 1]]
     return np.where(tape < automaton.action.n, tape, -1)

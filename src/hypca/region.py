@@ -239,7 +239,11 @@ class Region:
         was, so the certified cells lose one unit of distance from the
         initial segment per step: a region of radius r certifies r
         steps, and at time t the tape positions |p| <= halfwidth + r - t.
-        Past time r nothing is certified, and asking raises."""
+        Past time r nothing is certified, and asking raises; so does a
+        time before the run's start at 0."""
+        if time < 0:
+            raise ValueError(f"time {time} is before the start of a run "
+                             "at time 0")
         if time > self.radius:
             raise ValidityExhausted(
                 f"time {time} is past the {self.radius} steps a radius "

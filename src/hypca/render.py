@@ -23,7 +23,7 @@ diff cleanly.
 """
 from __future__ import annotations
 
-import json
+import dataclasses
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
@@ -92,21 +92,6 @@ def blank_states(region: Region) -> np.ndarray:
     states = np.zeros(region.n_cells, dtype=np.int16)
     states[region.guideline.cell_ids] = 1
     return states
-
-
-def spec_to_json(spec: RenderSpec) -> str:
-    doc = {
-        "grid": spec.grid,
-        "colors": {str(k): v for k, v in spec.colors.items()},
-        "size": spec.size,
-        "samples_per_edge": spec.samples_per_edge,
-        "stroke": spec.stroke,
-        "stroke_width": spec.stroke_width,
-        "background": spec.background,
-        "depth": spec.depth,
-        "quiet": spec.quiet,
-    }
-    return json.dumps(doc, indent=2)
 
 
 def spec_from_json(text: str) -> RenderSpec:
@@ -214,13 +199,8 @@ def render_svg(region: Region, spec: RenderSpec,
                          f"region is {region.grid}")
     if states is None:
         states = blank_states(region)
-        spec = RenderSpec(grid=spec.grid, colors=dict(spec.colors)
-                          or dict(blank_render_spec(spec.grid).colors),
-                          size=spec.size,
-                          samples_per_edge=spec.samples_per_edge,
-                          stroke=spec.stroke, stroke_width=spec.stroke_width,
-                          background=spec.background, depth=spec.depth,
-                          quiet=0)
+        spec = dataclasses.replace(spec, quiet=0, colors=dict(
+            spec.colors or blank_render_spec(spec.grid).colors))
     if region.grid == "dodecagrid":
         return _render_trace_plane(region, spec, states)
     return _render_polygons(region, spec, states)

@@ -56,10 +56,6 @@ FACE_RINGS: tuple[tuple[int, int, int, int, int], ...] = (
     (6, 7, 8, 9, 10),
 )
 
-OPPOSITE_FACE: dict[int, int] = {
-    0: 11, 11: 0, 1: 9, 9: 1, 2: 10, 10: 2, 3: 6, 6: 3, 4: 7, 7: 4, 5: 8, 8: 5,
-}
-
 Motion = tuple[int, ...]
 
 

@@ -22,6 +22,9 @@ through ambiguous contexts, as the verify scan does.  `encode` codes
 contexts one digit at a time; `RuleTable.encode` must give the same
 codes.  `compose`, `inverse` and `is_adjacency_automorphism` check the
 rotation group of the dodecahedron.
+`symbolic_rows` walks a breadth-first ball and names its cells one at a
+time, as the package did before `embed.symbolic_rows` worked on the
+region's arrays; both must give the same rows.
 """
 from __future__ import annotations
 
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hypca import ca1d, embed
+from hypca import ca1d, embed, engine
 from hypca import symmetry as sym
 from hypca.symmetry import FACE_RINGS, Motion, all_motions
 
@@ -351,3 +354,44 @@ def expanded_rules_reference(automaton: embed.HcaAutomaton
     single = table.readings == 1
     selfs, nbs = table.decode(table.codes[single])
     return sym.RuleArrays(selfs, nbs, table.lo[single])
+
+
+def symbolic_rows(automaton: embed.HcaAutomaton, region,
+                  max_dist: int = 2) -> list[str]:
+    """Canonical context rows around the centre with letters named by tape
+    position, for table regression.
+
+    Each cell within `max_dist` steps of the central cell contributes
+    'self | n1 .. nk' with the neighbour list rotated to its least form,
+    so the rows do not depend on generated side numbering.
+    """
+    cfg = engine.init_configuration(
+        region, automaton, [automaton.padding_state])
+    states = cfg.states
+    gl = region.guideline
+    pos_of = {int(c): int(p) for c, p in zip(gl.cell_ids, gl.positions)}
+
+    def name_of(cell: int) -> str:
+        if cell in pos_of:
+            return embed._letter_name(pos_of[cell])
+        s = int(states[cell])
+        if automaton.blue is not None and s == automaton.blue:
+            return "b"
+        return "W" if s == automaton.padding_state else "B"
+
+    # breadth-first ball around the centre
+    ball = {0}
+    frontier = [0]
+    for _ in range(max_dist):
+        nxt = []
+        for c in frontier:
+            for d in region.adjacency[c]:
+                if d >= 0 and int(d) not in ball:
+                    ball.add(int(d))
+                    nxt.append(int(d))
+        frontier = nxt
+    rows = set()
+    for c in sorted(ball & set(region.complete_cells.tolist())):
+        nb = [name_of(int(d)) for d in region.adjacency[c]]
+        rows.add(f"{name_of(c)} | " + " ".join(sym.canonical(nb)))
+    return sorted(rows)

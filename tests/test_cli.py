@@ -237,10 +237,22 @@ def test_failure_exit_codes(tmp_path, capsys):
     # more steps than the region can certify
     assert run_cli("simulate", "--automaton", str(auto), "--word", "1",
                    "--steps", "5", "--radius", "3") == 2
-    # word that does not parse
-    assert run_cli("simulate", "--automaton", str(auto), "--word", "x",
-                   "--steps", "1") == 2
-    assert "error:" in capsys.readouterr().err
+    assert "exceed the remaining validity 3" in capsys.readouterr().err
+    # words that do not parse name the option
+    for word in ("x", "-1"):
+        assert run_cli("simulate", "--automaton", str(auto), "--word", word,
+                       "--steps", "1") == 2
+        assert capsys.readouterr().err == (
+            f"error: --word {word!r}: give digits, or integers separated "
+            "by commas\n")
+    # negative counts are refused before anything is built or printed
+    for argv, says in ((("simulate", "--steps", "-2", "--check-oracle"),
+                        "--steps must be at least 0, not -2"),
+                       (("verify", "--horizon", "-2"),
+                        "--horizon must be at least 0, not -2")):
+        assert run_cli(argv[0], "--automaton", str(auto), *argv[1:]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: {says}\n")
     # malformed automaton files: a missing key, an unknown grid
     doc = json.loads(auto.read_text())
     for key, value, says in (("letters", None, "'letters'"),

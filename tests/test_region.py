@@ -487,7 +487,8 @@ def test_tape_window_rests_on_chain_distances(region_of, grid, radius, hw):
     distance max(|p| - hw, 0) from the initial segment, and the complete
     chain cells, the tape cells a step updates, are exactly those with
     |p| <= hw + radius - 1, the window at time 1.  The window shrinks by
-    one a step and is refused past time radius."""
+    one a step and is refused past time radius, and before time 0, where
+    it would reach past the chain's ends."""
     r = region_of(grid, radius, hw)
     gl = r.guideline
     p = np.abs(gl.positions)
@@ -500,6 +501,10 @@ def test_tape_window_rests_on_chain_distances(region_of, grid, radius, hw):
                        match=f"^time {radius + 1} is past the {radius} "
                              f"steps a radius {radius} region certifies$"):
         r.tape_window(radius + 1)
+    with pytest.raises(ValueError,
+                       match=r"^time -1 is before the start of a run at "
+                             r"time 0$"):
+        r.tape_window(-1)
 
 
 # Exact cell keys.  The float builder in region_reference.py is the

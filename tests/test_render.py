@@ -115,7 +115,7 @@ def test_trace_frame_is_the_guideline_frame(region_of):
 def test_spec_round_trip():
     spec = render.RenderSpec(grid="dodecagrid", colors={0: "#112233"},
                              size=300, depth=2, quiet=0)
-    back = render.spec_from_json(render.spec_to_json(spec))
+    back = render.spec_from_json(json.dumps(dataclasses.asdict(spec)))
     assert back == spec
 
 

@@ -30,13 +30,6 @@ def test_face_rings_row_for_row():
     assert sym.FACE_RINGS == EXPECTED_RINGS
 
 
-def test_opposite_faces_pair_up():
-    for a, b in sym.OPPOSITE_FACE.items():
-        assert sym.OPPOSITE_FACE[b] == a
-        assert b not in sym.FACE_RINGS[a]
-    assert sorted(sym.OPPOSITE_FACE) == list(range(12))
-
-
 def test_sixty_distinct_motions_identity_first():
     motions = sym.all_motions()
     assert len(motions) == 60
