@@ -119,13 +119,13 @@ def cmd_verify(args) -> int:
 
 def cmd_render(args) -> int:
     if args.region:
-        params, stored = reg.read_region_file(Path(args.region).read_text())
+        params = reg.read_region_file(Path(args.region).read_text())
     elif args.grid is None:
         raise ValueError("render needs --region or --grid")
     else:
-        params, stored = (args.grid, args.radius, args.halfwidth), None
+        params = (args.grid, args.radius, args.halfwidth)
     reg.require_placeable(*params)
-    region = reg.rebuild_region(params, stored)
+    region = reg.build_region(*params)
     if args.render_spec:
         spec = render.spec_from_json(Path(args.render_spec).read_text())
     elif args.automaton:

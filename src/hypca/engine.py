@@ -178,16 +178,25 @@ def config_to_json(region: Region, cfg: Configuration) -> str:
 
 
 def config_from_json(text: str, region: Region) -> Configuration:
+    """The configuration a snapshot holds, which must fit `region`: its
+    grid and cell count, a time the region certifies, and the remaining
+    validity `config_to_json` writes for that time."""
     read = partial(read_key, json_object(text, "snapshot"), "snapshot")
     grid = read("grid", exactly(str))
     states = read("states", lambda v: np.array(list(map(exactly(int), v)),
                                                dtype=np.int16))
     time = read("time", exactly(int))
-    read("valid_radius", exactly(int))
+    valid_radius = read("valid_radius", exactly(int))
     if grid != region.grid:
         raise ValueError(f"snapshot is for {grid}, region is {region.grid}")
     if states.shape != (region.n_cells,):
         raise ValueError("snapshot does not fit the region")
+    # tape_window refuses a time the region does not certify
+    left = read("time", region.tape_window) - region.halfwidth
+    if valid_radius != left:
+        raise ValueError(f"snapshot key 'valid_radius': {valid_radius} is "
+                         f"not the remaining validity {left} of the region "
+                         f"at time {time}")
     return Configuration(states, time)
 
 

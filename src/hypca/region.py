@@ -90,9 +90,8 @@ A region is a pure function of (grid, radius, halfwidth), so a region file
 holds those three values and a format version, and loading one rebuilds
 the region.  Rebuilding costs less than storing the arrays: the dodecagrid
 r4 hw1 ball (18,691 cells) builds in 26 to 40 ms (medians of 10 builds on
-a shared 2-core x86 host), while its arrays take 7.5 MB of JSON.  Files
-without the version key, which store every array, load through the same
-rebuild.
+a shared 2-core x86 host), while its arrays take 7.5 MB of JSON.  A file
+without the version key, or with another version, is refused.
 
 Guideline definitions:
 
@@ -823,38 +822,23 @@ def marker_cell_ids(region: Region) -> np.ndarray:
 
 def region_to_json(region: Region) -> str:
     """The region as a file: its three parameters and the format version.
-    The cells are not stored; `rebuild_region` rebuilds them."""
+    The cells are not stored; `region_from_json` rebuilds them."""
     return json.dumps({"format": REGION_FORMAT, "grid": region.grid,
                        "radius": region.radius,
                        "halfwidth": region.halfwidth})
 
 
-def read_region_file(text: str
-                     ) -> tuple[tuple[str, int, int], np.ndarray | None]:
+def read_region_file(text: str) -> tuple[str, int, int]:
     """The (grid, radius, halfwidth) a region file names, building
-    nothing, and the adjacency that `rebuild_region` must match: None for
-    a current file, and for a file without a format version, the older
-    kind that stored every array, the one it stores."""
-    doc = json_object(text, "region")
-    version = doc.get("format")
-    if version is not None and version != REGION_FORMAT:
+    nothing."""
+    read = partial(read_key, json_object(text, "region"), "region")
+    version = read("format")
+    if version != REGION_FORMAT:
         raise ValueError(f"region file format {version} is not supported; "
                          f"this version reads format {REGION_FORMAT}")
-    read = partial(read_key, doc, "region")
-    params = (read("grid", exactly(str)), read("radius", exactly(int)),
-              read("halfwidth", exactly(int)))
-    return params, None if version else np.asarray(doc.get("adjacency"))
-
-
-def rebuild_region(params: tuple[str, int, int],
-                   stored: np.ndarray | None = None) -> Region:
-    region = build_region(*params)
-    if stored is not None and not np.array_equal(stored, region.adjacency):
-        raise ValueError("region file's stored adjacency is missing or "
-                         "differs from the region rebuilt from its grid, "
-                         "radius and halfwidth")
-    return region
+    return (read("grid", exactly(str)), read("radius", exactly(int)),
+            read("halfwidth", exactly(int)))
 
 
 def region_from_json(text: str) -> Region:
-    return rebuild_region(*read_region_file(text))
+    return build_region(*read_region_file(text))

@@ -1,12 +1,8 @@
-import json
-
 import numpy as np
 import pytest
 
 from hypca import ca1d, embed
 from hypca import region as reg
-
-import region_reference
 
 _REGION_CACHE: dict[tuple, reg.Region] = {}
 
@@ -46,37 +42,3 @@ def all_six(rule110):
 
 def assert_states_equal(a: np.ndarray, b: np.ndarray) -> None:
     assert a.shape == b.shape and (a == b).all()
-
-
-@pytest.fixture(scope="session")
-def legacy_region_json():
-    """A region file as written before files carried a format version:
-    every array of the region in full."""
-
-    def dump(region: reg.Region) -> str:
-        gl = region.guideline
-        # regions no longer carry the guide planes; the loader ignores them
-        normals, p0, w = region_reference.guide_frame(region.grid)
-        return json.dumps({
-            "grid": region.grid,
-            "radius": region.radius,
-            "halfwidth": region.halfwidth,
-            "matrices": region.matrices.tolist(),
-            "adjacency": region.adjacency.tolist(),
-            "dist": region.dist.tolist(),
-            "positions": region_reference.tape_positions(region).tolist(),
-            "guideline": {
-                "cell_ids": gl.cell_ids.tolist(),
-                "positions": gl.positions.tolist(),
-                "left_sides": gl.left_sides.tolist(),
-                "right_sides": gl.right_sides.tolist(),
-                "segment_halfwidth": region.halfwidth,
-                "normals": [n.tolist() for n in normals],
-                "frame_p0": p0.tolist(),
-                "frame_w": w.tolist(),
-                "mirror_ids": None if gl.mirror_ids is None
-                else gl.mirror_ids.tolist(),
-            },
-        })
-
-    return dump

@@ -245,11 +245,16 @@ def test_failure_exit_codes(tmp_path, capsys):
         assert capsys.readouterr().err == (
             f"error: --word {word!r}: give digits, or integers separated "
             "by commas\n")
-    # negative counts are refused before anything is built or printed
+    # negative counts, and a region of no radius or a negative halfwidth,
+    # are refused before anything is built or printed
     for argv, says in ((("simulate", "--steps", "-2", "--check-oracle"),
                         "--steps must be at least 0, not -2"),
                        (("verify", "--horizon", "-2"),
-                        "--horizon must be at least 0, not -2")):
+                        "--horizon must be at least 0, not -2"),
+                       (("verify", "--radius", "0"),
+                        "radius must be >= 1 and halfwidth >= 0"),
+                       (("verify", "--halfwidth", "-1"),
+                        "radius must be >= 1 and halfwidth >= 0")):
         assert run_cli(argv[0], "--automaton", str(auto), *argv[1:]) == 2
         out, err = capsys.readouterr()
         assert (out, err) == ("", f"error: {says}\n")
@@ -311,16 +316,19 @@ def test_failure_exit_codes(tmp_path, capsys):
     assert run_cli("simulate", "--automaton", str(auto), "--word", "1",
                    "--steps", "1") == 2
     assert "one JSON object" in capsys.readouterr().err
-    # malformed snapshot files: not an object, no keys, no states, and
-    # each key present with the wrong type
+    # malformed snapshot files: not an object, no keys, no states, each
+    # key present with the wrong type, and a snapshot that does not fit
+    # the radius 4 region `render --grid` builds: a time it does not
+    # certify, or a valid_radius other than its remaining validity
     snap = tmp_path / "snap.json"
-    good = {"grid": "pentagrid", "time": 0, "valid_radius": 2,
+    good = {"grid": "pentagrid", "time": 0, "valid_radius": 4,
             "states": [0] * reg.build_region("pentagrid", 4, 2).n_cells}
     wrong = (("time", None), ("time", "3"), ("valid_radius", None),
              ("valid_radius", 1.5), ("grid", 5), ("states", None),
              ("states", {"0": 1}), ("states", [None] * len(good["states"])),
              ("states", [1.5] * len(good["states"])),
-             ("states", [True] * len(good["states"])))
+             ("states", [True] * len(good["states"])),
+             ("valid_radius", 99), ("time", 40), ("time", -5))
     for text, says in (
             ("[]", "one JSON object"), ("{}", "'grid'"),
             (json.dumps({"grid": "pentagrid", "time": 0,
@@ -538,20 +546,25 @@ def test_saved_region_renders_as_in_process(tmp_path, capsys, region_of,
     capsys.readouterr()
 
 
-def test_legacy_region_file_renders_identically(tmp_path, capsys, region_of,
-                                                legacy_region_json):
-    auto, regf, snap = _simulate_and_save(tmp_path, "pentagrid", "t1")
-    legacy = tmp_path / "legacy.json"
-    legacy.write_text(legacy_region_json(region_of("pentagrid", 3, 1)))
-    outs = []
-    for path in (regf, legacy):
-        svg = tmp_path / f"{path.stem}.svg"
-        assert run_cli("render", "--region", str(path), "--snapshot",
-                       str(snap), "--automaton", str(auto),
-                       "-o", str(svg)) == 0
-        outs.append(svg.read_bytes())
-    assert outs[0] == outs[1]
-    capsys.readouterr()
+def test_region_file_without_format_is_refused(tmp_path, capsys,
+                                               monkeypatch):
+    """A region file without the version key, such as the files that
+    stored every array before it existed, is refused before any build:
+    `render --region` exits 2 and `region_from_json` raises, both naming
+    the key."""
+    regf = tmp_path / "region.json"
+    regf.write_text(json.dumps({"grid": "pentagrid", "radius": 2,
+                                "halfwidth": 1}))
+
+    def no_build(*args):
+        raise AssertionError("build_region called for an unversioned file")
+
+    monkeypatch.setattr(reg, "build_region", no_build)
+    says = "region file lacks the 'format' key"
+    assert run_cli("render", "--region", str(regf)) == 2
+    assert capsys.readouterr() == ("", f"error: {says}\n")
+    with pytest.raises(ValueError, match=says):
+        reg.region_from_json(regf.read_text())
 
 
 def test_unknown_region_format_exits_2(tmp_path, capsys):

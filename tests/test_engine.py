@@ -232,6 +232,29 @@ def test_validity_budget(region_of, rule110):
     assert engine.ValidityExhausted is reg.ValidityExhausted
 
 
+def test_zero_steps_return_the_initial_configuration(region_of, rule110,
+                                                     monkeypatch, tmp_path,
+                                                     capsys):
+    """`run_hca` with no steps returns the configuration it was given and
+    codes no cell; `simulate --steps 0` prints the time-0 row alone."""
+    from hypca import cli
+    r = region_of("pentagrid", 1, 1)
+    b = embed.embed_extra_state(rule110, "pentagrid")
+    cfg = engine.init_configuration(r, b, [1])
+
+    def no_run(*args):
+        raise AssertionError("a run with no steps coded cells")
+
+    monkeypatch.setattr(embed, "TableRun", no_run)
+    out = engine.run_hca(b, r, cfg, 0)
+    assert len(out) == 1 and out[0] is cfg
+    auto = tmp_path / "auto.json"
+    auto.write_text(embed.automaton_to_json(b))
+    assert cli.main(["simulate", "--automaton", str(auto), "--steps",
+                     "0"]) == 0
+    assert capsys.readouterr() == ("0\t-2\t0 0 1 0 0\n", "")
+
+
 @pytest.mark.parametrize("method,grid", [
     (m, g) for m in ("extra", "compact")
     for g in ("pentagrid", "heptagrid", "dodecagrid")])

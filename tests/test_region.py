@@ -258,6 +258,26 @@ def test_key_dtype_follows_the_chain_walk(monkeypatch, grid, radius, hw,
     assert wrapped != n
 
 
+def test_key_dtype_is_int64_past_the_int32_chain(monkeypatch):
+    """A chain entry past the int32 limit asks for int64 before any row
+    sum is formed.  The heptagrid r2 hw20 chain reaches 7,013,092,189; its
+    row sums still fit int64, and its 469 cells come out the same in int32
+    keys, so the test also hands `_key_dtype` a chain whose int64 row sums
+    wrap to 0."""
+    real, chosen = reg._key_dtype, []
+
+    def recorded(chain, *args):
+        chosen.append((int(np.abs(chain).max()), real(chain, *args)))
+        return chosen[-1][1]
+
+    monkeypatch.setattr(reg, "_key_dtype", recorded)
+    assert reg.build_region("heptagrid", 2, 20).n_cells == 469
+    assert chosen == [(7_013_092_189, np.int64)]
+    wraps = np.zeros((1, 9, 9), dtype=np.int64)
+    wraps[:, :, :4] = 2 ** 62
+    assert real(wraps, wraps, reg._cell_keys("heptagrid"), 1) is np.int64
+
+
 @pytest.mark.parametrize("grid", ["pentagrid", "heptagrid", "dodecagrid"])
 def test_key_guard_covers_every_product(grid):
     """The int64 guards let a left factor's entries reach the key limit
@@ -308,19 +328,6 @@ def test_region_file_holds_parameters_only(region_of):
                    "radius": 2, "halfwidth": 1}
 
 
-def test_legacy_region_file_loads(region_of, legacy_region_json):
-    r = region_of("heptagrid", 2, 1)
-    r2 = reg.region_from_json(legacy_region_json(r))
-    assert (r2.adjacency == r.adjacency).all()
-    assert np.array_equal(r2.matrices, r.matrices)
-    assert (r2.guideline.cell_ids == r.guideline.cell_ids).all()
-    # a stored region that is not what its parameters build is refused
-    doc = json.loads(legacy_region_json(r))
-    doc["adjacency"][0][0] = -1
-    with pytest.raises(ValueError, match="adjacency"):
-        reg.region_from_json(json.dumps(doc))
-
-
 # the benchmark's scan regions, then three of its certify sizes per grid
 COMPLETE_CELL_SIZES = [
     ("pentagrid", 7, 2), ("heptagrid", 6, 3), ("dodecagrid", 3, 2),
@@ -353,17 +360,15 @@ def test_complete_cells_are_the_full_rows(region_of, grid, radius, hw):
     assert len(cut_region.complete_cells) == len(cells) - adj.shape[1]
 
 
-def test_loaded_regions_find_the_same_complete_cells(region_of,
-                                                     legacy_region_json):
-    """A region loaded from a file, current or legacy, finds its complete
-    cells like a built one: 8,502 cells, past one block of rows."""
+def test_loaded_regions_find_the_same_complete_cells(region_of):
+    """A region loaded from a file finds its complete cells like a built
+    one: 8,502 cells, past one block of rows."""
     r = region_of("pentagrid", 7, 2)
     assert r.n_cells > reg._CHUNK
-    for text in (reg.region_to_json(r), legacy_region_json(r)):
-        loaded = reg.region_from_json(text)
-        assert "complete_cells" not in vars(loaded)
-        assert np.array_equal(loaded.complete_cells, full_rows(loaded))
-        assert np.array_equal(loaded.complete_cells, r.complete_cells)
+    loaded = reg.region_from_json(reg.region_to_json(r))
+    assert "complete_cells" not in vars(loaded)
+    assert np.array_equal(loaded.complete_cells, full_rows(loaded))
+    assert np.array_equal(loaded.complete_cells, r.complete_cells)
 
 
 @pytest.mark.parametrize("grid", ["pentagrid", "heptagrid", "dodecagrid"])
@@ -505,6 +510,14 @@ def test_tape_window_rests_on_chain_distances(region_of, grid, radius, hw):
                        match=r"^time -1 is before the start of a run at "
                              r"time 0$"):
         r.tape_window(-1)
+    # the chain holds positions -(hw + radius)..hw + radius and no more
+    end = hw + radius
+    assert [gl.id_at(q) for q in (-end, end)] == \
+        [int(gl.cell_ids[0]), int(gl.cell_ids[-1])]
+    for q in (-end - 1, end + 1):
+        with pytest.raises(IndexError,
+                           match=f"^no guideline cell at position {q}$"):
+            gl.id_at(q)
 
 
 # Exact cell keys.  The float builder in region_reference.py is the

@@ -1,5 +1,6 @@
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -103,6 +104,20 @@ def test_invariance_checker_flags_disagreeing_orbit():
     bad = ref.check_rotation_invariance([(a, 1), (b, 0)])
     assert len(bad) == 1
     assert {out for _, out in bad[0]} == {0, 1}
+
+
+def test_conflicts_refuse_rules_of_another_grouping():
+    """`Orbits.conflicts` reads rules in the order of the contexts it
+    grouped, so a rule list of another length is refused."""
+    nbs = np.array([[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 0, 0, 0]])
+    grouping = sym.orbits(np.zeros(3, dtype=np.int64), nbs)
+    for n in (2, 4):
+        rules = sym.RuleArrays(np.zeros(n, dtype=np.int64),
+                               np.zeros((n, 5), dtype=np.int64),
+                               np.zeros(n, dtype=np.int64))
+        with pytest.raises(ValueError,
+                           match=f"^{n} rules for a grouping of 3 contexts$"):
+            grouping.conflicts(rules)
 
 
 def test_rotated_context_arity_guards():
