@@ -32,9 +32,11 @@ def _parse_word(text: str) -> list[int]:
                          "separated by commas") from None
 
 
-def _require_count(option: str, value: int) -> None:
-    if value < 0:
-        raise ValueError(f"{option} must be at least 0, not {value}")
+def _require_count(option: str, value: int | None, least: int = 0) -> None:
+    """Refuse an option's value below `least`; None, an unset option,
+    passes."""
+    if value is not None and value < least:
+        raise ValueError(f"{option} must be at least {least}, not {value}")
 
 
 def _write(path: str | None, text: str) -> None:
@@ -61,6 +63,8 @@ def cmd_transform(args) -> int:
 
 def cmd_simulate(args) -> int:
     _require_count("--steps", args.steps)
+    _require_count("--radius", args.radius, 1)
+    _require_count("--halfwidth", args.halfwidth)
     b = _load_automaton(args.automaton)
     word = _parse_word(args.word)
     radius = args.radius if args.radius is not None else max(args.steps, 1)
@@ -102,6 +106,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_verify(args) -> int:
     _require_count("--horizon", args.horizon)
+    _require_count("--radius", args.radius, 1)
+    _require_count("--halfwidth", args.halfwidth)
     b = _load_automaton(args.automaton)
     word = _parse_word(args.word)
     region = reg.build_region(b.grid, args.radius, args.halfwidth)
@@ -123,6 +129,8 @@ def cmd_render(args) -> int:
     elif args.grid is None:
         raise ValueError("render needs --region or --grid")
     else:
+        _require_count("--radius", args.radius, 1)
+        _require_count("--halfwidth", args.halfwidth)
         params = (args.grid, args.radius, args.halfwidth)
     reg.require_placeable(*params)
     region = reg.build_region(*params)

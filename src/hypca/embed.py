@@ -31,9 +31,11 @@ int64 product with the digit weights.
 unique-applicability scan alike, and `expanded_rules` lists its
 single-reading contexts as explicit rules, held as the table's arrays,
 so the invariance checker can say independently that matching is
-rotation invariant.  Its orbit grouping reads the contexts alone, so the
-construction keeps that too, found on first use, and each automaton's
-check compares its next states within the groups.  Error messages
+rotation invariant.  Its orbit grouping reads the contexts alone: the
+enumeration lays each letter assignment out under every rotation, so
+it finds each context's orbit key too, and the construction keeps the
+grouping, found on first use; each automaton's check compares its next
+states within the groups.  Error messages
 spell out a context's readings with `HcaAutomaton.readings`, read off
 the same table: the table is the one matcher.
 
@@ -364,10 +366,11 @@ class TableRun:
 
 
 # constructions whose context tables are kept: the six (grid, method)
-# pairs at two and three source states fit.  A kept table, with the
-# decoded contexts and orbit groups an invariance check adds, takes at
-# most 8 (p + 8) bytes per (alignment, assignment) pair of its
-# enumeration, p the arity: 0.8 MB for a 3-state source on the dodecagrid.
+# pairs at two and three source states fit.  A kept table, with its
+# orbit keys and the decoded contexts and orbit groups an invariance
+# check adds, takes at most 8 (p + 8) bytes per (alignment, assignment)
+# pair of its enumeration, p the arity: 0.71 MB, 146 bytes a pair, for a
+# 3-state source on the dodecagrid.
 _CONTEXT_TABLES = 16
 
 
@@ -383,6 +386,10 @@ class ContextTable:
     `assignments[e] = (l * n + s) * n + r` into the action's (n, n, n)
     table, n the letter count; the entries of code k start at
     `starts[k]`, in the order of the first alignment that gives each.
+    `orbit_keys[k]` is the rank, among the construction's orbits, of
+    the least lexicographic code (own state, then side 0, most
+    significant first) over the rotations of code k's context: equal
+    keys mark one orbit, and keys order the orbits as those codes do.
     The arrays are read-only, since every automaton of the construction
     shares them.
     """
@@ -394,6 +401,7 @@ class ContextTable:
     starts: np.ndarray          # (M,) first entry of each code
     assignments: np.ndarray     # (E,) (left, self, right) letters
     single: np.ndarray          # (M,) bool, exactly one reading
+    orbit_keys: np.ndarray      # (M,) unsigned, rank of the orbit
 
     @cached_property
     def single_contexts(self) -> tuple[np.ndarray, np.ndarray]:
@@ -406,9 +414,9 @@ class ContextTable:
 
     @cached_property
     def orbits(self) -> sym.Orbits:
-        """The single-reading contexts grouped by rotation orbit, found
-        on first use by `sym.orbits` from the decoded contexts alone."""
-        return sym.orbits(*self.single_contexts)
+        """The single-reading contexts grouped by rotation orbit, in code
+        order, found on first use from their orbit keys."""
+        return sym.Orbits.of_keys(self.orbit_keys[self.single])
 
 
 @lru_cache(maxsize=_CONTEXT_TABLES)
@@ -439,34 +447,49 @@ def context_table(pattern: ContextPattern, n: int, base: int
     left = pick[1 + free.index(pattern.left_index)]
     right = pick[1 + free.index(pattern.right_index)]
 
-    # one row per alignment, one column per assignment
-    weight = base ** sym.rotation_indices(p).astype(np.int64)
-    codes = np.zeros((len(weight), pick.shape[1]), dtype=np.int64)
+    # one row per alignment, one column per assignment, in two planes:
+    # the codes, and the lexicographic codes, whose most significant
+    # digits are the own state, then side 0
+    rows = sym.rotation_indices(p).astype(np.int64)
+    weight = base ** np.stack((rows, p - 1 - rows))
+    codes = np.zeros((2, len(rows), pick.shape[1]), dtype=np.int64)
     codes += pick[0] * base ** p
     for i, slot in enumerate(pattern.slots):
         if slot.kind == "fixed":
-            codes += weight[:, i, None] * slot.state
+            codes += weight[..., i, None] * slot.state
     for j, i in enumerate(free):
-        codes += weight[:, i, None] * pick[1 + j]
-    codes = codes.ravel()
-    triple = np.tile((left * n + pick[0]) * n + right, len(weight))
+        codes += weight[..., i, None] * pick[1 + j]
+    # a column holds every rotation of its assignment's context, so its
+    # least lexicographic code keys the orbit of each entry in it; the
+    # rank of that code among the columns' is kept, in the narrowest
+    # unsigned type, which numpy's stable sort takes by radix
+    keys = np.unique(codes[1].min(axis=0), return_inverse=True)[1]
+    keys = keys.astype(np.min_scalar_type(keys.max()))
+    codes = codes[0].ravel()
+    triple = np.tile((left * n + pick[0]) * n + right, len(rows))
 
     # within one code the self letter is fixed, so triples tell apart
-    # the readings as (left, right) pairs do; the stable sort leaves each
-    # distinct entry's first (alignment, assignment) index in front, and
-    # a second sort lists a code's entries by it
-    order = np.lexsort((triple, codes))
+    # the readings as (left, right) pairs do; the stable sort lists each
+    # code's entries in (alignment, assignment) order, so the first place
+    # of each (code, triple) pair, in ascending order, keeps a code's
+    # distinct readings in the order of the first alignment that gives each
+    # (a pair's index, below n**3 per entry, cannot overflow int64 for an
+    # enumeration that fits in memory)
+    order = np.argsort(codes, kind="stable")
     codes, triple = codes[order], triple[order]
     new_code = np.r_[True, codes[1:] != codes[:-1]]
-    distinct = new_code | np.r_[True, triple[1:] != triple[:-1]]
+    pair = (np.cumsum(new_code) - 1) * n ** 3 + triple
+    distinct = np.sort(np.unique(pair, return_index=True)[1])
     codes, triple = codes[distinct], triple[distinct]
-    triple = triple[np.lexsort((order[distinct], codes))]
     starts = np.flatnonzero(new_code[distinct])
     readings = np.diff(np.r_[starts, len(codes)])
+    # entry g * A + a of the raveled rows lies in column a, A columns
     table = ContextTable(base=base, arity=p, codes=codes[starts],
                          readings=readings, starts=starts,
-                         assignments=triple, single=readings == 1)
-    for a in (table.codes, readings, starts, triple, table.single):
+                         assignments=triple, single=readings == 1,
+                         orbit_keys=keys[order[new_code] % len(keys)])
+    for a in (table.codes, readings, starts, triple, table.single,
+              table.orbit_keys):
         a.setflags(write=False)
     return table
 

@@ -832,7 +832,7 @@ def read_region_file(text: str) -> tuple[str, int, int]:
     """The (grid, radius, halfwidth) a region file names, building
     nothing."""
     read = partial(read_key, json_object(text, "region"), "region")
-    version = read("format")
+    version = read("format", exactly(int))
     if version != REGION_FORMAT:
         raise ValueError(f"region file format {version} is not supported; "
                          f"this version reads format {REGION_FORMAT}")

@@ -3,32 +3,29 @@
 For the polygonal grids the rotation group of a cell is the cyclic group on
 its p sides.  For the right-angled dodecahedron it is the rotation group of
 the dodecahedron, 60 elements, each represented as a permutation of the face
-numbers 0..11.
+numbers 0..11, found as the closure of two of them under composition.
 
 A motion is stored as a tuple ``m`` of 12 face numbers with ``m[i]`` the face
 onto which face ``i`` is carried.
 
 A cell's rotations have one form in use, `rotation_indices`: one index row
 per rotation, re-reading a side-indexed array.  `embed.context_table` lays
-the pattern out under each row, `orbits` keys contexts by them, and
-`canonical` takes the least re-reading for printed context rows.  On the
-dodecagrid the rows are `all_motions`.
+the pattern out under each row, and `canonical` takes the least
+re-reading for printed context rows.  On the dodecagrid the rows are
+`all_motions`.
 
 The rotation-invariance check, as `embed.check_invariance` runs it, works
 on a `RuleArrays`, a rule set held as int64 arrays of own states,
-neighbour states and next states, in two steps.  `orbits` groups the
-contexts by orbit: it finds the orbit key of every rule with one matrix
-product per chunk of rules and reads no next state, so one grouping
-serves every rule set over the same contexts, and `embed` keeps it with
-the construction.  `Orbits.conflicts` then compares the next states
-within each group.  The
-product runs in float64, on BLAS, whenever base ** arity <= 2 ** 53,
-since every term and partial sum is then an integer float64 holds
-exactly; past that (22 to 28 states on the dodecagrid) it runs in int64,
-which is exact up to the code limit but has no BLAS kernel.  A per-rule
-version, which groups (context, next state) pairs by their least
-re-reading one rotation at a time, is kept in
-`tests/symmetry_reference.py` as the reference.
+neighbour states and next states, in two steps.  An `Orbits` groups the
+contexts by orbit key, the least lexicographic code over the context's
+rotations; it reads no next state, so one grouping serves every rule set
+over the same contexts.  `embed.context_table` finds the keys in its own
+enumeration, whose column of one letter assignment is that context's
+whole orbit, and keeps them with the construction.  `Orbits.conflicts`
+then compares the next states within each group.  A keying by matrix
+product over every rotation, and a per-rule version, which groups
+(context, next state) pairs by their least re-reading one rotation at a
+time, are kept in `tests/symmetry_reference.py` as references.
 """
 from __future__ import annotations
 
@@ -90,11 +87,15 @@ def complete_motion(f0: int, f1: int) -> Motion:
 
 @lru_cache(maxsize=1)
 def all_motions() -> tuple[Motion, ...]:
-    """All 60 rotations, identity first."""
-    out = [complete_motion(f0, f1) for f0 in range(12) for f1 in FACE_RINGS[f0]]
+    """All 60 rotations, identity first, then ascending: the closure under
+    composition of the fifth turns about face 0 and about face 1."""
+    turns = (complete_motion(0, 5), complete_motion(2, 1))
     ident = tuple(range(12))
-    out.sort(key=lambda m: (m != ident, m))
-    return tuple(out)
+    found = new = {ident}
+    while new:
+        new = {tuple(t[i] for i in m) for m in new for t in turns} - found
+        found = found | new
+    return tuple(sorted(found, key=lambda m: (m != ident, m)))
 
 
 @lru_cache(maxsize=None)
@@ -149,14 +150,6 @@ class RuleArrays:
         return len(self.outs)
 
 
-# rules keyed at once by `orbits`.  The chunk's (|G|, chunk) key matrix
-# stays under half a megabyte on the dodecagrid, and OpenBLAS runs a
-# (60 x 12) by (12 x 1,024) float product on one thread; at 2,048 columns
-# it already starts a second one, so the chunk stays at 1,024 rules or
-# fewer.
-_ORBIT_CHUNK = 1024
-
-
 @dataclass(frozen=True, eq=False)
 class Orbits:
     """A rule list's contexts grouped by rotation orbit, whatever their
@@ -167,6 +160,19 @@ class Orbits:
 
     order: np.ndarray       # (N,) rule indices
     starts: np.ndarray      # (orbits,) where each orbit's run begins
+
+    @classmethod
+    def of_keys(cls, keys: np.ndarray) -> "Orbits":
+        """The grouping of rules with orbit keys `keys`, in input order:
+        a stable sort by key, a run per distinct key."""
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        new = np.ones(len(keys), dtype=bool)
+        new[1:] = keys[1:] != keys[:-1]
+        starts = np.flatnonzero(new)
+        for a in (order, starts):
+            a.setflags(write=False)
+        return cls(order, starts)
 
     def conflicts(self, rules: RuleArrays) -> list[RuleArrays]:
         """The orbits whose next states disagree among `rules`, which
@@ -187,51 +193,6 @@ class Orbits:
                    for a, b in zip(self.starts[split], ends[split])]
         return [RuleArrays(rules.selfs[m], rules.nbs[m], rules.outs[m])
                 for m in members]
-
-
-def orbits(selfs: np.ndarray, nbs: np.ndarray) -> Orbits:
-    """Group contexts, own states `selfs` and neighbour states `nbs`, by
-    the rotation orbit of each.
-
-    Each context is coded with the cell's own state as the most
-    significant digit and side 0 next, so that comparing codes compares
-    (self, neighbours) lexicographically; the least code over the
-    rotations is the orbit key.  Rotation g reads side rows[g, i] at digit
-    i, rows being `rotation_indices(p)`, so side j lands at digit
-    pos[g, j], pos[g] the inverse of rows[g]; the neighbour part of every
-    rotated code is then one (rotations x contexts) product `W @ nbs.T`
-    per chunk of contexts, with W[g, j] = base ** (p - 1 - pos[g, j]), and
-    the key is its least entry per column.  Every neighbour part is below
-    base ** p, so when base ** p <= 2 ** 53 each term and partial sum is
-    an integer that float64 holds exactly, in any summation order, and
-    the product runs in float64 on BLAS.  Larger bases take the int64
-    product, exact because `require_codes_fit` keeps every code below
-    2**63.  The own-state digit is added in int64.
-    """
-    if not len(selfs):
-        none = np.zeros(0, dtype=np.intp)
-        none.setflags(write=False)
-        return Orbits(none, none)
-    arity = nbs.shape[1]
-    base = int(max(selfs.max(), nbs.max())) + 1
-    require_codes_fit(base, arity)
-    pos = np.argsort(rotation_indices(arity), axis=1)
-    weight = base ** (arity - 1 - pos).astype(np.int64)
-    if base ** arity <= 2 ** 53:
-        weight = weight.astype(np.float64)
-    nbs = nbs.T
-    keys = np.empty(len(selfs), dtype=np.int64)
-    for lo in range(0, len(selfs), _ORBIT_CHUNK):
-        chunk = weight @ nbs[:, lo:lo + _ORBIT_CHUNK].astype(weight.dtype,
-                                                          copy=False)
-        keys[lo:lo + chunk.shape[1]] = chunk.min(axis=0)
-    keys += selfs * base ** arity
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-    for a in (order, starts):
-        a.setflags(write=False)
-    return Orbits(order, starts)
 
 
 def motions_table_text() -> str:

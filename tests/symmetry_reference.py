@@ -3,9 +3,12 @@
 
 `check_rotation_invariance` groups (context, next state) pairs by
 `minimal_form`, one rotation at a time; `orbit_conflicts`, which groups
-a `RuleArrays` with `symmetry.orbits` and splits it with
-`Orbits.conflicts` as `embed.check_invariance` does, must report the same
-groups, in the same order.
+a `RuleArrays` with `orbits` and splits it with `Orbits.conflicts` as
+`embed.check_invariance` does, must report the same groups, in the same
+order.  `orbits` keys each context by a matrix product over every
+rotation, as the package did before `embed.context_table` took the keys
+from its own enumeration; `ContextTable.orbits` must give the same
+grouping.
 `match_alignments` tries the pattern under every rotated alignment of
 one context, a shift count on the polygonal grids or a face permutation
 on the dodecagrid, one slot at a time by `slot_accepts`;
@@ -21,7 +24,9 @@ must give the same table, and `expanded_rules_reference` the same rules.
 through ambiguous contexts, as the verify scan does.  `encode` codes
 contexts one digit at a time; `RuleTable.encode` must give the same
 codes.  `compose`, `inverse` and `is_adjacency_automorphism` check the
-rotation group of the dodecahedron.
+rotation group of the dodecahedron, and `motions_by_face_pairs` lists it
+by `complete_motion` for each ordered pair of adjacent faces, as the
+package did before `symmetry.all_motions` built it by closure.
 `symbolic_rows` walks a breadth-first ball and names its cells one at a
 time, as the package did before `embed.symbolic_rows` worked on the
 region's arrays; both must give the same rows.
@@ -48,6 +53,16 @@ def inverse(a: Motion) -> Motion:
     for i, j in enumerate(a):
         inv[j] = i
     return tuple(inv)
+
+
+def motions_by_face_pairs() -> tuple[Motion, ...]:
+    """All 60 rotations, one per (face 0 image, face 1 image) pair,
+    identity first, then ascending."""
+    out = [sym.complete_motion(f0, f1)
+           for f0 in range(12) for f1 in FACE_RINGS[f0]]
+    ident = tuple(range(12))
+    out.sort(key=lambda m: (m != ident, m))
+    return tuple(out)
 
 
 def is_adjacency_automorphism(m: Motion) -> bool:
@@ -177,12 +192,65 @@ def unpack(rules: sym.RuleArrays) -> list[tuple[RuleContext, int]]:
                                   rules.outs.tolist())]
 
 
+# rules keyed at once by `orbits`.  The chunk's (|G|, chunk) key matrix
+# stays under half a megabyte on the dodecagrid, and OpenBLAS runs a
+# (60 x 12) by (12 x 1,024) float product on one thread; at 2,048 columns
+# it already starts a second one, so the chunk stays at 1,024 rules or
+# fewer.
+_ORBIT_CHUNK = 1024
+
+
+def orbits(selfs: np.ndarray, nbs: np.ndarray) -> sym.Orbits:
+    """Group contexts, own states `selfs` and neighbour states `nbs`, by
+    the rotation orbit of each.
+
+    Each context is coded with the cell's own state as the most
+    significant digit and side 0 next, so that comparing codes compares
+    (self, neighbours) lexicographically; the least code over the
+    rotations is the orbit key.  Rotation g reads side rows[g, i] at digit
+    i, rows being `rotation_indices(p)`, so side j lands at digit
+    pos[g, j], pos[g] the inverse of rows[g]; the neighbour part of every
+    rotated code is then one (rotations x contexts) product `W @ nbs.T`
+    per chunk of contexts, with W[g, j] = base ** (p - 1 - pos[g, j]), and
+    the key is its least entry per column.  Every neighbour part is below
+    base ** p, so when base ** p <= 2 ** 53 each term and partial sum is
+    an integer that float64 holds exactly, in any summation order, and
+    the product runs in float64 on BLAS.  Larger bases take the int64
+    product, exact because `require_codes_fit` keeps every code below
+    2**63.  The own-state digit is added in int64.
+    """
+    if not len(selfs):
+        none = np.zeros(0, dtype=np.intp)
+        none.setflags(write=False)
+        return sym.Orbits(none, none)
+    arity = nbs.shape[1]
+    base = int(max(selfs.max(), nbs.max())) + 1
+    sym.require_codes_fit(base, arity)
+    pos = np.argsort(sym.rotation_indices(arity), axis=1)
+    weight = base ** (arity - 1 - pos).astype(np.int64)
+    if base ** arity <= 2 ** 53:
+        weight = weight.astype(np.float64)
+    nbs = nbs.T
+    keys = np.empty(len(selfs), dtype=np.int64)
+    for lo in range(0, len(selfs), _ORBIT_CHUNK):
+        chunk = weight @ nbs[:, lo:lo + _ORBIT_CHUNK].astype(weight.dtype,
+                                                          copy=False)
+        keys[lo:lo + chunk.shape[1]] = chunk.min(axis=0)
+    keys += selfs * base ** arity
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    for a in (order, starts):
+        a.setflags(write=False)
+    return sym.Orbits(order, starts)
+
+
 def orbit_conflicts(rules: sym.RuleArrays) -> list[sym.RuleArrays]:
-    """Group rules by the rotation orbit of their contexts, as
-    `symmetry.orbits` does, and report the groups whose next states
-    disagree, as `Orbits.conflicts` does; an empty list means the rule
-    set is rotation invariant."""
-    return sym.orbits(rules.selfs, rules.nbs).conflicts(rules)
+    """Group rules by the rotation orbit of their contexts, as `orbits`
+    does, and report the groups whose next states disagree, as
+    `Orbits.conflicts` does; an empty list means the rule set is rotation
+    invariant."""
+    return orbits(rules.selfs, rules.nbs).conflicts(rules)
 
 
 def orbit_conflict_pairs(rules: Iterable[tuple[RuleContext, int]]

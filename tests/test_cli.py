@@ -246,15 +246,23 @@ def test_failure_exit_codes(tmp_path, capsys):
             f"error: --word {word!r}: give digits, or integers separated "
             "by commas\n")
     # negative counts, and a region of no radius or a negative halfwidth,
-    # are refused before anything is built or printed
+    # are refused before anything is built or printed, naming the option
     for argv, says in ((("simulate", "--steps", "-2", "--check-oracle"),
                         "--steps must be at least 0, not -2"),
                        (("verify", "--horizon", "-2"),
                         "--horizon must be at least 0, not -2"),
                        (("verify", "--radius", "0"),
-                        "radius must be >= 1 and halfwidth >= 0"),
+                        "--radius must be at least 1, not 0"),
                        (("verify", "--halfwidth", "-1"),
-                        "radius must be >= 1 and halfwidth >= 0")):
+                        "--halfwidth must be at least 0, not -1"),
+                       (("simulate", "--radius", "0", "--check-oracle"),
+                        "--radius must be at least 1, not 0"),
+                       (("simulate", "--halfwidth", "-1"),
+                        "--halfwidth must be at least 0, not -1"),
+                       (("render", "--grid", "pentagrid", "--radius", "0"),
+                        "--radius must be at least 1, not 0"),
+                       (("render", "--grid", "dodecagrid", "--halfwidth",
+                         "-3"), "--halfwidth must be at least 0, not -3")):
         assert run_cli(argv[0], "--automaton", str(auto), *argv[1:]) == 2
         out, err = capsys.readouterr()
         assert (out, err) == ("", f"error: {says}\n")

@@ -389,6 +389,13 @@ def test_region_file_errors_name_the_problem():
     with pytest.raises(ValueError, match="format 99"):
         reg.region_from_json(json.dumps({"format": 99, "grid": "pentagrid",
                                          "radius": 2, "halfwidth": 1}))
+    # the version is a JSON int: not a float or a string equal to it
+    for version in (2.0, "2"):
+        with pytest.raises(ValueError, match="^region key 'format' has the "
+                                             "wrong form$"):
+            reg.read_region_file(json.dumps({"format": version,
+                                             "grid": "pentagrid",
+                                             "radius": 2, "halfwidth": 1}))
     with pytest.raises(ValueError, match="radius"):
         reg.region_from_json(json.dumps({"format": reg.REGION_FORMAT,
                                          "grid": "pentagrid",

@@ -7,7 +7,8 @@ count and next states, `HcaAutomaton.readings` the same readings and
 next states in the same order, and the expansion read off the table must
 list the same rules.  `compile_rules`, which reads the contexts from a
 per-construction cache, must give `compile_rules_reference`'s table.
-The array orbit check must report the same conflicts as
+The orbit grouping keyed in the enumeration must equal the reference's
+`orbits`, the array orbit check must report the same conflicts as
 `check_rotation_invariance`, and the table-driven verify
 scan must report what a matcher-driven scan and a scan that codes every
 cell at every step with the reference encoder report, both stepping by
@@ -237,6 +238,33 @@ def test_orbit_check_matches_reference():
         assert {c for c, _ in fast[0]} == orbit & {c for c, _ in rules}
 
 
+def test_enumeration_orbits_match_reference(rule110):
+    """`ContextTable.orbits`, keyed in the enumeration, groups the
+    single-reading contexts as the reference's product over every
+    rotation does, `order` and `starts` alike: all six (grid, method)
+    pairs at 2 to 4 source states, the rule-110 patterns whose contexts
+    read several ways, and dodecagrid compact at 22 states, whose
+    neighbour codes pass 2**53, where the reference keys in int64."""
+    rng = np.random.default_rng(29)
+    autos = _multi_reading_automata(rule110)
+    for grid in embed.GRID_SIDES:
+        for n in (2, 3, 4):
+            rule = ca1d.random_rule(n, rng, fixable=True)
+            autos += [embed.embed_extra_state(rule, grid),
+                      embed.embed_compact(rule, grid)]
+    autos.append(embed.embed_compact(ca1d.random_rule(22, rng),
+                                     "dodecagrid"))
+    assert 22 ** 12 > 2 ** 53
+    for b in autos:
+        ctx = b.context_table
+        got, want = ctx.orbits, ref.orbits(*ctx.single_contexts)
+        assert np.array_equal(got.order, want.order), b.name
+        assert np.array_equal(got.starts, want.starts), b.name
+        assert len(got.starts) < len(got.order), b.name
+    # the 22-state table holds about 94 MB; the cache would keep it
+    embed.context_table.cache_clear()
+
+
 def test_orbit_check_keeps_reference_order():
     a = ref.RuleContext(1, (1, 0, 0, 0, 0))
     b = ref.RuleContext(1, (0, 1, 0, 0, 0))
@@ -378,7 +406,7 @@ def test_context_table_is_shared_per_construction():
     assert ctx is b.context_table
     assert "orbits" not in vars(ctx) and "single_contexts" not in vars(ctx)
     for arr in (ctx.codes, ctx.readings, ctx.starts, ctx.assignments,
-                ctx.single):
+                ctx.single, ctx.orbit_keys):
         with pytest.raises(ValueError):
             arr[0] = arr[0]
     assert embed.check_invariance(a) == embed.check_invariance(b) == []
@@ -457,7 +485,7 @@ def _random_dodecagrid_rules(n_states, rng, contexts=30, copies=3, low=0):
 def test_orbit_keys_at_the_int64_limit():
     """28 states at arity 12 is the largest dodecagrid state count whose
     codes fit: 28**13 < 2**63.  One planted rotated copy with another
-    output must be the one conflict found."""
+    output must be the one conflict the reference's `orbits` finds."""
     rng = np.random.default_rng(28)
     rules = _random_dodecagrid_rules(28, rng)
     assert ref.orbit_conflict_pairs(rules) == []
@@ -484,13 +512,14 @@ def _orbit_keys(rules, dtype):
 
 
 def test_orbit_keys_at_the_float64_limit():
-    """Orbit keys are summed in float64 only while base**12 <= 2**53: 21
-    states at arity 12 (21**12 < 2**53 < 22**12).  At 22 states, contexts
-    over the top two states have neighbour codes above 2**53, where
-    float64 rounds; on this rule set float64 keys put rules of distinct
-    orbits, with different outputs, under one key (about ten such keys),
-    so a float product would report conflicts that do not exist.  Both
-    state counts must give the reference's verdict."""
+    """The reference's `orbits` sums its keys in float64 only while
+    base**12 <= 2**53: 21 states at arity 12 (21**12 < 2**53 < 22**12).
+    At 22 states, contexts over the top two states have neighbour codes
+    above 2**53, where float64 rounds; on this rule set float64 keys put
+    rules of distinct orbits, with different outputs, under one key
+    (about ten such keys), so a float product would report conflicts
+    that do not exist.  Both state counts must give the per-rule
+    reference's verdict."""
     for n_states in (21, 22):
         rng = np.random.default_rng(n_states)
         rules = _random_dodecagrid_rules(n_states, rng, contexts=200,
@@ -515,8 +544,9 @@ def test_orbit_keys_at_the_float64_limit():
 
 
 def test_orbit_keys_refuse_a_29th_state():
-    """One state more and the codes overflow: the check must refuse the
-    rule set before it allocates the chunk's key matrix."""
+    """One state more and the codes overflow: the reference's `orbits`
+    must refuse the rule set before it allocates the chunk's key
+    matrix."""
     rules = ref.pack(
         _random_dodecagrid_rules(29, np.random.default_rng(29), contexts=300))
     assert len(rules) > 1024

@@ -40,6 +40,13 @@ def test_sixty_distinct_motions_identity_first():
         assert ref.is_adjacency_automorphism(m)
 
 
+def test_motions_match_the_face_pair_enumeration():
+    """The closure of the two fifth turns lists the same 60 motions, in
+    the same order, as `complete_motion` on every ordered pair of
+    adjacent faces."""
+    assert sym.all_motions() == ref.motions_by_face_pairs()
+
+
 def test_group_closed_with_inverses():
     motions = set(sym.all_motions())
     for a in motions:
@@ -110,7 +117,7 @@ def test_conflicts_refuse_rules_of_another_grouping():
     """`Orbits.conflicts` reads rules in the order of the contexts it
     grouped, so a rule list of another length is refused."""
     nbs = np.array([[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 0, 0, 0]])
-    grouping = sym.orbits(np.zeros(3, dtype=np.int64), nbs)
+    grouping = ref.orbits(np.zeros(3, dtype=np.int64), nbs)
     for n in (2, 4):
         rules = sym.RuleArrays(np.zeros(n, dtype=np.int64),
                                np.zeros((n, 5), dtype=np.int64),
