@@ -41,10 +41,12 @@ the same table: the table is the one matcher.
 
 A `TableRun` step costs in proportion to the cells it changes, not to
 the region: it carries each complete cell's table row and codes again
-only the closed neighbourhoods of changed cells.  The scan recounts
-every verdict from the carried rows and the table's per-row verdicts
-after a step that coded any cell, and past a fixed point codes nothing
-and repeats that time's counts and violation lines.
+only the closed neighbourhoods of changed cells, found by index in the
+region's `complete_neighbours`.  The scan codes each table row's
+verdicts once as bits, and after a step that coded any cell recounts
+every verdict with one gather of those bits by the carried rows; past a
+fixed point it codes nothing and repeats that time's counts and
+violation lines.
 """
 from __future__ import annotations
 
@@ -57,7 +59,7 @@ import numpy as np
 from . import ca1d
 from . import symmetry as sym
 from .jsonfile import exactly, json_object, read_key
-from .region import TAPE_SLOTS, Region, _distinct
+from .region import TAPE_SLOTS, Region
 
 GRID_SIDES = {"pentagrid": 5, "heptagrid": 7, "dodecagrid": 12}
 
@@ -299,11 +301,13 @@ class RuleTable:
                 + states.take(cells).astype(np.int64) * w[-1])
 
     def lookup(self, codes: np.ndarray) -> np.ndarray:
-        """Table row of each code, -1 where the context has no reading."""
+        """Table row of each code, -1 where the context has no reading:
+        one search, clipped to the last row, and one equality gather."""
+        if not len(self.codes):
+            return np.full(len(codes), -1, dtype=np.intp)
         at = self.codes.searchsorted(codes)
-        hit = at < len(self.codes)
-        hit[hit] = self.codes[at[hit]] == codes[hit]
-        return np.where(hit, at, -1)
+        np.minimum(at, len(self.codes) - 1, out=at)
+        return np.where(self.codes.take(at) == codes, at, -1)
 
     def decode(self, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(self states, (len, arity) neighbour states) of context codes."""
@@ -331,10 +335,13 @@ class TableRun:
     Only `cells`, the region's `complete_cells`, step; each carries its
     table row in `rows` (-1 for none), all looked up once at the start.  A
     step moves the cells whose rows `RuleTable.moves`, then codes again
-    only the complete cells in the closed neighbourhood of a changed cell,
+    only the complete cells in the closed neighbourhood of a moved cell,
     since no other context can change; this needs the adjacency to be
-    symmetric.  Every cell not coded again keeps a row that did not move
-    it, so the next movers are among those coded again.
+    symmetric.  That neighbourhood is the movers and one gather of the
+    region's `complete_neighbours` at them, all indices into `cells`,
+    made distinct and ascending by one boolean mark over `cells`.  Every
+    cell not coded again keeps a row that did not move it, so the next
+    movers are among those coded again.
     """
 
     def __init__(self, table: RuleTable, region: Region,
@@ -342,6 +349,7 @@ class TableRun:
         self.table, self.adjacency, self.states = \
             table, region.adjacency, states
         self.cells = region.complete_cells
+        self.neighbours = region.complete_neighbours
         self.rows = table.lookup(table.encode(states, self.adjacency,
                                               self.cells))
         self._movers = np.flatnonzero(table.moves[self.rows])
@@ -353,12 +361,13 @@ class TableRun:
         movers, table = self._movers, self.table
         if not len(movers):
             return movers
-        changed = self.cells[movers]
-        self.states[changed] = table.lo[self.rows[movers]]
-        near = _distinct(np.concatenate(
-            [changed, self.adjacency.take(changed, axis=0).ravel()]))
-        j = self.cells.searchsorted(near)
-        j = j[self.cells.take(j, mode="clip") == near]
+        self.states[self.cells[movers]] = table.lo[self.rows[movers]]
+        # the last entry takes the -1 of every neighbour that is not
+        # complete
+        near = np.zeros(len(self.cells) + 1, dtype=bool)
+        near[self.neighbours.take(movers, axis=0)] = True
+        near[movers] = True
+        j = near[:-1].nonzero()[0]
         self.rows[j] = rows = table.lookup(
             table.encode(self.states, self.adjacency, self.cells[j]))
         self._movers = j[table.moves[rows]]
@@ -631,6 +640,11 @@ def symbolic_rows(automaton: HcaAutomaton, region: Region) -> list[str]:
 
 
 _KINDS = ("ambiguous", "line-unmatched", "off-line-changed")
+# a row's verdict bits for the scan: one per kind of `_KINDS`, in order
+# (readings disagree, no reading, a reading moves the cell), then
+# several readings
+_KIND_BITS = (1, 2, 4)
+_SEVERAL = 8
 
 
 def _may_change(automaton: HcaAutomaton, region: Region) -> np.ndarray:
@@ -660,12 +674,17 @@ def verify_unique_applicability(automaton: HcaAutomaton, region: Region,
     staleness there only widens the sample of contexts.
 
     The run is a `TableRun`, so a step costs in proportion to the cells
-    it codes again, not to the region.  Every verdict (hit, multi-reading
-    and the three violation kinds) is a fact of a cell's carried row, so
-    a time after a step that coded some cell recounts them all from the
-    rows and the table's per-row verdicts; no running totals are kept.
-    Once a step moves no cell the configuration is a fixed point: later
-    times code nothing and repeat its counts and violation lines.
+    it codes again, not to the region.  Every verdict is a fact of a
+    cell's carried row, so the scan codes each table row once as verdict
+    bits (`_KIND_BITS` and `_SEVERAL`; row -1 alone has no reading), and
+    each cell once as the kind bits that apply to it: every cell can be
+    ambiguous, a line cell unmatched and a guarded cell moved.  A time
+    after a step that coded some cell then recounts everything with one
+    gather of the bits by row, a count of the unmatched and of the
+    multi-reading bits, and one AND with the cell's bits for the
+    violations; no running totals are kept.  Once a step moves no cell
+    the configuration is a fixed point: later times code nothing and
+    repeat its counts and violation lines.
     """
     report = VerifyReport()
     if automaton.grid in _ROW_START and automaton.kind == "compact":
@@ -673,32 +692,40 @@ def verify_unique_applicability(automaton: HcaAutomaton, region: Region,
     table = automaton.rule_table
     run = TableRun(table, region, init.states.copy())
     cells = run.cells
-    line = np.zeros(region.n_cells, dtype=bool)
-    line[region.guideline.cell_ids] = True
-    line = line[cells]
-    guarded = ~_may_change(automaton, region)[cells]
+    ambiguous, unmatched, moved = _KIND_BITS
+    verdicts = np.zeros(len(table.moves), dtype=np.uint8)
+    for bit, flags in ((ambiguous, table.split),
+                       (moved, table.split | table.moves),
+                       (_SEVERAL, table.multi)):
+        verdicts[flags] |= bit
+    verdicts[-1] = unmatched
+    applies = np.full(region.n_cells, ambiguous | moved, dtype=np.uint8)
+    applies[_may_change(automaton, region)] = ambiguous
+    applies[region.guideline.cell_ids] |= unmatched
+    applies = applies[cells]
     lines = None
     for t in range(max(horizon, 0) + 1):
         if t and len(run.step()):
             lines = None
         if lines is None:
             rows = run.rows
-            matched = int(np.count_nonzero(rows >= 0))
-            multi_reading = int(np.count_nonzero(table.multi[rows]))
-            kinds = np.array((table.split[rows], line & (rows < 0),
-                              guarded & (table.split | table.moves)[rows]))
+            found = verdicts.take(rows)
+            matched = len(cells) - int(np.count_nonzero(found & unmatched))
+            multi_reading = int(np.count_nonzero(found & _SEVERAL))
+            found &= applies
             lines = []
-            for k in np.flatnonzero(kinds.any(axis=0)):
-                c, row = int(cells[k]), rows[k]
-                found, outs = automaton.readings(table.codes[row]) \
+            for k in found.nonzero()[0]:
+                c, row, bits = int(cells[k]), rows[k], int(found[k])
+                readings, outs = automaton.readings(table.codes[row]) \
                     if row >= 0 else ([], [])
                 detail = {
-                    "ambiguous": f"readings {found} give states {outs}",
+                    "ambiguous": f"readings {readings} give states {outs}",
                     "line-unmatched": "no admissible reading",
                     "off-line-changed": f"reading would move state to {outs}",
                 }
                 lines.extend((kind, c, detail[kind])
-                             for kind, f in zip(_KINDS, kinds[:, k]) if f)
+                             for kind, bit in zip(_KINDS, _KIND_BITS)
+                             if bits & bit)
         report.scanned_cells += len(cells)
         report.matched_cells += matched
         report.multi_reading_cells += multi_reading

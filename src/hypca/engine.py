@@ -28,7 +28,7 @@ import numpy as np
 from . import ca1d
 from . import embed as emb
 from .jsonfile import exactly, json_object, read_key
-from .region import Region, ValidityExhausted, marker_cell_ids
+from .region import Region, ValidityExhausted
 
 
 class AmbiguousMatch(ValueError):
@@ -81,7 +81,7 @@ def init_configuration(region: Region, automaton: emb.HcaAutomaton,
         mirror = gl.mirror_ids >= 0
         states[gl.mirror_ids[mirror]] = tape[mirror]
     if automaton.kind == "compact":
-        states[marker_cell_ids(region)] = automaton.marker
+        states[region.marker_cells] = automaton.marker
     return Configuration(states, 0)
 
 

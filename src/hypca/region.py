@@ -195,9 +195,10 @@ class Region:
     """The cells within `radius` steps of the guideline segment: their
     adjacency, their distances, and the guideline.
     What follows from these alone is worked out on first read and kept:
-    `matrices`, the placements, and `complete_cells`, the cells with every
-    neighbour in the region, which every run and verify scan on the
-    region shares."""
+    `matrices`, the placements; `complete_cells`, the cells with every
+    neighbour in the region, and `complete_neighbours`, their neighbours
+    as indices into that array, which every run and verify scan on the
+    region shares; and `marker_cells`, which every compact run paints."""
 
     grid: str
     radius: int
@@ -268,6 +269,28 @@ class Region:
         cells = np.flatnonzero(least >= 0)
         cells.flags.writeable = False
         return cells
+
+    @cached_property
+    def complete_neighbours(self) -> np.ndarray:
+        """(len(complete_cells), n_sides) int32, read-only: each complete
+        cell's neighbours as indices into `complete_cells`, -1 where a
+        neighbour is not complete.  Found on first read, once per region,
+        with one gather of a cell-to-index map at the complete rows; a
+        step reads the neighbourhood of its movers from it by index."""
+        cells = self.complete_cells
+        index = np.full(self.n_cells, -1, dtype=np.int32)
+        index[cells] = np.arange(len(cells), dtype=np.int32)
+        out = index.take(self.adjacency.take(cells, axis=0))
+        out.flags.writeable = False
+        return out
+
+    @cached_property
+    def marker_cells(self) -> np.ndarray:
+        """`marker_cell_ids`, found on first read and kept read-only: every
+        compact run on the region paints the same cells."""
+        ids = marker_cell_ids(self)
+        ids.flags.writeable = False
+        return ids
 
 
 # polygonal grids: the left side of the base cell

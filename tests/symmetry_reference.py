@@ -23,10 +23,12 @@ must give the same table, and `expanded_rules_reference` the same rules.
 `frozen_rim_run` steps a configuration past the validity budget and
 through ambiguous contexts, as the verify scan does.  `encode` codes
 contexts one digit at a time; `RuleTable.encode` must give the same
-codes.  `compose`, `inverse` and `is_adjacency_automorphism` check the
-rotation group of the dodecahedron, and `motions_by_face_pairs` lists it
-by `complete_motion` for each ordered pair of adjacent faces, as the
-package did before `symmetry.all_motions` built it by closure.
+codes.  `lookup` finds their rows in a dict of the table's codes;
+`RuleTable.lookup` must give the same rows.  `compose`, `inverse` and
+`is_adjacency_automorphism` check the rotation group of the
+dodecahedron, and `motions_by_face_pairs` lists it by `complete_motion`
+for each ordered pair of adjacent faces, as the package did before
+`symmetry.all_motions` built it by closure.
 `symbolic_rows` walks a breadth-first ball and names its cells one at a
 time, as the package did before `embed.symbolic_rows` worked on the
 region's arrays; both must give the same rows.
@@ -336,18 +338,28 @@ def encode(table: embed.RuleTable, states: np.ndarray,
     return code
 
 
+def lookup(table: embed.RuleTable, codes: np.ndarray) -> np.ndarray:
+    """Table row of each code, -1 where the context has no reading, from
+    a dict of the table's codes: it shares only the table's arrays with
+    `RuleTable.lookup`."""
+    row = {code: k for k, code in enumerate(table.codes.tolist())}
+    return np.array([row.get(code, -1) for code in codes.tolist()],
+                    dtype=np.intp)
+
+
 def frozen_rim_run(automaton: embed.HcaAutomaton, region,
                    states: np.ndarray, steps: int) -> list[np.ndarray]:
     """The states at times 0..steps, every complete cell stepping by the
     rule table and every other cell frozen.  Unlike `engine.run_hca` it
     has no validity budget, and a cell whose readings disagree keeps its
-    state instead of raising.  Contexts are coded by `encode`."""
+    state instead of raising.  Contexts are coded by `encode` and looked
+    up by `lookup`."""
     table = automaton.rule_table
     cells = np.flatnonzero(~(region.adjacency < 0).any(axis=1))
     out = [states.copy()]
     for _ in range(steps):
         s = out[-1].copy()
-        at = table.lookup(encode(table, s, region.adjacency, cells))
+        at = lookup(table, encode(table, s, region.adjacency, cells))
         lo, hi = table.lo[at], table.hi[at]
         moved = np.flatnonzero((at >= 0) & (lo == hi) & (lo != s[cells]))
         s[cells[moved]] = table.lo[at[moved]]

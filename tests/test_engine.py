@@ -566,6 +566,28 @@ def test_equivalence_reports_off_line_drift(region_of, rule110):
         assert _drift_reference(b, region, report.configurations) == []
 
 
+def test_compact_inits_share_the_regions_marker_cells(monkeypatch, all_six):
+    """Every compact init on one region paints the marker cells that
+    `marker_cell_ids` finds once; the region keeps them read-only."""
+    calls = []
+    inner = reg.marker_cell_ids
+
+    def counted(region):
+        calls.append(region)
+        return inner(region)
+
+    monkeypatch.setattr(reg, "marker_cell_ids", counted)
+    r = reg.build_region("heptagrid", 3, 1)
+    for (method, grid), b in all_six.items():
+        if grid == "heptagrid":
+            for word in ([1], [1, 0, 1]):
+                engine.init_configuration(r, b, word)
+    assert len(calls) == 1 and calls[0] is r
+    assert r.marker_cells is r.marker_cells
+    assert not r.marker_cells.flags.writeable
+    assert np.array_equal(r.marker_cells, inner(r))
+
+
 def test_runs_share_the_regions_complete_cells(monkeypatch, all_six):
     """The verify scan and then `run_hca` on one region find its complete
     cells once, and both steppers hold that one array."""
@@ -593,3 +615,4 @@ def test_runs_share_the_regions_complete_cells(monkeypatch, all_six):
     engine.run_hca(b, r, engine.init_configuration(r, b, [1]), 2)
     assert len(calls) == 1 and calls[0] is r and len(runs) == 2
     assert all(run.cells is r.complete_cells for run in runs)
+    assert all(run.neighbours is r.complete_neighbours for run in runs)

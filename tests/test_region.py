@@ -371,6 +371,32 @@ def test_loaded_regions_find_the_same_complete_cells(region_of):
     assert np.array_equal(loaded.complete_cells, r.complete_cells)
 
 
+@pytest.mark.parametrize("grid,radius,hw", [
+    ("pentagrid", 7, 2), ("heptagrid", 6, 3), ("dodecagrid", 3, 2),
+    ("pentagrid", 2, 0), ("heptagrid", 2, 0), ("dodecagrid", 2, 0)])
+def test_complete_neighbours_index_the_complete_cells(region_of, grid,
+                                                      radius, hw):
+    """Each complete cell's neighbours as indices into `complete_cells`,
+    -1 exactly where the neighbour is not complete, by a per-cell loop
+    over the adjacency: at the benchmark's scan sizes and at r2 hw0.  The
+    table is int32, read-only and kept, and a loaded region finds the
+    same one."""
+    r = region_of(grid, radius, hw)
+    cells = r.complete_cells.tolist()
+    index = {c: k for k, c in enumerate(cells)}
+    want = [[index.get(d, -1) for d in r.adjacency[c].tolist()]
+            for c in cells]
+    got = r.complete_neighbours
+    assert got.dtype == np.int32 and not got.flags.writeable
+    assert got.shape == (len(cells), r.adjacency.shape[1])
+    assert got.tolist() == want
+    assert r.complete_neighbours is got
+    assert (got < 0).any()
+    loaded = reg.region_from_json(reg.region_to_json(r))
+    assert "complete_neighbours" not in vars(loaded)
+    assert np.array_equal(loaded.complete_neighbours, got)
+
+
 @pytest.mark.parametrize("grid", ["pentagrid", "heptagrid", "dodecagrid"])
 def test_marker_ids_match_the_per_cell_reference(region_of, grid):
     """The array pass paints the cells the per-cell set collects: sorted,

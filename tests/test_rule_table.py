@@ -781,7 +781,8 @@ def _full_reencode_scan(b, region, init, horizon):
     for t, states in enumerate(ref.frozen_rim_run(b, region, init.states,
                                                   horizon)):
         own = states[cells]
-        at = table.lookup(ref.encode(table, states, region.adjacency, cells))
+        at = ref.lookup(table, ref.encode(table, states, region.adjacency,
+                                          cells))
         hit = at >= 0
         lo, hi = table.lo[at], table.hi[at]
         report.scanned_cells += len(cells)
@@ -845,6 +846,74 @@ def test_verify_matches_full_reencode_scan(region_of):
                 moved += int((final != init.states).sum())
     assert moved > 0
     assert kinds == {"ambiguous", "line-unmatched", "off-line-changed"}
+
+
+def test_table_run_rows_match_a_full_lookup(region_of, all_six):
+    """After every `TableRun` step the carried rows are those a full
+    reference lookup of every complete cell gives, the states those of
+    `frozen_rim_run`, and the cells coded again distinct and ascending:
+    the six pairs at the scan sizes with random rules and words, with
+    random states off the line, and the unrepaired dodecagrid pattern
+    under rule 150 with a blue reflected row, whose tape cells have two
+    readings that agree and step."""
+    rng = np.random.default_rng(30)
+    cases = []
+    for (method, grid), good in all_six.items():
+        r = region_of(grid, *SCAN_SIZES[grid])
+        rule = ca1d.random_rule(3, rng, quiescent_zero=True,
+                                fixable=grid == "pentagrid")
+        b = (embed.embed_extra_state(rule, grid) if method == "extra"
+             else embed.embed_compact(rule, grid))
+        word = rng.integers(0, 3, size=5)
+        word[2] = 1
+        cases.append((b, r, engine.init_configuration(r, b, word)))
+        init = engine.init_configuration(r, good, [1, 0, 1])
+        near = r.dist <= 2
+        near[r.guideline.cell_ids] = False
+        off = rng.choice(np.flatnonzero(near), size=12, replace=False)
+        init.states[off] = rng.integers(0, good.n_states, size=12)
+        cases.append((good, r, init))
+    good = all_six[("extra", "dodecagrid")]
+    r = region_of("dodecagrid", *SCAN_SIZES["dodecagrid"])
+    b = _unrepaired(dataclasses.replace(good, action=ca1d.elementary(150)))
+    init = engine.init_configuration(r, b, [1, 1, 0, 1])
+    m = r.guideline.mirror_ids
+    init.states[m[m >= 0]] = b.blue
+    cases.append((b, r, init))
+    multi = moved = 0
+    for b, r, init in cases:
+        table, cells = b.rule_table, r.complete_cells
+        run = embed.TableRun(table, r, init.states.copy())
+        want = ref.frozen_rim_run(b, r, init.states, 6)
+        for t in range(7):
+            if t:
+                coded = run.step()
+                assert (np.diff(coded) > 0).all(), (b.name, t)
+            assert np.array_equal(run.states, want[t]), (b.name, t)
+            rows = ref.lookup(table, ref.encode(table, run.states,
+                                                r.adjacency, cells))
+            assert np.array_equal(run.rows, rows), (b.name, t)
+            multi += int((table.readings[rows[rows >= 0]] > 1).sum())
+        moved += int((want[-1] != init.states).sum())
+    assert multi > 0 and moved > 0
+
+
+def test_lookup_matches_the_reference_lookup():
+    """`RuleTable.lookup` gives the rows of a dict lookup, codes below,
+    between and past the table's included, and -1 for every code of an
+    empty table."""
+    codes = np.array([3, 8, 9, 20], dtype=np.int64)
+    ones = np.ones(len(codes), dtype=np.int64)
+    table = embed.RuleTable(base=3, arity=2, codes=codes, readings=ones,
+                            lo=ones, hi=ones)
+    asked = np.arange(-1, 23, dtype=np.int64)
+    got = table.lookup(asked)
+    assert np.array_equal(got, ref.lookup(table, asked))
+    assert np.array_equal(asked[got >= 0], codes)
+    empty = embed.RuleTable(base=3, arity=2, codes=codes[:0],
+                            readings=ones[:0], lo=ones[:0], hi=ones[:0])
+    assert empty.lookup(asked).tolist() == [-1] * len(asked)
+    assert len(empty.lookup(asked[:0])) == 0
 
 
 def test_verify_recodes_only_near_changes(region_of, all_six, monkeypatch):
