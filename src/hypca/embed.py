@@ -7,9 +7,9 @@ state, n: every cell off the tape line holds it, and a tape cell
 recognizes itself by seeing that state everywhere except where its two
 tape neighbours sit.  The compact construction keeps the n states by
 marking the line with cells held in a designated non-quiescent state;
-on the pentagrid it needs the source automaton to be fixable, so that
-the markers and the background hold still under the rules that
-unavoidably fire on them.
+on the pentagrid it needs the source automaton to be fixable, and on the
+heptagrid to have a quiescent state, so that the markers and the
+background hold still under the rules that unavoidably fire on them.
 
 A produced automaton is intensional: one admissible context pattern, an
 action applied as (left, self, right) when the pattern matches in exactly
@@ -59,13 +59,14 @@ import numpy as np
 from . import ca1d
 from . import symmetry as sym
 from .jsonfile import exactly, json_object, read_key
-from .region import TAPE_SLOTS, Region
+from .region import TAPE_SLOTS, Region, marker_cell_ids
 
 GRID_SIDES = {"pentagrid": 5, "heptagrid": 7, "dodecagrid": 12}
 
 
 class NotFixable(ValueError):
-    """The pentagrid compact construction needs a fixable source rule."""
+    """The source rule lacks what the grid's compact construction needs:
+    fixability on the pentagrid, a quiescent state on the heptagrid."""
 
 
 @dataclass(frozen=True)
@@ -227,8 +228,11 @@ def embed_compact(rule: ca1d.Rule1D, grid: str) -> HcaAutomaton:
 
     On the pentagrid the source rule must be fixable; the witness pair
     (q, u) supplies the background and marker states.  On the heptagrid
-    and the dodecagrid any rule with at least two states works, with
-    states 0 and 1 playing those roles.
+    and the dodecagrid q is the least quiescent state and u the least
+    other state.  The heptagrid markers hold still only if A(q,q,q) = q,
+    so there a rule with no quiescent state is refused; the dodecagrid
+    takes (0, 1) for such a rule, whose markers hold still whatever the
+    rule.
     """
     if grid not in GRID_SIDES:
         raise ValueError(f"unknown grid {grid!r}")
@@ -242,7 +246,13 @@ def embed_compact(rule: ca1d.Rule1D, grid: str) -> HcaAutomaton:
     else:
         if rule.n < 2:
             raise ValueError("the compact construction needs at least 2 states")
-        q, u = 0, 1
+        quiescent = ca1d.quiescent_states(rule)
+        if not quiescent and grid == "heptagrid":
+            raise NotFixable(
+                "the heptagrid compact construction needs a quiescent "
+                "state: A(q,q,q)=q for some state q")
+        q = quiescent[0] if quiescent else 0
+        u = 1 if q == 0 else 0
     return HcaAutomaton(
         grid=grid,
         pattern=_pattern(grid, q, u),
@@ -308,10 +318,6 @@ class RuleTable:
         at = self.codes.searchsorted(codes)
         np.minimum(at, len(self.codes) - 1, out=at)
         return np.where(self.codes.take(at) == codes, at, -1)
-
-    def decode(self, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(self states, (len, arity) neighbour states) of context codes."""
-        return _decode(codes, self.base, self.arity)
 
 
 def _decode(codes: np.ndarray, base: int, arity: int
@@ -649,14 +655,15 @@ _SEVERAL = 8
 
 def _may_change(automaton: HcaAutomaton, region: Region) -> np.ndarray:
     """The cells a run of the automaton may change, as a mask: the tape,
-    and on dodecagrid extra the reflected row, which carries letters and
-    steps by the mirrored rule A'(l, s, r) = A(r, s, l), rule 124 for
-    rule 110, not by the tape's."""
+    and the cells across the pattern's letter slots, which carry letters.
+    On dodecagrid extra those are the reflected row, which steps by the
+    mirrored rule A'(l, s, r) = A(r, s, l), rule 124 for rule 110, not by
+    the tape's."""
     mask = np.zeros(region.n_cells, dtype=bool)
     mask[region.guideline.cell_ids] = True
-    if automaton.kind == "extra" and region.grid == "dodecagrid":
-        mirror = region.guideline.mirror_ids
-        mask[mirror[mirror >= 0]] = True
+    ids = marker_cell_ids(region, [i for i, s in enumerate(
+        automaton.pattern.slots) if s.kind == "letter"])
+    mask[ids[ids >= 0]] = True
     return mask
 
 
@@ -666,9 +673,10 @@ def verify_unique_applicability(automaton: HcaAutomaton, region: Region,
     admissible readings of its context.
 
     Violations: a cell whose readings disagree on the resulting state, an
-    off-line cell some reading would change (the dodecagrid extra
-    reflected row is exempt: it carries letters and runs the mirrored
-    rule, see `_may_change`), and a line cell with no reading at all.
+    off-line cell some reading would change (the cells across a letter
+    slot are exempt: they carry letters, and the dodecagrid extra
+    reflected row runs the mirrored rule, see `_may_change`), and a line
+    cell with no reading at all.
     They are listed by time, then cell, then in that order of kinds.  The
     scan keeps stepping with a frozen rim past the validity window;
     staleness there only widens the sample of contexts.
@@ -738,21 +746,20 @@ def _slot_to_doc(slot: Slot) -> dict:
     return {"kind": slot.kind, "state": slot.state}
 
 
-def fixed_keys(grid: str, kind: str, n: int) -> dict:
-    """The keys of an automaton file that its grid, its kind and the
-    source rule's n states fix, as `automaton_to_json` writes them."""
+def fixed_keys(kind: str, n: int) -> dict:
+    """The keys of an automaton file that its kind and the source rule's
+    n states fix, as `automaton_to_json` writes them."""
     extra = kind == "extra"
     return {
         "n_states": n + extra,
         "state_map": {str(s): s for s in range(n)},
         "letters": list(range(n)),
         "blue": n if extra else None,
-        "marker_scheme": None if extra else f"compact_{grid}",
     }
 
 
 def automaton_to_json(automaton: HcaAutomaton) -> str:
-    fixed = fixed_keys(automaton.grid, automaton.kind, automaton.action.n)
+    fixed = fixed_keys(automaton.kind, automaton.action.n)
     doc = {
         "grid": automaton.grid,
         "n_states": fixed["n_states"],
@@ -763,7 +770,6 @@ def automaton_to_json(automaton: HcaAutomaton) -> str:
         "patterns": [[_slot_to_doc(s) for s in automaton.pattern.slots]],
         "letters": fixed["letters"],
         "blue": fixed["blue"],
-        "marker_scheme": fixed["marker_scheme"],
         "padding_state": automaton.padding_state,
     }
     return json.dumps(doc, indent=2)
@@ -772,7 +778,7 @@ def automaton_to_json(automaton: HcaAutomaton) -> str:
 def automaton_from_json(text: str) -> HcaAutomaton:
     """The automaton a file holds.  Besides the form of each key, the
     keys must agree: the kind is extra or compact; the keys that the
-    grid, the kind and the source rule fix (`fixed_keys`) hold exactly
+    kind and the source rule fix (`fixed_keys`) hold exactly
     the values `automaton_to_json` writes, no JSON float or boolean for
     an integer; the pattern has one slot per side of the grid's cells,
     every slot is of a known kind, a fixed slot pins a state and no
@@ -831,7 +837,7 @@ def automaton_from_json(text: str) -> HcaAutomaton:
     grid = read("grid", grid_of)
     action = read("action", lambda a: ca1d.rule_from_json(json.dumps(a)))
     kind = read("kind", kind_of)
-    fixed = fixed_keys(grid, kind, action.n)
+    fixed = fixed_keys(kind, action.n)
     for key, want in fixed.items():
         read(key, equal_to(want))
     n_states = fixed["n_states"]

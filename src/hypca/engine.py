@@ -28,7 +28,7 @@ import numpy as np
 from . import ca1d
 from . import embed as emb
 from .jsonfile import exactly, json_object, read_key
-from .region import Region, ValidityExhausted
+from .region import Region, ValidityExhausted, marker_cell_ids
 
 
 class AmbiguousMatch(ValueError):
@@ -45,12 +45,13 @@ def init_configuration(region: Region, automaton: emb.HcaAutomaton,
                        word) -> Configuration:
     """Lay a word on the tape line and fill the rest of the region.
 
+    The fill is the added state (extra) or the padding state (compact).
     The tape is `ca1d.word_tape`'s, the word centred and padded with the
     designated quiescent state, laid on the chain out to the region's
-    edge.  The extra-state fill is the added state everywhere off the
-    line, with the reflected row on the dodecagrid carrying each tape
-    cell's letter.  The compact fill is the background state everywhere,
-    with the marker cells set to the marker state.
+    edge.  The rest is the pattern's: the cell across a chain cell's
+    letter slot gets its letter (the dodecagrid extra reflected row), and
+    the cell across a slot pinned to a state other than the fill gets
+    that state (the compact markers).
     """
     if automaton.grid != region.grid:
         raise ValueError(f"automaton is for {automaton.grid}, "
@@ -70,19 +71,23 @@ def init_configuration(region: Region, automaton: emb.HcaAutomaton,
 
     fill = automaton.blue if automaton.kind == "extra" \
         else automaton.padding_state
-    states = np.full(region.n_cells, fill, dtype=np.int16)
+    # one entry past the cells takes the -1 of every side with no cell
+    states = np.full(region.n_cells + 1, fill, dtype=np.int16)
 
     # the chain runs over positions -extent..extent in order
-    gl = region.guideline
     extent = region.halfwidth + region.radius
     tape = word_tape.window(-extent, extent + 1)
-    states[gl.cell_ids] = tape
-    if automaton.kind == "extra" and region.grid == "dodecagrid":
-        mirror = gl.mirror_ids >= 0
-        states[gl.mirror_ids[mirror]] = tape[mirror]
-    if automaton.kind == "compact":
-        states[region.marker_cells] = automaton.marker
-    return Configuration(states, 0)
+    states[region.guideline.cell_ids] = tape
+    # one gather for every painted slot; pinned states go last, so a cell
+    # across a letter slot and a pinned one holds the pinned letter
+    slots = automaton.pattern.slots
+    letters = [i for i, s in enumerate(slots) if s.kind == "letter"]
+    pinned = [i for i, s in enumerate(slots)
+              if s.kind == "fixed" and s.state != fill]
+    ids = marker_cell_ids(region, letters + pinned)
+    states[ids[:, :len(letters)]] = tape[:, None]
+    states[ids[:, len(letters):]] = [slots[i].state for i in pinned]
+    return Configuration(states[:-1], 0)
 
 
 def run_hca(automaton: emb.HcaAutomaton, region: Region,

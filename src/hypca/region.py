@@ -84,7 +84,8 @@ l0 + k gap and right side l0 + (k + 1) gap, mod p.  On the dodecagrid a step
 numbers the shared face op(s) in the neighbour, so (mirror face, left, right)
 goes to (op m, op r, op l) and alternates between two triples with the
 parity of k.  No float test decides which cells form the chain, their sides
-or the mirror face.
+or the mirror face.  `marker_cell_ids` reads the labels to find the cells
+across a tape cell's pattern slots, which a run paints as the pattern says.
 
 A region is a pure function of (grid, radius, halfwidth), so a region file
 holds those three values and a format version, and loading one rebuilds
@@ -150,10 +151,10 @@ def require_placeable(grid: str, radius: int, halfwidth: int) -> None:
 class TapeSlots:
     """The sides of a tape cell that the constructions read: its left and
     right tape neighbours, the reflected row's cell (dodecagrid only) and
-    the compact construction's markers.  On the polygonal grids each is an
-    offset from the cell's left side, on the dodecagrid a face of the
-    renumbered chain cell; either way it is also the index of the pattern
-    slot that reads the side."""
+    the paper's markers for the compact construction.  On the polygonal
+    grids each is an offset from the cell's left side, on the dodecagrid
+    a face of the renumbered chain cell; either way it is also the index
+    of the pattern slot that reads the side (`marker_cell_ids`)."""
     left: int
     right: int
     markers: tuple[int, ...]
@@ -196,9 +197,9 @@ class Region:
     adjacency, their distances, and the guideline.
     What follows from these alone is worked out on first read and kept:
     `matrices`, the placements; `complete_cells`, the cells with every
-    neighbour in the region, and `complete_neighbours`, their neighbours
-    as indices into that array, which every run and verify scan on the
-    region shares; and `marker_cells`, which every compact run paints."""
+    neighbour in the region; and `complete_neighbours`, their neighbours
+    as indices into that array.  Every run and verify scan on the region
+    shares the last two."""
 
     grid: str
     radius: int
@@ -283,14 +284,6 @@ class Region:
         out = index.take(self.adjacency.take(cells, axis=0))
         out.flags.writeable = False
         return out
-
-    @cached_property
-    def marker_cells(self) -> np.ndarray:
-        """`marker_cell_ids`, found on first read and kept read-only: every
-        compact run on the region paints the same cells."""
-        ids = marker_cell_ids(self)
-        ids.flags.writeable = False
-        return ids
 
 
 # polygonal grids: the left side of the base cell
@@ -432,15 +425,6 @@ def _merge(table: np.ndarray, ids: np.ndarray, new: np.ndarray,
         merged[old] = v
         out.append(merged)
     return out[0], out[1]
-
-
-def _distinct(a: np.ndarray) -> np.ndarray:
-    """The distinct values of an array, ascending.  (np.unique would
-    import numpy.ma, which no command needs.)"""
-    a = np.sort(a)
-    keep = np.ones(a.size, dtype=bool)
-    keep[1:] = a[1:] != a[:-1]
-    return a[keep]
 
 
 def _extend(v: np.ndarray, k: int, fill: int) -> np.ndarray:
@@ -832,15 +816,18 @@ def _check_chain(region: Region) -> None:
         raise AssertionError("chain adjacency mismatch on the right")
 
 
-def marker_cell_ids(region: Region) -> np.ndarray:
-    """Ids of the cells a compact embedding paints with the marker state:
-    the cells across each chain cell's TAPE_SLOTS markers."""
+def marker_cell_ids(region: Region, slots) -> np.ndarray:
+    """(chain cells, len(slots)) ids of the cells across the pattern
+    slots `slots` of every chain cell, in chain order, -1 where no cell
+    was built: the one map from a tape cell's pattern slot to its side,
+    an offset from the left side on the polygonal grids and the face
+    itself on the dodecagrid.  A cell across slots of two chain cells is
+    listed for each."""
     gl = region.guideline
-    sides = np.array(TAPE_SLOTS[region.grid].markers)
+    sides = np.array(slots, dtype=np.intp)
     if region.grid != "dodecagrid":
         sides = (gl.left_sides[:, None] + sides) % region.shape.n_sides
-    ids = region.adjacency[gl.cell_ids[:, None], sides].ravel()
-    return _distinct(ids[ids >= 0]).astype(np.int32)
+    return region.adjacency[gl.cell_ids[:, None], sides]
 
 
 def region_to_json(region: Region) -> str:

@@ -24,7 +24,8 @@ must give the same table, and `expanded_rules_reference` the same rules.
 through ambiguous contexts, as the verify scan does.  `encode` codes
 contexts one digit at a time; `RuleTable.encode` must give the same
 codes.  `lookup` finds their rows in a dict of the table's codes;
-`RuleTable.lookup` must give the same rows.  `compose`, `inverse` and
+`RuleTable.lookup` must give the same rows, and `decode` splits codes
+back into own and neighbour states.  `compose`, `inverse` and
 `is_adjacency_automorphism` check the rotation group of the
 dodecahedron, and `motions_by_face_pairs` lists it by `complete_motion`
 for each ordered pair of adjacent faces, as the package did before
@@ -347,6 +348,13 @@ def lookup(table: embed.RuleTable, codes: np.ndarray) -> np.ndarray:
                     dtype=np.intp)
 
 
+def decode(table: embed.RuleTable, codes: np.ndarray
+           ) -> tuple[np.ndarray, np.ndarray]:
+    """(self states, (len, arity) neighbour states) of a table's context
+    codes."""
+    return embed._decode(codes, table.base, table.arity)
+
+
 def frozen_rim_run(automaton: embed.HcaAutomaton, region,
                    states: np.ndarray, steps: int) -> list[np.ndarray]:
     """The states at times 0..steps, every complete cell stepping by the
@@ -432,7 +440,7 @@ def expanded_rules_reference(automaton: embed.HcaAutomaton
     as rules, in code order."""
     table = compile_rules_reference(automaton)
     single = table.readings == 1
-    selfs, nbs = table.decode(table.codes[single])
+    selfs, nbs = decode(table, table.codes[single])
     return sym.RuleArrays(selfs, nbs, table.lo[single])
 
 

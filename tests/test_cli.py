@@ -107,10 +107,12 @@ def test_simulate_svg_dir(tmp_path, capsys):
 
 def test_verify_flags_bad_automaton(tmp_path, capsys):
     """Two broken patterns on the dodecagrid: the extra-state one with the
-    reflected-row slot pinned, whose tape cells then have no reading, and
-    the compact one with faces 3 and 9 left free, whose tape cells read
-    both ways.  Every violation line spells out what the reference
-    matcher finds in that cell's context at that time."""
+    reflected-row slot pinned, and the compact one with faces 3 and 9
+    left free, whose tape cells read both ways.  `verify` lays the pinned
+    row blue, where tape cells read both ways too; laid by hand with
+    letters on that row, the tape cells have no reading.  Every violation
+    line spells out what the reference matcher finds in that cell's
+    context at that time."""
     import dataclasses
     from hypca import ca1d, embed, engine, region
     rule = ca1d.elementary(110)
@@ -125,15 +127,24 @@ def test_verify_flags_bad_automaton(tmp_path, capsys):
     loose = dataclasses.replace(
         compact, pattern=embed.ContextPattern(tuple(slots)))
     r = region.build_region("dodecagrid", 3, 1)
-    kinds = set()
+    cases = []
     for bad in (unrepaired, loose):
         path = tmp_path / "bad.json"
         path.write_text(embed.automaton_to_json(bad))
         assert run_cli("verify", "--automaton", str(path), "--radius", "3",
                        "--halfwidth", "1", "--horizon", "2") == 1
-        out = capsys.readouterr().out
-        run = ref.frozen_rim_run(
-            bad, r, engine.init_configuration(r, bad, [1]).states, 2)
+        init = engine.init_configuration(r, bad, [1])
+        cases.append((bad, init, capsys.readouterr().out))
+    gl = r.guideline
+    m = gl.mirror_ids >= 0
+    init = engine.init_configuration(r, unrepaired, [1])
+    assert (init.states[gl.mirror_ids[m]] == unrepaired.blue).all()
+    init.states[gl.mirror_ids[m]] = init.states[gl.cell_ids[m]]
+    report = embed.verify_unique_applicability(unrepaired, r, init, 2)
+    cases.append((unrepaired, init, report.text()))
+    kinds = set()
+    for bad, init, out in cases:
+        run = ref.frozen_rim_run(bad, r, init.states, 2)
         lines = out[out.index("\nviolations: "):].splitlines()[2:]
         assert lines
         for ln in lines:
@@ -152,6 +163,33 @@ def test_verify_flags_bad_automaton(tmp_path, capsys):
             assert (not readings) == (kind == "line-unmatched")
             kinds.add(kind)
     assert kinds == {"ambiguous", "line-unmatched"}
+
+
+def test_marker_sides_follow_the_pattern(tmp_path, capsys):
+    """Compact files whose patterns pin markers on other sides than the
+    paper's are laid out by their patterns: the heptagrid with rule 110
+    and markers on sides (2, 5, 6), and the pentagrid with rule 30, which
+    is not fixable, and markers on (2, 4).  Each verifies with no
+    violation and follows its 1D run."""
+    from hypca import ca1d
+    auto = tmp_path / "auto.json"
+    for grid, rule, markers in (("heptagrid", 110, (2, 5, 6)),
+                                ("pentagrid", 30, (2, 4))):
+        run_cli("transform", "--rule", "elementary:110", "--grid", grid,
+                "--method", "compact", "-o", str(auto))
+        doc = json.loads(auto.read_text())
+        doc["action"] = json.loads(ca1d.rule_to_json(ca1d.elementary(rule)))
+        for i, slot in enumerate(doc["patterns"][0]):
+            if slot["kind"] == "fixed":
+                slot["state"] = int(i in markers)
+        auto.write_text(json.dumps(doc))
+        assert run_cli("verify", "--automaton", str(auto)) == 0, grid
+        assert "\nviolations: 0\n" in capsys.readouterr().out
+        assert run_cli("simulate", "--automaton", str(auto), "--word",
+                       "1011", "--steps", "4", "--check-oracle") == 0, grid
+        err = capsys.readouterr().err
+        assert "tape trace: matches the 1D run" in err
+        assert "off-line cells: stable" in err
 
 
 def test_verify_110_matches_golden(tmp_path, capsys):
@@ -279,12 +317,12 @@ def test_failure_exit_codes(tmp_path, capsys):
         assert says in capsys.readouterr().err
     # keys present with values of the wrong form, and keys that disagree:
     # a padding or added state outside the states, a state map that drops
-    # source state 1, an unknown kind, a marker scheme on the extra kind,
-    # letters that are not the source states, an added state that is a
-    # letter, a state map that permutes the letters, a state count other
-    # than n + 1 and an added state other than n, pattern slots with no
-    # state, a string state, an unknown kind, and a state on a left slot,
-    # and a pattern cut to four slots that keeps its left and right slots
+    # source state 1, an unknown kind, letters that are not the source
+    # states, an added state that is a letter, a state map that permutes
+    # the letters, a state count other than n + 1 and an added state other
+    # than n, pattern slots with no state, a string state, an unknown kind,
+    # and a state on a left slot, and a pattern cut to four slots that
+    # keeps its left and right slots
     slots = doc["patterns"][0]
     assert [s["kind"] for s in slots[:2]] == ["left", "fixed"]
     assert [s["kind"] for s in slots].index("right") < 4
@@ -297,7 +335,7 @@ def test_failure_exit_codes(tmp_path, capsys):
                        ("n_states", None), ("action", 5),
                        ("padding_state", 7), ("padding_state", "x"),
                        ("state_map", {"0": 0}), ("kind", "weird"),
-                       ("blue", 9), ("marker_scheme", "compact_pentagrid"),
+                       ("blue", 9),
                        ("letters", [0, 1, 2]), ("letters", [1]),
                        ("blue", 0), ("state_map", {"0": 1, "1": 0}),
                        ("n_states", 4), ("blue", 3),

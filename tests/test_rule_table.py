@@ -129,7 +129,7 @@ def _sampled_contexts(b, n_random):
     """Dodecagrid contexts, too many to try: every table context with
     each single slot changed, plus `n_random` seeded random contexts."""
     table = b.rule_table
-    selfs, nbs = table.decode(table.codes)
+    selfs, nbs = ref.decode(table, table.codes)
     base = np.concatenate([selfs[:, None], nbs], axis=1)
     contexts = [tuple(row) for row in base.tolist()]
     for slot in range(13):
@@ -357,7 +357,7 @@ def test_row_verdicts_match_the_per_cell_formulas(rule110):
     seen = dict.fromkeys(("moves", "split", "multi"), False)
     for b in autos:
         table = b.rule_table
-        own, _ = table.decode(table.codes)
+        own, _ = ref.decode(table, table.codes)
         lo, hi = table.lo, table.hi
         want = {"moves": (lo == hi) & (lo != own),
                 "split": lo != hi, "multi": table.readings > 1}
@@ -452,7 +452,7 @@ def test_expansion_makes_rule_objects_only_when_read():
     b = embed.embed_extra_state(rule, "dodecagrid")
     table = b.rule_table
     single = table.readings == 1
-    selfs, nbs = table.decode(table.codes[single])
+    selfs, nbs = ref.decode(table, table.codes[single])
     listed = [(ref.RuleContext(s, tuple(nb)), out)
               for s, nb, out in zip(selfs.tolist(), nbs.tolist(),
                                     table.lo[single].tolist())]
@@ -591,7 +591,7 @@ def test_decode_at_the_code_limit():
     codes = np.r_[np.array([0, top], dtype=np.int64),
                   np.random.default_rng(28).integers(0, top, size=5000,
                                                      endpoint=True)]
-    selfs, nbs = table.decode(codes)
+    selfs, nbs = ref.decode(table, codes)
     powers = 28 ** np.arange(13, dtype=np.int64)
     digits = (codes[:, None] // powers) % 28
     assert selfs.dtype == nbs.dtype == np.int64
@@ -646,7 +646,7 @@ def test_encode_matches_reference(region_of, all_six):
         got = table.encode(*layout)
         assert np.array_equal(got, ref.encode(table, *layout)), arity
         assert got[0] == base ** (arity + 1) - 1 and got[1] == 0
-        selfs, nbs = table.decode(got)
+        selfs, nbs = ref.decode(table, got)
         assert np.array_equal(np.c_[selfs, nbs], contexts)
 
 
@@ -967,20 +967,24 @@ def _still_from(run):
 
 def test_verify_repeats_a_fixed_point(region_of, all_six, monkeypatch):
     """Configurations that stop moving and keep their violations: the
-    unrepaired dodecagrid pattern, with letters on the reflected row (no
-    reading on the tape) and with a blue one (tape cells read both ways),
-    and a perturbed pentagrid init that moves once.  The scan must list
-    the same violation lines at every time from the fixed point on, as
-    the full re-encode does, at horizons 10, 3, 0 and -1.  It codes
-    cells only up to the fixed point and spells out violations only up
-    to it: later times repeat the fixed point's lines."""
+    unrepaired dodecagrid pattern, with letters on the reflected row laid
+    by hand (no reading on the tape) and with the blue one its pattern
+    lays (tape cells read both ways), and a perturbed pentagrid init that
+    moves once.  The scan must list the same violation lines at every
+    time from the fixed point on, as the full re-encode does, at horizons
+    10, 3, 0 and -1.  It codes cells only up to the fixed point and
+    spells out violations only up to it: later times repeat the fixed
+    point's lines."""
     good = all_six[("extra", "dodecagrid")]
     r = region_of("dodecagrid", *SCAN_SIZES["dodecagrid"])
     b = _unrepaired(good)
-    cases = [(b, r, engine.init_configuration(r, b, [1, 0, 1]))]
+    gl = r.guideline
+    m = gl.mirror_ids >= 0
+    init = engine.init_configuration(r, b, [1, 0, 1])
+    init.states[gl.mirror_ids[m]] = init.states[gl.cell_ids[m]]
+    cases = [(b, r, init)]
     init = engine.init_configuration(r, b, [1])
-    m = r.guideline.mirror_ids
-    init.states[m[m >= 0]] = b.blue
+    assert (init.states[gl.mirror_ids[m]] == b.blue).all()
     cases.append((b, r, init))
     b = all_six[("extra", "pentagrid")]
     r = region_of("pentagrid", *SCAN_SIZES["pentagrid"])
