@@ -105,8 +105,10 @@ def step_1d(rule: Rule1D, tape: Tape) -> Tape:
     """One synchronous update; the window grows one cell on each side."""
     if not tape.cells:
         raise ValueError("tape window must be nonempty")
-    if rule.apply(tape.padding, tape.padding, tape.padding) != tape.padding:
-        raise ValueError("padding state must be quiescent for this rule")
+    q = tape.padding
+    if rule.apply(q, q, q) != q:
+        raise ValueError(f"padding state {q} is not quiescent for this "
+                         f"rule: A({q},{q},{q}) = {rule.apply(q, q, q)}")
     # cell i of the grown window reads positions i - 1, i and i + 1
     w = tape.window(tape.start - 2, tape.end + 2)
     new = rule.table[w[:-2], w[1:-1], w[2:]]

@@ -13,9 +13,10 @@ background hold still under the rules that unavoidably fire on them.
 
 A produced automaton is intensional: one admissible context pattern, an
 action applied as (left, self, right) when the pattern matches in exactly
-one rotated alignment, and state-unchanged everywhere else.  Everything
-else, its state count and added state among them, follows from the kind
-and the source rule.
+one rotated alignment, and state-unchanged everywhere else.  Both pad the
+tape with the least quiescent source state, or 0 when there is none.
+Everything else, its state count and added state among them, follows
+from the kind and the source rule, and its file stores none of it.
 
 `compile_rules` turns that description into a `RuleTable`: every context
 the pattern matches, coded as one int64, with its number of distinct
@@ -119,13 +120,14 @@ class HcaAutomaton:
     and the default of leaving the state unchanged.
 
     The letters are the source states 0..n-1; the extra kind adds one
-    state, n, and the compact kind adds none."""
+    state, n, and the compact kind adds none.  The padding state is the
+    source state that pads the tape, on either kind."""
 
     grid: str
     pattern: ContextPattern
     action: ca1d.Rule1D
-    kind: str                           # "extra" or "compact"
-    padding_state: int | None = None    # source state used to pad the tape
+    kind: str               # "extra" or "compact"
+    padding_state: int      # source state used to pad the tape
     name: str = ""
 
     def __post_init__(self) -> None:
@@ -170,18 +172,14 @@ class HcaAutomaton:
         """The compiled transitions, built on first use."""
         return compile_rules(self)
 
-    def readings(self, code: int) -> tuple[list[tuple[int, int]], list[int]]:
-        """The (left, right) readings of the context coded `code`, in the
-        order of the first alignment that gives each, and the sorted next
-        states they give: the code's `context_table` entries, as error
-        messages spell them out.  Both are empty for a code the pattern
-        does not match."""
+    def readings(self, row: int) -> tuple[list[tuple[int, int]], list[int]]:
+        """The (left, right) readings of the context in rule table row
+        `row`, in the order of the first alignment that gives each, and
+        the sorted next states they give: the row's `context_table`
+        entries, as error messages spell them out."""
         ctx, n = self.context_table, self.action.n
-        k = int(ctx.codes.searchsorted(code))
-        if k == len(ctx.codes) or ctx.codes[k] != code:
-            return [], []
-        start = ctx.starts[k]
-        entries = ctx.assignments[start:start + ctx.readings[k]]
+        start = ctx.starts[row]
+        entries = ctx.assignments[start:start + ctx.readings[row]]
         outs = self.action.table.ravel()[entries]
         return ([(t // (n * n), t % n) for t in entries.tolist()],
                 sorted(set(outs.tolist())))
@@ -204,21 +202,27 @@ def _pattern(grid: str, fill: int, marker: int | None = None
     return ContextPattern(tuple(slots))
 
 
+def _padding(rule: ca1d.Rule1D) -> int:
+    """The state that pads the tape: the least quiescent state, else 0."""
+    return next(iter(ca1d.quiescent_states(rule)), 0)
+
+
 def embed_extra_state(rule: ca1d.Rule1D, grid: str) -> HcaAutomaton:
     """Add one state and use it to carve the tape line out of the tiling.
 
     Works for every source rule; the produced automaton has n + 1 states,
     the letters keep their values and the added state is the largest.
+    The tape is padded with `_padding`'s state, which the 1D oracle
+    accepts only if it is quiescent.
     """
     if grid not in GRID_SIDES:
         raise ValueError(f"unknown grid {grid!r}")
-    quiescent = ca1d.quiescent_states(rule)
     return HcaAutomaton(
         grid=grid,
         pattern=_pattern(grid, rule.n),
         action=rule,
         kind="extra",
-        padding_state=quiescent[0] if quiescent else None,
+        padding_state=_padding(rule),
         name=f"extra[{rule.name or rule.n}] on {grid}",
     )
 
@@ -228,11 +232,11 @@ def embed_compact(rule: ca1d.Rule1D, grid: str) -> HcaAutomaton:
 
     On the pentagrid the source rule must be fixable; the witness pair
     (q, u) supplies the background and marker states.  On the heptagrid
-    and the dodecagrid q is the least quiescent state and u the least
-    other state.  The heptagrid markers hold still only if A(q,q,q) = q,
-    so there a rule with no quiescent state is refused; the dodecagrid
-    takes (0, 1) for such a rule, whose markers hold still whatever the
-    rule.
+    and the dodecagrid q is `_padding`'s state, the least quiescent state
+    or else 0, and u the least other state.  The heptagrid markers hold
+    still only if A(q,q,q) = q, so there a rule with no quiescent state
+    is refused; on the dodecagrid the markers hold still whatever the
+    rule.  The padding state is q.
     """
     if grid not in GRID_SIDES:
         raise ValueError(f"unknown grid {grid!r}")
@@ -246,12 +250,11 @@ def embed_compact(rule: ca1d.Rule1D, grid: str) -> HcaAutomaton:
     else:
         if rule.n < 2:
             raise ValueError("the compact construction needs at least 2 states")
-        quiescent = ca1d.quiescent_states(rule)
-        if not quiescent and grid == "heptagrid":
+        q = _padding(rule)
+        if grid == "heptagrid" and rule.apply(q, q, q) != q:
             raise NotFixable(
                 "the heptagrid compact construction needs a quiescent "
                 "state: A(q,q,q)=q for some state q")
-        q = quiescent[0] if quiescent else 0
         u = 1 if q == 0 else 0
     return HcaAutomaton(
         grid=grid,
@@ -724,7 +727,7 @@ def verify_unique_applicability(automaton: HcaAutomaton, region: Region,
             lines = []
             for k in found.nonzero()[0]:
                 c, row, bits = int(cells[k]), rows[k], int(found[k])
-                readings, outs = automaton.readings(table.codes[row]) \
+                readings, outs = automaton.readings(row) \
                     if row >= 0 else ([], [])
                 detail = {
                     "ambiguous": f"readings {readings} give states {outs}",
@@ -746,30 +749,14 @@ def _slot_to_doc(slot: Slot) -> dict:
     return {"kind": slot.kind, "state": slot.state}
 
 
-def fixed_keys(kind: str, n: int) -> dict:
-    """The keys of an automaton file that its kind and the source rule's
-    n states fix, as `automaton_to_json` writes them."""
-    extra = kind == "extra"
-    return {
-        "n_states": n + extra,
-        "state_map": {str(s): s for s in range(n)},
-        "letters": list(range(n)),
-        "blue": n if extra else None,
-    }
-
-
 def automaton_to_json(automaton: HcaAutomaton) -> str:
-    fixed = fixed_keys(automaton.kind, automaton.action.n)
+    """The automaton's own fields; what they fix is not stored."""
     doc = {
         "grid": automaton.grid,
-        "n_states": fixed["n_states"],
         "kind": automaton.kind,
         "name": automaton.name,
         "action": json.loads(ca1d.rule_to_json(automaton.action)),
-        "state_map": fixed["state_map"],
         "patterns": [[_slot_to_doc(s) for s in automaton.pattern.slots]],
-        "letters": fixed["letters"],
-        "blue": fixed["blue"],
         "padding_state": automaton.padding_state,
     }
     return json.dumps(doc, indent=2)
@@ -777,22 +764,21 @@ def automaton_to_json(automaton: HcaAutomaton) -> str:
 
 def automaton_from_json(text: str) -> HcaAutomaton:
     """The automaton a file holds.  Besides the form of each key, the
-    keys must agree: the kind is extra or compact; the keys that the
-    kind and the source rule fix (`fixed_keys`) hold exactly
-    the values `automaton_to_json` writes, no JSON float or boolean for
-    an integer; the pattern has one slot per side of the grid's cells,
-    every slot is of a known kind, a fixed slot pins a state and no
-    other slot does; the padding is a source state, and the compact
-    kind has one and a pattern that pins a marker state.  A ValueError
-    names the first key that does not."""
+    keys must agree: the kind is extra or compact; the pattern has one
+    slot per side of the grid's cells, every slot is of a known kind, a
+    fixed slot pins one of the automaton's n + 1 (extra) or n (compact)
+    states and no other slot pins one; the padding is a source state,
+    no JSON float or boolean, and a compact pattern pins a marker state.
+    A ValueError names the first key that does not.  Keys the automaton
+    does not hold are ignored, among them the four that older files
+    stored and that the kind and the action fix: the state count, the
+    state map, the letters and the added state."""
     read = partial(read_key, json_object(text, "automaton"), "automaton")
 
-    def state_in(n: int):
-        def check(value):
-            if not 0 <= exactly(int)(value) < n:
-                raise ValueError(f"{value} is not a state in 0..{n - 1}")
-            return value
-        return check
+    def source_state(value):
+        if not 0 <= exactly(int)(value) < action.n:
+            raise ValueError(f"{value} is not a state in 0..{action.n - 1}")
+        return value
 
     def slot(doc):
         kind, state = doc["kind"], doc["state"]
@@ -824,31 +810,16 @@ def automaton_from_json(text: str) -> HcaAutomaton:
             raise ValueError(f"unknown grid {value!r}")
         return value
 
-    def equal_to(want):
-        def check(value):
-            # as JSON, so that true is not 1 and 1.0 is not 1
-            if json.dumps(value, sort_keys=True) != \
-                    json.dumps(want, sort_keys=True):
-                raise ValueError(
-                    f"must be {json.dumps(want)} for the {kind} kind on "
-                    f"the {grid} with {action.n} source states")
-        return check
-
     grid = read("grid", grid_of)
     action = read("action", lambda a: ca1d.rule_from_json(json.dumps(a)))
     kind = read("kind", kind_of)
-    fixed = fixed_keys(kind, action.n)
-    for key, want in fixed.items():
-        read(key, equal_to(want))
-    n_states = fixed["n_states"]
+    n_states = action.n + (kind == "extra")
     automaton = HcaAutomaton(
         grid=grid,
         pattern=read("patterns", pattern),
         action=action,
         kind=kind,
-        padding_state=read("padding_state", lambda v: None if v is None
-                           and kind == "extra"
-                           else state_in(action.n)(v)),
+        padding_state=read("padding_state", source_state),
         name=read("name", default=""),
     )
     if kind == "compact":

@@ -47,7 +47,7 @@ def init_configuration(region: Region, automaton: emb.HcaAutomaton,
 
     The fill is the added state (extra) or the padding state (compact).
     The tape is `ca1d.word_tape`'s, the word centred and padded with the
-    designated quiescent state, laid on the chain out to the region's
+    automaton's padding state, laid on the chain out to the region's
     edge.  The rest is the pattern's: the cell across a chain cell's
     letter slot gets its letter (the dodecagrid extra reflected row), and
     the cell across a slot pinned to a state other than the fill gets
@@ -60,9 +60,6 @@ def init_configuration(region: Region, automaton: emb.HcaAutomaton,
     states_a = set(automaton.action.states())
     if not set(word) <= states_a:
         raise ValueError("word uses states outside the source automaton")
-    if automaton.padding_state is None:
-        raise ValueError("the source automaton has no quiescent state "
-                         "to pad the tape with")
     word_tape = ca1d.word_tape(word, automaton.padding_state)
     if not (-region.halfwidth <= word_tape.start
             and word_tape.end - 1 <= region.halfwidth):
@@ -119,8 +116,7 @@ def run_hca(automaton: emb.HcaAutomaton, region: Region,
         split = coded[table.split[run.rows[coded]]]
         if len(split):
             c = int(run.cells[split[0]])
-            readings, outs = automaton.readings(
-                table.codes[run.rows[split[0]]])
+            readings, outs = automaton.readings(run.rows[split[0]])
             raise AmbiguousMatch(
                 f"cell {c} at time {cfg.time}: readings {readings} "
                 f"disagree, states {outs}")

@@ -696,17 +696,12 @@ def build_region(grid: str, radius: int, halfwidth: int) -> Region:
             np.matmul(par[src[j:j + chunk]], ck.steps[g_step[j:j + chunk]],
                       out=grand[n_chain + j:n_chain + j + chunk])
         par = grand
-        # new_x ascends, so the few chain cells are merged in at their
-        # searchsorted places
-        chain_x = np.array(list(reached.values()), dtype=np.int64)
-        by_x = np.argsort(chain_x)
+        # a candidate is a miss or a hit, so the new cells' and the chain
+        # cells' first occurrences are distinct and one sort orders them
         chain_ids = np.array(list(reached), dtype=np.int32)
-        at = new_x.searchsorted(chain_x[by_x]) + np.arange(by_x.size)
-        order = np.empty(new_x.size + by_x.size, dtype=np.int32)
-        new_at = np.ones(order.size, dtype=bool)
-        new_at[at] = False
-        order[new_at] = np.arange(new_x.size, dtype=np.int32)
-        order[at] = new_x.size + by_x
+        order = np.argsort(np.concatenate(
+            [new_x, np.array(list(reached.values()), dtype=np.int64)]),
+            kind="stable")
         none = np.full(chain_ids.size, p, dtype=np.int8)
         rows, sa, sb, parent = (np.concatenate(v)[order] for v in (
             (g_row, chain_ids), (sb[k], none),

@@ -111,10 +111,13 @@ def test_step_matches_per_cell_reference():
 
 
 def test_step_errors_unchanged():
+    """The refusals of a step; a padding that is not quiescent is named
+    with the equality it fails."""
     rule = ca1d.elementary(110)
     with pytest.raises(ValueError, match="^tape window must be nonempty$"):
         ca1d.step_1d(rule, ca1d.Tape((), 0, 0))
-    quiescent = "^padding state must be quiescent for this rule$"
+    quiescent = (r"^padding state 1 is not quiescent for this rule: "
+                 r"A\(1,1,1\) = 0$")
     with pytest.raises(ValueError, match=quiescent):
         ca1d.step_1d(rule, ca1d.Tape((1,), 0, 1))
 

@@ -4,10 +4,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hypca
-from hypca import cli
+from hypca import ca1d, cli
 from hypca import region as reg
 from hypca import symmetry as sym
 
@@ -30,6 +31,20 @@ def test_transform_all_aliases(tmp_path, capsys):
                        "-o", str(out)) == 0
         doc = json.loads(out.read_text())
         assert doc["grid"] == grid
+    capsys.readouterr()
+
+
+def test_transform_writes_the_automatons_own_keys(tmp_path, capsys):
+    """An automaton file holds what the automaton holds; what its kind
+    and action fix is not stored."""
+    out = tmp_path / "auto.json"
+    for method in ("extra", "compact"):
+        for grid in ("pentagrid", "heptagrid", "dodecagrid"):
+            assert run_cli("transform", "--rule", "elementary:110", "--grid",
+                           grid, "--method", method, "-o", str(out)) == 0
+            assert list(json.loads(out.read_text())) == [
+                "grid", "kind", "name", "action", "patterns",
+                "padding_state"]
     capsys.readouterr()
 
 
@@ -262,6 +277,41 @@ def test_oracle_divergence_exit_code(tmp_path, capsys):
     assert "divergence" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("grid", ["pentagrid", "heptagrid", "dodecagrid"])
+def test_rule_without_a_quiescent_state_runs_padded_with_0(tmp_path, capsys,
+                                                           grid):
+    """Rule 1 has no quiescent state, so the extra construction pads its
+    tape with 0.  `verify` passes it, and `simulate` runs it: the trace
+    matches a 1D run with frozen ends on a window wide enough that the
+    ends do not reach the trusted positions.  The oracle needs a
+    quiescent padding, so `--check-oracle` is refused, naming the
+    equality that fails."""
+    auto, trace = tmp_path / "rule1.json", tmp_path / "trace.txt"
+    assert run_cli("transform", "--rule", "elementary:1", "--grid", grid,
+                   "-o", str(auto)) == 0
+    assert json.loads(auto.read_text())["padding_state"] == 0
+    assert run_cli("verify", "--automaton", str(auto)) == 0
+    steps, m = 3, 20
+    assert run_cli("simulate", "--automaton", str(auto), "--word", "1011",
+                   "--steps", str(steps), "-o", str(trace)) == 0
+    table = ca1d.elementary(1).table
+    row = ca1d.word_tape([1, 0, 1, 1]).window(-m, m + 1)
+    lines = trace.read_text().splitlines()
+    assert len(lines) == steps + 1
+    for t, line in enumerate(lines):
+        time, start, letters = line.split("\t")
+        got = [int(v) for v in letters.split()]
+        assert int(time) == t and len(got) > 4
+        assert got == row[int(start) + m:][:len(got)].tolist(), t
+        row = np.r_[row[0], table[row[:-2], row[1:-1], row[2:]], row[-1]]
+    capsys.readouterr()
+    assert run_cli("simulate", "--automaton", str(auto), "--steps", "2",
+                   "--check-oracle") == 2
+    assert capsys.readouterr().err == (
+        "error: padding state 0 is not quiescent for this rule: "
+        "A(0,0,0) = 1\n")
+
+
 def test_failure_exit_codes(tmp_path, capsys):
     # not fixable on the pentagrid
     assert run_cli("transform", "--rule", "elementary:30",
@@ -306,7 +356,7 @@ def test_failure_exit_codes(tmp_path, capsys):
         assert (out, err) == ("", f"error: {says}\n")
     # malformed automaton files: a missing key, an unknown grid
     doc = json.loads(auto.read_text())
-    for key, value, says in (("letters", None, "'letters'"),
+    for key, value, says in (("padding_state", None, "'padding_state'"),
                              ("grid", "hexgrid", "unknown grid 'hexgrid'")):
         bad = dict(doc, **{key: value})
         if value is None:
@@ -316,13 +366,10 @@ def test_failure_exit_codes(tmp_path, capsys):
                        "--steps", "1") == 2
         assert says in capsys.readouterr().err
     # keys present with values of the wrong form, and keys that disagree:
-    # a padding or added state outside the states, a state map that drops
-    # source state 1, an unknown kind, letters that are not the source
-    # states, an added state that is a letter, a state map that permutes
-    # the letters, a state count other than n + 1 and an added state other
-    # than n, pattern slots with no state, a string state, an unknown kind,
-    # and a state on a left slot, and a pattern cut to four slots that
-    # keeps its left and right slots
+    # a padding outside the source states, an unknown kind, pattern slots
+    # with no state, a string state, an unknown kind, and a state on a
+    # left slot, and a pattern cut to four slots that keeps its left and
+    # right slots
     slots = doc["patterns"][0]
     assert [s["kind"] for s in slots[:2]] == ["left", "fixed"]
     assert [s["kind"] for s in slots].index("right") < 4
@@ -331,14 +378,9 @@ def test_failure_exit_codes(tmp_path, capsys):
         return [slots[:i] + [dict(slots[i], **changed)] + slots[i + 1:]]
 
     for key, value in (("patterns", 5), ("patterns", [[1, 2, 3, 4, 5]]),
-                       ("state_map", [0, 1]), ("letters", 5),
-                       ("n_states", None), ("action", 5),
+                       ("action", 5),
                        ("padding_state", 7), ("padding_state", "x"),
-                       ("state_map", {"0": 0}), ("kind", "weird"),
-                       ("blue", 9),
-                       ("letters", [0, 1, 2]), ("letters", [1]),
-                       ("blue", 0), ("state_map", {"0": 1, "1": 0}),
-                       ("n_states", 4), ("blue", 3),
+                       ("padding_state", None), ("kind", "weird"),
                        ("patterns", pattern_with(1, state=None)),
                        ("patterns", pattern_with(1, state="2")),
                        ("patterns", pattern_with(1, kind="bogus")),

@@ -308,25 +308,56 @@ def test_marker_scheme_key_is_ignored(all_six):
         assert old.pattern == b.pattern
 
 
+def test_older_files_with_the_derived_keys_load(all_six):
+    """Files once stored the state count, the state map, the letters and
+    the added state, which the kind and the action fix.  A file that
+    holds them as they were written, or edited to other values, loads to
+    the automaton the file without them holds."""
+    for (method, _), b in all_six.items():
+        text = embed.automaton_to_json(b)
+        doc = json.loads(text)
+        n, extra = b.action.n, method == "extra"
+        written = {"n_states": n + extra,
+                   "state_map": {str(s): s for s in range(n)},
+                   "letters": list(range(n)),
+                   "blue": n if extra else None}
+        edited = {"n_states": 9, "state_map": {"0": 1, "1": 0},
+                  "letters": [1], "blue": 0.5}
+        for keys in (written, edited):
+            old = embed.automaton_from_json(json.dumps(dict(doc, **keys)))
+            assert embed.automaton_to_json(old) == text, (method, keys)
+
+
+@pytest.mark.parametrize("grid", ["pentagrid", "heptagrid", "dodecagrid"])
+def test_extra_pads_every_rule_with_a_state(region_of, grid):
+    """The extra construction pads the tape with the least quiescent
+    state, or 0 for the 64 elementary rules that have none.  All 256
+    automata verify clean and load back from their own file."""
+    r = region_of(grid, 3, 2)
+    for k in range(256):
+        rule = ca1d.elementary(k)
+        quiescent = ca1d.quiescent_states(rule)
+        b = embed.embed_extra_state(rule, grid)
+        assert b.padding_state == (quiescent[0] if quiescent else 0), k
+        text = embed.automaton_to_json(b)
+        assert embed.automaton_to_json(embed.automaton_from_json(text)) \
+            == text, k
+        init = engine.init_configuration(r, b, [1, 0, 1])
+        assert embed.verify_unique_applicability(b, r, init, 10).ok, k
+
+
 def test_automaton_json_keys_must_agree(all_six):
-    """A compact automaton names no added state, and an extra one the
-    added state n; both keep the source states as letters, unpermuted.
-    Each disagreement is refused naming the key, a JSON boolean or float
-    for an integer too."""
+    """Both kinds pad the tape with a source state: a null padding, the
+    added state, a JSON boolean or float are refused naming the key."""
     doc = json.loads(embed.automaton_to_json(all_six[("compact",
                                                       "heptagrid")]))
     extra = json.loads(embed.automaton_to_json(all_six[("extra",
                                                         "heptagrid")]))
-    for d, key, value in ((doc, "blue", 1),
-                          (doc, "state_map", {"0": 1, "1": 1}),
-                          (doc, "state_map", {"0": 1, "1": 0}),
-                          (doc, "letters", [0, 1, 2]), (doc, "letters", [1]),
-                          (doc, "padding_state", None),
-                          (extra, "n_states", 4), (extra, "n_states", 3.0),
-                          (extra, "blue", 3), (extra, "blue", 0),
-                          (extra, "letters", [False, True]),
-                          (extra, "letters", [1, 0]), (extra, "blue", 2.0),
-                          (extra, "state_map", {"0": 1, "1": 0})):
+    for d, key, value in ((doc, "padding_state", None),
+                          (extra, "padding_state", None),
+                          (extra, "padding_state", 2),
+                          (extra, "padding_state", 0.0),
+                          (extra, "padding_state", False)):
         with pytest.raises(ValueError, match=f"^automaton key '{key}'"):
             embed.automaton_from_json(json.dumps(dict(d, **{key: value})))
     # a pattern that pins only the background has no marker state
@@ -339,8 +370,8 @@ def test_automaton_json_keys_must_agree(all_six):
 
 def test_automaton_json_checks_pattern_slots(all_six):
     """The pattern has a slot per side, each slot is of a known kind, a
-    fixed slot pins a state of the automaton and no other slot pins one;
-    the added state is the one after the letters."""
+    fixed slot pins a state of the automaton, the added state among
+    them, and no other slot pins one."""
     doc = json.loads(embed.automaton_to_json(all_six[("extra",
                                                       "pentagrid")]))
     good = doc["patterns"][0]
@@ -359,10 +390,14 @@ def test_automaton_json_checks_pattern_slots(all_six):
                                              "pentagrid pattern has 5 slots"):
             embed.automaton_from_json(json.dumps(dict(doc,
                                                       patterns=[slots])))
-    with pytest.raises(ValueError, match="^automaton key 'blue': must be 2 "
-                                         "for the extra kind on the "
-                                         "pentagrid with 2 source states$"):
-        embed.automaton_from_json(json.dumps(dict(doc, blue=0)))
+    # the compact kind adds no state
+    compact = json.loads(embed.automaton_to_json(all_six[("compact",
+                                                          "pentagrid")]))
+    slots = [dict(s, state=2) if s["kind"] == "fixed" else s
+             for s in compact["patterns"][0]]
+    with pytest.raises(ValueError, match="^automaton key 'patterns': a fixed "
+                                         "slot pins a state in 0..1, not 2$"):
+        embed.automaton_from_json(json.dumps(dict(compact, patterns=[slots])))
 
 
 def test_letters_and_marker_follow_the_pattern(all_six):

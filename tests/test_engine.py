@@ -73,10 +73,6 @@ def test_init_rejections(region_of, rule110):
         engine.init_configuration(r, b, [2])              # not a source state
     with pytest.raises(ValueError):
         engine.init_configuration(region_of("heptagrid", 2, 1), b, [1])
-    no_quiet = embed.embed_extra_state(ca1d.elementary(1), "pentagrid")
-    assert no_quiet.padding_state is None
-    with pytest.raises(ValueError):
-        engine.init_configuration(r, no_quiet, [1])
 
 
 def _init_reference(region, automaton, word):
@@ -89,9 +85,6 @@ def _init_reference(region, automaton, word):
     states_a = set(automaton.action.states())
     if not set(word) <= states_a:
         raise ValueError("word uses states outside the source automaton")
-    if automaton.padding_state is None:
-        raise ValueError("the source automaton has no quiescent state "
-                         "to pad the tape with")
     start = -(len(word) // 2)
     if word and not (-region.halfwidth <= start
                      and start + len(word) - 1 <= region.halfwidth):
@@ -156,10 +149,8 @@ def test_init_matches_the_per_cell_reference(region_of, rule110, method,
         assert (row != b.blue).all()
     other = region_of("heptagrid" if grid == "pentagrid" else "pentagrid",
                       2, 1)
-    no_pad = dataclasses.replace(autos[0], padding_state=None)
     for region, b, word in ((r, autos[0], [1] * (2 * hw + 2)),
-                            (r, autos[0], [5]), (other, autos[0], [1]),
-                            (r, no_pad, [1])):
+                            (r, autos[0], [5]), (other, autos[0], [1])):
         with pytest.raises(ValueError) as new:
             engine.init_configuration(region, b, word)
         with pytest.raises(ValueError) as old:
