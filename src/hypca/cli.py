@@ -116,9 +116,10 @@ def cmd_verify(args) -> int:
     report = embed.verify_unique_applicability(b, region, init, args.horizon)
     lines = [f"rotation invariance: {len(conflicts)} conflict groups"]
     for group in conflicts[:8]:
-        lines.append(f"  conflicting orbit near self={group.selfs[0]} "
-                     f"nbrs={tuple(group.nbs[0].tolist())} "
-                     f"-> {group.outs[0]}")
+        (s,), (nbs,) = embed.decode(group.codes[:1], b.n_states,
+                                    len(b.pattern.slots))
+        lines.append(f"  conflicting orbit near self={s} "
+                     f"nbrs={tuple(nbs.tolist())} -> {group.outs[0]}")
     _write(args.output, "\n".join(lines) + "\n" + report.text())
     return 0 if report.ok and not conflicts else 1
 

@@ -27,18 +27,20 @@ them once per construction and keeps them, with the letter assignment
 behind each reading, in a small bounded cache; an automaton's own next
 states are then one gather of its action at those assignments.  A set
 of cells is coded with one gather of their neighbour states and one
-int64 product with the digit weights.
+int64 product with the digit weights, and the enumeration is one int64
+product of each alignment's weights with each assignment's slot states.
+A context is its code throughout, decoded only where a person reads it.
 `TableRun` steps a configuration by the table, for the engine and the
 unique-applicability scan alike, and `expanded_rules` lists its
-single-reading contexts as explicit rules, held as the table's arrays,
+single-reading codes as explicit rules, held as the table's arrays,
 so the invariance checker can say independently that matching is
-rotation invariant.  Its orbit grouping reads the contexts alone: the
-enumeration lays each letter assignment out under every rotation, so
-it finds each context's orbit key too, and the construction keeps the
-grouping, found on first use; each automaton's check compares its next
-states within the groups.  Error messages
-spell out a context's readings with `HcaAutomaton.readings`, read off
-the same table: the table is the one matcher.
+rotation invariant.  Its orbit grouping reads the codes alone: a column
+of the enumeration, one letter assignment under every alignment, is a
+context's whole orbit, so the rank of its least code keys each code in
+it; the construction keeps the grouping, found on first use, and each
+automaton's check compares its next states within the groups.  Error
+messages spell out a context's readings with `HcaAutomaton.readings`,
+read off the same table: the table is the one matcher.
 
 A `TableRun` step costs in proportion to the cells it changes, not to
 the region: it carries each complete cell's table row and codes again
@@ -135,6 +137,7 @@ class HcaAutomaton:
             raise ValueError(f"unknown grid {self.grid!r}")
         if len(self.pattern.slots) != GRID_SIDES[self.grid]:
             raise ValueError("pattern arity does not fit the grid")
+        _source_state(self.padding_state, self.action.n)
 
     @property
     def letters(self) -> range:
@@ -183,6 +186,14 @@ class HcaAutomaton:
         outs = self.action.table.ravel()[entries]
         return ([(t // (n * n), t % n) for t in entries.tolist()],
                 sorted(set(outs.tolist())))
+
+
+def _source_state(value, n: int) -> int:
+    """`value` if it is an int source state in 0..n-1, and no bool."""
+    if type(value) is not int or not 0 <= value < n:
+        raise ValueError(f"padding_state {value!r} is not a source state "
+                         f"in 0..{n - 1}")
+    return value
 
 
 def _pattern(grid: str, fill: int, marker: int | None = None
@@ -323,8 +334,8 @@ class RuleTable:
         return np.where(self.codes.take(at) == codes, at, -1)
 
 
-def _decode(codes: np.ndarray, base: int, arity: int
-            ) -> tuple[np.ndarray, np.ndarray]:
+def decode(codes: np.ndarray, base: int, arity: int
+           ) -> tuple[np.ndarray, np.ndarray]:
     """(self states, (len, arity) neighbour states) of context codes.
 
     The digits are taken one row at a time, least significant first; the
@@ -385,10 +396,10 @@ class TableRun:
 
 # constructions whose context tables are kept: the six (grid, method)
 # pairs at two and three source states fit.  A kept table, with its
-# orbit keys and the decoded contexts and orbit groups an invariance
-# check adds, takes at most 8 (p + 8) bytes per (alignment, assignment)
-# pair of its enumeration, p the arity: 0.71 MB, 146 bytes a pair, for a
-# 3-state source on the dodecagrid.
+# orbit keys and the orbit groups an invariance check adds, holds eight
+# arrays of at most 8 bytes per (alignment, assignment) pair of its
+# enumeration: 0.20 MB, 42 bytes a pair, for a 3-state source on the
+# dodecagrid, and 27.6 MB, 43 bytes a pair, for a 22-state compact one.
 _CONTEXT_TABLES = 16
 
 
@@ -405,10 +416,9 @@ class ContextTable:
     table, n the letter count; the entries of code k start at
     `starts[k]`, in the order of the first alignment that gives each.
     `orbit_keys[k]` is the rank, among the construction's orbits, of
-    the least lexicographic code (own state, then side 0, most
-    significant first) over the rotations of code k's context: equal
-    keys mark one orbit, and keys order the orbits as those codes do.
-    The arrays are read-only, since every automaton of the construction
+    the least code over the rotations of code k's context: equal keys
+    mark one orbit, and keys order the orbits as those codes do.  The
+    arrays are read-only, since every automaton of the construction
     shares them.
     """
 
@@ -420,15 +430,6 @@ class ContextTable:
     assignments: np.ndarray     # (E,) (left, self, right) letters
     single: np.ndarray          # (M,) bool, exactly one reading
     orbit_keys: np.ndarray      # (M,) unsigned, rank of the orbit
-
-    @cached_property
-    def single_contexts(self) -> tuple[np.ndarray, np.ndarray]:
-        """(self states, neighbour states) of the single-reading codes,
-        read-only: the contexts of `expanded_rules`."""
-        out = _decode(self.codes[self.single], self.base, self.arity)
-        for a in out:
-            a.setflags(write=False)
-        return out
 
     @cached_property
     def orbits(self) -> sym.Orbits:
@@ -465,25 +466,26 @@ def context_table(pattern: ContextPattern, n: int, base: int
     left = pick[1 + free.index(pattern.left_index)]
     right = pick[1 + free.index(pattern.right_index)]
 
-    # one row per alignment, one column per assignment, in two planes:
-    # the codes, and the lexicographic codes, whose most significant
-    # digits are the own state, then side 0
-    rows = sym.rotation_indices(p).astype(np.int64)
-    weight = base ** np.stack((rows, p - 1 - rows))
-    codes = np.zeros((2, len(rows), pick.shape[1]), dtype=np.int64)
-    codes += pick[0] * base ** p
+    # each assignment's state in every slot, then its own state
+    states = np.empty((p + 1, pick.shape[1]), dtype=np.int64)
     for i, slot in enumerate(pattern.slots):
         if slot.kind == "fixed":
-            codes += weight[..., i, None] * slot.state
-    for j, i in enumerate(free):
-        codes += weight[..., i, None] * pick[1 + j]
+            states[i] = slot.state
+    states[[p, *free]] = pick
+    # one row per alignment, one column per assignment: the product of
+    # the alignment's digit weights, B**rows[g, i] for slot i and B**p
+    # for the own state, with the states, exact since
+    # `require_codes_fit` keeps every partial sum below 2**63
+    rows = sym.rotation_indices(p)
+    codes = base ** np.c_[rows, np.full(len(rows), p)].astype(np.int64) \
+        @ states
     # a column holds every rotation of its assignment's context, so its
-    # least lexicographic code keys the orbit of each entry in it; the
-    # rank of that code among the columns' is kept, in the narrowest
-    # unsigned type, which numpy's stable sort takes by radix
-    keys = np.unique(codes[1].min(axis=0), return_inverse=True)[1]
+    # least code keys the orbit of each entry in it; the rank of that
+    # code among the columns' is kept, in the narrowest unsigned type,
+    # which numpy's stable sort takes by radix
+    keys = np.unique(codes.min(axis=0), return_inverse=True)[1]
     keys = keys.astype(np.min_scalar_type(keys.max()))
-    codes = codes[0].ravel()
+    codes = codes.ravel()
     triple = np.tile((left * n + pick[0]) * n + right, len(rows))
 
     # within one code the self letter is fixed, so triples tell apart
@@ -529,12 +531,12 @@ def compile_rules(automaton: HcaAutomaton) -> RuleTable:
 def expanded_rules(automaton: HcaAutomaton) -> sym.RuleArrays:
     """The pattern unfolded into explicit (context, new state) rules over
     every rotated alignment and letter assignment: one rule per context
-    with exactly one reading, in code order, held as the table's arrays.
-    A context with several readings has no single rule and is left out.
-    The contexts are the construction's; only the next states are the
-    automaton's own."""
+    with exactly one reading, in code order, held as the table's codes
+    and next states, one gather of each.  A context with several
+    readings has no single rule and is left out.  The codes are the
+    construction's; only the next states are the automaton's own."""
     ctx = automaton.context_table
-    return sym.RuleArrays(*ctx.single_contexts,
+    return sym.RuleArrays(ctx.codes[ctx.single],
                           automaton.rule_table.lo[ctx.single])
 
 
@@ -775,11 +777,6 @@ def automaton_from_json(text: str) -> HcaAutomaton:
     state map, the letters and the added state."""
     read = partial(read_key, json_object(text, "automaton"), "automaton")
 
-    def source_state(value):
-        if not 0 <= exactly(int)(value) < action.n:
-            raise ValueError(f"{value} is not a state in 0..{action.n - 1}")
-        return value
-
     def slot(doc):
         kind, state = doc["kind"], doc["state"]
         if kind not in ("fixed", "left", "right", "letter"):
@@ -819,7 +816,8 @@ def automaton_from_json(text: str) -> HcaAutomaton:
         pattern=read("patterns", pattern),
         action=action,
         kind=kind,
-        padding_state=read("padding_state", source_state),
+        padding_state=read("padding_state",
+                           partial(_source_state, n=action.n)),
         name=read("name", default=""),
     )
     if kind == "compact":

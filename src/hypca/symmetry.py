@@ -15,17 +15,18 @@ re-reading for printed context rows.  On the dodecagrid the rows are
 `all_motions`.
 
 The rotation-invariance check, as `embed.check_invariance` runs it, works
-on a `RuleArrays`, a rule set held as int64 arrays of own states,
-neighbour states and next states, in two steps.  An `Orbits` groups the
-contexts by orbit key, the least lexicographic code over the context's
-rotations; it reads no next state, so one grouping serves every rule set
-over the same contexts.  `embed.context_table` finds the keys in its own
-enumeration, whose column of one letter assignment is that context's
-whole orbit, and keeps them with the construction.  `Orbits.conflicts`
-then compares the next states within each group.  A keying by matrix
-product over every rotation, and a per-rule version, which groups
-(context, next state) pairs by their least re-reading one rotation at a
-time, are kept in `tests/symmetry_reference.py` as references.
+on a `RuleArrays`, a rule set held as int64 arrays of context codes and
+next states, in two steps.  An `Orbits` groups the contexts by orbit
+key, the least code over the context's rotations; it reads no next
+state, so one grouping serves every rule set over the same contexts.
+`embed.context_table` finds the keys in its own enumeration, whose
+column of one letter assignment is that context's whole orbit, and
+keeps them with the construction.  `Orbits.conflicts` then compares the
+next states within each group.  A keying by matrix product over every
+rotation, which takes the least lexicographic re-reading, and a
+per-rule version, which groups (context, next state) pairs by their
+least re-reading one rotation at a time, are kept in
+`tests/symmetry_reference.py` as references.
 """
 from __future__ import annotations
 
@@ -139,11 +140,10 @@ def require_codes_fit(n_states: int, arity: int) -> None:
 
 @dataclass(frozen=True, eq=False)
 class RuleArrays:
-    """A rule set as arrays: rule k reads own state `selfs[k]` and
-    neighbour states `nbs[k]`, and gives next state `outs[k]`."""
+    """A rule set as arrays: rule k reads the context of code `codes[k]`
+    and gives next state `outs[k]`."""
 
-    selfs: np.ndarray       # (N,) int64
-    nbs: np.ndarray         # (N, arity) int64
+    codes: np.ndarray       # (N,) int64
     outs: np.ndarray        # (N,) int64
 
     def __len__(self) -> int:
@@ -178,8 +178,8 @@ class Orbits:
         """The orbits whose next states disagree among `rules`, which
         must list the grouped contexts in the same order; an empty list
         means the rule set is rotation invariant.  Each group is a
-        `RuleArrays` of its members in input order, the groups in
-        ascending order of their orbit key."""
+        `RuleArrays` of its members' codes and next states in input
+        order, the groups in ascending order of their orbit key."""
         if len(rules) != len(self.order):
             raise ValueError(f"{len(rules)} rules for a grouping of "
                              f"{len(self.order)} contexts")
@@ -191,8 +191,7 @@ class Orbits:
         ends = np.r_[self.starts[1:], len(outs)]
         members = [self.order[a:b]
                    for a, b in zip(self.starts[split], ends[split])]
-        return [RuleArrays(rules.selfs[m], rules.nbs[m], rules.outs[m])
-                for m in members]
+        return [RuleArrays(rules.codes[m], rules.outs[m]) for m in members]
 
 
 def motions_table_text() -> str:

@@ -5,10 +5,14 @@
 `minimal_form`, one rotation at a time; `orbit_conflicts`, which groups
 a `RuleArrays` with `orbits` and splits it with `Orbits.conflicts` as
 `embed.check_invariance` does, must report the same groups, in the same
-order.  `orbits` keys each context by a matrix product over every
-rotation, as the package did before `embed.context_table` took the keys
-from its own enumeration; `ContextTable.orbits` must give the same
-grouping.
+order.  `pack` codes such pairs as a `RuleArrays` and `unpack` reads one
+back, both at a given base and arity, an automaton's from `coding`;
+`contexts` lists the pairs' states as arrays.  `orbits` keys each
+context by a matrix product over every rotation, its least
+lexicographic re-reading, as the package did before
+`embed.context_table` took the keys from its own enumeration;
+`ContextTable.orbits` must give the same partition, though it orders
+the groups by least code.
 `match_alignments` tries the pattern under every rotated alignment of
 one context, a shift count on the polygonal grids or a face permutation
 on the dodecagrid, one slot at a time by `slot_accepts`;
@@ -179,19 +183,43 @@ def check_rotation_invariance(
     return conflicts
 
 
-def pack(rules: Iterable[tuple[RuleContext, int]]) -> sym.RuleArrays:
-    """(context, next state) pairs as a `RuleArrays`, in the same order."""
+def contexts(rules: Iterable[tuple[RuleContext, int]]
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """(own states, (N, arity) neighbour states) of (context, next state)
+    pairs, as int64 arrays in the same order."""
     rules = list(rules)
+    return (np.array([ctx.self_state for ctx, _ in rules], dtype=np.int64),
+            np.array([ctx.neighbor_states for ctx, _ in rules],
+                     dtype=np.int64))
+
+
+def coding(automaton: embed.HcaAutomaton) -> tuple[int, int]:
+    """The base and arity of an automaton's context codes."""
+    return automaton.n_states, len(automaton.pattern.slots)
+
+
+def pack(rules: Iterable[tuple[RuleContext, int]], base: int, arity: int
+         ) -> sym.RuleArrays:
+    """(context, next state) pairs as a `RuleArrays`, in the same order:
+    each context coded s*B**p + sum(n_i * B**i), one digit at a time."""
+    sym.require_codes_fit(base, arity)
+    rules = list(rules)
+    selfs, nbs = contexts(rules)
+    codes = selfs.copy()
+    for i in range(arity - 1, -1, -1):
+        codes *= base
+        codes += nbs[:, i]
     return sym.RuleArrays(
-        np.array([ctx.self_state for ctx, _ in rules], dtype=np.int64),
-        np.array([ctx.neighbor_states for ctx, _ in rules], dtype=np.int64),
-        np.array([out for _, out in rules], dtype=np.int64))
+        codes, np.array([out for _, out in rules], dtype=np.int64))
 
 
-def unpack(rules: sym.RuleArrays) -> list[tuple[RuleContext, int]]:
-    """A `RuleArrays` as (context, next state) pairs of Python ints."""
+def unpack(rules: sym.RuleArrays, base: int, arity: int
+           ) -> list[tuple[RuleContext, int]]:
+    """A `RuleArrays` as (context, next state) pairs of Python ints, its
+    codes split into digits at the given base and arity."""
+    selfs, nbs = embed.decode(rules.codes, base, arity)
     return [(RuleContext(s, tuple(nb)), out)
-            for s, nb, out in zip(rules.selfs.tolist(), rules.nbs.tolist(),
+            for s, nb, out in zip(selfs.tolist(), nbs.tolist(),
                                   rules.outs.tolist())]
 
 
@@ -248,19 +276,23 @@ def orbits(selfs: np.ndarray, nbs: np.ndarray) -> sym.Orbits:
     return sym.Orbits(order, starts)
 
 
-def orbit_conflicts(rules: sym.RuleArrays) -> list[sym.RuleArrays]:
-    """Group rules by the rotation orbit of their contexts, as `orbits`
-    does, and report the groups whose next states disagree, as
-    `Orbits.conflicts` does; an empty list means the rule set is rotation
-    invariant."""
-    return orbits(rules.selfs, rules.nbs).conflicts(rules)
+def orbit_conflicts(rules: sym.RuleArrays, base: int, arity: int
+                    ) -> list[sym.RuleArrays]:
+    """Group rules, their codes at the given base and arity, by the
+    rotation orbit of their contexts, as `orbits` does, and report the
+    groups whose next states disagree, as `Orbits.conflicts` does; an
+    empty list means the rule set is rotation invariant."""
+    return orbits(*embed.decode(rules.codes, base, arity)).conflicts(rules)
 
 
-def orbit_conflict_pairs(rules: Iterable[tuple[RuleContext, int]]
+def orbit_conflict_pairs(rules: Sequence[tuple[RuleContext, int]]
                          ) -> list[list[tuple[RuleContext, int]]]:
-    """`orbit_conflicts` on pairs, its groups read back as pairs, for
-    comparison with `check_rotation_invariance`."""
-    return [unpack(g) for g in orbit_conflicts(pack(rules))]
+    """`orbit_conflicts` on pairs, coded at the least base their states
+    admit, its groups read back as pairs, for comparison with
+    `check_rotation_invariance`."""
+    selfs, nbs = contexts(rules)
+    at = int(max(selfs.max(), nbs.max())) + 1, nbs.shape[1]
+    return [unpack(g, *at) for g in orbit_conflicts(pack(rules, *at), *at)]
 
 
 def alignments(automaton: embed.HcaAutomaton):
@@ -352,7 +384,7 @@ def decode(table: embed.RuleTable, codes: np.ndarray
            ) -> tuple[np.ndarray, np.ndarray]:
     """(self states, (len, arity) neighbour states) of a table's context
     codes."""
-    return embed._decode(codes, table.base, table.arity)
+    return embed.decode(codes, table.base, table.arity)
 
 
 def frozen_rim_run(automaton: embed.HcaAutomaton, region,
@@ -440,8 +472,7 @@ def expanded_rules_reference(automaton: embed.HcaAutomaton
     as rules, in code order."""
     table = compile_rules_reference(automaton)
     single = table.readings == 1
-    selfs, nbs = decode(table, table.codes[single])
-    return sym.RuleArrays(selfs, nbs, table.lo[single])
+    return sym.RuleArrays(table.codes[single], table.lo[single])
 
 
 def symbolic_rows(automaton: embed.HcaAutomaton, region,

@@ -231,13 +231,11 @@ def test_verify_prints_conflicting_orbit(tmp_path, capsys, monkeypatch):
     with different next states, beside a rule of another orbit.  Compiled
     automata never conflict, so the check is replaced by one that
     returns the group."""
-    import numpy as np
     from hypca import embed
-    planted = sym.RuleArrays(np.array([0, 0, 1]),
-                             np.array([[0, 1, 0, 0, 1], [1, 0, 0, 1, 0],
-                                       [0, 0, 0, 0, 0]]),
-                             np.array([1, 0, 1]))
-    groups = ref.orbit_conflicts(planted)
+    planted = ref.pack([(ref.RuleContext(0, (0, 1, 0, 0, 1)), 1),
+                        (ref.RuleContext(0, (1, 0, 0, 1, 0)), 0),
+                        (ref.RuleContext(1, (0, 0, 0, 0, 0)), 1)], 2, 5)
+    groups = ref.orbit_conflicts(planted, 2, 5)
     assert len(groups) == 1
     monkeypatch.setattr(embed, "check_invariance", lambda b: groups)
     auto = tmp_path / "auto.json"

@@ -119,7 +119,8 @@ def test_expansion_sizes_and_invariance(all_six):
 def test_expansion_contains_action_rule(rule110):
     b = embed.embed_compact(rule110, "pentagrid")
     rules = {(c.self_state, c.neighbor_states): out
-             for c, out in ref.unpack(embed.expanded_rules(b))}
+             for c, out in ref.unpack(embed.expanded_rules(b),
+                                            *ref.coding(b))}
     # the identity alignment of the pattern with both letters 1
     assert rules[(1, (1, 1, 0, 1, 0))] == rule110.apply(1, 1, 1)
 
@@ -344,6 +345,17 @@ def test_extra_pads_every_rule_with_a_state(region_of, grid):
             == text, k
         init = engine.init_configuration(r, b, [1, 0, 1])
         assert embed.verify_unique_applicability(b, r, init, 10).ok, k
+
+
+def test_automaton_refuses_a_padding_that_is_no_source_state():
+    """An automaton checks its padding as its file's reader does: a
+    state past the source's, the added state among them, None, a bool
+    or a float is refused with a ValueError naming `padding_state`."""
+    b = embed.embed_extra_state(ca1d.elementary(110), "pentagrid")
+    for value in (5, 2, -1, None, True, 1.0):
+        with pytest.raises(ValueError, match=f"^padding_state {value!r} "):
+            dataclasses.replace(b, padding_state=value)
+    assert dataclasses.replace(b, padding_state=1).padding_state == 1
 
 
 def test_automaton_json_keys_must_agree(all_six):

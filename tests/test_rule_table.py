@@ -7,8 +7,9 @@ count and next states, `HcaAutomaton.readings` the same readings and
 next states in the same order, and the expansion read off the table must
 list the same rules.  `compile_rules`, which reads the contexts from a
 per-construction cache, must give `compile_rules_reference`'s table.
-The orbit grouping keyed in the enumeration must equal the reference's
-`orbits`, the array orbit check must report the same conflicts as
+The orbit grouping keyed in the enumeration must partition the contexts
+as the reference's `orbits` does, in ascending order of least code, the
+array orbit check must report the same conflicts as
 `check_rotation_invariance`, and the table-driven verify
 scan must report what a matcher-driven scan and a scan that codes every
 cell at every step with the reference encoder report, both stepping by
@@ -188,7 +189,7 @@ def test_readings_match_matcher_on_multi_reading_automata(rule110):
 
 def test_expansion_matches_reference(all_six):
     for b in [*all_six.values(), *_random_pentagrid_automata()]:
-        rules = ref.unpack(embed.expanded_rules(b))
+        rules = ref.unpack(embed.expanded_rules(b), *ref.coding(b))
         assert set(rules) == _reference_expansion(b), b.name
         assert len(set(rules)) == len(rules), b.name
 
@@ -213,11 +214,22 @@ def _as_sets(groups):
                          for c, out in g) for g in groups)
 
 
+def _partition(groups):
+    """Groups as a set of member lists, whatever the groups' order."""
+    return {tuple(members) for members in groups}
+
+
+def _orbit_groups(orbits):
+    """An `Orbits`' groups, each its rule indices in order."""
+    ends = np.r_[orbits.starts[1:], len(orbits.order)]
+    return [orbits.order[a:b].tolist() for a, b in zip(orbits.starts, ends)]
+
+
 def test_orbit_check_matches_reference():
     cases = _invariance_cases()
     assert len(cases) >= 10
     for b in cases:
-        rules = ref.unpack(embed.expanded_rules(b))
+        rules = ref.unpack(embed.expanded_rules(b), *ref.coding(b))
         assert embed.check_invariance(b) == []
         assert ref.check_rotation_invariance(rules) == []
         # one flipped output breaks exactly its own orbit, in both checkers
@@ -228,8 +240,10 @@ def test_orbit_check_matches_reference():
         slow = ref.check_rotation_invariance(planted)
         assert fast == slow, b.name
         # the construction's cached grouping splits the same groups
-        cached = b.context_table.orbits.conflicts(ref.pack(planted))
-        assert [ref.unpack(g) for g in cached] == fast, b.name
+        cached = b.context_table.orbits.conflicts(
+            ref.pack(planted, *ref.coding(b)))
+        assert _partition(tuple(ref.unpack(g, *ref.coding(b)))
+                          for g in cached) == _partition(fast), b.name
         assert len(fast) == 1, b.name
         orbit = {ref.rotated_context(ctx, m) for m in
                  (sym.all_motions() if b.grid == "dodecagrid"
@@ -238,12 +252,14 @@ def test_orbit_check_matches_reference():
 
 
 def test_enumeration_orbits_match_reference(rule110):
-    """`ContextTable.orbits`, keyed in the enumeration, groups the
-    single-reading contexts as the reference's product over every
-    rotation does, `order` and `starts` alike: all six (grid, method)
-    pairs at 2 to 4 source states, the rule-110 patterns whose contexts
-    read several ways, and dodecagrid compact at 22 states, whose
-    neighbour codes pass 2**53, where the reference keys in int64."""
+    """`ContextTable.orbits`, keyed in the enumeration by least code,
+    partitions the single-reading contexts as the reference's product
+    over every rotation does, which keys by least lexicographic
+    re-reading: all six (grid, method) pairs at 2 to 4 source states,
+    the rule-110 patterns whose contexts read several ways, and
+    dodecagrid compact at 22 states, whose neighbour codes pass 2**53,
+    where the reference keys in int64.  The package's groups list their
+    members in code order and ascend by least code."""
     rng = np.random.default_rng(29)
     autos = _multi_reading_automata(rule110)
     for grid in embed.GRID_SIDES:
@@ -256,11 +272,15 @@ def test_enumeration_orbits_match_reference(rule110):
     assert 22 ** 12 > 2 ** 53
     for b in autos:
         ctx = b.context_table
-        got, want = ctx.orbits, ref.orbits(*ctx.single_contexts)
-        assert np.array_equal(got.order, want.order), b.name
-        assert np.array_equal(got.starts, want.starts), b.name
-        assert len(got.starts) < len(got.order), b.name
-    # the 22-state table holds about 94 MB; the cache would keep it
+        codes = ctx.codes[ctx.single]
+        got = _orbit_groups(ctx.orbits)
+        want = _orbit_groups(ref.orbits(*ref.decode(ctx, codes)))
+        assert _partition(got) == _partition(want), b.name
+        assert all(g == sorted(g) for g in got), b.name
+        least = [codes[g[0]] for g in got]
+        assert least == sorted(set(least)), b.name
+        assert len(got) < len(codes), b.name
+    # the 22-state table holds about 28 MB; the cache would keep it
     embed.context_table.cache_clear()
 
 
@@ -331,12 +351,13 @@ def test_compile_matches_reference_on_random_rules():
                                   getattr(want[1], name)), (b.name, name)
         rules = embed.expanded_rules(b)
         expected = ref.expanded_rules_reference(b)
-        for name in ("selfs", "nbs", "outs"):
+        for name in ("codes", "outs"):
             assert np.array_equal(getattr(rules, name),
                                   getattr(expected, name)), (b.name, name)
         groups = embed.check_invariance(b)
-        assert [ref.unpack(g) for g in groups] == \
-            [ref.unpack(g) for g in ref.orbit_conflicts(expected)], b.name
+        assert [ref.unpack(g, *ref.coding(b)) for g in groups] == \
+            [ref.unpack(g, *ref.coding(b))
+             for g in ref.orbit_conflicts(expected, *ref.coding(b))], b.name
 
 
 def test_row_verdicts_match_the_per_cell_formulas(rule110):
@@ -403,14 +424,14 @@ def test_context_table_is_shared_per_construction():
                                                                 tb.hi))
     ctx = a.context_table
     assert ctx is b.context_table
-    assert "orbits" not in vars(ctx) and "single_contexts" not in vars(ctx)
+    assert "orbits" not in vars(ctx)
     for arr in (ctx.codes, ctx.readings, ctx.starts, ctx.assignments,
                 ctx.single, ctx.orbit_keys):
         with pytest.raises(ValueError):
             arr[0] = arr[0]
     assert embed.check_invariance(a) == embed.check_invariance(b) == []
     orbits = vars(ctx)["orbits"]
-    for arr in (orbits.order, orbits.starts, *ctx.single_contexts):
+    for arr in (orbits.order, orbits.starts):
         with pytest.raises(ValueError):
             arr.flat[0] = arr.flat[0]
 
@@ -458,9 +479,8 @@ def test_expansion_makes_rule_objects_only_when_read():
     assert embed.check_invariance(b) == []
     rules = embed.expanded_rules(b)
     assert len(rules) == len(listed) == 4860
-    assert all(a.dtype == np.int64 for a in (rules.selfs, rules.nbs,
-                                             rules.outs))
-    assert ref.unpack(rules) == listed
+    assert rules.codes.dtype == rules.outs.dtype == np.int64
+    assert ref.unpack(rules, *ref.coding(b)) == listed
 
 
 def _random_dodecagrid_rules(n_states, rng, contexts=30, copies=3, low=0):
@@ -503,11 +523,11 @@ def test_orbit_keys_at_the_int64_limit():
 def _orbit_keys(rules, dtype):
     """(own state, least neighbour code over the 60 rotations) per rule,
     the codes summed in `dtype`."""
-    rules = ref.pack(rules)
-    base = int(max(rules.selfs.max(), rules.nbs.max())) + 1
-    readings = rules.nbs[:, sym.rotation_indices(12)].astype(dtype)
+    selfs, nbs = ref.contexts(rules)
+    base = int(max(selfs.max(), nbs.max())) + 1
+    readings = nbs[:, sym.rotation_indices(12)].astype(dtype)
     codes = readings @ (base ** np.arange(11, -1, -1)).astype(dtype)
-    return list(zip(rules.selfs.tolist(), codes.min(axis=1).tolist()))
+    return list(zip(selfs.tolist(), codes.min(axis=1).tolist()))
 
 
 def test_orbit_keys_at_the_float64_limit():
@@ -544,15 +564,18 @@ def test_orbit_keys_at_the_float64_limit():
 
 def test_orbit_keys_refuse_a_29th_state():
     """One state more and the codes overflow: the reference's `orbits`
-    must refuse the rule set before it allocates the chunk's key
-    matrix."""
-    rules = ref.pack(
-        _random_dodecagrid_rules(29, np.random.default_rng(29), contexts=300))
-    assert len(rules) > 1024
+    must refuse the contexts before it allocates the chunk's key
+    matrix, and `pack` cannot code them."""
+    rules = _random_dodecagrid_rules(29, np.random.default_rng(29),
+                                     contexts=300)
+    with pytest.raises(ValueError, match="29 states"):
+        ref.pack(rules, 29, 12)
+    selfs, nbs = ref.contexts(rules)
+    assert len(selfs) > 1024
     tracemalloc.start()
     try:
         with pytest.raises(ValueError) as err:
-            ref.orbit_conflicts(rules)
+            ref.orbits(selfs, nbs)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -120,7 +120,6 @@ def test_conflicts_refuse_rules_of_another_grouping():
     grouping = ref.orbits(np.zeros(3, dtype=np.int64), nbs)
     for n in (2, 4):
         rules = sym.RuleArrays(np.zeros(n, dtype=np.int64),
-                               np.zeros((n, 5), dtype=np.int64),
                                np.zeros(n, dtype=np.int64))
         with pytest.raises(ValueError,
                            match=f"^{n} rules for a grouping of 3 contexts$"):
