@@ -26,10 +26,13 @@ state counts, not on the source rule, so `context_table` enumerates
 them once per construction and keeps them, with the letter assignment
 behind each reading, in a small bounded cache; an automaton's own next
 states are then one gather of its action at those assignments.  A set
-of cells is coded with one gather of their neighbour states and one
-int64 product with the digit weights, and the enumeration is one int64
-product of each alignment's weights with each assignment's slot states.
-A context is its code throughout, decoded only where a person reads it.
+of cells is coded with one gather of the states at their rows of the
+region's `complete_contexts` and one int64 product with the digit
+weights, and the enumeration is one int64 product of each alignment's
+weights with each assignment's slot states.  A code is looked up with one
+gather of the construction's dense row index where its code space has at
+most 2**16 codes, and by a sorted search where it has more.  A context
+is its code throughout, decoded only where a person reads it.
 `TableRun` steps a configuration by the table, for the engine and the
 unique-applicability scan alike, and `expanded_rules` lists its
 single-reading codes as explicit rules, held as the table's arrays,
@@ -44,12 +47,12 @@ read off the same table: the table is the one matcher.
 
 A `TableRun` step costs in proportion to the cells it changes, not to
 the region: it carries each complete cell's table row and codes again
-only the closed neighbourhoods of changed cells, found by index in the
-region's `complete_neighbours`.  The scan codes each table row's
-verdicts once as bits, and after a step that coded any cell recounts
-every verdict with one gather of those bits by the carried rows; past a
-fixed point it codes nothing and repeats that time's counts and
-violation lines.
+only the closed neighbourhoods of changed cells, found with one gather
+of the region's `complete_index` at their context rows.  The scan codes
+each table row's verdicts once as bits, and after a step that coded any
+cell recounts every verdict with one gather of those bits by the carried
+rows; past a fixed point it codes nothing and repeats that time's counts
+and violation lines.
 """
 from __future__ import annotations
 
@@ -295,6 +298,9 @@ class RuleTable:
     readings: np.ndarray    # (M,) distinct readings per code, at least 1
     lo: np.ndarray          # (M,) least next state over the readings
     hi: np.ndarray          # (M,) greatest next state over the readings
+    # (base**(arity + 1),) int32 row of every code, -1 where absent: the
+    # construction's `ContextTable.row_index`, or None for the search
+    row_index: np.ndarray | None = field(default=None, repr=False)
     # (M + 1,) read-only per-row verdicts; row -1, no reading, reads False
     moves: np.ndarray = field(init=False)   # readings agree, on a new state
     split: np.ndarray = field(init=False)   # readings disagree
@@ -314,19 +320,22 @@ class RuleTable:
         """B**i for neighbour digit i, then B**p for the own state."""
         return self.base ** np.arange(self.arity + 1, dtype=np.int64)
 
-    def encode(self, states: np.ndarray, adjacency: np.ndarray,
-               cells: np.ndarray) -> np.ndarray:
-        """Context codes of `cells`, whose neighbours must all exist: one
-        gather of the neighbour states and one int64 product with the
-        digit weights, exact since `require_codes_fit` keeps every code
-        and partial sum below 2**63."""
-        w = self._weights
-        return (states.take(adjacency.take(cells, axis=0)) @ w[:-1]
-                + states.take(cells).astype(np.int64) * w[-1])
+    def encode(self, states: np.ndarray, contexts: np.ndarray) -> np.ndarray:
+        """Context codes of the cells whose ids `contexts` lists a row
+        each, the neighbours in digit order and then the cell itself, as
+        `Region.complete_contexts` holds them: one gather of the states
+        and one int64 product with the digit weights, exact since
+        `require_codes_fit` keeps every code and partial sum below
+        2**63."""
+        return states.take(contexts) @ self._weights
 
     def lookup(self, codes: np.ndarray) -> np.ndarray:
-        """Table row of each code, -1 where the context has no reading:
-        one search, clipped to the last row, and one equality gather."""
+        """Table row of each code, -1 where the context has no reading.
+        With a `row_index` that is one gather, so every code must lie in
+        0..base**(arity + 1) - 1; without one it is one search, clipped
+        to the last row, and one equality gather."""
+        if self.row_index is not None:
+            return self.row_index.take(codes)
         if not len(self.codes):
             return np.full(len(codes), -1, dtype=np.intp)
         at = self.codes.searchsorted(codes)
@@ -353,26 +362,37 @@ class TableRun:
     stepper behind `engine.run_hca` and `verify_unique_applicability`.
 
     Only `cells`, the region's `complete_cells`, step; each carries its
-    table row in `rows` (-1 for none), all looked up once at the start.  A
-    step moves the cells whose rows `RuleTable.moves`, then codes again
-    only the complete cells in the closed neighbourhood of a moved cell,
-    since no other context can change; this needs the adjacency to be
-    symmetric.  That neighbourhood is the movers and one gather of the
-    region's `complete_neighbours` at them, all indices into `cells`,
-    made distinct and ascending by one boolean mark over `cells`.  Every
-    cell not coded again keeps a row that did not move it, so the next
-    movers are among those coded again.
+    table row in `rows` (-1 for none), all looked up once at the start
+    from the region's `complete_contexts`.  A step moves the cells whose
+    rows `RuleTable.moves`, then codes again only the complete cells in
+    the closed neighbourhood of a moved cell, since no other context can
+    change; this needs the adjacency to be symmetric.  A moved cell's
+    context row holds that neighbourhood, itself included, so one gather
+    of the region's `complete_index` at the movers' rows finds it as
+    indices into `cells`, made distinct and ascending by one boolean
+    mark over `cells`.  Every cell not coded again keeps a row that did
+    not move it, so the next movers are among those coded again.
+
+    The states must be one per region cell, each in 0..n-1 for the
+    table's n states, which its codes and its `row_index` assume; others
+    are refused with a ValueError naming the first cell that holds one.
     """
 
     def __init__(self, table: RuleTable, region: Region,
                  states: np.ndarray) -> None:
-        self.table, self.adjacency, self.states = \
-            table, region.adjacency, states
+        if states.shape != (region.n_cells,):
+            raise ValueError(f"{len(states)} states for a region of "
+                             f"{region.n_cells} cells")
+        if not 0 <= states.min() <= states.max() < table.base:
+            c = int(np.flatnonzero((states < 0) | (states >= table.base))[0])
+            raise ValueError(f"cell {c} holds state {int(states[c])}, "
+                             f"outside 0..{table.base - 1}")
+        self.table, self.states = table, states
         self.cells = region.complete_cells
-        self.neighbours = region.complete_neighbours
-        self.rows = table.lookup(table.encode(states, self.adjacency,
-                                              self.cells))
-        self._movers = np.flatnonzero(table.moves[self.rows])
+        self.contexts = region.complete_contexts
+        self.index = region.complete_index
+        self.rows = table.lookup(table.encode(states, self.contexts))
+        self._movers = table.moves.take(self.rows).nonzero()[0]
 
     def step(self) -> np.ndarray:
         """One synchronous update.  Returns the indices into `cells` of
@@ -381,16 +401,15 @@ class TableRun:
         movers, table = self._movers, self.table
         if not len(movers):
             return movers
-        self.states[self.cells[movers]] = table.lo[self.rows[movers]]
+        self.states.put(self.cells[movers], table.lo.take(self.rows[movers]))
         # the last entry takes the -1 of every neighbour that is not
         # complete
         near = np.zeros(len(self.cells) + 1, dtype=bool)
-        near[self.neighbours.take(movers, axis=0)] = True
-        near[movers] = True
+        near.put(self.index.take(self.contexts.take(movers, axis=0)), True)
         j = near[:-1].nonzero()[0]
         self.rows[j] = rows = table.lookup(
-            table.encode(self.states, self.adjacency, self.cells[j]))
-        self._movers = j[table.moves[rows]]
+            table.encode(self.states, self.contexts.take(j, axis=0)))
+        self._movers = j[table.moves.take(rows)]
         return j
 
 
@@ -400,7 +419,13 @@ class TableRun:
 # arrays of at most 8 bytes per (alignment, assignment) pair of its
 # enumeration: 0.20 MB, 42 bytes a pair, for a 3-state source on the
 # dodecagrid, and 27.6 MB, 43 bytes a pair, for a 22-state compact one.
+# A table of at most _DENSE_CODES codes adds its `row_index`, 4 bytes a
+# code: at most 256 KB.
 _CONTEXT_TABLES = 16
+# the largest code space, base**(arity + 1), that gets a dense row index:
+# every polygonal construction at 2 or 3 source states, and dodecagrid
+# compact at 2
+_DENSE_CODES = 2 ** 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -430,6 +455,20 @@ class ContextTable:
     assignments: np.ndarray     # (E,) (left, self, right) letters
     single: np.ndarray          # (M,) bool, exactly one reading
     orbit_keys: np.ndarray      # (M,) unsigned, rank of the orbit
+
+    @cached_property
+    def row_index(self) -> np.ndarray | None:
+        """The row of every code 0..base**(arity + 1) - 1, -1 where the
+        pattern matches no context, as read-only int32, when there are at
+        most `_DENSE_CODES` codes: built on first use, and None for a
+        larger code space, which `RuleTable.lookup` searches instead."""
+        size = self.base ** (self.arity + 1)
+        if size > _DENSE_CODES:
+            return None
+        index = np.full(size, -1, dtype=np.int32)
+        index[self.codes] = np.arange(len(self.codes), dtype=np.int32)
+        index.setflags(write=False)
+        return index
 
     @cached_property
     def orbits(self) -> sym.Orbits:
@@ -525,7 +564,8 @@ def compile_rules(automaton: HcaAutomaton) -> RuleTable:
         base=ctx.base, arity=ctx.arity, codes=ctx.codes,
         readings=ctx.readings,
         lo=np.minimum.reduceat(out, ctx.starts),
-        hi=np.maximum.reduceat(out, ctx.starts))
+        hi=np.maximum.reduceat(out, ctx.starts),
+        row_index=ctx.row_index)
 
 
 def expanded_rules(automaton: HcaAutomaton) -> sym.RuleArrays:

@@ -10,7 +10,10 @@ stepping past that time with a frozen rim: it wants breadth of contexts,
 not fidelity at the edge.
 Both step through `embed.TableRun`, the one stepper, which carries each
 complete cell's table row from step to step and codes again only the
-closed neighbourhoods of the cells a step changed.
+closed neighbourhoods of the cells a step changed, reading each cell's
+context from the region's `complete_contexts`.  It refuses a
+configuration with a state outside the automaton's, which no table code
+holds.
 
 Cells with a neighbour outside the region never update.  Everything else
 updates by the automaton: a uniquely readable pattern match applies the
@@ -113,7 +116,7 @@ def run_hca(automaton: emb.HcaAutomaton, region: Region,
     coded = np.arange(len(run.cells))
     for _ in range(steps):
         # cells not coded again keep rows that were not split
-        split = coded[table.split[run.rows[coded]]]
+        split = coded[table.split.take(run.rows.take(coded))]
         if len(split):
             c = int(run.cells[split[0]])
             readings, outs = automaton.readings(run.rows[split[0]])

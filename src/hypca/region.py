@@ -197,9 +197,10 @@ class Region:
     adjacency, their distances, and the guideline.
     What follows from these alone is worked out on first read and kept:
     `matrices`, the placements; `complete_cells`, the cells with every
-    neighbour in the region; and `complete_neighbours`, their neighbours
-    as indices into that array.  Every run and verify scan on the region
-    shares the last two."""
+    neighbour in the region; `complete_contexts`, the ids that make up
+    each one's context; and `complete_index`, each cell's row in those
+    two.  Every run and verify scan on the region shares the last
+    three."""
 
     grid: str
     radius: int
@@ -272,18 +273,32 @@ class Region:
         return cells
 
     @cached_property
-    def complete_neighbours(self) -> np.ndarray:
-        """(len(complete_cells), n_sides) int32, read-only: each complete
-        cell's neighbours as indices into `complete_cells`, -1 where a
-        neighbour is not complete.  Found on first read, once per region,
-        with one gather of a cell-to-index map at the complete rows; a
-        step reads the neighbourhood of its movers from it by index."""
+    def complete_contexts(self) -> np.ndarray:
+        """(len(complete_cells), n_sides + 1) int32, read-only: each
+        complete cell's neighbours' ids in digit order, then its own id,
+        the cells whose states make up its context code.  Found on first
+        read, once per region; a run codes a set of rows of it with one
+        gather of the states."""
         cells = self.complete_cells
-        index = np.full(self.n_cells, -1, dtype=np.int32)
-        index[cells] = np.arange(len(cells), dtype=np.int32)
-        out = index.take(self.adjacency.take(cells, axis=0))
+        out = np.empty((len(cells), self.adjacency.shape[1] + 1),
+                       dtype=np.int32)
+        out[:, :-1] = self.adjacency.take(cells, axis=0)
+        out[:, -1] = cells
         out.flags.writeable = False
         return out
+
+    @cached_property
+    def complete_index(self) -> np.ndarray:
+        """(n_cells + 1,) int32, read-only: the row of each complete cell
+        in `complete_cells` and `complete_contexts`, -1 for every other
+        cell and, in the last entry, for the missing neighbour -1.  Found
+        on first read, once per region; a step finds the rows to code
+        again with one gather of it at its movers' context rows."""
+        index = np.full(self.n_cells + 1, -1, dtype=np.int32)
+        index[self.complete_cells] = np.arange(len(self.complete_cells),
+                                               dtype=np.int32)
+        index.flags.writeable = False
+        return index
 
 
 # polygonal grids: the left side of the base cell

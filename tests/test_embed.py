@@ -468,7 +468,8 @@ def test_verify_flags_off_line_cell_one_reading_would_move(region_of,
     complete = ~(r.adjacency < 0).any(axis=1)
     o = int(np.flatnonzero(complete & ~on_line & (init.states == 0))[0])
     table = b.rule_table
-    code = table.encode(init.states, r.adjacency, np.array([o]))
+    code = table.encode(init.states,
+                        r.complete_contexts[[r.complete_index[o]]])
     hand = dataclasses.replace(b)
     vars(hand)["rule_table"] = embed.RuleTable(
         base=table.base, arity=table.arity, codes=code,

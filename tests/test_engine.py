@@ -558,7 +558,8 @@ def test_equivalence_reports_off_line_drift(region_of, rule110):
 
 def test_runs_share_the_regions_complete_cells(monkeypatch, all_six):
     """The verify scan and then `run_hca` on one region find its complete
-    cells once, and both steppers hold that one array."""
+    cells once, and both steppers hold that one array and the region's
+    one context table and index."""
     calls, runs = [], []
     inner = reg.Region.complete_cells.func
 
@@ -583,4 +584,42 @@ def test_runs_share_the_regions_complete_cells(monkeypatch, all_six):
     engine.run_hca(b, r, engine.init_configuration(r, b, [1]), 2)
     assert len(calls) == 1 and calls[0] is r and len(runs) == 2
     assert all(run.cells is r.complete_cells for run in runs)
-    assert all(run.neighbours is r.complete_neighbours for run in runs)
+    assert all(run.contexts is r.complete_contexts
+               and run.index is r.complete_index for run in runs)
+
+
+@pytest.mark.parametrize("state", [3, -1])
+def test_runs_refuse_a_state_outside_the_automaton(region_of, all_six,
+                                                   state):
+    """A 3-state automaton's run and verify scan refuse a configuration
+    holding state 3 or -1, on a tape cell or on a rim cell, naming the
+    first such cell and its state: neither is a digit of the rule table's
+    codes."""
+    b = all_six[("extra", "pentagrid")]
+    r = region_of("pentagrid", 3, 2)
+    rim = int(np.flatnonzero((r.adjacency < 0).any(axis=1))[0])
+    for cell in (r.guideline.id_at(0), rim):
+        init = engine.init_configuration(r, b, [1, 0, 1])
+        init.states[cell] = state
+        message = re.escape(f"cell {cell} holds state {state}, "
+                            "outside 0..2")
+        with pytest.raises(ValueError, match=message):
+            engine.run_hca(b, r, init, 2)
+        with pytest.raises(ValueError, match=message):
+            embed.verify_unique_applicability(b, r, init, 2)
+
+
+def test_runs_refuse_states_that_do_not_fit_the_region(region_of, all_six):
+    """A states array one cell short of, or one cell past, the region is
+    refused with a ValueError that gives both counts."""
+    b = all_six[("extra", "pentagrid")]
+    r = region_of("pentagrid", 3, 2)
+    init = engine.init_configuration(r, b, [1])
+    n = r.n_cells
+    for states in (init.states[:-1], np.r_[init.states, init.states[:1]]):
+        cfg = engine.Configuration(states, 0)
+        message = f"{len(states)} states for a region of {n} cells"
+        with pytest.raises(ValueError, match=message):
+            engine.run_hca(b, r, cfg, 1)
+        with pytest.raises(ValueError, match=message):
+            embed.verify_unique_applicability(b, r, cfg, 1)

@@ -376,25 +376,38 @@ def test_loaded_regions_find_the_same_complete_cells(region_of):
     ("pentagrid", 2, 0), ("heptagrid", 2, 0), ("dodecagrid", 2, 0)])
 def test_complete_neighbours_index_the_complete_cells(region_of, grid,
                                                       radius, hw):
-    """Each complete cell's neighbours as indices into `complete_cells`,
-    -1 exactly where the neighbour is not complete, by a per-cell loop
-    over the adjacency: at the benchmark's scan sizes and at r2 hw0.  The
-    table is int32, read-only and kept, and a loaded region finds the
-    same one."""
+    """Each complete cell's context row, its neighbours' ids in side order
+    and then its own, and through `complete_index` the row of each of
+    them in `complete_cells`, -1 exactly where the neighbour is not
+    complete, by a per-cell loop over the adjacency: at the benchmark's
+    scan sizes and at r2 hw0.  `complete_index` gives -1 for every cell
+    that is not complete and for the missing neighbour -1.  Both tables
+    are int32, read-only and kept, and a loaded region finds the same
+    ones."""
     r = region_of(grid, radius, hw)
     cells = r.complete_cells.tolist()
     index = {c: k for k, c in enumerate(cells)}
-    want = [[index.get(d, -1) for d in r.adjacency[c].tolist()]
-            for c in cells]
-    got = r.complete_neighbours
+    contexts = r.complete_contexts
+    assert contexts.dtype == np.int32 and not contexts.flags.writeable
+    assert contexts.shape == (len(cells), r.adjacency.shape[1] + 1)
+    assert contexts.tolist() == [r.adjacency[c].tolist() + [c]
+                                 for c in cells]
+    got = r.complete_index
     assert got.dtype == np.int32 and not got.flags.writeable
-    assert got.shape == (len(cells), r.adjacency.shape[1])
-    assert got.tolist() == want
-    assert r.complete_neighbours is got
-    assert (got < 0).any()
+    assert got.tolist() == [index.get(c, -1)
+                            for c in range(r.n_cells)] + [-1]
+    want = [[index.get(d, -1) for d in r.adjacency[c].tolist()] + [k]
+            for k, c in enumerate(cells)]
+    assert got.take(contexts).tolist() == want
+    assert np.array_equal(got.take(r.adjacency), [
+        [index.get(d, -1) for d in row] for row in r.adjacency.tolist()])
+    assert r.complete_contexts is contexts and r.complete_index is got
+    assert (got.take(contexts) < 0).any()
     loaded = reg.region_from_json(reg.region_to_json(r))
-    assert "complete_neighbours" not in vars(loaded)
-    assert np.array_equal(loaded.complete_neighbours, got)
+    assert "complete_contexts" not in vars(loaded)
+    assert "complete_index" not in vars(loaded)
+    assert np.array_equal(loaded.complete_contexts, contexts)
+    assert np.array_equal(loaded.complete_index, got)
 
 
 @pytest.mark.parametrize("grid", ["pentagrid", "heptagrid", "dodecagrid"])

@@ -50,11 +50,18 @@ def _context_layout(contexts, dtype=np.int64):
     return states, adjacency, cells
 
 
+def _context_rows(adjacency, cells):
+    """The rows `RuleTable.encode` reads: each cell's neighbours, then the
+    cell, as `Region.complete_contexts` lays them out."""
+    return np.c_[adjacency[cells], cells]
+
+
 def _table_verdicts(b, contexts):
     """(readings, least, greatest next state) by the table, -1 if none,
     and the table rows, -1 for a context with no reading."""
     table = b.rule_table
-    at = table.lookup(table.encode(*_context_layout(contexts)))
+    states, adjacency, cells = _context_layout(contexts)
+    at = table.lookup(table.encode(states, _context_rows(adjacency, cells)))
     hit = at >= 0
     return (np.where(hit, table.readings[at], 0),
             np.where(hit, table.lo[at], -1),
@@ -646,7 +653,7 @@ def test_encode_matches_reference(region_of, all_six):
         states = rng.integers(0, b.n_states, size=r.n_cells).astype(np.int16)
         table = b.rule_table
         cells = np.flatnonzero(~(r.adjacency < 0).any(axis=1))
-        got = table.encode(states, r.adjacency, cells)
+        got = table.encode(states, r.complete_contexts)
         assert got.dtype == np.int64
         assert np.array_equal(got, ref.encode(table, states, r.adjacency,
                                               cells)), b.name
@@ -664,9 +671,10 @@ def test_encode_matches_reference(region_of, all_six):
                          np.zeros((1, arity + 1), dtype=np.int64),
                          rng.integers(0, base, size=(2000, arity + 1)),
                          rng.integers(base - 2, base, size=(500, arity + 1))]
-        layout = _context_layout(contexts, dtype=np.int16)
-        got = table.encode(*layout)
-        assert np.array_equal(got, ref.encode(table, *layout)), arity
+        states, adjacency, cells = _context_layout(contexts, dtype=np.int16)
+        got = table.encode(states, _context_rows(adjacency, cells))
+        assert np.array_equal(got, ref.encode(table, states, adjacency,
+                                              cells)), arity
         assert got[0] == base ** (arity + 1) - 1 and got[1] == 0
         selfs, nbs = ref.decode(table, got)
         assert np.array_equal(np.c_[selfs, nbs], contexts)
@@ -871,9 +879,11 @@ def test_verify_matches_full_reencode_scan(region_of):
 
 
 def test_table_run_rows_match_a_full_lookup(region_of, all_six):
-    """After every `TableRun` step the carried rows are those a full
-    reference lookup of every complete cell gives, the states those of
-    `frozen_rim_run`, and the cells coded again distinct and ascending:
+    """At the start and after every `TableRun` step the carried rows are
+    those a full reference coding and lookup of every complete cell
+    gives, with the table's dense row index where it has one and with
+    the sorted search alike, the states those of `frozen_rim_run`, and
+    the cells coded again distinct and ascending:
     the six pairs at the scan sizes with random rules and words, with
     random states off the line, and the unrepaired dodecagrid pattern
     under rule 150 with a blue reflected row, whose tape cells have two
@@ -906,15 +916,19 @@ def test_table_run_rows_match_a_full_lookup(region_of, all_six):
     for b, r, init in cases:
         table, cells = b.rule_table, r.complete_cells
         run = embed.TableRun(table, r, init.states.copy())
+        searched = embed.TableRun(dataclasses.replace(table, row_index=None),
+                                  r, init.states.copy())
         want = ref.frozen_rim_run(b, r, init.states, 6)
         for t in range(7):
             if t:
                 coded = run.step()
                 assert (np.diff(coded) > 0).all(), (b.name, t)
+                assert np.array_equal(searched.step(), coded), (b.name, t)
             assert np.array_equal(run.states, want[t]), (b.name, t)
             rows = ref.lookup(table, ref.encode(table, run.states,
                                                 r.adjacency, cells))
             assert np.array_equal(run.rows, rows), (b.name, t)
+            assert np.array_equal(searched.rows, rows), (b.name, t)
             multi += int((table.readings[rows[rows >= 0]] > 1).sum())
         moved += int((want[-1] != init.states).sum())
     assert multi > 0 and moved > 0
@@ -938,6 +952,60 @@ def test_lookup_matches_the_reference_lookup():
     assert len(empty.lookup(asked[:0])) == 0
 
 
+def _constructions():
+    """The six (grid, method) pairs at 2 and 3 source states, and
+    heptagrid extra at 4, as automata of seeded random rules."""
+    rng = np.random.default_rng(35)
+    for n, grid, method in itertools.chain(
+            itertools.product((2, 3), embed.GRID_SIDES,
+                              ("extra", "compact")),
+            [(4, "heptagrid", "extra")]):
+        rule = ca1d.random_rule(n, rng, quiescent_zero=True,
+                                fixable=grid == "pentagrid"
+                                and method == "compact")
+        yield (embed.embed_extra_state(rule, grid) if method == "extra"
+               else embed.embed_compact(rule, grid))
+
+
+def test_dense_and_sorted_lookups_agree():
+    """A construction of at most 2**16 codes keeps a dense int32 row index,
+    read-only and shared by the construction's rule tables, and a larger
+    one none: every polygonal construction at 2 and 3 states and
+    dodecagrid compact at 2 have it.  The dense and the sorted lookup
+    agree with an index built here from the table's codes on every code
+    of each construction's code space, and where that space passes
+    2**22 codes (dodecagrid extra at 3 states) with the reference's dict
+    lookup on the table's codes, their neighbours and random codes.
+    Heptagrid extra at 4 states, 5**8 codes, takes the sorted search."""
+    rng = np.random.default_rng(36)
+    dense = set()
+    for b in _constructions():
+        table = b.rule_table
+        size = table.base ** (table.arity + 1)
+        index = table.row_index
+        assert (index is not None) == (size <= 2 ** 16), b.name
+        if index is not None:
+            dense.add((b.grid, b.kind, b.action.n))
+            assert index is b.context_table.row_index
+            assert index.dtype == np.int32 and not index.flags.writeable
+            assert index.shape == (size,)
+        if size <= 2 ** 22:
+            asked = np.arange(size, dtype=np.int64)
+            want = np.full(size, -1, dtype=np.int64)
+            want[table.codes] = np.arange(len(table.codes))
+        else:
+            asked = np.r_[table.codes, table.codes - 1, table.codes + 1,
+                          rng.integers(0, size, 100_000)]
+            asked = asked[(asked >= 0) & (asked < size)]
+            want = ref.lookup(table, asked)
+        sorted_rows = dataclasses.replace(table, row_index=None).lookup(asked)
+        assert np.array_equal(sorted_rows, want), b.name
+        assert np.array_equal(table.lookup(asked), want), b.name
+    assert dense == {(g, k, n) for g in ("pentagrid", "heptagrid")
+                     for k in ("extra", "compact") for n in (2, 3)} | {
+                         ("dodecagrid", "compact", 2)}
+
+
 def test_verify_recodes_only_near_changes(region_of, all_six, monkeypatch):
     """After the first lookup, which codes every complete cell, the verify
     scan and `engine.run_hca` code only the complete cells next to a
@@ -948,9 +1016,9 @@ def test_verify_recodes_only_near_changes(region_of, all_six, monkeypatch):
     real_encode = embed.RuleTable.encode
     coded = []
 
-    def counted(self, states, adjacency, cells):
-        coded.append(len(cells))
-        return real_encode(self, states, adjacency, cells)
+    def counted(self, states, contexts):
+        coded.append(len(contexts))
+        return real_encode(self, states, contexts)
 
     def scan(b, r, init):
         embed.verify_unique_applicability(b, r, init, 10)
