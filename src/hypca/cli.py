@@ -6,15 +6,18 @@ optional oracle comparison, `verify` checks rotation invariance and
 unique applicability, `render` draws regions and snapshots, and
 `motions` dumps the rotation table.  Exit codes: 0 clean, 1 a
 verification found violations, 2 bad usage or a failed precondition.
+
+Each command imports the modules it runs, and only after its option
+checks, so a process loads no more of the package than its subcommand
+needs: `--help` and a refused option none, `transform` no region,
+engine or render, and only `render` and `simulate --svg-dir` the
+renderer.
 """
 from __future__ import annotations
 
 import argparse
 import sys
 from pathlib import Path
-
-from . import ca1d, embed, engine, region as reg, render
-from . import symmetry as sym
 
 _METHODS = {
     "extra": "extra", "t1": "extra",
@@ -46,11 +49,15 @@ def _write(path: str | None, text: str) -> None:
         Path(path).write_text(text)
 
 
-def _load_automaton(path: str) -> embed.HcaAutomaton:
+def _load_automaton(path: str):
+    from . import embed
+
     return embed.automaton_from_json(Path(path).read_text())
 
 
 def cmd_transform(args) -> int:
+    from . import ca1d, embed
+
     rule = ca1d.parse_rule_spec(args.rule)
     method = _METHODS[args.method]
     if method == "extra":
@@ -65,6 +72,8 @@ def cmd_simulate(args) -> int:
     _require_count("--steps", args.steps)
     _require_count("--radius", args.radius, 1)
     _require_count("--halfwidth", args.halfwidth)
+    from . import ca1d, engine, region as reg
+
     b = _load_automaton(args.automaton)
     word = _parse_word(args.word)
     radius = args.radius if args.radius is not None else max(args.steps, 1)
@@ -95,6 +104,8 @@ def cmd_simulate(args) -> int:
         Path(args.snapshot_out).write_text(
             engine.config_to_json(region, cfgs[-1]))
     if args.svg_dir:
+        from . import render
+
         out = Path(args.svg_dir)
         out.mkdir(parents=True, exist_ok=True)
         spec = render.default_render_spec(b)
@@ -108,6 +119,8 @@ def cmd_verify(args) -> int:
     _require_count("--horizon", args.horizon)
     _require_count("--radius", args.radius, 1)
     _require_count("--halfwidth", args.halfwidth)
+    from . import embed, engine, region as reg
+
     b = _load_automaton(args.automaton)
     word = _parse_word(args.word)
     region = reg.build_region(b.grid, args.radius, args.halfwidth)
@@ -125,13 +138,16 @@ def cmd_verify(args) -> int:
 
 
 def cmd_render(args) -> int:
-    if args.region:
-        params = reg.read_region_file(Path(args.region).read_text())
-    elif args.grid is None:
-        raise ValueError("render needs --region or --grid")
-    else:
+    if not args.region:
+        if args.grid is None:
+            raise ValueError("render needs --region or --grid")
         _require_count("--radius", args.radius, 1)
         _require_count("--halfwidth", args.halfwidth)
+    from . import region as reg, render
+
+    if args.region:
+        params = reg.read_region_file(Path(args.region).read_text())
+    else:
         params = (args.grid, args.radius, args.halfwidth)
     reg.require_placeable(*params)
     region = reg.build_region(*params)
@@ -143,6 +159,8 @@ def cmd_render(args) -> int:
         spec = render.blank_render_spec(region.grid)
     states = None
     if args.snapshot:
+        from . import engine
+
         cfg = engine.config_from_json(Path(args.snapshot).read_text(), region)
         states = cfg.states
     _write(args.output, render.render_svg(region, spec, states))
@@ -150,6 +168,8 @@ def cmd_render(args) -> int:
 
 
 def cmd_motions(args) -> int:
+    from . import symmetry as sym
+
     _write(args.output, sym.motions_table_text())
     return 0
 

@@ -24,7 +24,7 @@ readings and the least and greatest next state they give.  The contexts
 and their readings depend on the construction alone, its pattern and
 state counts, not on the source rule, so `context_table` enumerates
 them once per construction and keeps them, with the letter assignment
-behind each reading, in a small bounded cache; an automaton's own next
+behind each reading, in a cache bounded by bytes; an automaton's own next
 states are then one gather of its action at those assignments.  A set
 of cells is coded with one gather of the states at their rows of the
 region's `complete_contexts` and one int64 product with the digit
@@ -58,14 +58,17 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, partial
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import ca1d
 from . import symmetry as sym
 from .jsonfile import exactly, json_object, read_key
-from .region import TAPE_SLOTS, Region, marker_cell_ids
+
+if TYPE_CHECKING:
+    from .region import Region
 
 GRID_SIDES = {"pentagrid": 5, "heptagrid": 7, "dodecagrid": 12}
 
@@ -99,13 +102,27 @@ def fixed(state: int) -> Slot:
 
 @dataclass(frozen=True)
 class ContextPattern:
+    """A tape cell's admissible context, one slot per side.  The indices
+    of its letter slots, and the state each fixed slot pins by slot
+    index, are worked out once from the slots, for the runs that paint
+    them."""
+
     slots: tuple[Slot, ...]
+    letter_slots: tuple[int, ...] = field(init=False, repr=False,
+                                          compare=False)
+    fixed_states: dict[int, int] = field(init=False, repr=False,
+                                         compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "slots", tuple(self.slots))
         kinds = [s.kind for s in self.slots]
         if kinds.count("left") != 1 or kinds.count("right") != 1:
             raise ValueError("pattern needs exactly one left and one right slot")
+        object.__setattr__(self, "letter_slots", tuple(
+            i for i, k in enumerate(kinds) if k == "letter"))
+        object.__setattr__(self, "fixed_states", {
+            i: s.state for i, s in enumerate(self.slots)
+            if s.kind == "fixed"})
 
     @property
     def left_index(self) -> int:
@@ -167,10 +184,11 @@ class HcaAutomaton:
         raise ValueError(f"the {self.kind} pattern pins no state other "
                          "than the background")
 
-    @property
+    @cached_property
     def context_table(self) -> "ContextTable":
         """The contexts the pattern matches, shared by every automaton
-        with the same pattern and state counts."""
+        with the same pattern and state counts: taken from the cache on
+        first use."""
         return context_table(self.pattern, self.action.n, self.n_states)
 
     @cached_property
@@ -201,11 +219,12 @@ def _source_state(value, n: int) -> int:
 
 def _pattern(grid: str, fill: int, marker: int | None = None
              ) -> ContextPattern:
-    """A tape cell's pattern, slot i reading the side `TAPE_SLOTS` numbers
-    i: the left and right neighbours, every other slot pinned to `fill`
-    except the markers, pinned to `marker` when one is given, or else the
-    reflected row, which carries letters."""
-    tape = TAPE_SLOTS[grid]
+    """A tape cell's pattern, slot i reading the side that
+    `symmetry.TAPE_SLOTS` numbers i: the left and right neighbours, every
+    other slot pinned to `fill` except the markers, pinned to `marker`
+    when one is given, or else the reflected row, which carries
+    letters."""
+    tape = sym.TAPE_SLOTS[grid]
     slots = [fixed(fill)] * GRID_SIDES[grid]
     if marker is not None:
         for i in tape.markers:
@@ -413,15 +432,15 @@ class TableRun:
         return j
 
 
-# constructions whose context tables are kept: the six (grid, method)
-# pairs at two and three source states fit.  A kept table, with its
-# orbit keys and the orbit groups an invariance check adds, holds eight
-# arrays of at most 8 bytes per (alignment, assignment) pair of its
-# enumeration: 0.20 MB, 42 bytes a pair, for a 3-state source on the
-# dodecagrid, and 27.6 MB, 43 bytes a pair, for a 22-state compact one.
-# A table of at most _DENSE_CODES codes adds its `row_index`, 4 bytes a
-# code: at most 256 KB.
-_CONTEXT_TABLES = 16
+# the bytes of context tables kept.  A kept table, with its orbit keys
+# and the orbit groups an invariance check adds, holds eight arrays of at
+# most 8 bytes per (alignment, assignment) pair of its enumeration:
+# 0.20 MB, 42 bytes a pair, for a 3-state source on the dodecagrid, and
+# 27.6 MB, 43 bytes a pair, for a 22-state compact one.  A table of at
+# most _DENSE_CODES codes adds its `row_index`, 4 bytes a code: at most
+# 256 KB.  So 64 MB keeps all six (grid, method) pairs at two and three
+# source states, under 1 MB together, beside two of the 22-state tables.
+_CONTEXT_BYTES = 64 * 2 ** 20
 # the largest code space, base**(arity + 1), that gets a dense row index:
 # every polygonal construction at 2 or 3 source states, and dodecagrid
 # compact at 2
@@ -476,10 +495,45 @@ class ContextTable:
         order, found on first use from their orbit keys."""
         return sym.Orbits.of_keys(self.orbit_keys[self.single])
 
+    @property
+    def nbytes(self) -> int:
+        """The bytes its arrays hold, with the row index and the orbit
+        groups once they are found."""
+        found = vars(self)
+        held = [self.codes, self.readings, self.starts, self.assignments,
+                self.single, self.orbit_keys, found.get("row_index")]
+        if "orbits" in found:
+            held += [found["orbits"].order, found["orbits"].starts]
+        return sum(a.nbytes for a in held if a is not None)
 
-@lru_cache(maxsize=_CONTEXT_TABLES)
+
+# the kept context tables by (pattern, n, base), least recently used
+# first: a dict keeps insertion order, and a table is inserted again on
+# each use
+_CONTEXT_TABLES: dict[tuple, ContextTable] = {}
+
+
 def context_table(pattern: ContextPattern, n: int, base: int
                   ) -> ContextTable:
+    """The construction's `ContextTable`, enumerated on first use and
+    kept.  A miss sums the kept tables' `nbytes`, the new one included,
+    and drops the least recently used until the sum is at most
+    `_CONTEXT_BYTES`; the table just built is never dropped."""
+    key = (pattern, n, base)
+    table = _CONTEXT_TABLES.pop(key, None)
+    if table is None:
+        table = _enumerate_contexts(pattern, n, base)
+        held = table.nbytes + sum(t.nbytes for t in _CONTEXT_TABLES.values())
+        for old in list(_CONTEXT_TABLES):
+            if held <= _CONTEXT_BYTES:
+                break
+            held -= _CONTEXT_TABLES.pop(old).nbytes
+    _CONTEXT_TABLES[key] = table
+    return table
+
+
+def _enumerate_contexts(pattern: ContextPattern, n: int, base: int
+                        ) -> ContextTable:
     """Enumerate the pattern over every alignment, self letter and letter
     assignment to its free slots, and tabulate the distinct readings per
     context.  The letters are the states 0..n-1, so a letter's index is
@@ -706,8 +760,7 @@ def _may_change(automaton: HcaAutomaton, region: Region) -> np.ndarray:
     the tape's."""
     mask = np.zeros(region.n_cells, dtype=bool)
     mask[region.guideline.cell_ids] = True
-    ids = marker_cell_ids(region, [i for i, s in enumerate(
-        automaton.pattern.slots) if s.kind == "letter"])
+    ids = region.marker_cell_ids(automaton.pattern.letter_slots)
     mask[ids[ids >= 0]] = True
     return mask
 

@@ -31,7 +31,7 @@ import numpy as np
 from . import ca1d
 from . import embed as emb
 from .jsonfile import exactly, json_object, read_key
-from .region import Region, ValidityExhausted, marker_cell_ids
+from .region import Region, ValidityExhausted
 
 
 class AmbiguousMatch(ValueError):
@@ -80,13 +80,12 @@ def init_configuration(region: Region, automaton: emb.HcaAutomaton,
     states[region.guideline.cell_ids] = tape
     # one gather for every painted slot; pinned states go last, so a cell
     # across a letter slot and a pinned one holds the pinned letter
-    slots = automaton.pattern.slots
-    letters = [i for i, s in enumerate(slots) if s.kind == "letter"]
-    pinned = [i for i, s in enumerate(slots)
-              if s.kind == "fixed" and s.state != fill]
-    ids = marker_cell_ids(region, letters + pinned)
+    letters = automaton.pattern.letter_slots
+    pinned = {i: s for i, s in automaton.pattern.fixed_states.items()
+              if s != fill}
+    ids = region.marker_cell_ids([*letters, *pinned])
     states[ids[:, :len(letters)]] = tape[:, None]
-    states[ids[:, len(letters):]] = [slots[i].state for i in pinned]
+    states[ids[:, len(letters):]] = list(pinned.values())
     return Configuration(states[:-1], 0)
 
 

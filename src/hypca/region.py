@@ -84,8 +84,9 @@ l0 + k gap and right side l0 + (k + 1) gap, mod p.  On the dodecagrid a step
 numbers the shared face op(s) in the neighbour, so (mirror face, left, right)
 goes to (op m, op r, op l) and alternates between two triples with the
 parity of k.  No float test decides which cells form the chain, their sides
-or the mirror face.  `marker_cell_ids` reads the labels to find the cells
-across a tape cell's pattern slots, which a run paints as the pattern says.
+or the mirror face.  `Region.marker_cell_ids` reads the labels to find the
+cells across a tape cell's pattern slots, which a run paints as the pattern
+says.
 
 A region is a pure function of (grid, radius, halfwidth), so a region file
 holds those three values and a format version, and loading one rebuilds
@@ -119,6 +120,7 @@ from . import geometry as geo
 from . import polytopes as poly
 from . import symmetry as sym
 from .jsonfile import exactly, json_object, read_key
+from .symmetry import TAPE_SLOTS
 
 # float placements stay accurate up to these extents, halfwidth + radius
 PLACEMENT_EXTENT = {"pentagrid": 18, "heptagrid": 18, "dodecagrid": 8}
@@ -145,27 +147,6 @@ def require_placeable(grid: str, radius: int, halfwidth: int) -> None:
             f"halfwidth + radius = {extent} exceeds the {grid} placement "
             f"bound PLACEMENT_EXTENT = {bound}; float placements lose "
             "accuracy further out")
-
-
-@dataclass(frozen=True)
-class TapeSlots:
-    """The sides of a tape cell that the constructions read: its left and
-    right tape neighbours, the reflected row's cell (dodecagrid only) and
-    the paper's markers for the compact construction.  On the polygonal
-    grids each is an offset from the cell's left side, on the dodecagrid
-    a face of the renumbered chain cell; either way it is also the index
-    of the pattern slot that reads the side (`marker_cell_ids`)."""
-    left: int
-    right: int
-    markers: tuple[int, ...]
-    mirror: int | None = None
-
-
-TAPE_SLOTS = {
-    "pentagrid": TapeSlots(left=0, right=3, markers=(1,)),
-    "heptagrid": TapeSlots(left=0, right=4, markers=(1, 3)),
-    "dodecagrid": TapeSlots(left=1, right=4, markers=(0, 3, 9, 10), mirror=0),
-}
 
 
 @dataclass
@@ -234,6 +215,19 @@ class Region:
     @property
     def centers(self) -> np.ndarray:
         return self.matrices[:, :, 0]
+
+    def marker_cell_ids(self, slots) -> np.ndarray:
+        """(chain cells, len(slots)) ids of the cells across the pattern
+        slots `slots` of every chain cell, in chain order, -1 where no
+        cell was built: the one map from a tape cell's pattern slot to
+        its side, an offset from the left side on the polygonal grids and
+        the face itself on the dodecagrid.  A cell across slots of two
+        chain cells is listed for each."""
+        gl = self.guideline
+        sides = np.array(slots, dtype=np.intp)
+        if self.grid != "dodecagrid":
+            sides = (gl.left_sides[:, None] + sides) % self.shape.n_sides
+        return self.adjacency[gl.cell_ids[:, None], sides]
 
     def tape_window(self, time: int) -> int:
         """Largest |position| of the tape the region certifies at `time`.
@@ -824,20 +818,6 @@ def _check_chain(region: Region) -> None:
         raise AssertionError("chain adjacency mismatch on the left")
     if (adj[ids[:-1], gl.right_sides[:-1]] != ids[1:]).any():
         raise AssertionError("chain adjacency mismatch on the right")
-
-
-def marker_cell_ids(region: Region, slots) -> np.ndarray:
-    """(chain cells, len(slots)) ids of the cells across the pattern
-    slots `slots` of every chain cell, in chain order, -1 where no cell
-    was built: the one map from a tape cell's pattern slot to its side,
-    an offset from the left side on the polygonal grids and the face
-    itself on the dodecagrid.  A cell across slots of two chain cells is
-    listed for each."""
-    gl = region.guideline
-    sides = np.array(slots, dtype=np.intp)
-    if region.grid != "dodecagrid":
-        sides = (gl.left_sides[:, None] + sides) % region.shape.n_sides
-    return region.adjacency[gl.cell_ids[:, None], sides]
 
 
 def region_to_json(region: Region) -> str:

@@ -8,6 +8,12 @@ numbers 0..11, found as the closure of two of them under composition.
 A motion is stored as a tuple ``m`` of 12 face numbers with ``m[i]`` the face
 onto which face ``i`` is carried.
 
+`TAPE_SLOTS` names, per grid, the sides of a tape cell that the
+constructions read: the one table that `embed`'s patterns, the region's
+chain labels and `Region.marker_cell_ids` share.  It sits here, with the
+other face combinatorics that `embed` and `region` both read, so that
+`embed` needs no region to build a pattern.
+
 A cell's rotations have one form in use, `rotation_indices`: one index row
 per rotation, re-reading a side-indexed array.  `embed.context_table` lays
 the pattern out under each row, and `canonical` takes the least
@@ -55,6 +61,28 @@ FACE_RINGS: tuple[tuple[int, int, int, int, int], ...] = (
 )
 
 Motion = tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class TapeSlots:
+    """The sides of a tape cell that the constructions read: its left and
+    right tape neighbours, the reflected row's cell (dodecagrid only) and
+    the paper's markers for the compact construction.  On the polygonal
+    grids each is an offset from the cell's left side, on the dodecagrid
+    a face of the renumbered chain cell; either way it is also the index
+    of the pattern slot that reads the side
+    (`Region.marker_cell_ids`)."""
+    left: int
+    right: int
+    markers: tuple[int, ...]
+    mirror: int | None = None
+
+
+TAPE_SLOTS = {
+    "pentagrid": TapeSlots(left=0, right=3, markers=(1,)),
+    "heptagrid": TapeSlots(left=0, right=4, markers=(1, 3)),
+    "dodecagrid": TapeSlots(left=1, right=4, markers=(0, 3, 9, 10), mirror=0),
+}
 
 
 def _ring_from(face: int, start: int) -> tuple[int, ...]:

@@ -22,8 +22,8 @@ marker sides, guideline sides and neighbours in public numbering, for the
 region tests.  `marker_sides_internal` lists each chain cell's marker
 sides one cell at a time, from its own copy of the marker tables, and
 `marker_cell_ids` collects the cells across them in a set: the per-cell
-form of `hypca.region.marker_cell_ids`.  `tape_positions` spreads the
-guideline's positions over every cell, as regions once stored them.
+form of `hypca.region.Region.marker_cell_ids`.  `tape_positions` spreads
+the guideline's positions over every cell, as regions once stored them.
 """
 from __future__ import annotations
 

@@ -4,7 +4,8 @@ Each test covers one shipping criterion end to end and prints a single
 pass/FAIL line with the parameters it ran, bypassing output capture so
 the lines always appear in the log.  Later criteria reuse the large
 regions built here through the session cache; the off-line stability
-criterion aggregates over every run the earlier criteria performed.
+criterion runs the six pairs itself, and also aggregates over every run
+the earlier criteria performed.
 """
 import itertools
 import time
@@ -280,21 +281,33 @@ def test_criterion_08_dodecagrid_geometry(capfd, region_of, rule110):
                         f"every interior edge borders exactly 4 cells")
 
 
-def test_criterion_09_off_line_stability(capfd, region_of, rule110):
+def test_criterion_09_off_line_stability(capfd, region_of, all_six):
+    """Rule 110 on each of the six pairs, checked here whatever else ran:
+    no cell off the tape moves, save the dodecagrid extra reflected row,
+    which carries letters.  The verdict also covers every run the other
+    criteria recorded before it, criterion 04's among them."""
     with _Gate(capfd, 9) as gate:
-        region = region_of("pentagrid", 4, 2)
-        b = embed.embed_extra_state(rule110, "pentagrid")
-        init = engine.init_configuration(region, b, [1])
-        cfgs = engine.run_hca(b, region, init, 3)
-        on_line = np.zeros(region.n_cells, dtype=bool)
-        on_line[region.guideline.cell_ids] = True
-        drift = sum(
-            int((cfg.states[~on_line] != init.states[~on_line]).sum())
-            for cfg in cfgs[1:])
-        _record_run("c9 110 extra/pentagrid", [])
-        ok = drift == 0 and len(_RUNS) > 1 and not _STABILITY
-        gate.finish(ok, f"off-line cells held still in all {len(_RUNS)} "
-                        f"runs so far ({len(_STABILITY)} drifting cells)")
+        ok, drift = True, 0
+        for (method, grid), b in sorted(all_six.items()):
+            region = region_of(grid, 4, 1 if grid == "dodecagrid" else 2)
+            report = engine.equivalence_check(b.action, b, region, [1, 0, 1],
+                                              region.radius)
+            _record_run(f"c9 110 {method}/{grid}",
+                        report.stability_violations)
+            ok &= report.ok
+            still = np.ones(region.n_cells, dtype=bool)
+            still[region.guideline.cell_ids] = False
+            if b.pattern.letter_slots:
+                row = region.guideline.mirror_ids
+                still[row[row >= 0]] = False
+            init = report.configurations[0].states
+            drift += sum(int((cfg.states[still] != init[still]).sum())
+                         for cfg in report.configurations[1:])
+        ok &= drift == 0 and not _STABILITY
+        gate.finish(ok, f"off-line cells held still in its own "
+                        f"{len(all_six)} runs ({drift} moves) and in all "
+                        f"{len(_RUNS)} runs so far ({len(_STABILITY)} "
+                        f"drifting cells)")
 
 
 def test_criterion_10_light_cone(capfd, region_of):

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -685,3 +686,92 @@ assert "numpy.ma" not in sys.modules
     src = str(Path(hypca.__file__).parents[1])
     subprocess.run([sys.executable, "-c", script], cwd=tmp_path, check=True,
                    env=dict(os.environ, PYTHONPATH=src))
+
+
+# a fresh interpreter that imports the command and, given arguments, runs
+# it once, then prints the exit code and every module it holds
+_FRESH = """
+import json, sys
+from hypca import cli
+code = None
+if sys.argv[1:]:
+    try:
+        code = cli.main(sys.argv[1:])
+    except SystemExit as e:
+        code = e.code
+print(json.dumps([code, sorted(sys.modules)]))
+"""
+
+
+def _fresh_run(cwd, *argv) -> tuple[int | None, set[str]]:
+    src = str(Path(hypca.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-c", _FRESH, *argv], cwd=cwd,
+                          check=True, capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    code, modules = json.loads(proc.stdout.splitlines()[-1])
+    return code, set(modules)
+
+
+def test_cli_import_help_and_refusals_load_no_numpy(tmp_path):
+    """Importing the command, its help and a refused option load no
+    module of the package but the command, and no numpy: the option
+    checks run before a command imports what it runs."""
+    for argv, want in (
+            ((), None),
+            (("--help",), 0),
+            (("verify", "--automaton", "a.json", "--radius", "0"), 2),
+            (("render", "--grid", "pentagrid", "--radius", "0"), 2)):
+        code, modules = _fresh_run(tmp_path, *argv)
+        assert code == want, argv
+        assert "numpy" not in modules, argv
+        assert {m for m in modules if m.startswith("hypca")} \
+            == {"hypca", "hypca.cli"}, argv
+
+
+def test_each_command_loads_only_the_modules_it_runs(tmp_path):
+    """`transform` builds no region, so it loads no region, engine,
+    geometry or renderer; `verify` and `simulate` load no renderer, and
+    `simulate --svg-dir` does."""
+    code, modules = _fresh_run(tmp_path, "transform", "--rule",
+                               "elementary:110", "--grid", "dodecagrid",
+                               "-o", "a.json")
+    assert code == 0
+    assert not modules & {f"hypca.{m}" for m in (
+        "region", "engine", "render", "polytopes", "geometry")}
+    runs = ["--automaton", "a.json", "--radius", "2", "--halfwidth", "1"]
+    for argv, renders in (
+            (["verify", *runs, "--horizon", "2", "-o", "v.txt"], False),
+            (["simulate", *runs, "--steps", "1", "--check-oracle",
+              "-o", "t.txt"], False),
+            (["simulate", *runs, "--steps", "1", "--svg-dir", "svg",
+              "-o", "t.txt"], True)):
+        code, modules = _fresh_run(tmp_path, *argv)
+        assert code == 0, argv
+        assert "hypca.engine" in modules, argv
+        assert ("hypca.render" in modules) == renders, argv
+    assert sorted(p.name for p in (tmp_path / "svg").iterdir()) \
+        == ["step_000.svg", "step_001.svg"]
+
+
+def test_readme_library_import_line_runs():
+    """The README's library example imports its names from the package,
+    which loads each name's module on first use."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    line = re.search(r"^from hypca import \([^)]*\)", readme, re.M)[0]
+    src = str(Path(hypca.__file__).parents[1])
+    subprocess.run([sys.executable, "-c", line], check=True,
+                   env=dict(os.environ, PYTHONPATH=src))
+
+
+def test_package_names_are_their_modules_own():
+    """Every name the package lists is its module's own object, and a
+    name it does not list is an AttributeError."""
+    from importlib import import_module
+
+    assert len(hypca.__all__) == 19
+    for name in hypca.__all__:
+        module = import_module(getattr(hypca, name).__module__)
+        assert getattr(module, name) is getattr(hypca, name), name
+    assert set(hypca.__all__) <= set(dir(hypca))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        hypca.no_such_name

@@ -177,7 +177,7 @@ def test_dodecagrid_marker_cells_distinct(region_of):
     cells = float_ref.marker_cells(r)
     for sides in cells.values():
         assert sides == {0, 3, 9, 10}
-    painted = reg.marker_cell_ids(r, reg.TAPE_SLOTS["dodecagrid"].markers)
+    painted = r.marker_cell_ids(reg.TAPE_SLOTS["dodecagrid"].markers)
     interior = [c for c in r.guideline.cell_ids if r.dist[c] < r.radius]
     # marker sets of distinct tape cells never share a cell
     assert len(np.unique(painted[painted >= 0])) >= 4 * len(interior)
@@ -417,7 +417,7 @@ def test_marker_ids_match_the_per_cell_reference(region_of, grid):
     markers = reg.TAPE_SLOTS[grid].markers
     for radius, hw in ((1, 0), (2, 1), (3, 2), (4, 2)):
         r = region_of(grid, radius, hw)
-        got = reg.marker_cell_ids(r, markers)
+        got = r.marker_cell_ids(markers)
         want = float_ref.marker_cell_ids(r)
         assert got.dtype == want.dtype == np.int32
         assert got.shape == (len(r.guideline.cell_ids), len(markers))

@@ -288,7 +288,7 @@ def test_enumeration_orbits_match_reference(rule110):
         assert least == sorted(set(least)), b.name
         assert len(got) < len(codes), b.name
     # the 22-state table holds about 28 MB; the cache would keep it
-    embed.context_table.cache_clear()
+    embed._CONTEXT_TABLES.clear()
 
 
 def test_orbit_check_keeps_reference_order():
@@ -415,17 +415,21 @@ def test_compile_errors_match_reference():
     assert kind is embed.NotFixable and "fixable" in msg
 
 
-def test_context_table_is_shared_per_construction():
+def test_context_table_is_shared_per_construction(monkeypatch):
     """Two sources of one construction: one enumeration, then a cache
     hit, and each automaton its own next states over the same read-only
     arrays.  The rule table alone finds no orbit grouping."""
-    embed.context_table.cache_clear()
+    embed._CONTEXT_TABLES.clear()
+    made = []
+    enumerate_contexts = embed._enumerate_contexts
+    monkeypatch.setattr(embed, "_enumerate_contexts", lambda *key: (
+        made.append(key) or enumerate_contexts(*key)))
     rng = np.random.default_rng(3)
     a, b = (embed.embed_extra_state(ca1d.random_rule(3, rng), "pentagrid")
             for _ in range(2))
     ta, tb = a.rule_table, b.rule_table
-    info = embed.context_table.cache_info()
-    assert (info.misses, info.currsize) == (1, 1) and info.hits >= 1
+    assert made == [(a.pattern, 3, 4)]
+    assert list(embed._CONTEXT_TABLES) == made
     assert ta.codes is tb.codes and ta.readings is tb.readings
     assert not (np.array_equal(ta.lo, tb.lo) and np.array_equal(ta.hi,
                                                                 tb.hi))
@@ -443,14 +447,46 @@ def test_context_table_is_shared_per_construction():
             arr.flat[0] = arr.flat[0]
 
 
-def test_context_cache_is_bounded():
-    """More constructions than the cache holds: it keeps a fixed few."""
-    size = embed.context_table.cache_info().maxsize
-    assert size is not None and size <= 32
-    for n in range(2, size + 5):
-        embed.embed_extra_state(ca1d.random_rule(
-            n, np.random.default_rng(n)), "pentagrid").rule_table
-    assert embed.context_table.cache_info().currsize == size
+def test_context_cache_is_bounded(monkeypatch):
+    """More table bytes than the cache keeps: each miss drops the least
+    recently used tables until the kept ones, with the row indices and
+    orbit groups they gained after their own miss, fit the budget; the
+    table just built stays even when it alone does not fit."""
+    assert embed._CONTEXT_BYTES <= 256 * 2 ** 20
+    budget = 150_000
+    monkeypatch.setattr(embed, "_CONTEXT_BYTES", budget)
+    embed._CONTEXT_TABLES.clear()
+    rng = np.random.default_rng(5)
+    made = []
+    for n in range(2, 9):
+        b = embed.embed_extra_state(ca1d.random_rule(n, rng), "pentagrid")
+        ctx = b.context_table
+        kept = list(embed._CONTEXT_TABLES.values())
+        assert kept == made[len(made) + 1 - len(kept):] + [ctx]
+        assert sum(t.nbytes for t in kept) <= budget or kept == [ctx]
+        made.append(ctx)
+        assert embed.check_invariance(b) == []
+        # (n + 1)**6 codes: a dense row index up to n = 5
+        assert (ctx.row_index is not None) == (n <= 5)
+        held = [ctx.codes, ctx.readings, ctx.starts, ctx.assignments,
+                ctx.single, ctx.orbit_keys, ctx.orbits.order,
+                ctx.orbits.starts, ctx.row_index]
+        assert ctx.nbytes == sum(a.nbytes for a in held if a is not None)
+    assert len(kept) < len(made)
+    # a hit moves its table to the end, where tables are dropped last
+    monkeypatch.setattr(embed, "_CONTEXT_BYTES", budget * 10)
+    a, b = (embed.embed_extra_state(ca1d.elementary(110), grid)
+            for grid in ("pentagrid", "heptagrid"))
+    keys = [(x.pattern, 2, 3) for x in (a, b)]
+    tables = [a.context_table, b.context_table]
+    assert list(embed._CONTEXT_TABLES)[-2:] == keys
+    assert embed.context_table(*keys[0]) is tables[0]
+    assert list(embed._CONTEXT_TABLES)[-2:] == keys[::-1]
+    # a table larger than the whole budget is kept alone
+    monkeypatch.setattr(embed, "_CONTEXT_BYTES", 1)
+    ctx = embed.embed_extra_state(ca1d.elementary(110),
+                                  "dodecagrid").context_table
+    assert list(embed._CONTEXT_TABLES.values()) == [ctx]
 
 
 def test_invariance_check_expands_through_the_module_global(all_six,
