@@ -12,8 +12,9 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "ca1d": ("Rule1D", "Tape", "elementary", "is_fixable", "run_1d",
              "step_1d"),
-    "embed": ("HcaAutomaton", "NotFixable", "embed_compact",
-              "embed_extra_state", "verify_unique_applicability"),
+    "automaton": ("HcaAutomaton", "NotFixable", "embed_compact",
+                  "embed_extra_state"),
+    "embed": ("verify_unique_applicability",),
     "engine": ("Configuration", "equivalence_check", "init_configuration",
                "run_hca", "yellow_trace"),
     "region": ("Region", "build_region"),

@@ -3,40 +3,83 @@
 These are the source automata of the workbench: every transformation embeds
 one of them into a tiling, and the finite simulator here doubles as the
 verification oracle the embeddings are compared against.  A rule is a total
-table over state triples (left, self, right).
+table over state triples (left, self, right), held as plain ints, so that
+making and writing one needs no numpy; numpy is imported only where an
+array is made.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from functools import partial
-
-import numpy as np
+import re
+from dataclasses import dataclass
+from functools import cached_property, partial
+from typing import TYPE_CHECKING
 
 from .jsonfile import exactly, json_object, read_key
 
+if TYPE_CHECKING:
+    import numpy as np
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class Rule1D:
-    """An n-state transition table over (left, self, right) triples."""
+    """An n-state transition table over (left, self, right) triples.
+
+    It keeps its n**3 outputs as a tuple of ints in lexicographic
+    (left, self, right) order, as a rule file stores them, so a rule
+    compares and hashes by value.  `table` holds them as a read-only
+    (n, n, n) int64 array, made on first read, or at once from a numpy
+    array."""
 
     n: int
-    table: np.ndarray
+    outputs: tuple[int, ...]
     name: str = ""
 
-    def __post_init__(self) -> None:
-        tab = np.asarray(self.table, dtype=np.int64)
-        if self.n < 1:
+    def __init__(self, n: int, table, name: str = "") -> None:
+        """`table[left][self][right]` is the output: an (n, n, n) integer
+        array or nested lists of ints, which the rule copies.  An output
+        that is no int, a bool or a float among them, or no state, is
+        refused with a ValueError."""
+        if n < 1:
             raise ValueError("state count must be at least 1")
-        if tab.shape != (self.n, self.n, self.n):
-            raise ValueError(f"table shape {tab.shape} != {(self.n,) * 3}")
-        if tab.min() < 0 or tab.max() >= self.n:
-            raise ValueError("table outputs must be states")
+        array = hasattr(table, "tolist")
+        level = [table.tolist() if array else table]
+        try:
+            for _ in range(3):
+                if any(len(row) != n for row in level):
+                    raise TypeError
+                level = [v for row in level for v in row]
+        except TypeError:
+            raise ValueError(f"table is not of shape {(n,) * 3}") from None
+        outputs = tuple(level)
+        for v in outputs:
+            if type(v) is not int:
+                raise ValueError(f"table outputs must be ints, not {v!r}")
+            if not 0 <= v < n:
+                raise ValueError("table outputs must be states")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "outputs", outputs)
+        object.__setattr__(self, "name", name)
+        if array:
+            # a caller with an array has numpy loaded: make the table now,
+            # not in the first computation that reads it
+            self.table
+
+    @cached_property
+    def table(self) -> np.ndarray:
+        """The outputs as a read-only (n, n, n) int64 array."""
+        import numpy as np
+
+        tab = np.array(self.outputs, dtype=np.int64).reshape((self.n,) * 3)
         tab.setflags(write=False)
-        object.__setattr__(self, "table", tab)
+        return tab
 
     def apply(self, x: int, s: int, y: int) -> int:
-        return int(self.table[x, s, y])
+        n = self.n
+        if not (0 <= x < n and 0 <= s < n and 0 <= y < n):
+            raise ValueError(f"({x}, {s}, {y}) holds a state outside "
+                             f"0..{n - 1}")
+        return self.outputs[(x * n + s) * n + y]
 
     def states(self) -> range:
         return range(self.n)
@@ -47,12 +90,9 @@ def elementary(rule_number: int) -> Rule1D:
     of the rule number."""
     if not 0 <= rule_number <= 255:
         raise ValueError("elementary rule numbers run 0..255")
-    tab = np.zeros((2, 2, 2), dtype=np.int64)
-    for a in range(2):
-        for b in range(2):
-            for c in range(2):
-                tab[a, b, c] = (rule_number >> (4 * a + 2 * b + c)) & 1
-    return Rule1D(2, tab, name=f"elementary:{rule_number}")
+    return Rule1D(2, [[[(rule_number >> (4 * a + 2 * b + c)) & 1
+                        for c in range(2)] for b in range(2)]
+                      for a in range(2)], name=f"elementary:{rule_number}")
 
 
 def is_fixable(rule: Rule1D) -> tuple[bool, tuple[int, int] | None]:
@@ -94,6 +134,8 @@ class Tape:
 
     def window(self, lo: int, hi: int) -> np.ndarray:
         """The values at positions lo..hi-1."""
+        import numpy as np
+
         out = np.full(max(hi - lo, 0), self.padding, dtype=np.int64)
         a, b = max(lo, self.start), min(hi, self.end)
         if a < b:
@@ -149,23 +191,35 @@ def rule_to_json(rule: Rule1D) -> str:
     return json.dumps({
         "n": rule.n,
         "name": rule.name,
-        "table": [int(v) for v in rule.table.reshape(-1)],
+        "table": list(rule.outputs),
     })
 
 
 def rule_from_json(text: str) -> Rule1D:
     read = partial(read_key, json_object(text, "rule"), "rule")
     n = read("n", exactly(int))
-    flat = read("table", lambda t: np.array([exactly(int)(v) for v in t],
-                                            dtype=np.int64))
-    if flat.shape != (n ** 3,):
-        raise ValueError(f"expected {n ** 3} table entries, got {flat.size}")
-    return Rule1D(n, flat.reshape(n, n, n), name=read("name", str, ""))
+    flat = read("table", lambda t: [exactly(int)(v) for v in t])
+    if len(flat) != n ** 3:
+        raise ValueError(f"expected {n ** 3} table entries, got {len(flat)}")
+    rows = [flat[i:i + n] for i in range(0, len(flat), n)]
+    return Rule1D(n, [rows[i:i + n] for i in range(0, len(rows), n)],
+                  name=read("name", exactly(str), ""))
 
 
-def parse_rule_spec(spec: str) -> Rule1D:
-    """Either 'elementary:NNN' or the path of a rule file."""
+# the number of an elementary rule spec: decimal digits, leading zeros
+# aside at most three, so that no sign, space or underscore passes
+_ELEMENTARY_NUMBER = re.compile(r"0*([0-9]{1,3})")
+
+
+def parse_rule_spec(spec: str, option: str = "--rule") -> Rule1D:
+    """Either 'elementary:N', N in 0..255, or the path of a rule file.  A
+    malformed N is refused with a ValueError naming `option`, the command
+    line option that gave the spec."""
     if spec.startswith("elementary:"):
-        return elementary(int(spec.split(":", 1)[1]))
+        number = _ELEMENTARY_NUMBER.fullmatch(spec[len("elementary:"):])
+        if number is None or int(number[1]) > 255:
+            raise ValueError(f"{option} {spec}: give elementary:N with N "
+                             "in 0..255, or a rule file")
+        return elementary(int(number[1]))
     with open(spec, "r", encoding="utf-8") as fh:
         return rule_from_json(fh.read())

@@ -9,9 +9,9 @@ verification found violations, 2 bad usage or a failed precondition.
 
 Each command imports the modules it runs, and only after its option
 checks, so a process loads no more of the package than its subcommand
-needs: `--help` and a refused option none, `transform` no region,
-engine or render, and only `render` and `simulate --svg-dir` the
-renderer.
+needs: `--help` and a refused option none; `transform` only `ca1d`,
+`automaton`, `symmetry` and `jsonfile`, and no numpy; and only `render`
+and `simulate --svg-dir` the renderer.
 """
 from __future__ import annotations
 
@@ -50,21 +50,21 @@ def _write(path: str | None, text: str) -> None:
 
 
 def _load_automaton(path: str):
-    from . import embed
+    from .automaton import automaton_from_json
 
-    return embed.automaton_from_json(Path(path).read_text())
+    return automaton_from_json(Path(path).read_text())
 
 
 def cmd_transform(args) -> int:
-    from . import ca1d, embed
+    from . import automaton, ca1d
 
     rule = ca1d.parse_rule_spec(args.rule)
     method = _METHODS[args.method]
     if method == "extra":
-        b = embed.embed_extra_state(rule, args.grid)
+        b = automaton.embed_extra_state(rule, args.grid)
     else:
-        b = embed.embed_compact(rule, args.grid)
-    _write(args.output, embed.automaton_to_json(b) + "\n")
+        b = automaton.embed_compact(rule, args.grid)
+    _write(args.output, automaton.automaton_to_json(b) + "\n")
     return 0
 
 
@@ -88,7 +88,7 @@ def cmd_simulate(args) -> int:
     status = 0
     if args.check_oracle is not None:
         rule = b.action if args.check_oracle == "" \
-            else ca1d.parse_rule_spec(args.check_oracle)
+            else ca1d.parse_rule_spec(args.check_oracle, "--check-oracle")
         report = engine.equivalence_check(rule, b, region, word, args.steps)
         sys.stderr.write(report.text())
         if not report.ok:
@@ -183,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     t = sub.add_parser("transform",
                        help="turn a 1D rule into a tiling automaton")
     t.add_argument("--rule", required=True,
-                   help="elementary:NNN or a rule file")
+                   help="elementary:N, N in 0..255, or a rule file")
     t.add_argument("--grid", required=True,
                    choices=("pentagrid", "heptagrid", "dodecagrid"))
     t.add_argument("--method", default="extra", choices=sorted(_METHODS),

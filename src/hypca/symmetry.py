@@ -9,10 +9,11 @@ A motion is stored as a tuple ``m`` of 12 face numbers with ``m[i]`` the face
 onto which face ``i`` is carried.
 
 `TAPE_SLOTS` names, per grid, the sides of a tape cell that the
-constructions read: the one table that `embed`'s patterns, the region's
-chain labels and `Region.marker_cell_ids` share.  It sits here, with the
-other face combinatorics that `embed` and `region` both read, so that
-`embed` needs no region to build a pattern.
+constructions read: the one table that `automaton`'s patterns, the
+region's chain labels and `Region.marker_cell_ids` share.  It sits here,
+with the other face combinatorics that `automaton` and `region` both
+read, so that building a pattern needs no region; and numpy is imported
+only by the functions that make arrays, so that it needs no numpy.
 
 A cell's rotations have one form in use, `rotation_indices`: one index row
 per rotation, re-reading a side-indexed array.  `embed.context_table` lays
@@ -38,8 +39,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 # Faces around each face, in clockwise order as seen from outside the
 # dodecahedron.  Face 0 is the bottom, faces 1..5 the lower belt, 6..10 the
@@ -137,6 +140,8 @@ def rotation_indices(arity: int) -> np.ndarray:
     reads face m[i].  The array is built once per arity and shared by
     every caller, so it is read-only.
     """
+    import numpy as np
+
     if arity == 12:
         rows = np.array(all_motions(), dtype=np.intp)
     else:
@@ -193,6 +198,8 @@ class Orbits:
     def of_keys(cls, keys: np.ndarray) -> "Orbits":
         """The grouping of rules with orbit keys `keys`, in input order:
         a stable sort by key, a run per distinct key."""
+        import numpy as np
+
         order = np.argsort(keys, kind="stable")
         keys = keys[order]
         new = np.ones(len(keys), dtype=bool)
@@ -213,6 +220,8 @@ class Orbits:
                              f"{len(self.order)} contexts")
         if not len(rules):
             return []
+        import numpy as np
+
         outs = rules.outs[self.order]
         split = (np.minimum.reduceat(outs, self.starts)
                  != np.maximum.reduceat(outs, self.starts))

@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,6 +27,10 @@ def test_elementary_bounds():
         ca1d.elementary(256)
     with pytest.raises(ValueError):
         ca1d.elementary(-1)
+    # a state outside the rule is refused, not read as another triple
+    for triple in ((0, 0, 2), (0, -1, 0), (2, 0, 0)):
+        with pytest.raises(ValueError, match="outside 0..1"):
+            ca1d.elementary(110).apply(*triple)
 
 
 def brute_fixable(rule):
@@ -171,3 +178,83 @@ def test_parse_rule_spec(tmp_path):
                           ca1d.elementary(90).table)
     with pytest.raises(ValueError):
         ca1d.parse_rule_spec("elementary:999")
+
+
+def test_rule_keeps_its_own_copy_of_the_callers_table():
+    """A rule copies the outputs it is given: the caller's array stays
+    writeable and unchanged, and a later write to it does not reach the
+    rule.  Its own `table` is read-only."""
+    given = ca1d.elementary(110).table.copy()
+    rule = ca1d.Rule1D(2, given)
+    assert given.flags.writeable
+    assert given.tolist() == ca1d.elementary(110).table.tolist()
+    given[0, 0, 0] = 1
+    assert rule.apply(0, 0, 0) == 0 and rule.table[0, 0, 0] == 0
+    assert not rule.table.flags.writeable
+    assert rule.table.dtype == np.int64 and rule.table.shape == (2, 2, 2)
+    nested = [[[0, 1], [1, 1]], [[0, 1], [1, 0]]]
+    assert ca1d.Rule1D(2, nested).outputs == (0, 1, 1, 1, 0, 1, 1, 0)
+    assert nested == [[[0, 1], [1, 1]], [[0, 1], [1, 0]]]
+
+
+def test_rule_refuses_outputs_that_are_no_ints():
+    """Floats and bools are refused, as the rule file's reader refuses
+    them, rather than truncated to states; so is a table of another
+    shape."""
+    zeros = [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]
+    for table, bad in ((np.full((2, 2, 2), 0.7), 0.7),
+                       (np.zeros((2, 2, 2), dtype=bool), False),
+                       ([[[0, 0], [0, 0]], [[0, 0], [0, True]]], True),
+                       ([[[0, 0], [0, 0]], [[0, 0], [0, 1.0]]], 1.0),
+                       ([[[0, 0], [0, 0]], [[0, 0], [0, "1"]]], "1")):
+        with pytest.raises(ValueError, match=re.escape(
+                f"table outputs must be ints, not {bad!r}")):
+            ca1d.Rule1D(2, table)
+    for table in (zeros[0], [*zeros, zeros[0]], [zeros[0], [[0, 0], [0]]],
+                  np.zeros((2, 2, 2, 1), dtype=np.int64)):
+        with pytest.raises(ValueError):
+            ca1d.Rule1D(2, table)
+    with pytest.raises(ValueError, match="^table outputs must be states$"):
+        ca1d.Rule1D(2, [*zeros[:1], [[0, 0], [0, 2]]])
+    assert ca1d.Rule1D(2, np.zeros((2, 2, 2), dtype=np.uint8)).outputs \
+        == (0,) * 8
+
+
+def test_rules_compare_and_hash_by_value():
+    """Two rules with the same state count, outputs and name are equal
+    and hash alike, whatever form their table was given in."""
+    a, b = ca1d.elementary(110), ca1d.elementary(110)
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != ca1d.elementary(30)
+    assert ca1d.Rule1D(2, a.table, name=a.name) == a
+    assert ca1d.Rule1D(2, a.table.tolist()) != a         # its name differs
+    assert ca1d.rule_from_json(ca1d.rule_to_json(a)) == a
+
+
+def test_rule_file_name_must_be_a_string():
+    """A rule file's `name` is a JSON string, or absent; any other value
+    is refused naming the key."""
+    doc = json.loads(ca1d.rule_to_json(ca1d.elementary(110)))
+    for name in ({"x": 1}, [1, 2], 5, True, None):
+        with pytest.raises(ValueError, match="^rule key 'name'"):
+            ca1d.rule_from_json(json.dumps(dict(doc, name=name)))
+    del doc["name"]
+    assert ca1d.rule_from_json(json.dumps(doc)).name == ""
+
+
+def test_elementary_spec_takes_decimal_digits_only():
+    """`elementary:N` takes N as decimal digits in 0..255; anything else
+    is refused with a message that names the option and the form."""
+    for spec in ("elementary:abc", "elementary: 30", "elementary:+30",
+                 "elementary:3_0", "elementary:", "elementary:-1",
+                 "elementary:256", "elementary:30 ", "elementary:３０",
+                 "elementary:" + "9" * 5000):
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"--rule {spec}: give elementary:N with N in 0..255, "
+                "or a rule file") + "$"):
+            ca1d.parse_rule_spec(spec)
+    with pytest.raises(ValueError, match="^--check-oracle elementary:x: "):
+        ca1d.parse_rule_spec("elementary:x", "--check-oracle")
+    for spec, number in (("elementary:0", 0), ("elementary:255", 255),
+                         ("elementary:030", 30), ("elementary:000", 0)):
+        assert ca1d.parse_rule_spec(spec) == ca1d.elementary(number)

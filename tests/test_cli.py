@@ -49,6 +49,51 @@ def test_transform_writes_the_automatons_own_keys(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("grid", ["pentagrid", "heptagrid", "dodecagrid"])
+@pytest.mark.parametrize("method", ["extra", "compact"])
+def test_transform_matches_the_rule_110_goldens(tmp_path, capsys, grid,
+                                                method):
+    """`transform` writes rule 110's six automaton files byte for byte as
+    `tests/golden/transform_110` holds them."""
+    out = tmp_path / "auto.json"
+    assert run_cli("transform", "--rule", "elementary:110", "--grid", grid,
+                   "--method", method, "-o", str(out)) == 0
+    assert out.read_bytes() \
+        == (GOLDEN / "transform_110" / f"{grid}_{method}.json").read_bytes()
+    capsys.readouterr()
+
+
+def test_malformed_rule_specs_and_names_exit_2(tmp_path, capsys):
+    """An elementary spec that is not decimal digits in 0..255 names its
+    option and the form; a `name` that is no JSON string, in a rule file
+    or an automaton file, names the key."""
+    for spec in ("elementary:abc", "elementary: 30", "elementary:3_0"):
+        assert run_cli("transform", "--rule", spec, "--grid",
+                       "pentagrid") == 2
+        assert capsys.readouterr() == ("", f"error: --rule {spec}: give "
+                                       "elementary:N with N in 0..255, or "
+                                       "a rule file\n")
+    rule = tmp_path / "rule.json"
+    rule.write_text(json.dumps({"n": 2, "table": [0, 1, 1, 1, 0, 1, 1, 0],
+                                "name": {"x": 1}}))
+    assert run_cli("transform", "--rule", str(rule), "--grid",
+                   "pentagrid") == 2
+    assert capsys.readouterr() == ("", "error: rule key 'name' has the "
+                                   "wrong form\n")
+    auto = tmp_path / "auto.json"
+    assert run_cli("transform", "--rule", "elementary:110", "--grid",
+                   "pentagrid", "-o", str(auto)) == 0
+    assert run_cli("simulate", "--automaton", str(auto), "--steps", "1",
+                   "--check-oracle", "elementary:x") == 2
+    assert capsys.readouterr().err.startswith(
+        "error: --check-oracle elementary:x: give elementary:N")
+    auto.write_text(json.dumps(dict(json.loads(auto.read_text()),
+                                    name=[1, 2])))
+    assert run_cli("verify", "--automaton", str(auto)) == 2
+    assert capsys.readouterr() == ("", "error: automaton key 'name' has "
+                                   "the wrong form\n")
+
+
 def test_pipeline_pentagrid(tmp_path, capsys):
     # malformed rule files
     rule_file = tmp_path / "rule.json"
@@ -729,15 +774,25 @@ def test_cli_import_help_and_refusals_load_no_numpy(tmp_path):
 
 
 def test_each_command_loads_only_the_modules_it_runs(tmp_path):
-    """`transform` builds no region, so it loads no region, engine,
-    geometry or renderer; `verify` and `simulate` load no renderer, and
-    `simulate --svg-dir` does."""
-    code, modules = _fresh_run(tmp_path, "transform", "--rule",
-                               "elementary:110", "--grid", "dodecagrid",
-                               "-o", "a.json")
-    assert code == 0
-    assert not modules & {f"hypca.{m}" for m in (
-        "region", "engine", "render", "polytopes", "geometry")}
+    """`transform` builds no table or region, so it loads no numpy and
+    no embed, region, engine, geometry or renderer; `verify` and
+    `simulate` load no renderer, and `simulate --svg-dir` does."""
+    (tmp_path / "rule.json").write_text(
+        ca1d.rule_to_json(ca1d.elementary(30)))
+    # the last file written, rule 110's extra automaton, is the one the
+    # other commands run
+    for rule, method in (("rule.json", "extra"), ("rule.json", "compact"),
+                         ("elementary:110", "compact"),
+                         ("elementary:110", "extra")):
+        code, modules = _fresh_run(tmp_path, "transform", "--rule", rule,
+                                   "--grid", "dodecagrid", "--method",
+                                   method, "-o", "a.json")
+        assert code == 0, (rule, method)
+        assert "numpy" not in modules, (rule, method)
+        assert {m for m in modules if m.startswith("hypca")} == {
+            "hypca", *(f"hypca.{m}" for m in (
+                "cli", "automaton", "ca1d", "symmetry", "jsonfile"))}, \
+            (rule, method)
     runs = ["--automaton", "a.json", "--radius", "2", "--halfwidth", "1"]
     for argv, renders in (
             (["verify", *runs, "--horizon", "2", "-o", "v.txt"], False),

@@ -477,3 +477,34 @@ def test_verify_flags_off_line_cell_one_reading_would_move(region_of,
     report = embed.verify_unique_applicability(hand, r, init, 0)
     kinds = {v.kind for v in report.violations if v.cell == o}
     assert kinds == {"ambiguous", "off-line-changed"}
+
+
+def test_automata_compare_and_hash_by_value(all_six):
+    """An automaton compares and hashes by its fields, its action's
+    outputs among them, so two built alike are equal."""
+    rule = ca1d.elementary(110)
+    for (method, grid), b in all_six.items():
+        build = embed.embed_extra_state if method == "extra" \
+            else embed.embed_compact
+        again = build(ca1d.elementary(110), grid)
+        assert again == b and hash(again) == hash(b), (method, grid)
+        assert embed.automaton_from_json(embed.automaton_to_json(b)) == b
+        # rule 238 is rule 110 but for A(1,1,1) = 1
+        assert build(ca1d.elementary(238), grid) != b
+        assert build(ca1d.Rule1D(2, rule.table), grid) != b
+    assert len(set(all_six.values())) == 6
+    assert all_six[("extra", "pentagrid")].action == rule
+
+
+def test_automaton_file_name_must_be_a_string(all_six):
+    """The automaton's `name` and its action's are JSON strings; any
+    other value is refused naming the key."""
+    doc = json.loads(embed.automaton_to_json(all_six[("extra",
+                                                      "pentagrid")]))
+    for name in ([1, 2], {"x": 1}, 5, None):
+        with pytest.raises(ValueError, match="^automaton key 'name'"):
+            embed.automaton_from_json(json.dumps(dict(doc, name=name)))
+        action = dict(doc["action"], name=name)
+        with pytest.raises(ValueError, match="^automaton key 'action': "
+                                             "rule key 'name'"):
+            embed.automaton_from_json(json.dumps(dict(doc, action=action)))
