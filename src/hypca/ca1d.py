@@ -144,9 +144,17 @@ class Tape:
 
 
 def step_1d(rule: Rule1D, tape: Tape) -> Tape:
-    """One synchronous update; the window grows one cell on each side."""
+    """One synchronous update; the window grows one cell on each side.
+    A tape that holds a state outside the rule's 0..n-1 is refused with a
+    ValueError naming the state and its position."""
     if not tape.cells:
         raise ValueError("tape window must be nonempty")
+    lo, hi = min(tape.cells), max(tape.cells)
+    if lo < 0 or hi >= rule.n:
+        s = lo if lo < 0 else hi
+        raise ValueError(f"tape position {tape.start + tape.cells.index(s)} "
+                         f"holds state {s}, outside the rule's states "
+                         f"0..{rule.n - 1}")
     q = tape.padding
     if rule.apply(q, q, q) != q:
         raise ValueError(f"padding state {q} is not quiescent for this "

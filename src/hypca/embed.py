@@ -23,11 +23,12 @@ is its code throughout, decoded only where a person reads it.
 unique-applicability scan alike, and `expanded_rules` lists its
 single-reading codes as explicit rules, held as the table's arrays,
 so the invariance checker can say independently that matching is
-rotation invariant.  Its orbit grouping reads the codes alone: a column
-of the enumeration, one letter assignment under every alignment, is a
-context's whole orbit, so the rank of its least code keys each code in
-it; the construction keeps the grouping, found on first use, and each
-automaton's check compares its next states within the groups.  Error
+rotation invariant.  A column of the enumeration, one letter assignment
+under every alignment, is a context's whole orbit, so its least code is
+the least code of every context in it; the construction keeps, for each
+single-reading code, the index of that least code among the
+single-reading codes, and an automaton's check is one gather of its next
+states at those indices, compared with its own.  Error
 messages spell out a context's readings with `HcaAutomaton.readings`,
 read off the same table: the table is the one matcher.
 
@@ -192,14 +193,14 @@ class TableRun:
         return j
 
 
-# the bytes of context tables kept.  A kept table, with its orbit keys
-# and the orbit groups an invariance check adds, holds eight arrays of at
-# most 8 bytes per (alignment, assignment) pair of its enumeration:
-# 0.20 MB, 42 bytes a pair, for a 3-state source on the dodecagrid, and
-# 27.6 MB, 43 bytes a pair, for a 22-state compact one.  A table of at
-# most _DENSE_CODES codes adds its `row_index`, 4 bytes a code: at most
-# 256 KB.  So 64 MB keeps all six (grid, method) pairs at two and three
-# source states, under 1 MB together, beside two of the 22-state tables.
+# the bytes of context tables kept.  A kept table holds six arrays of at
+# most 8 bytes per (alignment, assignment) pair of its enumeration, 37
+# bytes a pair on the dodecagrid, where every pair gives its own code:
+# 0.18 MB for a 3-state source, and 23.6 MB for a 22-state compact one.
+# A table of at most _DENSE_CODES codes adds its `row_index`, 4 bytes a
+# code: at most 256 KB.  So 64 MB keeps all six (grid, method) pairs at
+# two and three source states, under 1 MB together, beside two of the
+# 22-state tables.
 _CONTEXT_BYTES = 64 * 2 ** 20
 # the largest code space, base**(arity + 1), that gets a dense row index:
 # every polygonal construction at 2 or 3 source states, and dodecagrid
@@ -219,11 +220,12 @@ class ContextTable:
     `assignments[e] = (l * n + s) * n + r` into the action's (n, n, n)
     table, n the letter count; the entries of code k start at
     `starts[k]`, in the order of the first alignment that gives each.
-    `orbit_keys[k]` is the rank, among the construction's orbits, of
-    the least code over the rotations of code k's context: equal keys
-    mark one orbit, and keys order the orbits as those codes do.  The
-    arrays are read-only, since every automaton of the construction
-    shares them.
+    `least[k]` is the index, among the single-reading codes, of the least
+    code over the rotations of single-reading code k's context: a
+    rotated context reads as the context does, so that code is a
+    single-reading one too.  Equal indices mark one orbit, and the
+    indices order the orbits as their least codes do.  The arrays are
+    read-only, since every automaton of the construction shares them.
     """
 
     base: int
@@ -233,7 +235,7 @@ class ContextTable:
     starts: np.ndarray          # (M,) first entry of each code
     assignments: np.ndarray     # (E,) (left, self, right) letters
     single: np.ndarray          # (M,) bool, exactly one reading
-    orbit_keys: np.ndarray      # (M,) unsigned, rank of the orbit
+    least: np.ndarray           # (S,) int32, the orbit's least single code
 
     @cached_property
     def row_index(self) -> np.ndarray | None:
@@ -249,21 +251,12 @@ class ContextTable:
         index.setflags(write=False)
         return index
 
-    @cached_property
-    def orbits(self) -> sym.Orbits:
-        """The single-reading contexts grouped by rotation orbit, in code
-        order, found on first use from their orbit keys."""
-        return sym.Orbits.of_keys(self.orbit_keys[self.single])
-
     @property
     def nbytes(self) -> int:
-        """The bytes its arrays hold, with the row index and the orbit
-        groups once they are found."""
-        found = vars(self)
+        """The bytes its arrays hold, with the row index once it is
+        found."""
         held = [self.codes, self.readings, self.starts, self.assignments,
-                self.single, self.orbit_keys, found.get("row_index")]
-        if "orbits" in found:
-            held += [found["orbits"].order, found["orbits"].starts]
+                self.single, self.least, vars(self).get("row_index")]
         return sum(a.nbytes for a in held if a is not None)
 
 
@@ -333,11 +326,8 @@ def _enumerate_contexts(pattern: ContextPattern, n: int, base: int
     codes = base ** np.c_[rows, np.full(len(rows), p)].astype(np.int64) \
         @ states
     # a column holds every rotation of its assignment's context, so its
-    # least code keys the orbit of each entry in it; the rank of that
-    # code among the columns' is kept, in the narrowest unsigned type,
-    # which numpy's stable sort takes by radix
-    keys = np.unique(codes.min(axis=0), return_inverse=True)[1]
-    keys = keys.astype(np.min_scalar_type(keys.max()))
+    # least code is the least code of the orbit of each entry in it
+    lowest = codes.min(axis=0)
     codes = codes.ravel()
     triple = np.tile((left * n + pick[0]) * n + right, len(rows))
 
@@ -356,13 +346,20 @@ def _enumerate_contexts(pattern: ContextPattern, n: int, base: int
     codes, triple = codes[distinct], triple[distinct]
     starts = np.flatnonzero(new_code[distinct])
     readings = np.diff(np.r_[starts, len(codes)])
-    # entry g * A + a of the raveled rows lies in column a, A columns
-    table = ContextTable(base=base, arity=p, codes=codes[starts],
+    codes, single = codes[starts], readings == 1
+    # entry g * A + a of the raveled rows lies in column a, A columns;
+    # each column's least code is found among the single-reading codes,
+    # where a single-reading code's least rotation must lie
+    column = order[new_code][single] % len(lowest)
+    singles = codes[single]
+    at = singles.searchsorted(lowest).astype(np.int32)[column]
+    if not np.array_equal(singles.take(at), lowest[column]):
+        raise RuntimeError("a rotated context reads otherwise than the "
+                           "context: the rotations are no group")
+    table = ContextTable(base=base, arity=p, codes=codes,
                          readings=readings, starts=starts,
-                         assignments=triple, single=readings == 1,
-                         orbit_keys=keys[order[new_code] % len(keys)])
-    for a in (table.codes, readings, starts, triple, table.single,
-              table.orbit_keys):
+                         assignments=triple, single=single, least=at)
+    for a in (codes, readings, starts, triple, single, at):
         a.setflags(write=False)
     return table
 
@@ -394,11 +391,30 @@ def expanded_rules(automaton: HcaAutomaton) -> sym.RuleArrays:
                           automaton.rule_table.lo[ctx.single])
 
 
-def check_invariance(automaton: HcaAutomaton):
-    """The rotation-invariance verdict for the expanded rule list: its
-    next states compared within the construction's orbit groups."""
+def check_invariance(automaton: HcaAutomaton) -> list[sym.RuleArrays]:
+    """The orbits whose next states disagree in the expanded rule list;
+    an empty list means the rule set is rotation invariant.
+
+    Rule k conflicts when its next state differs from that of its orbit's
+    least rule, `ContextTable.least[k]`: one gather.  Each conflicting
+    orbit is reported whole, as a `RuleArrays` of its rules in code
+    order, and the orbits ascend by least code.  A rule list whose length
+    is not the construction's single-reading count is refused with a
+    ValueError."""
     rules = expanded_rules(automaton)
-    return automaton.context_table.orbits.conflicts(rules)
+    least = automaton.context_table.least
+    if len(rules) != len(least):
+        raise ValueError(f"{len(rules)} rules for the {len(least)} "
+                         "single-reading contexts of the construction")
+    split = rules.outs != rules.outs.take(least)
+    if not split.any():
+        return []
+    # the rules of the split orbits, grouped by least index in code order
+    members = np.flatnonzero(np.isin(least, least[split]))
+    members = members[np.argsort(least[members], kind="stable")]
+    cuts = np.flatnonzero(np.diff(least[members])) + 1
+    return [sym.RuleArrays(rules.codes[m], rules.outs[m])
+            for m in np.split(members, cuts)]
 
 
 # row origin used when printing a tape cell's context in table form: the
@@ -465,43 +481,6 @@ class VerifyReport:
             lines.append("context rows:")
             lines.extend(f"  {r}" for r in self.context_rows)
         return "\n".join(lines) + "\n"
-
-
-def _letter_name(offset: int) -> str:
-    fixed_names = {-2: "U", -1: "X", 0: "Y", 1: "Z", 2: "T"}
-    return fixed_names.get(offset, f"Y{offset:+d}")
-
-
-def symbolic_rows(automaton: HcaAutomaton, region: Region) -> list[str]:
-    """Canonical context rows around the centre with letters named by tape
-    position, for table regression.
-
-    Each complete cell within two steps of the central cell contributes
-    'self | n1 .. nk' with the neighbour list rotated to its least form,
-    so the rows do not depend on generated side numbering.  A tape cell
-    is named by its position; any other cell by its initial state: W the
-    padding, b the added state, B any other.
-    """
-    from . import engine
-
-    states = engine.init_configuration(
-        region, automaton, [automaton.padding_state]).states
-    gl = region.guideline
-    names = np.where(states == automaton.padding_state, "W",
-                     np.where(states == automaton.blue, "b", "B")
-                     ).astype(object)
-    names[gl.cell_ids] = [_letter_name(p) for p in gl.positions.tolist()]
-
-    # the ball grows by a step wherever a neighbour is in it; the last
-    # entry, which a missing neighbour (-1) reads, stays False
-    ball = np.zeros(region.n_cells + 1, dtype=bool)
-    ball[0] = True
-    for _ in range(2):
-        ball[:-1] |= ball[region.adjacency].any(axis=1)
-    cells = region.complete_cells[ball[region.complete_cells]]
-    return sorted({f"{s} | " + " ".join(sym.canonical(nb))
-                   for s, nb in zip(names[cells],
-                                    names[region.adjacency[cells]].tolist())})
 
 
 _KINDS = ("ambiguous", "line-unmatched", "off-line-changed")

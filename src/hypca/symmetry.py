@@ -17,23 +17,19 @@ only by the functions that make arrays, so that it needs no numpy.
 
 A cell's rotations have one form in use, `rotation_indices`: one index row
 per rotation, re-reading a side-indexed array.  `embed.context_table` lays
-the pattern out under each row, and `canonical` takes the least
-re-reading for printed context rows.  On the dodecagrid the rows are
+the pattern out under each row.  On the dodecagrid the rows are
 `all_motions`.
 
-The rotation-invariance check, as `embed.check_invariance` runs it, works
-on a `RuleArrays`, a rule set held as int64 arrays of context codes and
-next states, in two steps.  An `Orbits` groups the contexts by orbit
-key, the least code over the context's rotations; it reads no next
-state, so one grouping serves every rule set over the same contexts.
-`embed.context_table` finds the keys in its own enumeration, whose
-column of one letter assignment is that context's whole orbit, and
-keeps them with the construction.  `Orbits.conflicts` then compares the
-next states within each group.  A keying by matrix product over every
-rotation, which takes the least lexicographic re-reading, and a
-per-rule version, which groups (context, next state) pairs by their
-least re-reading one rotation at a time, are kept in
-`tests/symmetry_reference.py` as references.
+The rotation-invariance check, `embed.check_invariance`, works on a
+`RuleArrays`, a rule set held as int64 arrays of context codes and next
+states.  `embed.context_table` points each single-reading context at the
+least code over its rotations, found in its own enumeration, whose
+column of one letter assignment is that context's whole orbit; the check
+compares each rule's next state with that of its orbit's least rule.  A
+keying by matrix product over every rotation, which takes the least
+lexicographic re-reading, and a per-rule version, which groups
+(context, next state) pairs by their least re-reading one rotation at a
+time, are kept in `tests/symmetry_reference.py` as references.
 """
 from __future__ import annotations
 
@@ -151,13 +147,6 @@ def rotation_indices(arity: int) -> np.ndarray:
     return rows
 
 
-def canonical(values) -> tuple:
-    """The lexicographically least re-reading of a side-indexed sequence
-    over the cell's rotations, the rows of `rotation_indices`."""
-    return min(tuple(values[i] for i in row)
-               for row in rotation_indices(len(values)).tolist())
-
-
 def require_codes_fit(n_states: int, arity: int) -> None:
     """Refuse a state count whose context codes overflow int64.
 
@@ -181,54 +170,6 @@ class RuleArrays:
 
     def __len__(self) -> int:
         return len(self.outs)
-
-
-@dataclass(frozen=True, eq=False)
-class Orbits:
-    """A rule list's contexts grouped by rotation orbit, whatever their
-    next states: `order` lists the rules in ascending order of orbit key,
-    those of one key in input order, and the orbit of key rank k takes
-    up `order[starts[k]:starts[k + 1]]`.  The arrays are read-only, so
-    one grouping can serve every rule set over the same contexts."""
-
-    order: np.ndarray       # (N,) rule indices
-    starts: np.ndarray      # (orbits,) where each orbit's run begins
-
-    @classmethod
-    def of_keys(cls, keys: np.ndarray) -> "Orbits":
-        """The grouping of rules with orbit keys `keys`, in input order:
-        a stable sort by key, a run per distinct key."""
-        import numpy as np
-
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        new = np.ones(len(keys), dtype=bool)
-        new[1:] = keys[1:] != keys[:-1]
-        starts = np.flatnonzero(new)
-        for a in (order, starts):
-            a.setflags(write=False)
-        return cls(order, starts)
-
-    def conflicts(self, rules: RuleArrays) -> list[RuleArrays]:
-        """The orbits whose next states disagree among `rules`, which
-        must list the grouped contexts in the same order; an empty list
-        means the rule set is rotation invariant.  Each group is a
-        `RuleArrays` of its members' codes and next states in input
-        order, the groups in ascending order of their orbit key."""
-        if len(rules) != len(self.order):
-            raise ValueError(f"{len(rules)} rules for a grouping of "
-                             f"{len(self.order)} contexts")
-        if not len(rules):
-            return []
-        import numpy as np
-
-        outs = rules.outs[self.order]
-        split = (np.minimum.reduceat(outs, self.starts)
-                 != np.maximum.reduceat(outs, self.starts))
-        ends = np.r_[self.starts[1:], len(outs)]
-        members = [self.order[a:b]
-                   for a, b in zip(self.starts[split], ends[split])]
-        return [RuleArrays(rules.codes[m], rules.outs[m]) for m in members]
 
 
 def motions_table_text() -> str:

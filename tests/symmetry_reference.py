@@ -3,16 +3,16 @@
 
 `check_rotation_invariance` groups (context, next state) pairs by
 `minimal_form`, one rotation at a time; `orbit_conflicts`, which groups
-a `RuleArrays` with `orbits` and splits it with `Orbits.conflicts` as
-`embed.check_invariance` does, must report the same groups, in the same
-order.  `pack` codes such pairs as a `RuleArrays` and `unpack` reads one
-back, both at a given base and arity, an automaton's from `coding`;
-`contexts` lists the pairs' states as arrays.  `orbits` keys each
-context by a matrix product over every rotation, its least
-lexicographic re-reading, as the package did before
-`embed.context_table` took the keys from its own enumeration;
-`ContextTable.orbits` must give the same partition, though it orders
-the groups by least code.
+a `RuleArrays` with `orbits` and reports the groups whose next states
+disagree, must report the same groups, in the same order.  `pack` codes
+such pairs as a `RuleArrays` and `unpack` reads one back, both at a
+given base and arity, an automaton's from `coding`; `contexts` lists the
+pairs' states as arrays.  `orbits` keys each context by a matrix product
+over every rotation, its least lexicographic re-reading, as the package
+did before `embed.context_table` found each context's least code in its
+own enumeration; the partition by `ContextTable.least` must be the same,
+and `embed.check_invariance` must report `orbit_conflicts`' groups,
+though it orders them by least code.
 `match_alignments` tries the pattern under every rotated alignment of
 one context, a shift count on the polygonal grids or a face permutation
 on the dodecagrid, one slot at a time by `slot_accepts`;
@@ -34,9 +34,10 @@ back into own and neighbour states.  `compose`, `inverse` and
 dodecahedron, and `motions_by_face_pairs` lists it by `complete_motion`
 for each ordered pair of adjacent faces, as the package did before
 `symmetry.all_motions` built it by closure.
-`symbolic_rows` walks a breadth-first ball and names its cells one at a
-time, as the package did before `embed.symbolic_rows` worked on the
-region's arrays; both must give the same rows.
+`symbolic_rows` walks a breadth-first ball around the centre and names
+its cells, tape cells by `letter_name`, for the table goldens
+`table2_pentagrid.txt` and `table3_heptagrid.txt`; `canonical` turns
+each row's neighbours to their least re-reading.
 """
 from __future__ import annotations
 
@@ -231,9 +232,10 @@ def unpack(rules: sym.RuleArrays, base: int, arity: int
 _ORBIT_CHUNK = 1024
 
 
-def orbits(selfs: np.ndarray, nbs: np.ndarray) -> sym.Orbits:
+def orbits(selfs: np.ndarray, nbs: np.ndarray) -> list[np.ndarray]:
     """Group contexts, own states `selfs` and neighbour states `nbs`, by
-    the rotation orbit of each.
+    the rotation orbit of each: the indices of each orbit's contexts in
+    input order, the orbits in ascending order of key.
 
     Each context is coded with the cell's own state as the most
     significant digit and side 0 next, so that comparing codes compares
@@ -251,9 +253,7 @@ def orbits(selfs: np.ndarray, nbs: np.ndarray) -> sym.Orbits:
     2**63.  The own-state digit is added in int64.
     """
     if not len(selfs):
-        none = np.zeros(0, dtype=np.intp)
-        none.setflags(write=False)
-        return sym.Orbits(none, none)
+        return []
     arity = nbs.shape[1]
     base = int(max(selfs.max(), nbs.max())) + 1
     sym.require_codes_fit(base, arity)
@@ -269,20 +269,18 @@ def orbits(selfs: np.ndarray, nbs: np.ndarray) -> sym.Orbits:
         keys[lo:lo + chunk.shape[1]] = chunk.min(axis=0)
     keys += selfs * base ** arity
     order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-    for a in (order, starts):
-        a.setflags(write=False)
-    return sym.Orbits(order, starts)
+    return np.split(order, np.flatnonzero(np.diff(keys[order])) + 1)
 
 
 def orbit_conflicts(rules: sym.RuleArrays, base: int, arity: int
                     ) -> list[sym.RuleArrays]:
     """Group rules, their codes at the given base and arity, by the
     rotation orbit of their contexts, as `orbits` does, and report the
-    groups whose next states disagree, as `Orbits.conflicts` does; an
+    groups whose next states disagree, each its rules in input order; an
     empty list means the rule set is rotation invariant."""
-    return orbits(*embed.decode(rules.codes, base, arity)).conflicts(rules)
+    groups = orbits(*embed.decode(rules.codes, base, arity))
+    return [sym.RuleArrays(rules.codes[g], rules.outs[g]) for g in groups
+            if len(set(rules.outs[g].tolist())) > 1]
 
 
 def orbit_conflict_pairs(rules: Sequence[tuple[RuleContext, int]]
@@ -475,6 +473,21 @@ def expanded_rules_reference(automaton: embed.HcaAutomaton
     return sym.RuleArrays(table.codes[single], table.lo[single])
 
 
+def canonical(values) -> tuple:
+    """The lexicographically least re-reading of a side-indexed sequence
+    over the cell's rotations, the rows of `rotation_indices`."""
+    return min(tuple(values[i] for i in row)
+               for row in sym.rotation_indices(len(values)).tolist())
+
+
+def letter_name(offset: int) -> str:
+    """The symbolic name of the tape cell at `offset` from the centre:
+    X, Y, Z for the left, central and right cells, U and T one further
+    out, Y-3 or Y+3 beyond."""
+    fixed_names = {-2: "U", -1: "X", 0: "Y", 1: "Z", 2: "T"}
+    return fixed_names.get(offset, f"Y{offset:+d}")
+
+
 def symbolic_rows(automaton: embed.HcaAutomaton, region,
                   max_dist: int = 2) -> list[str]:
     """Canonical context rows around the centre with letters named by tape
@@ -482,7 +495,9 @@ def symbolic_rows(automaton: embed.HcaAutomaton, region,
 
     Each cell within `max_dist` steps of the central cell contributes
     'self | n1 .. nk' with the neighbour list rotated to its least form,
-    so the rows do not depend on generated side numbering.
+    so the rows do not depend on generated side numbering.  A tape cell
+    is named by its position; any other cell by its initial state: W the
+    padding, b the added state, B any other.
     """
     cfg = engine.init_configuration(
         region, automaton, [automaton.padding_state])
@@ -492,7 +507,7 @@ def symbolic_rows(automaton: embed.HcaAutomaton, region,
 
     def name_of(cell: int) -> str:
         if cell in pos_of:
-            return embed._letter_name(pos_of[cell])
+            return letter_name(pos_of[cell])
         s = int(states[cell])
         if automaton.blue is not None and s == automaton.blue:
             return "b"
@@ -512,5 +527,5 @@ def symbolic_rows(automaton: embed.HcaAutomaton, region,
     rows = set()
     for c in sorted(ball & set(region.complete_cells.tolist())):
         nb = [name_of(int(d)) for d in region.adjacency[c]]
-        rows.add(f"{name_of(c)} | " + " ".join(sym.canonical(nb)))
+        rows.add(f"{name_of(c)} | " + " ".join(canonical(nb)))
     return sorted(rows)

@@ -231,8 +231,8 @@ def test_criterion_07_unique_applicability(capfd, region_of, rule110,
                            f"over {report.scanned_cells} cell scans")
         for grid, name in [("pentagrid", "table2_pentagrid.txt"),
                            ("heptagrid", "table3_heptagrid.txt")]:
-            rows = embed.symbolic_rows(all_six[("compact", grid)],
-                                       region_of(grid, 3, 2))
+            rows = ref.symbolic_rows(all_six[("compact", grid)],
+                                     region_of(grid, 3, 2))
             ok &= "\n".join(rows) + "\n" == (GOLDEN / name).read_text()
             details.append(f"{grid} context table {len(rows)} rows == golden")
         gate.finish(ok, "; ".join(details))

@@ -129,6 +129,20 @@ def test_step_errors_unchanged():
         ca1d.step_1d(rule, ca1d.Tape((1,), 0, 1))
 
 
+def test_step_refuses_states_outside_the_rule():
+    """A tape state outside the rule's 0..n-1 is refused, naming the
+    state, its position and the rule's states: a 2-state rule's table
+    read state 2 with an IndexError, and read state -1 as state 1."""
+    rule = ca1d.elementary(110)
+    for tape, position, state in ((ca1d.Tape((0, -1, 0)), 1, -1),
+                                  (ca1d.word_tape([1, 2]), 0, 2),
+                                  (ca1d.Tape((3, 0, -2), 5), 7, -2)):
+        with pytest.raises(ValueError, match=(
+                rf"^tape position {position} holds state {state}, "
+                r"outside the rule's states 0\.\.1$")):
+            ca1d.step_1d(rule, tape)
+
+
 def test_identity_rule_keeps_word():
     rule = ca1d.elementary(204)     # new state = own state
     rows = ca1d.run_1d(rule, ca1d.word_tape([1, 0, 1]), 3)

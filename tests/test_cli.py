@@ -321,6 +321,26 @@ def test_oracle_divergence_exit_code(tmp_path, capsys):
     assert "divergence" in capsys.readouterr().err
 
 
+def test_oracle_of_fewer_states_than_the_word_exits_2(tmp_path):
+    """A 3-state rule's automaton checked against the 2-state rule 110: the
+    word's state 2 is no state of the oracle's rule, so the check is
+    refused with exit 2 and one error line, not a traceback."""
+    rule, auto = tmp_path / "r3.json", tmp_path / "r3_auto.json"
+    rule.write_text(json.dumps({"n": 3, "table": [i // 3 % 3
+                                                  for i in range(27)]}))
+    assert run_cli("transform", "--rule", str(rule), "--grid", "pentagrid",
+                   "-o", str(auto)) == 0
+    src = str(Path(hypca.__file__).parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "hypca.cli", "simulate", "--automaton",
+         str(auto), "--word", "12", "--steps", "2", "--check-oracle",
+         "elementary:110"], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert done.returncode == 2
+    assert done.stderr == ("error: tape position 0 holds state 2, outside "
+                           "the rule's states 0..1\n")
+
+
 @pytest.mark.parametrize("grid", ["pentagrid", "heptagrid", "dodecagrid"])
 def test_rule_without_a_quiescent_state_runs_padded_with_0(tmp_path, capsys,
                                                            grid):

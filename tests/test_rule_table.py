@@ -7,10 +7,11 @@ count and next states, `HcaAutomaton.readings` the same readings and
 next states in the same order, and the expansion read off the table must
 list the same rules.  `compile_rules`, which reads the contexts from a
 per-construction cache, must give `compile_rules_reference`'s table.
-The orbit grouping keyed in the enumeration must partition the contexts
-as the reference's `orbits` does, in ascending order of least code, the
-array orbit check must report the same conflicts as
-`check_rotation_invariance`, and the table-driven verify
+The least indices found in the enumeration must partition the contexts
+as the reference's `orbits` does, each pointing at its part's least
+code, the one-gather orbit check must report the reference's conflicts,
+ordered by least code, and `check_rotation_invariance`'s, and the
+table-driven verify
 scan must report what a matcher-driven scan and a scan that codes every
 cell at every step with the reference encoder report, both stepping by
 `frozen_rim_run`.  `RuleTable.encode` must give the reference encoder's
@@ -202,12 +203,12 @@ def test_expansion_matches_reference(all_six):
 
 
 def _invariance_cases():
-    """Random 2- and 3-state sources on the polygonal grids, 2-state on
-    the dodecagrid, where the reference check costs about 1 ms a rule."""
+    """Seeded random 2- and 3-state sources on all six (grid, method)
+    pairs, fixable ones for pentagrid compact."""
     rng = np.random.default_rng(5)
     cases = []
     for grid in embed.GRID_SIDES:
-        for n in ((2, 3) if grid != "dodecagrid" else (2,)):
+        for n in (2, 3):
             rule = ca1d.random_rule(n, rng, quiescent_zero=True)
             cases.append(embed.embed_extra_state(rule, grid))
             if grid == "pentagrid":
@@ -216,9 +217,9 @@ def _invariance_cases():
     return cases
 
 
-def _as_sets(groups):
-    return sorted(sorted((c.self_state, c.neighbor_states, out)
-                         for c, out in g) for g in groups)
+def _pairs(groups):
+    """Conflict groups as lists of (code, next state), in order."""
+    return [list(zip(g.codes.tolist(), g.outs.tolist())) for g in groups]
 
 
 def _partition(groups):
@@ -226,47 +227,67 @@ def _partition(groups):
     return {tuple(members) for members in groups}
 
 
-def _orbit_groups(orbits):
-    """An `Orbits`' groups, each its rule indices in order."""
-    ends = np.r_[orbits.starts[1:], len(orbits.order)]
-    return [orbits.order[a:b].tolist() for a, b in zip(orbits.starts, ends)]
+def test_orbit_check_matches_reference(monkeypatch):
+    """Next states flipped in the rule list that `check_invariance` reads
+    through `embed.expanded_rules`, on all six (grid, method) pairs at 2
+    and 3 source states.  The check reports the groups of the
+    reference's `orbit_conflicts`, with their codes, next states and
+    member order: one flip breaks exactly its own orbit, as the per-rule
+    checker finds on the cases of at most 1,000 rules, and a flip in every
+    orbit of several rules breaks each of them, in ascending order of
+    least code.  Each reference group is a whole orbit, so its least code
+    is its least member's; on most polygonal cases that order is not
+    the reference's own, by least lexicographic re-reading."""
+    def check(b, rules):
+        monkeypatch.setattr(embed, "expanded_rules", lambda a: rules)
+        return embed.check_invariance(b)
 
-
-def test_orbit_check_matches_reference():
+    real = embed.expanded_rules
+    reordered = 0
     cases = _invariance_cases()
-    assert len(cases) >= 10
+    assert len(cases) == 12
     for b in cases:
-        rules = ref.unpack(embed.expanded_rules(b), *ref.coding(b))
-        assert embed.check_invariance(b) == []
-        assert ref.check_rotation_invariance(rules) == []
-        # one flipped output breaks exactly its own orbit, in both checkers
-        ctx, out = rules[len(rules) // 2]
-        planted = list(rules)
-        planted[len(rules) // 2] = (ctx, (out + 1) % b.n_states)
-        fast = ref.orbit_conflict_pairs(planted)
-        slow = ref.check_rotation_invariance(planted)
-        assert fast == slow, b.name
-        # the construction's cached grouping splits the same groups
-        cached = b.context_table.orbits.conflicts(
-            ref.pack(planted, *ref.coding(b)))
-        assert _partition(tuple(ref.unpack(g, *ref.coding(b)))
-                          for g in cached) == _partition(fast), b.name
-        assert len(fast) == 1, b.name
+        at = ref.coding(b)
+        rules = real(b)
+        assert check(b, rules) == []
+        orbits = [g for g in ref.orbits(*embed.decode(rules.codes, *at))
+                  if len(g) > 1]
+        for flips in ([orbits[len(orbits) // 2][-1]],
+                      [g[-1] for g in orbits]):
+            outs = rules.outs.copy()
+            outs[flips] = (outs[flips] + 1) % b.n_states
+            planted = sym.RuleArrays(rules.codes, outs)
+            got = check(b, planted)
+            found = ref.orbit_conflicts(planted, *at)
+            want = sorted(found, key=lambda g: g.codes.min())
+            assert _pairs(got) == _pairs(want), b.name
+            assert len(got) == len(flips), b.name
+        reordered += _pairs(want) != _pairs(found)
+        if len(rules) > 1000:
+            continue
+        # the single flip, against the per-rule checker
+        ctx, out = ref.unpack(rules, *at)[orbits[len(orbits) // 2][-1]]
+        pairs = [(c, (o + 1) % b.n_states if c == ctx else o)
+                 for c, o in ref.unpack(rules, *at)]
+        slow = ref.check_rotation_invariance(pairs)
+        assert [ref.unpack(g, *at) for g in check(b, ref.pack(pairs, *at))
+                ] == slow, b.name
         orbit = {ref.rotated_context(ctx, m) for m in
                  (sym.all_motions() if b.grid == "dodecagrid"
                   else range(len(ctx.neighbor_states)))}
-        assert {c for c, _ in fast[0]} == orbit & {c for c, _ in rules}
+        assert {c for c, _ in slow[0]} == orbit
+    assert reordered >= 4
 
 
 def test_enumeration_orbits_match_reference(rule110):
-    """`ContextTable.orbits`, keyed in the enumeration by least code,
-    partitions the single-reading contexts as the reference's product
-    over every rotation does, which keys by least lexicographic
-    re-reading: all six (grid, method) pairs at 2 to 4 source states,
-    the rule-110 patterns whose contexts read several ways, and
-    dodecagrid compact at 22 states, whose neighbour codes pass 2**53,
-    where the reference keys in int64.  The package's groups list their
-    members in code order and ascend by least code."""
+    """`ContextTable.least`, found in the enumeration, partitions the
+    single-reading contexts as the reference's product over every
+    rotation does, which keys by least lexicographic re-reading, and
+    points each context at the least code of its part: all six (grid,
+    method) pairs at 2 to 4 source states, the rule-110 patterns whose
+    contexts read several ways, and dodecagrid compact at 22 states,
+    whose neighbour codes pass 2**53, where the reference keys in int64.
+    The indices are read-only int32."""
     rng = np.random.default_rng(29)
     autos = _multi_reading_automata(rule110)
     for grid in embed.GRID_SIDES:
@@ -279,13 +300,15 @@ def test_enumeration_orbits_match_reference(rule110):
     assert 22 ** 12 > 2 ** 53
     for b in autos:
         ctx = b.context_table
+        least = ctx.least
+        assert least.dtype == np.int32 and not least.flags.writeable
         codes = ctx.codes[ctx.single]
-        got = _orbit_groups(ctx.orbits)
-        want = _orbit_groups(ref.orbits(*ref.decode(ctx, codes)))
-        assert _partition(got) == _partition(want), b.name
-        assert all(g == sorted(g) for g in got), b.name
-        least = [codes[g[0]] for g in got]
-        assert least == sorted(set(least)), b.name
+        want = ref.orbits(*ref.decode(ctx, codes))
+        order = np.argsort(least, kind="stable")
+        got = np.split(order, np.flatnonzero(np.diff(least[order])) + 1)
+        assert _partition(map(tuple, got)) == \
+            _partition(map(tuple, want)), b.name
+        assert all(least[g[0]] == g[0] for g in got), b.name
         assert len(got) < len(codes), b.name
     # the 22-state table holds about 28 MB; the cache would keep it
     embed._CONTEXT_TABLES.clear()
@@ -418,7 +441,7 @@ def test_compile_errors_match_reference():
 def test_context_table_is_shared_per_construction(monkeypatch):
     """Two sources of one construction: one enumeration, then a cache
     hit, and each automaton its own next states over the same read-only
-    arrays.  The rule table alone finds no orbit grouping."""
+    arrays."""
     embed._CONTEXT_TABLES.clear()
     made = []
     enumerate_contexts = embed._enumerate_contexts
@@ -435,22 +458,17 @@ def test_context_table_is_shared_per_construction(monkeypatch):
                                                                 tb.hi))
     ctx = a.context_table
     assert ctx is b.context_table
-    assert "orbits" not in vars(ctx)
     for arr in (ctx.codes, ctx.readings, ctx.starts, ctx.assignments,
-                ctx.single, ctx.orbit_keys):
+                ctx.single, ctx.least):
         with pytest.raises(ValueError):
             arr[0] = arr[0]
     assert embed.check_invariance(a) == embed.check_invariance(b) == []
-    orbits = vars(ctx)["orbits"]
-    for arr in (orbits.order, orbits.starts):
-        with pytest.raises(ValueError):
-            arr.flat[0] = arr.flat[0]
 
 
 def test_context_cache_is_bounded(monkeypatch):
     """More table bytes than the cache keeps: each miss drops the least
-    recently used tables until the kept ones, with the row indices and
-    orbit groups they gained after their own miss, fit the budget; the
+    recently used tables until the kept ones, with the row indices they
+    gained after their own miss, fit the budget; the
     table just built stays even when it alone does not fit."""
     assert embed._CONTEXT_BYTES <= 256 * 2 ** 20
     budget = 150_000
@@ -469,8 +487,7 @@ def test_context_cache_is_bounded(monkeypatch):
         # (n + 1)**6 codes: a dense row index up to n = 5
         assert (ctx.row_index is not None) == (n <= 5)
         held = [ctx.codes, ctx.readings, ctx.starts, ctx.assignments,
-                ctx.single, ctx.orbit_keys, ctx.orbits.order,
-                ctx.orbits.starts, ctx.row_index]
+                ctx.single, ctx.least, ctx.row_index]
         assert ctx.nbytes == sum(a.nbytes for a in held if a is not None)
     assert len(kept) < len(made)
     # a hit moves its table to the end, where tables are dropped last

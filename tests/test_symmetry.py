@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from hypca import ca1d, embed
 from hypca import symmetry as sym
 
 import symmetry_reference as ref
@@ -75,8 +76,8 @@ def test_motions_table_golden():
 def test_spherical_canonical_is_orbit_invariant(k, values):
     values = tuple(values)
     m = sym.all_motions()[k]
-    assert sym.canonical(values) == \
-        sym.canonical(tuple(values[m[i]] for i in range(12)))
+    assert ref.canonical(values) == \
+        ref.canonical(tuple(values[m[i]] for i in range(12)))
 
 
 @given(st.integers(0, 6), st.lists(st.integers(0, 3), min_size=7,
@@ -84,7 +85,7 @@ def test_spherical_canonical_is_orbit_invariant(k, values):
 def test_cyclic_canonical_is_shift_invariant(k, values):
     values = tuple(values)
     shifted = tuple(values[(i + k) % 7] for i in range(7))
-    assert sym.canonical(values) == sym.canonical(shifted)
+    assert ref.canonical(values) == ref.canonical(shifted)
 
 
 @given(st.integers(0, 59), st.integers(0, 2),
@@ -113,17 +114,20 @@ def test_invariance_checker_flags_disagreeing_orbit():
     assert {out for _, out in bad[0]} == {0, 1}
 
 
-def test_conflicts_refuse_rules_of_another_grouping():
-    """`Orbits.conflicts` reads rules in the order of the contexts it
-    grouped, so a rule list of another length is refused."""
-    nbs = np.array([[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 0, 0, 0]])
-    grouping = ref.orbits(np.zeros(3, dtype=np.int64), nbs)
-    for n in (2, 4):
+def test_conflicts_refuse_rules_of_another_grouping(monkeypatch):
+    """`embed.check_invariance` reads rule k as the construction's k-th
+    single-reading context, so a rule list of another length is
+    refused."""
+    b = embed.embed_compact(ca1d.elementary(110), "pentagrid")
+    m = len(embed.expanded_rules(b))
+    for n in (m - 1, m + 1):
         rules = sym.RuleArrays(np.zeros(n, dtype=np.int64),
                                np.zeros(n, dtype=np.int64))
-        with pytest.raises(ValueError,
-                           match=f"^{n} rules for a grouping of 3 contexts$"):
-            grouping.conflicts(rules)
+        monkeypatch.setattr(embed, "expanded_rules", lambda a: rules)
+        with pytest.raises(ValueError, match=(
+                f"^{n} rules for the {m} single-reading contexts of the "
+                "construction$")):
+            embed.check_invariance(b)
 
 
 def test_rotated_context_arity_guards():
