@@ -109,7 +109,9 @@ class HcaAutomaton:
 
     The letters are the source states 0..n-1; the extra kind adds one
     state, n, and the compact kind adds none.  The padding state is the
-    source state that pads the tape, on either kind."""
+    source state that pads the tape, on either kind.  One whose context
+    codes overflow int64 is refused when it is made, so that no command
+    writes an automaton that no other can compile."""
 
     grid: str
     pattern: ContextPattern
@@ -124,6 +126,7 @@ class HcaAutomaton:
         if len(self.pattern.slots) != GRID_SIDES[self.grid]:
             raise ValueError("pattern arity does not fit the grid")
         _source_state(self.padding_state, self.action.n)
+        sym.require_codes_fit(self.n_states, len(self.pattern.slots))
 
     @property
     def letters(self) -> range:

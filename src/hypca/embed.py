@@ -4,21 +4,22 @@ The automaton, its two constructions and its file are `hypca.automaton`'s,
 which needs no numpy; this module names them too, so that
 `embed.embed_compact` and the rest still work.
 
-`compile_rules` turns an automaton into a `RuleTable`: every context
-its pattern matches, coded as one int64, with its number of distinct
-readings and the least and greatest next state they give.  The contexts
-and their readings depend on the construction alone, its pattern and
-state counts, not on the source rule, so `context_table` enumerates
-them once per construction and keeps them, with the letter assignment
-behind each reading, in a cache bounded by bytes; an automaton's own next
-states are then one gather of its action at those assignments.  A set
-of cells is coded with one gather of the states at their rows of the
-region's `complete_contexts` and one int64 product with the digit
-weights, and the enumeration is one int64 product of each alignment's
-weights with each assignment's slot states.  A code is looked up with one
-gather of the construction's dense row index where its code space has at
-most 2**16 codes, and by a sorted search where it has more.  A context
-is its code throughout, decoded only where a person reads it.
+Every context a construction's pattern matches is coded as one int64.
+The contexts and their readings depend on the construction alone, its
+pattern and state counts, not on the source rule, so `context_table`
+enumerates them once per construction and keeps them, with the letter
+assignment behind each reading, in a cache bounded by bytes.  That
+`ContextTable` is the construction's one code space: it codes a set of
+cells with one gather of the states at their rows of the region's
+`complete_contexts` and one int64 product with the digit weights, and
+looks a code up with one gather of its dense row index where the code
+space has at most 2**16 codes, and by a sorted search where it has more.
+The enumeration is one int64 product of each alignment's weights with
+each assignment's slot states.  `compile_rules` turns an automaton into
+a `RuleTable`, which holds only what the action decides: one gather of
+the action at the construction's assignments gives each code's least
+next state and its verdicts.  A context is its code throughout, decoded
+only where a person reads it.
 `TableRun` steps a configuration by the table, for the engine and the
 unique-applicability scan alike, and `expanded_rules` lists its
 single-reading codes as explicit rules, held as the table's arrays,
@@ -31,6 +32,15 @@ single-reading codes, and an automaton's check is one gather of its next
 states at those indices, compared with its own.  Error
 messages spell out a context's readings with `HcaAutomaton.readings`,
 read off the same table: the table is the one matcher.
+
+Rotation invariance holds by construction, for any pattern and any
+action.  `context_table` enumerates every alignment, and the alignments
+that match a rotated context g.c are those that match c, composed with
+g.  So c and g.c have the same readings, and so the same next state:
+`check_invariance` finds no conflict for any compiled automaton whenever
+`rotation_indices(p)` is a group, which the tests check for p = 5, 7 and
+12.  The enumeration refuses a rotation set under which a rotated context
+reads otherwise than the context.
 
 A `TableRun` step costs in proportion to the cells it changes, not to
 the region: it carries each complete cell's table row and codes again
@@ -60,67 +70,23 @@ from .automaton import (FREE_LETTER, GRID_SIDES, LEFT, RIGHT,
 if TYPE_CHECKING:
     from .region import Region
 
+
 @dataclass(frozen=True, eq=False)
 class RuleTable:
-    """Every context an automaton's pattern matches, as sorted int64 codes.
+    """An automaton's next states over its construction's contexts.
 
-    A context (s; n_0 .. n_{p-1}) is coded s*B**p + sum(n_i * B**i), B the
-    state count.  Per code the table holds the number of distinct
-    (left, right) readings and the least and greatest next state they
-    give; a code that is absent has no reading, so the cell keeps its
-    state.  A row alone gives its verdicts, since a code's leading digit
-    is the cell's own state.
+    `context` is the construction's `ContextTable`, which codes contexts
+    and looks them up: row k here is its code k.  Per row the table holds
+    the least next state the code's readings give, and two read-only
+    verdicts, which a row alone gives since a code's leading digit is the
+    cell's own state.  A code that is absent has no reading, so the cell
+    keeps its state: row -1, each verdict's last entry, reads False.
     """
 
-    base: int
-    arity: int
-    codes: np.ndarray       # (M,) int64, ascending
-    readings: np.ndarray    # (M,) distinct readings per code, at least 1
+    context: ContextTable
     lo: np.ndarray          # (M,) least next state over the readings
-    hi: np.ndarray          # (M,) greatest next state over the readings
-    # (base**(arity + 1),) int32 row of every code, -1 where absent: the
-    # construction's `ContextTable.row_index`, or None for the search
-    row_index: np.ndarray | None = field(default=None, repr=False)
-    # (M + 1,) read-only per-row verdicts; row -1, no reading, reads False
-    moves: np.ndarray = field(init=False)   # readings agree, on a new state
-    split: np.ndarray = field(init=False)   # readings disagree
-    multi: np.ndarray = field(init=False)   # more than one reading
-
-    def __post_init__(self) -> None:
-        own = self.codes // self.base ** self.arity
-        for name, flags in (("moves", (self.lo == self.hi) & (self.lo != own)),
-                            ("split", self.lo != self.hi),
-                            ("multi", self.readings > 1)):
-            flags = np.append(flags, False)
-            flags.setflags(write=False)
-            object.__setattr__(self, name, flags)
-
-    @cached_property
-    def _weights(self) -> np.ndarray:
-        """B**i for neighbour digit i, then B**p for the own state."""
-        return self.base ** np.arange(self.arity + 1, dtype=np.int64)
-
-    def encode(self, states: np.ndarray, contexts: np.ndarray) -> np.ndarray:
-        """Context codes of the cells whose ids `contexts` lists a row
-        each, the neighbours in digit order and then the cell itself, as
-        `Region.complete_contexts` holds them: one gather of the states
-        and one int64 product with the digit weights, exact since
-        `require_codes_fit` keeps every code and partial sum below
-        2**63."""
-        return states.take(contexts) @ self._weights
-
-    def lookup(self, codes: np.ndarray) -> np.ndarray:
-        """Table row of each code, -1 where the context has no reading.
-        With a `row_index` that is one gather, so every code must lie in
-        0..base**(arity + 1) - 1; without one it is one search, clipped
-        to the last row, and one equality gather."""
-        if self.row_index is not None:
-            return self.row_index.take(codes)
-        if not len(self.codes):
-            return np.full(len(codes), -1, dtype=np.intp)
-        at = self.codes.searchsorted(codes)
-        np.minimum(at, len(self.codes) - 1, out=at)
-        return np.where(self.codes.take(at) == codes, at, -1)
+    moves: np.ndarray       # (M + 1,) readings agree, on a new state
+    split: np.ndarray       # (M + 1,) readings disagree
 
 
 def decode(codes: np.ndarray, base: int, arity: int
@@ -154,31 +120,33 @@ class TableRun:
     not move it, so the next movers are among those coded again.
 
     The states must be one per region cell, each in 0..n-1 for the
-    table's n states, which its codes and its `row_index` assume; others
-    are refused with a ValueError naming the first cell that holds one.
+    construction's n states, which its codes and its row index assume;
+    others are refused with a ValueError naming the first cell that holds
+    one.
     """
 
     def __init__(self, table: RuleTable, region: Region,
                  states: np.ndarray) -> None:
+        ctx = table.context
         if states.shape != (region.n_cells,):
             raise ValueError(f"{len(states)} states for a region of "
                              f"{region.n_cells} cells")
-        if not 0 <= states.min() <= states.max() < table.base:
-            c = int(np.flatnonzero((states < 0) | (states >= table.base))[0])
+        if not 0 <= states.min() <= states.max() < ctx.base:
+            c = int(np.flatnonzero((states < 0) | (states >= ctx.base))[0])
             raise ValueError(f"cell {c} holds state {int(states[c])}, "
-                             f"outside 0..{table.base - 1}")
-        self.table, self.states = table, states
+                             f"outside 0..{ctx.base - 1}")
+        self.table, self.context_table, self.states = table, ctx, states
         self.cells = region.complete_cells
         self.contexts = region.complete_contexts
         self.index = region.complete_index
-        self.rows = table.lookup(table.encode(states, self.contexts))
+        self.rows = ctx.lookup(ctx.encode(states, self.contexts))
         self._movers = table.moves.take(self.rows).nonzero()[0]
 
     def step(self) -> np.ndarray:
         """One synchronous update.  Returns the indices into `cells` of
         the cells coded again, ascending: none at a fixed point, which
         codes nothing."""
-        movers, table = self._movers, self.table
+        movers, table, ctx = self._movers, self.table, self.context_table
         if not len(movers):
             return movers
         self.states.put(self.cells[movers], table.lo.take(self.rows[movers]))
@@ -187,8 +155,8 @@ class TableRun:
         near = np.zeros(len(self.cells) + 1, dtype=bool)
         near.put(self.index.take(self.contexts.take(movers, axis=0)), True)
         j = near[:-1].nonzero()[0]
-        self.rows[j] = rows = table.lookup(
-            table.encode(self.states, self.contexts.take(j, axis=0)))
+        self.rows[j] = rows = ctx.lookup(
+            ctx.encode(self.states, self.contexts.take(j, axis=0)))
         self._movers = j[table.moves.take(rows)]
         return j
 
@@ -211,11 +179,13 @@ _DENSE_CODES = 2 ** 16
 @dataclass(frozen=True, eq=False)
 class ContextTable:
     """Every context one construction's pattern matches, whatever the
-    source rule: the part of a `RuleTable` that the pattern and the
-    state counts fix.
+    source rule: the construction's code space, which its automata's
+    `RuleTable`s share.
 
-    `codes` and `readings` are the rule table's.  Each distinct
-    (code, reading) entry, code by code, keeps the letters
+    A context (s; n_0 .. n_{p-1}) is coded s*B**p + sum(n_i * B**i), B
+    the state count, and `codes` lists the matched ones in ascending
+    order, with the number of distinct (left, right) `readings` of each.
+    Each distinct (code, reading) entry, code by code, keeps the letters
     (left, self, right) that produce it as one index
     `assignments[e] = (l * n + s) * n + r` into the action's (n, n, n)
     table, n the letter count; the entries of code k start at
@@ -236,27 +206,41 @@ class ContextTable:
     assignments: np.ndarray     # (E,) (left, self, right) letters
     single: np.ndarray          # (M,) bool, exactly one reading
     least: np.ndarray           # (S,) int32, the orbit's least single code
+    # (base**(arity + 1),) int32 row of every code, -1 where the pattern
+    # matches no context, for a code space of at most `_DENSE_CODES`
+    # codes; None for a larger one, which `lookup` searches
+    row_index: np.ndarray | None
 
     @cached_property
-    def row_index(self) -> np.ndarray | None:
-        """The row of every code 0..base**(arity + 1) - 1, -1 where the
-        pattern matches no context, as read-only int32, when there are at
-        most `_DENSE_CODES` codes: built on first use, and None for a
-        larger code space, which `RuleTable.lookup` searches instead."""
-        size = self.base ** (self.arity + 1)
-        if size > _DENSE_CODES:
-            return None
-        index = np.full(size, -1, dtype=np.int32)
-        index[self.codes] = np.arange(len(self.codes), dtype=np.int32)
-        index.setflags(write=False)
-        return index
+    def _weights(self) -> np.ndarray:
+        """B**i for neighbour digit i, then B**p for the own state."""
+        return self.base ** np.arange(self.arity + 1, dtype=np.int64)
+
+    def encode(self, states: np.ndarray, contexts: np.ndarray) -> np.ndarray:
+        """Context codes of the cells whose ids `contexts` lists a row
+        each, the neighbours in digit order and then the cell itself, as
+        `Region.complete_contexts` holds them: one gather of the states
+        and one int64 product with the digit weights, exact since
+        `require_codes_fit` keeps every code and partial sum below
+        2**63."""
+        return states.take(contexts) @ self._weights
+
+    def lookup(self, codes: np.ndarray) -> np.ndarray:
+        """Table row of each code, -1 where the context has no reading.
+        With a `row_index` that is one gather, so every code must lie in
+        0..base**(arity + 1) - 1; without one it is one search, clipped
+        to the last row, and one equality gather."""
+        if self.row_index is not None:
+            return self.row_index.take(codes)
+        at = self.codes.searchsorted(codes)
+        np.minimum(at, len(self.codes) - 1, out=at)
+        return np.where(self.codes.take(at) == codes, at, -1)
 
     @property
     def nbytes(self) -> int:
-        """The bytes its arrays hold, with the row index once it is
-        found."""
+        """The bytes its arrays hold."""
         held = [self.codes, self.readings, self.starts, self.assignments,
-                self.single, self.least, vars(self).get("row_index")]
+                self.single, self.least, self.row_index]
         return sum(a.nbytes for a in held if a is not None)
 
 
@@ -356,27 +340,34 @@ def _enumerate_contexts(pattern: ContextPattern, n: int, base: int
     if not np.array_equal(singles.take(at), lowest[column]):
         raise RuntimeError("a rotated context reads otherwise than the "
                            "context: the rotations are no group")
-    table = ContextTable(base=base, arity=p, codes=codes,
-                         readings=readings, starts=starts,
-                         assignments=triple, single=single, least=at)
+    row_index = None
+    if base ** (p + 1) <= _DENSE_CODES:
+        row_index = np.full(base ** (p + 1), -1, dtype=np.int32)
+        row_index[codes] = np.arange(len(codes), dtype=np.int32)
+        row_index.setflags(write=False)
     for a in (codes, readings, starts, triple, single, at):
         a.setflags(write=False)
-    return table
+    return ContextTable(base=base, arity=p, codes=codes, readings=readings,
+                        starts=starts, assignments=triple, single=single,
+                        least=at, row_index=row_index)
 
 
 def compile_rules(automaton: HcaAutomaton) -> RuleTable:
-    """The construction's `context_table` with the next states of each
-    code's readings under the automaton's action: the action's table is
+    """The next states of each code's readings in the construction's
+    `context_table` under the automaton's action: the action's table is
     gathered once at the table's assignments, then reduced to the least
-    and greatest per code."""
+    and greatest per code, which give the verdicts with the code's own
+    state."""
     ctx = automaton.context_table
     out = automaton.action.table.ravel()[ctx.assignments]
-    return RuleTable(
-        base=ctx.base, arity=ctx.arity, codes=ctx.codes,
-        readings=ctx.readings,
-        lo=np.minimum.reduceat(out, ctx.starts),
-        hi=np.maximum.reduceat(out, ctx.starts),
-        row_index=ctx.row_index)
+    lo = np.minimum.reduceat(out, ctx.starts)
+    hi = np.maximum.reduceat(out, ctx.starts)
+    own = ctx.codes // ctx.base ** ctx.arity
+    moves = np.append((lo == hi) & (lo != own), False)
+    split = np.append(lo != hi, False)
+    for flags in (moves, split):
+        flags.setflags(write=False)
+    return RuleTable(context=ctx, lo=lo, moves=moves, split=split)
 
 
 def expanded_rules(automaton: HcaAutomaton) -> sym.RuleArrays:
@@ -386,9 +377,9 @@ def expanded_rules(automaton: HcaAutomaton) -> sym.RuleArrays:
     and next states, one gather of each.  A context with several
     readings has no single rule and is left out.  The codes are the
     construction's; only the next states are the automaton's own."""
-    ctx = automaton.context_table
-    return sym.RuleArrays(ctx.codes[ctx.single],
-                          automaton.rule_table.lo[ctx.single])
+    table = automaton.rule_table
+    ctx = table.context
+    return sym.RuleArrays(ctx.codes[ctx.single], table.lo[ctx.single])
 
 
 def check_invariance(automaton: HcaAutomaton) -> list[sym.RuleArrays]:
@@ -539,9 +530,9 @@ def verify_unique_applicability(automaton: HcaAutomaton, region: Region,
     cells = run.cells
     ambiguous, unmatched, moved = _KIND_BITS
     verdicts = np.zeros(len(table.moves), dtype=np.uint8)
+    verdicts[:-1][~table.context.single] = _SEVERAL
     for bit, flags in ((ambiguous, table.split),
-                       (moved, table.split | table.moves),
-                       (_SEVERAL, table.multi)):
+                       (moved, table.split | table.moves)):
         verdicts[flags] |= bit
     verdicts[-1] = unmatched
     applies = np.full(region.n_cells, ambiguous | moved, dtype=np.uint8)

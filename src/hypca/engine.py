@@ -19,7 +19,9 @@ Cells with a neighbour outside the region never update.  Everything else
 updates by the automaton: a uniquely readable pattern match applies the
 action, no match leaves the state alone, and readings that disagree on
 the resulting state are an error.  Contexts are coded as integers and
-looked up in the automaton's compiled `RuleTable`, all in numpy.
+looked up in the construction's `ContextTable`, and each row's next
+state and verdicts are read from the automaton's compiled `RuleTable`,
+all in numpy.
 """
 from __future__ import annotations
 

@@ -21,14 +21,16 @@ readings and next states.  `value_at` reads one position of a
 `ca1d.Tape`, for the per-position references of the 1D run and the
 oracle check.
 `compile_rules_reference` enumerates one automaton's pattern and
-tabulates its readings and next states in one pass, as the package did
-before the contexts were kept per construction; `embed.compile_rules`
-must give the same table, and `expanded_rules_reference` the same rules.
+tabulates its readings and its least and greatest next states in one
+pass, as the package did before the contexts were kept per construction,
+as a `ReferenceTable`; `embed.compile_rules` must give the same codes,
+readings and least next states, and the verdicts those imply, and
+`expanded_rules_reference` the same rules.
 `frozen_rim_run` steps a configuration past the validity budget and
 through ambiguous contexts, as the verify scan does.  `encode` codes
-contexts one digit at a time; `RuleTable.encode` must give the same
+contexts one digit at a time; `ContextTable.encode` must give the same
 codes.  `lookup` finds their rows in a dict of the table's codes;
-`RuleTable.lookup` must give the same rows, and `decode` splits codes
+`ContextTable.lookup` must give the same rows, and `decode` splits codes
 back into own and neighbour states.  `compose`, `inverse` and
 `is_adjacency_automorphism` check the rotation group of the
 dodecahedron, and `motions_by_face_pairs` lists it by `complete_motion`
@@ -358,7 +360,7 @@ def reading_outcomes(automaton: embed.HcaAutomaton, self_state: int,
     return readings, sorted(outs)
 
 
-def encode(table: embed.RuleTable, states: np.ndarray,
+def encode(table: embed.ContextTable, states: np.ndarray,
            adjacency: np.ndarray, cells: np.ndarray) -> np.ndarray:
     """Context codes of `cells`, one base-`table.base` digit at a time:
     the own state first, then the neighbours from the last side down."""
@@ -369,16 +371,16 @@ def encode(table: embed.RuleTable, states: np.ndarray,
     return code
 
 
-def lookup(table: embed.RuleTable, codes: np.ndarray) -> np.ndarray:
+def lookup(table: embed.ContextTable, codes: np.ndarray) -> np.ndarray:
     """Table row of each code, -1 where the context has no reading, from
     a dict of the table's codes: it shares only the table's arrays with
-    `RuleTable.lookup`."""
+    `ContextTable.lookup`."""
     row = {code: k for k, code in enumerate(table.codes.tolist())}
     return np.array([row.get(code, -1) for code in codes.tolist()],
                     dtype=np.intp)
 
 
-def decode(table: embed.RuleTable, codes: np.ndarray
+def decode(table: embed.ContextTable | ReferenceTable, codes: np.ndarray
            ) -> tuple[np.ndarray, np.ndarray]:
     """(self states, (len, arity) neighbour states) of a table's context
     codes."""
@@ -393,20 +395,36 @@ def frozen_rim_run(automaton: embed.HcaAutomaton, region,
     state instead of raising.  Contexts are coded by `encode` and looked
     up by `lookup`."""
     table = automaton.rule_table
+    ctx = table.context
     cells = np.flatnonzero(~(region.adjacency < 0).any(axis=1))
     out = [states.copy()]
     for _ in range(steps):
         s = out[-1].copy()
-        at = lookup(table, encode(table, s, region.adjacency, cells))
-        lo, hi = table.lo[at], table.hi[at]
-        moved = np.flatnonzero((at >= 0) & (lo == hi) & (lo != s[cells]))
-        s[cells[moved]] = table.lo[at[moved]]
+        at = lookup(ctx, encode(ctx, s, region.adjacency, cells))
+        lo = table.lo[at]
+        moved = np.flatnonzero((at >= 0) & ~table.split[at]
+                               & (lo != s[cells]))
+        s[cells[moved]] = lo[moved]
         out.append(s)
     return out
 
 
+@dataclass(frozen=True, eq=False)
+class ReferenceTable:
+    """Every context an automaton's pattern matches, as ascending codes,
+    with its distinct readings and the least and greatest next state
+    they give."""
+
+    base: int
+    arity: int
+    codes: np.ndarray
+    readings: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+
+
 def compile_rules_reference(automaton: embed.HcaAutomaton
-                            ) -> embed.RuleTable:
+                            ) -> ReferenceTable:
     """Enumerate the pattern over every alignment, self letter and letter
     assignment to its free slots, and tabulate the readings per context,
     the next states with them, for this automaton alone.
@@ -457,7 +475,7 @@ def compile_rules_reference(automaton: embed.HcaAutomaton
     distinct = new_code | np.r_[True, reading[1:] != reading[:-1]]
     codes, out, new_code = codes[distinct], out[distinct], new_code[distinct]
     starts = np.flatnonzero(new_code)
-    return embed.RuleTable(
+    return ReferenceTable(
         base=base, arity=p, codes=codes[starts],
         readings=np.diff(np.r_[starts, len(codes)]),
         lo=np.minimum.reduceat(out, starts),

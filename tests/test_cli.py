@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import hypca
-from hypca import ca1d, cli
+from hypca import automaton, ca1d, cli
 from hypca import region as reg
 from hypca import symmetry as sym
 
@@ -339,6 +339,25 @@ def test_oracle_of_fewer_states_than_the_word_exits_2(tmp_path):
     assert done.returncode == 2
     assert done.stderr == ("error: tape position 0 holds state 2, outside "
                            "the rule's states 0..1\n")
+
+
+def test_transform_refuses_codes_past_the_limit(tmp_path, capsys):
+    """A 28-state rule's extra automaton on the dodecagrid has 29 states,
+    whose context codes overflow int64, so no command could compile it:
+    `transform` exits 2 naming the limit and writes nothing.  Its compact
+    automaton keeps 28 states, which fit, and is written."""
+    rule, auto = tmp_path / "r28.json", tmp_path / "r28_auto.json"
+    rule.write_text(json.dumps({"n": 28, "table": [i % 28
+                                                   for i in range(28 ** 3)]}))
+    assert run_cli("transform", "--rule", str(rule), "--grid", "dodecagrid",
+                   "-o", str(auto)) == 2
+    assert capsys.readouterr().err == (
+        "error: context codes overflow int64: 29 states at arity 12 need "
+        "29**13 codes, more than the limit n_states**(arity + 1) <= 2**63\n")
+    assert not auto.exists()
+    assert run_cli("transform", "--rule", str(rule), "--grid", "dodecagrid",
+                   "--method", "compact", "-o", str(auto)) == 0
+    assert automaton.automaton_from_json(auto.read_text()).n_states == 28
 
 
 @pytest.mark.parametrize("grid", ["pentagrid", "heptagrid", "dodecagrid"])

@@ -449,13 +449,16 @@ def test_verify_flags_off_line_cell_one_reading_would_move(region_of,
     on_line[r.guideline.cell_ids] = True
     complete = ~(r.adjacency < 0).any(axis=1)
     o = int(np.flatnonzero(complete & ~on_line & (init.states == 0))[0])
-    table = b.rule_table
-    code = table.encode(init.states,
-                        r.complete_contexts[[r.complete_index[o]]])
+    ctx = b.context_table
+    code = ctx.encode(init.states, r.complete_contexts[[r.complete_index[o]]])
+    # that one context, read (0, 0), which keeps state 0, and (0, 1),
+    # which gives A(0, 0, 1) = 1
     hand = dataclasses.replace(b)
-    vars(hand)["rule_table"] = embed.RuleTable(
-        base=table.base, arity=table.arity, codes=code,
-        readings=np.array([2]), lo=np.array([0]), hi=np.array([1]))
+    vars(hand)["context_table"] = embed.ContextTable(
+        base=ctx.base, arity=ctx.arity, codes=code, readings=np.array([2]),
+        starts=np.array([0]), assignments=np.array([0, 1]),
+        single=np.array([False]), least=np.zeros(0, np.int32),
+        row_index=None)
     report = embed.verify_unique_applicability(hand, r, init, 0)
     kinds = {v.kind for v in report.violations if v.cell == o}
     assert kinds == {"ambiguous", "off-line-changed"}

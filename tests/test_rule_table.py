@@ -14,8 +14,8 @@ ordered by least code, and `check_rotation_invariance`'s, and the
 table-driven verify
 scan must report what a matcher-driven scan and a scan that codes every
 cell at every step with the reference encoder report, both stepping by
-`frozen_rim_run`.  `RuleTable.encode` must give the reference encoder's
-codes up to the largest base the int64 codes admit.
+`frozen_rim_run`.  `ContextTable.encode` must give the reference
+encoder's codes up to the largest base the int64 codes admit.
 """
 import dataclasses
 import itertools
@@ -31,12 +31,12 @@ import symmetry_reference as ref
 
 
 def _matcher_verdict(b, self_state, nb):
-    """(readings, least, greatest next state) by the reference matcher,
-    -1 if none."""
+    """(readings, least next state, whether the readings disagree) by
+    the reference matcher, -1 and False if there is none."""
     readings, outs = ref.reading_outcomes(b, self_state, nb)
     if not readings:
-        return 0, -1, -1
-    return len(readings), outs[0], outs[-1]
+        return 0, -1, False
+    return len(readings), outs[0], outs[0] != outs[-1]
 
 
 def _context_layout(contexts, dtype=np.int64):
@@ -52,29 +52,30 @@ def _context_layout(contexts, dtype=np.int64):
 
 
 def _context_rows(adjacency, cells):
-    """The rows `RuleTable.encode` reads: each cell's neighbours, then the
+    """The rows `ContextTable.encode` reads: each cell's neighbours, then the
     cell, as `Region.complete_contexts` lays them out."""
     return np.c_[adjacency[cells], cells]
 
 
 def _table_verdicts(b, contexts):
-    """(readings, least, greatest next state) by the table, -1 if none,
-    and the table rows, -1 for a context with no reading."""
+    """(readings, least next state, whether the readings disagree) by the
+    table, -1 and False if there is none, and the table rows, -1 for a
+    context with no reading."""
     table = b.rule_table
+    space = table.context
     states, adjacency, cells = _context_layout(contexts)
-    at = table.lookup(table.encode(states, _context_rows(adjacency, cells)))
+    at = space.lookup(space.encode(states, _context_rows(adjacency, cells)))
     hit = at >= 0
-    return (np.where(hit, table.readings[at], 0),
-            np.where(hit, table.lo[at], -1),
-            np.where(hit, table.hi[at], -1), at)
+    return (np.where(hit, space.readings[at], 0),
+            np.where(hit, table.lo[at], -1), table.split[at], at)
 
 
 def _assert_table_matches_matcher(b, contexts):
-    readings, lo, hi, rows = _table_verdicts(b, contexts)
-    for ctx, n, l, h, row in zip(contexts, readings, lo, hi, rows):
+    readings, lo, split, rows = _table_verdicts(b, contexts)
+    for ctx, n, l, x, row in zip(contexts, readings, lo, split, rows):
         s, nb = int(ctx[0]), tuple(int(v) for v in ctx[1:])
         want = _matcher_verdict(b, s, nb)
-        assert (int(n), int(l), int(h)) == want, (b.name, ctx)
+        assert (int(n), int(l), bool(x)) == want, (b.name, ctx)
         got = b.readings(row) if row >= 0 else ([], [])
         assert got == ref.reading_outcomes(b, s, nb), (b.name, ctx)
 
@@ -136,8 +137,8 @@ def test_table_matches_matcher_on_every_context(all_six, key):
 def _sampled_contexts(b, n_random):
     """Dodecagrid contexts, too many to try: every table context with
     each single slot changed, plus `n_random` seeded random contexts."""
-    table = b.rule_table
-    selfs, nbs = ref.decode(table, table.codes)
+    ctx = b.context_table
+    selfs, nbs = ref.decode(ctx, ctx.codes)
     base = np.concatenate([selfs[:, None], nbs], axis=1)
     contexts = [tuple(row) for row in base.tolist()]
     for slot in range(13):
@@ -376,9 +377,13 @@ def test_compile_matches_reference_on_random_rules():
         got, want = _outcome(embed.compile_rules, b), \
             _outcome(ref.compile_rules_reference, b)
         assert got[0] == want[0] == "ok", b.name
-        for name in ("base", "arity", "codes", "readings", "lo", "hi"):
-            assert np.array_equal(getattr(got[1], name),
-                                  getattr(want[1], name)), (b.name, name)
+        got, want = got[1], want[1]
+        assert got.context is b.context_table, b.name
+        for name in ("base", "arity", "codes", "readings"):
+            assert np.array_equal(getattr(got.context, name),
+                                  getattr(want, name)), (b.name, name)
+        assert np.array_equal(got.lo, want.lo), b.name
+        assert np.array_equal(got.split[:-1], want.lo != want.hi), b.name
         rules = embed.expanded_rules(b)
         expected = ref.expanded_rules_reference(b)
         for name in ("codes", "outs"):
@@ -391,12 +396,13 @@ def test_compile_matches_reference_on_random_rules():
 
 
 def test_row_verdicts_match_the_per_cell_formulas(rule110):
-    """`RuleTable.moves`, `split` and `multi` are the per-cell formulas
-    they replace, with a row's own state decoded from its code, on the
-    tables of all six (grid, method) pairs for seeded 2- and 3-state
-    sources, and on the rule-110 patterns whose contexts read several
-    ways.  Each is read-only and ends with the False entry that row -1,
-    no reading, reads."""
+    """`RuleTable.moves` and `split`, and the multi-reading rows
+    `~ContextTable.single`, are the per-cell formulas they replace, over
+    the reference's least and greatest next states, with a row's own
+    state decoded from its code, on the tables of all six (grid, method)
+    pairs for seeded 2- and 3-state sources, and on the rule-110 patterns
+    whose contexts read several ways.  The verdicts are read-only and end
+    with the False entry that row -1, no reading, reads."""
     rng = np.random.default_rng(26)
     autos = _multi_reading_automata(rule110)
     for grid in embed.GRID_SIDES:
@@ -406,33 +412,38 @@ def test_row_verdicts_match_the_per_cell_formulas(rule110):
                       embed.embed_compact(rule, grid)]
     seen = dict.fromkeys(("moves", "split", "multi"), False)
     for b in autos:
-        table = b.rule_table
-        own, _ = ref.decode(table, table.codes)
-        lo, hi = table.lo, table.hi
-        want = {"moves": (lo == hi) & (lo != own),
-                "split": lo != hi, "multi": table.readings > 1}
-        for name, flags in want.items():
+        table, want = b.rule_table, ref.compile_rules_reference(b)
+        own, _ = ref.decode(want, want.codes)
+        lo, hi = want.lo, want.hi
+        for name, flags in (("moves", (lo == hi) & (lo != own)),
+                            ("split", lo != hi)):
             got = getattr(table, name)
             assert np.array_equal(got[:-1], flags), (b.name, name)
             assert got[-1] == False and not got.flags.writeable, b.name
             seen[name] |= flags.any()
+        multi = want.readings > 1
+        assert np.array_equal(~table.context.single, multi), b.name
+        seen["multi"] |= multi.any()
     assert all(seen.values()), seen
 
 
 def test_compile_errors_match_reference():
-    """The code limit, a pinned state out of range and a non-fixable
-    pentagrid source give the reference's exception and message."""
-    big = embed.embed_compact(
-        ca1d.random_rule(29, np.random.default_rng(0)), "dodecagrid")
+    """A pinned state out of range gives the reference's exception and
+    message; the code limit, which no automaton passes, gives the
+    reference's limit message when the automaton is made; and a
+    non-fixable pentagrid source is refused."""
     b = embed.embed_extra_state(ca1d.elementary(110), "heptagrid")
     slots = list(b.pattern.slots)
     slots[slots.index(embed.fixed(b.blue))] = embed.fixed(7)
     wide = dataclasses.replace(b, pattern=embed.ContextPattern(slots))
-    for auto in (big, wide):
-        got = _outcome(embed.compile_rules, auto)
-        assert got[0] is ValueError
-        assert got == _outcome(ref.compile_rules_reference, auto)
-    assert "2**63" in _outcome(embed.compile_rules, big)[1]
+    got = _outcome(embed.compile_rules, wide)
+    assert got[0] is ValueError
+    assert got == _outcome(ref.compile_rules_reference, wide)
+    big = _outcome(embed.embed_compact,
+                   ca1d.random_rule(29, np.random.default_rng(0)),
+                   "dodecagrid")
+    assert big == _outcome(sym.require_codes_fit, 29, 12)
+    assert "2**63" in big[1]
     kind, msg = _outcome(embed.embed_compact, ca1d.elementary(1),
                          "pentagrid")
     assert kind is embed.NotFixable and "fixable" in msg
@@ -453,13 +464,12 @@ def test_context_table_is_shared_per_construction(monkeypatch):
     ta, tb = a.rule_table, b.rule_table
     assert made == [(a.pattern, 3, 4)]
     assert list(embed._CONTEXT_TABLES) == made
-    assert ta.codes is tb.codes and ta.readings is tb.readings
-    assert not (np.array_equal(ta.lo, tb.lo) and np.array_equal(ta.hi,
-                                                                tb.hi))
     ctx = a.context_table
-    assert ctx is b.context_table
+    assert ta.context is tb.context is ctx is b.context_table
+    assert not (np.array_equal(ta.lo, tb.lo) and np.array_equal(ta.split,
+                                                                tb.split))
     for arr in (ctx.codes, ctx.readings, ctx.starts, ctx.assignments,
-                ctx.single, ctx.least):
+                ctx.single, ctx.least, ctx.row_index):
         with pytest.raises(ValueError):
             arr[0] = arr[0]
     assert embed.check_invariance(a) == embed.check_invariance(b) == []
@@ -467,9 +477,9 @@ def test_context_table_is_shared_per_construction(monkeypatch):
 
 def test_context_cache_is_bounded(monkeypatch):
     """More table bytes than the cache keeps: each miss drops the least
-    recently used tables until the kept ones, with the row indices they
-    gained after their own miss, fit the budget; the
-    table just built stays even when it alone does not fit."""
+    recently used tables until the kept ones, row indices included, fit
+    the budget; the table just built stays even when it alone does not
+    fit."""
     assert embed._CONTEXT_BYTES <= 256 * 2 ** 20
     budget = 150_000
     monkeypatch.setattr(embed, "_CONTEXT_BYTES", budget)
@@ -530,12 +540,12 @@ def test_expansion_makes_rule_objects_only_when_read():
     as pairs, list the table's single-reading contexts in code order."""
     rule = ca1d.random_rule(3, np.random.default_rng(11), quiescent_zero=True)
     b = embed.embed_extra_state(rule, "dodecagrid")
-    table = b.rule_table
-    single = table.readings == 1
-    selfs, nbs = ref.decode(table, table.codes[single])
+    ctx = b.context_table
+    single = ctx.readings == 1
+    selfs, nbs = ref.decode(ctx, ctx.codes[single])
     listed = [(ref.RuleContext(s, tuple(nb)), out)
               for s, nb, out in zip(selfs.tolist(), nbs.tolist(),
-                                    table.lo[single].tolist())]
+                                    b.rule_table.lo[single].tolist())]
     assert embed.check_invariance(b) == []
     rules = embed.expanded_rules(b)
     assert len(rules) == len(listed) == 4860
@@ -645,12 +655,13 @@ def test_orbit_keys_refuse_a_29th_state():
 
 
 def test_code_limit_names_the_limit():
+    """An automaton whose codes overflow is refused when it is made,
+    before any table is enumerated, naming the limit."""
     rule = ca1d.random_rule(29, np.random.default_rng(0))
-    b = embed.embed_compact(rule, "dodecagrid")
     tracemalloc.start()
     try:
         with pytest.raises(ValueError) as err:
-            embed.compile_rules(b)
+            embed.embed_compact(rule, "dodecagrid")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -665,15 +676,11 @@ def test_code_limit_names_the_limit():
 def test_decode_at_the_code_limit():
     """28 states at arity 12, the largest dodecagrid code: `decode`
     inverts it digit for digit, as the broadcast formula does."""
-    table = embed.RuleTable(base=28, arity=12, codes=np.zeros(0, np.int64),
-                            readings=np.zeros(0, np.int64),
-                            lo=np.zeros(0, np.int64),
-                            hi=np.zeros(0, np.int64))
     top = 28 ** 13 - 1
     codes = np.r_[np.array([0, top], dtype=np.int64),
                   np.random.default_rng(28).integers(0, top, size=5000,
                                                      endpoint=True)]
-    selfs, nbs = ref.decode(table, codes)
+    selfs, nbs = embed.decode(codes, 28, 12)
     powers = 28 ** np.arange(13, dtype=np.int64)
     digits = (codes[:, None] // powers) % 28
     assert selfs.dtype == nbs.dtype == np.int64
@@ -696,15 +703,17 @@ def _largest_base(arity):
 
 
 def test_encode_matches_reference(region_of, all_six):
-    """The one-gather `RuleTable.encode` against the digit-at-a-time
+    """The one-gather `ContextTable.encode` against the digit-at-a-time
     reference: random states on the scan regions for all six pairs, and
     random contexts at the largest base each arity admits, where the
-    greatest code, base**(arity + 1) - 1, is nearest the int64 limit."""
+    greatest code, base**(arity + 1) - 1, is nearest the int64 limit,
+    coded by a table of that code space that matches no context, since
+    no such construction can be enumerated."""
     rng = np.random.default_rng(16)
     for (method, grid), b in all_six.items():
         r = region_of(grid, *SCAN_SIZES[grid])
         states = rng.integers(0, b.n_states, size=r.n_cells).astype(np.int16)
-        table = b.rule_table
+        table = b.context_table
         cells = np.flatnonzero(~(r.adjacency < 0).any(axis=1))
         got = table.encode(states, r.complete_contexts)
         assert got.dtype == np.int64
@@ -715,11 +724,11 @@ def test_encode_matches_reference(region_of, all_six):
         sym.require_codes_fit(base, arity)
         with pytest.raises(ValueError):
             sym.require_codes_fit(base + 1, arity)
-        table = embed.RuleTable(base=base, arity=arity,
-                                codes=np.zeros(0, np.int64),
-                                readings=np.zeros(0, np.int64),
-                                lo=np.zeros(0, np.int64),
-                                hi=np.zeros(0, np.int64))
+        none = np.zeros(0, np.int64)
+        table = embed.ContextTable(
+            base=base, arity=arity, codes=none, readings=none, starts=none,
+            assignments=none, single=none.astype(bool),
+            least=none.astype(np.int32), row_index=None)
         contexts = np.r_[np.full((1, arity + 1), base - 1),
                          np.zeros((1, arity + 1), dtype=np.int64),
                          rng.integers(0, base, size=(2000, arity + 1)),
@@ -861,21 +870,23 @@ def _full_reencode_scan(b, region, init, horizon):
     guarded = ~line & ~may_change[cells]
     inside = region.dist[cells] < region.radius
     table = b.rule_table
+    ctx = table.context
     for t, states in enumerate(ref.frozen_rim_run(b, region, init.states,
                                                   horizon)):
         own = states[cells]
-        at = ref.lookup(table, ref.encode(table, states, region.adjacency,
-                                          cells))
+        at = ref.lookup(ctx, ref.encode(ctx, states, region.adjacency,
+                                        cells))
         hit = at >= 0
-        lo, hi = table.lo[at], table.hi[at]
+        lo, split = table.lo[at], table.split[at]
         report.scanned_cells += len(cells)
         report.matched_cells += int(hit.sum())
         report.multi_reading_cells += int(
-            (hit & (table.readings[at] > 1)).sum())
-        kinds = (("ambiguous", hit & (lo != hi)),
+            (hit & (ctx.readings[at] > 1)).sum())
+        # some reading leaves the own state exactly when the least does
+        # or the readings disagree
+        kinds = (("ambiguous", hit & split),
                  ("line-unmatched", line & ~hit & inside),
-                 ("off-line-changed",
-                  guarded & hit & ((lo != own) | (hi != own))))
+                 ("off-line-changed", guarded & hit & ((lo != own) | split)))
         for j in np.flatnonzero(np.logical_or.reduce([m for _, m in kinds])):
             c = int(cells[j])
             nb = tuple(int(v) for v in states[region.adjacency[c]])
@@ -968,9 +979,11 @@ def test_table_run_rows_match_a_full_lookup(region_of, all_six):
     multi = moved = 0
     for b, r, init in cases:
         table, cells = b.rule_table, r.complete_cells
+        ctx = table.context
         run = embed.TableRun(table, r, init.states.copy())
-        searched = embed.TableRun(dataclasses.replace(table, row_index=None),
-                                  r, init.states.copy())
+        searched = embed.TableRun(
+            dataclasses.replace(table, context=dataclasses.replace(
+                ctx, row_index=None)), r, init.states.copy())
         want = ref.frozen_rim_run(b, r, init.states, 6)
         for t in range(7):
             if t:
@@ -978,31 +991,26 @@ def test_table_run_rows_match_a_full_lookup(region_of, all_six):
                 assert (np.diff(coded) > 0).all(), (b.name, t)
                 assert np.array_equal(searched.step(), coded), (b.name, t)
             assert np.array_equal(run.states, want[t]), (b.name, t)
-            rows = ref.lookup(table, ref.encode(table, run.states,
-                                                r.adjacency, cells))
+            rows = ref.lookup(ctx, ref.encode(ctx, run.states,
+                                              r.adjacency, cells))
             assert np.array_equal(run.rows, rows), (b.name, t)
             assert np.array_equal(searched.rows, rows), (b.name, t)
-            multi += int((table.readings[rows[rows >= 0]] > 1).sum())
+            multi += int((ctx.readings[rows[rows >= 0]] > 1).sum())
         moved += int((want[-1] != init.states).sum())
     assert multi > 0 and moved > 0
 
 
-def test_lookup_matches_the_reference_lookup():
-    """`RuleTable.lookup` gives the rows of a dict lookup, codes below,
-    between and past the table's included, and -1 for every code of an
-    empty table."""
-    codes = np.array([3, 8, 9, 20], dtype=np.int64)
-    ones = np.ones(len(codes), dtype=np.int64)
-    table = embed.RuleTable(base=3, arity=2, codes=codes, readings=ones,
-                            lo=ones, hi=ones)
-    asked = np.arange(-1, 23, dtype=np.int64)
-    got = table.lookup(asked)
-    assert np.array_equal(got, ref.lookup(table, asked))
-    assert np.array_equal(asked[got >= 0], codes)
-    empty = embed.RuleTable(base=3, arity=2, codes=codes[:0],
-                            readings=ones[:0], lo=ones[:0], hi=ones[:0])
-    assert empty.lookup(asked).tolist() == [-1] * len(asked)
-    assert len(empty.lookup(asked[:0])) == 0
+def test_lookup_matches_the_reference_lookup(all_six):
+    """`ContextTable.lookup` by sorted search gives the rows of a dict
+    lookup on rule 110's pentagrid extra table, for every code of its
+    code space and the codes just below and past it."""
+    ctx = dataclasses.replace(all_six[("extra", "pentagrid")].context_table,
+                              row_index=None)
+    asked = np.arange(-1, 3 ** 6 + 2, dtype=np.int64)
+    got = ctx.lookup(asked)
+    assert np.array_equal(got, ref.lookup(ctx, asked))
+    assert np.array_equal(asked[got >= 0], ctx.codes)
+    assert got[0] == got[-1] == -1
 
 
 def _constructions():
@@ -1033,13 +1041,13 @@ def test_dense_and_sorted_lookups_agree():
     rng = np.random.default_rng(36)
     dense = set()
     for b in _constructions():
-        table = b.rule_table
+        table = b.context_table
+        assert b.rule_table.context is table
         size = table.base ** (table.arity + 1)
         index = table.row_index
         assert (index is not None) == (size <= 2 ** 16), b.name
         if index is not None:
             dense.add((b.grid, b.kind, b.action.n))
-            assert index is b.context_table.row_index
             assert index.dtype == np.int32 and not index.flags.writeable
             assert index.shape == (size,)
         if size <= 2 ** 22:
@@ -1066,7 +1074,7 @@ def test_verify_recodes_only_near_changes(region_of, all_six, monkeypatch):
     neighbourhoods of the changed cells on a running one.  Both step
     through `embed.TableRun`; the scan runs 10 steps, the engine its
     whole validity budget."""
-    real_encode = embed.RuleTable.encode
+    real_encode = embed.ContextTable.encode
     coded = []
 
     def counted(self, states, contexts):
@@ -1087,7 +1095,7 @@ def test_verify_recodes_only_near_changes(region_of, all_six, monkeypatch):
         for word, caller in itertools.product(([0], [1, 0, 1]), (scan, run)):
             init = engine.init_configuration(r, b, word)
             with monkeypatch.context() as mp:
-                mp.setattr(embed.RuleTable, "encode", counted)
+                mp.setattr(embed.ContextTable, "encode", counted)
                 coded.clear()
                 steps = caller(b, r, init)
             states = ref.frozen_rim_run(b, r, init.states, steps)
@@ -1139,7 +1147,7 @@ def test_verify_repeats_a_fixed_point(region_of, all_six, monkeypatch):
     init.states[off] = rng.integers(0, b.n_states, size=12)
     cases.append((b, r, init))
 
-    real_encode = embed.RuleTable.encode
+    real_encode = embed.ContextTable.encode
     real_readings = embed.HcaAutomaton.readings
     calls = {"encode": 0, "readings": 0}
 
@@ -1159,7 +1167,7 @@ def test_verify_repeats_a_fixed_point(region_of, all_six, monkeypatch):
         starts.append(still)
         for horizon in (10, 3, 0, -1):
             with monkeypatch.context() as mp:
-                mp.setattr(embed.RuleTable, "encode", counted_encode)
+                mp.setattr(embed.ContextTable, "encode", counted_encode)
                 mp.setattr(embed.HcaAutomaton, "readings", counted_readings)
                 calls.update(encode=0, readings=0)
                 got = embed.verify_unique_applicability(b, r, init, horizon)

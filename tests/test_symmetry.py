@@ -58,6 +58,43 @@ def test_group_closed_with_inverses():
             assert ref.compose(a, b) in motions
 
 
+@pytest.mark.parametrize("p", (5, 7, 12))
+def test_rotation_indices_form_a_group(p):
+    """The rows of `rotation_indices(p)` are distinct, the identity first,
+    and closed under composition, re-reading row g by row h, with an
+    inverse for each: the hypothesis under which every compiled
+    automaton is rotation invariant.  The shared array is read-only."""
+    rows = sym.rotation_indices(p)
+    assert not rows.flags.writeable
+    assert rows[0].tolist() == list(range(p))
+    members = {tuple(r) for r in rows.tolist()}
+    assert len(members) == len(rows) == (60 if p == 12 else p)
+    products = rows[:, rows].reshape(-1, p)
+    assert {tuple(r) for r in products.tolist()} == members
+    inverses = np.argsort(rows, axis=1)
+    assert {tuple(r) for r in inverses.tolist()} == members
+    assert (np.take_along_axis(rows, inverses, axis=1) == rows[0]).all()
+
+
+def test_enumeration_refuses_rotations_that_are_no_group(monkeypatch):
+    """A planted rotation set that is no group, the identity and one
+    permutation of the pentagrid's sides, makes a rotated context read
+    otherwise than the context on rule 110's compact pattern, and the
+    enumeration refuses it.  The permutation was the first hit of a
+    seeded search (numpy seed 39) over the identity and one random
+    permutation, on seeded pentagrid constructions of 2 and 3 states;
+    the true shifts enumerate the same pattern."""
+    b = embed.embed_compact(ca1d.elementary(110), "pentagrid")
+    planted = np.array([[0, 1, 2, 3, 4], [4, 1, 3, 0, 2]])
+    assert planted[1][planted[1]].tolist() not in planted.tolist()
+    embed._enumerate_contexts(b.pattern, 2, 2)
+    monkeypatch.setattr(sym, "rotation_indices", lambda p: planted)
+    with pytest.raises(RuntimeError, match=(
+            "^a rotated context reads otherwise than the context: the "
+            "rotations are no group$")):
+        embed._enumerate_contexts(b.pattern, 2, 2)
+
+
 def test_motion_determined_by_two_faces():
     seen = {(m[0], m[1]) for m in sym.all_motions()}
     assert len(seen) == 60
