@@ -18,8 +18,8 @@ The enumeration is one int64 product of each alignment's weights with
 each assignment's slot states.  `compile_rules` turns an automaton into
 a `RuleTable`, which holds only what the action decides: one gather of
 the action at the construction's assignments gives each code's least
-next state and its verdicts.  A context is its code throughout, decoded
-only where a person reads it.
+next state and its verdicts.  A context is its code throughout: no
+code in the package decodes one.
 `TableRun` steps a configuration by the table, for the engine and the
 unique-applicability scan alike, and `expanded_rules` lists its
 single-reading codes as explicit rules, held as the table's arrays,
@@ -39,8 +39,12 @@ that match a rotated context g.c are those that match c, composed with
 g.  So c and g.c have the same readings, and so the same next state:
 `check_invariance` finds no conflict for any compiled automaton whenever
 `rotation_indices(p)` is a group, which the tests check for p = 5, 7 and
-12.  The enumeration refuses a rotation set under which a rotated context
-reads otherwise than the context.
+12; `hypca verify` states it rather than checking it.  The enumeration
+tests one consequence of that hypothesis, not the hypothesis itself: it
+refuses a rotation set under which the least code of a single-reading
+context's column, the least of its rotations, has several readings.
+Under a group a column holds rotations of one context, which read
+alike, so this cannot happen; a set that is no group may still pass.
 
 A `TableRun` step costs in proportion to the cells it changes, not to
 the region: it carries each complete cell's table row and codes again
@@ -87,20 +91,6 @@ class RuleTable:
     lo: np.ndarray          # (M,) least next state over the readings
     moves: np.ndarray       # (M + 1,) readings agree, on a new state
     split: np.ndarray       # (M + 1,) readings disagree
-
-
-def decode(codes: np.ndarray, base: int, arity: int
-           ) -> tuple[np.ndarray, np.ndarray]:
-    """(self states, (len, arity) neighbour states) of context codes.
-
-    The digits are taken one row at a time, least significant first; the
-    neighbour states come back as a transposed view of the rows."""
-    digits = np.empty((arity + 1, len(codes)), dtype=np.int64)
-    rest = codes.astype(np.int64)
-    for row in digits[:-1]:
-        np.divmod(rest, base, out=(rest, row))
-    digits[-1] = rest
-    return digits[-1], digits[:-1].T
 
 
 class TableRun:
@@ -338,8 +328,9 @@ def _enumerate_contexts(pattern: ContextPattern, n: int, base: int
     singles = codes[single]
     at = singles.searchsorted(lowest).astype(np.int32)[column]
     if not np.array_equal(singles.take(at), lowest[column]):
-        raise RuntimeError("a rotated context reads otherwise than the "
-                           "context: the rotations are no group")
+        raise RuntimeError("the least rotation of a single-reading "
+                           "context has several readings, which no group "
+                           "of rotations allows")
     row_index = None
     if base ** (p + 1) <= _DENSE_CODES:
         row_index = np.full(base ** (p + 1), -1, dtype=np.int32)

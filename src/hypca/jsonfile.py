@@ -1,6 +1,7 @@
 """The keys of the JSON input files: rules, automata, regions, snapshots
 and render specs.  A file that is no JSON object, lacks a key or holds a
-value of the wrong form raises a ValueError naming the key (exit 2)."""
+value of the wrong form raises a ValueError naming the key (exit 2), and
+one nested too deeply for the parser one naming the file."""
 from __future__ import annotations
 
 import json
@@ -9,7 +10,11 @@ _REQUIRED = object()
 
 
 def json_object(text: str, what: str) -> dict:
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise ValueError(f"the {what} file nests its JSON too deeply to "
+                         "read") from None
     if not isinstance(doc, dict):
         raise ValueError(f"the {what} file must hold one JSON object")
     return doc

@@ -30,12 +30,13 @@ readings and least next states, and the verdicts those imply, and
 through ambiguous contexts, as the verify scan does.  `encode` codes
 contexts one digit at a time; `ContextTable.encode` must give the same
 codes.  `lookup` finds their rows in a dict of the table's codes;
-`ContextTable.lookup` must give the same rows, and `decode` splits codes
-back into own and neighbour states.  `compose`, `inverse` and
-`is_adjacency_automorphism` check the rotation group of the
-dodecahedron, and `motions_by_face_pairs` lists it by `complete_motion`
-for each ordered pair of adjacent faces, as the package did before
-`symmetry.all_motions` built it by closure.
+`ContextTable.lookup` must give the same rows, and `decode_codes` splits
+codes back into own and neighbour states, which the package, where a
+context is its code, never does; `decode` splits a table's codes.
+`compose`, `inverse` and `is_adjacency_automorphism` check the rotation
+group of the dodecahedron, and `motions_by_face_pairs` lists it by
+`complete_motion` for each ordered pair of adjacent faces, as the
+package did before `symmetry.all_motions` built it by closure.
 `symbolic_rows` walks a breadth-first ball around the centre and names
 its cells, tape cells by `letter_name`, for the table goldens
 `table2_pentagrid.txt` and `table3_heptagrid.txt`; `canonical` turns
@@ -220,7 +221,7 @@ def unpack(rules: sym.RuleArrays, base: int, arity: int
            ) -> list[tuple[RuleContext, int]]:
     """A `RuleArrays` as (context, next state) pairs of Python ints, its
     codes split into digits at the given base and arity."""
-    selfs, nbs = embed.decode(rules.codes, base, arity)
+    selfs, nbs = decode_codes(rules.codes, base, arity)
     return [(RuleContext(s, tuple(nb)), out)
             for s, nb, out in zip(selfs.tolist(), nbs.tolist(),
                                   rules.outs.tolist())]
@@ -280,7 +281,7 @@ def orbit_conflicts(rules: sym.RuleArrays, base: int, arity: int
     rotation orbit of their contexts, as `orbits` does, and report the
     groups whose next states disagree, each its rules in input order; an
     empty list means the rule set is rotation invariant."""
-    groups = orbits(*embed.decode(rules.codes, base, arity))
+    groups = orbits(*decode_codes(rules.codes, base, arity))
     return [sym.RuleArrays(rules.codes[g], rules.outs[g]) for g in groups
             if len(set(rules.outs[g].tolist())) > 1]
 
@@ -380,11 +381,25 @@ def lookup(table: embed.ContextTable, codes: np.ndarray) -> np.ndarray:
                     dtype=np.intp)
 
 
+def decode_codes(codes: np.ndarray, base: int, arity: int
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """(self states, (len, arity) neighbour states) of context codes.
+
+    The digits are taken one row at a time, least significant first; the
+    neighbour states come back as a transposed view of the rows."""
+    digits = np.empty((arity + 1, len(codes)), dtype=np.int64)
+    rest = codes.astype(np.int64)
+    for row in digits[:-1]:
+        np.divmod(rest, base, out=(rest, row))
+    digits[-1] = rest
+    return digits[-1], digits[:-1].T
+
+
 def decode(table: embed.ContextTable | ReferenceTable, codes: np.ndarray
            ) -> tuple[np.ndarray, np.ndarray]:
     """(self states, (len, arity) neighbour states) of a table's context
     codes."""
-    return embed.decode(codes, table.base, table.arity)
+    return decode_codes(codes, table.base, table.arity)
 
 
 def frozen_rim_run(automaton: embed.HcaAutomaton, region,

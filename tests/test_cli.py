@@ -272,28 +272,65 @@ def test_verify_110_matches_golden(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_verify_prints_conflicting_orbit(tmp_path, capsys, monkeypatch):
-    """A planted conflict group: two re-readings of one pentagrid context
-    with different next states, beside a rule of another orbit.  Compiled
-    automata never conflict, so the check is replaced by one that
-    returns the group."""
+def test_verify_states_invariance_by_construction(tmp_path, capsys,
+                                                  monkeypatch):
+    """Every construction is rotation invariant by design, so `verify`
+    states it with a cell's rotation count and runs no check: with
+    `check_invariance` made to raise, rule 110's automata on the three
+    grids still verify clean."""
     from hypca import embed
-    planted = ref.pack([(ref.RuleContext(0, (0, 1, 0, 0, 1)), 1),
-                        (ref.RuleContext(0, (1, 0, 0, 1, 0)), 0),
-                        (ref.RuleContext(1, (0, 0, 0, 0, 0)), 1)], 2, 5)
-    groups = ref.orbit_conflicts(planted, 2, 5)
-    assert len(groups) == 1
-    monkeypatch.setattr(embed, "check_invariance", lambda b: groups)
+
+    def check_invariance(automaton):
+        raise AssertionError("verify ran the invariance check")
+
+    monkeypatch.setattr(embed, "check_invariance", check_invariance)
     auto = tmp_path / "auto.json"
-    run_cli("transform", "--rule", "elementary:110", "--grid", "pentagrid",
-            "--method", "t3", "-o", str(auto))
-    capsys.readouterr()
-    assert run_cli("verify", "--automaton", str(auto)) == 1
-    out = capsys.readouterr().out
-    assert out.startswith(
-        "rotation invariance: 1 conflict groups\n"
-        "  conflicting orbit near self=0 nbrs=(0, 1, 0, 0, 1) -> 1\n"
-        "cells scanned: ")
+    for grid, rotations in (("pentagrid", 5), ("heptagrid", 7),
+                            ("dodecagrid", 60)):
+        for method in ("extra", "compact"):
+            run_cli("transform", "--rule", "elementary:110", "--grid", grid,
+                    "--method", method, "-o", str(auto))
+            capsys.readouterr()
+            assert run_cli("verify", "--automaton", str(auto)) == 0
+            assert capsys.readouterr().out.startswith(
+                "rotation invariance: 0 conflict groups, by construction "
+                f"over a cell's {rotations} rotations\ncells scanned: ")
+
+
+def test_deeply_nested_input_file_exits_2(tmp_path, capsys):
+    """A file nested past the JSON parser's recursion limit is refused
+    with one error line naming the file, whichever command reads it."""
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000 + "]" * 200_000)
+    for argv, what in (
+            (("transform", "--rule", str(deep), "--grid", "pentagrid"),
+             "rule"),
+            (("verify", "--automaton", str(deep)), "automaton")):
+        assert run_cli(*argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: the {what} file nests its JSON too deeply to read\n")
+
+
+def test_out_of_memory_exits_2(tmp_path, capsys, monkeypatch):
+    """A region too large for the memory left is refused with exit 2 and
+    one error line, numpy's message or else "out of memory".
+    `build_region` is made to raise as numpy does, so nothing large is
+    allocated."""
+    auto = tmp_path / "auto.json"
+    run_cli("transform", "--rule", "elementary:110", "--grid", "dodecagrid",
+            "-o", str(auto))
+    says = ("Unable to allocate 1.49 GiB for an array with shape "
+            "(200000007,) and data type int64")
+    for error, line in ((MemoryError(says), says),
+                        (MemoryError(), "out of memory")):
+        def build_region(grid, radius, halfwidth):
+            raise error
+
+        monkeypatch.setattr(reg, "build_region", build_region)
+        for command in ("verify", "simulate"):
+            assert run_cli(command, "--automaton", str(auto),
+                           "--halfwidth", "100000000") == 2
+            assert capsys.readouterr().err == f"error: {line}\n"
 
 
 def test_verify_prints_multi_reading_cells(tmp_path, capsys):

@@ -251,7 +251,7 @@ def test_orbit_check_matches_reference(monkeypatch):
         at = ref.coding(b)
         rules = real(b)
         assert check(b, rules) == []
-        orbits = [g for g in ref.orbits(*embed.decode(rules.codes, *at))
+        orbits = [g for g in ref.orbits(*ref.decode_codes(rules.codes, *at))
                   if len(g) > 1]
         for flips in ([orbits[len(orbits) // 2][-1]],
                       [g[-1] for g in orbits]):
@@ -674,13 +674,13 @@ def test_code_limit_names_the_limit():
 
 
 def test_decode_at_the_code_limit():
-    """28 states at arity 12, the largest dodecagrid code: `decode`
+    """28 states at arity 12, the largest dodecagrid code: `decode_codes`
     inverts it digit for digit, as the broadcast formula does."""
     top = 28 ** 13 - 1
     codes = np.r_[np.array([0, top], dtype=np.int64),
                   np.random.default_rng(28).integers(0, top, size=5000,
                                                      endpoint=True)]
-    selfs, nbs = embed.decode(codes, 28, 12)
+    selfs, nbs = ref.decode_codes(codes, 28, 12)
     powers = 28 ** np.arange(13, dtype=np.int64)
     digits = (codes[:, None] // powers) % 28
     assert selfs.dtype == nbs.dtype == np.int64

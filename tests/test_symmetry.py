@@ -78,21 +78,26 @@ def test_rotation_indices_form_a_group(p):
 
 def test_enumeration_refuses_rotations_that_are_no_group(monkeypatch):
     """A planted rotation set that is no group, the identity and one
-    permutation of the pentagrid's sides, makes a rotated context read
-    otherwise than the context on rule 110's compact pattern, and the
-    enumeration refuses it.  The permutation was the first hit of a
-    seeded search (numpy seed 39) over the identity and one random
-    permutation, on seeded pentagrid constructions of 2 and 3 states;
-    the true shifts enumerate the same pattern."""
+    permutation of the pentagrid's sides, gives a single-reading context
+    of rule 110's compact pattern a least rotation with several
+    readings, and the enumeration refuses it.  The permutation was the
+    first hit of a seeded search (numpy seed 39) over the identity and
+    one random permutation, on seeded pentagrid constructions of 2 and 3
+    states; the true shifts enumerate the same pattern.  The guard tests
+    that consequence, not the group: the identity with the shift by 1 is
+    no group either, and passes."""
     b = embed.embed_compact(ca1d.elementary(110), "pentagrid")
     planted = np.array([[0, 1, 2, 3, 4], [4, 1, 3, 0, 2]])
     assert planted[1][planted[1]].tolist() not in planted.tolist()
     embed._enumerate_contexts(b.pattern, 2, 2)
     monkeypatch.setattr(sym, "rotation_indices", lambda p: planted)
     with pytest.raises(RuntimeError, match=(
-            "^a rotated context reads otherwise than the context: the "
-            "rotations are no group$")):
+            "^the least rotation of a single-reading context has several "
+            "readings, which no group of rotations allows$")):
         embed._enumerate_contexts(b.pattern, 2, 2)
+    shift = np.array([[0, 1, 2, 3, 4], [1, 2, 3, 4, 0]])
+    monkeypatch.setattr(sym, "rotation_indices", lambda p: shift)
+    embed._enumerate_contexts(b.pattern, 2, 2)
 
 
 def test_motion_determined_by_two_faces():
