@@ -148,20 +148,34 @@ def cmd_render(args) -> int:
     else:
         params = (args.grid, args.radius, args.halfwidth)
     reg.require_placeable(*params)
-    region = reg.build_region(*params)
+    # the colours are read, and their grid checked, before any cell is built
     if args.render_spec:
         spec = render.spec_from_json(Path(args.render_spec).read_text())
+        source = f"render spec {args.render_spec}"
     elif args.automaton:
         spec = render.default_render_spec(_load_automaton(args.automaton))
+        source = f"automaton {args.automaton}"
     else:
-        spec = render.blank_render_spec(region.grid)
+        spec, source = render.blank_render_spec(params[0]), None
+    if spec.grid != params[0]:
+        raise ValueError(f"the {source} is for {spec.grid}, the region is "
+                         f"{params[0]}")
+    region = reg.build_region(*params)
     states = None
     if args.snapshot:
         from . import engine
 
         cfg = engine.config_from_json(Path(args.snapshot).read_text(), region)
         states = cfg.states
-    _write(args.output, render.render_svg(region, spec, states))
+    try:
+        svg = render.render_svg(region, spec, states)
+    except render.NoColour as e:
+        if source:
+            raise
+        raise ValueError(f"{e}: a bare region's colours are for states 0 "
+                         "and 1; --automaton or --render-spec supplies the "
+                         "colours") from None
+    _write(args.output, svg)
     return 0
 
 

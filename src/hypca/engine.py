@@ -62,9 +62,11 @@ def init_configuration(region: Region, automaton: emb.HcaAutomaton,
         raise ValueError(f"automaton is for {automaton.grid}, "
                          f"region is {region.grid}")
     word = [int(a) for a in word]
-    states_a = set(automaton.action.states())
-    if not set(word) <= states_a:
-        raise ValueError("word uses states outside the source automaton")
+    n = automaton.action.n
+    bad = next((i for i, a in enumerate(word) if not 0 <= a < n), None)
+    if bad is not None:
+        raise ValueError(f"word index {bad} holds state {word[bad]}, outside "
+                         f"the source automaton's states 0..{n - 1}")
     word_tape = ca1d.word_tape(word, automaton.padding_state)
     if not (-region.halfwidth <= word_tape.start
             and word_tape.end - 1 <= region.halfwidth):

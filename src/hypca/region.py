@@ -30,20 +30,20 @@ side t; it is read off y's row, complete since the previous level.  On the
 heptagrid, where three cells meet at each vertex, that is two sides of
 every cell with a parent; on the right-angled grids, two cells that share
 a side share no neighbour and the table is empty.  Every other candidate
-is hashed by the linear hash r . key mod 2**64, computed as (r^T Q) times a
+is hashed by a linear hash r . key mod 2**64, computed as (r^T Q) times a
 fixed table of step products.  A presence map holds one bit per bucket of
 stored hashes, a bucket being a hash's top bits, with at least eight
 buckets per stored cell; a candidate whose bucket is empty is a miss.  The
 rest, about one candidate in ten, are probed in chunks against a sorted
-table.  While the table holds no hash twice, one search and an equality
-test find a candidate's one entry; the first insertion that repeats a
-hash switches the build to a two-sided search, which meets every equal
-entry.  A level's misses are sorted by hash once, and each member of a run
-of equal hashes is paired with the run's least index.  Only a run that
-holds two cells, a true 64-bit collision, makes the level pair every two
-equal hashes instead.  Full keys are formed only to confirm hits and pairs
-and for new cells, and they alone decide identity.  New cells are numbered
-in order of first occurrence in (frontier, side) order.
+table of unique hashes: one search and an equality test.  A level's misses
+are sorted by hash once, and each member of a run of equal hashes is paired
+with the run's least index.  Hashes only find candidates; full keys decide
+identity, and new cells are numbered in (frontier, side) order of first
+occurrence.  A repeat among the chain's hashes, a hit whose full key is not
+the stored cell's, or a run of misses whose keys differ is a 64-bit
+collision: the build starts again on the second of two fixed hash rows,
+which builds the same region, and a second collision refuses it.  Without
+one, new cells miss an exact search and hash apart: no hash is stored twice.
 
 A key entry is at most the largest row sum of |Q|, since ||f0||_inf = 1.
 Every cell lies within `radius` steps of a segment cell, so that is at
@@ -304,9 +304,14 @@ _CHAIN_FACES = ((0, 3, 1), (11, 9, 6))
 _CHUNK = 8192                        # candidates per batched lookup
 _BUCKETS_PER_CELL = 8                # least presence-map buckets per cell
 _KEY_LIMIT = 2**63 - 1               # int64
-# the linear hash r . key mod 2**64, r_k = c**(k + 1) for an odd constant c
-_HASH_ROW = np.array([pow(0x9E3779B97F4A7C15, k, 2**64) for k in range(1, 13)],
-                     dtype=np.uint64)
+# two linear hashes r . key mod 2**64, r_k = c**(k + 1) for odd constants c
+_HASH_ROWS = np.array([[pow(c, k, 2**64) for k in range(1, 13)]
+                       for c in (0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F)],
+                      dtype=np.uint64)
+
+
+class _Collision(Exception):
+    """Two cells met under one hash."""
 
 
 @dataclass(frozen=True)
@@ -381,25 +386,16 @@ def _cell_keys(grid: str) -> _CellKeys:
     return _CellKeys(steps, via, f0, back, shared, growth)
 
 
-def _probe(h: np.ndarray, table: np.ndarray, ids: np.ndarray,
-           repeats: bool) -> tuple[np.ndarray, np.ndarray]:
-    """(index into h, stored id) for every stored entry whose hash equals
-    h's.  `table` is sorted and `ids` lists the stored ids in its order.
-    While no hash is stored twice, one search and an equality test find
-    each probe's one entry; once `repeats` is set, each probe meets the
-    run of equal hashes between its two searches."""
-    if not repeats:
-        at = np.searchsorted(table, h)
-        np.minimum(at, table.size - 1, out=at)
-        q = np.flatnonzero(table[at] == h)
-        return q, ids[at[q]]
-    order = np.argsort(h)               # sorted probes search faster
-    h = h[order]
-    lo = np.searchsorted(table, h)
-    cnt = np.searchsorted(table, h, "right") - lo
-    q = order[np.repeat(np.arange(len(h)), cnt)]
-    slot = np.arange(len(q)) + np.repeat(lo - np.cumsum(cnt) + cnt, cnt)
-    return q, ids[slot]
+def _probe(h: np.ndarray, table: np.ndarray, ids: np.ndarray
+           ) -> tuple[np.ndarray, np.ndarray]:
+    """(index into h, stored id) for every hash in h that is stored.
+    `table` is sorted and holds no hash twice, and `ids` lists the stored
+    ids in its order, so one search and an equality test find each
+    probe's one entry."""
+    at = np.searchsorted(table, h)
+    np.minimum(at, table.size - 1, out=at)
+    q = np.flatnonzero(table[at] == h)
+    return q, ids[at[q]]
 
 
 def _run_pairs(order: np.ndarray, dup: np.ndarray
@@ -529,19 +525,32 @@ def build_region(grid: str, radius: int, halfwidth: int) -> Region:
     Guideline cells are generated out to position halfwidth + radius, the
     full stretch the region can contain, and all of them carry positions.
     Cell id 0 is the central cell; the rest of the chain follows in
-    position order, then the remaining cells in search order.
+    position order, then the remaining cells in search order.  A hash
+    collision starts the build again on the next hash row, which builds
+    the same region; if every row collides, a ValueError names the region.
     """
-    shape = poly.by_name(grid)
+    poly.by_name(grid)                  # refuses an unknown grid
     if radius < 1 or halfwidth < 0:
         raise ValueError("radius must be >= 1 and halfwidth >= 0")
     if radius > MAX_RADIUS[grid]:
         raise RegionTooLarge(
             f"radius {radius} exceeds the {grid} limit {MAX_RADIUS[grid]}"
         )
+    for hash_row in _HASH_ROWS:
+        try:
+            return _build(grid, radius, halfwidth, hash_row)
+        except _Collision:
+            pass
+    raise ValueError(f"the {grid} region of radius {radius} and halfwidth "
+                     f"{halfwidth} meets a hash collision on every hash row")
+
+
+def _build(grid: str, radius: int, halfwidth: int,
+           hash_row: np.ndarray) -> Region:
+    """build_region's region, hashed by `hash_row`; raises _Collision."""
     extent = halfwidth + radius
-    p = shape.n_sides
     ck = _cell_keys(grid)
-    m = len(ck.f0)
+    p, m = len(ck.back), len(ck.f0)
 
     # walk the chain outwards in both directions from the base cell; index
     # k holds position k - extent.  A product's entries are at most its
@@ -567,10 +576,11 @@ def build_region(grid: str, radius: int, halfwidth: int) -> Region:
                     dtype=np.int32)
     adj = np.full((n_chain, p), -1, dtype=np.int32)
     keys = q_chain @ ck.f0
-    h = keys.view(np.uint64) @ _HASH_ROW[:m]
+    h = keys.view(np.uint64) @ hash_row[:m]
     table_ids = np.argsort(h).astype(np.int32)
     table = h[table_ids]
-    repeats = bool((table[1:] == table[:-1]).any())
+    if (table[1:] == table[:-1]).any():
+        raise _Collision("two chain cells hash alike")
     keys = keys.astype(_key_dtype(q_pos, q_pos[extent - halfwidth:
                                                extent + halfwidth + 1],
                                   ck, radius))
@@ -609,7 +619,7 @@ def build_region(grid: str, radius: int, halfwidth: int) -> Region:
             raise RegionTooLarge(
                 f"{grid} key matrices reach {top} at level {level}; their "
                 "products could pass the int64 key limit")
-        rp = _HASH_ROW[:m] @ par.view(np.uint64)   # uint64 wraps: mod 2**64
+        rp = hash_row[:m] @ par.view(np.uint64)    # uint64 wraps: mod 2**64
         pair = sa.astype(np.int16) * (p + 1) + sb  # (sa, sb) as one index
         miss_x, miss_h, reached = [], [], {}
         for i0 in range(0, frontier.size, chunk):
@@ -625,10 +635,10 @@ def build_region(grid: str, radius: int, halfwidth: int) -> Region:
                 ids[k * p + t] = adj[parent[i0 + k], ck.shared[b[k], t]]
             ask = np.flatnonzero(ids < 0)
             ask = ask[present(h[ask])]
-            q, found = _probe(h[ask], table, table_ids, repeats)
+            q, found = _probe(h[ask], table, table_ids)
             q = ask[q]
-            same = (keys_at(i0 * p + q) == keys[found]).all(axis=1)
-            q, found = q[same], found[same]
+            if not (keys_at(i0 * p + q) == keys[found]).all():
+                raise _Collision("a hit's full key is not the stored cell's")
             ids[q] = found
             adj[frontier[i0:i0 + chunk]] = ids.reshape(-1, p)
             c = dist[found] < 0                  # chain cells reached
@@ -641,36 +651,28 @@ def build_region(grid: str, radius: int, halfwidth: int) -> Region:
         n0 = n
         new_x = np.zeros(0, dtype=np.int64)
         if miss_x:
-            # misses that are one cell take the id of its first occurrence.
-            # Each member of a run of equal hashes is taken to be the cell
-            # at the run's least index, and its full key is checked against
-            # the key stored for that cell; only if a run holds two cells is
-            # every pair of equal hashes checked.  Each array is freed once
-            # used up, the last ones when the new cells are in the table,
-            # before the next level's candidate pass.
+            # misses that are one cell take the id of its first occurrence:
+            # each member of a run of equal hashes is taken to be the cell
+            # at the run's least index, and a member whose full key is not
+            # that cell's is a collision.  Each array is freed once used up,
+            # the last ones when the new cells are in the table.
             mx, mh = np.concatenate(miss_x), np.concatenate(miss_h)
             del miss_x, miss_h
             order = np.argsort(mh)
             sorted_h = mh[order]
             q, e = _run_pairs(order, np.flatnonzero(
                 sorted_h[1:] == sorted_h[:-1]) + 1)
-            exact = False
-            while True:
-                first = np.arange(mx.size)
-                np.minimum.at(first, q, e)
-                fresh = first == np.arange(mx.size)
-                new_x = mx[fresh]
-                new_id = n0 - 1 + np.cumsum(fresh, dtype=np.int32)
-                keys = _extend(keys[:n0], new_x.size, 0)
-                for j in range(0, new_x.size, chunk):
-                    x = new_x[j:j + chunk]
-                    keys[n0 + j:n0 + j + x.size] = keys_at(x)
-                if exact or (keys_at(mx[q]) == keys[new_id[e]]).all():
-                    break
-                q, e = _probe(mh, sorted_h, order, True)
-                q, e = q[e < q], e[e < q]
-                same = (keys_at(mx[q]) == keys_at(mx[e])).all(axis=1)
-                q, e, exact = q[same], e[same], True
+            first = np.arange(mx.size)
+            np.minimum.at(first, q, e)
+            fresh = first == np.arange(mx.size)
+            new_x = mx[fresh]
+            new_id = n0 - 1 + np.cumsum(fresh, dtype=np.int32)
+            keys = _extend(keys[:n0], new_x.size, 0)
+            for j in range(0, new_x.size, chunk):
+                x = new_x[j:j + chunk]
+                keys[n0 + j:n0 + j + x.size] = keys_at(x)
+            if not (keys_at(mx[q]) == keys[new_id[e]]).all():
+                raise _Collision("a run of equal misses holds two cells")
             del sorted_h, q, e
             n = n0 + new_x.size
             adj[frontier[mx // p], mx % p] = new_id[first]
@@ -682,9 +684,6 @@ def build_region(grid: str, radius: int, halfwidth: int) -> Region:
             new_h, new_id = mh[order], new_id[order]
             del mh, fresh, order
             at = np.searchsorted(table, new_h)
-            repeats = repeats or bool(
-                (table[np.minimum(at, table.size - 1)] == new_h).any()
-                or (new_h[1:] == new_h[:-1]).any())
             table, table_ids = _merge(table, table_ids, new_h, new_id, at)
             present.add(new_h, table)
             del new_h, new_id, at

@@ -46,6 +46,10 @@ OFF_BLANK = "#f7f5ef"
 _CHUNK = 4096       # cells per array pass, bounding the float temporaries
 
 
+class NoColour(ValueError):
+    """A state to draw that the render spec gives no colour."""
+
+
 @dataclass
 class RenderSpec:
     """How to draw: one colour per state, plus projection details."""
@@ -64,7 +68,7 @@ class RenderSpec:
         try:
             return self.colors[int(state)]
         except KeyError:
-            raise ValueError(f"no colour for state {state}") from None
+            raise NoColour(f"no colour for state {state}") from None
 
 
 def default_render_spec(automaton) -> RenderSpec:

@@ -627,6 +627,69 @@ def test_placement_bound_is_checked_before_the_build(tmp_path, capsys,
     assert not trace.exists() and not svgs.exists()
 
 
+def test_render_colours_for_another_grid_build_nothing(tmp_path, capsys,
+                                                      monkeypatch):
+    """`render` reads the automaton or the render spec before it builds
+    the region, and refuses one for another grid with one line that
+    names it."""
+    auto, spec = tmp_path / "d.json", tmp_path / "spec.json"
+    run_cli("transform", "--rule", "elementary:110", "--grid", "dodecagrid",
+            "-o", str(auto))
+    spec.write_text(json.dumps({"grid": "heptagrid",
+                                "colors": {"0": "#fff", "1": "#000"}}))
+
+    def no_build(*args):
+        raise AssertionError("build_region called for colours of "
+                             "another grid")
+
+    monkeypatch.setattr(reg, "build_region", no_build)
+    for option, path, says in (
+            ("--automaton", auto, f"the automaton {auto} is for dodecagrid"),
+            ("--render-spec", spec,
+             f"the render spec {spec} is for heptagrid")):
+        assert run_cli("render", "--grid", "pentagrid", option,
+                       str(path)) == 2
+        assert capsys.readouterr().err == \
+            f"error: {says}, the region is pentagrid\n"
+
+
+def test_render_snapshot_without_colours_names_the_options(tmp_path,
+                                                           capsys):
+    """A snapshot with a state past the bare region's 0 and 1, rendered
+    with neither `--automaton` nor `--render-spec`, exits 2 with one line
+    that names both; one of states 0 and 1 alone still renders."""
+    auto, regf, snap = (tmp_path / n for n in ("a.json", "r.json", "s.json"))
+    run_cli("transform", "--rule", "elementary:110", "--grid", "pentagrid",
+            "-o", str(auto))
+    assert run_cli("simulate", "--automaton", str(auto), "--steps", "2",
+                   "--save-region", str(regf), "--snapshot-out", str(snap),
+                   "-o", str(tmp_path / "trace.txt")) == 0
+    capsys.readouterr()
+    assert run_cli("render", "--region", str(regf), "--snapshot",
+                   str(snap)) == 2
+    assert capsys.readouterr().err == (
+        "error: no colour for state 2: a bare region's colours are for "
+        "states 0 and 1; --automaton or --render-spec supplies the "
+        "colours\n")
+    doc = json.loads(snap.read_text())
+    doc["states"] = [min(x, 1) for x in doc["states"]]
+    snap.write_text(json.dumps(doc))
+    assert run_cli("render", "--region", str(regf), "--snapshot", str(snap),
+                   "-o", str(tmp_path / "s.svg")) == 0
+    assert (tmp_path / "s.svg").read_text().startswith("<svg ")
+
+
+def test_verify_names_a_word_state_outside_the_source(tmp_path, capsys):
+    auto = tmp_path / "a.json"
+    run_cli("transform", "--rule", "elementary:110", "--grid", "dodecagrid",
+            "-o", str(auto))
+    assert run_cli("verify", "--automaton", str(auto), "--word",
+                   "0102") == 2
+    assert capsys.readouterr().err == (
+        "error: word index 3 holds state 2, outside the source "
+        "automaton's states 0..1\n")
+
+
 def test_long_word_checks_against_the_oracle(tmp_path, capsys):
     """A 41-letter word sets halfwidth 20, past the placement bound; the
     oracle check places no cell, so it runs."""

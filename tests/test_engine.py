@@ -82,9 +82,12 @@ def _init_reference(region, automaton, word):
         raise ValueError(f"automaton is for {automaton.grid}, "
                          f"region is {region.grid}")
     word = [int(a) for a in word]
-    states_a = set(automaton.action.states())
-    if not set(word) <= states_a:
-        raise ValueError("word uses states outside the source automaton")
+    states_a = automaton.action.states()
+    outside = [(i, a) for i, a in enumerate(word) if a not in states_a]
+    if outside:
+        raise ValueError("word index {} holds state {}, outside the source "
+                         "automaton's states 0..{}".format(
+                             *outside[0], max(states_a)))
     start = -(len(word) // 2)
     if word and not (-region.halfwidth <= start
                      and start + len(word) - 1 <= region.halfwidth):
@@ -125,7 +128,8 @@ def test_init_matches_the_per_cell_reference(region_of, rule110, method,
     """The array passes fill what the per-cell loop filled, int16 state
     for state: words of length 0, 1, 2 hw and 2 hw + 1, rule 110 and a
     3-state rule, and on dodecagrid extra
-    the reflected row.  Refusals carry the same messages."""
+    the reflected row.  Refusals carry the same messages; a word state
+    outside the source states is named with its index in the word."""
     embed_rule = (embed.embed_extra_state if method == "extra"
                   else embed.embed_compact)
     rng = np.random.default_rng(23)
@@ -150,12 +154,17 @@ def test_init_matches_the_per_cell_reference(region_of, rule110, method,
     other = region_of("heptagrid" if grid == "pentagrid" else "pentagrid",
                       2, 1)
     for region, b, word in ((r, autos[0], [1] * (2 * hw + 2)),
-                            (r, autos[0], [5]), (other, autos[0], [1])):
+                            (r, autos[0], [5]), (r, autos[0], [0, 1, 0, 2]),
+                            (r, autos[1], [2, -1]), (other, autos[0], [1])):
         with pytest.raises(ValueError) as new:
             engine.init_configuration(region, b, word)
         with pytest.raises(ValueError) as old:
             _init_reference(region, b, word)
         assert str(new.value) == str(old.value)
+    # a state outside the source states is named, with its index in the word
+    with pytest.raises(ValueError, match=r"^word index 3 holds state 2, "
+                       r"outside the source automaton's states 0\.\.1$"):
+        engine.init_configuration(r, autos[0], [0, 1, 0, 2])
 
 
 @pytest.mark.parametrize("method,grid", [

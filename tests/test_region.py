@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hypca import embed, engine
+from hypca import cli, embed, engine
 from hypca import geometry as geo
 from hypca import region as reg
 from hypca import symmetry as sym
@@ -240,7 +240,9 @@ def test_key_dtype_follows_the_chain_walk(monkeypatch, grid, radius, hw,
     """Keys are stored in the narrowest type that the chain walk's own
     matrices bound; the bound 3 ** extent asked for int64 at all three
     sizes.  One type narrower the keys wrap and cells lose their
-    identity: the build fails its chain check or finds other cells."""
+    identity: the stored keys no longer confirm their own cells, so
+    every hash row meets a collision, or the build fails its chain check
+    or finds other cells."""
     real, chosen = reg._key_dtype, []
 
     def recorded(*args):
@@ -254,6 +256,9 @@ def test_key_dtype_follows_the_chain_walk(monkeypatch, grid, radius, hw,
     try:
         wrapped = reg.build_region(grid, radius, hw).n_cells
     except AssertionError:
+        wrapped = None
+    except ValueError as e:
+        assert "hash collision on every hash row" in str(e)
         wrapped = None
     assert wrapped != n
 
@@ -704,6 +709,49 @@ _IDENTITY_SIZES = [("pentagrid", 3, 2), ("heptagrid", 3, 2),
                    ("dodecagrid", 2, 1)]
 
 
+def _degenerate_row(row: dict) -> np.ndarray:
+    """A hash row that is c times the given multiple of each key entry,
+    and zero elsewhere, c the first row's constant."""
+    c = int(reg._HASH_ROWS[0, 0])
+    hash_row = np.zeros(12, dtype=np.uint64)
+    for k, times in row.items():
+        hash_row[k] = times * c % 2**64
+    return hash_row
+
+
+def _joining_row(d: np.ndarray) -> np.ndarray:
+    """The first hash row with one entry changed so that two keys whose
+    difference is d hash alike: r . d = 0 mod 2**64, solved for the entry
+    j whose d_j has the fewest factors 2."""
+    d, row = d.tolist(), reg._HASH_ROWS[0].tolist()
+    twos = [(x & -x).bit_length() - 1 if x else 64 for x in d]
+    j = twos.index(min(twos))
+    rest = sum(r * x for i, (r, x) in enumerate(zip(row, d)) if i != j)
+    mod = 2 ** (64 - twos[j])
+    row[j] = -(rest >> twos[j]) * pow(d[j] >> twos[j], -1, mod) % mod
+    assert sum(r * x for r, x in zip(row, d)) % 2**64 == 0
+    return np.array(row, dtype=np.uint64)
+
+
+def _assert_restarts_once(monkeypatch, grid, radius, hw, first):
+    """With `first` before the build's first row, the build starts again
+    once, on the second row, and the full keys sort the cells as the
+    float reference does."""
+    monkeypatch.setattr(reg, "_HASH_ROWS",
+                        np.stack([first, reg._HASH_ROWS[0]]))
+    rows = []
+    build = reg._build
+
+    def record(grid, radius, hw, hash_row):
+        rows.append(hash_row)
+        return build(grid, radius, hw, hash_row)
+
+    monkeypatch.setattr(reg, "_build", record)
+    assert_same_region(reg.build_region(grid, radius, hw),
+                       float_ref.build_region(grid, radius, hw))
+    assert len(rows) == 2
+
+
 @pytest.mark.parametrize("grid,radius,hw,row", [
     *(pytest.param(*size, {}, id="-".join(map(str, size)))
       for size in _IDENTITY_SIZES),
@@ -712,33 +760,72 @@ _IDENTITY_SIZES = [("pentagrid", 3, 2), ("heptagrid", 3, 2),
       for size in _IDENTITY_SIZES),
     pytest.param("pentagrid", 3, 2, {1: 1, 4: -1}, id="pentagrid-3-2-stored")])
 def test_full_keys_decide_identity(monkeypatch, grid, radius, hw, row):
-    """The hash row is c times the given multiple of each key entry, and
-    zero elsewhere.  With every hash equal, each candidate meets every
-    stored cell and every other miss of its level.  Hashing key[0] - key[1]
-    alone, the chain's hashes are distinct but later cells collide: a run
-    of equal misses holds two cells at the first level, and the table's
-    first repeated hash switches the probe to the two-sided search.  On the
-    pentagrid, key[1] - key[4] first makes a new cell collide with a stored
-    one, not with another new cell.  Either way the full keys must still
-    sort them."""
-    c = int(reg._HASH_ROW[0])
-    hash_row = np.zeros(12, dtype=np.uint64)
-    for k, times in row.items():
-        hash_row[k] = times * c % 2**64
-    monkeypatch.setattr(reg, "_HASH_ROW", hash_row)
-    repeats = []
-    probe = reg._probe
+    """A degenerate hash row goes first.  With every hash equal, the
+    chain's hashes repeat.  Hashing key[0] - key[1] alone, the chain's
+    hashes are distinct but a later cell's equals a stored one's, and the
+    probe hits a cell whose full key is another; so does hashing key[1] -
+    key[4] on the pentagrid.  Each is a collision."""
+    _assert_restarts_once(monkeypatch, grid, radius, hw,
+                          _degenerate_row(row))
 
-    def record(h, table, ids, rep):
-        repeats.append(rep)
-        return probe(h, table, ids, rep)
 
-    monkeypatch.setattr(reg, "_probe", record)
-    assert_same_region(reg.build_region(grid, radius, hw),
-                       float_ref.build_region(grid, radius, hw))
-    # the one-sided search while no hash repeats, then the two-sided one
-    assert repeats[0] == (not row) and repeats[-1]
-    assert repeats == sorted(repeats)
+@pytest.mark.parametrize("grid", ["pentagrid", "heptagrid", "dodecagrid"])
+@pytest.mark.parametrize("kind,says", [
+    ("chain", "two chain cells hash alike"),
+    ("hit", "a hit's full key is not the stored cell's"),
+    ("run", "a run of equal misses holds two cells")],
+    ids=["chain", "hit", "run"])
+def test_each_collision_restarts(monkeypatch, grid, kind, says):
+    """A row made to join two keys and no others: the base cell's two
+    chain neighbours; an off-chain neighbour and the base cell, which the
+    neighbour's probe hits; two off-chain neighbours, misses of the first
+    level in one run.  At radius 1 no later level could meet the
+    collision, so the check named must see it."""
+    ck = reg._cell_keys(grid)
+    p = len(ck.back)
+    _, left, right = reg._chain_labels(grid, p, np.array([0]))
+    t_f0 = ck.steps[:p] @ ck.f0
+    off = [s for s in range(p) if s not in (left[0], right[0])]
+    a, b = {"chain": (t_f0[left[0]], t_f0[right[0]]),
+            "hit": (t_f0[off[0]], ck.f0),
+            "run": (t_f0[off[0]], t_f0[off[1]])}[kind]
+    row = _joining_row(a - b)
+    with pytest.raises(reg._Collision, match=f"^{says}$"):
+        reg._build(grid, 1, 1, row)
+    _assert_restarts_once(monkeypatch, grid, 1, 1, row)
+
+
+def test_collision_on_every_row_is_refused(monkeypatch, capsys):
+    """Two degenerate rows: the build raises a ValueError naming the
+    region, and the command line exits 2 with one error line."""
+    monkeypatch.setattr(reg, "_HASH_ROWS", np.stack(
+        [_degenerate_row({}), _degenerate_row({0: 1, 1: -1})]))
+    with pytest.raises(ValueError, match="^the heptagrid region of radius 3 "
+                       "and halfwidth 2 meets a hash collision on "
+                       "every hash row$"):
+        reg.build_region("heptagrid", 3, 2)
+    assert cli.main(["render", "--grid", "pentagrid", "--radius", "2",
+                     "--halfwidth", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: the pentagrid region of radius 2 and halfwidth 1 "
+                   "meets a hash collision on every hash row\n")
+
+
+@pytest.mark.parametrize("grid,radius,hw",
+                         FINGERPRINT_SIZES + DIFFERENTIAL_SIZES)
+def test_sizes_build_on_either_row(monkeypatch, region_of, grid, radius,
+                                   hw):
+    """No tested size meets a collision: with the first hash row alone,
+    and with the second alone, each builds the region of the full
+    build."""
+    want = region_of(grid, radius, hw)
+    for row in reg._HASH_ROWS:
+        monkeypatch.setattr(reg, "_HASH_ROWS", row[None])
+        r = reg.build_region(grid, radius, hw)
+        for got, exp in ((r.adjacency, want.adjacency), (r.dist, want.dist),
+                         (r.placement.parent, want.placement.parent),
+                         (r.placement.side, want.placement.side)):
+            assert np.array_equal(got, exp)
 
 
 @pytest.mark.parametrize("grid", ["pentagrid", "heptagrid", "dodecagrid"])
@@ -779,14 +866,14 @@ def test_lookup_shortcuts_change_no_cell(monkeypatch, region_of, grid,
 def test_lookups_skip_shared_and_empty_buckets(monkeypatch):
     """On heptagrid r6 hw3 the candidate pass searched 28,525 hashes with
     only the parent read off; reading shared neighbours and skipping empty
-    buckets leaves 2,544.  Every hash the build probes is counted: no run
-    of equal misses holds two cells there, so the dedup probes none."""
+    buckets leaves 2,544.  Every hash the build probes is counted; the
+    dedup of a level's misses probes none."""
     probed = []
     probe = reg._probe
 
-    def count(h, table, ids, repeats):
+    def count(h, table, ids):
         probed.append(h.size)
-        return probe(h, table, ids, repeats)
+        return probe(h, table, ids)
 
     monkeypatch.setattr(reg, "_probe", count)
     assert reg.build_region("heptagrid", 6, 3).n_cells == 4751
