@@ -36,8 +36,8 @@ stored hashes, a bucket being a hash's top bits, with at least eight
 buckets per stored cell; a candidate whose bucket is empty is a miss.  The
 rest, about one candidate in ten, are probed in chunks against a sorted
 table of unique hashes: one search and an equality test.  A level's misses
-are sorted by hash once, and each member of a run of equal hashes is paired
-with the run's least index.  Hashes only find candidates; full keys decide
+are sorted by hash once, and each miss takes the least index among the
+misses that share its hash.  Hashes only find candidates; full keys decide
 identity, and new cells are numbered in (frontier, side) order of first
 occurrence.  A repeat among the chain's hashes, a hit whose full key is not
 the stored cell's, or a run of misses whose keys differ is a 64-bit
@@ -398,23 +398,6 @@ def _probe(h: np.ndarray, table: np.ndarray, ids: np.ndarray
     return q, ids[at[q]]
 
 
-def _run_pairs(order: np.ndarray, dup: np.ndarray
-               ) -> tuple[np.ndarray, np.ndarray]:
-    """(member, least member) of every run of equal hashes, the least
-    member itself left out.  `order` sorts the hashes and `dup` lists the
-    sorted positions equal to the one before; each run is its head, the
-    position before its first dup, and the dups that follow."""
-    starts = np.ones(dup.size, dtype=bool)
-    starts[1:] = dup[1:] != dup[:-1] + 1
-    at = np.flatnonzero(starts)
-    head = order[dup[at] - 1]
-    least = np.minimum(head, np.minimum.reduceat(order[dup], at))
-    member = np.concatenate([head, order[dup]])
-    to = np.concatenate([least, least[np.cumsum(starts) - 1]])
-    keep = member != to
-    return member[keep], to[keep]
-
-
 def _merge(table: np.ndarray, ids: np.ndarray, new: np.ndarray,
            new_ids: np.ndarray, at: np.ndarray
            ) -> tuple[np.ndarray, np.ndarray]:
@@ -445,7 +428,8 @@ class _Presence:
     top `width` bits.  A hash whose bucket is empty is not stored.  The map
     keeps at least _BUCKETS_PER_CELL buckets per stored cell: past that it
     grows by doublings to four times as many and is filled again from the
-    sorted table; otherwise a level's new hashes set their bits in place."""
+    table; otherwise a level's new hashes set their bits in place.  Hashes
+    set their bits in any order, with one unbuffered OR per chunk."""
 
     def __init__(self, table: np.ndarray):
         self.width, self.bits = 3, np.zeros(1, dtype=np.uint8)
@@ -458,16 +442,13 @@ class _Presence:
             np.uint8(1), (b & np.uint64(7)).astype(np.uint8))
 
     def _set(self, h: np.ndarray) -> None:
-        """Set the bits of sorted hashes h: one OR per byte touched."""
+        """Set the bits of the hashes h, in any order."""
         for j in range(0, h.size, _CHUNK):
-            byte, bit = self._bit(h[j:j + _CHUNK])
-            start = np.flatnonzero(
-                np.concatenate([[True], byte[1:] != byte[:-1]]))
-            self.bits[byte[start]] |= np.bitwise_or.reduceat(bit, start)
+            np.bitwise_or.at(self.bits, *self._bit(h[j:j + _CHUNK]))
 
     def add(self, new: np.ndarray, table: np.ndarray) -> None:
-        """Record the sorted hashes `new`; `table` holds every stored hash,
-        `new` included."""
+        """Record the hashes `new`, in any order; `table` holds every
+        stored hash, `new` included."""
         need = _BUCKETS_PER_CELL * table.size
         if need > 2 ** self.width:
             while 2 ** self.width < 4 * need:
@@ -652,18 +633,23 @@ def _build(grid: str, radius: int, halfwidth: int,
         new_x = np.zeros(0, dtype=np.int64)
         if miss_x:
             # misses that are one cell take the id of its first occurrence:
-            # each member of a run of equal hashes is taken to be the cell
-            # at the run's least index, and a member whose full key is not
-            # that cell's is a collision.  Each array is freed once used up,
-            # the last ones when the new cells are in the table.
+            # each miss is taken to be the cell at the least index among
+            # the misses that share its hash, and a miss whose full key is
+            # not that cell's is a collision.  Each array is freed once
+            # used up, the last ones when the new cells are in the table.
             mx, mh = np.concatenate(miss_x), np.concatenate(miss_h)
             del miss_x, miss_h
             order = np.argsort(mh)
             sorted_h = mh[order]
-            q, e = _run_pairs(order, np.flatnonzero(
-                sorted_h[1:] == sorted_h[:-1]) + 1)
-            first = np.arange(mx.size)
-            np.minimum.at(first, q, e)
+            del mh
+            head = np.ones(mx.size, dtype=bool)  # a run's first position
+            head[1:] = sorted_h[1:] != sorted_h[:-1]
+            at = np.flatnonzero(head)
+            least = np.minimum.reduceat(order, at)
+            new_h = sorted_h[at]                 # the new cells by hash
+            first = np.empty_like(order)
+            first[order] = least[np.cumsum(head) - 1]
+            del sorted_h, head, at, order
             fresh = first == np.arange(mx.size)
             new_x = mx[fresh]
             new_id = n0 - 1 + np.cumsum(fresh, dtype=np.int32)
@@ -671,18 +657,18 @@ def _build(grid: str, radius: int, halfwidth: int,
             for j in range(0, new_x.size, chunk):
                 x = new_x[j:j + chunk]
                 keys[n0 + j:n0 + j + x.size] = keys_at(x)
-            if not (keys_at(mx[q]) == keys[new_id[e]]).all():
+            dup = np.flatnonzero(~fresh)
+            if not (keys_at(mx[dup]) == keys[new_id[first[dup]]]).all():
                 raise _Collision("a run of equal misses holds two cells")
-            del sorted_h, q, e
+            del fresh, dup
             n = n0 + new_x.size
             adj[frontier[mx // p], mx % p] = new_id[first]
             del mx, first
             adj, dist = (_extend(v, new_x.size, -1) for v in (adj, dist))
             placed_from.append(frontier[new_x // p])
             placed_side.append((new_x % p).astype(np.int8))
-            order = order[fresh[order]]          # the new cells by hash
-            new_h, new_id = mh[order], new_id[order]
-            del mh, fresh, order
+            new_id = new_id[least]
+            del least
             at = np.searchsorted(table, new_h)
             table, table_ids = _merge(table, table_ids, new_h, new_id, at)
             present.add(new_h, table)
@@ -835,8 +821,14 @@ def read_region_file(text: str) -> tuple[str, int, int]:
     if version != REGION_FORMAT:
         raise ValueError(f"region file format {version} is not supported; "
                          f"this version reads format {REGION_FORMAT}")
-    return (read("grid", exactly(str)), read("radius", exactly(int)),
+    return (read("grid", _grid_of), read("radius", exactly(int)),
             read("halfwidth", exactly(int)))
+
+
+def _grid_of(value) -> str:
+    if exactly(str)(value) not in MAX_RADIUS:
+        raise ValueError(f"unknown grid {value!r}")
+    return value
 
 
 def region_from_json(text: str) -> Region:

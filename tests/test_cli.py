@@ -846,6 +846,21 @@ def test_unknown_region_format_exits_2(tmp_path, capsys):
     assert "format 99" in capsys.readouterr().err
 
 
+def test_region_file_of_an_unknown_grid_exits_2(tmp_path):
+    """A region file naming no supported grid is refused with exit 2 and
+    one error line, not a KeyError traceback and exit 1."""
+    regf = tmp_path / "region.json"
+    regf.write_text(json.dumps({"format": 2, "grid": "foo", "radius": 2,
+                                "halfwidth": 1}))
+    src = str(Path(hypca.__file__).parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "hypca.cli", "render", "--region", str(regf)],
+        capture_output=True, text=True, cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert done.returncode == 2
+    assert done.stderr == "error: region key 'grid': unknown grid 'foo'\n"
+
+
 def test_cli_does_not_import_numpy_ma(tmp_path):
     """numpy.ma costs about 15 ms to import and no command needs it; the
     first np.unique call of a process pulls it in."""

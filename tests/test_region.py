@@ -453,6 +453,21 @@ def test_region_file_errors_name_the_problem():
                                          "halfwidth": 1}))
 
 
+def test_region_file_refuses_an_unknown_grid(monkeypatch):
+    """The file's grid is checked when the file is read, before any build
+    or placement bound looks it up."""
+    def no_build(*args):
+        raise AssertionError("build_region called for an unknown grid")
+
+    monkeypatch.setattr(reg, "build_region", no_build)
+    for grid in ("foo", "Pentagrid", ""):
+        doc = json.dumps({"format": reg.REGION_FORMAT, "grid": grid,
+                          "radius": 2, "halfwidth": 1})
+        with pytest.raises(ValueError) as err:
+            reg.region_from_json(doc)
+        assert str(err.value) == f"region key 'grid': unknown grid {grid!r}"
+
+
 def _edges_of_cell(shape, matrix):
     verts = shape.vertices @ matrix.T
     edges = set()
@@ -882,12 +897,17 @@ def test_lookups_skip_shared_and_empty_buckets(monkeypatch):
 
 def test_presence_map_holds_every_stored_hash():
     """No stored hash is ever reported absent, as the map grows over
-    batches; and it keeps at least eight buckets per stored hash."""
+    batches given in any order; and it keeps at least eight buckets per
+    stored hash."""
     rng = np.random.default_rng(1402)
     table = np.sort(rng.integers(0, 2**64, size=5, dtype=np.uint64))
     present = reg._Presence(table)
-    for size in (3, 40, 7, 900, 2, 20_000, 11):
-        new = np.sort(rng.integers(0, 2**64, size=size, dtype=np.uint64))
+    for i, size in enumerate((3, 40, 7, 900, 2, 20_000, 11, 5_000, 300)):
+        new = rng.integers(0, 2**64, size=size, dtype=np.uint64)
+        if i < 7:                       # sorted batches, then unsorted ones
+            new = np.sort(new)
+        if i == 8:                      # all in the eight buckets of a byte
+            new = np.uint64(2**63) + new % np.uint64(2**(67 - present.width))
         table = np.sort(np.concatenate([table, new]))
         present.add(new, table)
         assert present(table).all()
