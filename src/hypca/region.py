@@ -5,10 +5,58 @@ letters.  The chain is walked first, ordered by a monotone statistic along
 the guideline, then a breadth-first search from the central segment adds
 every cell within the requested graph distance, a level at a time in numpy.
 
-Cell identity is exact.  Each tiling is the orbit of its base cell under a
-reflection group, and each step operator has an integer image T_s in a
-faithful linear representation of that group (J. Tits, 1969; M. W. Davis,
-The Geometry and Topology of Coxeter Groups, 2008):
+Cell identity is local.  Two paths from the segment to one cell close a
+cycle, and in these tilings cycles are filled by the cycles around single
+vertices (pentagrid, heptagrid) or edges (dodecagrid): the cell graphs of
+the right-angled grids are median graphs, the 1-skeletons of the CAT(0)
+cube complexes dual to them (V. Chepoi, "Graphs of some CAT(0)
+complexes", Adv. Appl. Math. 24, 2000), and the heptagrid's dual {3,7} is
+a systolic triangulation (T. Januszkiewicz and J. Swiatkowski, "Simplicial
+nonpositive curvature", Publ. IHES 104, 2006).  The argument needs the
+segment to be convex, and it is.  On the right-angled grids it is cut out
+by halfspaces and hyperplane carriers: its cells have a side on the
+guideline's hyperplane (on the dodecagrid, on two hyperplanes), lie on
+one side of it, and lie between the hyperplanes of the two end sides.
+On the heptagrid it is a geodesic run of cells along a line.  So the
+distance to the segment counts the hyperplanes that separate a cell
+from it (cube complexes), or its balls are convex (systolic), and for a
+cell x at distance L and its neighbour w:
+
+- if w is at distance L, a cycle around a vertex or edge of their shared
+  side runs from x to w through cells at distance L - 1 only;
+- if w is at distance L + 1 and touches another cell x' at distance L,
+  a cycle around a vertex or edge of that side runs from x to x' through
+  cells at distance L - 1 only, and then on to w; on the heptagrid x and
+  x' are adjacent, and the cycle is x, x', w.
+
+The build runs a level at a time.  Each adjacency entry carries its mate,
+the side of the neighbour that faces back (int8, dropped after the build),
+and the entry across that side is set with it, so a cell's entries toward
+the level below are copied, not found.  Every other entry of a frontier
+cell x is found by walking around the vertex or edge that its side shares
+with a known entry of a complete cell, a cell of a lower level: 2 hops on
+the heptagrid, where three cells meet at a vertex, and 3 on the pentagrid
+and the dodecagrid, where four meet at a vertex or an edge.  A hop enters
+a cell by its mate m and leaves it by the next side around, m -+ 1 on the
+polygonal grids and, on the dodecagrid, the side a 12 x 5 edge-walk table
+gives for m and the edge; the table is derived once, in numpy, from the
+exact step matrices of `_cell_keys`.  A walk that ends on a known entry
+has found the cell.  One that ends on an unfinished frontier cell pairs
+the two candidates as one new cell, and a candidate that no walk pairs
+is a cell of the next level that touches no other frontier cell, new below
+the radius and outside the region at it.  On the heptagrid the walks
+through frontier cells come second, once the adjacencies within the level
+are known.  New cells are numbered in (frontier, side) order of first
+occurrence, and each takes its first path's frame: its side facing that
+path is the one the step across it names.  Two walks that give one entry
+different cells, a pair that another walk finds, or a cell whose
+candidates are paired only in part raise an error.
+
+Cells also have exact names, kept for that derivation and for the tests:
+each tiling is the orbit of its base cell under a reflection group, and
+each step operator has an integer image T_s in a faithful linear
+representation of that group (J. Tits, 1969; M. W. Davis, The Geometry
+and Topology of Coxeter Groups, 2008):
 
 - pentagrid and dodecagrid: the group is right-angled.  T_s is the side
   reflection in the contragredient Tits representation (B_ii = 1, B_ij = 0
@@ -19,48 +67,9 @@ The Geometry and Topology of Coxeter Groups, 2008):
   mirrors through the base centre, which generate the centre's order-14
   stabilizer.
 
-A cell reached by steps s1..sk carries Q = T_s1 ... T_sk and the key Q f0;
-two paths share a key exactly when they reach the same cell.  A frontier
-cell is held as its grandparent's Q and two steps, so only the shell two
-levels in stores matrices.  Two kinds of neighbour need no lookup.  The
-side a cell x was entered by leads back to its parent y.  And where
-T_s T_t f0 == T_s' f0, an identity of the step operators tabulated once per
-grid, x entered across side s of y has y's neighbour across s' across its
-side t; it is read off y's row, complete since the previous level.  On the
-heptagrid, where three cells meet at each vertex, that is two sides of
-every cell with a parent; on the right-angled grids, two cells that share
-a side share no neighbour and the table is empty.  Every other candidate
-is hashed by a linear hash r . key mod 2**64, computed as (r^T Q) times a
-fixed table of step products.  A presence map holds one bit per bucket of
-stored hashes, a bucket being a hash's top bits, with at least eight
-buckets per stored cell; a candidate whose bucket is empty is a miss.  The
-rest, about one candidate in ten, are probed in chunks against a sorted
-table of unique hashes: one search and an equality test.  A level's misses
-are sorted by hash once, and each miss takes the least index among the
-misses that share its hash.  Hashes only find candidates; full keys decide
-identity, and new cells are numbered in (frontier, side) order of first
-occurrence.  A repeat among the chain's hashes, a hit whose full key is not
-the stored cell's, or a run of misses whose keys differ is a 64-bit
-collision: the build starts again on the second of two fixed hash rows,
-which builds the same region, and a second collision refuses it.  Without
-one, new cells miss an exact search and hash apart: no hash is stored twice.
-
-A key entry is at most the largest row sum of |Q|, since ||f0||_inf = 1.
-Every cell lies within `radius` steps of a segment cell, so that is at
-most the larger of the chain's row sums and the segment's times
-||T||_inf ** radius.  The table stores keys in the narrowest integer type
-that holds this bound, taken from the chain walk's own matrices; products
-are formed in int64.  ||T||_inf is 3 on the pentagrid and the dodecagrid,
-where the entries of Q grow quadratically along the chain, to 45,300 on
-the extent-300 pentagrid chain: keys are int16 on pentagrid r2 hw20 and
-int32 on pentagrid r2 hw300 and dodecagrid r2 hw100.  On the heptagrid
-||T||_inf is 53 and the entries grow exponentially, to about 1.6e8 on the
-extent-18 chain.  So no bound is relied on to keep int64 from wrapping:
-the chain walk checks each product's left factor, and each level its
-largest entry, against the int64 limit over the largest column sum of a
-step or of a precomputed `via` vector, and raises RegionTooLarge before a
-product could pass it.  On the heptagrid that refuses every halfwidth +
-radius past 40.
+A cell reached by steps s1..sk is keyed Q f0, Q = T_s1 ... T_sk, and two
+paths share a key exactly when they reach the same cell.  The build forms
+no key and has no extent bound.
 
 Float placement is computed on demand, in `Region.matrices`, the one place
 that makes floats.  The build records, for each cell off the chain, the
@@ -301,30 +310,13 @@ _CHAIN_LEFT = {"pentagrid": 1, "heptagrid": 2}
 _CHAIN_FACES = ((0, 3, 1), (11, 9, 6))
 
 
-_CHUNK = 8192                        # candidates per batched lookup
-_BUCKETS_PER_CELL = 8                # least presence-map buckets per cell
-_KEY_LIMIT = 2**63 - 1               # int64
-# two linear hashes r . key mod 2**64, r_k = c**(k + 1) for odd constants c
-_HASH_ROWS = np.array([[pow(c, k, 2**64) for k in range(1, 13)]
-                       for c in (0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F)],
-                      dtype=np.uint64)
-
-
-class _Collision(Exception):
-    """Two cells met under one hash."""
+_CHUNK = 8192                        # entries per block of a level's walks
 
 
 @dataclass(frozen=True)
 class _CellKeys:
-    steps: np.ndarray     # (p + 1, m, m): T_0 .. T_{p-1}, then the identity
-    via: np.ndarray       # (p + 1, p + 1, p, m): steps[a] steps[b] T_t f0
+    steps: np.ndarray     # (p, m, m): T_0 .. T_{p-1}
     f0: np.ndarray        # (m,)
-    back: np.ndarray      # (p,): the side of the cell across s facing back
-    # (p + 1, p): the side s' with T_s T_t f0 == T_s' f0, or -1; the
-    # neighbour across t of the cell across s is the base cell's across s'.
-    # Row p, entry by no side, is all -1.
-    shared: np.ndarray
-    growth: int           # largest column sum of |steps|, |via| vector
 
 
 def _mirrors(grid: str) -> np.ndarray:
@@ -374,45 +366,59 @@ def _cell_keys(grid: str) -> _CellKeys:
             t.append(gens[s][:, perm])
         t = np.stack(t)
         f0 = np.ones(shape.n_sides, dtype=np.int64)
-    steps = np.concatenate([t, np.eye(len(f0), dtype=np.int64)[None]])
-    via = np.swapaxes(steps[:, None] @ steps[None] @ (t @ f0).T, 2, 3).copy()
-    back = (via[-1, :-1] == f0).all(axis=2).argmax(axis=1)
-    # [s, t, s']: T_s T_t f0 == T_s' f0
-    hit = (via[-1, :-1, :, None] == via[-1, -1]).all(axis=3)
-    shared = np.full((len(t) + 1, len(t)), -1, dtype=np.int8)
-    shared[:-1] = np.where(hit.any(axis=2), hit.argmax(axis=2), -1)
-    growth = max(int(np.abs(steps).sum(axis=1).max()),
-                 int(np.abs(via).sum(axis=3).max()))
-    return _CellKeys(steps, via, f0, back, shared, growth)
+    return _CellKeys(t, f0)
 
 
-def _probe(h: np.ndarray, table: np.ndarray, ids: np.ndarray
-           ) -> tuple[np.ndarray, np.ndarray]:
-    """(index into h, stored id) for every hash in h that is stored.
-    `table` is sorted and holds no hash twice, and `ids` lists the stored
-    ids in its order, so one search and an equality test find each
-    probe's one entry."""
-    at = np.searchsorted(table, h)
-    np.minimum(at, table.size - 1, out=at)
-    q = np.flatnonzero(table[at] == h)
-    return q, ids[at[q]]
+@dataclass(frozen=True)
+class _Walk:
+    """Walks around a vertex (polygonal grids) or an edge (dodecagrid).  A
+    walk's state in a cell is the side s it leaves by and j, which picks
+    the vertex or edge of that side: the one shared with side s + 1
+    (j = 0) or s - 1 (j = 1) on the polygonal grids, and on the dodecagrid
+    the edge of face s and face FACE_RINGS[s][j].  `turn` and `aux` are
+    flat, indexed by m J + j for the cell a walk enters by side m."""
+    cells: int            # cells around a vertex or edge
+    back: np.ndarray      # (p,) int8: the side facing back across side s
+    target: np.ndarray    # (p, J) int8: the other side at (s, j)
+    turn: np.ndarray      # (p J,) int8: the side the walk leaves by
+    aux: np.ndarray       # (p J,) int8: and its j there
 
 
-def _merge(table: np.ndarray, ids: np.ndarray, new: np.ndarray,
-           new_ids: np.ndarray, at: np.ndarray
-           ) -> tuple[np.ndarray, np.ndarray]:
-    """The sorted table and its ids with the sorted hashes `new` inserted
-    before positions `at`, as np.insert would, with one index pass."""
-    at = at + np.arange(new.size)       # their places in the merged table
-    old = np.ones(table.size + new.size, dtype=bool)
-    old[at] = False
-    out = []
-    for v, w in ((table, new), (ids, new_ids)):
-        merged = np.empty(old.size, dtype=v.dtype)
-        merged[at] = w
-        merged[old] = v
-        out.append(merged)
-    return out[0], out[1]
+@lru_cache(maxsize=None)
+def _walk(grid: str) -> _Walk:
+    """The walk tables.  On the polygonal grids a shared side keeps its
+    number in both cells and a step keeps orientation, so a walk entering
+    by side m leaves by m - 1 or m + 1.  On the dodecagrid they come from
+    the step matrices: entered across face s of a cell, the walk around
+    the edge of s and a = FACE_RINGS[s][j] leaves by the face g that
+    leads to the fourth cell around it, T_s T_g f0 == T_a T_h f0.  There
+    the frames agree along every path the build takes, so the mate across
+    face s is always back[s] (the tests' exact keys check the entries this
+    gives), and the table indexed by the mate is that of the step across
+    s."""
+    if grid != "dodecagrid":
+        p = poly.by_name(grid).n_sides
+        sides, d = np.arange(p)[:, None], np.array([1, -1])
+        aux = np.broadcast_to(np.arange(2, dtype=np.int8), (p, 2))
+        return _Walk({"pentagrid": 4, "heptagrid": 3}[grid],
+                     np.arange(p, dtype=np.int8),
+                     ((sides + d) % p).astype(np.int8),
+                     ((sides - d) % p).astype(np.int8).ravel(), aux.ravel())
+    ck = _cell_keys(grid)
+    p = len(ck.f0)
+    two = np.einsum("sab,gb->sga", ck.steps, ck.steps @ ck.f0)
+    back = (two == ck.f0).all(axis=2).argmax(axis=1)
+    rings = np.array(sym.FACE_RINGS)
+    hit = (two[:, None, :, None] == two[rings][:, :, None]).all(axis=4)
+    hit = hit.any(axis=3)                            # [s, j, g]
+    hit[np.arange(p), :, back] = False               # the cell itself
+    if not (hit.sum(axis=2) == 1).all():
+        raise AssertionError("an edge of the dodecagrid has no fourth cell")
+    g = hit.argmax(axis=2)
+    turn, aux = np.empty((2, p, 5), dtype=np.int8)
+    turn[back], aux[back] = g, (rings[g] == back[:, None, None]).argmax(axis=2)
+    return _Walk(4, back.astype(np.int8), rings.astype(np.int8),
+                 turn.ravel(), aux.ravel())
 
 
 def _extend(v: np.ndarray, k: int, fill: int) -> np.ndarray:
@@ -423,44 +429,17 @@ def _extend(v: np.ndarray, k: int, fill: int) -> np.ndarray:
     return out
 
 
-class _Presence:
-    """One bit per bucket of stored hashes, the bucket of a hash being its
-    top `width` bits.  A hash whose bucket is empty is not stored.  The map
-    keeps at least _BUCKETS_PER_CELL buckets per stored cell: past that it
-    grows by doublings to four times as many and is filled again from the
-    table; otherwise a level's new hashes set their bits in place.  Hashes
-    set their bits in any order, with one unbuffered OR per chunk."""
-
-    def __init__(self, table: np.ndarray):
-        self.width, self.bits = 3, np.zeros(1, dtype=np.uint8)
-        self.add(table, table)
-
-    def _bit(self, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The byte and the bit in it of each hash's bucket."""
-        b = h >> np.uint64(64 - self.width)
-        return b >> np.uint64(3), np.left_shift(
-            np.uint8(1), (b & np.uint64(7)).astype(np.uint8))
-
-    def _set(self, h: np.ndarray) -> None:
-        """Set the bits of the hashes h, in any order."""
-        for j in range(0, h.size, _CHUNK):
-            np.bitwise_or.at(self.bits, *self._bit(h[j:j + _CHUNK]))
-
-    def add(self, new: np.ndarray, table: np.ndarray) -> None:
-        """Record the hashes `new`, in any order; `table` holds every
-        stored hash, `new` included."""
-        need = _BUCKETS_PER_CELL * table.size
-        if need > 2 ** self.width:
-            while 2 ** self.width < 4 * need:
-                self.width += 1
-            self.bits = np.zeros(2 ** (self.width - 3), dtype=np.uint8)
-            new = table
-        self._set(new)
-
-    def __call__(self, h: np.ndarray) -> np.ndarray:
-        """Whether each hash's bucket holds a stored hash."""
-        byte, bit = self._bit(h)
-        return (self.bits[byte] & bit).astype(bool)
+def _enter(adj: np.ndarray, mate: np.ndarray, at: np.ndarray,
+           cell: np.ndarray, side: np.ndarray) -> None:
+    """Enter `cell`, whose side `side` faces back, at the flat adjacency
+    entries `at`.  An entry that holds another cell already, or that two
+    of these give different cells, means that two walks disagree."""
+    held = adj.take(at)
+    if not ((held < 0) | ((held == cell) & (mate.take(at) == side))).all():
+        raise AssertionError("two walks give one entry different cells")
+    adj[at], mate[at] = cell, side
+    if not ((adj.take(at) == cell) & (mate.take(at) == side)).all():
+        raise AssertionError("two walks give one entry different cells")
 
 
 def _chain_labels(grid: str, p: int, pos: np.ndarray):
@@ -485,20 +464,6 @@ def _chain_walk(extent: int, left: np.ndarray, right: np.ndarray):
         yield k, k + 1, left[k + 1]
 
 
-def _key_dtype(chain: np.ndarray, segment: np.ndarray, ck: _CellKeys,
-               radius: int):
-    """The narrowest of int16, int32 and int64 that holds the key bound of
-    the module docstring.  Row sums are formed in int64 only where they
-    cannot wrap: a chain entry past the int32 limit asks for int64."""
-    if int(np.abs(chain).max()) > np.iinfo(np.int32).max:
-        return np.int64
-    rows = [int(np.abs(q).sum(axis=-1).max()) for q in (chain, segment)]
-    step = int(np.abs(ck.steps).sum(axis=2).max())
-    bound = max(rows[0], rows[1] * step ** radius)
-    return next((t for t in (np.int16, np.int32)
-                 if bound <= np.iinfo(t).max), np.int64)
-
-
 def build_region(grid: str, radius: int, halfwidth: int) -> Region:
     """All cells within `radius` steps of the guideline segment spanning
     positions -halfwidth..halfwidth.
@@ -506,9 +471,7 @@ def build_region(grid: str, radius: int, halfwidth: int) -> Region:
     Guideline cells are generated out to position halfwidth + radius, the
     full stretch the region can contain, and all of them carry positions.
     Cell id 0 is the central cell; the rest of the chain follows in
-    position order, then the remaining cells in search order.  A hash
-    collision starts the build again on the next hash row, which builds
-    the same region; if every row collides, a ValueError names the region.
+    position order, then the remaining cells in search order.
     """
     poly.by_name(grid)                  # refuses an unknown grid
     if radius < 1 or halfwidth < 0:
@@ -517,198 +480,144 @@ def build_region(grid: str, radius: int, halfwidth: int) -> Region:
         raise RegionTooLarge(
             f"radius {radius} exceeds the {grid} limit {MAX_RADIUS[grid]}"
         )
-    for hash_row in _HASH_ROWS:
-        try:
-            return _build(grid, radius, halfwidth, hash_row)
-        except _Collision:
-            pass
-    raise ValueError(f"the {grid} region of radius {radius} and halfwidth "
-                     f"{halfwidth} meets a hash collision on every hash row")
-
-
-def _build(grid: str, radius: int, halfwidth: int,
-           hash_row: np.ndarray) -> Region:
-    """build_region's region, hashed by `hash_row`; raises _Collision."""
+    walk = _walk(grid)
+    p = len(walk.back)
     extent = halfwidth + radius
-    ck = _cell_keys(grid)
-    p, m = len(ck.back), len(ck.f0)
 
-    # walk the chain outwards in both directions from the base cell; index
-    # k holds position k - extent.  A product's entries are at most its
-    # left factor's largest entry times ck.growth, so that factor is checked
-    # before each product.
+    # the chain, each cell in the frame of the walk from the base cell;
+    # index k holds position k - extent
     n_chain = 2 * extent + 1
     mirror, left, right = _chain_labels(grid, p, np.arange(-extent, extent + 1))
-    q_pos = np.empty((n_chain, m, m), dtype=np.int64)
-    q_pos[extent] = np.eye(m, dtype=np.int64)
-    for k, k0, s in _chain_walk(extent, left, right):
-        top = int(np.abs(q_pos[k0]).max())
-        if top > _KEY_LIMIT // ck.growth:
-            raise RegionTooLarge(
-                f"{grid} chain key matrix at position {k0 - extent} reaches "
-                f"{top}; its product with a step could pass the int64 key "
-                "limit")
-        q_pos[k] = q_pos[k0] @ ck.steps[s]
-
     chain_order = [0] + [q for q in range(-extent, extent + 1) if q != 0]
     chain_at = np.array(chain_order) + extent    # index of each chain id
-    q_chain = q_pos[chain_at]
+    order = np.argsort(chain_at).astype(np.int32)    # chain id at each index
     dist = np.array([0 if abs(q) <= halfwidth else -1 for q in chain_order],
                     dtype=np.int32)
     adj = np.full((n_chain, p), -1, dtype=np.int32)
-    keys = q_chain @ ck.f0
-    h = keys.view(np.uint64) @ hash_row[:m]
-    table_ids = np.argsort(h).astype(np.int32)
-    table = h[table_ids]
-    if (table[1:] == table[:-1]).any():
-        raise _Collision("two chain cells hash alike")
-    keys = keys.astype(_key_dtype(q_pos, q_pos[extent - halfwidth:
-                                               extent + halfwidth + 1],
-                                  ck, radius))
-    present = _Presence(table)
+    mate = np.full((n_chain, p), -1, dtype=np.int8)
+    prev, succ = order[:-1], order[1:]
+    adj[prev, right[:-1]], mate[prev, right[:-1]] = succ, left[1:]
+    adj[succ, left[1:]], mate[succ, left[1:]] = prev, right[:-1]
     placed_from, placed_side = [], []
 
-    # frontier cell k has Q = par[rows[k]] @ T[sa[k]] @ T[sb[k]]: par holds
-    # the chain's Q, then that of the frontier's grandparents; step p is the
-    # identity.  parent[k] is the cell it was placed from, or -1.
+    # slot[c] is cell c's index in the frontier, read for frontier cells only
+    slot = np.zeros(n_chain, dtype=np.int32)
+    n_aux = walk.target.shape[1]
     chunk = max(1, _CHUNK // p)
     frontier = np.flatnonzero(dist == 0).astype(np.int32)
-    rows, parent = frontier, np.full(frontier.size, -1, dtype=np.int32)
-    sa = sb = np.full(frontier.size, p, dtype=np.int8)
-    par = q_chain
-    shares = bool((ck.shared >= 0).any())
-    # via by one index: [a (p + 1) + b] for the hashes, whose products run
-    # over all p sides, and [(a (p + 1) + b) p + t] for the keys
-    via_h = ck.via.reshape(-1, p, m).view(np.uint64)
-    via_k = ck.via.reshape(-1, m)
-
-    def keys_at(x):
-        """Full keys of the candidates x = frontier index * p + side."""
-        out = np.empty((len(x), m, 1), dtype=np.int64)
-        for j in range(0, len(x), chunk):
-            k, t = np.divmod(x[j:j + chunk], p)
-            np.matmul(par.take(rows[k], axis=0),
-                      via_k.take(pair[k] * p + t, axis=0)[:, :, None],
-                      out=out[j:j + chunk])
-        return out[:, :, 0]
-
-    level = 0
-    n = n_chain
+    level, n = 0, n_chain
     while frontier.size:
-        top = max(int(par.max()), -int(par.min()))
-        if top > _KEY_LIMIT // ck.growth:
-            raise RegionTooLarge(
-                f"{grid} key matrices reach {top} at level {level}; their "
-                "products could pass the int64 key limit")
-        rp = hash_row[:m] @ par.view(np.uint64)    # uint64 wraps: mod 2**64
-        pair = sa.astype(np.int16) * (p + 1) + sb  # (sa, sb) as one index
-        miss_x, miss_h, reached = [], [], {}
-        for i0 in range(0, frontier.size, chunk):
-            r, b = rows[i0:i0 + chunk], sb[i0:i0 + chunk]
-            h = (via_h.take(pair[i0:i0 + chunk], axis=0)
-                 @ rp.take(r, axis=0)[:, :, None]).ravel()
-            ids = np.full(h.size, -1, dtype=np.int32)
-            up = np.flatnonzero(b < p)
-            ids[up * p + ck.back[b[up]]] = parent[i0 + up]
-            if shares:
-                # neighbours shared with the parent, whose row is complete
-                k, t = np.nonzero(ck.shared[b] >= 0)
-                ids[k * p + t] = adj[parent[i0 + k], ck.shared[b[k], t]]
-            ask = np.flatnonzero(ids < 0)
-            ask = ask[present(h[ask])]
-            q, found = _probe(h[ask], table, table_ids)
-            q = ask[q]
-            if not (keys_at(i0 * p + q) == keys[found]).all():
-                raise _Collision("a hit's full key is not the stored cell's")
-            ids[q] = found
-            adj[frontier[i0:i0 + chunk]] = ids.reshape(-1, p)
-            c = dist[found] < 0                  # chain cells reached
-            for x, cell in zip((i0 * p + q[c]).tolist(), found[c].tolist()):
-                reached[cell] = min(x, reached.get(cell, x))
-            if level < radius:
-                miss = np.flatnonzero(ids < 0)
-                miss_x.append(i0 * p + miss)
-                miss_h.append(h[miss])
+        f = frontier.size
+        slot[frontier] = np.arange(f, dtype=np.int32)
+        adj_f, mate_f = adj.reshape(-1), mate.reshape(-1)
+        pairs = []
+        # walks whose first hop is a complete cell; then, with three cells
+        # at a vertex and below the radius, those whose first hop is a
+        # frontier cell, once the level's own adjacencies are known.  Only
+        # a walk whose last cell is a frontier cell may end on no entry.
+        for near in (False, True)[:1 + (walk.cells == 3 and level < radius)]:
+            for i0 in range(0, f, chunk):
+                cell = frontier[i0:i0 + chunk]
+                nb = adj.take(cell, axis=0)
+                d = dist.take(nb)
+                # the walks' first entries, at index q = i p + s of nb, and
+                # the entries i p + t that they find
+                q = np.flatnonzero((nb >= 0) & ((d == level) if near else
+                                                d.view(np.uint32) < level))
+                s = q % p
+                t = walk.target.take(s, axis=0) + (q - s)[:, None]
+                q = np.flatnonzero(nb.reshape(-1).take(t) < 0)
+                k = q // n_aux
+                j, s, t = q - k * n_aux, s.take(k), t.reshape(-1).take(q)
+                e = cell.take(t // p) * p + s
+                for _ in range(walk.cells - 2):
+                    k = mate_f.take(e) * n_aux + j
+                    c = adj_f.take(e)
+                    s, j = walk.turn.take(k), walk.aux.take(k)
+                    e = c * p + s
+                v = adj_f.take(e)
+                ok = v >= 0
+                if level < radius and (near or walk.cells > 3):
+                    miss = np.flatnonzero(~ok)
+                    pairs.append((i0 * p + t.take(miss), c.take(miss),
+                                  s.take(miss), j.take(miss)))
+                hit = np.flatnonzero(ok)
+                v = v.take(hit)
+                u = walk.turn.take(mate_f.take(e.take(hit)) * n_aux
+                                   + j.take(hit))
+                x, t = cell.take(t.take(hit) // p), t.take(hit) % p
+                _enter(adj_f, mate_f, x * p + t, v, u)
+                _enter(adj_f, mate_f, v * p + u, x, t)
         n0 = n
-        new_x = np.zeros(0, dtype=np.int64)
-        if miss_x:
-            # misses that are one cell take the id of its first occurrence:
-            # each miss is taken to be the cell at the least index among
-            # the misses that share its hash, and a miss whose full key is
-            # not that cell's is a collision.  Each array is freed once
-            # used up, the last ones when the new cells are in the table.
-            mx, mh = np.concatenate(miss_x), np.concatenate(miss_h)
-            del miss_x, miss_h
-            order = np.argsort(mh)
-            sorted_h = mh[order]
-            del mh
-            head = np.ones(mx.size, dtype=bool)  # a run's first position
-            head[1:] = sorted_h[1:] != sorted_h[:-1]
-            at = np.flatnonzero(head)
-            least = np.minimum.reduceat(order, at)
-            new_h = sorted_h[at]                 # the new cells by hash
-            first = np.empty_like(order)
-            first[order] = least[np.cumsum(head) - 1]
-            del sorted_h, head, at, order
-            fresh = first == np.arange(mx.size)
-            new_x = mx[fresh]
-            new_id = n0 - 1 + np.cumsum(fresh, dtype=np.int32)
-            keys = _extend(keys[:n0], new_x.size, 0)
-            for j in range(0, new_x.size, chunk):
-                x = new_x[j:j + chunk]
-                keys[n0 + j:n0 + j + x.size] = keys_at(x)
-            dup = np.flatnonzero(~fresh)
-            if not (keys_at(mx[dup]) == keys[new_id[first[dup]]]).all():
-                raise _Collision("a run of equal misses holds two cells")
-            del fresh, dup
+        new_x = np.zeros(0, dtype=np.int32)
+        if level < radius:
+            # the candidates, entries that no walk found.  A pair (a, b, u)
+            # says that a and b are one new cell, and that a's mate is u if
+            # b is its first occurrence, the least of its candidates, which
+            # are all paired with each other
+            vals = adj.take(frontier, axis=0).reshape(-1)
+            cand = np.flatnonzero(vals < 0).astype(np.int32)
+            a, c, s, j = (np.concatenate(v) for v in zip(*pairs))
+            del pairs
+            b = slot.take(c) * p + s
+            u = walk.turn.take(walk.back.take(s) * n_aux + j)
+            del c, s, j
+            va = vals.take(a)
+            if (va != vals.take(b)).any():
+                raise AssertionError("a walk pairs two entries that another "
+                                     "walk finds")
+            keep = np.flatnonzero(va < 0)
+            a, b, u = a.take(keep), b.take(keep), u.take(keep)
+            del vals, va, keep
+            first = np.arange(f * p, dtype=np.int32)
+            np.minimum.at(first, a, b)
+            on = np.flatnonzero(first.take(a) == b)
+            a, u = a.take(on), u.take(on)
+            del b, on
+            head = first.take(cand)
+            if (first.take(head) != head).any():
+                raise AssertionError("the walks pair a cell's candidates "
+                                     "only in part")
+            new_x = cand[head == cand]
             n = n0 + new_x.size
-            adj[frontier[mx // p], mx % p] = new_id[first]
-            del mx, first
-            adj, dist = (_extend(v, new_x.size, -1) for v in (adj, dist))
-            placed_from.append(frontier[new_x // p])
+            first[new_x] = np.arange(n0, n, dtype=np.int32)
+            ids = first.take(head)
+            del first, head
+            side = (cand % p).astype(np.int8)
+            mates = walk.back.take(side)
+            mates[np.searchsorted(cand, a)] = u
+            x = frontier.take(cand // p)
+            del cand, a, u
+            adj = _extend(adj, new_x.size, -1)
+            mate = _extend(mate, new_x.size, -1)
+            dist = _extend(dist, new_x.size, -1)
+            slot = _extend(slot, new_x.size, 0)
+            adj_f, mate_f = adj.reshape(-1), mate.reshape(-1)
+            _enter(adj_f, mate_f, x * p + side, ids, mates)
+            _enter(adj_f, mate_f, ids * p + mates, x, side)
+            del ids, mates, x, side
+            placed_from.append(frontier.take(new_x // p))
             placed_side.append((new_x % p).astype(np.int8))
-            new_id = new_id[least]
-            del least
-            at = np.searchsorted(table, new_h)
-            table, table_ids = _merge(table, table_ids, new_h, new_id, at)
-            present.add(new_h, table)
-            del new_h, new_id, at
         # the next level: new cells and chain cells reached for the first
-        # time, in order of first occurrence.  A new cell's grandparent is
-        # par[rows] @ T[sa] at its parent, stored once per run of parents
-        # that share it; a chain grandparent keeps its row.
-        k = new_x // p
-        g_row, g_step = rows[k], sa[k]
-        run = g_step < p
-        run[1:] &= (g_row[1:] != g_row[:-1]) | (g_step[1:] != g_step[:-1])
-        g_row = np.where(g_step < p,
-                         n_chain - 1 + np.cumsum(run, dtype=np.int32), g_row)
-        src, g_step = rows[k[run]], g_step[run]
-        grand = np.empty((n_chain + src.size, m, m), dtype=np.int64)
-        grand[:n_chain] = q_chain
-        for j in range(0, src.size, chunk):
-            np.matmul(par[src[j:j + chunk]], ck.steps[g_step[j:j + chunk]],
-                      out=grand[n_chain + j:n_chain + j + chunk])
-        par = grand
-        # a candidate is a miss or a hit, so the new cells' and the chain
-        # cells' first occurrences are distinct and one sort orders them
-        chain_ids = np.array(list(reached), dtype=np.int32)
-        order = np.argsort(np.concatenate(
-            [new_x, np.array(list(reached.values()), dtype=np.int64)]),
-            kind="stable")
-        none = np.full(chain_ids.size, p, dtype=np.int8)
-        rows, sa, sb, parent = (np.concatenate(v)[order] for v in (
-            (g_row, chain_ids), (sb[k], none),
-            ((new_x % p).astype(np.int8), none),
-            (frontier[k], np.full(chain_ids.size, -1, dtype=np.int32))))
-        frontier = np.concatenate([np.arange(n0, n, dtype=np.int32),
-                                   chain_ids])[order]
+        # time, in order of first occurrence
+        frontier = np.arange(n0, n, dtype=np.int32)
+        wait = order[dist.take(order) < 0]
+        nb = adj.take(wait, axis=0)
+        seen = (nb >= 0) & (dist.take(nb) == level)
+        occ = np.where(seen, slot.take(nb) * p + mate.take(wait, axis=0),
+                       f * p).min(axis=1)
+        reached = np.flatnonzero(occ < f * p)
+        if reached.size:
+            reached = reached[np.argsort(occ[reached], kind="stable")]
+            frontier = np.insert(frontier, np.searchsorted(new_x,
+                                                           occ[reached]),
+                                 wait[reached])
         dist[frontier] = level + 1
         level += 1
+    del mate, slot
 
     # guideline arrays run left to right; chain ids are permuted relative
     # to that order because the central cell is id 0
-    order = np.argsort(chain_at).astype(np.int32)
     mirror_ids = None
     if grid == "dodecagrid":
         for mf, motion, _ in _chain_renumbering():
@@ -761,8 +670,8 @@ def _chain_renumbering():
 
 
 def _place(region: Region) -> np.ndarray:
-    """Every cell's placement: the chain's by the walk build_region makes
-    over the keys, then each later cell's as its parent's times the step
+    """Every cell's placement: the chain's by the walk along its side
+    labels, then each later cell's as its parent's times the step
     across its side, a BFS level at a time (a level's cells have
     consecutive ids and parents placed before them).  Last, the dodecagrid
     chain renumbering turns each chain cell by its base rotation."""

@@ -781,6 +781,16 @@ def _simulate_and_save(tmp_path, grid, method):
     return auto, regf, snap
 
 
+def test_simulate_heptagrid_past_40(capsys):
+    """The region build has no extent bound: rule 110's heptagrid extra
+    automaton checks against the oracle at halfwidth 45, past the
+    halfwidth + radius 40 where the keyed build gave out."""
+    auto = GOLDEN / "transform_110" / "heptagrid_extra.json"
+    assert run_cli("simulate", "--automaton", str(auto), "--halfwidth",
+                   "45", "--steps", "2", "--check-oracle") == 0
+    capsys.readouterr()
+
+
 def test_simulate_default_radius_is_the_step_count(tmp_path, capsys):
     """With no --radius, `simulate --steps 3` builds the region of radius
     3, the least that certifies 3 steps: the same trace as --radius 3,

@@ -1,5 +1,7 @@
+import collections
 import dataclasses
 import hashlib
+import itertools
 import json
 import re
 import tracemalloc
@@ -229,89 +231,6 @@ def test_long_regions_build_without_floats(grid, radius, hw, cells):
     with pytest.raises(reg.RegionTooLarge, match="placement bound"):
         r.matrices
     assert "matrices" not in vars(r)
-
-
-@pytest.mark.parametrize("grid,radius,hw,dtype,narrower", [
-    ("pentagrid", 2, 20, np.int16, np.int8),
-    ("pentagrid", 2, 300, np.int32, np.int16),
-    ("dodecagrid", 2, 100, np.int32, np.int16)])
-def test_key_dtype_follows_the_chain_walk(monkeypatch, grid, radius, hw,
-                                          dtype, narrower):
-    """Keys are stored in the narrowest type that the chain walk's own
-    matrices bound; the bound 3 ** extent asked for int64 at all three
-    sizes.  One type narrower the keys wrap and cells lose their
-    identity: the stored keys no longer confirm their own cells, so
-    every hash row meets a collision, or the build fails its chain check
-    or finds other cells."""
-    real, chosen = reg._key_dtype, []
-
-    def recorded(*args):
-        chosen.append(real(*args))
-        return chosen[-1]
-
-    monkeypatch.setattr(reg, "_key_dtype", recorded)
-    n = reg.build_region(grid, radius, hw).n_cells
-    assert chosen == [dtype]
-    monkeypatch.setattr(reg, "_key_dtype", lambda *args: narrower)
-    try:
-        wrapped = reg.build_region(grid, radius, hw).n_cells
-    except AssertionError:
-        wrapped = None
-    except ValueError as e:
-        assert "hash collision on every hash row" in str(e)
-        wrapped = None
-    assert wrapped != n
-
-
-def test_key_dtype_is_int64_past_the_int32_chain(monkeypatch):
-    """A chain entry past the int32 limit asks for int64 before any row
-    sum is formed.  The heptagrid r2 hw20 chain reaches 7,013,092,189; its
-    row sums still fit int64, and its 469 cells come out the same in int32
-    keys, so the test also hands `_key_dtype` a chain whose int64 row sums
-    wrap to 0."""
-    real, chosen = reg._key_dtype, []
-
-    def recorded(chain, *args):
-        chosen.append((int(np.abs(chain).max()), real(chain, *args)))
-        return chosen[-1][1]
-
-    monkeypatch.setattr(reg, "_key_dtype", recorded)
-    assert reg.build_region("heptagrid", 2, 20).n_cells == 469
-    assert chosen == [(7_013_092_189, np.int64)]
-    wraps = np.zeros((1, 9, 9), dtype=np.int64)
-    wraps[:, :, :4] = 2 ** 62
-    assert real(wraps, wraps, reg._cell_keys("heptagrid"), 1) is np.int64
-
-
-@pytest.mark.parametrize("grid", ["pentagrid", "heptagrid", "dodecagrid"])
-def test_key_guard_covers_every_product(grid):
-    """The int64 guards let a left factor's entries reach the key limit
-    over `growth`.  Every product the build forms, with a step matrix or
-    with a `via` vector, then stays within int64: its entries are at most
-    that times the right factor's largest column sum, in Python ints."""
-    ck = reg._cell_keys(grid)
-    top = reg._KEY_LIMIT // ck.growth
-    # a step's columns, and the vectors along the last axis of `via`
-    for right, axis in ((ck.steps, -2), (ck.via, -1)):
-        assert top * int(np.abs(right).sum(axis=axis).max()) <= reg._KEY_LIMIT
-
-
-def test_chain_walk_stops_before_int64_wraps():
-    """The heptagrid's chain keys grow exponentially; the walk refuses a
-    product that could pass int64 and reports its left factor's largest
-    entry, which exact integer arithmetic confirms."""
-    with pytest.raises(reg.RegionTooLarge, match="int64 key limit") as e:
-        reg.build_region("heptagrid", 1, 60)
-    pos, top = map(int, re.search(r"position (-?\d+) reaches (\d+)",
-                                  str(e.value)).groups())
-    ck = reg._cell_keys("heptagrid")
-    _, _, right = reg._chain_labels("heptagrid", 7, np.arange(pos))
-    q = np.eye(len(ck.f0), dtype=np.int64).astype(object)
-    for s in right.tolist():
-        before = max(abs(x) for x in q.ravel())
-        q = q.dot(ck.steps[s].astype(object))
-    assert before <= reg._KEY_LIMIT // ck.growth
-    assert max(abs(x) for x in q.ravel()) == top > reg._KEY_LIMIT // ck.growth
 
 
 def test_region_json_round_trip(region_of):
@@ -639,9 +558,10 @@ def test_certify_path_places_no_cells(rule110, all_six):
 
 
 def test_build_memory_is_bounded():
-    """No placement matrices and narrow keys: the dodecagrid r4 hw1 build
+    """No placement matrices and no keys: the dodecagrid r4 hw1 build
     (18,691 cells) peaked at 8.9 MB of traced allocations while it placed
-    every cell with int64 keys, and at 5.3 MB without."""
+    every cell with int64 keys, at 5.3 MB without, and at 2.0 MB once the
+    walks around each edge replaced the keys."""
     reg.build_region("dodecagrid", 1, 0)       # warm the per-grid caches
     tracemalloc.start()
     try:
@@ -654,10 +574,11 @@ def test_build_memory_is_bounded():
 
 
 def test_build_frees_each_levels_misses():
-    """The previous level's miss arrays are dropped once its new cells are
-    in the lookup table: the pentagrid r8 hw2 build (22,265 cells) peaked
-    at 4.58 MB of traced allocations while they stayed bound through the
-    next level's candidate pass, and at 3.63 MB without."""
+    """A level's walk records, candidates and pairs are dropped once its
+    new cells are entered: the pentagrid r8 hw2 build (22,265 cells)
+    peaks at 1.5 MB of traced allocations.  The keyed build that the
+    walks replaced peaked at 4.58 MB while its misses stayed bound
+    through the next level's candidate pass, and at 3.63 MB without."""
     reg.build_region("pentagrid", 1, 0)        # warm the per-grid caches
     tracemalloc.start()
     try:
@@ -670,11 +591,12 @@ def test_build_frees_each_levels_misses():
 
 
 def test_build_level_bookkeeping_is_narrow():
-    """Side numbers are int8 and cell and row numbers int32 in the level
-    bookkeeping, and each array is freed once used up: the dodecagrid r5
-    hw2 build (236,665 cells) peaked at 48.8 MB of traced allocations with
-    int64 bookkeeping, and at 36.8 MB now (43.0 MB with int64 side
-    numbers alone)."""
+    """Cell and frontier numbers are int32, and sides and mates int8, in
+    the level bookkeeping, and each array is freed once used up: the
+    dodecagrid r5 hw2 build (236,665 cells) peaks at 25.6 MB of traced
+    allocations, most of it the adjacency copied as it grows.  The keyed
+    build peaked at 48.8 MB with int64 bookkeeping and at 36.8 MB with
+    narrow bookkeeping (43.0 MB with int64 side numbers alone)."""
     reg.build_region("dodecagrid", 1, 0)       # warm the per-grid caches
     tracemalloc.start()
     try:
@@ -715,214 +637,228 @@ def test_mirrors_satisfy_coxeter_relations(grid):
 @pytest.mark.parametrize("grid", ["pentagrid", "heptagrid", "dodecagrid"])
 def test_base_cell_and_neighbours_have_distinct_keys(grid):
     ck = reg._cell_keys(grid)
-    p = ck.via.shape[-2]
-    keys = [tuple(ck.f0)] + [tuple(ck.via[p, p, t]) for t in range(p)]
+    p = len(ck.steps)
+    keys = [tuple(ck.f0)] + [tuple(ck.steps[t] @ ck.f0) for t in range(p)]
     assert len(set(keys)) == p + 1
+
+
+@pytest.mark.parametrize("grid", ["pentagrid", "heptagrid", "dodecagrid"])
+def test_shared_neighbours_are_step_identities(grid):
+    """The walk tables against the exact step matrices.  The cell across
+    side s faces back by side back[s]: T_s T_back[s] f0 == f0, and on the
+    polygonal grids back[s] = s.  A walk that leaves the base cell by s
+    in state j and then turns as the tables say, each cell in the frame of
+    its path, meets `cells` distinct cells: the last is the base cell's
+    neighbour across target[s, j], and one more hop closes the cycle."""
+    ck, walk = reg._cell_keys(grid), reg._walk(grid)
+    p, n_aux = walk.target.shape
+    t_f0 = [tuple(ck.steps[t] @ ck.f0) for t in range(p)]
+    for s in range(p):
+        assert np.array_equal(ck.steps[s] @ ck.steps[walk.back[s]] @ ck.f0,
+                              ck.f0)
+    if grid != "dodecagrid":
+        assert np.array_equal(walk.back, np.arange(p))
+    for s in range(p):
+        for j in range(n_aux):
+            q, side, state, seen = np.eye(len(ck.f0), dtype=np.int64), s, \
+                j, [tuple(ck.f0)]
+            for _ in range(walk.cells):
+                q = q @ ck.steps[side]
+                seen.append(tuple(q @ ck.f0))
+                k = walk.back[side] * n_aux + state
+                side, state = walk.turn[k], walk.aux[k]
+            assert seen[-2] == t_f0[walk.target[s, j]], (s, j)
+            assert seen[-1] == tuple(ck.f0), (s, j)
+            assert len(set(seen[:-1])) == walk.cells, (s, j)
+
+
+def _tits_keys(r: reg.Region) -> tuple[np.ndarray, np.ndarray]:
+    """(N, m) every cell's exact key Q f0, and (N, p, m) the key Q T_s f0
+    of the cell across each of its sides, with Q the Tits matrix of the
+    path the build numbers the cell's sides by: the chain walk for chain
+    cells, renumbered as the dodecagrid chain is, and for every other
+    cell its parent's Q times the step across its placement side.  The
+    products are int64 where the bound of the chain's row sums times
+    ||T||_inf ** (radius + 1) keeps them from wrapping, and Python ints
+    where it does not."""
+    ck = reg._cell_keys(r.grid)
+    p, m = len(ck.steps), len(ck.f0)
+    extent = r.halfwidth + r.radius
+    _, left, right = reg._chain_labels(r.grid, p,
+                                       np.arange(-extent, extent + 1))
+    steps = ck.steps.astype(object)
+    chain = np.empty((2 * extent + 1, m, m), dtype=object)
+    chain[extent] = np.eye(m, dtype=np.int64).astype(object)
+    for k, k0, s in reg._chain_walk(extent, left, right):
+        chain[k] = chain[k0].dot(steps[s])
+    rows = max(sum(map(abs, row)) for row in chain.reshape(-1, m).tolist())
+    bound = rows * int(np.abs(ck.steps).sum(axis=2).max()) ** (r.radius + 1)
+    dtype = np.int64 if bound < 2**63 else object
+    q = np.empty((r.n_cells, m, m), dtype=dtype)
+    gl, pl = r.guideline, r.placement
+    q[gl.cell_ids] = chain[gl.positions + extent]
+    n_chain = len(gl.cell_ids)
+    steps = steps.astype(dtype)
+    for level in range(1, r.radius + 1):
+        at = n_chain + np.flatnonzero(r.dist[n_chain:] == level)
+        k = at - n_chain
+        q[at] = np.matmul(q[pl.parent[k]], steps[pl.side[k]])
+    keys = np.matmul(q, ck.f0.astype(dtype))
+    across = np.matmul(q, (steps @ ck.f0.astype(dtype)).T).transpose(0, 2, 1)
+    if r.grid == "dodecagrid":
+        mirror = reg._chain_labels(r.grid, p, gl.positions)[0]
+        for mf, motion, _ in reg._chain_renumbering():
+            c = gl.cell_ids[mirror == mf]
+            across[c] = across[c][:, motion]
+    return keys, across
+
+
+def _exact_adjacency(r: reg.Region, adjacency: np.ndarray) -> bool:
+    """Whether every cell's key is distinct and each entry (c, s) of
+    `adjacency` holds the cell keyed Q_c T_s f0, or -1 only where no cell
+    of the region has that key."""
+    keys, across = _tits_keys(r)
+    index = {k: c for c, k in enumerate(map(tuple, keys.tolist()))}
+    want = [index.get(tuple(k), -1)
+            for k in across.reshape(-1, keys.shape[1]).tolist()]
+    return len(index) == r.n_cells \
+        and np.array_equal(adjacency.reshape(-1), want)
+
+
+@pytest.mark.parametrize("grid,radius,hw", FINGERPRINT_SIZES
+                         + DIFFERENTIAL_SIZES
+                         + [("pentagrid", 2, 300), ("dodecagrid", 2, 100),
+                            ("heptagrid", 2, 30)])
+def test_sizes_build_on_either_row(region_of, grid, radius, hw):
+    """Exact integer identity, read from either row of each shared side:
+    every cell's key is distinct, and each entry (c, s) holds the cell
+    keyed Q_c T_s f0, or -1 only where no cell of the region has that
+    key, so the neighbour's row lists c back across the side facing it."""
+    r = region_of(grid, radius, hw)
+    assert _exact_adjacency(r, r.adjacency)
 
 
 _IDENTITY_SIZES = [("pentagrid", 3, 2), ("heptagrid", 3, 2),
                    ("dodecagrid", 2, 1)]
 
 
-def _degenerate_row(row: dict) -> np.ndarray:
-    """A hash row that is c times the given multiple of each key entry,
-    and zero elsewhere, c the first row's constant."""
-    c = int(reg._HASH_ROWS[0, 0])
-    hash_row = np.zeros(12, dtype=np.uint64)
-    for k, times in row.items():
-        hash_row[k] = times * c % 2**64
-    return hash_row
-
-
-def _joining_row(d: np.ndarray) -> np.ndarray:
-    """The first hash row with one entry changed so that two keys whose
-    difference is d hash alike: r . d = 0 mod 2**64, solved for the entry
-    j whose d_j has the fewest factors 2."""
-    d, row = d.tolist(), reg._HASH_ROWS[0].tolist()
-    twos = [(x & -x).bit_length() - 1 if x else 64 for x in d]
-    j = twos.index(min(twos))
-    rest = sum(r * x for i, (r, x) in enumerate(zip(row, d)) if i != j)
-    mod = 2 ** (64 - twos[j])
-    row[j] = -(rest >> twos[j]) * pow(d[j] >> twos[j], -1, mod) % mod
-    assert sum(r * x for r, x in zip(row, d)) % 2**64 == 0
-    return np.array(row, dtype=np.uint64)
-
-
-def _assert_restarts_once(monkeypatch, grid, radius, hw, first):
-    """With `first` before the build's first row, the build starts again
-    once, on the second row, and the full keys sort the cells as the
-    float reference does."""
-    monkeypatch.setattr(reg, "_HASH_ROWS",
-                        np.stack([first, reg._HASH_ROWS[0]]))
-    rows = []
-    build = reg._build
-
-    def record(grid, radius, hw, hash_row):
-        rows.append(hash_row)
-        return build(grid, radius, hw, hash_row)
-
-    monkeypatch.setattr(reg, "_build", record)
-    assert_same_region(reg.build_region(grid, radius, hw),
-                       float_ref.build_region(grid, radius, hw))
-    assert len(rows) == 2
-
-
-@pytest.mark.parametrize("grid,radius,hw,row", [
-    *(pytest.param(*size, {}, id="-".join(map(str, size)))
+@pytest.mark.parametrize("grid,radius,hw,change", [
+    *(pytest.param(*size, None, id="-".join(map(str, size)))
       for size in _IDENTITY_SIZES),
-    *(pytest.param(*size, {0: 1, 1: -1},
+    *(pytest.param(*size, "difference",
                    id="-".join(map(str, size)) + "-difference")
       for size in _IDENTITY_SIZES),
-    pytest.param("pentagrid", 3, 2, {1: 1, 4: -1}, id="pentagrid-3-2-stored")])
-def test_full_keys_decide_identity(monkeypatch, grid, radius, hw, row):
-    """A degenerate hash row goes first.  With every hash equal, the
-    chain's hashes repeat.  Hashing key[0] - key[1] alone, the chain's
-    hashes are distinct but a later cell's equals a stored one's, and the
-    probe hits a cell whose full key is another; so does hashing key[1] -
-    key[4] on the pentagrid.  Each is a collision."""
-    _assert_restarts_once(monkeypatch, grid, radius, hw,
-                          _degenerate_row(row))
-
-
-@pytest.mark.parametrize("grid", ["pentagrid", "heptagrid", "dodecagrid"])
-@pytest.mark.parametrize("kind,says", [
-    ("chain", "two chain cells hash alike"),
-    ("hit", "a hit's full key is not the stored cell's"),
-    ("run", "a run of equal misses holds two cells")],
-    ids=["chain", "hit", "run"])
-def test_each_collision_restarts(monkeypatch, grid, kind, says):
-    """A row made to join two keys and no others: the base cell's two
-    chain neighbours; an off-chain neighbour and the base cell, which the
-    neighbour's probe hits; two off-chain neighbours, misses of the first
-    level in one run.  At radius 1 no later level could meet the
-    collision, so the check named must see it."""
-    ck = reg._cell_keys(grid)
-    p = len(ck.back)
-    _, left, right = reg._chain_labels(grid, p, np.array([0]))
-    t_f0 = ck.steps[:p] @ ck.f0
-    off = [s for s in range(p) if s not in (left[0], right[0])]
-    a, b = {"chain": (t_f0[left[0]], t_f0[right[0]]),
-            "hit": (t_f0[off[0]], ck.f0),
-            "run": (t_f0[off[0]], t_f0[off[1]])}[kind]
-    row = _joining_row(a - b)
-    with pytest.raises(reg._Collision, match=f"^{says}$"):
-        reg._build(grid, 1, 1, row)
-    _assert_restarts_once(monkeypatch, grid, 1, 1, row)
-
-
-def test_collision_on_every_row_is_refused(monkeypatch, capsys):
-    """Two degenerate rows: the build raises a ValueError naming the
-    region, and the command line exits 2 with one error line."""
-    monkeypatch.setattr(reg, "_HASH_ROWS", np.stack(
-        [_degenerate_row({}), _degenerate_row({0: 1, 1: -1})]))
-    with pytest.raises(ValueError, match="^the heptagrid region of radius 3 "
-                       "and halfwidth 2 meets a hash collision on "
-                       "every hash row$"):
-        reg.build_region("heptagrid", 3, 2)
-    assert cli.main(["render", "--grid", "pentagrid", "--radius", "2",
-                     "--halfwidth", "1"]) == 2
-    err = capsys.readouterr().err
-    assert err == ("error: the pentagrid region of radius 2 and halfwidth 1 "
-                   "meets a hash collision on every hash row\n")
-
-
-@pytest.mark.parametrize("grid,radius,hw",
-                         FINGERPRINT_SIZES + DIFFERENTIAL_SIZES)
-def test_sizes_build_on_either_row(monkeypatch, region_of, grid, radius,
-                                   hw):
-    """No tested size meets a collision: with the first hash row alone,
-    and with the second alone, each builds the region of the full
-    build."""
-    want = region_of(grid, radius, hw)
-    for row in reg._HASH_ROWS:
-        monkeypatch.setattr(reg, "_HASH_ROWS", row[None])
-        r = reg.build_region(grid, radius, hw)
-        for got, exp in ((r.adjacency, want.adjacency), (r.dist, want.dist),
-                         (r.placement.parent, want.placement.parent),
-                         (r.placement.side, want.placement.side)):
-            assert np.array_equal(got, exp)
-
-
-@pytest.mark.parametrize("grid", ["pentagrid", "heptagrid", "dodecagrid"])
-def test_shared_neighbours_are_step_identities(grid):
-    """shared[s, t] = s' exactly when T_s T_t f0 == T_s' f0: {7,3} has three
-    cells at a vertex, so across each side the heptagrid shares two
-    neighbours; on the right-angled grids two cells that share a side share
-    no neighbour."""
-    ck = reg._cell_keys(grid)
-    p = len(ck.back)
-    t_f0 = ck.steps[:p] @ ck.f0
-    for s in range(p):
-        for t in range(p):
-            key = ck.steps[s] @ ck.steps[t] @ ck.f0
-            hits = [u for u in range(p) if np.array_equal(key, t_f0[u])]
-            assert hits == ([ck.shared[s, t]] if ck.shared[s, t] >= 0
-                            else []), (s, t)
-    assert (ck.shared[p] == -1).all()
-    per_side = (ck.shared[:p] >= 0).sum(axis=1)
-    assert (per_side == (2 if grid == "heptagrid" else 0)).all()
+    pytest.param("pentagrid", 3, 2, "stored", id="pentagrid-3-2-stored")])
+def test_full_keys_decide_identity(region_of, grid, radius, hw, change):
+    """The exact keys tell a wrong entry from the right one: the region as
+    built passes, and it fails with two cells swapped in one row of the
+    outermost level (a difference in side numbering), or with one entry
+    that holds a stored cell emptied."""
+    r = region_of(grid, radius, hw)
+    adj = r.adjacency.copy()
+    if change is not None:
+        c = np.flatnonzero((r.dist == radius)
+                           & ((adj >= 0).sum(axis=1) > 1))[-1]
+        s = np.flatnonzero(adj[c] >= 0)
+        if change == "difference":
+            adj[c, s[:2]] = adj[c, s[1::-1]]
+        else:
+            adj[c, s[0]] = -1
+    assert _exact_adjacency(r, adj) == (change is None)
 
 
 @pytest.mark.parametrize("grid,radius,hw", DIFFERENTIAL_SIZES)
 def test_lookup_shortcuts_change_no_cell(monkeypatch, region_of, grid,
                                          radius, hw):
-    """With no shared neighbours and every bucket reported full, every
-    candidate goes through the hash search and the key confirmation; the
-    region must be the same."""
+    """A level's walks run over blocks of frontier cells, and a block
+    looks up the entries that the blocks before it found instead of
+    walking for them.  With blocks of three cells the region must be the
+    same."""
     want = region_of(grid, radius, hw)
-    ck = reg._cell_keys(grid)
-    monkeypatch.setattr(reg, "_cell_keys", lambda g: dataclasses.replace(
-        ck, shared=np.full_like(ck.shared, -1)))
-    monkeypatch.setattr(reg._Presence, "__call__",
-                        lambda self, h: np.ones(h.size, dtype=bool))
-    assert_same_region(reg.build_region(grid, radius, hw), want)
+    monkeypatch.setattr(reg, "_CHUNK", 3 * want.adjacency.shape[1])
+    got = reg.build_region(grid, radius, hw)
+    for a, b in ((got.adjacency, want.adjacency), (got.dist, want.dist),
+                 (got.placement.parent, want.placement.parent),
+                 (got.placement.side, want.placement.side)):
+        assert np.array_equal(a, b)
 
 
-def test_lookups_skip_shared_and_empty_buckets(monkeypatch):
-    """On heptagrid r6 hw3 the candidate pass searched 28,525 hashes with
-    only the parent read off; reading shared neighbours and skipping empty
-    buckets leaves 2,544.  Every hash the build probes is counted; the
-    dedup of a level's misses probes none."""
-    probed = []
-    probe = reg._probe
-
-    def count(h, table, ids):
-        probed.append(h.size)
-        return probe(h, table, ids)
-
-    monkeypatch.setattr(reg, "_probe", count)
-    assert reg.build_region("heptagrid", 6, 3).n_cells == 4751
-    assert 0 < sum(probed) < 4_000
+# the three collisions of walks that disagree: a walk hits an entry that
+# holds another cell, a walk chains two candidates into one cell where
+# another walk finds them, and a run of one cell's candidates is paired
+# only in part
+_DISAGREE = {"hit": "two walks give one entry different cells",
+             "chain": "a walk pairs two entries that another walk finds",
+             "run": "the walks pair a cell's candidates only in part"}
+_WRONG_TABLES: dict[str, collections.Counter] = {}
 
 
-def test_presence_map_holds_every_stored_hash():
-    """No stored hash is ever reported absent, as the map grows over
-    batches given in any order; and it keeps at least eight buckets per
-    stored hash."""
-    rng = np.random.default_rng(1402)
-    table = np.sort(rng.integers(0, 2**64, size=5, dtype=np.uint64))
-    present = reg._Presence(table)
-    for i, size in enumerate((3, 40, 7, 900, 2, 20_000, 11, 5_000, 300)):
-        new = rng.integers(0, 2**64, size=size, dtype=np.uint64)
-        if i < 7:                       # sorted batches, then unsorted ones
-            new = np.sort(new)
-        if i == 8:                      # all in the eight buckets of a byte
-            new = np.uint64(2**63) + new % np.uint64(2**(67 - present.width))
-        table = np.sort(np.concatenate([table, new]))
-        present.add(new, table)
-        assert present(table).all()
-        assert 2 ** present.width >= reg._BUCKETS_PER_CELL * table.size
-        probes = rng.integers(0, 2**64, size=4000, dtype=np.uint64)
-        buckets = table >> np.uint64(64 - present.width)
-        want = np.isin(probes >> np.uint64(64 - present.width), buckets)
-        assert np.array_equal(present(probes), want)
+def _wrong_table_outcomes(grid: str) -> collections.Counter:
+    """What the r2 hw0 and r3 hw2 builds do with one entry of the walk
+    tables `turn`, `aux` or `target` wrong, over every entry and every
+    wrong value: the error they raise, or "same" for the region of the
+    true tables, or "other" for any other region."""
+    if grid not in _WRONG_TABLES:
+        real, walk = reg._walk, reg._walk(grid)
+        sizes = [(2, 0), (3, 2)]
+        want = [reg.build_region(grid, *size).adjacency for size in sizes]
+        seen = collections.Counter()
+        try:
+            for name, size in itertools.product(("turn", "aux", "target"),
+                                                range(len(sizes))):
+                table = getattr(walk, name)
+                values = walk.target.shape[1] if name == "aux" \
+                    else len(walk.back)
+                for k, delta in itertools.product(range(table.size),
+                                                  range(1, values)):
+                    wrong = table.copy()
+                    wrong.flat[k] = (wrong.flat[k] + delta) % values
+                    tables = dataclasses.replace(walk, **{name: wrong})
+                    reg._walk = lambda g: tables
+                    try:
+                        adj = reg.build_region(grid, *sizes[size]).adjacency
+                        seen["same" if np.array_equal(adj, want[size])
+                             else "other"] += 1
+                    except AssertionError as e:
+                        seen[str(e)] += 1
+        finally:
+            reg._walk = real
+        _WRONG_TABLES[grid] = seen
+    return _WRONG_TABLES[grid]
 
 
-def test_key_limit_names_the_limit(monkeypatch):
-    monkeypatch.setattr(reg, "_KEY_LIMIT", 10**4)
-    with pytest.raises(reg.RegionTooLarge, match="int64 key limit"):
-        reg.build_region("heptagrid", 6, 3)
-    reg.build_region("heptagrid", 3, 2)     # smaller keys stay under it
+@pytest.mark.parametrize("grid", ["pentagrid", "heptagrid", "dodecagrid"])
+@pytest.mark.parametrize("kind", list(_DISAGREE))
+def test_each_collision_restarts(grid, kind):
+    """With any one entry of the walk tables wrong, the build raises one
+    of the three errors of walks that disagree: two walks give an entry
+    different cells, a walk pairs an entry that another walk finds, or a
+    cell's candidates are paired only in part.  Where no walk reads the
+    wrong entry it builds the same region; it never returns another.
+    Each check is the one that sees some wrong entry on each grid, and
+    once the true tables are back a build starts from them again."""
+    outcomes = _wrong_table_outcomes(grid)
+    assert set(outcomes) <= {"same", *_DISAGREE.values()}
+    assert outcomes[_DISAGREE[kind]] > 0
+    want = json.loads(FINGERPRINTS.read_text())[_size_key(grid, 2, 0)]
+    assert region_fingerprint(reg.build_region(grid, 2, 0)) == want
+
+
+@pytest.mark.parametrize("radius,hw,step", [(2, 60, 22), (3, 45, 58)])
+def test_heptagrid_builds_past_40(radius, hw, step):
+    """The build forms no key, so nothing bounds the heptagrid's extent:
+    past halfwidth + radius 40, where its int64 keys ran out, it builds
+    a symmetric adjacency on the chain its labels name, and each unit of
+    halfwidth adds as many cells as it does at halfwidth 20 to 30."""
+    counts = [reg.build_region("heptagrid", radius, h).n_cells
+              for h in range(20, 31)]
+    assert set(np.diff(counts).tolist()) == {step}
+    r = reg.build_region("heptagrid", radius, hw)
+    assert r.n_cells == counts[0] + step * (hw - 20)
+    reg._check_chain(r)
+    c, s = np.nonzero(r.adjacency >= 0)
+    assert (r.adjacency[r.adjacency[c, s]] == c[:, None]).sum(axis=1).min() \
+        == 1
 
 
 # Precision limits of the centre lookup of the float reference builder.
