@@ -36,40 +36,33 @@ the level below are copied, not found.  Every other entry of a frontier
 cell x is found by walking around the vertex or edge that its side shares
 with a known entry of a complete cell, a cell of a lower level: 2 hops on
 the heptagrid, where three cells meet at a vertex, and 3 on the pentagrid
-and the dodecagrid, where four meet at a vertex or an edge.  A hop enters
-a cell by its mate m and leaves it by the next side around, m -+ 1 on the
-polygonal grids and, on the dodecagrid, the side a 12 x 5 edge-walk table
-gives for m and the edge; the table is derived once, in numpy, from the
-exact step matrices of `_cell_keys`.  A walk that ends on a known entry
-has found the cell.  One that ends on an unfinished frontier cell pairs
-the two candidates as one new cell, and a candidate that no walk pairs
-is a cell of the next level that touches no other frontier cell, new below
-the radius and outside the region at it.  On the heptagrid the walks
+and the dodecagrid, where four meet at a vertex or an edge.  A hop enters a
+cell by its mate m and leaves it by the next side around, which the walk
+tables give for m and the vertex or edge.  A walk that ends on a known
+entry has found the cell.  One that ends on an unfinished frontier cell
+pairs the two candidates as one new cell, and a candidate that no walk
+pairs is a cell of the next level that touches no other frontier cell, new
+below the radius and outside the region at it.  On the heptagrid the walks
 through frontier cells come second, once the adjacencies within the level
 are known.  New cells are numbered in (frontier, side) order of first
 occurrence, and each takes its first path's frame: its side facing that
 path is the one the step across it names.  Two walks that give one entry
-different cells, a pair that another walk finds, or a cell whose
-candidates are paired only in part raise an error.
+different cells, a pair that another walk finds, or a cell whose candidates
+are paired only in part raise an error.
 
-Cells also have exact names, kept for that derivation and for the tests:
-each tiling is the orbit of its base cell under a reflection group, and
-each step operator has an integer image T_s in a faithful linear
-representation of that group (J. Tits, 1969; M. W. Davis, The Geometry
-and Topology of Coxeter Groups, 2008):
-
-- pentagrid and dodecagrid: the group is right-angled.  T_s is the side
-  reflection in the contragredient Tits representation (B_ii = 1, B_ij = 0
-  for adjacent sides and -1 otherwise), composed with the side permutation
-  of the base-cell symmetry the step includes; f0 = (1, ..., 1).
-- heptagrid: the [7,3] triangle group over Z[alpha], alpha = 2 cos(pi/7),
-  written as 9 x 9 integer matrices.  f0 is the weight fixed by the two
-  mirrors through the base centre, which generate the centre's order-14
-  stabilizer.
-
-A cell reached by steps s1..sk is keyed Q f0, Q = T_s1 ... T_sk, and two
-paths share a key exactly when they reach the same cell.  The build forms
-no key and has no extent bound.
+The walk tables follow from the face rings, one derivation for all three
+grids.  target[s] lists the sides that meet side s at a vertex or an edge:
+s + 1 and s - 1 on the polygonal grids, FACE_RINGS[s] on the dodecagrid.
+sigma_s is the side map of the base-cell symmetry inside the step across
+s: a -> 2s - a mod p, the axis reflection of the polygonal half-turn, and
+on the dodecagrid a -> antipode(a), the central inversion, where the
+antipode is the one face more than two rings away.  The step's reflection
+carries side a of the base cell onto the neighbour's side at the same
+vertex or edge, and the neighbour numbers that side sigma_s(a).  So the
+mate across s is back[s] = sigma_s(s), and a walk that enters by back[s]
+toward target[s, j] leaves by turn[back[s], j] = sigma_s(target[s, j]).
+The build forms no cell key; the cells' exact Tits keys are the tests'
+reference (tests/region_reference.py).
 
 Float placement is computed on demand, in `Region.matrices`, the one place
 that makes floats.  The build records, for each cell off the chain, the
@@ -83,26 +76,27 @@ radius passes PLACEMENT_EXTENT: `Region.matrices` asks it, and so does a
 command that will place cells, before it builds them.  The build has no
 such bound.
 
-The chain's side labels are integers too.  The paper's tape line is built by
-the shift along the guideline that carries one neighbour of a tape cell onto
-the cell itself; that shift is a symmetry of the tiling, so each tape cell's
-labels follow from the previous cell's by one fixed map.  On the polygonal
-grids a shared side keeps its number in both cells and the step is a
-half-turn, which keeps orientation, so the cell at position k has left side
-l0 + k gap and right side l0 + (k + 1) gap, mod p.  On the dodecagrid a step
-numbers the shared face op(s) in the neighbour, so (mirror face, left, right)
-goes to (op m, op r, op l) and alternates between two triples with the
-parity of k.  No float test decides which cells form the chain, their sides
-or the mirror face.  `Region.marker_cell_ids` reads the labels to find the
-cells across a tape cell's pattern slots, which a run paints as the pattern
-says.
+The chain's side labels need no floats either.  The paper's tape line is
+built by the shift along the guideline that carries one neighbour of a tape
+cell onto the cell itself; that shift is a symmetry of the tiling, so each
+tape cell's labels follow from the previous cell's by one fixed map.  On
+the polygonal grids a shared side keeps its number in both cells and the
+step is a half-turn, which keeps orientation, so the cell at position k
+has left side l0 + k gap and right side l0 + (k + 1) gap, mod p.  On the
+dodecagrid a step numbers the shared face op(s) in the neighbour, so
+(mirror face, left, right) goes to (op m, op r, op l) and alternates
+between two triples with the parity of k.  No float test decides which
+cells form the chain, their sides or the mirror face.
+`Region.marker_cell_ids` reads the labels to find the cells across a tape
+cell's pattern slots, which a run paints as the pattern says.
 
 A region is a pure function of (grid, radius, halfwidth), so a region file
 holds those three values and a format version, and loading one rebuilds
 the region.  Rebuilding costs less than storing the arrays: the dodecagrid
-r4 hw1 ball (18,691 cells) builds in 26 to 40 ms (medians of 10 builds on
-a shared 2-core x86 host), while its arrays take 7.5 MB of JSON.  A file
-without the version key, or with another version, is refused.
+r4 hw1 ball (18,691 cells) builds in 9 to 14 ms (medians of 10 builds in
+one process after a warm-up build, on a shared 2-core x86 host), while its
+arrays take 7.5 MB of JSON.  A file without the version key, or with
+another version, is refused.
 
 Guideline definitions:
 
@@ -125,7 +119,6 @@ from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
-from . import geometry as geo
 from . import polytopes as poly
 from . import symmetry as sym
 from .jsonfile import exactly, json_object, read_key
@@ -314,62 +307,6 @@ _CHUNK = 8192                        # entries per block of a level's walks
 
 
 @dataclass(frozen=True)
-class _CellKeys:
-    steps: np.ndarray     # (p, m, m): T_0 .. T_{p-1}
-    f0: np.ndarray        # (m,)
-
-
-def _mirrors(grid: str) -> np.ndarray:
-    """Integer reflections generating the grid's reflection group, in its
-    contragredient Tits representation: column j of reflection j is
-    e_j - 2 B_j."""
-    if grid == "heptagrid":
-        # s1, s2, s3 through the centre and vertex 0, through the centre and
-        # the midpoint of side 0, and along side 0, over Z[alpha] in the basis
-        # 1, alpha, alpha**2; a multiplies by alpha (alpha**3 = alpha**2 +
-        # 2 alpha - 1), and 2 B_12 = -alpha, 2 B_13 = -1, 2 B_23 = 0
-        o, z = np.eye(3, dtype=np.int64), np.zeros((3, 3), dtype=np.int64)
-        a = np.array([[0, 0, -1], [1, 0, 2], [0, 1, 1]])
-        return np.stack([np.block([[-o, z, z], [a, o, z], [o, z, o]]),
-                         np.block([[o, a, z], [z, -o, z], [z, z, o]]),
-                         np.block([[o, z, o], [z, o, z], [z, z, -o]])])
-    # right-angled: B_ij = 0 for adjacent sides and -1 for the others
-    n = poly.by_name(grid).side_normals
-    b = np.where(np.abs(geo.mdot(n[:, None], n[None])) < 1e-9, 0, -1)
-    np.fill_diagonal(b, 1)
-    gens = np.repeat(np.eye(len(n), dtype=np.int64)[None], len(n), axis=0)
-    gens[np.arange(len(n)), :, np.arange(len(n))] -= 2 * b
-    return gens
-
-
-@lru_cache(maxsize=None)
-def _cell_keys(grid: str) -> _CellKeys:
-    shape = poly.by_name(grid)
-    gens = _mirrors(grid)
-    if grid == "heptagrid":
-        # step s is the half-turn s3 s2 about the midpoint of side 0, carried
-        # to side s by r**s, where the rotation r = s1 s2 takes side 0 to 1
-        r = [np.linalg.matrix_power(gens[0] @ gens[1], k) for k in range(8)]
-        t = np.stack([r[k] @ gens[2] @ gens[1] @ r[7 - k] for k in range(7)])
-        f0 = np.zeros(9, dtype=np.int64)
-        f0[6] = 1                       # fixed by s1 and s2
-    else:
-        # step s is a symmetry of the base cell, carrying side j onto side
-        # perm[j], followed by the reflection in side s
-        n = shape.side_normals
-        t = []
-        for s in range(shape.n_sides):
-            img = n @ (geo.reflection(n[s]) @ shape.step_matrices[s]).T
-            perm = np.abs(img[:, None] - n[None]).max(axis=2).argmin(axis=1)
-            if not np.allclose(n[perm], img):
-                raise AssertionError("step does not permute the sides")
-            t.append(gens[s][:, perm])
-        t = np.stack(t)
-        f0 = np.ones(shape.n_sides, dtype=np.int64)
-    return _CellKeys(t, f0)
-
-
-@dataclass(frozen=True)
 class _Walk:
     """Walks around a vertex (polygonal grids) or an edge (dodecagrid).  A
     walk's state in a cell is the side s it leaves by and j, which picks
@@ -386,39 +323,29 @@ class _Walk:
 
 @lru_cache(maxsize=None)
 def _walk(grid: str) -> _Walk:
-    """The walk tables.  On the polygonal grids a shared side keeps its
-    number in both cells and a step keeps orientation, so a walk entering
-    by side m leaves by m - 1 or m + 1.  On the dodecagrid they come from
-    the step matrices: entered across face s of a cell, the walk around
-    the edge of s and a = FACE_RINGS[s][j] leaves by the face g that
-    leads to the fourth cell around it, T_s T_g f0 == T_a T_h f0.  There
-    the frames agree along every path the build takes, so the mate across
-    face s is always back[s] (the tests' exact keys check the entries this
-    gives), and the table indexed by the mate is that of the step across
-    s."""
-    if grid != "dodecagrid":
-        p = poly.by_name(grid).n_sides
-        sides, d = np.arange(p)[:, None], np.array([1, -1])
-        aux = np.broadcast_to(np.arange(2, dtype=np.int8), (p, 2))
-        return _Walk({"pentagrid": 4, "heptagrid": 3}[grid],
-                     np.arange(p, dtype=np.int8),
-                     ((sides + d) % p).astype(np.int8),
-                     ((sides - d) % p).astype(np.int8).ravel(), aux.ravel())
-    ck = _cell_keys(grid)
-    p = len(ck.f0)
-    two = np.einsum("sab,gb->sga", ck.steps, ck.steps @ ck.f0)
-    back = (two == ck.f0).all(axis=2).argmax(axis=1)
-    rings = np.array(sym.FACE_RINGS)
-    hit = (two[:, None, :, None] == two[rings][:, :, None]).all(axis=4)
-    hit = hit.any(axis=3)                            # [s, j, g]
-    hit[np.arange(p), :, back] = False               # the cell itself
-    if not (hit.sum(axis=2) == 1).all():
-        raise AssertionError("an edge of the dodecagrid has no fourth cell")
-    g = hit.argmax(axis=2)
-    turn, aux = np.empty((2, p, 5), dtype=np.int8)
-    turn[back], aux[back] = g, (rings[g] == back[:, None, None]).argmax(axis=2)
-    return _Walk(4, back.astype(np.int8), rings.astype(np.int8),
-                 turn.ravel(), aux.ravel())
+    """The walk tables, from target and sigma as the module docstring
+    derives them: sigma[s, a] is sigma_s(a)."""
+    p = poly.by_name(grid).n_sides
+    sides = np.arange(p)
+    if grid == "dodecagrid":
+        target = np.array(sym.FACE_RINGS)
+        near = np.eye(p, dtype=np.int64)
+        near[sides[:, None], target] = 1
+        sigma = np.broadcast_to((near @ near == 0).argmax(axis=1), (p, p))
+        cells = 4
+    else:
+        target = (sides[:, None] + [1, -1]) % p
+        sigma = (2 * sides[:, None] - sides) % p
+        cells = {"pentagrid": 4, "heptagrid": 3}[grid]
+    back = sigma[sides, sides]
+    turn = np.empty_like(target)
+    turn[back] = np.take_along_axis(sigma, target, axis=1)
+    # the j at which the walk leaves: the index of its entry side m in
+    # target[turn[m, j]]
+    aux = (target[turn] == sides[:, None, None]).argmax(axis=2)
+    return _Walk(cells, back.astype(np.int8),
+                 target.astype(np.int8), turn.astype(np.int8).ravel(),
+                 aux.astype(np.int8).ravel())
 
 
 def _extend(v: np.ndarray, k: int, fill: int) -> np.ndarray:

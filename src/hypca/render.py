@@ -24,6 +24,7 @@ diff cleanly.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
@@ -101,27 +102,31 @@ def blank_states(region: Region) -> np.ndarray:
 def spec_from_json(text: str) -> RenderSpec:
     read = partial(read_key, json_object(text, "render spec"), "render spec")
 
-    def optional(value):
-        return value if value is None else exactly(int)(value)
+    def optional(check):
+        return lambda value: value if value is None else check(value)
 
-    def positive(value):
-        if exactly(int)(value) < 1:
-            raise ValueError(f"must be at least 1, not {value}")
-        return value
+    def at_least(low, *kinds):
+        """A converter that passes finite numbers of `kinds` from `low` up;
+        NaN and infinity, which Python's json reads, fail the bounds."""
+        def check(value):
+            if not low <= exactly(*kinds)(value) < math.inf:
+                raise ValueError(f"must be at least {low}, not {value}")
+            return value
+        return check
 
     string = exactly(str)
     return RenderSpec(
         grid=read("grid", string),
         colors=read("colors",
                     lambda c: {int(k): string(v) for k, v in c.items()}),
-        size=read("size", positive, 720),
-        samples_per_edge=read("samples_per_edge", positive, 8),
+        size=read("size", at_least(1, int), 720),
+        samples_per_edge=read("samples_per_edge", at_least(1, int), 8),
         stroke=read("stroke", string, "#3c3c3c"),
         stroke_width=read("stroke_width",
-                          lambda v: float(exactly(int, float)(v)), 0.0025),
+                          lambda v: float(at_least(0, int, float)(v)), 0.0025),
         background=read("background", string, "#ffffff"),
-        depth=read("depth", optional, None),
-        quiet=read("quiet", optional, None),
+        depth=read("depth", optional(at_least(0, int)), None),
+        quiet=read("quiet", optional(exactly(int)), None),
     )
 
 

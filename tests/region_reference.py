@@ -24,8 +24,30 @@ sides one cell at a time, from its own copy of the marker tables, and
 `marker_cell_ids` collects the cells across them in a set: the per-cell
 form of `hypca.region.Region.marker_cell_ids`.  `tape_positions` spreads
 the guideline's positions over every cell, as regions once stored them.
+
+Cells also have exact names here, the reference for the walk tables of
+`hypca.region`: each tiling is the orbit of its base cell under a
+reflection group, and each step operator has an integer image T_s in a
+faithful linear representation of that group (J. Tits, 1969; M. W. Davis,
+The Geometry and Topology of Coxeter Groups, 2008).  `_mirrors` gives the
+group's generating reflections and `_cell_keys` the step images:
+
+- pentagrid and dodecagrid: the group is right-angled.  T_s is the side
+  reflection in the contragredient Tits representation (B_ii = 1, B_ij = 0
+  for adjacent sides and -1 otherwise), composed with the side permutation
+  of the base-cell symmetry the step includes; f0 = (1, ..., 1).
+- heptagrid: the [7,3] triangle group over Z[alpha], alpha = 2 cos(pi/7),
+  written as 9 x 9 integer matrices.  f0 is the weight fixed by the two
+  mirrors through the base centre, which generate the centre's order-14
+  stabilizer.
+
+A cell reached by steps s1..sk is keyed Q f0, Q = T_s1 ... T_sk, and two
+paths share a key exactly when they reach the same cell.
 """
 from __future__ import annotations
+
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -516,3 +538,59 @@ def neighbor(region: Region, c: int, side: int) -> int | None:
         s = side - 1
     hit = int(region.adjacency[c, s])
     return hit if hit >= 0 else None
+
+
+@dataclass(frozen=True)
+class _CellKeys:
+    steps: np.ndarray     # (p, m, m): T_0 .. T_{p-1}
+    f0: np.ndarray        # (m,)
+
+
+def _mirrors(grid: str) -> np.ndarray:
+    """Integer reflections generating the grid's reflection group, in its
+    contragredient Tits representation: column j of reflection j is
+    e_j - 2 B_j."""
+    if grid == "heptagrid":
+        # s1, s2, s3 through the centre and vertex 0, through the centre and
+        # the midpoint of side 0, and along side 0, over Z[alpha] in the basis
+        # 1, alpha, alpha**2; a multiplies by alpha (alpha**3 = alpha**2 +
+        # 2 alpha - 1), and 2 B_12 = -alpha, 2 B_13 = -1, 2 B_23 = 0
+        o, z = np.eye(3, dtype=np.int64), np.zeros((3, 3), dtype=np.int64)
+        a = np.array([[0, 0, -1], [1, 0, 2], [0, 1, 1]])
+        return np.stack([np.block([[-o, z, z], [a, o, z], [o, z, o]]),
+                         np.block([[o, a, z], [z, -o, z], [z, z, o]]),
+                         np.block([[o, z, o], [z, o, z], [z, z, -o]])])
+    # right-angled: B_ij = 0 for adjacent sides and -1 for the others
+    n = poly.by_name(grid).side_normals
+    b = np.where(np.abs(geo.mdot(n[:, None], n[None])) < 1e-9, 0, -1)
+    np.fill_diagonal(b, 1)
+    gens = np.repeat(np.eye(len(n), dtype=np.int64)[None], len(n), axis=0)
+    gens[np.arange(len(n)), :, np.arange(len(n))] -= 2 * b
+    return gens
+
+
+@lru_cache(maxsize=None)
+def _cell_keys(grid: str) -> _CellKeys:
+    shape = poly.by_name(grid)
+    gens = _mirrors(grid)
+    if grid == "heptagrid":
+        # step s is the half-turn s3 s2 about the midpoint of side 0, carried
+        # to side s by r**s, where the rotation r = s1 s2 takes side 0 to 1
+        r = [np.linalg.matrix_power(gens[0] @ gens[1], k) for k in range(8)]
+        t = np.stack([r[k] @ gens[2] @ gens[1] @ r[7 - k] for k in range(7)])
+        f0 = np.zeros(9, dtype=np.int64)
+        f0[6] = 1                       # fixed by s1 and s2
+    else:
+        # step s is a symmetry of the base cell, carrying side j onto side
+        # perm[j], followed by the reflection in side s
+        n = shape.side_normals
+        t = []
+        for s in range(shape.n_sides):
+            img = n @ (geo.reflection(n[s]) @ shape.step_matrices[s]).T
+            perm = np.abs(img[:, None] - n[None]).max(axis=2).argmin(axis=1)
+            if not np.allclose(n[perm], img):
+                raise AssertionError("step does not permute the sides")
+            t.append(gens[s][:, perm])
+        t = np.stack(t)
+        f0 = np.ones(shape.n_sides, dtype=np.int64)
+    return _CellKeys(t, f0)

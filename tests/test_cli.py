@@ -566,8 +566,16 @@ def test_failure_exit_codes(tmp_path, capsys):
                       (dict(good_spec, samples_per_edge=2.7),
                        "'samples_per_edge'"),
                       (dict(good_spec, depth="2"), "'depth'"),
+                      (dict(good_spec, depth=-1),
+                       "'depth': must be at least 0, not -1"),
                       (dict(good_spec, stroke_width=True), "'stroke_width'"),
                       (dict(good_spec, stroke_width="0.5"), "'stroke_width'"),
+                      (dict(good_spec, stroke_width=-0.5),
+                       "'stroke_width': must be at least 0, not -0.5"),
+                      (dict(good_spec, stroke_width=float("nan")),
+                       "'stroke_width': must be at least 0"),
+                      (dict(good_spec, stroke_width=float("inf")),
+                       "'stroke_width': must be at least 0"),
                       (dict(good_spec, stroke=None), "'stroke'"),
                       (dict(good_spec, background=5), "'background'"),
                       (dict(good_spec, colors={"0": "#fff", "1": 0}),

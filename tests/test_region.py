@@ -12,6 +12,7 @@ import pytest
 
 from hypca import cli, embed, engine
 from hypca import geometry as geo
+from hypca import polytopes as poly
 from hypca import region as reg
 from hypca import symmetry as sym
 
@@ -625,7 +626,7 @@ def _coxeter_matrix(grid: str) -> np.ndarray:
 
 @pytest.mark.parametrize("grid", ["pentagrid", "heptagrid", "dodecagrid"])
 def test_mirrors_satisfy_coxeter_relations(grid):
-    gens = reg._mirrors(grid)
+    gens = float_ref._mirrors(grid)
     eye = np.eye(gens.shape[1], dtype=np.int64)
     for (i, j), order in np.ndenumerate(_coxeter_matrix(grid)):
         prod = gens[i] @ gens[j]
@@ -636,7 +637,7 @@ def test_mirrors_satisfy_coxeter_relations(grid):
 
 @pytest.mark.parametrize("grid", ["pentagrid", "heptagrid", "dodecagrid"])
 def test_base_cell_and_neighbours_have_distinct_keys(grid):
-    ck = reg._cell_keys(grid)
+    ck = float_ref._cell_keys(grid)
     p = len(ck.steps)
     keys = [tuple(ck.f0)] + [tuple(ck.steps[t] @ ck.f0) for t in range(p)]
     assert len(set(keys)) == p + 1
@@ -645,12 +646,13 @@ def test_base_cell_and_neighbours_have_distinct_keys(grid):
 @pytest.mark.parametrize("grid", ["pentagrid", "heptagrid", "dodecagrid"])
 def test_shared_neighbours_are_step_identities(grid):
     """The walk tables against the exact step matrices.  The cell across
-    side s faces back by side back[s]: T_s T_back[s] f0 == f0, and on the
-    polygonal grids back[s] = s.  A walk that leaves the base cell by s
+    side s faces back by side back[s]: T_s T_back[s] f0 == f0; on the
+    polygonal grids back[s] = s, and on the dodecagrid back takes each
+    face direction u to -u.  A walk that leaves the base cell by s
     in state j and then turns as the tables say, each cell in the frame of
     its path, meets `cells` distinct cells: the last is the base cell's
     neighbour across target[s, j], and one more hop closes the cycle."""
-    ck, walk = reg._cell_keys(grid), reg._walk(grid)
+    ck, walk = float_ref._cell_keys(grid), reg._walk(grid)
     p, n_aux = walk.target.shape
     t_f0 = [tuple(ck.steps[t] @ ck.f0) for t in range(p)]
     for s in range(p):
@@ -658,6 +660,11 @@ def test_shared_neighbours_are_step_identities(grid):
                               ck.f0)
     if grid != "dodecagrid":
         assert np.array_equal(walk.back, np.arange(p))
+    else:
+        # the antipode of the face rings is the map u -> -u of the face
+        # directions that `_place` and render use
+        u = poly.dodecagrid().side_directions
+        assert np.allclose(u[walk.back], -u)
     for s in range(p):
         for j in range(n_aux):
             q, side, state, seen = np.eye(len(ck.f0), dtype=np.int64), s, \
@@ -681,7 +688,7 @@ def _tits_keys(r: reg.Region) -> tuple[np.ndarray, np.ndarray]:
     products are int64 where the bound of the chain's row sums times
     ||T||_inf ** (radius + 1) keeps them from wrapping, and Python ints
     where it does not."""
-    ck = reg._cell_keys(r.grid)
+    ck = float_ref._cell_keys(r.grid)
     p, m = len(ck.steps), len(ck.f0)
     extent = r.halfwidth + r.radius
     _, left, right = reg._chain_labels(r.grid, p,
